@@ -9,6 +9,9 @@
 //!
 //! Extra flags beyond the standard tracing set:
 //!
+//! * `--threads <n>` — evaluate points on `n` worker threads; `0` or
+//!   absent defers to the `FRED_THREADS` environment variable (default
+//!   1). Rows are bit-identical at every thread count;
 //! * `--full` — run the ≥ 200-point [`SweepSpec::full`] sweep instead
 //!   of the CI smoke grid;
 //! * `--checkpoint <path>` — write a resumable checkpoint after every
@@ -42,6 +45,7 @@ fn main() {
     let mut resume = false;
     let mut stop_after_chunks: Option<usize> = None;
     let mut inject_panic: Option<usize> = None;
+    let mut threads = 0usize;
     let mut opts = TraceOpts::from_args_with("dse_sweep", |flag, next| match flag {
         "--full" => {
             full = true;
@@ -66,6 +70,10 @@ fn main() {
             inject_panic = Some(parse_usize("--inject-panic", next));
             true
         }
+        "--threads" => {
+            threads = parse_usize("--threads", next);
+            true
+        }
         _ => false,
     });
     let spec = if full {
@@ -75,7 +83,7 @@ fn main() {
     };
 
     let run_opts = RunOpts {
-        threads: opts.threads(),
+        threads,
         checkpoint,
         resume,
         stop_after_chunks,

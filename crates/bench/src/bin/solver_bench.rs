@@ -16,11 +16,9 @@
 //! configuration reruns with `fred_telemetry::prof` enabled and must
 //! keep ≥ 95% of the unprofiled events/s (best paired ratio over
 //! interleaved runs, measured in-process so machine speed cancels
-//! out) — once single-threaded, once on the sharded engine at two
-//! worker threads, where the thread-local scope timers drain at the
-//! shard barriers.
+//! out).
 
-use fred_bench::churn::{run_churn, run_churn_sharded, ChurnConfig, ShardChurnConfig};
+use fred_bench::churn::{run_churn, ChurnConfig};
 use fred_bench::table::Table;
 use fred_bench::traceopt::TraceOpts;
 use fred_telemetry::prof;
@@ -139,60 +137,6 @@ fn main() {
         ratio * 100.0
     );
     opts.metric("profiled_events_per_sec_ratio", ratio);
-
-    // Same budget across worker threads: scope timers are
-    // thread-local and drained at the shard barriers
-    // (`prof::flush_thread`), so the aggregation must not cost more
-    // than the 5% single-threaded bound either. Uses the sharded
-    // engine at 2 workers — the aggregation path only exists there.
-    // Runs are sized so scheduler noise (worker threads time-slicing
-    // on oversubscribed CI hosts) is small against the run length, and
-    // the sample budget is deeper than the single-threaded check's for
-    // the same reason.
-    let sharded_cfg = ShardChurnConfig {
-        side: 16,
-        tiles: 2,
-        flows_per_tile: 2048,
-        concurrency_per_tile: 32,
-        locality: 4,
-        seed: 0x50_1BE4CA,
-    };
-    prof::set_enabled(false);
-    run_churn_sharded(&sharded_cfg, 2); // warm-up
-    let (mut plain, mut profiled) = (0.0f64, 0.0f64);
-    let mut ratio = 0.0f64;
-    for _ in 0..16 {
-        // Best *paired* ratio, not max-vs-max: with worker threads
-        // time-slicing on an oversubscribed host, throughput drifts
-        // between runs by far more than the budget, but an adjacent
-        // profiled/unprofiled pair sees the same host conditions and
-        // the drift cancels.
-        prof::set_enabled(false);
-        let p = run_churn_sharded(&sharded_cfg, 2).events_per_sec();
-        prof::set_enabled(true);
-        let q = run_churn_sharded(&sharded_cfg, 2).events_per_sec();
-        plain = plain.max(p);
-        profiled = profiled.max(q);
-        ratio = ratio.max(q / p);
-        if ratio >= 0.97 {
-            break;
-        }
-    }
-    prof::set_enabled(was_enabled);
-    println!(
-        "profiler overhead (sharded, 2 threads): {:.0} ev/s unprofiled vs \
-         {:.0} ev/s profiled ({:.1}% of baseline)",
-        plain,
-        profiled,
-        ratio * 100.0
-    );
-    assert!(
-        ratio >= 0.95,
-        "profiler overhead exceeds the 5% budget on the sharded engine: \
-         profiled run reached only {:.1}% of unprofiled events/s",
-        ratio * 100.0
-    );
-    opts.metric("sharded_profiled_events_per_sec_ratio", ratio);
 
     opts.finish();
 }

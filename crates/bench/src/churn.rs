@@ -15,15 +15,12 @@
 //! completion-time checksum are exact regression surfaces, while the
 //! wall clock and events/s measure simulator throughput.
 
-use std::rc::Rc;
 use std::time::Instant;
 
 use fred_mesh::topology::MeshFabric;
 use fred_sim::flow::{FlowSpec, Priority};
-use fred_sim::netsim::{CompletedFlow, FlowNetwork};
+use fred_sim::netsim::FlowNetwork;
 use fred_sim::rng::Rng64;
-use fred_sim::shard::{ShardDriver, ShardedNetwork};
-use fred_telemetry::sink::TraceSink;
 
 /// One churn configuration.
 #[derive(Debug, Clone, Copy)]
@@ -195,519 +192,6 @@ pub const SCALING_SWEEP: [ChurnConfig; 3] = [
     },
 ];
 
-/// Tile-local churn for the sharded simulator: every tile of a
-/// `tiles × tiles` grid runs its own independent churn (endpoints
-/// drawn inside the tile, XY routes never leave it), so the workload
-/// exercises [`ShardedNetwork`]'s parallel path without ever fusing.
-/// This is the traffic shape the paper's placement produces — MP/PP
-/// groups are contiguous tiles — and the headline configuration for
-/// `shard_bench`.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardChurnConfig {
-    /// Mesh side (NPUs = side × side).
-    pub side: usize,
-    /// Tile grid side (shards = tiles × tiles). Must divide `side`.
-    pub tiles: usize,
-    /// Flows pushed through each tile.
-    pub flows_per_tile: usize,
-    /// Target concurrently-active flows per tile.
-    pub concurrency_per_tile: usize,
-    /// Maximum Chebyshev distance between a flow's endpoints (clamped
-    /// to the tile).
-    pub locality: usize,
-    /// Master seed; per-tile streams are split from it in tile order.
-    pub seed: u64,
-}
-
-impl ShardChurnConfig {
-    /// NPUs in the mesh.
-    pub fn npus(&self) -> usize {
-        self.side * self.side
-    }
-
-    /// Shards in the partition.
-    pub fn shards(&self) -> usize {
-        self.tiles * self.tiles
-    }
-
-    /// Total flows across all tiles.
-    pub fn total_flows(&self) -> usize {
-        self.shards() * self.flows_per_tile
-    }
-
-    fn tile_side(&self) -> usize {
-        assert_eq!(
-            self.side % self.tiles,
-            0,
-            "tile grid {t} must divide mesh side {s}",
-            t = self.tiles,
-            s = self.side
-        );
-        self.side / self.tiles
-    }
-}
-
-/// Per-tile churn driver. Each instance owns an independent RNG stream
-/// split deterministically from the master seed, so its draw sequence
-/// depends only on its own completion count — never on other tiles or
-/// on the thread count.
-struct TileDriver<'a> {
-    mesh: &'a MeshFabric,
-    cfg: ShardChurnConfig,
-    /// Tile origin in NPU coordinates.
-    x0: usize,
-    y0: usize,
-    rng: Rng64,
-    drawn: usize,
-}
-
-impl TileDriver<'_> {
-    fn draw(&mut self, shard: usize) -> FlowSpec {
-        let ts = self.cfg.tile_side();
-        let src_x = self.x0 + self.rng.gen_range(0, ts);
-        let src_y = self.y0 + self.rng.gen_range(0, ts);
-        let src = self.mesh.npu_at(src_x, src_y);
-        let reach = self.cfg.locality.max(1);
-        let (lo_x, hi_x) = (self.x0, self.x0 + ts - 1);
-        let (lo_y, hi_y) = (self.y0, self.y0 + ts - 1);
-        let dst = loop {
-            let dx = self.rng.gen_range_inclusive(0, 2 * reach) as isize - reach as isize;
-            let dy = self.rng.gen_range_inclusive(0, 2 * reach) as isize - reach as isize;
-            let x = (src_x as isize + dx).clamp(lo_x as isize, hi_x as isize) as usize;
-            let y = (src_y as isize + dy).clamp(lo_y as isize, hi_y as isize) as usize;
-            let d = self.mesh.npu_at(x, y);
-            if d != src {
-                break d;
-            }
-        };
-        let bytes = 1e6 + self.rng.gen_f64() * 16e6;
-        let priority = match self.drawn % 3 {
-            0 => Priority::Mp,
-            1 => Priority::Dp,
-            _ => Priority::Bulk,
-        };
-        let tag = ((shard as u64) << 32) | self.drawn as u64;
-        self.drawn += 1;
-        FlowSpec::new(self.mesh.xy_route(src, dst), bytes)
-            .with_priority(priority)
-            .with_tag(tag)
-    }
-
-    fn refill(&mut self, shard: usize, want: usize, out: &mut Vec<FlowSpec>) {
-        let left = self.cfg.flows_per_tile - self.drawn;
-        for _ in 0..want.min(left) {
-            out.push(self.draw(shard));
-        }
-    }
-}
-
-impl ShardDriver for TileDriver<'_> {
-    fn begin(&mut self, shard: usize, out: &mut Vec<FlowSpec>) {
-        self.refill(
-            shard,
-            self.cfg.concurrency_per_tile.min(self.cfg.flows_per_tile),
-            out,
-        );
-    }
-
-    fn on_completions(&mut self, shard: usize, done: &[CompletedFlow], out: &mut Vec<FlowSpec>) {
-        self.refill(shard, done.len(), out);
-    }
-}
-
-/// Builds the per-tile drivers for `cfg`, splitting the master RNG in
-/// tile order (the determinism anchor shared by the sharded run and
-/// the single-core reference).
-fn tile_drivers<'a>(mesh: &'a MeshFabric, cfg: &ShardChurnConfig) -> Vec<TileDriver<'a>> {
-    let ts = cfg.tile_side();
-    let mut master = Rng64::seed_from_u64(cfg.seed);
-    (0..cfg.shards())
-        .map(|s| TileDriver {
-            mesh,
-            cfg: *cfg,
-            x0: (s % cfg.tiles) * ts,
-            y0: (s / cfg.tiles) * ts,
-            rng: master.split(),
-            drawn: 0,
-        })
-        .collect()
-}
-
-/// Completion-time checksum summed in tag order — identical bits no
-/// matter which engine (or thread count) produced the completions.
-fn tag_ordered_checksum(done: &[CompletedFlow]) -> f64 {
-    let mut by_tag: Vec<(u64, f64)> = done
-        .iter()
-        .map(|c| (c.tag, c.completed_at.as_secs()))
-        .collect();
-    by_tag.sort_by_key(|&(tag, _)| tag);
-    by_tag.iter().map(|&(_, t)| t).sum()
-}
-
-/// The mesh every sharded-churn run simulates (also what callers need
-/// for `TraceOpts::name_links`).
-pub fn shard_churn_mesh(cfg: &ShardChurnConfig) -> MeshFabric {
-    MeshFabric::new(cfg.side, cfg.side, 750e9, 128e9, 20e-9)
-}
-
-/// Runs the tile-local churn on a [`ShardedNetwork`] with `threads`
-/// workers. Deterministic contract: `makespan_secs` and
-/// `completion_checksum` are bit-identical for every thread count and
-/// to [`run_churn_sharded_reference`].
-pub fn run_churn_sharded(cfg: &ShardChurnConfig, threads: usize) -> ChurnResult {
-    let mesh = shard_churn_mesh(cfg);
-    let part = mesh.tile_partition(cfg.tiles, cfg.tiles);
-    let net = ShardedNetwork::new(mesh.clone_topology(), part, threads);
-    run_churn_sharded_on(net, &mesh, cfg)
-}
-
-/// [`run_churn_sharded`] with telemetry recorded to `sink`. Kept
-/// separate so the benchmark's timed rows stay on the zero-overhead
-/// untraced path; tracing is observation only, so results remain
-/// bit-identical to the untraced run.
-pub fn run_churn_sharded_traced(
-    cfg: &ShardChurnConfig,
-    threads: usize,
-    sink: Rc<dyn TraceSink>,
-) -> ChurnResult {
-    let mesh = shard_churn_mesh(cfg);
-    let part = mesh.tile_partition(cfg.tiles, cfg.tiles);
-    let net = ShardedNetwork::with_sink(mesh.clone_topology(), part, threads, sink);
-    run_churn_sharded_on(net, &mesh, cfg)
-}
-
-fn run_churn_sharded_on(
-    mut net: ShardedNetwork,
-    mesh: &MeshFabric,
-    cfg: &ShardChurnConfig,
-) -> ChurnResult {
-    let mut drivers = tile_drivers(mesh, cfg);
-    let started = Instant::now();
-    let done = net.run_sharded(&mut drivers);
-    let wall = started.elapsed().as_secs_f64();
-    assert_eq!(done.len(), cfg.total_flows(), "sharded churn lost flows");
-    ChurnResult {
-        makespan_secs: net.now().as_secs(),
-        completion_checksum: tag_ordered_checksum(&done),
-        events: 3 * cfg.total_flows() as u64,
-        wall_secs: wall,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Resumable sharded churn (snapshot / restore).
-// ---------------------------------------------------------------------
-
-use fred_core::codec::{SnapshotError, Value};
-use fred_core::snapshot::{
-    arr_of, f64_of, field, sharded_state_from_value, sharded_state_to_value, u64_of, usize_of,
-    v_f64, v_u64,
-};
-use fred_sim::shard::ShardedState;
-
-/// Captured mid-run state of a sharded churn: the network, each tile
-/// driver's RNG stream and draw count, and the completions banked
-/// before the capture point (the checksum is a tag-ordered sum, so the
-/// banked pairs must travel with the snapshot).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardChurnState {
-    /// The sharded network.
-    pub net: ShardedState,
-    /// Per-tile `(rng_state, drawn)` in tile order.
-    pub drivers: Vec<(u64, usize)>,
-    /// `(tag, completed_at_secs)` pairs banked so far.
-    pub banked: Vec<(u64, f64)>,
-}
-
-impl ShardChurnState {
-    /// Encodes the state for the shared snapshot codec.
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("net".into(), sharded_state_to_value(&self.net)),
-            (
-                "drivers".into(),
-                Value::Arr(
-                    self.drivers
-                        .iter()
-                        .map(|&(rng, drawn)| Value::Arr(vec![v_u64(rng), v_u64(drawn as u64)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "banked".into(),
-                Value::Arr(
-                    self.banked
-                        .iter()
-                        .map(|&(tag, at)| Value::Arr(vec![v_u64(tag), v_f64(at)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes [`ShardChurnState::to_value`] with typed errors.
-    pub fn from_value(v: &Value) -> Result<ShardChurnState, SnapshotError> {
-        let ctx = "shard_churn";
-        let drivers = arr_of(field(v, "drivers", ctx)?, ctx)?
-            .iter()
-            .map(|d| {
-                let d = arr_of(d, "shard_churn.driver")?;
-                if d.len() != 2 {
-                    return Err(SnapshotError::Mismatch(
-                        "shard_churn.driver: expected 2 elements".into(),
-                    ));
-                }
-                Ok((
-                    u64_of(&d[0], "shard_churn.driver.rng")?,
-                    usize_of(&d[1], "shard_churn.driver.drawn")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let banked = arr_of(field(v, "banked", ctx)?, ctx)?
-            .iter()
-            .map(|p| {
-                let p = arr_of(p, "shard_churn.banked")?;
-                if p.len() != 2 {
-                    return Err(SnapshotError::Mismatch(
-                        "shard_churn.banked: expected 2 elements".into(),
-                    ));
-                }
-                Ok((
-                    u64_of(&p[0], "shard_churn.banked.tag")?,
-                    f64_of(&p[1], "shard_churn.banked.at")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        Ok(ShardChurnState {
-            net: sharded_state_from_value(field(v, "net", ctx)?)?,
-            drivers,
-            banked,
-        })
-    }
-}
-
-/// The facade-stepped drive loop shared by the resumable paths: global
-/// event order, drivers serviced in ascending tile order. For
-/// tile-local churn this is bit-identical to [`run_churn_sharded`]'s
-/// per-shard loops (tiles are link-disjoint, so each shard observes
-/// exactly the same event sequence either way). When `snapshot_at` is
-/// set, captures the full state at the last event instant at or before
-/// it.
-fn churn_drive(
-    net: &mut ShardedNetwork,
-    drivers: &mut [TileDriver<'_>],
-    cfg: &ShardChurnConfig,
-    banked: &mut Vec<(u64, f64)>,
-    mut snapshot_at: Option<f64>,
-) -> Option<ShardChurnState> {
-    let total = cfg.total_flows();
-    let mut captured = None;
-    while banked.len() < total {
-        let te = net
-            .next_event()
-            .expect("resumable churn stalled: flows outstanding but no pending event");
-        if let Some(t) = snapshot_at {
-            if te.as_secs() > t {
-                captured = Some(ShardChurnState {
-                    net: net.snapshot(),
-                    drivers: drivers.iter().map(|d| (d.rng.state(), d.drawn)).collect(),
-                    banked: banked.clone(),
-                });
-                snapshot_at = None;
-            }
-        }
-        net.advance_to(te);
-        let done = net.drain_completed();
-        if done.is_empty() {
-            continue;
-        }
-        let mut specs = Vec::new();
-        let mut batch = Vec::new();
-        for (s, d) in drivers.iter_mut().enumerate() {
-            let mine: Vec<CompletedFlow> = done
-                .iter()
-                .filter(|c| (c.tag >> 32) as usize == s)
-                .cloned()
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            d.on_completions(s, &mine, &mut specs);
-            batch.append(&mut specs);
-        }
-        if !batch.is_empty() {
-            net.inject_batch(batch)
-                .expect("tile churn draws XY routes on a healthy mesh");
-        }
-        banked.extend(done.iter().map(|c| (c.tag, c.completed_at.as_secs())));
-    }
-    captured
-}
-
-/// Tag-ordered checksum over banked pairs — same fold order as
-/// [`tag_ordered_checksum`], so resumed and uninterrupted runs agree
-/// bit for bit.
-fn checksum_of_banked(banked: &mut [(u64, f64)]) -> f64 {
-    banked.sort_by_key(|&(tag, _)| tag);
-    banked.iter().map(|&(_, t)| t).sum()
-}
-
-/// [`run_churn_sharded`] through the facade-stepped loop, optionally
-/// capturing a [`ShardChurnState`] at the last event instant at or
-/// before `snapshot_at` simulated seconds. The run always continues to
-/// completion; the capture is a side output.
-pub fn run_churn_sharded_resumable(
-    cfg: &ShardChurnConfig,
-    threads: usize,
-    snapshot_at: Option<f64>,
-) -> (ChurnResult, Option<ShardChurnState>) {
-    let mesh = shard_churn_mesh(cfg);
-    let part = mesh.tile_partition(cfg.tiles, cfg.tiles);
-    let mut net = ShardedNetwork::new(mesh.clone_topology(), part, threads);
-    let mut drivers = tile_drivers(&mesh, cfg);
-    let started = Instant::now();
-    let mut specs = Vec::new();
-    let mut batch = Vec::new();
-    for (s, d) in drivers.iter_mut().enumerate() {
-        d.begin(s, &mut specs);
-        batch.append(&mut specs);
-    }
-    net.inject_batch(batch)
-        .expect("tile churn draws XY routes on a healthy mesh");
-    let mut banked = Vec::new();
-    let captured = churn_drive(&mut net, &mut drivers, cfg, &mut banked, snapshot_at);
-    let result = ChurnResult {
-        makespan_secs: net.now().as_secs(),
-        completion_checksum: checksum_of_banked(&mut banked),
-        events: 3 * cfg.total_flows() as u64,
-        wall_secs: started.elapsed().as_secs_f64(),
-    };
-    (result, captured)
-}
-
-/// Resumes a [`ShardChurnState`] to completion at any thread count.
-/// The returned result is bit-identical (makespan, checksum) to the
-/// uninterrupted run that produced the capture.
-///
-/// # Panics
-///
-/// Panics if the state's driver count disagrees with `cfg` — a
-/// snapshot/config pairing error.
-pub fn resume_churn_sharded(
-    cfg: &ShardChurnConfig,
-    threads: usize,
-    state: ShardChurnState,
-) -> ChurnResult {
-    let mesh = shard_churn_mesh(cfg);
-    let part = mesh.tile_partition(cfg.tiles, cfg.tiles);
-    let mut net = ShardedNetwork::restore(mesh.clone_topology(), part, threads, state.net);
-    assert_eq!(
-        state.drivers.len(),
-        cfg.shards(),
-        "driver count does not match the tile grid"
-    );
-    let ts = cfg.tile_side();
-    let mut drivers: Vec<TileDriver> = state
-        .drivers
-        .iter()
-        .enumerate()
-        .map(|(s, &(rng, drawn))| TileDriver {
-            mesh: &mesh,
-            cfg: *cfg,
-            x0: (s % cfg.tiles) * ts,
-            y0: (s / cfg.tiles) * ts,
-            rng: Rng64::from_state(rng),
-            drawn,
-        })
-        .collect();
-    let mut banked = state.banked;
-    let started = Instant::now();
-    churn_drive(&mut net, &mut drivers, cfg, &mut banked, None);
-    ChurnResult {
-        makespan_secs: net.now().as_secs(),
-        completion_checksum: checksum_of_banked(&mut banked),
-        events: 3 * cfg.total_flows() as u64,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
-}
-
-/// Single-core reference for [`run_churn_sharded`]: the identical
-/// per-tile driver interactions replayed against one [`FlowNetwork`]
-/// (global event order, drivers serviced in ascending tile order).
-/// Differential tests pin the sharded engine to this, bit for bit.
-pub fn run_churn_sharded_reference(cfg: &ShardChurnConfig) -> ChurnResult {
-    let mesh = shard_churn_mesh(cfg);
-    let mut net = FlowNetwork::new(mesh.clone_topology());
-    let mut drivers = tile_drivers(&mesh, cfg);
-    let started = Instant::now();
-    let mut specs = Vec::new();
-    let mut batch = Vec::new();
-    for (s, d) in drivers.iter_mut().enumerate() {
-        d.begin(s, &mut specs);
-        batch.append(&mut specs);
-    }
-    net.inject_batch(batch)
-        .expect("tile churn draws XY routes on a healthy mesh");
-    let total = cfg.total_flows();
-    let mut all: Vec<CompletedFlow> = Vec::with_capacity(total);
-    while all.len() < total {
-        let te = net
-            .next_event()
-            .expect("sharded-reference churn stalled: flows outstanding but no pending event");
-        net.advance_to(te);
-        let done = net.drain_completed();
-        if done.is_empty() {
-            continue;
-        }
-        let mut batch = Vec::new();
-        for (s, d) in drivers.iter_mut().enumerate() {
-            let mine: Vec<CompletedFlow> = done
-                .iter()
-                .filter(|c| (c.tag >> 32) as usize == s)
-                .cloned()
-                .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            d.on_completions(s, &mine, &mut specs);
-            batch.append(&mut specs);
-        }
-        if !batch.is_empty() {
-            net.inject_batch(batch)
-                .expect("tile churn draws XY routes on a healthy mesh");
-        }
-        all.extend(done);
-    }
-    ChurnResult {
-        makespan_secs: net.now().as_secs(),
-        completion_checksum: tag_ordered_checksum(&all),
-        events: 3 * total as u64,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
-}
-
-/// The `shard_bench` sweep: tile-local churn at 1 024 and 4 096 NPUs
-/// over a 4×4 tile grid (16 shards), the 4 096-NPU row being the
-/// headline scaling number.
-pub const SHARD_SWEEP: [ShardChurnConfig; 2] = [
-    ShardChurnConfig {
-        side: 32,
-        tiles: 4,
-        flows_per_tile: 384,
-        concurrency_per_tile: 16,
-        locality: 4,
-        seed: 0x5AAD_0001,
-    },
-    ShardChurnConfig {
-        side: 64,
-        tiles: 4,
-        flows_per_tile: 768,
-        concurrency_per_tile: 16,
-        locality: 4,
-        seed: 0x5AAD_0002,
-    },
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,110 +205,6 @@ mod tests {
             seed: 7,
             refill_fraction: None,
         }
-    }
-
-    fn tiny_sharded() -> ShardChurnConfig {
-        ShardChurnConfig {
-            side: 8,
-            tiles: 2,
-            flows_per_tile: 48,
-            concurrency_per_tile: 8,
-            locality: 2,
-            seed: 0xD1FF_0001,
-        }
-    }
-
-    #[test]
-    fn sharded_churn_matches_reference_bitwise() {
-        let cfg = tiny_sharded();
-        let reference = run_churn_sharded_reference(&cfg);
-        for threads in [1, 2, 4] {
-            let sharded = run_churn_sharded(&cfg, threads);
-            assert_eq!(
-                sharded.makespan_secs.to_bits(),
-                reference.makespan_secs.to_bits(),
-                "makespan diverged at threads={threads}"
-            );
-            assert_eq!(
-                sharded.completion_checksum.to_bits(),
-                reference.completion_checksum.to_bits(),
-                "checksum diverged at threads={threads}"
-            );
-            assert_eq!(sharded.events, reference.events);
-        }
-    }
-
-    #[test]
-    fn sharded_churn_is_repeatable() {
-        let cfg = tiny_sharded();
-        let a = run_churn_sharded(&cfg, 2);
-        let b = run_churn_sharded(&cfg, 2);
-        assert_eq!(a.makespan_secs.to_bits(), b.makespan_secs.to_bits());
-        assert_eq!(
-            a.completion_checksum.to_bits(),
-            b.completion_checksum.to_bits()
-        );
-    }
-
-    #[test]
-    fn resumable_facade_loop_matches_reference_bitwise() {
-        let cfg = tiny_sharded();
-        let reference = run_churn_sharded_reference(&cfg);
-        for threads in [1, 2, 4] {
-            let (r, captured) = run_churn_sharded_resumable(&cfg, threads, None);
-            assert!(captured.is_none());
-            assert_eq!(
-                r.makespan_secs.to_bits(),
-                reference.makespan_secs.to_bits(),
-                "resumable makespan diverged at threads={threads}"
-            );
-            assert_eq!(
-                r.completion_checksum.to_bits(),
-                reference.completion_checksum.to_bits(),
-                "resumable checksum diverged at threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn mid_run_snapshot_resumes_bit_identically_at_any_thread_count() {
-        let cfg = tiny_sharded();
-        let (reference, captured) =
-            run_churn_sharded_resumable(&cfg, 2, Some(reference_midpoint(&cfg)));
-        let state = captured.expect("snapshot point falls inside the run");
-        assert!(!state.banked.is_empty(), "capture should be mid-run");
-        assert!(
-            state.banked.len() < cfg.total_flows(),
-            "capture should precede completion"
-        );
-        // Round-trip through both codecs before resuming: what resumes
-        // is what a file on disk would hold.
-        let v = state.to_value();
-        let bin = fred_core::codec::to_binary(&v);
-        let decoded =
-            ShardChurnState::from_value(&fred_core::codec::from_binary(&bin).unwrap()).unwrap();
-        assert_eq!(decoded, state);
-        let json = fred_core::codec::to_json(&v);
-        let reparsed = fred_core::codec::parse(&json).unwrap();
-        assert_eq!(ShardChurnState::from_value(&reparsed).unwrap(), state);
-        for threads in [1, 2, 4] {
-            let resumed = resume_churn_sharded(&cfg, threads, decoded.clone());
-            assert_eq!(
-                resumed.makespan_secs.to_bits(),
-                reference.makespan_secs.to_bits(),
-                "resumed makespan diverged at threads={threads}"
-            );
-            assert_eq!(
-                resumed.completion_checksum.to_bits(),
-                reference.completion_checksum.to_bits(),
-                "resumed checksum diverged at threads={threads}"
-            );
-        }
-    }
-
-    /// A capture point roughly halfway through the uninterrupted run.
-    fn reference_midpoint(cfg: &ShardChurnConfig) -> f64 {
-        run_churn_sharded_reference(cfg).makespan_secs * 0.5
     }
 
     #[test]

@@ -21,11 +21,6 @@
 //! * `--prof` — enable the host-side self-profiler; its site table
 //!   lands in the report (`prof` section), the Prometheus output and
 //!   the dashboard;
-//! * `--threads <n>` — worker threads for binaries that run the
-//!   sharded simulator ([`ShardedNetwork`](fred_sim::shard::ShardedNetwork));
-//!   `0`/absent defers to the `FRED_THREADS` environment variable.
-//!   Results are bit-identical at every thread count — this is purely
-//!   a wall-clock knob;
 //! * `--snapshot-at <secs>` — for binaries with a resumable
 //!   simulation: capture a [`SimState`](fred_core::snapshot::SimState)
 //!   snapshot at the last event at or before `<secs>` simulated
@@ -81,7 +76,6 @@ pub struct TraceOpts {
     events_at_start: u64,
     solver_at_start: SolverStats,
     compactions_at_start: u64,
-    threads: usize,
     snapshot_at: Option<f64>,
     restore_path: Option<PathBuf>,
 }
@@ -120,7 +114,6 @@ impl TraceOpts {
         let mut dashboard_path = None;
         let mut prom_path = None;
         let mut prof_enabled = false;
-        let mut threads = 0usize;
         let mut snapshot_at = None;
         let mut restore_path = None;
         let mut args = std::env::args().skip(1);
@@ -175,15 +168,6 @@ impl TraceOpts {
                         .unwrap_or_else(|| usage(process_name, "--restore"));
                     restore_path = Some(PathBuf::from(v));
                 }
-                "--threads" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage(process_name, "--threads"));
-                    threads = v.parse().unwrap_or_else(|_| {
-                        eprintln!("{process_name}: --threads expects an integer, got `{v}`");
-                        usage(process_name, "--threads");
-                    });
-                }
                 other => {
                     if !custom(other, &mut || args.next()) {
                         eprintln!("{process_name}: unknown argument `{other}`");
@@ -222,7 +206,6 @@ impl TraceOpts {
             events_at_start: fred_sim::netsim::global_events_processed(),
             solver_at_start: fred_sim::solver::global_solver_stats(),
             compactions_at_start: fred_sim::netsim::global_heap_compactions(),
-            threads,
             snapshot_at,
             restore_path,
         }
@@ -238,15 +221,6 @@ impl TraceOpts {
     /// The `--restore <path>` snapshot file to resume from, if given.
     pub fn restore_path(&self) -> Option<&PathBuf> {
         self.restore_path.as_ref()
-    }
-
-    /// Worker-thread count for sharded simulations: the `--threads N`
-    /// argument, or `0` when absent — which tells
-    /// [`ShardedNetwork`](fred_sim::shard::ShardedNetwork) to consult
-    /// the `FRED_THREADS` environment variable and fall back to
-    /// single-threaded. Pass this value straight through.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Records one headline simulation result for the bench report
@@ -297,14 +271,15 @@ impl TraceOpts {
     }
 
     /// Writes the requested output files and reports what was written
-    /// (plus any ring overflow) on stderr. Call once, after the last
-    /// simulation.
+    /// (plus any ring overflow) on stderr; under `--prof` without
+    /// `--report`, also prints the profiler site table there. Call
+    /// once, after the last simulation.
     ///
     /// # Panics
     ///
     /// Panics if an output file cannot be written.
     pub fn finish(&self) {
-        if !self.enabled() {
+        if !self.enabled() && !self.prof_enabled {
             return;
         }
         let prof_sites = if self.prof_enabled {
@@ -453,7 +428,7 @@ impl TraceOpts {
 fn usage(process_name: &str, flag: &str) -> ! {
     eprintln!(
         "usage: {process_name} [--trace <path>] [--metrics <path>] [--report <path>] \
-         [--dashboard <path>] [--prom <path>] [--prof] [--threads <n>] \
+         [--dashboard <path>] [--prom <path>] [--prof] \
          [--snapshot-at <secs>] [--restore <path>]  (failed at `{flag}`)"
     );
     std::process::exit(2);

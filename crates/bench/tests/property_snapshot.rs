@@ -1,6 +1,6 @@
 //! Property tests for the snapshot/restore contract (DESIGN.md §12):
-//! capturing at *any* event boundary of a faulted, evicted, preempted,
-//! or sharded run and resuming — through the full binary and JSON
+//! capturing at *any* event boundary of a faulted, evicted or preempted
+//! run and resuming — through the full binary and JSON
 //! codecs — must be bit-identical to never having stopped, and damaged
 //! snapshot files must fail with typed errors, never panics.
 
@@ -11,14 +11,12 @@ use fred_core::codec::{self, SnapshotError};
 use fred_core::params::FabricConfig;
 use fred_core::placement::Strategy3D;
 use fred_core::snapshot::{
-    core_state_from_value, core_state_to_value, sharded_state_from_value, sharded_state_to_value,
-    SimState,
+    core_state_from_value, core_state_to_value, SimState, SIM_STATE_VERSION,
 };
 use fred_mesh::topology::MeshFabric;
 use fred_sim::fault::FaultPlan;
 use fred_sim::flow::{FlowSpec, Priority};
 use fred_sim::netsim::FlowNetwork;
-use fred_sim::shard::ShardedNetwork;
 use fred_sim::time::Time;
 use fred_telemetry::sink::NullSink;
 use fred_workloads::backend::FabricBackend;
@@ -174,146 +172,6 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
     }
 }
 
-/// Sharded script: `cross = false` keeps all traffic tile-local (the
-/// shards never fuse); `cross = true` injects tile-crossing flows at
-/// step 2, forcing a mid-run fusion — so boundaries before, during and
-/// after the fused window are all captured.
-fn sharded_actions(
-    net: &mut ShardedNetwork,
-    m: &MeshFabric,
-    cross: bool,
-    step: usize,
-    banked: &mut Banked,
-) {
-    match step {
-        2 if cross => {
-            net.inject_batch(vec![
-                flow(m, (0, 0), (3, 3), 6.0, Priority::Dp, 100),
-                flow(m, (3, 2), (0, 1), 5.0, Priority::Mp, 101),
-                flow(m, (1, 3), (2, 0), 4.0, Priority::Bulk, 102),
-            ])
-            .expect("cross-tile routes exist");
-        }
-        5 => {
-            let dead = m.xy_route(m.npu_at(1, 0), m.npu_at(0, 0))[0];
-            bank_evicted(banked, net.fail_link(dead));
-        }
-        _ => {}
-    }
-}
-
-fn sharded_wave1(m: &MeshFabric) -> Vec<FlowSpec> {
-    // Tile-local flows, two per 2×2 tile.
-    vec![
-        flow(m, (0, 0), (1, 1), 4.0, Priority::Mp, 0),
-        flow(m, (1, 0), (0, 1), 3.0, Priority::Dp, 1),
-        flow(m, (2, 0), (3, 1), 5.0, Priority::Mp, 2),
-        flow(m, (3, 0), (2, 1), 2.0, Priority::Bulk, 3),
-        flow(m, (0, 2), (1, 3), 6.0, Priority::Dp, 4),
-        flow(m, (1, 2), (0, 3), 3.0, Priority::Mp, 5),
-        flow(m, (2, 2), (3, 3), 4.0, Priority::Bulk, 6),
-        flow(m, (3, 2), (2, 3), 5.0, Priority::Dp, 7),
-    ]
-}
-
-fn drive_sharded(
-    net: &mut ShardedNetwork,
-    m: &MeshFabric,
-    cross: bool,
-    step: &mut usize,
-    banked: &mut Banked,
-    stop_before: Option<usize>,
-) {
-    loop {
-        if stop_before == Some(*step) {
-            return;
-        }
-        sharded_actions(net, m, cross, *step, banked);
-        let Some(te) = net.next_event() else { return };
-        net.advance_to(te);
-        for c in net.drain_completed() {
-            banked.push((0, c.tag, c.completed_at.as_secs().to_bits()));
-        }
-        *step += 1;
-    }
-}
-
-fn sharded_case(cross: bool) {
-    let m = mesh();
-    let fresh = |threads| {
-        let mut net = ShardedNetwork::new(m.clone_topology(), m.tile_partition(2, 2), threads);
-        net.inject_batch(sharded_wave1(&m)).unwrap();
-        net
-    };
-    let mut reference = fresh(1);
-    let mut ref_banked = Banked::new();
-    let mut ref_step = 0;
-    drive_sharded(
-        &mut reference,
-        &m,
-        cross,
-        &mut ref_step,
-        &mut ref_banked,
-        None,
-    );
-    let ref_now = reference.now().as_secs().to_bits();
-    assert!(ref_step > 6, "script too short to be interesting");
-
-    for boundary in 0..=ref_step {
-        // Walk a 2-thread run to the boundary, capture, then resume at
-        // every thread count: the capture must be thread-portable.
-        let mut net = fresh(2);
-        let mut banked = Banked::new();
-        let mut step = 0;
-        drive_sharded(&mut net, &m, cross, &mut step, &mut banked, Some(boundary));
-        let mut sim = SimState::new();
-        sim.insert("sharded", sharded_state_to_value(&net.snapshot()));
-        let decoded = SimState::from_binary(&sim.to_binary()).unwrap();
-        assert_eq!(
-            decoded, sim,
-            "binary codec not lossless at boundary {boundary}"
-        );
-        let state = sharded_state_from_value(decoded.section("sharded").unwrap()).unwrap();
-        for threads in [1, 2, 4] {
-            let mut resumed = ShardedNetwork::restore(
-                m.clone_topology(),
-                m.tile_partition(2, 2),
-                threads,
-                state.clone(),
-            );
-            let mut resumed_step = step;
-            let mut resumed_banked = banked.clone();
-            drive_sharded(
-                &mut resumed,
-                &m,
-                cross,
-                &mut resumed_step,
-                &mut resumed_banked,
-                None,
-            );
-            assert_eq!(
-                resumed.now().as_secs().to_bits(),
-                ref_now,
-                "clock diverged: boundary {boundary}, threads {threads}, cross {cross}"
-            );
-            assert_eq!(
-                resumed_banked, ref_banked,
-                "results diverged: boundary {boundary}, threads {threads}, cross {cross}"
-            );
-        }
-    }
-}
-
-#[test]
-fn every_boundary_of_an_unfused_sharded_run_resumes_at_any_thread_count() {
-    sharded_case(false);
-}
-
-#[test]
-fn every_boundary_of_a_fusing_sharded_run_resumes_at_any_thread_count() {
-    sharded_case(true);
-}
-
 #[test]
 fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
     let model = DnnModel::resnet152();
@@ -449,8 +307,9 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
         SimState::from_json(&wrong_magic),
         Err(SnapshotError::BadMagic)
     ));
-    let wrong_shape = r#"{"magic":"FREDSNAP","version":1,"sections":{"net":42}}"#;
-    let decoded = SimState::from_json(wrong_shape).unwrap();
+    let wrong_shape =
+        format!(r#"{{"magic":"FREDSNAP","version":{SIM_STATE_VERSION},"sections":{{"net":42}}}}"#);
+    let decoded = SimState::from_json(&wrong_shape).unwrap();
     assert!(matches!(
         core_state_from_value(decoded.section("net").unwrap()),
         Err(SnapshotError::Mismatch(_))

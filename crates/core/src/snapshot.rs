@@ -3,7 +3,7 @@
 //!
 //! Each layer that owns mutable simulation state exposes a plain-data
 //! `snapshot() -> …State` / `restore(…State)` pair in its own crate
-//! (`FairShareSolver`, `FlowNetwork`, `ShardedNetwork` in `fred-sim`;
+//! (`FairShareSolver`, `FlowNetwork` in `fred-sim`;
 //! `ScheduleExecutor` in `fred-workloads`; `Cluster` in
 //! `fred-cluster`). This module is the serialization hub: it converts
 //! those state structs to and from the shared [`Value`] tree and wraps
@@ -31,7 +31,6 @@
 
 use fred_sim::flow::{FlowId, FlowSpec, Priority};
 use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
-use fred_sim::shard::ShardedState;
 use fred_sim::solver::{SolverFlowState, SolverState, SolverStats};
 use fred_sim::time::{Duration, Time};
 use fred_sim::topology::LinkId;
@@ -41,13 +40,13 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 1;
+pub const SIM_STATE_VERSION: u32 = 2;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
 /// Drivers compose one `SimState` from however many layers they own —
-/// e.g. the cluster sweep stores a `"cluster"` section, the sharded
-/// churn bench stores `"sharded"` plus `"drivers"` — and encode it
+/// e.g. the cluster sweep stores a `"cluster"` section, a bare network
+/// a `"net"` section — and encode it
 /// with [`SimState::to_binary`] / [`SimState::to_json`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimState {
@@ -541,7 +540,7 @@ fn flow_state_from_value(v: &Value, ctx: &str) -> Result<FlowState, SnapshotErro
 }
 
 /// Encodes a [`CoreState`] (the [`fred_sim::netsim::FlowNetwork`]
-/// snapshot, and one shard core of a sharded snapshot).
+/// snapshot).
 pub fn core_state_to_value(s: &CoreState) -> Value {
     let flows = Value::Arr(
         s.flows
@@ -580,7 +579,6 @@ pub fn core_state_to_value(s: &CoreState) -> Value {
     Value::Obj(vec![
         ("now".into(), v_time(s.now)),
         ("next_id".into(), v_u64(s.next_id)),
-        ("id_stride".into(), v_u64(s.id_stride)),
         ("flows".into(), flows),
         ("active_count".into(), v_u64(s.active_count as u64)),
         ("solver".into(), solver_state_to_value(&s.solver)),
@@ -649,7 +647,6 @@ pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
     Ok(CoreState {
         now: time_of(field(v, "now", ctx)?, ctx)?,
         next_id: u64_of(field(v, "next_id", ctx)?, ctx)?,
-        id_stride: u64_of(field(v, "id_stride", ctx)?, ctx)?,
         flows,
         active_count: usize_of(field(v, "active_count", ctx)?, ctx)?,
         solver: solver_state_from_value(field(v, "solver", ctx)?)?,
@@ -668,50 +665,10 @@ pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Sharded state.
-// ---------------------------------------------------------------------
-
-/// Encodes a [`ShardedState`].
-pub fn sharded_state_to_value(s: &ShardedState) -> Value {
-    Value::Obj(vec![
-        (
-            "cores".into(),
-            Value::Arr(s.cores.iter().map(core_state_to_value).collect()),
-        ),
-        ("fused".into(), Value::Bool(s.fused)),
-        (
-            "boundary".into(),
-            Value::Arr(s.boundary.iter().map(|&id| v_u64(id)).collect()),
-        ),
-        ("last_active".into(), u32s(&s.last_active)),
-    ])
-}
-
-/// Decodes [`sharded_state_to_value`].
-pub fn sharded_state_from_value(v: &Value) -> Result<ShardedState, SnapshotError> {
-    let ctx = "sharded";
-    let cores = arr_of(field(v, "cores", ctx)?, ctx)?
-        .iter()
-        .map(core_state_from_value)
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let boundary = arr_of(field(v, "boundary", ctx)?, ctx)?
-        .iter()
-        .map(|id| u64_of(id, "sharded.boundary"))
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    Ok(ShardedState {
-        cores,
-        fused: bool_of(field(v, "fused", ctx)?, ctx)?,
-        boundary,
-        last_active: u32s_of(field(v, "last_active", ctx)?, ctx)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fred_sim::netsim::FlowNetwork;
-    use fred_sim::shard::{PartitionMap, ShardedNetwork};
     use fred_sim::topology::{NodeKind, Topology};
 
     fn busy_net() -> (Topology, FlowNetwork) {
@@ -782,28 +739,6 @@ mod tests {
             .map(|c| (c.tag, c.completed_at.as_secs().to_bits()))
             .collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_state_round_trips() {
-        let mut topo = Topology::new();
-        let a = topo.add_node(NodeKind::Npu, "a0");
-        let b = topo.add_node(NodeKind::Npu, "b0");
-        let c = topo.add_node(NodeKind::Npu, "a1");
-        let d = topo.add_node(NodeKind::Npu, "b1");
-        let l0 = topo.add_link(a, b, 100.0, 0.0);
-        let l1 = topo.add_link(c, d, 100.0, 0.0);
-        topo.add_link(b, c, 100.0, 0.0);
-        let part = PartitionMap::new(vec![0, 1, 0], 2);
-        let mut net = ShardedNetwork::new(topo, part, 2);
-        net.inject(FlowSpec::new(vec![l0], 150.0).with_tag(0))
-            .unwrap();
-        net.inject(FlowSpec::new(vec![l1], 250.0).with_tag(1))
-            .unwrap();
-        net.advance_to(Time::from_secs(0.5));
-        let state = net.snapshot();
-        let v = sharded_state_to_value(&state);
-        assert_eq!(sharded_state_from_value(&v).unwrap(), state);
     }
 
     #[test]

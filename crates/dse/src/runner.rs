@@ -307,9 +307,10 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOpts) -> Result<SweepOutcome, Snaps
     })
 }
 
-/// `0` → `FRED_THREADS` (default 1), clamped to at least 1. Mirrors
-/// the sharded simulator's convention so `--threads`/`FRED_THREADS`
-/// mean the same thing everywhere.
+/// `0` → `FRED_THREADS` (default 1), clamped to at least 1: the
+/// meaning of `dse_sweep --threads` and of an unset [`RunOpts::threads`].
+/// Design points are independent, so the thread count changes only
+/// wall time, never a row.
 fn resolve_threads(threads: usize) -> usize {
     let threads = if threads == 0 {
         std::env::var("FRED_THREADS")

@@ -389,54 +389,6 @@ impl MeshFabric {
     pub fn degree(&self, npu: usize) -> usize {
         (0..4).filter(|&d| self.dir_links[d][npu].is_some()).count()
     }
-
-    /// Partitions the fabric's links into a `tx × ty` grid of
-    /// rectangular tiles for the sharded simulator
-    /// ([`fred_sim::shard::ShardedNetwork`]). Each link is owned by
-    /// the tile of its source NPU; I/O-controller and external-memory
-    /// links are owned by the tile of the channel's entry NPU, so
-    /// off-wafer traffic through one border channel stays
-    /// shard-local. Tile-local traffic (the dominant pattern under the
-    /// paper's placement, where MP/PP groups are contiguous) then
-    /// never crosses shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tile-grid dimension is zero or exceeds the
-    /// mesh dimension.
-    pub fn tile_partition(&self, tx: usize, ty: usize) -> fred_sim::shard::PartitionMap {
-        assert!(
-            tx >= 1 && ty >= 1 && tx <= self.cols && ty <= self.rows,
-            "tile grid {tx}x{ty} invalid for a {}x{} mesh",
-            self.cols,
-            self.rows
-        );
-        let tile_w = self.cols.div_ceil(tx);
-        let tile_h = self.rows.div_ceil(ty);
-        let tile_of_npu = |npu: usize| -> u32 {
-            let (x, y) = self.coords(npu);
-            ((y / tile_h) * tx + (x / tile_w)) as u32
-        };
-        let io_of_node: std::collections::HashMap<NodeId, usize> =
-            self.ios.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let owner_npu = |node: NodeId| -> Option<usize> {
-            if let Some(npu) = self.npu_index(node) {
-                return Some(npu);
-            }
-            io_of_node.get(&node).map(|&io| self.io_entry_npu(io))
-        };
-        let shard_of_link: Vec<u32> = self
-            .topo
-            .links()
-            .map(|(_, link)| {
-                let npu = owner_npu(link.src)
-                    .or_else(|| owner_npu(link.dst))
-                    .expect("link touches neither an NPU nor an I/O channel");
-                tile_of_npu(npu)
-            })
-            .collect();
-        fred_sim::shard::PartitionMap::new(shard_of_link, tx * ty)
-    }
 }
 
 impl RouteProvider for MeshFabric {
@@ -603,28 +555,5 @@ mod tests {
     #[should_panic(expected = "at least 2x2")]
     fn degenerate_mesh_rejected() {
         let _ = MeshFabric::new(1, 5, 1.0, 1.0, 0.0);
-    }
-
-    #[test]
-    fn tile_partition_covers_all_links_and_localizes_tiles() {
-        let m = MeshFabric::new(8, 8, 100.0, 10.0, 1e-9);
-        let part = m.tile_partition(2, 2);
-        assert_eq!(part.shards(), 4);
-        assert_eq!(part.links(), m.topology().link_count());
-        // A route inside one 4x4 tile is shard-local…
-        let inside = m.xy_route(m.npu_at(0, 0), m.npu_at(3, 3));
-        assert_eq!(part.shard_of_route(&inside), Some(0));
-        let inside_t3 = m.xy_route(m.npu_at(4, 4), m.npu_at(7, 7));
-        assert_eq!(part.shard_of_route(&inside_t3), Some(3));
-        // …while a tile-crossing route is boundary traffic.
-        let crossing = m.xy_route(m.npu_at(0, 0), m.npu_at(7, 0));
-        assert_eq!(part.shard_of_route(&crossing), None);
-        // Off-wafer traffic through a channel stays in the entry
-        // NPU's tile.
-        for io in 0..m.io_count() {
-            let entry = m.io_entry_npu(io);
-            let route = m.ext_to_npu_route(io, entry);
-            assert!(part.shard_of_route(&route).is_some());
-        }
     }
 }

@@ -49,7 +49,6 @@ pub mod fault;
 pub mod flow;
 pub mod netsim;
 pub mod rng;
-pub mod shard;
 pub mod solver;
 pub mod time;
 pub mod topology;
@@ -60,7 +59,6 @@ pub mod prelude {
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::flow::{FlowId, FlowSpec, Priority};
     pub use crate::netsim::{CompletedFlow, EvictedFlow, FlowNetwork};
-    pub use crate::shard::{PartitionMap, ShardDriver, ShardedNetwork};
     pub use crate::time::{Duration, Time};
     pub use crate::topology::{LinkId, NodeId, NodeKind, Route, RouteError, Topology};
 }

@@ -30,26 +30,11 @@
 //! changed. Statistics queries ([`FlowNetwork::link_carried_bytes`],
 //! [`FlowNetwork::link_utilization`]) fold the in-flight contribution
 //! back in on demand.
-//!
-//! # Engine core vs. facade
-//!
-//! Since the sharding work ([`crate::shard`]), the engine state —
-//! flows, drain heap, solver incidence, per-link byte accounting — is
-//! factored into a `Send`-able internal `Core`. [`FlowNetwork`] is the
-//! single-core facade (one `Core` over the whole topology, behaviour
-//! identical to the pre-sharding simulator);
-//! [`crate::shard::ShardedNetwork`] owns one `Core` per fabric
-//! partition plus a fused spill core, and advances partition cores on
-//! worker threads. A `Core` records telemetry into an internal buffer
-//! (it cannot hold the `Rc` sink and stay `Send`); the facades drain
-//! the buffer into the real sink after every public call, preserving
-//! the exact event order a pre-refactor [`FlowNetwork`] emitted.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use fred_telemetry::event::{TraceEvent, Track};
 use fred_telemetry::sink::{NullSink, TraceSink};
@@ -84,8 +69,8 @@ const HEAP_COMPACTION_MIN: usize = 64;
 /// harness.
 static GLOBAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
-/// Drain-heap compactions performed by all cores in this process (see
-/// [`FlowNetwork::heap_compactions`]).
+/// Drain-heap compactions performed by all networks in this process
+/// (see [`FlowNetwork::heap_compactions`]).
 static GLOBAL_COMPACTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide lifecycle event count (injections + drains +
@@ -95,8 +80,8 @@ pub fn global_events_processed() -> u64 {
     GLOBAL_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Process-wide drain-heap compaction count across every simulator
-/// core ever constructed. Monotonic; exported as
+/// Process-wide drain-heap compaction count across every
+/// [`FlowNetwork`] ever constructed. Monotonic; exported as
 /// `sim.solver/heap_compactions` in bench reports.
 pub fn global_heap_compactions() -> u64 {
     GLOBAL_COMPACTIONS.load(Ordering::Relaxed)
@@ -183,48 +168,15 @@ impl PartialOrd for PendingNotice {
 /// generation pins the entry to one rate assignment; re-pushing on
 /// every rate change plus discarding stale generations implements a
 /// decrease-key-free priority queue (lazy deletion). Ties at one
-/// instant break on the *flow id* (stable under solver-slot reuse and
-/// identical for the same flow in any core), which makes the pop order
-/// independent of how generation numbers were interleaved — the
-/// property the sharded runtime relies on for cross-core determinism.
+/// instant break on the *flow id*, which is stable under solver-slot
+/// reuse, so the pop order does not depend on how generation numbers
+/// were interleaved.
 type DrainEntry = Reverse<(Time, u64, u64, u32)>;
-
-/// Internal per-core migration record: a live bandwidth-consuming flow
-/// lifted out of one core's solver so another core can adopt it with
-/// its rate, watermark and byte accounting intact (used by the sharded
-/// runtime's fuse/defuse transitions; the handoff is observationally
-/// silent — no events, no settlements, no rate changes).
-#[derive(Debug, Clone)]
-pub(crate) struct MigratedFlow {
-    id: FlowId,
-    links: Vec<usize>,
-    priority: Priority,
-    tenant: u8,
-    tag: u64,
-    remaining: f64,
-    rate: f64,
-    updated_at: Time,
-    injected_at: Time,
-    latency: Duration,
-}
-
-impl MigratedFlow {
-    /// Raw link indices of the flow's route (the sharded runtime
-    /// re-classifies ownership from these).
-    pub(crate) fn link_indices(&self) -> &[usize] {
-        &self.links
-    }
-
-    /// The flow's id (stable across migration).
-    pub(crate) fn id(&self) -> FlowId {
-        self.id
-    }
-}
 
 /// Serializable image of one in-flight flow inside a [`CoreState`].
 /// Plain data: every field that feeds future arithmetic (lazy byte
 /// accounting watermark, rate, drain-entry generation) is carried
-/// verbatim so a restored core continues the exact float sequence.
+/// verbatim so a restored network continues the exact float sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowState {
     /// The flow id ([`FlowId`] raw value).
@@ -251,16 +203,14 @@ pub struct FlowState {
     pub latency: Duration,
 }
 
-/// Serializable image of one simulator core: everything mutable that
+/// Serializable image of a [`FlowNetwork`]: everything mutable that
 /// the next event needs, structurally faithful down to slab holes and
-/// heap entry sets. Captured by [`FlowNetwork::snapshot`] (and, per
-/// core, by [`crate::shard::ShardedNetwork::snapshot`]); restoring and
-/// running to completion is bit-identical to never having paused.
+/// heap entry sets. Captured by [`FlowNetwork::snapshot`]; restoring
+/// and running to completion is bit-identical to never having paused.
 ///
-/// Deliberately excluded: telemetry buffers (`buf`, `active_log` — the
-/// facades drain them after every public call, so they are empty at
-/// any capture point), solver scratch (epoch-stamped, provably inert
-/// after restore), and the process-wide event/compaction counters
+/// Deliberately excluded: the telemetry sink (configuration, supplied
+/// on restore), solver scratch (epoch-stamped, provably inert after
+/// restore), and the process-wide event/compaction counters
 /// (monotonic profiling aggregates, not simulation state).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreState {
@@ -268,8 +218,6 @@ pub struct CoreState {
     pub now: Time,
     /// Next flow id to allocate.
     pub next_id: u64,
-    /// Id-namespace stride (configuration; validated on restore).
-    pub id_stride: u64,
     /// The flow slab, holes included (slot = solver [`FlowKey`]).
     pub flows: Vec<Option<FlowState>>,
     /// Number of live slots in `flows`.
@@ -284,7 +232,7 @@ pub struct CoreState {
     pub live_drains: usize,
     /// Heap size below which compaction never runs.
     pub compaction_min: usize,
-    /// Compactions performed so far (per-core statistic).
+    /// Compactions performed so far (per-network statistic).
     pub compactions: u64,
     /// Drain-entry generation counter.
     pub next_generation: u64,
@@ -299,7 +247,7 @@ pub struct CoreState {
     pub capacities: Vec<f64>,
     /// Links killed by faults.
     pub failed: Vec<bool>,
-    /// Lifecycle events processed by this core.
+    /// Lifecycle events processed by this network.
     pub events: u64,
     /// Last emitted per-link allocated rate (feeds the delta check in
     /// rate-epoch emission, so it must survive a snapshot for the
@@ -307,18 +255,14 @@ pub struct CoreState {
     pub link_alloc: Vec<f64>,
 }
 
-/// The engine state of one simulator core. `Send`: worker threads in
-/// [`crate::shard::ShardedNetwork`] advance disjoint cores in
-/// parallel. All telemetry goes into [`Core::buf`]; the owning facade
-/// drains it into the real (non-`Send`) sink between public calls.
+/// Flow-level network simulator over a fixed [`Topology`].
+///
+/// See the [crate-level example](crate) for basic usage.
 #[derive(Debug)]
-pub(crate) struct Core {
-    topo: Arc<Topology>,
+pub struct FlowNetwork {
+    topo: Topology,
     now: Time,
-    /// Next flow id; ids advance by `id_stride` so several cores can
-    /// allocate from disjoint namespaces deterministically.
     next_id: u64,
-    id_stride: u64,
     /// Bandwidth-consuming flows, indexed by solver [`FlowKey`]. The
     /// solver's slab and this one allocate keys in lockstep (one
     /// `add_flow`/`remove_flow` per slot transition), so the key is
@@ -343,20 +287,15 @@ pub(crate) struct Core {
     /// contribution since each flow's `updated_at`).
     link_bytes: Vec<f64>,
     capacities: Vec<f64>,
-    /// Links killed by [`Core::fail_link`]; failed links reject
+    /// Links killed by [`FlowNetwork::fail_link`]; failed links reject
     /// new injections and are what routing layers must detour around.
     failed: Vec<bool>,
     events: u64,
-    /// Whether to record structured events into `buf`.
+    /// Telemetry sink; [`NullSink`] (zero overhead) by default.
+    sink: Rc<dyn TraceSink>,
+    /// Cached `sink.enabled()`: every emission site checks this flag
+    /// before building an event.
     tracing: bool,
-    /// Whether to append `(time, active_count)` samples to
-    /// `active_log` (the sharded facade needs them to reconstruct the
-    /// global active count when merging rate epochs).
-    log_active: bool,
-    /// Buffered telemetry, drained by the owning facade.
-    buf: Vec<TraceEvent>,
-    /// Post-change active-flow counts, drained by the sharded facade.
-    active_log: Vec<(Time, u32)>,
     /// Last emitted per-link allocated rate (telemetry scratch; only
     /// maintained while tracing).
     link_alloc: Vec<f64>,
@@ -364,23 +303,24 @@ pub(crate) struct Core {
     changed_scratch: Vec<FlowKey>,
 }
 
-impl Core {
-    pub(crate) fn new(
-        topo: Arc<Topology>,
-        id_start: u64,
-        id_stride: u64,
-        tracing: bool,
-        log_active: bool,
-    ) -> Core {
-        assert!(id_stride > 0, "id stride must be positive");
+impl FlowNetwork {
+    /// Creates a simulator over `topo` with the clock at zero and
+    /// tracing disabled.
+    pub fn new(topo: Topology) -> FlowNetwork {
+        FlowNetwork::with_sink(topo, Rc::new(NullSink))
+    }
+
+    /// Creates a simulator that records structured events into `sink`.
+    ///
+    /// With any sink, simulation results are bit-identical to an
+    /// untraced run: instrumentation only observes state.
+    pub fn with_sink(topo: Topology, sink: Rc<dyn TraceSink>) -> FlowNetwork {
         let capacities: Vec<f64> = topo.links().map(|(_, l)| l.bandwidth).collect();
-        let link_bytes = vec![0.0; capacities.len()];
-        let link_alloc = vec![0.0; capacities.len()];
-        Core {
+        let n = capacities.len();
+        let net = FlowNetwork {
             topo,
             now: Time::ZERO,
-            next_id: id_start,
-            id_stride,
+            next_id: 0,
             flows: Vec::new(),
             active_count: 0,
             solver: FairShareSolver::new(capacities.clone()),
@@ -391,60 +331,79 @@ impl Core {
             next_generation: 0,
             pending: BinaryHeap::new(),
             completed: Vec::new(),
-            link_bytes,
-            failed: vec![false; capacities.len()],
+            link_bytes: vec![0.0; n],
+            failed: vec![false; n],
             capacities,
             events: 0,
-            tracing,
-            log_active,
-            buf: Vec::new(),
-            active_log: Vec::new(),
-            link_alloc,
+            tracing: sink.enabled(),
+            sink,
+            link_alloc: vec![0.0; n],
             changed_scratch: Vec::new(),
+        };
+        net.record_topology();
+        net
+    }
+
+    /// Marks the start of a simulation segment within the recording
+    /// and gives the analysis layer the capacities it needs to re-cost
+    /// flows at their contention-free rate.
+    fn record_topology(&self) {
+        if self.tracing {
+            self.sink.record(TraceEvent::Topology {
+                t: self.now.as_secs(),
+                capacities: self.capacities.clone().into_boxed_slice(),
+            });
         }
     }
 
-    pub(crate) fn topology(&self) -> &Topology {
-        &self.topo
+    /// The telemetry sink events are recorded into. Higher layers
+    /// (collective execution, the trainer) emit their span events
+    /// through this same sink so one trace holds the whole story.
+    pub fn sink(&self) -> &Rc<dyn TraceSink> {
+        &self.sink
     }
 
-    pub(crate) fn now(&self) -> Time {
+    /// The current simulation time.
+    pub fn now(&self) -> Time {
         self.now
     }
 
-    pub(crate) fn in_flight(&self) -> usize {
+    /// The underlying topology.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// Number of flows currently consuming bandwidth or waiting out their
+    /// tail latency.
+    pub fn in_flight(&self) -> usize {
         self.active_count + self.pending.len()
     }
 
-    pub(crate) fn events_processed(&self) -> u64 {
+    /// Lifecycle events (injections, drains, completions) this instance
+    /// has processed.
+    pub fn events_processed(&self) -> u64 {
         self.events
     }
 
-    pub(crate) fn heap_compactions(&self) -> u64 {
+    /// Drain-heap compactions this instance has performed (see
+    /// [`global_heap_compactions`] for the process-wide counter behind
+    /// the `sim.solver/heap_compactions` report key).
+    pub fn heap_compactions(&self) -> u64 {
         self.compactions
     }
 
-    pub(crate) fn set_compaction_min(&mut self, min: usize) {
-        self.compaction_min = min;
-    }
-
-    pub(crate) fn set_refill_fraction(&mut self, fraction: f64) {
+    /// Sets the incremental solver's global-refill threshold; see
+    /// [`FairShareSolver::set_refill_fraction`]. `0.0` forces a full
+    /// from-scratch refill on every set change (the pre-incremental
+    /// behaviour), which `solver_bench` uses as its baseline.
+    pub fn set_refill_fraction(&mut self, fraction: f64) {
         self.solver.set_refill_fraction(fraction);
     }
 
-    pub(crate) fn solver_stats(&self) -> SolverStats {
+    /// The incremental solver's cost counters (solves, global
+    /// fallbacks, refilled flows).
+    pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
-    }
-
-    /// Takes the buffered telemetry (empty unless tracing).
-    pub(crate) fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.buf)
-    }
-
-    /// Takes the buffered active-count samples (empty unless
-    /// `log_active`).
-    pub(crate) fn take_active_log(&mut self) -> Vec<(Time, u32)> {
-        std::mem::take(&mut self.active_log)
     }
 
     fn count_event(&mut self) {
@@ -452,19 +411,23 @@ impl Core {
         GLOBAL_EVENTS.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn log_active_count(&mut self) {
-        if self.log_active {
-            self.active_log.push((self.now, self.active_count as u32));
-        }
-    }
-
-    pub(crate) fn inject(&mut self, spec: FlowSpec) -> Result<FlowId, RouteError> {
+    /// Injects a flow at the current time. The solver delta is deferred:
+    /// all injections and completions at one timestamp are flushed as a
+    /// single refill by the next [`FlowNetwork::next_event`] /
+    /// [`FlowNetwork::advance_to`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError`] if the route is not a contiguous path in
+    /// the topology or crosses a link killed by
+    /// [`FlowNetwork::fail_link`]. The network is unchanged on error.
+    pub fn inject(&mut self, spec: FlowSpec) -> Result<FlowId, RouteError> {
         self.topo.validate_route(&spec.route)?;
         if let Some(&dead) = spec.route.iter().find(|l| self.failed[l.0]) {
             return Err(RouteError::FailedLink(dead));
         }
         let id = FlowId(self.next_id);
-        self.next_id += self.id_stride;
+        self.next_id += 1;
         let latency = self.topo.route_latency(&spec.route);
         let flow = ActiveFlow {
             id,
@@ -481,7 +444,7 @@ impl Core {
         };
         self.count_event();
         if self.tracing {
-            self.buf.push(TraceEvent::FlowInjected {
+            self.sink.record(TraceEvent::FlowInjected {
                 t: self.now.as_secs(),
                 id: id.0,
                 tag: flow.tag,
@@ -500,25 +463,29 @@ impl Core {
             // hit the same solver arithmetic as before tenancy existed.
             let class = flow.tenant * Priority::ALL.len() as u8 + flow.priority.rank() as u8;
             let key = self.solver.add_flow_class(&flow.links, class);
-            self.place(key, flow);
-            self.log_active_count();
+            let slot = key.0 as usize;
+            if slot == self.flows.len() {
+                self.flows.push(Some(flow));
+            } else {
+                debug_assert!(self.flows[slot].is_none(), "solver key collision");
+                self.flows[slot] = Some(flow);
+            }
+            self.active_count += 1;
         }
         Ok(id)
     }
 
-    /// Stores `flow` in the slab slot the solver just allocated.
-    fn place(&mut self, key: FlowKey, flow: ActiveFlow) {
-        let slot = key.0 as usize;
-        if slot == self.flows.len() {
-            self.flows.push(Some(flow));
-        } else {
-            debug_assert!(self.flows[slot].is_none(), "solver key collision");
-            self.flows[slot] = Some(flow);
-        }
-        self.active_count += 1;
-    }
-
-    pub(crate) fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<Vec<FlowId>, RouteError> {
+    /// Injects several flows at the current time. Since the solver runs
+    /// lazily, this is equivalent to repeated [`FlowNetwork::inject`]
+    /// calls; it is kept as the idiomatic entry point for starting a
+    /// collective phase.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`RouteError`] among the specs. Every route is
+    /// validated up front, so on error *no* flow has been injected —
+    /// a phase either starts whole or not at all.
+    pub fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<Vec<FlowId>, RouteError> {
         let _prof = fred_telemetry::prof::scope("netsim.inject_batch");
         fred_telemetry::prof::record_value("netsim.inject_batch_flows", specs.len() as f64);
         for spec in &specs {
@@ -530,15 +497,20 @@ impl Core {
         specs.into_iter().map(|spec| self.inject(spec)).collect()
     }
 
-    pub(crate) fn link_capacity(&self, link: LinkId) -> f64 {
+    /// Current capacity of a link (bytes/s): the topology bandwidth,
+    /// reduced by [`FlowNetwork::degrade_link`], zero after
+    /// [`FlowNetwork::fail_link`].
+    pub fn link_capacity(&self, link: LinkId) -> f64 {
         self.capacities[link.0]
     }
 
-    pub(crate) fn is_link_failed(&self, link: LinkId) -> bool {
+    /// Whether `link` has been killed by [`FlowNetwork::fail_link`].
+    pub fn is_link_failed(&self, link: LinkId) -> bool {
         self.failed[link.0]
     }
 
-    pub(crate) fn failed_links(&self) -> Vec<LinkId> {
+    /// All links killed so far, in id order.
+    pub fn failed_links(&self) -> Vec<LinkId> {
         self.failed
             .iter()
             .enumerate()
@@ -547,25 +519,51 @@ impl Core {
             .collect()
     }
 
-    pub(crate) fn any_link_failed(&self) -> bool {
+    /// Whether any link has been killed (cheap guard: the zero-fault
+    /// fast paths branch on this to stay bit-identical to a fault-free
+    /// build).
+    pub fn any_link_failed(&self) -> bool {
         self.failed.iter().any(|&f| f)
     }
 
-    /// Kills `link`: capacity to zero, future injections rejected,
-    /// crossing flows evicted. Idempotent. The facade emits the
-    /// [`TraceEvent::Fault`] record (a sharded network replicates the
-    /// capacity change into every core but must log the fault once).
-    pub(crate) fn fail_link(&mut self, link: LinkId) -> Vec<EvictedFlow> {
+    /// Kills `link` at the current instant: its capacity drops to zero,
+    /// new injections across it are rejected, and every in-flight flow
+    /// crossing it is *evicted* — returned with its unsent byte count so
+    /// the caller can re-route and re-inject. Byte accounting of evicted
+    /// flows is settled at their pre-fault rate up to now. Surviving
+    /// flows that shared a bottleneck with the dead link's flows are
+    /// re-solved by the incremental allocator at the next event.
+    ///
+    /// Idempotent: failing an already-dead link evicts nothing.
+    pub fn fail_link(&mut self, link: LinkId) -> Vec<EvictedFlow> {
         if self.failed[link.0] {
             return Vec::new();
         }
         self.failed[link.0] = true;
-        self.set_capacity_inner(link, 0.0)
+        self.capacities[link.0] = 0.0;
+        self.solver.set_capacity(link.0, 0.0);
+        let evicted = self.evict_where(|f| f.links.contains(&link.0));
+        if self.tracing {
+            self.sink.record(TraceEvent::Fault {
+                t: self.now.as_secs(),
+                link: link.0 as u32,
+                capacity_fraction: 0.0,
+                evicted: evicted.len() as u32,
+            });
+        }
+        evicted
     }
 
-    /// Degrades `link` to `fraction` of its topology bandwidth. The
-    /// facade emits the fault event.
-    pub(crate) fn degrade_link(&mut self, link: LinkId, fraction: f64) {
+    /// Degrades `link` to `fraction` of its topology bandwidth (a lossy
+    /// port surviving at reduced width). Flows crossing it keep flowing
+    /// at the re-solved lower rate; nothing is evicted. A `fraction` of
+    /// `0.0` is a full failure — use [`FlowNetwork::fail_link`], which
+    /// also evicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is not in `(0.0, 1.0]`.
+    pub fn degrade_link(&mut self, link: LinkId, fraction: f64) {
         assert!(
             fraction > 0.0 && fraction <= 1.0,
             "degrade fraction must be in (0, 1], got {fraction} (use fail_link for 0)"
@@ -573,23 +571,32 @@ impl Core {
         let cap = self.topo.link(link).bandwidth * fraction;
         self.capacities[link.0] = cap;
         self.solver.set_capacity(link.0, cap);
+        if self.tracing {
+            self.sink.record(TraceEvent::Fault {
+                t: self.now.as_secs(),
+                link: link.0 as u32,
+                capacity_fraction: fraction,
+                evicted: 0,
+            });
+        }
     }
 
-    /// Shared fault body: sets the capacity and evicts crossing flows
-    /// when the link is now dead. Byte accounting of evicted flows is
-    /// settled at their pre-fault rate up to `now`.
-    fn set_capacity_inner(&mut self, link: LinkId, cap: f64) -> Vec<EvictedFlow> {
-        self.capacities[link.0] = cap;
-        self.solver.set_capacity(link.0, cap);
+    /// Forcibly evicts every bandwidth-consuming flow whose tag
+    /// satisfies `pred`, settling moved bytes exactly like a link-fault
+    /// eviction but leaving link capacities untouched — the preemption
+    /// entry point for a scheduling layer that owns disjoint tag ranges
+    /// per job. Flows already drained and waiting out their tail latency
+    /// are *not* recalled; their completions still surface and the
+    /// caller is expected to drop retired tags.
+    pub fn evict_flows_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<EvictedFlow> {
+        self.evict_where(|f| pred(f.tag))
+    }
+
+    /// Evicts every live flow matching `pred`, in slot order.
+    fn evict_where(&mut self, mut pred: impl FnMut(&ActiveFlow) -> bool) -> Vec<EvictedFlow> {
         let mut evicted = Vec::new();
-        if cap > 0.0 {
-            return evicted;
-        }
         for slot in 0..self.flows.len() {
-            let crosses = self.flows[slot]
-                .as_ref()
-                .is_some_and(|f| f.links.contains(&link.0));
-            if crosses {
+            if self.flows[slot].as_ref().is_some_and(&mut pred) {
                 evicted.push(self.evict_slot(slot));
             }
         }
@@ -622,7 +629,6 @@ impl Core {
         }
         self.solver.remove_flow(FlowKey(slot as u32));
         self.count_event();
-        self.log_active_count();
         EvictedFlow {
             id: f.id,
             tag: f.tag,
@@ -632,96 +638,6 @@ impl Core {
             route: f.links.iter().map(|&l| LinkId(l)).collect(),
             injected_at: f.injected_at,
         }
-    }
-
-    pub(crate) fn evict_flows_matching(
-        &mut self,
-        pred: &mut dyn FnMut(u64) -> bool,
-    ) -> Vec<EvictedFlow> {
-        let mut evicted = Vec::new();
-        for slot in 0..self.flows.len() {
-            let matches = self.flows[slot].as_ref().is_some_and(|f| pred(f.tag));
-            if matches {
-                evicted.push(self.evict_slot(slot));
-            }
-        }
-        evicted
-    }
-
-    /// Lifts every bandwidth-consuming flow out of this core without
-    /// settling bytes, changing rates, or emitting events: the flows'
-    /// `(remaining, rate, updated_at)` lazy-accounting state moves with
-    /// them, so a core that adopts them continues the exact arithmetic
-    /// this core would have performed. Drained flows waiting out their
-    /// tail latency stay behind (they no longer couple to anything).
-    pub(crate) fn extract_live(&mut self) -> Vec<MigratedFlow> {
-        let mut out = Vec::new();
-        for slot in 0..self.flows.len() {
-            let Some(f) = self.flows[slot].take() else {
-                continue;
-            };
-            self.active_count -= 1;
-            if f.rate > 0.0 {
-                self.live_drains -= 1;
-            }
-            self.solver.remove_flow(FlowKey(slot as u32));
-            out.push(MigratedFlow {
-                id: f.id,
-                links: f.links,
-                priority: f.priority,
-                tenant: f.tenant,
-                tag: f.tag,
-                remaining: f.remaining,
-                rate: f.rate,
-                updated_at: f.updated_at,
-                injected_at: f.injected_at,
-                latency: f.latency,
-            });
-        }
-        if !out.is_empty() {
-            self.log_active_count();
-        }
-        out
-    }
-
-    /// Adopts a flow lifted out of another core by
-    /// [`Core::extract_live`]. Registers it with this core's solver at
-    /// its *existing* rate, so the next solve reports it changed only
-    /// if the allocation genuinely moved — for a pure ownership
-    /// handoff (same global flow set, same capacities) the adoption is
-    /// observationally silent. Its drain prediction is re-derived from
-    /// the unchanged `(remaining, rate, updated_at)` triple, which
-    /// reproduces the original prediction bit for bit.
-    pub(crate) fn adopt(&mut self, m: MigratedFlow) {
-        let class = m.tenant * Priority::ALL.len() as u8 + m.priority.rank() as u8;
-        let key = self.solver.add_flow_class_rated(&m.links, class, m.rate);
-        let mut flow = ActiveFlow {
-            id: m.id,
-            links: m.links,
-            priority: m.priority,
-            tenant: m.tenant,
-            tag: m.tag,
-            remaining: m.remaining,
-            rate: m.rate,
-            updated_at: m.updated_at,
-            generation: 0,
-            injected_at: m.injected_at,
-            latency: m.latency,
-        };
-        if flow.rate > 0.0 {
-            self.next_generation += 1;
-            flow.generation = self.next_generation;
-            let eta = Duration::from_secs((flow.remaining / flow.rate).max(0.0));
-            self.drains.push(Reverse((
-                flow.updated_at + eta,
-                flow.id.0,
-                flow.generation,
-                key.0,
-            )));
-            self.live_drains += 1;
-        }
-        self.place(key, flow);
-        self.log_active_count();
     }
 
     fn push_pending(&mut self, f: ActiveFlow) {
@@ -792,9 +708,8 @@ impl Core {
         if self.tracing && !changed.is_empty() {
             self.emit_rate_epoch(changed.len() as u32);
         }
-        // Heap depth after re-prediction: stale (lazy-deleted) entries
-        // included, which is exactly the churn the sharding work needs
-        // to see.
+        // Heap depth after re-prediction, stale (lazy-deleted) entries
+        // included: the churn that compaction has to keep in check.
         fred_telemetry::prof::record_value("netsim.drain_heap_depth", self.drains.len() as f64);
         self.changed_scratch = changed;
         self.maybe_compact();
@@ -828,7 +743,7 @@ impl Core {
     /// that leaves every rate intact emits nothing.
     fn emit_rate_epoch(&mut self, changed: u32) {
         let t = self.now.as_secs();
-        self.buf.push(TraceEvent::RateEpoch {
+        self.sink.record(TraceEvent::RateEpoch {
             t,
             active_flows: self.active_count as u32,
             changed,
@@ -842,7 +757,7 @@ impl Core {
                 } else {
                     0.0
                 };
-                self.buf.push(TraceEvent::LinkUtil {
+                self.sink.record(TraceEvent::LinkUtil {
                     t,
                     link: l as u32,
                     utilization,
@@ -869,7 +784,14 @@ impl Core {
         None
     }
 
-    pub(crate) fn next_event(&mut self) -> Option<Time> {
+    /// The next instant at which simulator state changes on its own
+    /// (a drain finishing or a tail latency expiring), if any.
+    ///
+    /// Takes `&mut self` because it is also the solver flush point:
+    /// deltas accumulated since the last call are folded into one
+    /// refill here, which is what coalesces same-timestamp injections
+    /// and completions.
+    pub fn next_event(&mut self) -> Option<Time> {
         self.flush_rates();
         let drain = self.peek_drain();
         let notice = self.pending.peek().map(|Reverse(p)| p.at);
@@ -879,7 +801,14 @@ impl Core {
         }
     }
 
-    pub(crate) fn advance_to(&mut self, t: Time) {
+    /// Advances the clock to `t`, processing every internal event on the
+    /// way. Completions are buffered; retrieve them with
+    /// [`FlowNetwork::drain_completed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is in the past.
+    pub fn advance_to(&mut self, t: Time) {
         assert!(
             t >= self.now,
             "cannot advance backwards: {t} < {}",
@@ -904,7 +833,6 @@ impl Core {
     /// finish within float residue of each other).
     fn settle_at(&mut self, t: Time) {
         debug_assert_eq!(t, self.now);
-        let tracing = self.tracing;
         while let Some(&Reverse((at, _, generation, slot))) = self.drains.peek() {
             if at > self.now {
                 break;
@@ -928,9 +856,8 @@ impl Core {
             }
             self.solver.remove_flow(FlowKey(slot as u32));
             self.count_event();
-            self.log_active_count();
-            if tracing {
-                self.buf.push(TraceEvent::FlowDrained {
+            if self.tracing {
+                self.sink.record(TraceEvent::FlowDrained {
                     t: self.now.as_secs(),
                     id: f.id.0,
                 });
@@ -942,8 +869,8 @@ impl Core {
             if p.at <= self.now {
                 let Reverse(p) = self.pending.pop().expect("peeked");
                 self.count_event();
-                if tracing {
-                    self.buf.push(TraceEvent::FlowCompleted {
+                if self.tracing {
+                    self.sink.record(TraceEvent::FlowCompleted {
                         t: p.flow.completed_at.as_secs(),
                         id: p.flow.id.0,
                         tag: p.flow.tag,
@@ -958,32 +885,28 @@ impl Core {
         }
     }
 
-    pub(crate) fn drain_completed(&mut self) -> Vec<CompletedFlow> {
+    /// Removes and returns all buffered completions, ordered by
+    /// completion time.
+    pub fn drain_completed(&mut self) -> Vec<CompletedFlow> {
         let mut out = std::mem::take(&mut self.completed);
         out.sort_by(|a, b| a.completed_at.cmp(&b.completed_at).then(a.id.cmp(&b.id)));
         out
     }
 
-    /// Re-buffers a completion record (the sharded runtime drains
-    /// completions mid-run to feed drivers, then returns them through
-    /// the ordinary [`Core::drain_completed`] path).
-    pub(crate) fn push_completed(&mut self, flow: CompletedFlow) {
-        self.completed.push(flow);
-    }
-
-    /// Advances until no flow is in flight, leaving completions
-    /// buffered for [`Core::drain_completed`].
-    pub(crate) fn run_all(&mut self) {
+    /// Runs until every in-flight flow has completed and returns all
+    /// completions ordered by completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if progress stalls (e.g. every remaining flow has rate
+    /// zero), which would otherwise loop forever.
+    pub fn run_to_completion(&mut self) -> Vec<CompletedFlow> {
         while self.in_flight() > 0 {
             let te = self
                 .next_event()
                 .expect("in-flight flows but no next event: simulation stalled");
             self.advance_to(te);
         }
-    }
-
-    pub(crate) fn run_to_completion(&mut self) -> Vec<CompletedFlow> {
-        self.run_all();
         self.drain_completed()
     }
 
@@ -997,7 +920,9 @@ impl Core {
         }
     }
 
-    pub(crate) fn link_carried_bytes(&self, link: LinkId) -> f64 {
+    /// Cumulative bytes carried by a link since construction, including
+    /// the in-flight contribution of active flows.
+    pub fn link_carried_bytes(&self, link: LinkId) -> f64 {
         let mut total = self.link_bytes[link.0];
         for f in self.flows.iter().flatten() {
             if f.links.contains(&link.0) {
@@ -1007,7 +932,10 @@ impl Core {
         total
     }
 
-    pub(crate) fn link_utilization(&self, link: LinkId) -> f64 {
+    /// Link utilisation over `[Time::ZERO, now]`: carried bytes divided
+    /// by capacity × elapsed. Returns 0 when no time has elapsed (or the
+    /// link has no capacity), never NaN.
+    pub fn link_utilization(&self, link: LinkId) -> f64 {
         let elapsed = self.now.as_secs();
         let denom = self.capacities[link.0] * elapsed;
         if denom <= 0.0 {
@@ -1017,14 +945,20 @@ impl Core {
         }
     }
 
-    /// Captures the core's full mutable state. The telemetry buffers
-    /// must already be drained (the owning facade drains them after
-    /// every public call, so any facade-level capture point qualifies).
-    pub(crate) fn snapshot(&self) -> CoreState {
-        assert!(
-            self.buf.is_empty() && self.active_log.is_empty(),
-            "snapshot with undrained telemetry buffers"
-        );
+    /// Test hook: lowers the drain-heap compaction floor so small
+    /// workloads can exercise the rebuild path (`usize::MAX` disables
+    /// compaction entirely).
+    pub fn set_heap_compaction_min(&mut self, min: usize) {
+        self.compaction_min = min;
+    }
+
+    /// Captures the simulator's complete mutable state. Restoring the
+    /// capture with [`FlowNetwork::restore`] and running to completion
+    /// is bit-identical (completion times, rate epochs, byte
+    /// accounting) to never having paused. Valid at any point between
+    /// public calls, including mid-fault with evicted flows awaiting
+    /// re-injection.
+    pub fn snapshot(&self) -> CoreState {
         let mut drains: Vec<(Time, u64, u64, u32)> =
             self.drains.iter().map(|&Reverse(e)| e).collect();
         drains.sort();
@@ -1037,7 +971,6 @@ impl Core {
         CoreState {
             now: self.now,
             next_id: self.next_id,
-            id_stride: self.id_stride,
             flows: self
                 .flows
                 .iter()
@@ -1074,19 +1007,28 @@ impl Core {
         }
     }
 
-    /// Rebuilds a core from a [`CoreState`] over `topo`. `tracing` and
-    /// `log_active` are configuration, supplied by the facade (they do
-    /// not affect simulation results). Panics if the state's per-link
-    /// vectors disagree with the topology — a snapshot only restores
-    /// over the topology it was captured from.
-    pub(crate) fn restore(
-        topo: Arc<Topology>,
-        tracing: bool,
-        log_active: bool,
+    /// Rebuilds a simulator from a [`FlowNetwork::snapshot`] capture
+    /// over `topo` (which must be the topology the capture was taken
+    /// from), with tracing disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state's per-link vectors do not match `topo`.
+    pub fn restore(topo: Topology, state: CoreState) -> FlowNetwork {
+        FlowNetwork::restore_with_sink(topo, Rc::new(NullSink), state)
+    }
+
+    /// [`FlowNetwork::restore`] recording into `sink`. When the sink is
+    /// enabled a fresh [`TraceEvent::Topology`] marker is emitted at
+    /// the restored clock — the same segment marker
+    /// [`FlowNetwork::with_sink`] emits at construction — so analysis
+    /// layers can re-cost the resumed segment on its own.
+    pub fn restore_with_sink(
+        topo: Topology,
+        sink: Rc<dyn TraceSink>,
         state: CoreState,
-    ) -> Core {
+    ) -> FlowNetwork {
         let n = topo.links().count();
-        assert!(state.id_stride > 0, "id stride must be positive");
         assert_eq!(
             state.capacities.len(),
             n,
@@ -1114,11 +1056,10 @@ impl Core {
                 })
             })
             .collect();
-        Core {
+        let net = FlowNetwork {
             topo,
             now: state.now,
             next_id: state.next_id,
-            id_stride: state.id_stride,
             flows,
             active_count: state.active_count,
             solver: FairShareSolver::restore(state.solver),
@@ -1137,333 +1078,13 @@ impl Core {
             capacities: state.capacities,
             failed: state.failed,
             events: state.events,
-            tracing,
-            log_active,
-            buf: Vec::new(),
-            active_log: Vec::new(),
+            tracing: sink.enabled(),
+            sink,
             link_alloc: state.link_alloc,
             changed_scratch: Vec::new(),
-        }
-    }
-}
-
-/// Flow-level network simulator over a fixed [`Topology`].
-///
-/// See the [crate-level example](crate) for basic usage. This is the
-/// single-core facade over the engine [`Core`]; the sharded,
-/// multi-threaded variant is [`crate::shard::ShardedNetwork`].
-#[derive(Debug)]
-pub struct FlowNetwork {
-    core: Core,
-    /// Telemetry sink; [`NullSink`] (zero overhead) by default.
-    sink: Rc<dyn TraceSink>,
-}
-
-impl FlowNetwork {
-    /// Creates a simulator over `topo` with the clock at zero and
-    /// tracing disabled.
-    pub fn new(topo: Topology) -> FlowNetwork {
-        FlowNetwork::with_sink(topo, Rc::new(NullSink))
-    }
-
-    /// Creates a simulator that records structured events into `sink`.
-    ///
-    /// With any sink, simulation results are bit-identical to an
-    /// untraced run: instrumentation only observes state.
-    pub fn with_sink(topo: Topology, sink: Rc<dyn TraceSink>) -> FlowNetwork {
-        let tracing = sink.enabled();
-        let core = Core::new(Arc::new(topo), 0, 1, tracing, false);
-        if tracing {
-            // Marks the start of a simulation segment within the
-            // recording and gives the analysis layer the capacities it
-            // needs to re-cost flows at their contention-free rate.
-            sink.record(TraceEvent::Topology {
-                t: 0.0,
-                capacities: core.capacities.clone().into_boxed_slice(),
-            });
-        }
-        FlowNetwork { core, sink }
-    }
-
-    /// Forwards the core's buffered telemetry to the sink. Called after
-    /// every public call, so from the sink's point of view the event
-    /// stream is indistinguishable from the pre-refactor inline
-    /// emission (sinks can only observe between `&mut self` calls).
-    fn flush_sink(&mut self) {
-        if self.core.tracing {
-            for e in self.core.buf.drain(..) {
-                self.sink.record(e);
-            }
-        }
-    }
-
-    /// The telemetry sink events are recorded into. Higher layers
-    /// (collective execution, the trainer) emit their span events
-    /// through this same sink so one trace holds the whole story.
-    pub fn sink(&self) -> &Rc<dyn TraceSink> {
-        &self.sink
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> Time {
-        self.core.now()
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        self.core.topology()
-    }
-
-    /// Number of flows currently consuming bandwidth or waiting out their
-    /// tail latency.
-    pub fn in_flight(&self) -> usize {
-        self.core.in_flight()
-    }
-
-    /// Lifecycle events (injections, drains, completions) this instance
-    /// has processed.
-    pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
-    }
-
-    /// Drain-heap compactions this instance has performed (see
-    /// [`global_heap_compactions`] for the process-wide counter behind
-    /// the `sim.solver/heap_compactions` report key).
-    pub fn heap_compactions(&self) -> u64 {
-        self.core.heap_compactions()
-    }
-
-    /// Sets the incremental solver's global-refill threshold; see
-    /// [`FairShareSolver::set_refill_fraction`]. `0.0` forces a full
-    /// from-scratch refill on every set change (the pre-incremental
-    /// behaviour), which `solver_bench` uses as its baseline.
-    pub fn set_refill_fraction(&mut self, fraction: f64) {
-        self.core.set_refill_fraction(fraction);
-    }
-
-    /// The incremental solver's cost counters (solves, global
-    /// fallbacks, refilled flows).
-    pub fn solver_stats(&self) -> SolverStats {
-        self.core.solver_stats()
-    }
-
-    /// Injects a flow at the current time. The solver delta is deferred:
-    /// all injections and completions at one timestamp are flushed as a
-    /// single refill by the next [`FlowNetwork::next_event`] /
-    /// [`FlowNetwork::advance_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError`] if the route is not a contiguous path in
-    /// the topology or crosses a link killed by
-    /// [`FlowNetwork::fail_link`]. The network is unchanged on error.
-    pub fn inject(&mut self, spec: FlowSpec) -> Result<FlowId, RouteError> {
-        let r = self.core.inject(spec);
-        self.flush_sink();
-        r
-    }
-
-    /// Injects several flows at the current time. Since the solver runs
-    /// lazily, this is equivalent to repeated [`FlowNetwork::inject`]
-    /// calls; it is kept as the idiomatic entry point for starting a
-    /// collective phase.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RouteError`] among the specs. Every route is
-    /// validated up front, so on error *no* flow has been injected —
-    /// a phase either starts whole or not at all.
-    pub fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<Vec<FlowId>, RouteError> {
-        let r = self.core.inject_batch(specs);
-        self.flush_sink();
-        r
-    }
-
-    /// Current capacity of a link (bytes/s): the topology bandwidth,
-    /// reduced by [`FlowNetwork::degrade_link`], zero after
-    /// [`FlowNetwork::fail_link`].
-    pub fn link_capacity(&self, link: LinkId) -> f64 {
-        self.core.link_capacity(link)
-    }
-
-    /// Whether `link` has been killed by [`FlowNetwork::fail_link`].
-    pub fn is_link_failed(&self, link: LinkId) -> bool {
-        self.core.is_link_failed(link)
-    }
-
-    /// All links killed so far, in id order.
-    pub fn failed_links(&self) -> Vec<LinkId> {
-        self.core.failed_links()
-    }
-
-    /// Whether any link has been killed (cheap guard: the zero-fault
-    /// fast paths branch on this to stay bit-identical to a fault-free
-    /// build).
-    pub fn any_link_failed(&self) -> bool {
-        self.core.any_link_failed()
-    }
-
-    /// Kills `link` at the current instant: its capacity drops to zero,
-    /// new injections across it are rejected, and every in-flight flow
-    /// crossing it is *evicted* — returned with its unsent byte count so
-    /// the caller can re-route and re-inject. Surviving flows that
-    /// shared a bottleneck with the dead link's flows are re-solved by
-    /// the incremental allocator at the next event.
-    ///
-    /// Idempotent: failing an already-dead link evicts nothing.
-    pub fn fail_link(&mut self, link: LinkId) -> Vec<EvictedFlow> {
-        let already_dead = self.core.is_link_failed(link);
-        let evicted = self.core.fail_link(link);
-        if !already_dead && self.sink.enabled() {
-            self.sink.record(TraceEvent::Fault {
-                t: self.core.now().as_secs(),
-                link: link.0 as u32,
-                capacity_fraction: 0.0,
-                evicted: evicted.len() as u32,
-            });
-        }
-        self.flush_sink();
-        evicted
-    }
-
-    /// Degrades `link` to `fraction` of its topology bandwidth (a lossy
-    /// port surviving at reduced width). Flows crossing it keep flowing
-    /// at the re-solved lower rate; nothing is evicted. A `fraction` of
-    /// `0.0` is a full failure — use [`FlowNetwork::fail_link`], which
-    /// also evicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `(0.0, 1.0]`.
-    pub fn degrade_link(&mut self, link: LinkId, fraction: f64) {
-        self.core.degrade_link(link, fraction);
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::Fault {
-                t: self.core.now().as_secs(),
-                link: link.0 as u32,
-                capacity_fraction: fraction,
-                evicted: 0,
-            });
-        }
-    }
-
-    /// Forcibly evicts every bandwidth-consuming flow whose tag
-    /// satisfies `pred`, settling moved bytes exactly like a link-fault
-    /// eviction but leaving link capacities untouched — the preemption
-    /// entry point for a scheduling layer that owns disjoint tag ranges
-    /// per job. Flows already drained and waiting out their tail latency
-    /// are *not* recalled; their completions still surface and the
-    /// caller is expected to drop retired tags.
-    pub fn evict_flows_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<EvictedFlow> {
-        let r = self.core.evict_flows_matching(&mut pred);
-        self.flush_sink();
-        r
-    }
-
-    /// The next instant at which simulator state changes on its own
-    /// (a drain finishing or a tail latency expiring), if any.
-    ///
-    /// Takes `&mut self` because it is also the solver flush point:
-    /// deltas accumulated since the last call are folded into one
-    /// refill here, which is what coalesces same-timestamp injections
-    /// and completions.
-    pub fn next_event(&mut self) -> Option<Time> {
-        let r = self.core.next_event();
-        self.flush_sink();
-        r
-    }
-
-    /// Advances the clock to `t`, processing every internal event on the
-    /// way. Completions are buffered; retrieve them with
-    /// [`FlowNetwork::drain_completed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past.
-    pub fn advance_to(&mut self, t: Time) {
-        self.core.advance_to(t);
-        self.flush_sink();
-    }
-
-    /// Removes and returns all buffered completions, ordered by
-    /// completion time.
-    pub fn drain_completed(&mut self) -> Vec<CompletedFlow> {
-        self.core.drain_completed()
-    }
-
-    /// Runs until every in-flight flow has completed and returns all
-    /// completions ordered by completion time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if progress stalls (e.g. every remaining flow has rate
-    /// zero), which would otherwise loop forever.
-    pub fn run_to_completion(&mut self) -> Vec<CompletedFlow> {
-        let r = self.core.run_to_completion();
-        self.flush_sink();
-        r
-    }
-
-    /// Cumulative bytes carried by a link since construction, including
-    /// the in-flight contribution of active flows.
-    pub fn link_carried_bytes(&self, link: LinkId) -> f64 {
-        self.core.link_carried_bytes(link)
-    }
-
-    /// Link utilisation over `[Time::ZERO, now]`: carried bytes divided
-    /// by capacity × elapsed. Returns 0 when no time has elapsed (or the
-    /// link has no capacity), never NaN.
-    pub fn link_utilization(&self, link: LinkId) -> f64 {
-        self.core.link_utilization(link)
-    }
-
-    /// Test hook: lowers the drain-heap compaction floor so small
-    /// workloads can exercise the rebuild path (`usize::MAX` disables
-    /// compaction entirely).
-    pub fn set_heap_compaction_min(&mut self, min: usize) {
-        self.core.set_compaction_min(min);
-    }
-
-    /// Captures the simulator's complete mutable state. Restoring the
-    /// capture with [`FlowNetwork::restore`] and running to completion
-    /// is bit-identical (completion times, rate epochs, byte
-    /// accounting) to never having paused. Valid at any point between
-    /// public calls, including mid-fault with evicted flows awaiting
-    /// re-injection.
-    pub fn snapshot(&self) -> CoreState {
-        self.core.snapshot()
-    }
-
-    /// Rebuilds a simulator from a [`FlowNetwork::snapshot`] capture
-    /// over `topo` (which must be the topology the capture was taken
-    /// from), with tracing disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state's per-link vectors do not match `topo`.
-    pub fn restore(topo: Topology, state: CoreState) -> FlowNetwork {
-        FlowNetwork::restore_with_sink(topo, Rc::new(NullSink), state)
-    }
-
-    /// [`FlowNetwork::restore`] recording into `sink`. When the sink is
-    /// enabled a fresh [`TraceEvent::Topology`] marker is emitted at
-    /// the restored clock — the same segment marker
-    /// [`FlowNetwork::with_sink`] emits at construction — so analysis
-    /// layers can re-cost the resumed segment on its own.
-    pub fn restore_with_sink(
-        topo: Topology,
-        sink: Rc<dyn TraceSink>,
-        state: CoreState,
-    ) -> FlowNetwork {
-        let tracing = sink.enabled();
-        let core = Core::restore(Arc::new(topo), tracing, false, state);
-        if tracing {
-            sink.record(TraceEvent::Topology {
-                t: core.now().as_secs(),
-                capacities: core.capacities.clone().into_boxed_slice(),
-            });
-        }
-        FlowNetwork { core, sink }
+        };
+        net.record_topology();
+        net
     }
 }
 

@@ -46,9 +46,9 @@ impl Rng64 {
     /// Splits off an independent child generator, advancing this one
     /// by a single draw. Splitting is deterministic — the same parent
     /// seed and split order always yield the same child streams — which
-    /// is how the sharded runtime derives per-shard streams from one
-    /// experiment seed (split once per shard, in shard-index order)
-    /// without any cross-shard draw-order coupling.
+    /// is how the DSE runner derives one stream per design point from a
+    /// single sweep seed (split in point order), so no point's draws
+    /// depend on how many another point made or on the thread count.
     pub fn split(&mut self) -> Rng64 {
         Rng64::seed_from_u64(self.next_u64())
     }

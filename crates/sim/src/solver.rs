@@ -266,22 +266,6 @@ impl FairShareSolver {
     /// Panics if a link index is out of range.
     pub fn add_flow_class(&mut self, links: &[usize], class: u8) -> FlowKey {
         let rate = if links.is_empty() { f64::INFINITY } else { 0.0 };
-        self.add_flow_class_rated(links, class, rate)
-    }
-
-    /// Registers a flow that already holds an allocated rate — the
-    /// migration entry point for the sharded runtime, which moves live
-    /// flows between solver instances without disturbing them. The
-    /// flow still dirties its links (the receiving solver must verify
-    /// the allocation), but because `changed_flows` reports only flows
-    /// whose rate *moved*, an adoption whose global flow set and
-    /// capacities are unchanged re-derives exactly `rate` and is
-    /// observationally silent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a link index is out of range.
-    pub fn add_flow_class_rated(&mut self, links: &[usize], class: u8, rate: f64) -> FlowKey {
         for &l in links {
             assert!(
                 l < self.capacities.len(),

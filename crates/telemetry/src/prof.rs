@@ -3,8 +3,7 @@
 //! Wall-clock instrumentation for the simulator's own hot paths
 //! (solver solves, batch injection, placement search, preemption
 //! scans). Unlike the flight recorder — which lives in *sim* time —
-//! this layer measures where *host* time goes, the scouting data the
-//! ROADMAP's sharded-core work needs.
+//! this layer measures where *host* time goes, per simulator layer.
 //!
 //! Design constraints, in order:
 //!
@@ -142,9 +141,9 @@ impl SiteStats {
 
 /// Moves this thread's accumulated samples into the process-wide
 /// flushed table, leaving the local table empty. Worker threads call
-/// this right before exiting (the sharded runtime does it at every
-/// barrier join) so their samples survive the thread and show up in
-/// the draining thread's [`snapshot`]. Cheap no-op when the local
+/// this right before exiting (the DSE runner's point workers do) so
+/// their samples survive the thread and show up in the draining
+/// thread's [`snapshot`]. Cheap no-op when the local
 /// table is empty.
 pub fn flush_thread() {
     SITES.with(|s| {

@@ -202,110 +202,25 @@ fn changed_flows_reports_are_sound() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-engine differential harness (DESIGN.md §11).
+// Drain-heap compaction invariance on the event engine.
 //
-// The sharded simulator's contract is *bit-identity* with the plain
-// `FlowNetwork` under an identical call sequence — makespan, per-flow
-// completion times (keyed by tag), per-flow settled bytes at eviction,
-// and the canonicalized RateEpoch stream — at every thread count,
-// through mid-run link faults, multi-tenant preemption, and
-// boundary-flow fuse/defuse migrations.
+// Compaction only drops provably-stale drain-heap entries, so the
+// threshold that triggers it is a pure performance knob: the same call
+// sequence must produce bit-identical results — completions, evictions,
+// rejections, makespan, settled link bytes and the full trace — whether
+// the heap is compacted eagerly or never.
 // ---------------------------------------------------------------------------
 
 use std::rc::Rc;
 
 use fred::mesh::topology::MeshFabric;
 use fred::sim::flow::FlowSpec;
-use fred::sim::netsim::{CompletedFlow, EvictedFlow, FlowNetwork};
-use fred::sim::shard::ShardedNetwork;
+use fred::sim::netsim::FlowNetwork;
+use fred::sim::topology::LinkId;
 use fred::telemetry::event::TraceEvent;
 use fred::telemetry::sink::RingRecorder;
 
-/// Both engines behind one mutable face so a single op interpreter can
-/// drive either; the differential tests then compare the transcripts.
-/// (The size difference between the variants is irrelevant here: one
-/// engine exists at a time, on the test stack.)
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    Plain(FlowNetwork),
-    Sharded(ShardedNetwork),
-}
-
-impl Engine {
-    fn inject(&mut self, spec: FlowSpec) -> bool {
-        match self {
-            Engine::Plain(n) => n.inject(spec).is_ok(),
-            Engine::Sharded(n) => n.inject(spec).is_ok(),
-        }
-    }
-
-    fn fail_link(&mut self, link: fred::sim::topology::LinkId) -> Vec<EvictedFlow> {
-        match self {
-            Engine::Plain(n) => n.fail_link(link),
-            Engine::Sharded(n) => n.fail_link(link),
-        }
-    }
-
-    fn degrade_link(&mut self, link: fred::sim::topology::LinkId, fraction: f64) {
-        match self {
-            Engine::Plain(n) => n.degrade_link(link, fraction),
-            Engine::Sharded(n) => n.degrade_link(link, fraction),
-        }
-    }
-
-    fn evict_matching(&mut self, pred: impl FnMut(u64) -> bool) -> Vec<EvictedFlow> {
-        match self {
-            Engine::Plain(n) => n.evict_flows_matching(pred),
-            Engine::Sharded(n) => n.evict_flows_matching(pred),
-        }
-    }
-
-    fn next_event(&mut self) -> Option<fred::sim::time::Time> {
-        match self {
-            Engine::Plain(n) => n.next_event(),
-            Engine::Sharded(n) => n.next_event(),
-        }
-    }
-
-    fn advance_to(&mut self, t: fred::sim::time::Time) {
-        match self {
-            Engine::Plain(n) => n.advance_to(t),
-            Engine::Sharded(n) => n.advance_to(t),
-        }
-    }
-
-    fn drain_completed(&mut self) -> Vec<CompletedFlow> {
-        match self {
-            Engine::Plain(n) => n.drain_completed(),
-            Engine::Sharded(n) => n.drain_completed(),
-        }
-    }
-
-    fn run_to_completion(&mut self) -> Vec<CompletedFlow> {
-        match self {
-            Engine::Plain(n) => n.run_to_completion(),
-            Engine::Sharded(n) => n.run_to_completion(),
-        }
-    }
-
-    fn now_bits(&self) -> u64 {
-        match self {
-            Engine::Plain(n) => n.now().as_secs().to_bits(),
-            Engine::Sharded(n) => n.now().as_secs().to_bits(),
-        }
-    }
-
-    fn link_carried_bytes(&self, link: fred::sim::topology::LinkId) -> f64 {
-        match self {
-            Engine::Plain(n) => n.link_carried_bytes(link),
-            Engine::Sharded(n) => n.link_carried_bytes(link),
-        }
-    }
-}
-
-/// Everything one run produces, in engine-independent form. Raw
-/// `FlowId`s are deliberately absent: each shard core allocates ids
-/// from its own namespace, so tags are the cross-engine identity.
+/// Everything one run produces, in comparable form.
 #[derive(Debug, PartialEq)]
 struct Transcript {
     /// `(completed_at bits, tag)` per completion, sorted.
@@ -317,50 +232,19 @@ struct Transcript {
     rejected: Vec<u64>,
     /// Final clock, bitwise.
     makespan_bits: u64,
-    /// Canonical RateEpoch stream: `(t bits, summed changed, active)`
-    /// per instant.
-    epochs: Vec<(u64, u32, u32)>,
+    /// Per-link carried bytes at the end of the run, bitwise.
+    link_bytes: Vec<u64>,
+    /// The recorded trace, event for event.
+    events: Vec<TraceEvent>,
 }
 
-/// Collapses a raw event stream to one `(t, Σchanged, final active)`
-/// row per instant that produced at least one `RateEpoch` — the form
-/// in which the plain engine's stream and the sharded engine's merged
-/// stream are defined to agree.
-fn canonical_epochs(events: &[TraceEvent]) -> Vec<(u64, u32, u32)> {
-    let mut out: Vec<(u64, u32, u32)> = Vec::new();
-    for e in events {
-        if let TraceEvent::RateEpoch {
-            t,
-            active_flows,
-            changed,
-        } = e
-        {
-            let bits = t.to_bits();
-            match out.last_mut() {
-                Some(last) if last.0 == bits => {
-                    last.1 += changed;
-                    last.2 = *active_flows;
-                }
-                _ => out.push((bits, *changed, *active_flows)),
-            }
-        }
-    }
-    out
-}
-
-/// Drives a deterministic mixed workload — tile-local flows, optional
-/// boundary flows (forcing fuse/defuse), mid-run link failure and
-/// degradation, and a tenant-targeted preemption — through `engine`,
-/// returning the comparable transcript.
-fn drive(
-    mesh: &MeshFabric,
-    mut engine: Engine,
-    rec: &Rc<RingRecorder>,
-    seed: u64,
-    boundary: bool,
-) -> (Transcript, Vec<f64>) {
+/// Drives a deterministic mixed workload — short and mesh-crossing
+/// flows over three tenants, a mid-run link failure and degradation,
+/// and a tenant-targeted preemption — through `net`, returning the
+/// comparable transcript.
+fn drive(mesh: &MeshFabric, mut net: FlowNetwork, rec: &Rc<RingRecorder>, seed: u64) -> Transcript {
     let mut rng = Rng64::seed_from_u64(seed);
-    let tile = 4usize; // mesh is 8x8 partitioned 2x2
+    let quadrant = 4usize; // the 8x8 mesh seen as 2x2 quadrants
     let mut seq = 0u64;
     let mut completions: Vec<(u64, u64)> = Vec::new();
     let mut evictions = Vec::new();
@@ -371,20 +255,19 @@ fn drive(
         let sx = rng.gen_range(0, 8);
         let sy = rng.gen_range(0, 8);
         let (dx, dy) = if cross {
-            // Destination in a different tile: the route crosses a
-            // shard boundary and the sharded engine must fuse.
+            // Destination in another quadrant: a long route.
             loop {
                 let x = rng.gen_range(0, 8);
                 let y = rng.gen_range(0, 8);
-                if (x / tile, y / tile) != (sx / tile, sy / tile) {
+                if (x / quadrant, y / quadrant) != (sx / quadrant, sy / quadrant) {
                     break (x, y);
                 }
             }
         } else {
-            // Same tile, different NPU.
+            // Same quadrant, different NPU.
             loop {
-                let x = (sx / tile) * tile + rng.gen_range(0, tile);
-                let y = (sy / tile) * tile + rng.gen_range(0, tile);
+                let x = (sx / quadrant) * quadrant + rng.gen_range(0, quadrant);
+                let y = (sy / quadrant) * quadrant + rng.gen_range(0, quadrant);
                 if (x, y) != (sx, sy) {
                     break (x, y);
                 }
@@ -404,20 +287,19 @@ fn drive(
     };
 
     for round in 0..12 {
-        // Inject a burst (occasionally boundary-crossing).
+        // Inject a burst (occasionally mesh-crossing).
         for _ in 0..rng.gen_range_inclusive(2, 6) {
-            let cross = boundary && rng.gen_range(0, 4) == 0;
+            let cross = rng.gen_range(0, 4) == 0;
             let spec = draw(&mut rng, &mut seq, cross);
             let tag = spec.tag;
-            if !engine.inject(spec) {
+            if net.inject(spec).is_err() {
                 rejected.push(tag);
             }
         }
-        // Mid-run faults: one failure, one degradation, at fixed
-        // rounds so both engines see them at the same sim time.
+        // Mid-run faults: one failure, one degradation.
         if round == 4 {
-            let link = fred::sim::topology::LinkId(rng.gen_range(0, n_links));
-            let mut ev: Vec<(u64, u64)> = engine
+            let link = LinkId(rng.gen_range(0, n_links));
+            let mut ev: Vec<(u64, u64)> = net
                 .fail_link(link)
                 .iter()
                 .map(|e| (e.tag, e.remaining_bytes.to_bits()))
@@ -426,13 +308,13 @@ fn drive(
             evictions.push(ev);
         }
         if round == 6 {
-            let link = fred::sim::topology::LinkId(rng.gen_range(0, n_links));
-            engine.degrade_link(link, 0.25 + 0.5 * rng.gen_f64());
+            let link = LinkId(rng.gen_range(0, n_links));
+            net.degrade_link(link, 0.25 + 0.5 * rng.gen_f64());
         }
         // Tenant preemption mid-run: evict every tenant-2 flow.
         if round == 8 {
-            let mut ev: Vec<(u64, u64)> = engine
-                .evict_matching(|tag| tag >> 56 == 2)
+            let mut ev: Vec<(u64, u64)> = net
+                .evict_flows_matching(|tag| tag >> 56 == 2)
                 .iter()
                 .map(|e| (e.tag, e.remaining_bytes.to_bits()))
                 .collect();
@@ -441,51 +323,31 @@ fn drive(
         }
         // Let some events play out before the next burst.
         for _ in 0..rng.gen_range_inclusive(1, 3) {
-            let Some(t) = engine.next_event() else { break };
-            engine.advance_to(t);
+            let Some(t) = net.next_event() else { break };
+            net.advance_to(t);
             completions.extend(
-                engine
-                    .drain_completed()
+                net.drain_completed()
                     .iter()
                     .map(|c| (c.completed_at.as_secs().to_bits(), c.tag)),
             );
         }
     }
     completions.extend(
-        engine
-            .run_to_completion()
+        net.run_to_completion()
             .iter()
             .map(|c| (c.completed_at.as_secs().to_bits(), c.tag)),
     );
     completions.sort_unstable();
 
-    // Per-link settled bytes at the end of the run, for the caller to
-    // compare across engines (1e-12 relative: bitwise while unfused;
-    // fuse/defuse migrations may re-associate the running f64 sums).
-    let link_bytes: Vec<f64> = (0..n_links)
-        .map(|l| engine.link_carried_bytes(fred::sim::topology::LinkId(l)))
-        .collect();
-
-    (
-        Transcript {
-            completions,
-            evictions,
-            rejected,
-            makespan_bits: engine.now_bits(),
-            epochs: canonical_epochs(&rec.events()),
-        },
-        link_bytes,
-    )
-}
-
-/// Settled-bytes comparison across engines: ≤1e-12 relative per link.
-fn assert_link_bytes_close(plain: &[f64], sharded: &[f64], context: &str) {
-    assert_eq!(plain.len(), sharded.len());
-    for (l, (a, b)) in plain.iter().zip(sharded).enumerate() {
-        assert!(
-            rel_diff(*a, *b) <= 1e-12,
-            "{context}: link {l} carried bytes diverged: plain {a} vs sharded {b}"
-        );
+    Transcript {
+        completions,
+        evictions,
+        rejected,
+        makespan_bits: net.now().as_secs().to_bits(),
+        link_bytes: (0..n_links)
+            .map(|l| net.link_carried_bytes(LinkId(l)).to_bits())
+            .collect(),
+        events: rec.events(),
     }
 }
 
@@ -493,100 +355,31 @@ fn mesh8() -> MeshFabric {
     MeshFabric::new(8, 8, 750e9, 128e9, 20e-9)
 }
 
-fn plain_transcript(seed: u64, boundary: bool) -> (Transcript, Vec<f64>) {
-    let mesh = mesh8();
-    let rec = Rc::new(RingRecorder::new());
-    let net = FlowNetwork::with_sink(mesh.clone_topology(), rec.clone());
-    drive(&mesh, Engine::Plain(net), &rec, seed, boundary)
-}
-
-fn sharded_transcript(seed: u64, boundary: bool, threads: usize) -> (Transcript, Vec<f64>) {
-    let mesh = mesh8();
-    let rec = Rc::new(RingRecorder::new());
-    let net = ShardedNetwork::with_sink(
-        mesh.clone_topology(),
-        mesh.tile_partition(2, 2),
-        threads,
-        rec.clone(),
-    );
-    drive(&mesh, Engine::Sharded(net), &rec, seed, boundary)
-}
-
-#[test]
-fn sharded_engine_matches_plain_on_tile_local_traffic() {
-    // Pure shard-local traffic: the parallel fast path, never fused.
-    for seed in [0xD1FF1u64, 0xD1FF2] {
-        let (want, want_bytes) = plain_transcript(seed, false);
-        for threads in [1usize, 2, 4, 8] {
-            let (got, got_bytes) = sharded_transcript(seed, false, threads);
-            assert_eq!(got, want, "seed {seed:#x} threads {threads}");
-            assert_link_bytes_close(
-                &want_bytes,
-                &got_bytes,
-                &format!("seed {seed:#x} threads {threads}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_engine_matches_plain_through_fuse_and_faults() {
-    // Boundary flows force fuse/defuse migrations mid-run, on top of
-    // the link failure, degradation, and tenant preemption the
-    // workload always applies. Still bit-identical on completions,
-    // makespan, evictions and epochs; settled link bytes within the
-    // migration re-association bound.
-    for seed in [0xFADE1u64, 0xFADE2] {
-        let (want, want_bytes) = plain_transcript(seed, true);
-        for threads in [1usize, 2, 4] {
-            let (got, got_bytes) = sharded_transcript(seed, true, threads);
-            assert_eq!(got, want, "seed {seed:#x} threads {threads}");
-            assert_link_bytes_close(
-                &want_bytes,
-                &got_bytes,
-                &format!("seed {seed:#x} threads {threads}"),
-            );
-        }
-    }
-}
-
 #[test]
 fn heap_compaction_threshold_is_result_invariant() {
-    // Aggressive compaction (threshold 1) vs effectively-disabled
-    // (huge threshold): bitwise-identical transcripts, and the
-    // aggressive run must actually compact.
+    // Aggressive compaction (threshold 1) vs disabled (usize::MAX):
+    // bitwise-identical transcripts.
     let seed = 0xC0DEC0u64;
     let mesh = mesh8();
-    let run = |min: usize| -> (Transcript, u64) {
+    let run = |min: usize| -> Transcript {
         let rec = Rc::new(RingRecorder::new());
-        let mut net = ShardedNetwork::with_sink(
-            mesh.clone_topology(),
-            mesh.tile_partition(2, 2),
-            2,
-            rec.clone(),
-        );
+        let mut net = FlowNetwork::with_sink(mesh.clone_topology(), rec.clone());
         net.set_heap_compaction_min(min);
-        // `drive` consumes the engine; read the compaction count via
-        // the process-wide counter delta instead.
-        let before = fred::sim::netsim::global_heap_compactions();
-        let (t, _) = drive(&mesh, Engine::Sharded(net), &rec, seed, true);
-        (t, fred::sim::netsim::global_heap_compactions() - before)
+        drive(&mesh, net, &rec, seed)
     };
-    let (aggressive, _) = run(1);
-    let (disabled, _) = run(usize::MAX);
-    assert_eq!(aggressive, disabled);
+    assert_eq!(run(1), run(usize::MAX));
 
     // And aggressive compaction must actually fire under heavy
     // eviction churn: 3/4 of the heap goes dead in one preemption,
     // tripping the dead-majority trigger at threshold 1.
-    let mut net = ShardedNetwork::new(mesh.clone_topology(), mesh.tile_partition(2, 2), 2);
+    let mut net = FlowNetwork::new(mesh.clone_topology());
     net.set_heap_compaction_min(1);
     for i in 0..64u64 {
         let x = (i % 4) as usize;
         let y = ((i / 4) % 4) as usize;
         let route = mesh.xy_route(mesh.npu_at(x, y), mesh.npu_at((x + 1) % 4, y));
         net.inject(FlowSpec::new(route, 1e6).with_tag(i))
-            .expect("tile-0 routes are valid");
+            .expect("mesh routes are valid");
     }
     // Force a solver flush so every flow holds a live heap entry
     // before the preemption marks 3/4 of them dead.
