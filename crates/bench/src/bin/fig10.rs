@@ -13,11 +13,12 @@
 use fred_bench::table::{fmt_secs, Table};
 use fred_bench::traceopt::TraceOpts;
 use fred_core::params::FabricConfig;
+use fred_sim::fault::FaultPlan;
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::model::DnnModel;
 use fred_workloads::report::{CommType, TrainingReport};
 use fred_workloads::schedule::ScheduleParams;
-use fred_workloads::trainer::simulate_traced;
+use fred_workloads::trainer::simulate_faulted;
 
 fn main() {
     let mut opts = TraceOpts::from_args("fig10");
@@ -27,6 +28,7 @@ fn main() {
         FabricConfig::FredD,
     ];
     let mut summary = Table::new(vec!["workload", "Fred-C speedup", "Fred-D speedup"]);
+    let none = FaultPlan::none();
 
     for model in DnnModel::all_paper_workloads() {
         let strategy = model.default_strategy;
@@ -46,7 +48,8 @@ fn main() {
         for config in configs {
             let backend = FabricBackend::new(config);
             opts.name_links(&backend.topology());
-            let r = simulate_traced(&model, strategy, &backend, params, opts.sink()).unwrap();
+            let r =
+                simulate_faulted(&model, strategy, &backend, params, &none, opts.sink()).unwrap();
             opts.metric(
                 format!("{}/{}/total_secs", model.name, config.name()),
                 r.total.as_secs(),

@@ -14,11 +14,11 @@ use fred_bench::table::Table;
 use fred_bench::traceopt::TraceOpts;
 use fred_core::params::FabricConfig;
 use fred_core::placement::Strategy3D;
+use fred_sim::fault::FaultPlan;
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::model::DnnModel;
-use fred_workloads::report::TrainingReport;
 use fred_workloads::schedule::ScheduleParams;
-use fred_workloads::trainer::simulate_traced;
+use fred_workloads::trainer::simulate_faulted;
 
 fn strategies_17b() -> Vec<Strategy3D> {
     vec![
@@ -64,10 +64,11 @@ fn sweep(model: &DnnModel, strategies: &[Strategy3D], opts: &mut TraceOpts) {
     let mut best_base: Option<(f64, String)> = None;
     let mut best_fred: Option<(f64, String)> = None;
     let mut best_compute: Option<(f64, String)> = None;
+    let none = FaultPlan::none();
     for &s in strategies {
         let params = ScheduleParams::sweep_default(model, s);
-        let rb: TrainingReport = simulate_traced(model, s, &baseline, params, opts.sink()).unwrap();
-        let rf: TrainingReport = simulate_traced(model, s, &fred_d, params, opts.sink()).unwrap();
+        let rb = simulate_faulted(model, s, &baseline, params, &none, opts.sink()).unwrap();
+        let rf = simulate_faulted(model, s, &fred_d, params, &none, opts.sink()).unwrap();
         let per = 1e3 / params.minibatch as f64;
         let (bt, ft) = (rb.total.as_secs() * per, rf.total.as_secs() * per);
         let (be, fe) = (

@@ -11,10 +11,11 @@ use fred_bench::table::Table;
 use fred_bench::traceopt::TraceOpts;
 use fred_core::params::FabricConfig;
 use fred_core::placement::Strategy3D;
+use fred_sim::fault::FaultPlan;
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::model::DnnModel;
 use fred_workloads::schedule::ScheduleParams;
-use fred_workloads::trainer::simulate_traced;
+use fred_workloads::trainer::simulate_faulted;
 
 /// The strategy set of Fig 2 (products of 20, plus one non-aligned).
 pub fn fig2_strategies() -> Vec<Strategy3D> {
@@ -41,6 +42,7 @@ fn main() {
     let model = DnnModel::transformer_17b();
     let backend = FabricBackend::new(FabricConfig::BaselineMesh);
     opts.name_links(&backend.topology());
+    let none = FaultPlan::none();
     let mut table = Table::new(vec![
         "strategy",
         "minibatch",
@@ -51,7 +53,7 @@ fn main() {
     ]);
     for strategy in fig2_strategies() {
         let params = ScheduleParams::sweep_default(&model, strategy);
-        let r = simulate_traced(&model, strategy, &backend, params, opts.sink()).unwrap();
+        let r = simulate_faulted(&model, strategy, &backend, params, &none, opts.sink()).unwrap();
         let per = 1e3 / r.minibatch as f64;
         let compute = r.compute.as_secs() * per;
         let exposed = r.exposed_total().as_secs() * per;

@@ -42,12 +42,7 @@ fn main() {
     for config in [FabricConfig::BaselineMesh, FabricConfig::FredD] {
         let backend = FabricBackend::new(config);
         opts.name_links(&backend.topology());
-        let policy = if config.is_fred() {
-            PlacementPolicy::MpPpDp
-        } else {
-            PlacementPolicy::MpDpPp
-        };
-        let pl = Placement::new(strategy, policy);
+        let pl = Placement::new(strategy, PlacementPolicy::for_fabric(config));
         for (label, groups) in [("MP", pl.all_mp_groups()), ("DP", pl.all_dp_groups())] {
             let n = groups[0].len();
             let plans = groups

@@ -68,12 +68,7 @@ fn main() {
         for config in FabricConfig::ALL {
             let backend = FabricBackend::new(config);
             opts.name_links(&backend.topology());
-            let policy = if config.is_fred() {
-                PlacementPolicy::MpPpDp
-            } else {
-                PlacementPolicy::MpDpPp
-            };
-            let pl = Placement::new(strategy, policy);
+            let pl = Placement::new(strategy, PlacementPolicy::for_fabric(config));
 
             // MP phase: all MP groups all-reduce concurrently.
             if strategy.mp > 1 {

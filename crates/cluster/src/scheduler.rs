@@ -39,14 +39,13 @@ use std::rc::Rc;
 
 use fred_core::params::FabricConfig;
 use fred_core::placement::{Placement, PlacementPolicy};
-use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::FlowNetwork;
 use fred_sim::time::Time;
 use fred_telemetry::event::TraceEvent;
 use fred_telemetry::sink::{NullSink, TraceSink};
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::error::TrainError;
-use fred_workloads::exec::{repair_flows, ExecConfig, ScheduleExecutor};
+use fred_workloads::exec::{repair_and_inject, ExecConfig, ScheduleExecutor};
 use fred_workloads::schedule::build_schedule;
 use fred_workloads::trainer::simulate;
 
@@ -262,12 +261,7 @@ fn validate_and_order(
             .partial_cmp(&jobs[b].arrival)
             .expect("finite arrival time")
     });
-    let policy = if cfg.fabric.is_fred() {
-        PlacementPolicy::MpPpDp
-    } else {
-        PlacementPolicy::MpDpPp
-    };
-    Ok((order, policy))
+    Ok((order, PlacementPolicy::for_fabric(cfg.fabric)))
 }
 
 impl Cluster {
@@ -791,55 +785,38 @@ impl Cluster {
             .iter()
             .filter_map(|r| {
                 let j = r.job;
-                let ev = self.jobs[j].faults.events().get(self.fault_cursor[j])?;
                 let start = self.first_start[j].expect("running job has started");
-                Some(Time::from_secs(start.as_secs() + ev.at.as_secs()).max(now))
+                self.jobs[j]
+                    .faults
+                    .next_due(self.fault_cursor[j], start, now)
             })
             .min()
     }
 
     /// Fires every fault due by `now` across running jobs; evicted
-    /// flows are re-routed over surviving links and re-injected with
-    /// their remaining bytes, tags and tenants intact (they may belong
-    /// to *any* job whose route crossed the failed link).
+    /// flows are re-routed over surviving links and re-injected as one
+    /// batch with their remaining bytes, tags and tenants intact (they
+    /// may belong to *any* job whose route crossed the failed link).
     fn fire_faults(&mut self, now: Time) -> Result<(), ClusterError> {
-        let mut evicted: Vec<FlowSpec> = Vec::new();
-        for k in 0..self.running.len() {
-            let j = self.running[k].job;
-            if self.jobs[j].faults.is_empty() {
-                continue;
-            }
+        let mut evicted = Vec::new();
+        for r in &self.running {
+            let j = r.job;
             let start = self.first_start[j].expect("running job has started");
-            while let Some(ev) = self.jobs[j].faults.events().get(self.fault_cursor[j]) {
-                if Time::from_secs(start.as_secs() + ev.at.as_secs()) > now {
-                    break;
-                }
-                self.fault_cursor[j] += 1;
-                evicted.extend(ev.apply(&mut self.net).into_iter().map(|e| {
-                    FlowSpec::new(e.route, e.remaining_bytes)
-                        .with_priority(e.priority)
-                        .with_tag(e.tag)
-                        .with_tenant(e.tenant)
-                }));
+            evicted.extend(self.jobs[j].faults.fire_due(
+                &mut self.fault_cursor[j],
+                start,
+                now,
+                &mut self.net,
+            ));
+        }
+        // Not attributable to a single job: the batch can carry many
+        // jobs' flows.
+        repair_and_inject(&mut self.net, &self.backend, evicted).map_err(|err| {
+            ClusterError::Train {
+                job: "<fault re-injection>".into(),
+                err,
             }
-        }
-        if !evicted.is_empty() {
-            let flows = repair_flows(&self.net, &self.backend, evicted)
-                .map_err(|e| self.train_err_anon(e))?;
-            self.net
-                .inject_batch(flows)
-                .map_err(|e| self.train_err_anon(TrainError::Route(e)))?;
-        }
-        Ok(())
-    }
-
-    /// A train error not attributable to a single job (fault
-    /// re-injection can carry many jobs' flows).
-    fn train_err_anon(&self, err: TrainError) -> ClusterError {
-        ClusterError::Train {
-            job: "<fault re-injection>".into(),
-            err,
-        }
+        })
     }
 
     /// Routes a flow completion to the owning executor by tag range.

@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::params::FabricConfig;
+
 /// A 3D parallelization strategy: the size of each parallelism
 /// dimension, written MP(m)-DP(d)-PP(p) in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,6 +137,17 @@ impl PlacementPolicy {
         PlacementPolicy::DpPpMp,
         PlacementPolicy::PpMpDp,
     ];
+
+    /// The paper's policy for `fabric`: FRED uses the §5.3 MP-PP-DP
+    /// policy; the mesh baseline uses the MP-favouring mapping of
+    /// Fig 5(a).
+    pub fn for_fabric(fabric: FabricConfig) -> PlacementPolicy {
+        if fabric.is_fred() {
+            PlacementPolicy::MpPpDp
+        } else {
+            PlacementPolicy::MpDpPp
+        }
+    }
 }
 
 /// An assignment of workers to physical NPU indices.

@@ -24,6 +24,7 @@
 
 use std::collections::HashSet;
 
+use crate::flow::FlowSpec;
 use crate::netsim::{EvictedFlow, FlowNetwork};
 use crate::rng::Rng64;
 use crate::time::Time;
@@ -88,7 +89,7 @@ impl FaultPlan {
         FaultPlan { events }
     }
 
-    /// Whether the plan has no events (the zero-fault fast-path guard).
+    /// Whether the plan has no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -98,16 +99,41 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// The events, sorted by `(time, link)`. Drivers keep a cursor into
-    /// this slice and apply events whose `at` has been reached.
+    /// The events, sorted by `(time, link)`.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
-    /// The fire time of the first event at index ≥ `cursor`, if any —
-    /// the next fault horizon for an event-loop driver.
-    pub fn next_at(&self, cursor: usize) -> Option<Time> {
-        self.events.get(cursor).map(|e| e.at)
+    /// The next fault horizon for an event-loop driver holding `cursor`
+    /// into this plan: the event's `at`, offset by the driver's `start`
+    /// (event times are relative to it), clamped to `now` when overdue
+    /// (a restarted job catching up). `None` once the plan is spent.
+    pub fn next_due(&self, cursor: usize, start: Time, now: Time) -> Option<Time> {
+        self.events.get(cursor).map(|ev| due(start, ev).max(now))
+    }
+
+    /// Applies every event due by `now` (see [`FaultPlan::next_due`])
+    /// to `net`, advancing `cursor` past them, and returns the evicted
+    /// flows as specs carrying their remaining bytes, priority, tag and
+    /// tenant — ready to be re-routed and re-injected by the driver.
+    pub fn fire_due(
+        &self,
+        cursor: &mut usize,
+        start: Time,
+        now: Time,
+        net: &mut FlowNetwork,
+    ) -> Vec<FlowSpec> {
+        let mut evicted = Vec::new();
+        while let Some(ev) = self.events.get(*cursor).filter(|ev| due(start, ev) <= now) {
+            *cursor += 1;
+            evicted.extend(ev.apply(net).into_iter().map(|e| {
+                FlowSpec::new(e.route, e.remaining_bytes)
+                    .with_priority(e.priority)
+                    .with_tag(e.tag)
+                    .with_tenant(e.tenant)
+            }));
+        }
+        evicted
     }
 
     /// Generates a *survivable* plan failing `fraction` of `topo`'s
@@ -176,6 +202,11 @@ impl FaultPlan {
     }
 }
 
+/// When `ev` fires for a driver whose fault clock started at `start`.
+fn due(start: Time, ev: &FaultEvent) -> Time {
+    Time::from_secs(start.as_secs() + ev.at.as_secs())
+}
+
 /// Nodes reachable from `from` (or reaching it, with `reverse`) without
 /// crossing a failed link.
 fn reachable(
@@ -213,7 +244,7 @@ fn reachable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowSpec;
+    use crate::flow::Priority;
 
     fn ladder(n: usize) -> Topology {
         // n NPUs in a ring of duplex links: every single link failure
@@ -233,12 +264,109 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
-        assert_eq!(plan.next_at(0), None);
         let topo = ladder(4);
         assert_eq!(
             FaultPlan::seeded_link_failures(&topo, 0.0, Time::ZERO, 1),
             plan
         );
+    }
+
+    #[test]
+    fn empty_plan_fires_nothing_and_leaves_the_network_alone() {
+        let plan = FaultPlan::none();
+        let mut net = FlowNetwork::new(ladder(3));
+        net.inject(FlowSpec::new(vec![LinkId(0)], 100.0)).unwrap();
+        net.next_event();
+        let before = net.snapshot();
+        let now = Time::from_secs(5.0);
+        assert_eq!(plan.next_due(0, Time::ZERO, now), None);
+        let mut cursor = 0;
+        assert!(plan
+            .fire_due(&mut cursor, Time::ZERO, now, &mut net)
+            .is_empty());
+        assert_eq!(cursor, 0);
+        assert_eq!(net.snapshot(), before);
+    }
+
+    /// A failure of link 0 at 1 s and a degradation of link 2 at 2 s.
+    fn two_event_plan() -> FaultPlan {
+        FaultPlan::new(vec![
+            FaultEvent {
+                at: Time::from_secs(1.0),
+                link: LinkId(0),
+                kind: FaultKind::LinkFail,
+            },
+            FaultEvent {
+                at: Time::from_secs(2.0),
+                link: LinkId(2),
+                kind: FaultKind::LinkDegrade(0.5),
+            },
+        ])
+    }
+
+    #[test]
+    fn next_due_at_zero_offset_is_the_event_time() {
+        let plan = two_event_plan();
+        for (cursor, ev) in plan.events().iter().enumerate() {
+            assert_eq!(plan.next_due(cursor, Time::ZERO, Time::ZERO), Some(ev.at));
+        }
+        assert_eq!(plan.next_due(2, Time::ZERO, Time::ZERO), None);
+    }
+
+    #[test]
+    fn next_due_shifts_by_start_and_clamps_overdue_to_now() {
+        let plan = two_event_plan();
+        let start = Time::from_secs(0.5);
+        assert_eq!(
+            plan.next_due(0, start, Time::ZERO),
+            Some(Time::from_secs(1.5))
+        );
+        assert_eq!(
+            plan.next_due(1, start, Time::ZERO),
+            Some(Time::from_secs(2.5))
+        );
+        // Both events are overdue at 3 s: the horizon is now itself.
+        let now = Time::from_secs(3.0);
+        assert_eq!(plan.next_due(0, start, now), Some(now));
+        assert_eq!(plan.next_due(1, Time::ZERO, now), Some(now));
+    }
+
+    #[test]
+    fn fire_due_applies_due_events_and_respecs_evictees() {
+        let plan = two_event_plan();
+        let mut net = FlowNetwork::new(ladder(3));
+        net.inject(
+            FlowSpec::new(vec![LinkId(0)], 100.0)
+                .with_priority(Priority::Mp)
+                .with_tag(7)
+                .with_tenant(2),
+        )
+        .unwrap();
+        net.next_event();
+        let start = Time::from_secs(0.5);
+        let mut cursor = 0;
+        // Link 0's failure is due at 1.5 s, not yet at 1 s.
+        let early = Time::from_secs(1.0);
+        assert!(plan
+            .fire_due(&mut cursor, start, early, &mut net)
+            .is_empty());
+        assert_eq!(cursor, 0);
+        assert!(!net.any_link_failed());
+
+        let specs = plan.fire_due(&mut cursor, start, Time::from_secs(1.5), &mut net);
+        assert_eq!(cursor, 1);
+        assert!(net.is_link_failed(LinkId(0)));
+        assert_eq!(specs.len(), 1);
+        let s = &specs[0];
+        assert_eq!(s.route, vec![LinkId(0)]);
+        assert_eq!((s.priority, s.tag, s.tenant), (Priority::Mp, 7, 2));
+        assert_eq!(s.bytes, 100.0, "nothing moved before the failure");
+
+        // The degradation evicts nothing but still advances the cursor.
+        let rest = plan.fire_due(&mut cursor, start, Time::from_secs(9.0), &mut net);
+        assert!(rest.is_empty());
+        assert_eq!(cursor, 2);
+        assert_eq!(net.link_capacity(LinkId(2)), 50.0);
     }
 
     #[test]
@@ -267,8 +395,6 @@ mod tests {
             order,
             vec![(t1, LinkId(2)), (t1, LinkId(5)), (t2, LinkId(0))]
         );
-        assert_eq!(plan.next_at(0), Some(t1));
-        assert_eq!(plan.next_at(2), Some(t2));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! An analysis over a truncated trace (ring overflow) is flagged, not
 //! silently produced — attribution over missing events is wrong.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::attribution::{Attribution, Bucket};
 use crate::event::{TraceEvent, Track};
@@ -649,8 +649,10 @@ fn contention_matrix(
         }
     }
 
-    // (link, victim flow) -> (culprit label -> overlap seconds).
-    let mut overlap_w: HashMap<(u32, usize), HashMap<Box<str>, f64>> = HashMap::new();
+    // (link, victim flow) -> (culprit label -> overlap seconds). The
+    // inner map is ordered: summing its weights in hash order would let
+    // the blamed slowdown differ by a few ulps between identical runs.
+    let mut overlap_w: HashMap<(u32, usize), BTreeMap<Box<str>, f64>> = HashMap::new();
     for (l, intervals) in per_link.iter_mut() {
         intervals.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for i in 0..intervals.len() {
@@ -884,6 +886,49 @@ mod tests {
         assert!((ab.slowdown_secs - 1.0).abs() < 1e-9, "{ab:?}");
         let ba = find("phase-b", "phase-a");
         assert!((ba.slowdown_secs - 1.0).abs() < 1e-9, "{ba:?}");
+    }
+
+    /// One victim flow sharing link 0 with three culprit phases whose
+    /// overlaps (0.1, 0.2 and 0.3 s) sum to different floats in
+    /// different orders: the blamed slowdown must not depend on the
+    /// order a map happens to iterate in.
+    #[test]
+    fn contention_matrix_is_bit_identical_across_runs() {
+        let mut evs = vec![
+            TraceEvent::Topology {
+                t: 0.0,
+                capacities: Box::new([100.0]),
+            },
+            begin(0.0, Track::Dp, 1, "victim", 1),
+        ];
+        for (k, drained) in [(2, 0.1), (3, 0.2), (4, 0.3)] {
+            evs.push(begin(0.0, Track::Mp, k, &format!("culprit-{k}"), k));
+            evs.push(TraceEvent::FlowInjected {
+                t: 0.0,
+                id: k,
+                tag: k,
+                bytes: 1.0,
+                track: Track::Mp,
+                links: Box::new([0]),
+            });
+            evs.push(TraceEvent::FlowDrained { t: drained, id: k });
+        }
+        evs.push(TraceEvent::FlowInjected {
+            t: 0.0,
+            id: 1,
+            tag: 1,
+            bytes: 100.0,
+            track: Track::Dp,
+            links: Box::new([0]),
+        });
+        evs.push(TraceEvent::FlowDrained { t: 10.0, id: 1 });
+
+        let first = Analysis::from_events(&evs).runs[0].contention.clone();
+        let victim_cells = first.iter().filter(|c| c.victim == "victim").count();
+        assert_eq!(victim_cells, 3, "{first:?}");
+        for _ in 0..32 {
+            assert_eq!(Analysis::from_events(&evs).runs[0].contention, first);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Timestamps are microseconds (the format's unit) converted from the
 //! simulator's seconds.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 
 use crate::event::{TraceEvent, Track};
@@ -100,7 +100,9 @@ pub fn export_chrome_trace(
         bytes: f64,
         npus: u32,
     }
-    let mut open: HashMap<u64, OpenSpan> = HashMap::new();
+    // Ordered by span id, so spans a truncated trace leaves open are
+    // closed in a reproducible order.
+    let mut open: BTreeMap<u64, OpenSpan> = BTreeMap::new();
     let mut last_t = 0.0_f64;
 
     fn emit_span(body: &mut String, first: &mut bool, s: &OpenSpan, end: f64) {
@@ -263,9 +265,8 @@ pub fn export_chrome_trace(
         }
     }
 
-    // Close any span left open by a truncated trace.
-    let still_open: Vec<OpenSpan> = open.into_values().collect();
-    for s in &still_open {
+    // Close any span left open by a truncated trace, in span-id order.
+    for s in open.values() {
         emit_span(&mut body, &mut first, s, last_t);
     }
 
@@ -356,6 +357,28 @@ mod tests {
         let s = export(&evs);
         assert!(s.contains("\"name\":\"open\""));
         assert!(s.contains("\"dur\":2000000"));
+    }
+
+    #[test]
+    fn unclosed_spans_are_flushed_in_span_id_order() {
+        let evs: Vec<TraceEvent> = [40, 7, 19, 3]
+            .into_iter()
+            .map(|span| TraceEvent::PhaseBegin {
+                t: 0.0,
+                track: Track::Mp,
+                span,
+                label: format!("s{span}").into(),
+                bytes: 0.0,
+                npus: 0,
+                tag: 0,
+            })
+            .collect();
+        let first = export(&evs);
+        for _ in 0..16 {
+            assert_eq!(export(&evs), first);
+        }
+        let at = |name: &str| first.find(&format!("\"name\":\"{name}\"")).unwrap();
+        assert!(at("s3") < at("s7") && at("s7") < at("s19") && at("s19") < at("s40"));
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! stages/injects its own flows into a [`FlowNetwork`] it is handed by
 //! reference. Two drivers exist:
 //!
-//! * [`crate::trainer::run_iteration_faulted`] — one executor, one
-//!   private network: the classic single-job iteration. The driver is a
-//!   thin loop around the executor, so the refactor is structurally
-//!   bit-identical to the pre-executor trainer.
+//! * the trainer ([`crate::trainer::run_iteration`] and
+//!   [`crate::trainer::simulate_faulted`]) — one executor, one private
+//!   network: the classic single-job iteration, a thin loop around the
+//!   executor;
 //! * `fred-cluster`'s scheduler — many executors interleaved through
 //!   one shared network under a single global clock, each namespaced by
 //!   a disjoint correlation-tag range and a tenant rank.
+//!
+//! Both drivers share one contract per event instant: advance the
+//! clock, fire due faults ([`fred_sim::fault::FaultPlan::fire_due`]),
+//! route completions, flush staged flows, release due computes, settle.
+//! Every batch of flows — staged phases and fault evictees alike —
+//! reaches the network through [`repair_and_inject`].
 //!
 //! Namespacing: flows are tagged `tag_base + task_index + 1` (tag 0
 //! stays the "foreign flow" sentinel) and carry the executor's tenant
@@ -32,8 +38,8 @@ use fred_telemetry::sink::TraceSink;
 
 use crate::backend::FabricBackend;
 use crate::error::{PendingTask, TrainError};
+use crate::report::CommType;
 use crate::schedule::{Schedule, TaskBody, TaskId};
-use crate::trainer::track_of_comm;
 
 /// Per-task timing from one simulated iteration.
 #[derive(Debug, Clone)]
@@ -59,43 +65,55 @@ pub fn comm_task_of_tag(tag: u64) -> Option<usize> {
     tag.checked_sub(1).map(|v| v as usize)
 }
 
-/// Re-routes any of `flows` whose route crosses a failed link onto a
-/// surviving path (fabric-aware when both endpoints are NPUs, generic
-/// BFS otherwise). A no-op returning the flows untouched when the
-/// network has no failed links — the zero-fault code path stays
-/// bit-identical. Priority, tag and tenant are preserved.
-pub fn repair_flows(
-    net: &FlowNetwork,
+/// Maps an exposure type to its telemetry display track.
+fn track_of_comm(ctype: CommType) -> Track {
+    match ctype {
+        CommType::Mp => Track::Mp,
+        CommType::Pp => Track::Pp,
+        CommType::Dp => Track::Dp,
+        CommType::InputLoad | CommType::Streaming => Track::Bulk,
+    }
+}
+
+/// Injects `flows` into `net` as one batch (one solver delta), first
+/// re-routing any that cross a failed link onto a surviving path
+/// (fabric-aware when both endpoints are NPUs, generic BFS otherwise;
+/// priority, tag and tenant are kept). A no-op for an empty batch, and
+/// with no failed link the flows go in untouched — the zero-fault code
+/// path stays bit-identical.
+///
+/// # Errors
+///
+/// [`TrainError::Unroutable`] if failures cut some flow's endpoints
+/// apart, [`TrainError::Route`] if the network rejects the batch.
+pub fn repair_and_inject(
+    net: &mut FlowNetwork,
     backend: &FabricBackend,
-    flows: Vec<FlowSpec>,
-) -> Result<Vec<FlowSpec>, TrainError> {
-    if !net.any_link_failed() {
-        return Ok(flows);
+    mut flows: Vec<FlowSpec>,
+) -> Result<(), TrainError> {
+    if flows.is_empty() {
+        return Ok(());
     }
-    let blocked = |l: LinkId| net.is_link_failed(l);
-    let topo = net.topology();
-    let mut out = Vec::with_capacity(flows.len());
-    for f in flows {
-        if !f.route.iter().any(|&l| blocked(l)) {
-            out.push(f);
-            continue;
+    if net.any_link_failed() {
+        let blocked = |l: LinkId| net.is_link_failed(l);
+        let topo = net.topology();
+        for f in flows
+            .iter_mut()
+            .filter(|f| f.route.iter().any(|&l| blocked(l)))
+        {
+            let src = topo.link(f.route[0]).src;
+            let dst = topo.link(*f.route.last().expect("non-empty route")).dst;
+            f.route = match (backend.npu_index(src), backend.npu_index(dst)) {
+                (Some(a), Some(b)) => backend.npu_route_avoiding(a, b, blocked),
+                _ => topo.shortest_path_avoiding(src, dst, blocked),
+            }
+            .ok_or(TrainError::Unroutable {
+                task: comm_task_of_tag(f.tag).map(TaskId),
+            })?;
         }
-        let task = comm_task_of_tag(f.tag).map(TaskId);
-        let src = topo.link(f.route[0]).src;
-        let dst = topo.link(*f.route.last().expect("non-empty route")).dst;
-        let detour = match (backend.npu_index(src), backend.npu_index(dst)) {
-            (Some(a), Some(b)) => backend.npu_route_avoiding(a, b, blocked),
-            _ => topo.shortest_path_avoiding(src, dst, blocked),
-        }
-        .ok_or(TrainError::Unroutable { task })?;
-        out.push(
-            FlowSpec::new(detour, f.bytes)
-                .with_priority(f.priority)
-                .with_tag(f.tag)
-                .with_tenant(f.tenant),
-        );
     }
-    Ok(out)
+    net.inject_batch(flows)?;
+    Ok(())
 }
 
 /// Identity of one executor within a shared network: its tag namespace,
@@ -424,8 +442,7 @@ impl ScheduleExecutor {
     ///
     /// # Errors
     ///
-    /// [`TrainError::Unroutable`] / [`TrainError::Route`] as in
-    /// [`repair_flows`] and injection.
+    /// As [`repair_and_inject`].
     pub fn flush_staged(
         &mut self,
         net: &mut FlowNetwork,
@@ -433,8 +450,7 @@ impl ScheduleExecutor {
     ) -> Result<(), TrainError> {
         if !self.staged.is_empty() {
             let _prof = fred_telemetry::prof::scope("exec.flush_staged");
-            let flows = repair_flows(net, backend, std::mem::take(&mut self.staged))?;
-            net.inject_batch(flows)?;
+            repair_and_inject(net, backend, std::mem::take(&mut self.staged))?;
         }
         Ok(())
     }

@@ -1,44 +1,42 @@
 //! The discrete-event trainer (the role of ASTRA-SIM's system layer,
 //! §7.4).
 //!
-//! [`run_iteration`] executes a compiled [`Schedule`] against the
-//! flow-level network simulator: compute tasks occupy their virtual
-//! worker for a roofline duration; comm tasks progress phase by phase
-//! through the shared network, contending with every other in-flight
-//! collective under max-min fairness and MP > PP > DP priority.
-//! Completion times feed the exposed-communication accounting of
-//! [`TrainingReport`] (§7.4: exposed time = time the workload waits on
-//! communication not overlapped with compute).
+//! Three entry points, one event loop:
+//!
+//! * [`run_iteration`] executes a compiled [`Schedule`] against the
+//!   flow-level network simulator;
+//! * [`simulate`] places, schedules, runs and reports one iteration of
+//!   a model under a 3D strategy;
+//! * [`simulate_faulted`] is [`simulate`] under a [`FaultPlan`] with
+//!   telemetry recorded into a [`TraceSink`]; the other two run with
+//!   [`FaultPlan::none`] and a [`NullSink`].
+//!
+//! Compute tasks occupy their virtual worker for a roofline duration;
+//! comm tasks progress phase by phase through the shared network,
+//! contending with every other in-flight collective under max-min
+//! fairness and MP > PP > DP priority. Completion times feed the
+//! exposed-communication accounting of [`TrainingReport`] (§7.4:
+//! exposed time = time the workload waits on communication not
+//! overlapped with compute).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
 use fred_sim::fault::FaultPlan;
-use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::FlowNetwork;
 use fred_sim::time::{Duration, Time};
-use fred_telemetry::event::{TraceEvent, Track};
+use fred_telemetry::event::TraceEvent;
 use fred_telemetry::sink::{NullSink, TraceSink};
 
 use crate::backend::FabricBackend;
 use crate::error::TrainError;
-use crate::exec::{ExecConfig, ScheduleExecutor};
+use crate::exec::{repair_and_inject, ExecConfig, ScheduleExecutor};
 use crate::model::DnnModel;
 use crate::report::{CommType, TrainingReport};
 use crate::schedule::{build_schedule, Schedule, ScheduleParams, TaskBody};
 
-pub use crate::exec::{comm_task_of_tag, repair_flows, IterationTiming};
-
-/// Maps an exposure type to its telemetry display track.
-pub fn track_of_comm(ctype: CommType) -> Track {
-    match ctype {
-        CommType::Mp => Track::Mp,
-        CommType::Pp => Track::Pp,
-        CommType::Dp => Track::Dp,
-        CommType::InputLoad | CommType::Streaming => Track::Bulk,
-    }
-}
+pub use crate::exec::{comm_task_of_tag, IterationTiming};
 
 /// Executes `schedule` on a fresh simulator over `backend`'s topology.
 ///
@@ -50,39 +48,20 @@ pub fn run_iteration(
     schedule: &Schedule,
     backend: &FabricBackend,
 ) -> Result<IterationTiming, TrainError> {
-    run_iteration_traced(schedule, backend, Rc::new(NullSink))
+    run_iteration_faulted(schedule, backend, &FaultPlan::none(), Rc::new(NullSink))
 }
 
-/// [`run_iteration`] with telemetry: every network event, collective
-/// phase and trainer task is recorded into `sink`. Timing results are
-/// bit-identical to an untraced run.
+/// The trainer's event loop: one executor driven to completion over a
+/// private network, under `faults`, recording into `sink`.
 ///
-/// # Errors
-///
-/// Fails under the same conditions as [`run_iteration`].
-pub fn run_iteration_traced(
-    schedule: &Schedule,
-    backend: &FabricBackend,
-    sink: Rc<dyn TraceSink>,
-) -> Result<IterationTiming, TrainError> {
-    run_iteration_faulted(schedule, backend, &FaultPlan::none(), sink)
-}
-
-/// [`run_iteration_traced`] under a deterministic [`FaultPlan`]: when a
-/// scheduled fault fires, the affected link loses capacity, in-flight
-/// flows crossing it are evicted and re-injected over surviving routes
-/// (with their already-moved bytes credited), and every later transfer
-/// is re-planned around the failure at injection time. With
-/// [`FaultPlan::none`] the fault machinery is never touched and the
-/// result is bit-identical to [`run_iteration_traced`].
-///
-/// # Errors
-///
-/// In addition to [`run_iteration`]'s errors:
-/// [`TrainError::Unroutable`] if failures cut some transfer's endpoints
-/// apart, [`TrainError::UnknownCommTag`] if a completion cannot be
-/// attributed to a comm task.
-pub fn run_iteration_faulted(
+/// When a scheduled fault fires, the affected link loses capacity,
+/// in-flight flows crossing it are evicted and re-injected over
+/// surviving routes (with their already-moved bytes credited), and
+/// every later transfer is re-planned around the failure at injection
+/// time. With [`FaultPlan::none`] the fault machinery is never touched,
+/// and a [`NullSink`] records nothing: timing results are bit-identical
+/// whatever the sink.
+fn run_iteration_faulted(
     schedule: &Schedule,
     backend: &FabricBackend,
     faults: &FaultPlan,
@@ -105,20 +84,17 @@ pub fn run_iteration_faulted(
         ExecConfig::default(),
         sink.clone(),
     );
-    // Cursor into the (time-sorted) fault plan.
+    // Cursor into the (time-sorted) fault plan; fault times count from
+    // the iteration's start at zero.
     let mut fault_cursor = 0usize;
 
     ex.settle(&mut net, backend)?;
-    loop {
-        if ex.is_done() {
-            break;
-        }
-
+    while !ex.is_done() {
         // Advance to the next event: compute finish, network event, or
         // fault horizon — whichever comes first.
         let tc = ex.next_compute_time();
         let tn = net.next_event();
-        let tf = faults.next_at(fault_cursor);
+        let tf = faults.next_due(fault_cursor, Time::ZERO, net.now());
         let Some(next) = [tc, tn, tf].into_iter().flatten().min() else {
             return Err(ex.stalled());
         };
@@ -128,29 +104,11 @@ pub fn run_iteration_faulted(
         // in-flight flows are evicted and immediately re-injected over
         // surviving routes with their remaining bytes (the moved bytes
         // were already credited by the eviction).
-        if !faults.is_empty() {
-            let mut evicted_specs: Vec<FlowSpec> = Vec::new();
-            while let Some(ev) = faults.events().get(fault_cursor) {
-                if ev.at > next {
-                    break;
-                }
-                fault_cursor += 1;
-                evicted_specs.extend(ev.apply(&mut net).into_iter().map(|e| {
-                    FlowSpec::new(e.route, e.remaining_bytes)
-                        .with_priority(e.priority)
-                        .with_tag(e.tag)
-                        .with_tenant(e.tenant)
-                }));
-            }
-            if !evicted_specs.is_empty() {
-                let flows = repair_flows(&net, backend, evicted_specs)?;
-                net.inject_batch(flows)?;
-            }
-        }
+        let evicted = faults.fire_due(&mut fault_cursor, Time::ZERO, next, &mut net);
+        repair_and_inject(&mut net, backend, evicted)?;
 
         // Network completions progress comm tasks; freshly staged
-        // phases are injected before computes settle, exactly as the
-        // pre-executor trainer ordered its events.
+        // phases are injected before computes settle.
         for c in net.drain_completed() {
             ex.handle_completion(c.tag)?;
         }
@@ -215,43 +173,40 @@ pub fn breakdown(
 }
 
 /// End-to-end convenience: place, schedule, simulate and report one
-/// training iteration of `model` under `strategy` on `backend`.
+/// training iteration of `model` under `strategy` on `backend`, with
+/// the paper's placement policy for the fabric
+/// ([`PlacementPolicy::for_fabric`]).
 ///
-/// The placement policy follows the paper: FRED uses the §5.3
-/// MP-PP-DP policy; the mesh baseline uses the MP-favouring mapping of
-/// Fig 5(a).
+/// # Errors
+///
+/// Fails under the same conditions as [`run_iteration`].
 pub fn simulate(
     model: &DnnModel,
     strategy: Strategy3D,
     backend: &FabricBackend,
     params: ScheduleParams,
 ) -> Result<TrainingReport, TrainError> {
-    simulate_traced(model, strategy, backend, params, Rc::new(NullSink))
+    simulate_faulted(
+        model,
+        strategy,
+        backend,
+        params,
+        &FaultPlan::none(),
+        Rc::new(NullSink),
+    )
 }
 
-/// [`simulate`] with telemetry recorded into `sink` (see
-/// [`run_iteration_traced`]).
+/// [`simulate`] under a deterministic [`FaultPlan`], with every network
+/// event, collective phase and trainer task recorded into `sink`. With
+/// [`FaultPlan::none`] the result is bit-identical to [`simulate`]
+/// whatever the sink.
 ///
 /// # Errors
 ///
-/// Fails under the same conditions as [`run_iteration`].
-pub fn simulate_traced(
-    model: &DnnModel,
-    strategy: Strategy3D,
-    backend: &FabricBackend,
-    params: ScheduleParams,
-    sink: Rc<dyn TraceSink>,
-) -> Result<TrainingReport, TrainError> {
-    simulate_faulted(model, strategy, backend, params, &FaultPlan::none(), sink)
-}
-
-/// [`simulate_traced`] under a deterministic [`FaultPlan`] (see
-/// [`run_iteration_faulted`]). With [`FaultPlan::none`] the result is
-/// bit-identical to [`simulate_traced`].
-///
-/// # Errors
-///
-/// Fails under the same conditions as [`run_iteration_faulted`].
+/// In addition to [`run_iteration`]'s errors:
+/// [`TrainError::Unroutable`] if failures cut some transfer's endpoints
+/// apart, [`TrainError::UnknownCommTag`] if a completion cannot be
+/// attributed to a comm task.
 pub fn simulate_faulted(
     model: &DnnModel,
     strategy: Strategy3D,
@@ -260,12 +215,7 @@ pub fn simulate_faulted(
     faults: &FaultPlan,
     sink: Rc<dyn TraceSink>,
 ) -> Result<TrainingReport, TrainError> {
-    let policy = if backend.config().is_fred() {
-        PlacementPolicy::MpPpDp
-    } else {
-        PlacementPolicy::MpDpPp
-    };
-    let placement = Placement::new(strategy, policy);
+    let placement = Placement::new(strategy, PlacementPolicy::for_fabric(backend.config()));
     let schedule = build_schedule(model, strategy, &placement, backend, params);
     let timing = run_iteration_faulted(&schedule, backend, faults, sink)?;
     Ok(breakdown(
@@ -447,37 +397,34 @@ mod tests {
         let topo = backend.topology();
         let faults = FaultPlan::seeded_link_failures(&topo, 0.02, Time::ZERO, 7);
         assert!(!faults.is_empty());
-        let placement = Placement::new(m.default_strategy, PlacementPolicy::MpPpDp);
-        let schedule = build_schedule(
+        let faulted = simulate_faulted(
             &m,
             m.default_strategy,
-            &placement,
             &backend,
             quick_params(48, 4),
-        );
-        let timing =
-            run_iteration_faulted(&schedule, &backend, &faults, Rc::new(NullSink)).unwrap();
+            &faults,
+            Rc::new(NullSink),
+        )
+        .unwrap();
         // Degradation can only slow the iteration down.
-        assert!(timing.makespan.as_secs() >= base.total.as_secs() * 0.999);
+        assert!(faulted.total.as_secs() >= base.total.as_secs() * 0.999);
     }
 
     #[test]
     fn empty_fault_plan_is_bit_identical() {
         let m = DnnModel::resnet152();
         let backend = FabricBackend::new(FabricConfig::FredD);
-        let placement = Placement::new(m.default_strategy, PlacementPolicy::MpPpDp);
-        let schedule = build_schedule(
+        let params = quick_params(320, 1);
+        let plain = simulate(&m, m.default_strategy, &backend, params).unwrap();
+        let faulted = simulate_faulted(
             &m,
             m.default_strategy,
-            &placement,
             &backend,
-            quick_params(320, 1),
-        );
-        let plain = run_iteration(&schedule, &backend).unwrap();
-        let faulted =
-            run_iteration_faulted(&schedule, &backend, &FaultPlan::none(), Rc::new(NullSink))
-                .unwrap();
-        assert_eq!(plain.makespan, faulted.makespan);
-        assert_eq!(plain.finish, faulted.finish);
+            params,
+            &FaultPlan::none(),
+            Rc::new(NullSink),
+        )
+        .unwrap();
+        assert_eq!(plain, faulted);
     }
 }

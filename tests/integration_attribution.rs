@@ -6,19 +6,28 @@ use std::rc::Rc;
 
 use fred::core::params::FabricConfig;
 use fred::core::placement::Strategy3D;
+use fred::sim::fault::FaultPlan;
 use fred::telemetry::analysis::Analysis;
 use fred::telemetry::sink::RingRecorder;
 use fred::workloads::backend::FabricBackend;
 use fred::workloads::model::DnnModel;
 use fred::workloads::schedule::ScheduleParams;
-use fred::workloads::trainer::simulate_traced;
+use fred::workloads::trainer::simulate_faulted;
 
 fn analyze(config: FabricConfig, strategy: Strategy3D) -> (Analysis, f64) {
     let model = DnnModel::transformer_17b();
     let backend = FabricBackend::new(config);
     let params = ScheduleParams::sweep_default(&model, strategy);
     let rec = Rc::new(RingRecorder::new());
-    let report = simulate_traced(&model, strategy, &backend, params, rec.clone()).unwrap();
+    let report = simulate_faulted(
+        &model,
+        strategy,
+        &backend,
+        params,
+        &FaultPlan::none(),
+        rec.clone(),
+    )
+    .unwrap();
     assert_eq!(rec.overwritten(), 0, "trace must not overflow in this test");
     let analysis = Analysis::from_events(&rec.events());
     (analysis, report.total.as_secs())
