@@ -1,26 +1,24 @@
-//! Compares two `BENCH_<name>.json` reports and fails on regressions.
+//! Compares two `BENCH_<name>.json` reports and fails on any change to
+//! their simulated results.
 //!
 //! ```text
-//! bench-diff <baseline.json> <candidate.json> [--threshold <rel>]
+//! bench-diff <baseline.json> <candidate.json>
 //! bench-diff --self-check <report.json> [<report.json> ...]
 //! bench-diff --check-prom <exposition.txt> [<exposition.txt> ...]
 //! ```
 //!
-//! Diff mode compares every `sim.*` metric plus the attribution
-//! summary leaf by leaf and exits non-zero when any relative change
-//! exceeds the threshold (default 5%) or a key is missing on either
-//! side. Self-check mode validates a report in isolation: schema
-//! version, required fields, and the attribution-sum invariant
-//! (Σ buckets == makespan within 1e-6 relative). Check-prom mode
-//! validates a Prometheus text-exposition file: it must parse and
-//! contain at least one sample (the CI smoke assertion over `--prom`
-//! output).
+//! Diff mode compares every leaf under `sim` and `analysis` exactly and
+//! exits non-zero when any differs or exists on one side only; it
+//! prints the `perf` host timings side by side and never fails on them.
+//! Self-check mode validates a report in isolation: schema version,
+//! required fields, and the attribution-sum invariant (Σ buckets ==
+//! makespan within 1e-6 relative). Check-prom mode validates a
+//! Prometheus text-exposition file: it must parse and contain at least
+//! one sample (the CI smoke assertion over `--prom` output).
 //!
-//! Exit codes: 0 = clean, 1 = regression or invalid report, 2 = usage.
+//! Exit codes: 0 = clean, 1 = changed or invalid report, 2 = usage.
 
 use fred_bench::report::{self, Value};
-
-const DEFAULT_THRESHOLD: f64 = 0.05;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,40 +32,21 @@ fn run(args: &[String]) -> i32 {
     if args.first().map(String::as_str) == Some("--check-prom") {
         return check_prom(&args[1..]);
     }
-    let mut paths = Vec::new();
-    let mut threshold = DEFAULT_THRESHOLD;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
-                    return usage("--threshold needs a number");
-                };
-                if v.is_nan() || v < 0.0 {
-                    return usage("--threshold must be non-negative");
-                }
-                threshold = v;
-                i += 2;
-            }
-            other if other.starts_with("--") => return usage(&format!("unknown flag `{other}`")),
-            _ => {
-                paths.push(args[i].clone());
-                i += 1;
-            }
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return usage(&format!("unknown flag `{flag}`"));
     }
-    if paths.len() != 2 {
+    let [a, b] = args else {
         return usage("expected exactly two report files");
-    }
-    let (a, b) = match (load(&paths[0]), load(&paths[1])) {
+    };
+    let (a, b) = match (load(a), load(b)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("bench-diff: {e}");
             return 1;
         }
     };
-    let entries = match report::diff(&a, &b) {
-        Ok(e) => e,
+    let d = match report::diff(&a, &b) {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("bench-diff: {e}");
             return 1;
@@ -80,27 +59,26 @@ fn run(args: &[String]) -> i32 {
             .to_string()
     };
     println!(
-        "bench-diff: {} vs {} — {} leaves, threshold {:.2}%",
+        "bench-diff: {} vs {} — {} sim/analysis leaves compared exactly",
         name(&a),
         name(&b),
-        entries.len(),
-        100.0 * threshold
+        d.compared
     );
-    let mut failed = 0usize;
-    for e in &entries {
-        if e.exceeds(threshold) {
-            println!("  REGRESSION  {e}");
-            failed += 1;
-        } else if e.rel > 0.0 {
-            println!("  ok          {e}");
-        }
+    for p in &d.perf {
+        println!("  perf     {p}");
     }
-    if failed > 0 {
-        println!("bench-diff: {failed} leaf/leaves beyond threshold");
-        1
-    } else {
-        println!("bench-diff: no regression");
+    for c in &d.changed {
+        println!("  CHANGED  {c}");
+    }
+    if d.changed.is_empty() {
+        println!("bench-diff: sim and analysis identical");
         0
+    } else {
+        println!(
+            "bench-diff: {} sim/analysis leaf/leaves changed",
+            d.changed.len()
+        );
+        1
     }
 }
 
@@ -168,7 +146,7 @@ fn load(path: &str) -> Result<Value, String> {
 
 fn usage(why: &str) -> i32 {
     eprintln!("bench-diff: {why}");
-    eprintln!("usage: bench-diff <baseline.json> <candidate.json> [--threshold <rel>]");
+    eprintln!("usage: bench-diff <baseline.json> <candidate.json>");
     eprintln!("       bench-diff --self-check <report.json> [<report.json> ...]");
     eprintln!("       bench-diff --check-prom <exposition.txt> [<exposition.txt> ...]");
     2

@@ -1,12 +1,22 @@
 //! Versioned machine-readable bench reports (`BENCH_<name>.json`) and
 //! the comparison logic behind the `bench-diff` binary.
 //!
-//! Every figure/scaling binary can emit one [`BenchReport`]: its
-//! headline simulation results (`sim.*` key/value metrics), the wall
-//! time, and — when recording was on — the critical-path attribution
-//! summary from [`fred_telemetry::analysis`]. Two reports from
-//! different commits are compared leaf by leaf with a relative
-//! threshold, turning every figure into a regression test.
+//! Every figure/scaling binary can emit one [`BenchReport`]. Each of
+//! its sections has one rule:
+//!
+//! * `sim` — headline simulated results (key/value metrics) and
+//!   `analysis` — the critical-path attribution summary from
+//!   [`fred_telemetry::analysis`], when recording was on. Both are
+//!   deterministic, so [`diff`] requires every leaf in them to match
+//!   exactly: numbers by `==` on the parsed `f64` (the writer's
+//!   shortest round-trip formatting makes that exact), strings and
+//!   booleans by equality, and a leaf present on one side only counts
+//!   as a change.
+//! * `perf` — host timings (`wall_secs`, `events_per_sec`, …). They
+//!   measure the machine, not the simulation: [`diff`] pairs them for
+//!   printing and never gates on them. Host speed is gated by the
+//!   statistical `fredbench` harness instead.
+//! * `prof` — the optional self-profiler site table (not compared).
 //!
 //! The workspace is dependency-free, so reading reports back uses the
 //! minimal recursive-descent JSON parser shared with the snapshot
@@ -14,6 +24,7 @@
 //! supports exactly the JSON this workspace emits (objects, arrays,
 //! numbers, strings, booleans, null).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -23,7 +34,7 @@ use fred_telemetry::json::{push_num, push_str_lit};
 
 /// Current report schema version. Bump when the report shape changes
 /// incompatibly; `bench-diff` refuses to compare mismatched versions.
-pub const SCHEMA_VERSION: f64 = 1.0;
+pub const SCHEMA_VERSION: f64 = 2.0;
 
 /// Relative tolerance for the attribution-sum invariant
 /// (`Σ buckets == total makespan`).
@@ -34,20 +45,17 @@ pub const SUM_TOLERANCE: f64 = 1e-6;
 pub struct BenchReport {
     /// Report name (the figure binary, e.g. `"fig9"`).
     pub name: String,
-    /// Wall-clock seconds the run took.
-    pub wall_secs: f64,
-    /// Headline simulation metrics, in insertion order. Keys should be
-    /// stable across commits (they are the regression surface).
+    /// Headline simulated results, in insertion order. Keys should be
+    /// stable across commits: `bench-diff` compares them exactly.
     pub sim: Vec<(String, f64)>,
+    /// Host timings, in insertion order (`wall_secs` at least).
+    /// Printed by `bench-diff`, never gated.
+    pub perf: Vec<(String, f64)>,
     /// Critical-path attribution, when the run recorded a trace.
     pub analysis: Option<Analysis>,
     /// Host-side profiler sites, pre-rendered with
     /// [`fred_telemetry::prof::to_json`] (wall-clock — not diffed).
     pub prof_json: Option<String>,
-    /// Flight-recorder snapshot, pre-rendered with
-    /// [`fred_telemetry::timeseries::FlightSnapshot::to_json`]
-    /// (time-series archive — not diffed leaf-by-leaf).
-    pub timeseries_json: Option<String>,
 }
 
 impl BenchReport {
@@ -59,13 +67,14 @@ impl BenchReport {
         }
     }
 
-    /// Records one headline metric. Re-recording a key overwrites it.
+    /// Records one simulated result. Re-recording a key overwrites it.
     pub fn metric(&mut self, key: impl Into<String>, value: f64) {
-        let key = key.into();
-        match self.sim.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.sim.push((key, value)),
-        }
+        upsert(&mut self.sim, key.into(), value);
+    }
+
+    /// Records one host timing. Re-recording a key overwrites it.
+    pub fn perf(&mut self, key: impl Into<String>, value: f64) {
+        upsert(&mut self.perf, key.into(), value);
     }
 
     /// Renders the report as a JSON document.
@@ -75,33 +84,27 @@ impl BenchReport {
         push_num(&mut s, SCHEMA_VERSION);
         s.push_str(",\"name\":");
         push_str_lit(&mut s, &self.name);
-        s.push_str(",\"wall_secs\":");
-        push_num(&mut s, self.wall_secs);
-        s.push_str(",\"sim\":{");
-        for (i, (k, v)) in self.sim.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        for (section, pairs) in [("sim", &self.sim), ("perf", &self.perf)] {
+            s.push_str(",\"");
+            s.push_str(section);
+            s.push_str("\":{");
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                push_str_lit(&mut s, k);
+                s.push(':');
+                push_num(&mut s, *v);
             }
-            push_str_lit(&mut s, k);
-            s.push(':');
-            push_num(&mut s, *v);
+            s.push('}');
         }
-        s.push('}');
         if let Some(a) = &self.analysis {
             s.push_str(",\"analysis\":");
             s.push_str(&a.to_json());
         }
-        // Additive sections under the same schema version: self_check
-        // tolerates unknown fields and collect_leaves only walks sim.*
-        // and analysis, so old bench-diff binaries still compare these
-        // reports.
         if let Some(p) = &self.prof_json {
             s.push_str(",\"prof\":");
             s.push_str(p);
-        }
-        if let Some(t) = &self.timeseries_json {
-            s.push_str(",\"timeseries\":");
-            s.push_str(t);
         }
         s.push('}');
         s
@@ -110,6 +113,13 @@ impl BenchReport {
     /// Writes the report to `path`.
     pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.to_json())
+    }
+}
+
+fn upsert(pairs: &mut Vec<(String, f64)>, key: String, value: f64) {
+    match pairs.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, v)) => *v = value,
+        None => pairs.push((key, value)),
     }
 }
 
@@ -142,25 +152,20 @@ pub fn self_check(report: &Value) -> Result<Vec<String>, String> {
         .get("name")
         .and_then(Value::as_str)
         .ok_or("missing name")?;
-    let wall = report
-        .get("wall_secs")
-        .and_then(Value::as_f64)
-        .ok_or("missing wall_secs")?;
+    let sim = numeric_section(report, "sim")?;
+    let perf = numeric_section(report, "perf")?;
+    let wall = perf
+        .iter()
+        .find(|(k, _)| k == "wall_secs")
+        .and_then(|(_, v)| v.as_f64())
+        .ok_or("perf missing wall_secs")?;
     if wall.is_nan() || wall < 0.0 {
         return Err(format!("wall_secs {wall} is not a non-negative number"));
     }
-    let sim = report.get("sim").ok_or("missing sim object")?;
-    let Value::Obj(sim_fields) = sim else {
-        return Err("sim is not an object".into());
-    };
-    for (k, v) in sim_fields {
-        if v.as_f64().is_none() {
-            return Err(format!("sim metric `{k}` is not a number"));
-        }
-    }
     info.push(format!(
-        "{name}: schema v{version}, {} sim metric(s), wall {wall:.3}s",
-        sim_fields.len()
+        "{name}: schema v{version}, {} sim metric(s), {} perf metric(s), wall {wall:.3}s",
+        sim.len(),
+        perf.len()
     ));
 
     if let Some(analysis) = report.get("analysis") {
@@ -190,6 +195,19 @@ pub fn self_check(report: &Value) -> Result<Vec<String>, String> {
         }
     }
     Ok(info)
+}
+
+/// The fields of the flat all-numbers object `report[section]`.
+fn numeric_section<'v>(report: &'v Value, section: &str) -> Result<&'v [(String, Value)], String> {
+    let Some(Value::Obj(fields)) = report.get(section) else {
+        return Err(format!("{section} is missing or not an object"));
+    };
+    for (k, v) in fields {
+        if v.as_f64().is_none() {
+            return Err(format!("{section} metric `{k}` is not a number"));
+        }
+    }
+    Ok(fields)
 }
 
 fn attribution_total(node: &Value, ctx: &str) -> Result<f64, String> {
@@ -246,60 +264,43 @@ fn check_run_sum(run: &Value, i: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// One compared leaf of two reports.
+/// One leaf path with its value in each of two reports.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffEntry {
-    /// Dotted path of the leaf (e.g. `sim.fig9/mesh/MP/secs`).
+pub struct LeafPair {
+    /// Path of the leaf (e.g. `sim.fig9/mesh/MP/secs` or
+    /// `analysis.runs[0].contention[2].slowdown_secs`).
     pub key: String,
-    /// Value in the baseline report (`NaN` when missing).
-    pub a: f64,
-    /// Value in the candidate report (`NaN` when missing).
-    pub b: f64,
-    /// Relative difference `|b - a| / max(|a|, |b|, ε)`.
-    pub rel: f64,
+    /// Value in the baseline report (`None` when missing).
+    pub a: Option<Value>,
+    /// Value in the candidate report (`None` when missing).
+    pub b: Option<Value>,
 }
 
-impl DiffEntry {
-    /// Whether this entry exceeds `threshold` (missing keys always
-    /// do).
-    pub fn exceeds(&self, threshold: f64) -> bool {
-        self.a.is_nan() || self.b.is_nan() || self.rel > threshold
-    }
-}
-
-impl fmt::Display for DiffEntry {
+impl fmt::Display for LeafPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.a.is_nan() {
-            write!(
-                f,
-                "{}: missing in baseline (candidate {})",
-                self.key, self.b
-            )
-        } else if self.b.is_nan() {
-            write!(
-                f,
-                "{}: missing in candidate (baseline {})",
-                self.key, self.a
-            )
-        } else {
-            write!(
-                f,
-                "{}: {} -> {} ({:+.2}%)",
-                self.key,
-                self.a,
-                self.b,
-                100.0 * (self.b - self.a) / self.a.abs().max(f64::MIN_POSITIVE)
-            )
-        }
+        let show = |v: &Option<Value>| {
+            v.as_ref()
+                .map_or("(missing)".into(), fred_core::codec::to_json)
+        };
+        write!(f, "{}: {} -> {}", self.key, show(&self.a), show(&self.b))
     }
 }
 
-/// Compares two parsed reports leaf by leaf over the regression
-/// surface: every `sim.*` metric plus the analysis attribution buckets
-/// and total makespan (wall time is excluded — too noisy to gate on).
-/// Returns every compared entry; filter with
-/// [`DiffEntry::exceeds`].
-pub fn diff(a: &Value, b: &Value) -> Result<Vec<DiffEntry>, String> {
+/// The result of comparing two reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Diff {
+    /// How many `sim`/`analysis` leaf paths were compared.
+    pub compared: usize,
+    /// The `sim`/`analysis` leaves that differ (or exist on one side
+    /// only), by path. Any entry here is a regression.
+    pub changed: Vec<LeafPair>,
+    /// Every `perf` leaf, side by side, by path. Informational only.
+    pub perf: Vec<LeafPair>,
+}
+
+/// Compares two parsed reports: every leaf under `sim` and `analysis`
+/// exactly, and pairs up the `perf` leaves for printing.
+pub fn diff(a: &Value, b: &Value) -> Result<Diff, String> {
     for (label, v) in [("baseline", a), ("candidate", b)] {
         let version = v
             .get("schema_version")
@@ -309,62 +310,53 @@ pub fn diff(a: &Value, b: &Value) -> Result<Vec<DiffEntry>, String> {
             return Err(format!("{label}: unsupported schema_version {version}"));
         }
     }
-    let mut leaves_a = Vec::new();
-    let mut leaves_b = Vec::new();
-    collect_leaves(a, &mut leaves_a);
-    collect_leaves(b, &mut leaves_b);
-
-    let mut out = Vec::new();
-    for (key, va) in &leaves_a {
-        let vb = leaves_b.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-        let (va, vb) = (*va, vb.unwrap_or(f64::NAN));
-        let rel = if vb.is_nan() {
-            f64::INFINITY
-        } else {
-            (vb - va).abs() / va.abs().max(vb.abs()).max(f64::MIN_POSITIVE)
-        };
-        out.push(DiffEntry {
-            key: key.clone(),
-            a: va,
-            b: vb,
-            rel,
-        });
-    }
-    for (key, vb) in &leaves_b {
-        if !leaves_a.iter().any(|(k, _)| k == key) {
-            out.push(DiffEntry {
-                key: key.clone(),
-                a: f64::NAN,
-                b: *vb,
-                rel: f64::INFINITY,
-            });
-        }
-    }
-    out.sort_by(|x, y| y.rel.total_cmp(&x.rel).then(x.key.cmp(&y.key)));
-    Ok(out)
+    let exact = pair_leaves(a, b, &["sim", "analysis"]);
+    Ok(Diff {
+        compared: exact.len(),
+        changed: exact.into_iter().filter(|p| p.a != p.b).collect(),
+        perf: pair_leaves(a, b, &["perf"]),
+    })
 }
 
-/// The numeric leaves two reports are compared over.
-fn collect_leaves(report: &Value, out: &mut Vec<(String, f64)>) {
-    if let Some(Value::Obj(sim)) = report.get("sim") {
-        for (k, v) in sim {
-            if let Some(n) = v.as_f64() {
-                out.push((format!("sim.{k}"), n));
-            }
-        }
-    }
-    if let Some(analysis) = report.get("analysis") {
-        if let Some(n) = analysis.get("total_makespan_secs").and_then(Value::as_f64) {
-            out.push(("analysis.total_makespan_secs".into(), n));
-        }
-        if let Some(Value::Obj(buckets)) = analysis.get("attribution") {
-            for (k, v) in buckets {
-                if let Some(n) = v.as_f64() {
-                    out.push((format!("analysis.attribution.{k}"), n));
+/// Pairs the leaves under `sections` of both reports by path.
+fn pair_leaves(a: &Value, b: &Value, sections: &[&str]) -> Vec<LeafPair> {
+    let (la, lb) = (leaves(a, sections), leaves(b, sections));
+    let keys: BTreeSet<&String> = la.keys().chain(lb.keys()).collect();
+    keys.into_iter()
+        .map(|k| LeafPair {
+            key: k.clone(),
+            a: la.get(k).map(|v| (*v).clone()),
+            b: lb.get(k).map(|v| (*v).clone()),
+        })
+        .collect()
+}
+
+/// Every scalar leaf under `sections` of `report`, by path.
+fn leaves<'v>(report: &'v Value, sections: &[&str]) -> BTreeMap<String, &'v Value> {
+    fn walk<'v>(path: String, v: &'v Value, out: &mut BTreeMap<String, &'v Value>) {
+        match v {
+            Value::Obj(fields) => {
+                for (k, x) in fields {
+                    walk(format!("{path}.{k}"), x, out);
                 }
             }
+            Value::Arr(items) => {
+                for (i, x) in items.iter().enumerate() {
+                    walk(format!("{path}[{i}]"), x, out);
+                }
+            }
+            leaf => {
+                out.insert(path, leaf);
+            }
         }
     }
+    let mut out = BTreeMap::new();
+    for section in sections {
+        if let Some(v) = report.get(section) {
+            walk((*section).to_string(), v, &mut out);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -373,10 +365,14 @@ mod tests {
 
     fn sample_report() -> BenchReport {
         let mut r = BenchReport::new("figX");
-        r.wall_secs = 0.25;
+        r.perf("wall_secs", 0.25);
         r.metric("mesh/MP/secs", 1.5);
         r.metric("fredd/MP/secs", 0.75);
         r
+    }
+
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
     }
 
     #[test]
@@ -394,15 +390,23 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(1.5)
         );
+        assert_eq!(
+            v.get("perf")
+                .and_then(|s| s.get("wall_secs"))
+                .and_then(Value::as_f64),
+            Some(0.25)
+        );
         assert!(self_check(&v).is_ok());
     }
 
     #[test]
-    fn metric_overwrites_existing_key() {
+    fn metric_and_perf_overwrite_existing_keys() {
         let mut r = sample_report();
         r.metric("mesh/MP/secs", 2.0);
+        r.perf("wall_secs", 0.5);
         assert_eq!(r.sim.iter().filter(|(k, _)| k == "mesh/MP/secs").count(), 1);
         assert_eq!(r.sim[0].1, 2.0);
+        assert_eq!(r.perf, vec![("wall_secs".to_string(), 0.5)]);
     }
 
     #[test]
@@ -428,23 +432,50 @@ mod tests {
     #[test]
     fn identical_reports_diff_clean() {
         let v = parse(&sample_report().to_json()).unwrap();
-        let entries = diff(&v, &v).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|e| !e.exceeds(0.0)));
+        let d = diff(&v, &v).unwrap();
+        assert_eq!(d.compared, 2);
+        assert!(d.changed.is_empty());
+        assert_eq!(d.perf.len(), 1);
+        assert_eq!(d.perf[0].key, "perf.wall_secs");
     }
 
     #[test]
-    fn diff_flags_changes_beyond_threshold() {
+    fn one_ulp_sim_change_is_a_difference() {
         let a = parse(&sample_report().to_json()).unwrap();
         let mut changed = sample_report();
-        changed.metric("mesh/MP/secs", 1.65); // +10%
+        changed.metric("mesh/MP/secs", next_up(1.5));
         let b = parse(&changed.to_json()).unwrap();
-        let entries = diff(&a, &b).unwrap();
-        let bad: Vec<_> = entries.iter().filter(|e| e.exceeds(0.05)).collect();
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].key, "sim.mesh/MP/secs");
-        // A 20% threshold passes.
-        assert!(entries.iter().all(|e| !e.exceeds(0.2)));
+        let d = diff(&a, &b).unwrap();
+        assert_eq!(d.changed.len(), 1);
+        assert_eq!(d.changed[0].key, "sim.mesh/MP/secs");
+        assert_eq!(d.changed[0].b, Some(Value::Num(next_up(1.5))));
+    }
+
+    #[test]
+    fn nested_analysis_leaves_are_compared_exactly() {
+        let doc = |slowdown: f64, victim: &str, truncated: bool| {
+            format!(
+                r#"{{"schema_version":2,"name":"x","sim":{{}},"perf":{{"wall_secs":0}},
+                "analysis":{{"trace_truncated":{truncated},"runs":[{{"contention":[
+                {{"victim":"a","slowdown_secs":1}},
+                {{"victim":"{victim}","slowdown_secs":{slowdown}}}]}}]}}}}"#
+            )
+        };
+        let x = 0.1;
+        let a = parse(&doc(x, "b", false)).unwrap();
+        assert!(diff(&a, &a).unwrap().changed.is_empty());
+        for (b, key) in [
+            (
+                doc(next_up(x), "b", false),
+                "analysis.runs[0].contention[1].slowdown_secs",
+            ),
+            (doc(x, "c", false), "analysis.runs[0].contention[1].victim"),
+            (doc(x, "b", true), "analysis.trace_truncated"),
+        ] {
+            let d = diff(&a, &parse(&b).unwrap()).unwrap();
+            let keys: Vec<_> = d.changed.iter().map(|p| p.key.as_str()).collect();
+            assert_eq!(keys, [key]);
+        }
     }
 
     #[test]
@@ -453,16 +484,39 @@ mod tests {
         let mut fewer = BenchReport::new("figX");
         fewer.metric("mesh/MP/secs", 1.5);
         let b = parse(&fewer.to_json()).unwrap();
-        let entries = diff(&a, &b).unwrap();
-        assert!(entries
-            .iter()
-            .any(|e| e.key == "sim.fredd/MP/secs" && e.exceeds(f64::INFINITY)));
+        let d = diff(&a, &b).unwrap();
+        assert_eq!(
+            d.changed,
+            vec![LeafPair {
+                key: "sim.fredd/MP/secs".into(),
+                a: Some(Value::Num(0.75)),
+                b: None,
+            }]
+        );
+        assert_eq!(
+            d.changed[0].to_string(),
+            "sim.fredd/MP/secs: 0.75 -> (missing)"
+        );
+    }
+
+    #[test]
+    fn perf_leaves_never_count_as_changes() {
+        let a = parse(&sample_report().to_json()).unwrap();
+        let mut slower = sample_report();
+        slower.perf("wall_secs", 0.5);
+        slower.perf("events_per_sec", 1e6);
+        let b = parse(&slower.to_json()).unwrap();
+        let d = diff(&a, &b).unwrap();
+        assert!(d.changed.is_empty());
+        let keys: Vec<_> = d.perf.iter().map(|p| p.key.as_str()).collect();
+        assert_eq!(keys, ["perf.events_per_sec", "perf.wall_secs"]);
+        assert_eq!(d.perf[0].a, None);
     }
 
     #[test]
     fn self_check_rejects_broken_invariant() {
         // Attribution that does not sum to the makespan.
-        let doc = r#"{"schema_version":1,"name":"x","wall_secs":0,"sim":{},
+        let doc = r#"{"schema_version":2,"name":"x","sim":{},"perf":{"wall_secs":0},
             "analysis":{"trace_truncated":false,"dropped_events":0,
             "total_makespan_secs":2.0,
             "attribution":{"compute":1.0,"contention":0.5},"runs":[]}}"#;
@@ -473,7 +527,7 @@ mod tests {
 
     #[test]
     fn self_check_accepts_valid_analysis_and_warns_on_truncation() {
-        let doc = r#"{"schema_version":1,"name":"x","wall_secs":0.1,"sim":{"m":1},
+        let doc = r#"{"schema_version":2,"name":"x","sim":{"m":1},"perf":{"wall_secs":0.1},
             "analysis":{"trace_truncated":true,"dropped_events":9,
             "total_makespan_secs":1.5,
             "attribution":{"compute":1.0,"contention":0.5},
@@ -486,8 +540,29 @@ mod tests {
 
     #[test]
     fn self_check_rejects_wrong_schema_version() {
-        let v = parse(r#"{"schema_version":99,"name":"x","wall_secs":0,"sim":{}}"#).unwrap();
-        assert!(self_check(&v).is_err());
+        for version in [1, 99] {
+            let doc = format!(
+                r#"{{"schema_version":{version},"name":"x","sim":{{}},"perf":{{"wall_secs":0}}}}"#
+            );
+            let err = self_check(&parse(&doc).unwrap()).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
+        }
+    }
+
+    #[test]
+    fn self_check_requires_numeric_perf_with_wall_secs() {
+        for (perf, why) in [
+            ("", "perf is missing"),
+            (r#","perf":[1]"#, "not an object"),
+            (r#","perf":{"wall_secs":"fast"}"#, "is not a number"),
+            (r#","perf":{"wall_secs":0,"x":true}"#, "is not a number"),
+            (r#","perf":{"events_per_sec":1}"#, "perf missing wall_secs"),
+            (r#","perf":{"wall_secs":-1}"#, "non-negative"),
+        ] {
+            let doc = format!(r#"{{"schema_version":2,"name":"x","sim":{{}}{perf}}}"#);
+            let err = self_check(&parse(&doc).unwrap()).unwrap_err();
+            assert!(err.contains(why), "{perf}: {err}");
+        }
     }
 
     #[test]

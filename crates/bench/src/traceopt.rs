@@ -11,8 +11,9 @@
 //! * `--report <path>` — write a versioned machine-readable
 //!   [`BenchReport`](crate::report::BenchReport) JSON
 //!   (`BENCH_<name>.json` by convention) with the binary's headline
-//!   results, wall time, solver cost counters, and critical-path
-//!   attribution — the input to `bench-diff`;
+//!   simulated results and solver cost counters (`sim`), host timings
+//!   (`perf`), and critical-path attribution — the input to
+//!   `bench-diff`;
 //! * `--dashboard <path>` — write a self-contained offline HTML
 //!   dashboard (inline SVG sparklines and a link-utilization heatmap,
 //!   no CDN) from the flight-recorder time series;
@@ -34,7 +35,7 @@
 //! bit-identical simulation results. `--trace`/`--metrics` feed from
 //! the ring recorder (whole events, bounded by overwriting);
 //! `--dashboard`/`--prom` feed from the flight recorder (bounded by
-//! decimation, spans the whole run); `--report` uses both.
+//! decimation, spans the whole run); `--report` uses the ring.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -71,7 +72,7 @@ pub struct TraceOpts {
     prof_enabled: bool,
     link_names: Vec<String>,
     process_name: String,
-    metrics: Vec<(String, f64)>,
+    report: Option<BenchReport>,
     started: Instant,
     events_at_start: u64,
     solver_at_start: SolverStats,
@@ -185,11 +186,12 @@ impl TraceOpts {
         } else {
             None
         };
-        let flight = if dashboard_path.is_some() || prom_path.is_some() || report_path.is_some() {
+        let flight = if dashboard_path.is_some() || prom_path.is_some() {
             Some(Rc::new(FlightRecorder::new()))
         } else {
             None
         };
+        let report = report_path.as_ref().map(|_| BenchReport::new(process_name));
         TraceOpts {
             trace_path,
             metrics_path,
@@ -201,7 +203,7 @@ impl TraceOpts {
             prof_enabled,
             link_names: Vec::new(),
             process_name: process_name.to_string(),
-            metrics: Vec::new(),
+            report,
             started: Instant::now(),
             events_at_start: fred_sim::netsim::global_events_processed(),
             solver_at_start: fred_sim::solver::global_solver_stats(),
@@ -223,19 +225,23 @@ impl TraceOpts {
         self.restore_path.as_ref()
     }
 
-    /// Records one headline simulation result for the bench report
-    /// (e.g. `opts.metric("mesh/MP/secs", d.as_secs())`). Cheap no-op
-    /// storage when `--report` was not given; keys should be stable
-    /// across commits because `bench-diff` compares them leaf by
-    /// leaf.
+    /// Records one headline simulated result in the report's `sim`
+    /// section (e.g. `opts.metric("mesh/MP/secs", d.as_secs())`). A
+    /// no-op when `--report` was not given; keys should be stable
+    /// across commits because `bench-diff` compares them exactly.
     pub fn metric(&mut self, key: impl Into<String>, value: f64) {
-        if self.report_path.is_none() {
-            return;
+        if let Some(r) = &mut self.report {
+            r.metric(key, value);
         }
-        let key = key.into();
-        match self.metrics.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.metrics.push((key, value)),
+    }
+
+    /// Records one host timing in the report's `perf` section (e.g.
+    /// events/s or a speedup measured on this machine). A no-op when
+    /// `--report` was not given; `bench-diff` prints these but never
+    /// fails on them.
+    pub fn perf(&mut self, key: impl Into<String>, value: f64) {
+        if let Some(r) = &mut self.report {
+            r.perf(key, value);
         }
     }
 
@@ -278,7 +284,7 @@ impl TraceOpts {
     /// # Panics
     ///
     /// Panics if an output file cannot be written.
-    pub fn finish(&self) {
+    pub fn finish(mut self) {
         if !self.enabled() && !self.prof_enabled {
             return;
         }
@@ -287,7 +293,6 @@ impl TraceOpts {
         } else {
             BTreeMap::new()
         };
-        let snapshot = self.flight.as_ref().map(|f| f.snapshot());
         if let Some(rec) = &self.recorder {
             let events = rec.events();
             if rec.overwritten() > 0 {
@@ -326,53 +331,42 @@ impl TraceOpts {
                     path.display()
                 );
             }
-            if let Some(path) = &self.report_path {
-                let mut report = BenchReport::new(self.process_name.clone());
-                report.wall_secs = self.started.elapsed().as_secs_f64();
-                report.sim = self.metrics.clone();
-                // Simulator throughput headline, present in every report:
-                // flow lifecycle events processed per wall-clock second
-                // over this binary's whole run. Excluded keys (wall_secs
-                // and this one) are perf measurements, not simulation
-                // results — bench-diff treats them with its threshold.
+            if let (Some(path), Some(report)) = (&self.report_path, &mut self.report) {
+                let wall_secs = self.started.elapsed().as_secs_f64();
+                report.perf("wall_secs", wall_secs);
+                // Simulator throughput over this binary's whole run:
+                // flow lifecycle events processed per wall-clock second.
                 let lifecycle_events =
                     fred_sim::netsim::global_events_processed() - self.events_at_start;
-                report.sim.push((
-                    "events_per_sec".to_string(),
-                    lifecycle_events as f64 / report.wall_secs.max(f64::MIN_POSITIVE),
-                ));
+                report.perf(
+                    "events_per_sec",
+                    lifecycle_events as f64 / wall_secs.max(f64::MIN_POSITIVE),
+                );
                 // Solver cost over this run (process-wide deltas):
                 // deterministic simulation quantities, so they are part
-                // of the regression surface like any other sim key.
+                // of the exact regression surface like any other sim key.
                 let sv = fred_sim::solver::global_solver_stats();
                 let s0 = self.solver_at_start;
-                report
-                    .sim
-                    .push(("solver/solves".into(), (sv.solves - s0.solves) as f64));
-                report.sim.push((
-                    "solver/global_solves".into(),
-                    (sv.global_solves - s0.global_solves) as f64,
-                ));
-                report.sim.push((
-                    "solver/refilled_flows".into(),
-                    (sv.refilled_flows - s0.refilled_flows) as f64,
-                ));
-                report
-                    .sim
-                    .push(("solver/max_component".into(), sv.max_component as f64));
-                report.sim.push((
-                    "solver/heap_compactions".into(),
-                    (fred_sim::netsim::global_heap_compactions() - self.compactions_at_start)
-                        as f64,
-                ));
+                for (key, value) in [
+                    ("solver/solves", sv.solves - s0.solves),
+                    ("solver/global_solves", sv.global_solves - s0.global_solves),
+                    (
+                        "solver/refilled_flows",
+                        sv.refilled_flows - s0.refilled_flows,
+                    ),
+                    ("solver/max_component", sv.max_component),
+                    (
+                        "solver/heap_compactions",
+                        fred_sim::netsim::global_heap_compactions() - self.compactions_at_start,
+                    ),
+                ] {
+                    report.metric(key, value as f64);
+                }
                 let analysis = Analysis::from_events(&events).with_dropped(rec.overwritten());
                 eprint!("{}", analysis.summary());
                 report.analysis = Some(analysis);
                 if !prof_sites.is_empty() {
                     report.prof_json = Some(prof::to_json(&prof_sites));
-                }
-                if let Some(snap) = &snapshot {
-                    report.timeseries_json = Some(snap.to_json());
                 }
                 report
                     .write(path)
@@ -385,9 +379,9 @@ impl TraceOpts {
                 );
             }
         }
-        if let Some(snap) = &snapshot {
+        if let Some(snap) = self.flight.as_ref().map(|f| f.snapshot()) {
             if let Some(path) = &self.prom_path {
-                std::fs::write(path, prom::render(snap, &prof_sites))
+                std::fs::write(path, prom::render(&snap, &prof_sites))
                     .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
                 eprintln!(
                     "{}: wrote Prometheus exposition to {}",
@@ -398,7 +392,7 @@ impl TraceOpts {
             if let Some(path) = &self.dashboard_path {
                 std::fs::write(
                     path,
-                    dashboard::render(&self.process_name, snap, &prof_sites),
+                    dashboard::render(&self.process_name, &snap, &prof_sites),
                 )
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
                 eprintln!(

@@ -9,7 +9,7 @@
 //! standard `_bucket{le=...}` / `_sum` / `_count` triplet. Only the
 //! final value of each series is exposed — exposition is a
 //! point-in-time scrape format, not a time-series archive (the
-//! archive lives in the report JSON and the dashboard).
+//! archive lives in the dashboard).
 //!
 //! [`parse`] implements just enough of the exposition grammar to
 //! validate our own output (CI's smoke assertion and the round-trip

@@ -29,7 +29,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::event::{TraceEvent, Track};
-use crate::json::{push_num, push_str_lit};
 use crate::sink::TraceSink;
 
 /// How a series' values combine over time (drives the Prometheus
@@ -283,39 +282,6 @@ impl LogHistogram {
             .map(|i| (self.floor * ((i + 1) as f64).exp2(), self.counts[i]))
             .collect()
     }
-
-    /// Renders as a JSON object (`count`, `sum`, `min`, `max`,
-    /// `p50`/`p99`, and the non-empty `buckets`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"count\":");
-        push_num(&mut s, self.total as f64);
-        s.push_str(",\"sum\":");
-        push_num(&mut s, self.sum);
-        s.push_str(",\"min\":");
-        push_num(&mut s, self.min());
-        s.push_str(",\"max\":");
-        push_num(&mut s, self.max());
-        if self.total > 0 {
-            s.push_str(",\"p50\":");
-            push_num(&mut s, self.quantile(0.5));
-            s.push_str(",\"p99\":");
-            push_num(&mut s, self.quantile(0.99));
-        }
-        s.push_str(",\"buckets\":[");
-        for (i, (le, c)) in self.buckets().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            push_num(&mut s, *le);
-            s.push(',');
-            push_num(&mut s, *c as f64);
-            s.push(']');
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 /// Mutable recorder state behind the [`TraceSink`] interior
@@ -552,49 +518,6 @@ impl FlightSnapshot {
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
-
-    /// Renders the snapshot as a JSON object — the machine-readable
-    /// `timeseries` section of a bench report.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\"link_series_dropped\":");
-        push_num(&mut s, self.link_series_dropped as f64);
-        s.push_str(",\"segments\":[");
-        for (i, seg) in self.segments.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"segment\":");
-            push_num(&mut s, seg.segment as f64);
-            s.push_str(",\"fct_secs\":");
-            s.push_str(&seg.fct.to_json());
-            s.push_str(",\"series\":[");
-            for (j, ser) in seg.series.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str("{\"name\":");
-                push_str_lit(&mut s, &ser.name);
-                s.push_str(",\"kind\":");
-                push_str_lit(&mut s, ser.kind.prom_type());
-                s.push_str(",\"samples\":[");
-                for (k, &(t, v)) in ser.samples.iter().enumerate() {
-                    if k > 0 {
-                        s.push(',');
-                    }
-                    s.push('[');
-                    push_num(&mut s, t);
-                    s.push(',');
-                    push_num(&mut s, v);
-                    s.push(']');
-                }
-                s.push_str("]}");
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -686,7 +609,7 @@ mod tests {
         assert_eq!(snap.segments.len(), 2);
         assert_eq!(snap.segments[0].series[0].last_value(), Some(0.8));
         assert_eq!(snap.segments[1].series[0].last_value(), Some(0.4));
-        assert!(snap.to_json().contains("link_util/0"));
+        assert_eq!(snap.segments[0].series[0].name, "link_util/0");
     }
 
     #[test]

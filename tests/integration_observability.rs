@@ -61,7 +61,6 @@ fn flight_recorder_is_deterministic_across_runs() {
     let (b, db) = traced_run(None);
     assert!(!a.is_empty(), "a real run records series");
     assert_eq!(a, b, "snapshots must be bit-identical at fixed seed");
-    assert_eq!(a.to_json(), b.to_json());
     assert_eq!(da, db);
 }
 
