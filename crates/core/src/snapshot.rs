@@ -483,7 +483,7 @@ pub fn solver_state_from_value(v: &Value) -> Result<SolverState, SnapshotError> 
         .iter()
         .map(|ks| u32s_of(ks, ctx))
         .collect::<Result<Vec<_>, SnapshotError>>()?;
-    Ok(SolverState {
+    let state = SolverState {
         capacities: f64s_of(field(v, "capacities", ctx)?, ctx)?,
         flows,
         free: u32s_of(field(v, "free", ctx)?, ctx)?,
@@ -500,7 +500,63 @@ pub fn solver_state_from_value(v: &Value) -> Result<SolverState, SnapshotError> 
             refilled_flows: u64_of(field(v, "refilled_flows", ctx)?, ctx)?,
             max_component: u64_of(field(v, "max_component", ctx)?, ctx)?,
         },
-    })
+    };
+    check_solver_state(&state)?;
+    Ok(state)
+}
+
+/// Checks the structural invariants `FairShareSolver::restore` trusts
+/// and a later solve indexes by: per-link vectors share one length,
+/// every link index is in range, the link→flow lists hold each live key
+/// exactly as often as its route crosses the link (and nothing else),
+/// and the free stack and live count agree with the slab.
+fn check_solver_state(s: &SolverState) -> Result<(), SnapshotError> {
+    let bad = |what: String| Err(SnapshotError::Mismatch(format!("solver: {what}")));
+    let n = s.capacities.len();
+    if s.link_flows.len() != n || s.link_alloc.len() != n {
+        return bad(format!(
+            "{} capacities but {} link_flows and {} link_alloc",
+            n,
+            s.link_flows.len(),
+            s.link_alloc.len()
+        ));
+    }
+    if let Some(l) = s.seed_links.iter().find(|&&l| l >= n) {
+        return bad(format!("seed link {l} out of range ({n} links)"));
+    }
+    let mut want: Vec<(usize, usize)> = Vec::new();
+    for (k, f) in s.flows.iter().enumerate() {
+        let Some(f) = f else { continue };
+        if let Some(l) = f.links.iter().find(|&&l| l >= n) {
+            return bad(format!(
+                "flow {k} crosses link {l} out of range ({n} links)"
+            ));
+        }
+        want.extend(f.links.iter().map(|&l| (l, k)));
+    }
+    let mut got: Vec<(usize, usize)> = s
+        .link_flows
+        .iter()
+        .enumerate()
+        .flat_map(|(l, ks)| ks.iter().map(move |&k| (l, k as usize)))
+        .collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    if got != want {
+        return bad("link_flows do not match the flow routes".into());
+    }
+    let occupied = s.flows.iter().filter(|f| f.is_some()).count();
+    if s.live != occupied {
+        return bad(format!("live {} but {occupied} occupied slots", s.live));
+    }
+    let mut freed = vec![false; s.flows.len()];
+    for &k in &s.free {
+        match freed.get_mut(k as usize) {
+            Some(seen) if !*seen && s.flows[k as usize].is_none() => *seen = true,
+            _ => return bad(format!("free key {k} is repeated or names no empty slot")),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -644,7 +700,7 @@ pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
         .iter()
         .map(|c| completed_from_value(c, "core.completed"))
         .collect::<Result<Vec<_>, SnapshotError>>()?;
-    Ok(CoreState {
+    let state = CoreState {
         now: time_of(field(v, "now", ctx)?, ctx)?,
         next_id: u64_of(field(v, "next_id", ctx)?, ctx)?,
         flows,
@@ -662,7 +718,43 @@ pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
         failed: bools_of(field(v, "failed", ctx)?, ctx)?,
         events: u64_of(field(v, "events", ctx)?, ctx)?,
         link_alloc: f64s_of(field(v, "link_alloc", ctx)?, ctx)?,
-    })
+    };
+    check_core_state(&state)?;
+    Ok(state)
+}
+
+/// Checks that the network's slab and per-link vectors line up with its
+/// solver's (the two slabs share keys) and that every drain entry names
+/// a slot.
+fn check_core_state(s: &CoreState) -> Result<(), SnapshotError> {
+    let bad = |what: String| Err(SnapshotError::Mismatch(format!("core: {what}")));
+    let n = s.solver.capacities.len();
+    for (name, len) in [
+        ("capacities", s.capacities.len()),
+        ("link_bytes", s.link_bytes.len()),
+        ("failed", s.failed.len()),
+        ("link_alloc", s.link_alloc.len()),
+    ] {
+        if len != n {
+            return bad(format!("{len} {name} but the solver has {n} links"));
+        }
+    }
+    if s.flows.len() != s.solver.flows.len() {
+        return bad(format!(
+            "{} flow slots but the solver has {}",
+            s.flows.len(),
+            s.solver.flows.len()
+        ));
+    }
+    for (k, (f, sf)) in s.flows.iter().zip(&s.solver.flows).enumerate() {
+        if f.as_ref().map(|f| &f.links) != sf.as_ref().map(|sf| &sf.links) {
+            return bad(format!("slot {k} differs from the solver's"));
+        }
+    }
+    if let Some(&(_, _, _, slot)) = s.drains.iter().find(|d| d.3 as usize >= s.flows.len()) {
+        return bad(format!("drain slot {slot} out of range"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -739,6 +831,119 @@ mod tests {
             .map(|c| (c.tag, c.completed_at.as_secs().to_bits()))
             .collect();
         assert_eq!(a, b);
+    }
+
+    /// Damages a live network's captured state, encodes it and requires
+    /// the decoder to reject it with a typed `Mismatch` (the undamaged
+    /// state must decode).
+    fn assert_rejected(damage: impl FnOnce(&mut CoreState)) {
+        let (_, net) = busy_net();
+        let mut state = net.snapshot();
+        assert!(core_state_from_value(&core_state_to_value(&state)).is_ok());
+        damage(&mut state);
+        let got = core_state_from_value(&core_state_to_value(&state));
+        assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
+    }
+
+    fn first_live(s: &SolverState) -> usize {
+        s.flows
+            .iter()
+            .position(Option::is_some)
+            .expect("a live flow")
+    }
+
+    #[test]
+    fn route_link_out_of_range_is_rejected() {
+        assert_rejected(|s| {
+            let k = first_live(&s.solver);
+            let n = s.solver.capacities.len();
+            s.solver.flows[k].as_mut().unwrap().links.push(n);
+            s.solver.link_flows[0].push(k as u32);
+        });
+    }
+
+    #[test]
+    fn link_flows_length_mismatch_is_rejected() {
+        assert_rejected(|s| s.solver.link_flows.push(Vec::new()));
+    }
+
+    #[test]
+    fn link_alloc_length_mismatch_is_rejected() {
+        assert_rejected(|s| s.solver.link_alloc.push(0.0));
+    }
+
+    #[test]
+    fn link_flows_naming_a_dead_key_is_rejected() {
+        assert_rejected(|s| {
+            let dead = s.solver.free[0];
+            s.solver.link_flows[0].push(dead);
+        });
+    }
+
+    #[test]
+    fn link_flows_multiplicity_mismatch_is_rejected() {
+        // The key's route crosses its first link once, the list names
+        // it twice.
+        assert_rejected(|s| {
+            let k = first_live(&s.solver);
+            let l = s.solver.flows[k].as_ref().unwrap().links[0];
+            s.solver.link_flows[l].push(k as u32);
+        });
+    }
+
+    #[test]
+    fn free_key_naming_an_occupied_slot_is_rejected() {
+        assert_rejected(|s| {
+            let k = first_live(&s.solver);
+            s.solver.free.push(k as u32);
+        });
+    }
+
+    #[test]
+    fn repeated_free_key_is_rejected() {
+        assert_rejected(|s| {
+            let k = s.solver.free[0];
+            s.solver.free.push(k);
+        });
+    }
+
+    #[test]
+    fn live_count_mismatch_is_rejected() {
+        assert_rejected(|s| s.solver.live += 1);
+    }
+
+    #[test]
+    fn seed_link_out_of_range_is_rejected() {
+        assert_rejected(|s| {
+            let n = s.solver.capacities.len();
+            s.solver.seed_links.push(n);
+        });
+    }
+
+    #[test]
+    fn core_and_solver_slab_length_mismatch_is_rejected() {
+        assert_rejected(|s| s.flows.push(None));
+    }
+
+    #[test]
+    fn core_slot_differing_from_the_solver_is_rejected() {
+        assert_rejected(|s| {
+            let k = first_live(&s.solver);
+            s.flows[k] = None;
+        });
+    }
+
+    #[test]
+    fn core_link_vector_length_mismatch_is_rejected() {
+        assert_rejected(|s| s.link_bytes.push(0.0));
+    }
+
+    #[test]
+    fn drain_slot_out_of_range_is_rejected() {
+        assert_rejected(|s| {
+            let slots = s.flows.len() as u32;
+            s.drains[0].3 = slots;
+        });
     }
 
     #[test]

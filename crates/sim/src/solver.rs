@@ -23,11 +23,12 @@
 //! The correctness contract — the foundation later PRs build on — is
 //! *rate identity*: after any sequence of deltas, [`FairShareSolver`]
 //! rates equal a from-scratch [`crate::fairshare::max_min_rates`] run
-//! over the current active set (bitwise up to float associativity;
-//! `tests/property_fairshare_incremental.rs` enforces ≤ 1e-9 relative
-//! under randomized churn). Both paths freeze links and flows in
-//! ascending-index order, so the filling arithmetic is identical
-//! operation for operation.
+//! over the current active set exactly, bit for bit
+//! (`tests/property_fairshare_incremental.rs` compares `to_bits()`
+//! under randomized churn). Both paths pick bottleneck links in
+//! ascending-index order, and every flow frozen in one round subtracts
+//! the same share from each link it crosses, so each link sees the same
+//! floating-point operations in the same order.
 
 use crate::flow::Priority;
 
@@ -74,8 +75,10 @@ pub struct SolverFlowState {
 /// future arithmetic and tie-breaking. Epoch-stamped scratch vectors
 /// are deliberately **not** captured — restore re-zeros them, which is
 /// equivalent because the serialized `epoch` keeps every zero mark
-/// stale. Pending deltas (`seed_links`, `dirty`) are captured so a
-/// snapshot taken between a delta and its solve resumes exactly.
+/// stale (the refill's class-pass stamps restart at zero with their
+/// counter, which is never zero while a pass runs). Pending deltas
+/// (`seed_links`, `dirty`) are captured so a snapshot taken between a
+/// delta and its solve resumes exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverState {
     /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
@@ -162,6 +165,10 @@ pub struct FairShareSolver {
     epoch: u64,
     link_mark: Vec<u64>,
     flow_mark: Vec<u64>,
+    // Class-pass stamp of `refill`: a flow is unfrozen in the running
+    // pass iff its `flow_pass` equals `pass`.
+    pass: u64,
+    flow_pass: Vec<u64>,
     remaining: Vec<f64>,
     counts: Vec<usize>,
     new_rate: Vec<f64>,
@@ -194,6 +201,8 @@ impl FairShareSolver {
             epoch: 0,
             link_mark: vec![0; n],
             flow_mark: Vec::new(),
+            pass: 0,
+            flow_pass: Vec::new(),
             remaining: vec![0.0; n],
             counts: vec![0; n],
             new_rate: Vec::new(),
@@ -285,6 +294,7 @@ impl FairShareSolver {
             None => {
                 self.flows.push(Some(flow));
                 self.flow_mark.push(0);
+                self.flow_pass.push(0);
                 self.new_rate.push(0.0);
                 (self.flows.len() - 1) as u32
             }
@@ -560,6 +570,8 @@ impl FairShareSolver {
             epoch: state.epoch,
             link_mark: vec![0; n],
             flow_mark: vec![0; slab],
+            pass: 0,
+            flow_pass: vec![0; slab],
             remaining: vec![0.0; n],
             counts: vec![0; n],
             new_rate: vec![0.0; slab],
@@ -593,10 +605,14 @@ impl FairShareSolver {
             .collect();
         classes.sort_unstable();
         classes.dedup();
-        let mut unfrozen: Vec<u32> = Vec::new();
         let mut used_links: Vec<usize> = Vec::new();
         for class in classes {
-            unfrozen.clear();
+            // Stamp this class's routed flows with a fresh pass number:
+            // the bottleneck walk below freezes exactly the stamped
+            // flows, un-stamping each as it goes.
+            self.pass += 1;
+            let pass = self.pass;
+            let mut unfrozen = 0usize;
             for &fk in flow_keys {
                 let f = self.flows[fk as usize].as_ref().expect("live component");
                 if f.class != class {
@@ -606,17 +622,18 @@ impl FairShareSolver {
                     self.new_rate[fk as usize] = f64::INFINITY;
                     continue;
                 }
-                unfrozen.push(fk);
+                self.flow_pass[fk as usize] = pass;
+                unfrozen += 1;
                 for &l in f.links.iter() {
                     self.counts[l] += 1;
                 }
             }
-            if unfrozen.is_empty() {
+            if unfrozen == 0 {
                 continue;
             }
             used_links.clear();
             used_links.extend(links.iter().copied().filter(|&l| self.counts[l] > 0));
-            while !unfrozen.is_empty() {
+            while unfrozen > 0 {
                 let mut bottleneck: Option<(usize, f64)> = None;
                 used_links.retain(|&l| self.counts[l] > 0);
                 for &l in &used_links {
@@ -627,25 +644,33 @@ impl FairShareSolver {
                 }
                 let Some((bl, share)) = bottleneck else { break };
                 let share = share.max(0.0);
-                let mut any = false;
-                unfrozen.retain(|&fk| {
-                    let f = self.flows[fk as usize].as_ref().expect("live component");
-                    if f.links.contains(&bl) {
-                        any = true;
-                        self.new_rate[fk as usize] = share;
-                        for &l in f.links.iter() {
-                            self.remaining[l] -= share;
-                            if self.remaining[l] < EPS {
-                                self.remaining[l] = 0.0;
-                            }
-                            self.counts[l] -= 1;
-                        }
-                        false
-                    } else {
-                        true
+                // Freeze every stamped flow crossing `bl`. Unstamped
+                // entries are other classes, flows frozen earlier, or
+                // the second slot of a route crossing `bl` twice. Every
+                // flow frozen here subtracts the same `share`, so each
+                // link sees the same operation sequence in any visit
+                // order: the result is bit-identical to freezing in
+                // ascending key order.
+                let mut frozen = 0usize;
+                for i in 0..self.link_flows[bl].len() {
+                    let fk = self.link_flows[bl][i] as usize;
+                    if self.flow_pass[fk] != pass {
+                        continue;
                     }
-                });
-                debug_assert!(any, "bottleneck link had no flows");
+                    self.flow_pass[fk] = 0;
+                    self.new_rate[fk] = share;
+                    let f = self.flows[fk].as_ref().expect("live component");
+                    for &l in f.links.iter() {
+                        self.remaining[l] -= share;
+                        if self.remaining[l] < EPS {
+                            self.remaining[l] = 0.0;
+                        }
+                        self.counts[l] -= 1;
+                    }
+                    frozen += 1;
+                }
+                debug_assert!(frozen > 0, "bottleneck link had no flows");
+                unfrozen -= frozen;
             }
         }
 
@@ -694,13 +719,15 @@ mod tests {
             (vec![0, 1], Priority::Bulk),
             (vec![1], Priority::Bulk),
             (vec![0], Priority::Bulk),
+            // Crosses link 1 twice: two incidence slots, one freeze.
+            (vec![1, 0, 1], Priority::Bulk),
         ];
         let mut s = FairShareSolver::new(caps.clone());
         let keys: Vec<FlowKey> = specs.iter().map(|(l, p)| s.add_flow(l, *p)).collect();
         assert!(s.solve());
         let want = oracle(&caps, &specs);
         for (k, w) in keys.iter().zip(&want) {
-            assert_eq!(s.rate(*k), *w);
+            assert_eq!(s.rate(*k).to_bits(), w.to_bits());
         }
     }
 
