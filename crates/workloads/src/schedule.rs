@@ -15,6 +15,17 @@
 //!   (double-buffered with compute), microbatches traverse the window
 //!   pipeline, and during the backward pass weight gradients stream
 //!   back out, reduced across DP on the way (the reverse of Fig 4).
+//!
+//! Comm tasks hold shared plans (`Rc<CommPlan>`). Within one
+//! [`build_schedule`] every backend call with identical inputs — the
+//! same operation, groups and byte count — compiles once, and every
+//! task issuing it shares that plan. A weight-streaming iteration
+//! repeats the same few collectives in every layer window, so a
+//! schedule holds thousands of comm tasks but only tens of plans, and
+//! cloning a [`Schedule`] copies no routes.
+
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use fred_collectives::plan::CommPlan;
 use fred_core::placement::{Placement, Strategy3D};
@@ -45,8 +56,9 @@ pub enum TaskBody {
     },
     /// A communication operation.
     Comm {
-        /// The compiled plan.
-        plan: CommPlan,
+        /// The compiled plan, shared by every task of the schedule
+        /// that issues the same backend call.
+        plan: Rc<CommPlan>,
         /// Virtual-channel priority class (§5.4: MP > PP > DP > bulk).
         priority: Priority,
         /// Exposure attribution (Fig 10 stack segment).
@@ -133,6 +145,36 @@ impl ScheduleParams {
     }
 }
 
+/// The exact inputs of one backend compile call: the operation, its
+/// physical NPU group(s) and its byte count as bits. The backend's
+/// compile methods are pure functions of these inputs, so equal keys
+/// compile equal plans, and keying on the bits never merges two byte
+/// counts a fresh compile would treat differently.
+#[derive(PartialEq, Eq, Hash)]
+enum PlanKey {
+    AllReduce(Vec<usize>, u64),
+    ReduceScatter(Vec<usize>, u64),
+    AllGather(Vec<usize>, u64),
+    Stage(Vec<usize>, Vec<usize>, u64),
+    StreamIn(u64),
+    StreamOut(u64),
+    InputLoad(u64),
+}
+
+impl PlanKey {
+    fn compile(&self, backend: &FabricBackend) -> CommPlan {
+        match self {
+            PlanKey::AllReduce(group, b) => backend.all_reduce(group, f64::from_bits(*b)),
+            PlanKey::ReduceScatter(group, b) => backend.reduce_scatter(group, f64::from_bits(*b)),
+            PlanKey::AllGather(group, b) => backend.all_gather(group, f64::from_bits(*b)),
+            PlanKey::Stage(srcs, dsts, b) => backend.stage_transfer(srcs, dsts, f64::from_bits(*b)),
+            PlanKey::StreamIn(b) => backend.stream_in(f64::from_bits(*b)),
+            PlanKey::StreamOut(b) => backend.stream_out(f64::from_bits(*b)),
+            PlanKey::InputLoad(b) => backend.input_load(f64::from_bits(*b)),
+        }
+    }
+}
+
 struct Builder<'a> {
     model: &'a DnnModel,
     strategy: Strategy3D,
@@ -141,11 +183,24 @@ struct Builder<'a> {
     params: ScheduleParams,
     tasks: Vec<Task>,
     chains: Vec<Vec<TaskId>>,
+    /// Every plan compiled so far, by its inputs. Only looked up, never
+    /// iterated, so its order cannot reach the schedule.
+    plans: HashMap<PlanKey, Rc<CommPlan>>,
 }
 
 impl<'a> Builder<'a> {
     fn worker(&self, dp: usize, pp: usize) -> WorkerId {
         WorkerId(pp + self.strategy.pp * dp)
+    }
+
+    /// The plan for `key`, compiled on first use and shared after.
+    fn plan(&mut self, key: PlanKey) -> Rc<CommPlan> {
+        let backend = self.backend;
+        Rc::clone(
+            self.plans
+                .entry(key)
+                .or_insert_with_key(|key| Rc::new(key.compile(backend))),
+        )
     }
 
     fn push(&mut self, body: TaskBody, deps: Vec<TaskId>) -> TaskId {
@@ -168,7 +223,7 @@ impl<'a> Builder<'a> {
 
     fn push_comm(
         &mut self,
-        plan: CommPlan,
+        plan: Rc<CommPlan>,
         priority: Priority,
         ctype: CommType,
         deps: Vec<TaskId>,
@@ -220,7 +275,7 @@ impl<'a> Builder<'a> {
         let group = self
             .backend
             .physical_group(&self.placement.mp_group_npus(dp, pp));
-        let plan = self.backend.all_reduce(&group, self.mp_bytes(layers));
+        let plan = self.plan(PlanKey::AllReduce(group, self.mp_bytes(layers).to_bits()));
         let w = self.worker(dp, pp);
         self.push_comm(plan, Priority::Mp, CommType::Mp, deps, &[w])
     }
@@ -235,7 +290,7 @@ impl<'a> Builder<'a> {
             .backend
             .physical_group(&self.placement.mp_group_npus(dp, to_pp));
         let bytes = self.model.activation_bytes(self.mb_samples());
-        let plan = self.backend.stage_transfer(&srcs, &dsts, bytes);
+        let plan = self.plan(PlanKey::Stage(srcs, dsts, bytes.to_bits()));
         let w = self.worker(dp, to_pp);
         self.push_comm(plan, Priority::Pp, CommType::Pp, deps, &[w])
     }
@@ -248,7 +303,7 @@ impl<'a> Builder<'a> {
 
         // Input load feeds every stage-0 worker's first microbatch.
         let load_bytes = self.params.minibatch as f64 * self.model.sample_bytes;
-        let load_plan = self.backend.input_load(load_bytes);
+        let load_plan = self.plan(PlanKey::InputLoad(load_bytes.to_bits()));
         let stage0: Vec<WorkerId> = (0..s.dp).map(|d| self.worker(d, 0)).collect();
         let load = self.push_comm(
             load_plan,
@@ -330,9 +385,10 @@ impl<'a> Builder<'a> {
                         .physical_group(&self.placement.dp_group_npus(mp, p));
                     let deps: Vec<TaskId> = (0..s.dp).map(|d| bwd_done[d][p][m - 1]).collect();
                     let blocked: Vec<WorkerId> = (0..s.dp).map(|d| self.worker(d, p)).collect();
-                    let rs = self.backend.reduce_scatter(&group, grad_bytes_per_member);
+                    let bits = grad_bytes_per_member.to_bits();
+                    let rs = self.plan(PlanKey::ReduceScatter(group.clone(), bits));
                     let rs_id = self.push_comm(rs, Priority::Dp, CommType::Dp, deps, &blocked);
-                    let ag = self.backend.all_gather(&group, grad_bytes_per_member);
+                    let ag = self.plan(PlanKey::AllGather(group, bits));
                     self.push_comm(ag, Priority::Dp, CommType::Dp, vec![rs_id], &blocked);
                 }
             }
@@ -363,7 +419,7 @@ impl<'a> Builder<'a> {
         // Input load (cannot be prefetched during streaming — the I/O
         // channels are busy, §8.2).
         let load_bytes = self.params.minibatch as f64 * self.model.sample_bytes;
-        let load_plan = self.backend.input_load(load_bytes);
+        let load_plan = self.plan(PlanKey::InputLoad(load_bytes.to_bits()));
         let load = self.push_comm(
             load_plan,
             Priority::Bulk,
@@ -394,8 +450,9 @@ impl<'a> Builder<'a> {
                     0
                 };
                 deps.extend(prev_round_done[buf].iter().copied());
+                let plan = this.plan(PlanKey::StreamIn(chunk_bytes.to_bits()));
                 let stream = this.push_comm(
-                    this.backend.stream_in(chunk_bytes),
+                    plan,
                     Priority::Bulk,
                     CommType::Streaming,
                     deps,
@@ -445,13 +502,8 @@ impl<'a> Builder<'a> {
                     if let Some(prev) = prev_grad_stream {
                         gdeps.push(prev);
                     }
-                    let g = this.push_comm(
-                        this.backend.stream_out(grad_chunk),
-                        Priority::Bulk,
-                        CommType::Streaming,
-                        gdeps,
-                        &[],
-                    );
+                    let plan = this.plan(PlanKey::StreamOut(grad_chunk.to_bits()));
+                    let g = this.push_comm(plan, Priority::Bulk, CommType::Streaming, gdeps, &[]);
                     prev_grad_stream = Some(g);
                 }
             }
@@ -509,6 +561,7 @@ pub fn build_schedule(
         params,
         tasks: Vec::new(),
         chains: vec![Vec::new(); strategy.dp * strategy.pp],
+        plans: HashMap::new(),
     };
     match model.execution {
         ExecutionMode::WeightStationary => builder.build_weight_stationary(),
@@ -726,6 +779,100 @@ mod tests {
             without.makespan.as_secs(),
             with.makespan.as_secs()
         );
+    }
+
+    /// The plan of every comm task, in task order.
+    fn comm_plans(s: &Schedule) -> Vec<&Rc<CommPlan>> {
+        s.tasks
+            .iter()
+            .filter_map(|t| match &t.body {
+                TaskBody::Comm { plan, .. } => Some(plan),
+                TaskBody::Compute { .. } => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streaming_windows_share_one_stream_in_plan() {
+        let m = DnnModel::gpt3();
+        let (s, _) = build(&m, m.default_strategy, FabricConfig::FredD);
+        let stream_ins: Vec<&Rc<CommPlan>> = s
+            .tasks
+            .iter()
+            .filter_map(|t| match &t.body {
+                TaskBody::Comm {
+                    plan,
+                    ctype: CommType::Streaming,
+                    ..
+                } if plan.label.ends_with("stream-in") => Some(plan),
+                _ => None,
+            })
+            .collect();
+        // 96 layers in windows of PP = 2, streamed in on both passes.
+        assert_eq!(stream_ins.len(), 2 * 48);
+        for plan in &stream_ins {
+            assert!(Rc::ptr_eq(plan, stream_ins[0]));
+        }
+    }
+
+    #[test]
+    fn schedule_clone_shares_every_plan() {
+        let m = DnnModel::transformer_17b();
+        let (s, _) = build(&m, m.default_strategy, FabricConfig::BaselineMesh);
+        let copy = s.clone();
+        let (a, b) = (comm_plans(&s), comm_plans(&copy));
+        assert_eq!(a.len(), s.comm_task_count());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert!(Rc::ptr_eq(x, y));
+        }
+    }
+
+    #[test]
+    fn plan_sharing_is_exact_and_complete() {
+        // (model, comm tasks, distinct plans), the same on every
+        // fabric. One allocation per distinct value: a key too fine
+        // would leave equal plans unshared, one too coarse would merge
+        // different plans and lower the count.
+        let cases = [
+            (DnnModel::gpt3(), 3_025, 18),
+            (DnnModel::transformer_17b(), 157, 25),
+            (DnnModel::transformer_1t(), 361, 3),
+            (DnnModel::resnet152(), 3, 3),
+        ];
+        for config in [
+            FabricConfig::BaselineMesh,
+            FabricConfig::FredC,
+            FabricConfig::FredD,
+        ] {
+            let backend = FabricBackend::new(config);
+            for (m, tasks, distinct) in &cases {
+                let strategy = m.default_strategy;
+                let placement = Placement::new(strategy, PlacementPolicy::for_fabric(config));
+                let params = ScheduleParams::paper_default(m, strategy);
+                let s = build_schedule(m, strategy, &placement, &backend, params);
+                let plans = comm_plans(&s);
+                let mut allocations: Vec<&Rc<CommPlan>> = Vec::new();
+                for plan in &plans {
+                    if !allocations.iter().any(|a| Rc::ptr_eq(a, plan)) {
+                        allocations.push(plan);
+                    }
+                }
+                let mut values: Vec<&CommPlan> = Vec::new();
+                for plan in &allocations {
+                    if !values.iter().any(|v| *v == plan.as_ref()) {
+                        values.push(plan);
+                    }
+                }
+                let got = (plans.len(), allocations.len(), values.len());
+                assert_eq!(
+                    got,
+                    (*tasks, *distinct, *distinct),
+                    "{} on {config:?}",
+                    m.name
+                );
+            }
+        }
     }
 
     #[test]
