@@ -4,7 +4,6 @@
 //! ```text
 //! bench-diff <baseline.json> <candidate.json>
 //! bench-diff --self-check <report.json> [<report.json> ...]
-//! bench-diff --check-prom <exposition.txt> [<exposition.txt> ...]
 //! ```
 //!
 //! Diff mode compares every leaf under `sim` and `analysis` exactly and
@@ -12,9 +11,7 @@
 //! prints the `perf` host timings side by side and never fails on them.
 //! Self-check mode validates a report in isolation: schema version,
 //! required fields, and the attribution-sum invariant (Σ buckets ==
-//! makespan within 1e-6 relative). Check-prom mode validates a
-//! Prometheus text-exposition file: it must parse and contain at least
-//! one sample (the CI smoke assertion over `--prom` output).
+//! makespan within 1e-6 relative).
 //!
 //! Exit codes: 0 = clean, 1 = changed or invalid report, 2 = usage.
 
@@ -28,9 +25,6 @@ fn main() {
 fn run(args: &[String]) -> i32 {
     if args.first().map(String::as_str) == Some("--self-check") {
         return self_check(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("--check-prom") {
-        return check_prom(&args[1..]);
     }
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         return usage(&format!("unknown flag `{flag}`"));
@@ -108,37 +102,6 @@ fn self_check(paths: &[String]) -> i32 {
     }
 }
 
-fn check_prom(paths: &[String]) -> i32 {
-    if paths.is_empty() {
-        return usage("--check-prom needs at least one exposition file");
-    }
-    let mut failed = 0usize;
-    for path in paths {
-        let outcome = std::fs::read_to_string(path)
-            .map_err(|e| format!("{path}: {e}"))
-            .and_then(|text| fred_telemetry::prom::parse(&text).map_err(|e| format!("{path}: {e}")))
-            .and_then(|samples| {
-                if samples.is_empty() {
-                    Err(format!("{path}: no samples — exposition is empty"))
-                } else {
-                    Ok(samples.len())
-                }
-            });
-        match outcome {
-            Ok(n) => println!("bench-diff: {path} OK ({n} samples)"),
-            Err(e) => {
-                eprintln!("bench-diff: FAIL {e}");
-                failed += 1;
-            }
-        }
-    }
-    if failed > 0 {
-        1
-    } else {
-        0
-    }
-}
-
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     report::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -148,6 +111,5 @@ fn usage(why: &str) -> i32 {
     eprintln!("bench-diff: {why}");
     eprintln!("usage: bench-diff <baseline.json> <candidate.json>");
     eprintln!("       bench-diff --self-check <report.json> [<report.json> ...]");
-    eprintln!("       bench-diff --check-prom <exposition.txt> [<exposition.txt> ...]");
     2
 }

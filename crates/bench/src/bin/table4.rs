@@ -1,8 +1,9 @@
 //! Table 4 — FRED hardware overhead, plus the §6.2.3 I/O-density sweep.
 //!
 //! Closed-form hardware-model tables: no simulation runs, so `--trace`
-//! / `--metrics` / `--dashboard` outputs are empty, but `--report`
-//! carries every printed number as a `sim.*` leaf for `bench-diff`.
+//! / `--dashboard` outputs and the report's `analysis` are empty, but
+//! `--report` carries every printed number as a `sim.*` leaf for
+//! `bench-diff`.
 
 use fred_bench::table::Table;
 use fred_bench::traceopt::TraceOpts;

@@ -34,7 +34,7 @@ use fred_telemetry::json::{push_num, push_str_lit};
 
 /// Current report schema version. Bump when the report shape changes
 /// incompatibly; `bench-diff` refuses to compare mismatched versions.
-pub const SCHEMA_VERSION: f64 = 2.0;
+pub const SCHEMA_VERSION: f64 = 3.0;
 
 /// Relative tolerance for the attribution-sum invariant
 /// (`Σ buckets == total makespan`).
@@ -136,7 +136,7 @@ pub use fred_core::codec::{parse, Value};
 /// Validates one parsed report: schema version, required fields, and
 /// the attribution-sum invariant (`Σ buckets == makespan` within
 /// [`SUM_TOLERANCE`] relative, per run and in aggregate). Returns
-/// human-readable info/warning lines on success.
+/// human-readable info lines on success.
 pub fn self_check(report: &Value) -> Result<Vec<String>, String> {
     let mut info = Vec::new();
     let version = report
@@ -169,20 +169,6 @@ pub fn self_check(report: &Value) -> Result<Vec<String>, String> {
     ));
 
     if let Some(analysis) = report.get("analysis") {
-        let truncated = analysis
-            .get("trace_truncated")
-            .and_then(Value::as_bool)
-            .ok_or("analysis missing trace_truncated")?;
-        if truncated {
-            let dropped = analysis
-                .get("dropped_events")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            info.push(format!(
-                "WARNING: trace truncated ({dropped} events dropped); \
-                 attribution is unreliable"
-            ));
-        }
         check_attribution_sum(analysis, "analysis", &mut info)?;
         if let Some(Value::Arr(runs)) = analysis.get("runs") {
             for (i, run) in runs.iter().enumerate() {
@@ -453,24 +439,23 @@ mod tests {
 
     #[test]
     fn nested_analysis_leaves_are_compared_exactly() {
-        let doc = |slowdown: f64, victim: &str, truncated: bool| {
+        let doc = |slowdown: f64, victim: &str| {
             format!(
-                r#"{{"schema_version":2,"name":"x","sim":{{}},"perf":{{"wall_secs":0}},
-                "analysis":{{"trace_truncated":{truncated},"runs":[{{"contention":[
+                r#"{{"schema_version":3,"name":"x","sim":{{}},"perf":{{"wall_secs":0}},
+                "analysis":{{"runs":[{{"contention":[
                 {{"victim":"a","slowdown_secs":1}},
                 {{"victim":"{victim}","slowdown_secs":{slowdown}}}]}}]}}}}"#
             )
         };
         let x = 0.1;
-        let a = parse(&doc(x, "b", false)).unwrap();
+        let a = parse(&doc(x, "b")).unwrap();
         assert!(diff(&a, &a).unwrap().changed.is_empty());
         for (b, key) in [
             (
-                doc(next_up(x), "b", false),
+                doc(next_up(x), "b"),
                 "analysis.runs[0].contention[1].slowdown_secs",
             ),
-            (doc(x, "c", false), "analysis.runs[0].contention[1].victim"),
-            (doc(x, "b", true), "analysis.trace_truncated"),
+            (doc(x, "c"), "analysis.runs[0].contention[1].victim"),
         ] {
             let d = diff(&a, &parse(&b).unwrap()).unwrap();
             let keys: Vec<_> = d.changed.iter().map(|p| p.key.as_str()).collect();
@@ -516,9 +501,8 @@ mod tests {
     #[test]
     fn self_check_rejects_broken_invariant() {
         // Attribution that does not sum to the makespan.
-        let doc = r#"{"schema_version":2,"name":"x","sim":{},"perf":{"wall_secs":0},
-            "analysis":{"trace_truncated":false,"dropped_events":0,
-            "total_makespan_secs":2.0,
+        let doc = r#"{"schema_version":3,"name":"x","sim":{},"perf":{"wall_secs":0},
+            "analysis":{"total_makespan_secs":2.0,
             "attribution":{"compute":1.0,"contention":0.5},"runs":[]}}"#;
         let v = parse(doc).unwrap();
         let err = self_check(&v).unwrap_err();
@@ -526,21 +510,24 @@ mod tests {
     }
 
     #[test]
-    fn self_check_accepts_valid_analysis_and_warns_on_truncation() {
-        let doc = r#"{"schema_version":2,"name":"x","sim":{"m":1},"perf":{"wall_secs":0.1},
-            "analysis":{"trace_truncated":true,"dropped_events":9,
-            "total_makespan_secs":1.5,
+    fn self_check_accepts_valid_analysis() {
+        let doc = r#"{"schema_version":3,"name":"x","sim":{"m":1},"perf":{"wall_secs":0.1},
+            "analysis":{"total_makespan_secs":1.5,
             "attribution":{"compute":1.0,"contention":0.5},
             "runs":[{"makespan_secs":1.5,
                      "attribution":{"compute":1.0,"contention":0.5}}]}}"#;
         let v = parse(doc).unwrap();
         let info = self_check(&v).unwrap();
-        assert!(info.iter().any(|l| l.contains("WARNING")), "{info:?}");
+        assert!(
+            info.iter()
+                .any(|l| l.contains("invariant holds over 1 run")),
+            "{info:?}"
+        );
     }
 
     #[test]
     fn self_check_rejects_wrong_schema_version() {
-        for version in [1, 99] {
+        for version in [2, 99] {
             let doc = format!(
                 r#"{{"schema_version":{version},"name":"x","sim":{{}},"perf":{{"wall_secs":0}}}}"#
             );
@@ -559,7 +546,7 @@ mod tests {
             (r#","perf":{"events_per_sec":1}"#, "perf missing wall_secs"),
             (r#","perf":{"wall_secs":-1}"#, "non-negative"),
         ] {
-            let doc = format!(r#"{{"schema_version":2,"name":"x","sim":{{}}{perf}}}"#);
+            let doc = format!(r#"{{"schema_version":3,"name":"x","sim":{{}}{perf}}}"#);
             let err = self_check(&parse(&doc).unwrap()).unwrap_err();
             assert!(err.contains(why), "{perf}: {err}");
         }

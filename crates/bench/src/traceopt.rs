@@ -1,13 +1,10 @@
-//! `--trace` / `--metrics` / `--report` command-line support for
+//! `--trace` / `--report` / `--dashboard` command-line support for
 //! figure binaries.
 //!
 //! Every instrumented binary accepts:
 //!
 //! * `--trace <path>` — record telemetry and write a Chrome-trace /
 //!   Perfetto JSON file (open at <https://ui.perfetto.dev>);
-//! * `--metrics <path>` — write the aggregated metrics JSON (per-link
-//!   busy time and utilization, completion-time histogram, per-phase
-//!   effective GB/s per NPU);
 //! * `--report <path>` — write a versioned machine-readable
 //!   [`BenchReport`](crate::report::BenchReport) JSON
 //!   (`BENCH_<name>.json` by convention) with the binary's headline
@@ -17,11 +14,8 @@
 //! * `--dashboard <path>` — write a self-contained offline HTML
 //!   dashboard (inline SVG sparklines and a link-utilization heatmap,
 //!   no CDN) from the flight-recorder time series;
-//! * `--prom <path>` — write the final series values as Prometheus
-//!   text exposition;
 //! * `--prof` — enable the host-side self-profiler; its site table
-//!   lands in the report (`prof` section), the Prometheus output and
-//!   the dashboard;
+//!   lands in the report (`prof` section) and the dashboard;
 //! * `--snapshot-at <secs>` — for binaries with a resumable
 //!   simulation: capture a [`SimState`](fred_core::snapshot::SimState)
 //!   snapshot at the last event at or before `<secs>` simulated
@@ -32,10 +26,12 @@
 //!
 //! Any flag alone turns recording on; with none, the binary runs
 //! untraced through the zero-overhead `NullSink` and produces
-//! bit-identical simulation results. `--trace`/`--metrics` feed from
-//! the ring recorder (whole events, bounded by overwriting);
-//! `--dashboard`/`--prom` feed from the flight recorder (bounded by
-//! decimation, spans the whole run); `--report` uses the ring.
+//! bit-identical simulation results. Each output has its own sink, and
+//! the binary records into whichever were requested: `--trace` into
+//! the ring recorder (whole events, bounded by overwriting), `--report`
+//! into the [`AnalysisSink`] (one analysis per run, bounded by the
+//! largest run), `--dashboard` into the flight recorder (bounded by
+//! decimation, spans the whole process).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -44,13 +40,12 @@ use std::time::Instant;
 
 use fred_sim::solver::SolverStats;
 use fred_sim::topology::Topology;
-use fred_telemetry::analysis::Analysis;
-use fred_telemetry::metrics::Metrics;
+use fred_telemetry::analysis::AnalysisSink;
+use fred_telemetry::dashboard;
 use fred_telemetry::perfetto::{export_chrome_trace, TraceMeta};
 use fred_telemetry::prof;
 use fred_telemetry::sink::{NullSink, RingRecorder, TeeSink, TraceSink};
 use fred_telemetry::timeseries::FlightRecorder;
-use fred_telemetry::{dashboard, prom};
 
 use crate::report::BenchReport;
 
@@ -59,15 +54,12 @@ use crate::report::BenchReport;
 pub struct TraceOpts {
     /// Where to write the Chrome-trace JSON, if requested.
     pub trace_path: Option<PathBuf>,
-    /// Where to write the metrics JSON, if requested.
-    pub metrics_path: Option<PathBuf>,
     /// Where to write the bench report JSON, if requested.
     pub report_path: Option<PathBuf>,
     /// Where to write the offline HTML dashboard, if requested.
     pub dashboard_path: Option<PathBuf>,
-    /// Where to write Prometheus text exposition, if requested.
-    pub prom_path: Option<PathBuf>,
     recorder: Option<Rc<RingRecorder>>,
+    analysis: Option<Rc<AnalysisSink>>,
     flight: Option<Rc<FlightRecorder>>,
     prof_enabled: bool,
     link_names: Vec<String>,
@@ -82,8 +74,8 @@ pub struct TraceOpts {
 }
 
 impl TraceOpts {
-    /// Parses `--trace <path>` / `--metrics <path>` / `--report
-    /// <path>` out of the process arguments. `process_name` labels the
+    /// Parses the shared flags (`--trace <path>`, `--report <path>`,
+    /// …) out of the process arguments. `process_name` labels the
     /// trace and report (use the figure name). Also starts the wall
     /// timer that `--report` records.
     ///
@@ -110,10 +102,8 @@ impl TraceOpts {
         mut custom: impl FnMut(&str, &mut dyn FnMut() -> Option<String>) -> bool,
     ) -> TraceOpts {
         let mut trace_path = None;
-        let mut metrics_path = None;
         let mut report_path = None;
         let mut dashboard_path = None;
-        let mut prom_path = None;
         let mut prof_enabled = false;
         let mut snapshot_at = None;
         let mut restore_path = None;
@@ -126,12 +116,6 @@ impl TraceOpts {
                         .unwrap_or_else(|| usage(process_name, "--trace"));
                     trace_path = Some(PathBuf::from(v));
                 }
-                "--metrics" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage(process_name, "--metrics"));
-                    metrics_path = Some(PathBuf::from(v));
-                }
                 "--report" => {
                     let v = args
                         .next()
@@ -143,10 +127,6 @@ impl TraceOpts {
                         .next()
                         .unwrap_or_else(|| usage(process_name, "--dashboard"));
                     dashboard_path = Some(PathBuf::from(v));
-                }
-                "--prom" => {
-                    let v = args.next().unwrap_or_else(|| usage(process_name, "--prom"));
-                    prom_path = Some(PathBuf::from(v));
                 }
                 "--prof" => prof_enabled = true,
                 "--snapshot-at" => {
@@ -181,24 +161,18 @@ impl TraceOpts {
             prof::set_enabled(true);
             prof::reset();
         }
-        let recorder = if trace_path.is_some() || metrics_path.is_some() || report_path.is_some() {
-            Some(Rc::new(RingRecorder::new()))
-        } else {
-            None
-        };
-        let flight = if dashboard_path.is_some() || prom_path.is_some() {
-            Some(Rc::new(FlightRecorder::new()))
-        } else {
-            None
-        };
+        let recorder = trace_path.as_ref().map(|_| Rc::new(RingRecorder::new()));
+        let analysis = report_path.as_ref().map(|_| Rc::new(AnalysisSink::new()));
+        let flight = dashboard_path
+            .as_ref()
+            .map(|_| Rc::new(FlightRecorder::new()));
         let report = report_path.as_ref().map(|_| BenchReport::new(process_name));
         TraceOpts {
             trace_path,
-            metrics_path,
             report_path,
             dashboard_path,
-            prom_path,
             recorder,
+            analysis,
             flight,
             prof_enabled,
             link_names: Vec::new(),
@@ -245,21 +219,21 @@ impl TraceOpts {
         }
     }
 
-    /// The sink to pass into simulations: the ring recorder and/or
-    /// flight recorder when any output was requested, the
-    /// zero-overhead [`NullSink`] otherwise.
+    /// The sink to pass into simulations: every requested output's
+    /// sink, teed together, or the zero-overhead [`NullSink`] when none
+    /// was requested.
     pub fn sink(&self) -> Rc<dyn TraceSink> {
-        match (&self.recorder, &self.flight) {
-            (Some(r), Some(f)) => Rc::new(TeeSink(r.clone(), f.clone())),
-            (Some(r), None) => r.clone(),
-            (None, Some(f)) => f.clone(),
-            (None, None) => Rc::new(NullSink),
-        }
+        let recorder = self.recorder.clone().map(|s| s as Rc<dyn TraceSink>);
+        let analysis = self.analysis.clone().map(|s| s as Rc<dyn TraceSink>);
+        let flight = self.flight.clone().map(|s| s as Rc<dyn TraceSink>);
+        let mut sinks = [recorder, analysis, flight].into_iter().flatten();
+        let first = sinks.next().unwrap_or_else(|| Rc::new(NullSink));
+        sinks.fold(first, |tee, s| Rc::new(TeeSink(tee, s)))
     }
 
     /// Whether recording is on.
     pub fn enabled(&self) -> bool {
-        self.recorder.is_some() || self.flight.is_some()
+        self.recorder.is_some() || self.analysis.is_some() || self.flight.is_some()
     }
 
     /// Names the trace's link-counter tracks after `topo`'s endpoints
@@ -277,7 +251,7 @@ impl TraceOpts {
     }
 
     /// Writes the requested output files and reports what was written
-    /// (plus any ring overflow) on stderr; under `--prof` without
+    /// (plus any trace ring overflow) on stderr; under `--prof` without
     /// `--report`, also prints the profiler site table there. Call
     /// once, after the last simulation.
     ///
@@ -293,114 +267,91 @@ impl TraceOpts {
         } else {
             BTreeMap::new()
         };
-        if let Some(rec) = &self.recorder {
-            let events = rec.events();
+        if let (Some(rec), Some(path)) = (&self.recorder, &self.trace_path) {
             if rec.overwritten() > 0 {
                 eprintln!(
                     "{}: WARNING: trace ring overflowed; oldest {} events dropped — \
-                     metrics, attribution, and reports below are incomplete",
+                     the trace below is incomplete",
                     self.process_name,
                     rec.overwritten()
                 );
             }
-            if let Some(path) = &self.trace_path {
-                let meta = TraceMeta {
-                    link_names: self.link_names.clone(),
-                    process_name: Some(self.process_name.clone()),
-                };
-                let mut out = std::fs::File::create(path)
-                    .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-                export_chrome_trace(&events, &meta, &mut out)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!(
-                    "{}: wrote {} trace events to {} (open at https://ui.perfetto.dev)",
-                    self.process_name,
-                    events.len(),
-                    path.display()
-                );
-            }
-            if let Some(path) = &self.metrics_path {
-                let metrics = Metrics::from_events(&events).with_dropped(rec.overwritten());
-                std::fs::write(path, metrics.to_json())
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!(
-                    "{}: wrote metrics ({} links, {} phases) to {}",
-                    self.process_name,
-                    metrics.links.len(),
-                    metrics.phases.len(),
-                    path.display()
-                );
-            }
-            if let (Some(path), Some(report)) = (&self.report_path, &mut self.report) {
-                let wall_secs = self.started.elapsed().as_secs_f64();
-                report.perf("wall_secs", wall_secs);
-                // Simulator throughput over this binary's whole run:
-                // flow lifecycle events processed per wall-clock second.
-                let lifecycle_events =
-                    fred_sim::netsim::global_events_processed() - self.events_at_start;
-                report.perf(
-                    "events_per_sec",
-                    lifecycle_events as f64 / wall_secs.max(f64::MIN_POSITIVE),
-                );
-                // Solver cost over this run (process-wide deltas):
-                // deterministic simulation quantities, so they are part
-                // of the exact regression surface like any other sim key.
-                let sv = fred_sim::solver::global_solver_stats();
-                let s0 = self.solver_at_start;
-                for (key, value) in [
-                    ("solver/solves", sv.solves - s0.solves),
-                    ("solver/global_solves", sv.global_solves - s0.global_solves),
-                    (
-                        "solver/refilled_flows",
-                        sv.refilled_flows - s0.refilled_flows,
-                    ),
-                    ("solver/max_component", sv.max_component),
-                    (
-                        "solver/heap_compactions",
-                        fred_sim::netsim::global_heap_compactions() - self.compactions_at_start,
-                    ),
-                ] {
-                    report.metric(key, value as f64);
-                }
-                let analysis = Analysis::from_events(&events).with_dropped(rec.overwritten());
-                eprint!("{}", analysis.summary());
-                report.analysis = Some(analysis);
-                if !prof_sites.is_empty() {
-                    report.prof_json = Some(prof::to_json(&prof_sites));
-                }
-                report
-                    .write(path)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!(
-                    "{}: wrote bench report ({} sim metrics) to {} — compare with `bench-diff`",
-                    self.process_name,
-                    report.sim.len(),
-                    path.display()
-                );
-            }
-        }
-        if let Some(snap) = self.flight.as_ref().map(|f| f.snapshot()) {
-            if let Some(path) = &self.prom_path {
-                std::fs::write(path, prom::render(&snap, &prof_sites))
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!(
-                    "{}: wrote Prometheus exposition to {}",
-                    self.process_name,
-                    path.display()
-                );
-            }
-            if let Some(path) = &self.dashboard_path {
-                std::fs::write(
-                    path,
-                    dashboard::render(&self.process_name, &snap, &prof_sites),
-                )
+            let events = rec.events();
+            let meta = TraceMeta {
+                link_names: self.link_names.clone(),
+                process_name: Some(self.process_name.clone()),
+            };
+            let mut out = std::fs::File::create(path)
+                .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
+            export_chrome_trace(&events, &meta, &mut out)
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                eprintln!(
-                    "{}: wrote dashboard to {} (self-contained; open in any browser)",
-                    self.process_name,
-                    path.display()
-                );
+            eprintln!(
+                "{}: wrote {} trace events to {} (open at https://ui.perfetto.dev)",
+                self.process_name,
+                events.len(),
+                path.display()
+            );
+        }
+        if let (Some(sink), Some(path), Some(report)) =
+            (&self.analysis, &self.report_path, &mut self.report)
+        {
+            let analysis = sink.finish();
+            let wall_secs = self.started.elapsed().as_secs_f64();
+            report.perf("wall_secs", wall_secs);
+            // Simulator throughput over this binary's whole run:
+            // flow lifecycle events processed per wall-clock second.
+            let lifecycle_events =
+                fred_sim::netsim::global_events_processed() - self.events_at_start;
+            report.perf(
+                "events_per_sec",
+                lifecycle_events as f64 / wall_secs.max(f64::MIN_POSITIVE),
+            );
+            // Solver cost over this run (process-wide deltas):
+            // deterministic simulation quantities, so they are part
+            // of the exact regression surface like any other sim key.
+            let sv = fred_sim::solver::global_solver_stats();
+            let s0 = self.solver_at_start;
+            for (key, value) in [
+                ("solver/solves", sv.solves - s0.solves),
+                ("solver/global_solves", sv.global_solves - s0.global_solves),
+                (
+                    "solver/refilled_flows",
+                    sv.refilled_flows - s0.refilled_flows,
+                ),
+                ("solver/max_component", sv.max_component),
+                (
+                    "solver/heap_compactions",
+                    fred_sim::netsim::global_heap_compactions() - self.compactions_at_start,
+                ),
+            ] {
+                report.metric(key, value as f64);
             }
+            eprintln!("{}", analysis.summary());
+            report.analysis = Some(analysis);
+            if !prof_sites.is_empty() {
+                report.prof_json = Some(prof::to_json(&prof_sites));
+            }
+            report
+                .write(path)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            eprintln!(
+                "{}: wrote bench report ({} sim metrics) to {} — compare with `bench-diff`",
+                self.process_name,
+                report.sim.len(),
+                path.display()
+            );
+        }
+        if let (Some(flight), Some(path)) = (&self.flight, &self.dashboard_path) {
+            std::fs::write(
+                path,
+                dashboard::render(&self.process_name, &flight.snapshot(), &prof_sites),
+            )
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            eprintln!(
+                "{}: wrote dashboard to {} (self-contained; open in any browser)",
+                self.process_name,
+                path.display()
+            );
         }
         if self.prof_enabled && !prof_sites.is_empty() && self.report_path.is_none() {
             // No report to carry the table — summarize on stderr so
@@ -421,8 +372,8 @@ impl TraceOpts {
 
 fn usage(process_name: &str, flag: &str) -> ! {
     eprintln!(
-        "usage: {process_name} [--trace <path>] [--metrics <path>] [--report <path>] \
-         [--dashboard <path>] [--prom <path>] [--prof] \
+        "usage: {process_name} [--trace <path>] [--report <path>] \
+         [--dashboard <path>] [--prof] \
          [--snapshot-at <secs>] [--restore <path>]  (failed at `{flag}`)"
     );
     std::process::exit(2);

@@ -78,8 +78,8 @@ fn one_ulp_sim_change_exits_one() {
 fn one_ulp_nested_analysis_change_exits_one() {
     let doc = |slowdown: f64| {
         format!(
-            r#"{{"schema_version":2,"name":"itest","sim":{{"m":1}},"perf":{{"wall_secs":0}},
-            "analysis":{{"trace_truncated":false,"dropped_events":0,
+            r#"{{"schema_version":3,"name":"itest","sim":{{"m":1}},"perf":{{"wall_secs":0}},
+            "analysis":{{
             "total_makespan_secs":1,"attribution":{{"compute":1}},
             "runs":[{{"makespan_secs":1,"attribution":{{"compute":1}},"contention":[
             {{"link":3,"victim":"mp","culprit":"dp","overlap_secs":0.5,"slowdown_secs":0.25}},
@@ -154,16 +154,15 @@ fn self_check_accepts_valid_and_rejects_invalid() {
 
     let bad = [
         // Attribution breaks the sum invariant.
-        r#"{"schema_version":2,"name":"x","sim":{},"perf":{"wall_secs":0},
-           "analysis":{"trace_truncated":false,"dropped_events":0,
-           "total_makespan_secs":5.0,
+        r#"{"schema_version":3,"name":"x","sim":{},"perf":{"wall_secs":0},
+           "analysis":{"total_makespan_secs":5.0,
            "attribution":{"compute":1.0},"runs":[]}}"#,
         // Schema 1: top-level wall_secs, host timings mixed into sim.
         r#"{"schema_version":1,"name":"x","wall_secs":0,"sim":{"events_per_sec":1}}"#,
         // No perf section.
-        r#"{"schema_version":2,"name":"x","sim":{}}"#,
+        r#"{"schema_version":3,"name":"x","sim":{}}"#,
         // Non-numeric perf leaf.
-        r#"{"schema_version":2,"name":"x","sim":{},"perf":{"wall_secs":"slow"}}"#,
+        r#"{"schema_version":3,"name":"x","sim":{},"perf":{"wall_secs":"slow"}}"#,
     ];
     for (i, doc) in bad.iter().enumerate() {
         let path = write_doc(&format!("sc-bad-{i}.json"), doc);
@@ -186,6 +185,12 @@ fn usage_errors_exit_two() {
     // The diff is exact: there is no `--threshold` flag.
     let st = bench_diff()
         .args(["a.json", "b.json", "--threshold", "0.05"])
+        .status()
+        .unwrap();
+    assert_eq!(st.code(), Some(2));
+    // There is no Prometheus check mode.
+    let st = bench_diff()
+        .args(["--check-prom", "fred.prom"])
         .status()
         .unwrap();
     assert_eq!(st.code(), Some(2));

@@ -23,9 +23,14 @@ fn prof_alone_prints_the_profiler_table() {
 }
 
 #[test]
-fn threads_is_not_a_shared_flag() {
-    let out = fig9().args(["--threads", "4"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "fig9 accepted --threads");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown argument `--threads`"), "{stderr}");
+fn threads_metrics_and_prom_are_not_shared_flags() {
+    for flag in ["--threads", "--metrics", "--prom"] {
+        let out = fig9().args([flag, "4"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "fig9 accepted {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument `{flag}`")),
+            "{stderr}"
+        );
+    }
 }

@@ -6,8 +6,7 @@
 //!   parser supports exactly the JSON this workspace emits (objects,
 //!   arrays, numbers, strings, booleans, null); the emitter reuses the
 //!   number/string formatting in [`fred_telemetry::json`], so bench
-//!   reports, Prometheus samples and snapshots all render numbers
-//!   identically.
+//!   reports and snapshots render numbers identically.
 //! * **Binary** — [`to_binary`] / [`from_binary`]. A tagged tree with a
 //!   magic + version header. Numbers are raw IEEE-754 bits, so the
 //!   binary form is exact for *every* `f64` (including `-0.0`, `NaN`

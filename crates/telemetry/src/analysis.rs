@@ -1,9 +1,8 @@
 //! Critical-path and contention attribution over a recorded trace.
 //!
-//! [`Analysis::from_events`] reconstructs, for every simulation
-//! *segment* of a recording (segments are delimited by
-//! [`TraceEvent::Topology`] markers — one per `FlowNetwork`
-//! construction), the causal DAG of the run:
+//! [`AnalysisSink`] reconstructs, for every simulation *run* of a
+//! recording (runs are delimited by [`TraceEvent::Topology`] markers —
+//! one per `FlowNetwork` construction), the causal DAG of the run:
 //!
 //! * **nodes** are spans ([`TraceEvent::PhaseBegin`]/`PhaseEnd` pairs:
 //!   trainer compute/comm tasks, or the serial phases of a standalone
@@ -17,7 +16,7 @@
 //! that finished last — and charges every second of the makespan to an
 //! [`Attribution`] bucket. Communication spans are split by *ideal-rate
 //! re-costing*: each flow is re-costed at the rate it would get running
-//! alone (the bottleneck-link capacity from the segment's
+//! alone (the bottleneck-link capacity from the run's
 //! [`TraceEvent::Topology`] record), giving the span's contention-free
 //! duration; that part is exposed communication for the span's
 //! dimension, the remainder is [`Bucket::Contention`].
@@ -27,14 +26,19 @@
 //! long, and how much of each victim's slowdown (observed drain time
 //! minus contention-free drain time) each culprit inflicted.
 //!
-//! An analysis over a truncated trace (ring overflow) is flagged, not
-//! silently produced — attribution over missing events is wrong.
+//! The sink folds each event into the open run's records as it is
+//! recorded and reduces them to a [`RunAnalysis`] when the run ends, so
+//! memory is bounded by the largest run and no analysis ever sees a
+//! truncated trace. [`Analysis::from_events`] runs a recorded slice
+//! through the same sink.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use crate::attribution::{Attribution, Bucket};
 use crate::event::{TraceEvent, Track};
 use crate::json::{push_num, push_str_lit};
+use crate::sink::TraceSink;
 
 /// Spans/steps closer in time than this are considered simultaneous.
 const T_EPS: f64 = 1e-12;
@@ -78,10 +82,10 @@ pub struct ContentionEntry {
     pub slowdown_secs: f64,
 }
 
-/// The analysis of one simulation segment.
+/// The analysis of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RunAnalysis {
-    /// End-to-end duration of the segment (latest span end / flow
+    /// End-to-end duration of the run (latest span end / flow
     /// completion).
     pub makespan: f64,
     /// Where every makespan second went. `attribution.total()` equals
@@ -91,26 +95,22 @@ pub struct RunAnalysis {
     pub critical_path: Vec<CriticalStep>,
     /// Contention matrix entries, largest slowdown first.
     pub contention: Vec<ContentionEntry>,
-    /// Flows observed in the segment.
+    /// Flows observed in the run.
     pub flows: usize,
-    /// Spans observed in the segment.
+    /// Spans observed in the run.
     pub spans: usize,
-    /// Fault events (link failures/degradations) in the segment —
+    /// Fault events (link failures/degradations) in the run —
     /// non-zero means part of the contention/exposed-comm attribution
     /// is fault-induced (flows re-routed over detours).
     pub faults: usize,
 }
 
-/// The full analysis of a recording: one [`RunAnalysis`] per segment
-/// plus aggregate totals.
+/// The full analysis of a recording: one [`RunAnalysis`] per run plus
+/// aggregate totals.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    /// Per-segment analyses, in recording order.
+    /// Per-run analyses, in recording order.
     pub runs: Vec<RunAnalysis>,
-    /// Events that were overwritten in the ring recorder before this
-    /// analysis ran. Non-zero means [`Analysis::truncated`] — treat
-    /// every number with suspicion.
-    pub dropped_events: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -121,6 +121,7 @@ struct FlowRec {
     injected: f64,
     drained: Option<f64>,
     completed: Option<f64>,
+    /// Index of the owning span in [`RunState::span_order`].
     span: Option<usize>,
 }
 
@@ -131,39 +132,24 @@ struct SpanRec {
     begin: f64,
     end: f64,
     closed: bool,
+    /// This span's index in [`RunState::span_order`].
+    order: usize,
     preds: Vec<u64>,
     flow_idx: Vec<usize>,
 }
 
 impl Analysis {
-    /// Analyses a recording, splitting it into segments at every
-    /// [`TraceEvent::Topology`] marker.
+    /// Analyses a recording, splitting it into runs at every
+    /// [`TraceEvent::Topology`] marker (as [`AnalysisSink`] does).
     pub fn from_events(events: &[TraceEvent]) -> Analysis {
-        let runs = segment_events(events)
-            .into_iter()
-            .map(analyze_segment)
-            .filter(|r| r.makespan > 0.0 || r.spans > 0 || r.flows > 0)
-            .collect();
-        Analysis {
-            runs,
-            dropped_events: 0,
+        let sink = AnalysisSink::new();
+        for e in events {
+            sink.fold(e);
         }
+        sink.finish()
     }
 
-    /// Records how many events the ring recorder overwrote before the
-    /// trace was read (see [`crate::sink::RingRecorder::overwritten`]).
-    pub fn with_dropped(mut self, dropped: u64) -> Analysis {
-        self.dropped_events = dropped;
-        self
-    }
-
-    /// Whether the underlying trace lost events to ring overflow. A
-    /// truncated trace yields an untrustworthy attribution.
-    pub fn truncated(&self) -> bool {
-        self.dropped_events > 0
-    }
-
-    /// Attribution summed over every segment. The invariant
+    /// Attribution summed over every run. The invariant
     /// `totals().total() == total_makespan()` holds within float
     /// tolerance.
     pub fn totals(&self) -> Attribution {
@@ -174,21 +160,17 @@ impl Analysis {
         t
     }
 
-    /// Sum of segment makespans.
+    /// Sum of run makespans.
     pub fn total_makespan(&self) -> f64 {
         self.runs.iter().map(|r| r.makespan).sum()
     }
 
     /// Renders the analysis as a JSON object (critical paths capped at
-    /// 64 steps and contention matrices at 32 entries per segment; the
+    /// 64 steps and contention matrices at 32 entries per run; the
     /// in-memory structures are complete).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
-        s.push_str("{\"trace_truncated\":");
-        s.push_str(if self.truncated() { "true" } else { "false" });
-        s.push_str(",\"dropped_events\":");
-        push_num(&mut s, self.dropped_events as f64);
-        s.push_str(",\"total_makespan_secs\":");
+        s.push_str("{\"total_makespan_secs\":");
         push_num(&mut s, self.total_makespan());
         s.push_str(",\"attribution\":");
         self.totals().push_json(&mut s);
@@ -207,13 +189,6 @@ impl Analysis {
     pub fn summary(&self) -> String {
         let totals = self.totals();
         let mut out = String::new();
-        if self.truncated() {
-            out.push_str(&format!(
-                "WARNING: trace truncated ({} events dropped by ring overflow); \
-                 attribution is unreliable\n",
-                self.dropped_events
-            ));
-        }
         let makespan = self.total_makespan();
         out.push_str(&format!(
             "attribution over {} run(s), {:.6} s total:",
@@ -296,24 +271,6 @@ impl RunAnalysis {
     }
 }
 
-/// Splits a recording into simulation segments: a new segment starts
-/// at every [`TraceEvent::Topology`] marker; events before the first
-/// marker (traces from hand-built event streams or older recordings)
-/// form a leading segment of their own.
-pub fn segment_events(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
-    let mut cuts = vec![0usize];
-    for (i, e) in events.iter().enumerate() {
-        if matches!(e, TraceEvent::Topology { .. }) && i > 0 {
-            cuts.push(i);
-        }
-    }
-    cuts.push(events.len());
-    cuts.windows(2)
-        .map(|w| &events[w[0]..w[1]])
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
 /// The rate a flow over `links` gets with the network to itself: the
 /// bottleneck-link capacity. `None` when any link is outside the known
 /// capacity table (re-costing is then impossible).
@@ -365,23 +322,80 @@ fn flow_slowdown(f: &FlowRec, capacities: &[f64]) -> Option<f64> {
     Some(((drained - f.injected) - f.bytes / rate).max(0.0))
 }
 
-fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
-    let mut capacities: Vec<f64> = Vec::new();
-    let mut spans: HashMap<u64, SpanRec> = HashMap::new();
-    let mut span_order: Vec<u64> = Vec::new();
-    let mut flows: Vec<FlowRec> = Vec::new();
-    let mut flow_by_id: HashMap<u64, usize> = HashMap::new();
-    // tag -> currently open span claiming that tag.
-    let mut open_tag: HashMap<u64, u64> = HashMap::new();
-    let mut last_t = 0.0_f64;
-    let mut faults = 0usize;
+/// A [`TraceSink`] that analyses each run as it is recorded.
+///
+/// Every event is folded into the open run's records; the next
+/// [`TraceEvent::Topology`] marker (or [`AnalysisSink::finish`]) ends
+/// the run and keeps only its [`RunAnalysis`]. Events before the first
+/// marker form a leading run of their own, and runs with no makespan,
+/// span or flow are dropped. Memory is bounded by the largest run, and
+/// the sink never drops an event.
+#[derive(Debug, Default)]
+pub struct AnalysisSink {
+    open: RefCell<Option<RunState>>,
+    done: RefCell<Analysis>,
+}
 
-    for e in events {
-        last_t = last_t.max(e.time());
+impl AnalysisSink {
+    /// Creates an empty sink.
+    pub fn new() -> AnalysisSink {
+        AnalysisSink::default()
+    }
+
+    /// Ends the open run and returns the analysis of every run recorded
+    /// so far, leaving the sink empty.
+    pub fn finish(&self) -> Analysis {
+        self.close(self.open.take());
+        self.done.take()
+    }
+
+    fn fold(&self, e: &TraceEvent) {
+        let mut open = self.open.borrow_mut();
+        if matches!(e, TraceEvent::Topology { .. }) {
+            self.close(open.take());
+        }
+        open.get_or_insert_with(RunState::default).on_event(e);
+    }
+
+    fn close(&self, run: Option<RunState>) {
+        let Some(r) = run.map(RunState::finish) else {
+            return;
+        };
+        if r.makespan > 0.0 || r.spans > 0 || r.flows > 0 {
+            self.done.borrow_mut().runs.push(r);
+        }
+    }
+}
+
+impl TraceSink for AnalysisSink {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, ev: TraceEvent) {
+        self.fold(&ev);
+    }
+}
+
+/// The records of the run being recorded.
+#[derive(Debug, Default)]
+struct RunState {
+    capacities: Vec<f64>,
+    spans: HashMap<u64, SpanRec>,
+    span_order: Vec<u64>,
+    flows: Vec<FlowRec>,
+    flow_by_id: HashMap<u64, usize>,
+    /// tag -> currently open span claiming that tag.
+    open_tag: HashMap<u64, u64>,
+    last_t: f64,
+    faults: usize,
+}
+
+impl RunState {
+    fn on_event(&mut self, e: &TraceEvent) {
+        self.last_t = self.last_t.max(e.time());
         match e {
-            TraceEvent::Topology {
-                capacities: caps, ..
-            } => capacities = caps.to_vec(),
+            TraceEvent::Topology { capacities, .. } => self.capacities = capacities.to_vec(),
             TraceEvent::PhaseBegin {
                 t,
                 track,
@@ -390,7 +404,7 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
                 tag,
                 ..
             } => {
-                spans.insert(
+                self.spans.insert(
                     *span,
                     SpanRec {
                         label: label.clone(),
@@ -398,24 +412,25 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
                         begin: *t,
                         end: *t,
                         closed: false,
+                        order: self.span_order.len(),
                         preds: Vec::new(),
                         flow_idx: Vec::new(),
                     },
                 );
-                span_order.push(*span);
+                self.span_order.push(*span);
                 if *tag != 0 {
-                    open_tag.insert(*tag, *span);
+                    self.open_tag.insert(*tag, *span);
                 }
             }
             TraceEvent::PhaseEnd { t, span, .. } => {
-                if let Some(s) = spans.get_mut(span) {
+                if let Some(s) = self.spans.get_mut(span) {
                     s.end = (*t).max(s.begin);
                     s.closed = true;
                 }
-                open_tag.retain(|_, v| v != span);
+                self.open_tag.retain(|_, v| v != span);
             }
             TraceEvent::SpanDep { span, pred, .. } => {
-                if let Some(s) = spans.get_mut(span) {
+                if let Some(s) = self.spans.get_mut(span) {
                     s.preds.push(*pred);
                 }
             }
@@ -427,40 +442,40 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
                 track,
                 links,
             } => {
-                let span_id = if *tag != 0 {
-                    open_tag.get(tag).copied()
+                let idx = self.flows.len();
+                let owner = if *tag != 0 {
+                    self.open_tag
+                        .get(tag)
+                        .and_then(|sid| self.spans.get_mut(sid))
                 } else {
                     None
                 };
-                let idx = flows.len();
-                flows.push(FlowRec {
+                let span = owner.map(|s| {
+                    s.flow_idx.push(idx);
+                    s.order
+                });
+                self.flows.push(FlowRec {
                     bytes: *bytes,
                     links: links.clone(),
                     track: *track,
                     injected: *t,
                     drained: None,
                     completed: None,
-                    span: None,
+                    span,
                 });
-                flow_by_id.insert(*id, idx);
-                if let Some(sid) = span_id {
-                    if let Some(s) = spans.get_mut(&sid) {
-                        s.flow_idx.push(idx);
-                        flows[idx].span = Some(span_order.iter().position(|&x| x == sid).unwrap());
-                    }
-                }
+                self.flow_by_id.insert(*id, idx);
             }
             TraceEvent::FlowDrained { t, id } => {
-                if let Some(&i) = flow_by_id.get(id) {
-                    flows[i].drained = Some(*t);
+                if let Some(&i) = self.flow_by_id.get(id) {
+                    self.flows[i].drained = Some(*t);
                 }
             }
             TraceEvent::FlowCompleted { t, id, .. } => {
-                if let Some(&i) = flow_by_id.get(id) {
-                    flows[i].completed = Some(*t);
+                if let Some(&i) = self.flow_by_id.get(id) {
+                    self.flows[i].completed = Some(*t);
                 }
             }
-            TraceEvent::Fault { .. } => faults += 1,
+            TraceEvent::Fault { .. } => self.faults += 1,
             TraceEvent::RateEpoch { .. }
             | TraceEvent::LinkUtil { .. }
             | TraceEvent::IterStage { .. }
@@ -468,31 +483,38 @@ fn analyze_segment(events: &[TraceEvent]) -> RunAnalysis {
         }
     }
 
-    // Close truncated spans at the last observed time so downstream
-    // arithmetic stays finite.
-    for s in spans.values_mut() {
-        if !s.closed {
-            s.end = s.end.max(last_t);
+    fn finish(mut self) -> RunAnalysis {
+        // The id maps only serve the fold. Free them before the
+        // contention matrix, which sets the run's peak memory.
+        drop(self.flow_by_id);
+        drop(self.open_tag);
+        // Close spans still open when the run ended at the last
+        // observed time so downstream arithmetic stays finite.
+        for s in self.spans.values_mut() {
+            if !s.closed {
+                s.end = s.end.max(self.last_t);
+            }
         }
-    }
 
-    let mut run = RunAnalysis {
-        flows: flows.len(),
-        spans: spans.len(),
-        faults,
-        ..RunAnalysis::default()
-    };
+        let mut run = RunAnalysis {
+            flows: self.flows.len(),
+            spans: self.spans.len(),
+            faults: self.faults,
+            ..RunAnalysis::default()
+        };
 
-    if spans.is_empty() {
-        analyze_bare_flows(&flows, &capacities, &mut run);
-    } else {
-        attribute_critical_path(&spans, &flows, &capacities, &mut run);
+        if self.spans.is_empty() {
+            analyze_bare_flows(&self.flows, &self.capacities, &mut run);
+        } else {
+            attribute_critical_path(&self.spans, &self.flows, &self.capacities, &mut run);
+        }
+        run.contention =
+            contention_matrix(&self.spans, &self.span_order, &self.flows, &self.capacities);
+        run
     }
-    run.contention = contention_matrix(&spans, &span_order, &flows, &capacities);
-    run
 }
 
-/// Attribution for segments with spans: walk the critical path from
+/// Attribution for runs with spans: walk the critical path from
 /// the last-finishing span backwards through latest-finishing
 /// predecessors, charging each covered interval to its span's bucket
 /// (split ideal/contention for communication spans).
@@ -580,7 +602,7 @@ fn span_ideal(s: &SpanRec, flows: &[FlowRec], capacities: &[f64], seg: f64) -> (
     (ideal.min(seg), bucket)
 }
 
-/// Attribution fallback for segments that inject flows without any
+/// Attribution fallback for runs that inject flows without any
 /// span structure (raw microbenchmarks): batches of simultaneous
 /// injections are treated as serial phases, each charged to the track
 /// of its slowest re-costed flow; the rest of the makespan is
@@ -629,13 +651,31 @@ fn contention_matrix(
     flows: &[FlowRec],
     capacities: &[f64],
 ) -> Vec<ContentionEntry> {
-    let label_of = |f: &FlowRec| -> Box<str> {
-        f.span
-            .and_then(|i| span_order.get(i))
-            .and_then(|id| spans.get(id))
-            .map(|s| s.label.clone())
-            .unwrap_or_else(|| format!("untracked ({})", f.track).into())
-    };
+    // Labels are interned as ids in sorted label order, so ordering or
+    // summing by id is ordering or summing by label.
+    let untracked: Vec<String> = Track::ALL
+        .iter()
+        .map(|t| format!("untracked ({t})"))
+        .collect();
+    let mut names: Vec<&str> = spans
+        .values()
+        .map(|s| &*s.label)
+        .chain(untracked.iter().map(String::as_str))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let id_of = |name: &str| names.binary_search(&name).expect("label is interned") as u32;
+    let span_label: Vec<u32> = span_order
+        .iter()
+        .map(|id| id_of(&spans[id].label))
+        .collect();
+    let flow_label: Vec<u32> = flows
+        .iter()
+        .map(|f| match f.span {
+            Some(i) => span_label[i],
+            None => id_of(&untracked[f.track.index() as usize]),
+        })
+        .collect();
 
     // Per link: active intervals (flow index, start, end).
     let mut per_link: HashMap<u32, Vec<(usize, f64, f64)>> = HashMap::new();
@@ -649,10 +689,16 @@ fn contention_matrix(
         }
     }
 
-    // (link, victim flow) -> (culprit label -> overlap seconds). The
-    // inner map is ordered: summing its weights in hash order would let
-    // the blamed slowdown differ by a few ulps between identical runs.
-    let mut overlap_w: HashMap<(u32, usize), BTreeMap<Box<str>, f64>> = HashMap::new();
+    // (link, victim flow) -> (culprit label, overlap seconds), sorted by
+    // label: summing the weights in any other order would let the
+    // blamed slowdown differ by a few ulps between identical runs.
+    fn add_overlap(weights: &mut Vec<(u32, f64)>, culprit: u32, ov: f64) {
+        match weights.binary_search_by_key(&culprit, |&(c, _)| c) {
+            Ok(k) => weights[k].1 += ov,
+            Err(k) => weights.insert(k, (culprit, ov)),
+        }
+    }
+    let mut overlap_w: HashMap<(u32, usize), Vec<(u32, f64)>> = HashMap::new();
     for (l, intervals) in per_link.iter_mut() {
         intervals.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for i in 0..intervals.len() {
@@ -665,70 +711,54 @@ fn contention_matrix(
                 if ov <= 0.0 {
                     continue;
                 }
-                *overlap_w
-                    .entry((*l, fi))
-                    .or_default()
-                    .entry(label_of(&flows[fj]))
-                    .or_insert(0.0) += ov;
-                *overlap_w
-                    .entry((*l, fj))
-                    .or_default()
-                    .entry(label_of(&flows[fi]))
-                    .or_insert(0.0) += ov;
+                add_overlap(overlap_w.entry((*l, fi)).or_default(), flow_label[fj], ov);
+                add_overlap(overlap_w.entry((*l, fj)).or_default(), flow_label[fi], ov);
             }
         }
     }
 
     // Distribute each flow's slowdown over its (link, culprit) overlap
     // weights; accumulate per (link, victim label, culprit label).
-    type CellKey = (u32, Box<str>, Box<str>);
-    let mut cells: HashMap<CellKey, (f64, f64)> = HashMap::new();
+    let mut cells: HashMap<(u32, u32, u32), (f64, f64)> = HashMap::new();
     for (i, f) in flows.iter().enumerate() {
-        let victim = label_of(f);
         let total_w: f64 = f
             .links
             .iter()
             .filter_map(|l| overlap_w.get(&(*l, i)))
-            .flat_map(|m| m.values())
+            .flat_map(|w| w.iter().map(|&(_, x)| x))
             .sum();
         let slowdown = flow_slowdown(f, capacities).unwrap_or(0.0);
         for &l in f.links.iter() {
-            let Some(m) = overlap_w.get(&(l, i)) else {
+            let Some(w) = overlap_w.get(&(l, i)) else {
                 continue;
             };
-            for (culprit, w) in m {
+            for &(culprit, x) in w {
                 let cell = cells
-                    .entry((l, victim.clone(), culprit.clone()))
+                    .entry((l, flow_label[i], culprit))
                     .or_insert((0.0, 0.0));
-                cell.0 += w;
+                cell.0 += x;
                 if total_w > 0.0 {
-                    cell.1 += slowdown * w / total_w;
+                    cell.1 += slowdown * x / total_w;
                 }
             }
         }
     }
 
-    let mut out: Vec<ContentionEntry> = cells
-        .into_iter()
+    let mut out: Vec<_> = cells.into_iter().collect();
+    out.sort_by(|(ka, (oa, sa)), (kb, (ob, sb))| {
+        sb.total_cmp(sa).then(ob.total_cmp(oa)).then(ka.cmp(kb))
+    });
+    out.into_iter()
         .map(
             |((link, victim, culprit), (overlap, slow))| ContentionEntry {
                 link,
-                victim: victim.into(),
-                culprit: culprit.into(),
+                victim: names[victim as usize].to_string(),
+                culprit: names[culprit as usize].to_string(),
                 overlap_secs: overlap,
                 slowdown_secs: slow,
             },
         )
-        .collect();
-    out.sort_by(|a, b| {
-        b.slowdown_secs
-            .total_cmp(&a.slowdown_secs)
-            .then(b.overlap_secs.total_cmp(&a.overlap_secs))
-            .then(a.link.cmp(&b.link))
-            .then(a.victim.cmp(&b.victim))
-            .then(a.culprit.cmp(&b.culprit))
-    });
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -931,6 +961,56 @@ mod tests {
         }
     }
 
+    /// Three culprits share link 0 with one victim, their labels
+    /// arriving out of sorted order. Each cell's overlap is its
+    /// culprit's weight, and the victim's 9 s slowdown is split by the
+    /// weights summed in label order — a sum in arrival order differs
+    /// in the last bit.
+    #[test]
+    fn contention_weights_sum_in_label_order() {
+        let culprits = [("c-zeta", 0.1), ("c-alpha", 0.2), ("c-mid", 0.3)];
+        let mut evs = vec![TraceEvent::Topology {
+            t: 0.0,
+            capacities: Box::new([100.0]),
+        }];
+        for (k, (label, drained)) in (1..).zip(culprits) {
+            evs.push(begin(0.0, Track::Mp, k, label, k));
+            evs.push(TraceEvent::FlowInjected {
+                t: 0.0,
+                id: k,
+                tag: k,
+                bytes: 1.0,
+                track: Track::Mp,
+                links: Box::new([0]),
+            });
+            evs.push(TraceEvent::FlowDrained { t: drained, id: k });
+        }
+        evs.push(begin(0.0, Track::Dp, 9, "victim", 9));
+        evs.push(TraceEvent::FlowInjected {
+            t: 0.0,
+            id: 9,
+            tag: 9,
+            bytes: 100.0,
+            track: Track::Dp,
+            links: Box::new([0]),
+        });
+        evs.push(TraceEvent::FlowDrained { t: 10.0, id: 9 });
+
+        let label_order = (0.2 + 0.3) + 0.1;
+        assert_ne!(label_order, (0.1 + 0.2) + 0.3);
+        let r = &Analysis::from_events(&evs).runs[0];
+        for (label, w) in culprits {
+            let c = r
+                .contention
+                .iter()
+                .find(|c| c.victim == "victim" && c.culprit == label)
+                .unwrap_or_else(|| panic!("no (victim, {label}) cell: {:?}", r.contention));
+            assert_eq!(c.overlap_secs.to_bits(), w.to_bits(), "{c:?}");
+            let slowdown = 0.0 + 9.0 * w / label_order;
+            assert_eq!(c.slowdown_secs.to_bits(), slowdown.to_bits(), "{c:?}");
+        }
+    }
+
     #[test]
     fn ideal_recosting_splits_comm_and_contention() {
         let a = Analysis::from_events(&shared_link_events());
@@ -989,14 +1069,6 @@ mod tests {
         assert!((r.attribution.get(Bucket::CommBulk) - 2.5).abs() < 1e-9);
         assert_eq!(r.attribution.get(Bucket::Contention), 0.0);
         assert!((r.attribution.total() - r.makespan).abs() < 1e-9);
-    }
-
-    #[test]
-    fn truncation_is_flagged() {
-        let a = Analysis::from_events(&[]).with_dropped(42);
-        assert!(a.truncated());
-        assert!(a.to_json().contains("\"trace_truncated\":true"));
-        assert!(a.summary().contains("WARNING"));
     }
 
     #[test]

@@ -44,19 +44,6 @@ pub fn push_num(out: &mut String, x: f64) {
     }
 }
 
-/// [`push_num`] as an owned string — the one number formatter shared by
-/// the JSON writers, the Prometheus exporter and the snapshot codec.
-/// For finite inputs the rendering round-trips through `str::parse`
-/// bit-exactly (integers collapse to `i64` form only below 2^53, where
-/// the conversion is lossless; everything else uses Rust's
-/// shortest-round-trip `Display`), with the single exception of `-0.0`,
-/// which prints as `0`.
-pub fn fmt_num(x: f64) -> String {
-    let mut out = String::new();
-    push_num(&mut out, x);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,8 +82,11 @@ mod tests {
         assert!(num(f64::NEG_INFINITY).starts_with("-1"));
     }
 
+    /// Finite numbers round-trip through `str::parse` bit-exactly
+    /// (integers collapse to `i64` form only below 2^53, where the
+    /// conversion is lossless), except `-0.0`, which prints as `0`.
     #[test]
-    fn fmt_num_round_trips_finite_values() {
+    fn push_num_round_trips_finite_values() {
         for &x in &[
             0.0,
             3.0,
@@ -109,7 +99,7 @@ mod tests {
             f64::MAX,
             f64::MIN_POSITIVE,
         ] {
-            let s = fmt_num(x);
+            let s = num(x);
             let back: f64 = s.parse().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} rendered as {s}");
         }

@@ -22,16 +22,13 @@
 //!   render as duration spans, one track per parallelism dimension
 //!   (MP / PP / DP), per-link utilization and active-flow counts as
 //!   counter tracks;
-//! * [`metrics`] — an aggregation layer computing per-link busy time,
-//!   peak/mean utilization, flow-completion-time histograms, and
-//!   per-phase effective bandwidth in GB/s per NPU (the paper's §8.1
-//!   metric);
 //! * [`analysis`] / [`attribution`] — critical-path reconstruction
 //!   over the recorded span DAG, charging every makespan second to
 //!   {compute, exposed MP/PP/DP/bulk communication, contention,
 //!   unattributed} via ideal-rate re-costing, plus the per-link
 //!   contention matrix (which phase pairs shared a link and how much
-//!   slowdown each inflicted);
+//!   slowdown each inflicted). [`analysis::AnalysisSink`] is a
+//!   streaming [`sink::TraceSink`] that analyses each run as it ends;
 //! * [`timeseries`] — the continuous flight recorder: a streaming
 //!   [`sink::TraceSink`] that folds the event stream into bounded,
 //!   decimating time series (per-link utilization, per-tenant queue
@@ -40,10 +37,9 @@
 //! * [`prof`] — the scoped host-side self-profiler for the
 //!   simulator's own hot paths (solver solves, batch injection,
 //!   placement search), one relaxed atomic load when disabled;
-//! * [`prom`] / [`dashboard`] — exporters over a flight-recorder
-//!   snapshot: Prometheus text exposition (with a validating parser)
-//!   and a self-contained offline HTML dashboard of inline-SVG
-//!   sparklines and a link-utilization heatmap.
+//! * [`dashboard`] — a self-contained offline HTML dashboard over a
+//!   flight-recorder snapshot: inline-SVG sparklines, a
+//!   link-utilization heatmap and completion-time histograms.
 //!
 //! The crate is dependency-free and knows nothing about the simulator:
 //! events carry raw ids (`u64` flows, `u32` links) and seconds as
@@ -53,18 +49,20 @@
 //! ## Example
 //!
 //! ```
+//! use fred_telemetry::analysis::AnalysisSink;
 //! use fred_telemetry::event::{TraceEvent, Track};
-//! use fred_telemetry::sink::{RingRecorder, TraceSink};
-//! use fred_telemetry::metrics::Metrics;
+//! use fred_telemetry::sink::{RingRecorder, TeeSink, TraceSink};
 //!
-//! let rec = RingRecorder::with_capacity(1024);
-//! rec.record(TraceEvent::PhaseBegin {
+//! let sink = TeeSink(RingRecorder::with_capacity(1024), AnalysisSink::new());
+//! sink.record(TraceEvent::PhaseBegin {
 //!     t: 0.0, track: Track::Mp, span: 1, label: "ring-allreduce".into(),
 //!     bytes: 1e9, npus: 20, tag: 0,
 //! });
-//! rec.record(TraceEvent::PhaseEnd { t: 0.5, track: Track::Mp, span: 1 });
-//! let m = Metrics::from_events(&rec.events());
-//! assert_eq!(m.phases.len(), 1);
+//! sink.record(TraceEvent::PhaseEnd { t: 0.5, track: Track::Mp, span: 1 });
+//! let analysis = sink.1.finish();
+//! assert_eq!(analysis.runs.len(), 1);
+//! assert_eq!(analysis.total_makespan(), 0.5);
+//! let rec = &sink.0;
 //! let mut json = Vec::new();
 //! fred_telemetry::perfetto::export_chrome_trace(&rec.events(), &Default::default(), &mut json)
 //!     .unwrap();
@@ -76,16 +74,13 @@ pub mod attribution;
 pub mod dashboard;
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod perfetto;
 pub mod prof;
-pub mod prom;
 pub mod sink;
 pub mod timeseries;
 
-pub use analysis::Analysis;
+pub use analysis::{Analysis, AnalysisSink};
 pub use attribution::{Attribution, Bucket};
 pub use event::{TraceEvent, Track};
-pub use metrics::Metrics;
 pub use sink::{NullSink, RingRecorder, TeeSink, TraceSink};
 pub use timeseries::{FlightRecorder, FlightSnapshot, LogHistogram, Series, SeriesKind};

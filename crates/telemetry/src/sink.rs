@@ -78,8 +78,8 @@ pub struct RingRecorder {
 }
 
 impl RingRecorder {
-    /// Default ring capacity: plenty for any single figure experiment
-    /// while bounding worst-case memory to ~100 MB of events.
+    /// Default ring capacity (2^20 events), bounding worst-case memory
+    /// to ~100 MB of events.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// Creates a recorder holding at most `cap` events (the most
@@ -165,7 +165,7 @@ impl TraceSink for RingRecorder {
 }
 
 /// Fans every event out to two sinks (e.g. a ring recorder and a
-/// streaming metrics accumulator).
+/// streaming [`AnalysisSink`](crate::analysis::AnalysisSink)).
 #[derive(Debug)]
 pub struct TeeSink<A, B>(pub A, pub B);
 

@@ -31,8 +31,9 @@ use std::collections::BTreeMap;
 use crate::event::{TraceEvent, Track};
 use crate::sink::TraceSink;
 
-/// How a series' values combine over time (drives the Prometheus
-/// `# TYPE` line; storage is identical — both keep the current value).
+/// How a series' values combine over time (the dashboard prints it on
+/// each series card; storage is identical — both keep the current
+/// value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesKind {
     /// A point-in-time level (utilization, queue depth).
@@ -42,7 +43,7 @@ pub enum SeriesKind {
 }
 
 impl SeriesKind {
-    /// Prometheus type name.
+    /// Lowercase type name (`gauge` / `counter`).
     pub fn prom_type(self) -> &'static str {
         match self {
             SeriesKind::Gauge => "gauge",
@@ -272,7 +273,7 @@ impl LogHistogram {
     }
 
     /// The non-empty prefix of buckets as `(upper_bound, count)` — the
-    /// exporters' view (Prometheus cumulative buckets, dashboard bars).
+    /// dashboard's histogram bars.
     pub fn buckets(&self) -> Vec<(f64, u64)> {
         let last = match self.counts.iter().rposition(|&c| c > 0) {
             Some(i) => i,

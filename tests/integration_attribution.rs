@@ -1,36 +1,51 @@
 //! End-to-end attribution integration: a traced training iteration's
 //! critical-path attribution must account for every nanosecond of the
-//! makespan (the invariant the bench reports are validated against).
+//! makespan (the invariant the bench reports are validated against),
+//! and the streaming analysis sink must split a multi-run recording
+//! into exactly the analyses of its runs recorded alone.
 
 use std::rc::Rc;
 
 use fred::core::params::FabricConfig;
 use fred::core::placement::Strategy3D;
 use fred::sim::fault::FaultPlan;
-use fred::telemetry::analysis::Analysis;
-use fred::telemetry::sink::RingRecorder;
+use fred::telemetry::analysis::{Analysis, AnalysisSink, RunAnalysis};
+use fred::telemetry::sink::{RingRecorder, TeeSink, TraceSink};
 use fred::workloads::backend::FabricBackend;
 use fred::workloads::model::DnnModel;
 use fred::workloads::schedule::ScheduleParams;
 use fred::workloads::trainer::simulate_faulted;
 
-fn analyze(config: FabricConfig, strategy: Strategy3D) -> (Analysis, f64) {
-    let model = DnnModel::transformer_17b();
+/// Simulates one iteration recording into `sink`; returns the
+/// simulated makespan in seconds.
+fn record(
+    model: &DnnModel,
+    config: FabricConfig,
+    strategy: Strategy3D,
+    sink: Rc<dyn TraceSink>,
+) -> f64 {
     let backend = FabricBackend::new(config);
-    let params = ScheduleParams::sweep_default(&model, strategy);
-    let rec = Rc::new(RingRecorder::new());
-    let report = simulate_faulted(
-        &model,
-        strategy,
-        &backend,
-        params,
-        &FaultPlan::none(),
-        rec.clone(),
-    )
-    .unwrap();
-    assert_eq!(rec.overwritten(), 0, "trace must not overflow in this test");
-    let analysis = Analysis::from_events(&rec.events());
-    (analysis, report.total.as_secs())
+    let params = ScheduleParams::sweep_default(model, strategy);
+    simulate_faulted(model, strategy, &backend, params, &FaultPlan::none(), sink)
+        .unwrap()
+        .total
+        .as_secs()
+}
+
+fn analyze(config: FabricConfig, strategy: Strategy3D) -> (Analysis, f64) {
+    let sink = Rc::new(AnalysisSink::new());
+    let total = record(&DnnModel::transformer_17b(), config, strategy, sink.clone());
+    (sink.finish(), total)
+}
+
+fn assert_sums_to_makespan(run: &RunAnalysis, ctx: &str) {
+    let rel = (run.attribution.total() - run.makespan).abs() / run.makespan.max(f64::MIN_POSITIVE);
+    assert!(
+        rel < 1e-6,
+        "{ctx}: {} != {} (rel {rel:.3e})",
+        run.attribution.total(),
+        run.makespan
+    );
 }
 
 /// The acceptance-criterion invariant: Σ attribution buckets ==
@@ -39,7 +54,7 @@ fn analyze(config: FabricConfig, strategy: Strategy3D) -> (Analysis, f64) {
 fn attribution_sums_to_makespan_on_traced_training_run() {
     for config in [FabricConfig::BaselineMesh, FabricConfig::FredD] {
         let (analysis, total_secs) = analyze(config, Strategy3D::new(2, 5, 2));
-        assert!(!analysis.runs.is_empty(), "expected at least one segment");
+        assert!(!analysis.runs.is_empty(), "expected at least one run");
         let makespan = analysis.total_makespan();
         let attributed = analysis.totals().total();
         let rel = (attributed - makespan).abs() / makespan.max(f64::MIN_POSITIVE);
@@ -62,17 +77,54 @@ fn attribution_sums_to_makespan_on_traced_training_run() {
     }
 }
 
-/// Per-run invariant holds too (each Topology segment independently).
+/// Per-run invariant holds too (each Topology-delimited run
+/// independently).
 #[test]
 fn every_segment_attribution_matches_its_makespan() {
     let (analysis, _) = analyze(FabricConfig::BaselineMesh, Strategy3D::new(5, 2, 2));
     for (i, run) in analysis.runs.iter().enumerate() {
-        let rel =
-            (run.attribution.total() - run.makespan).abs() / run.makespan.max(f64::MIN_POSITIVE);
+        assert_sums_to_makespan(run, &format!("run {i}"));
+    }
+}
+
+/// Three iterations recorded into one sink give one analysis per
+/// `FlowNetwork`, each identical to the analysis of that run recorded
+/// alone — while a 1024-event ring teed alongside overflows.
+#[test]
+fn streaming_sink_analyses_every_run_of_a_recording() {
+    let model = DnnModel::resnet152();
+    let strategy = model.default_strategy;
+    let configs = [
+        FabricConfig::BaselineMesh,
+        FabricConfig::FredC,
+        FabricConfig::FredD,
+    ];
+    let ring = Rc::new(RingRecorder::with_capacity(1024));
+    let sink = Rc::new(AnalysisSink::new());
+    let tee: Rc<dyn TraceSink> = Rc::new(TeeSink(ring.clone(), sink.clone()));
+    let totals: Vec<f64> = configs
+        .iter()
+        .map(|&config| record(&model, config, strategy, tee.clone()))
+        .collect();
+    assert!(ring.overwritten() > 0, "the 1024-event ring must overflow");
+
+    let analysis = sink.finish();
+    assert_eq!(
+        analysis.runs.len(),
+        configs.len(),
+        "one run per FlowNetwork"
+    );
+    for ((config, run), total) in configs.iter().zip(&analysis.runs).zip(totals) {
+        let alone = Rc::new(AnalysisSink::new());
+        record(&model, *config, strategy, alone.clone());
+        let streamed = Analysis {
+            runs: vec![run.clone()],
+        };
+        assert_eq!(streamed.to_json(), alone.finish().to_json(), "{config:?}");
+        assert_sums_to_makespan(run, &format!("{config:?}"));
         assert!(
-            rel < 1e-6,
-            "segment {i}: {} != {} (rel {rel:.3e})",
-            run.attribution.total(),
+            run.makespan >= total * (1.0 - 1e-6),
+            "{config:?}: makespan {} < simulated total {total}",
             run.makespan
         );
     }

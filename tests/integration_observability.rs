@@ -1,8 +1,7 @@
 //! Observability-layer integration: flight-recorder determinism over
 //! real simulations, histogram quantiles against a sorted-reference
-//! oracle, Prometheus exposition round-trips from a live run,
-//! dashboard self-containment, and `RingRecorder` overflow counts
-//! propagating into cluster reports.
+//! oracle, dashboard self-containment, and `RingRecorder` overflow
+//! counts propagating into cluster reports.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -11,9 +10,9 @@ use fred::cluster::{run_cluster_traced, ClusterConfig, JobClass, JobSpec};
 use fred::core::params::FabricConfig;
 use fred::core::placement::Strategy3D;
 use fred::sim::time::Time;
+use fred::telemetry::dashboard;
 use fred::telemetry::sink::{RingRecorder, TeeSink};
 use fred::telemetry::timeseries::{FlightRecorder, FlightSnapshot, LogHistogram};
-use fred::telemetry::{dashboard, prom};
 use fred::workloads::model::DnnModel;
 use fred::workloads::schedule::ScheduleParams;
 
@@ -100,38 +99,6 @@ fn histogram_quantiles_match_sorted_oracle() {
     assert_eq!(h.count(), 5000);
     let mean_oracle = values.iter().sum::<f64>() / values.len() as f64;
     assert!((h.mean() - mean_oracle).abs() <= 1e-12 * mean_oracle.abs());
-}
-
-/// Prometheus exposition rendered from a real cluster run parses with
-/// our own parser, is non-empty, and preserves per-tenant series and
-/// histogram structure.
-#[test]
-fn prometheus_round_trip_from_live_run() {
-    let (snap, _) = traced_run(None);
-    let text = prom::render(&snap, &BTreeMap::new());
-    let samples = prom::parse(&text).expect("own exposition must parse");
-    assert!(!samples.is_empty());
-    // Per-tenant scheduler gauges survive the trip.
-    assert!(samples.iter().any(|s| {
-        s.name == "fred_queue_depth" && s.labels.iter().any(|(k, v)| k == "detail" && v == "low")
-    }));
-    assert!(samples.iter().any(|s| s.name == "fred_stretch"));
-    // Histogram invariant: +Inf bucket equals the count sample.
-    let count: f64 = samples
-        .iter()
-        .filter(|s| s.name == "fred_flow_completion_seconds_count")
-        .map(|s| s.value)
-        .sum();
-    let inf: f64 = samples
-        .iter()
-        .filter(|s| {
-            s.name == "fred_flow_completion_seconds_bucket"
-                && s.labels.iter().any(|(k, v)| k == "le" && v == "+Inf")
-        })
-        .map(|s| s.value)
-        .sum();
-    assert!(count > 0.0);
-    assert_eq!(count, inf);
 }
 
 /// The dashboard over a real run is a complete standalone document:
