@@ -29,7 +29,7 @@
 //! the resumed run bit-identical; `--restore <path>` resumes a
 //! snapshot and verifies it against the uninterrupted run.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use fred_bench::table::{fmt_secs, Table};
 use fred_bench::traceopt::TraceOpts;
@@ -121,8 +121,23 @@ fn assert_reports_identical(a: &fred_cluster::ClusterReport, b: &fred_cluster::C
 }
 
 fn main() {
-    let mut opts = TraceOpts::from_args("cluster_sweep");
-    if let Some(path) = opts.restore_path() {
+    let mut snapshot_at: Option<f64> = None;
+    let mut restore: Option<PathBuf> = None;
+    let mut opts = TraceOpts::from_args_with("cluster_sweep", |flag, next| match flag {
+        "--snapshot-at" => {
+            snapshot_at = Some(parse_secs("--snapshot-at", next));
+            true
+        }
+        "--restore" => {
+            restore = Some(PathBuf::from(next().unwrap_or_else(|| {
+                eprintln!("cluster_sweep: --restore expects a path");
+                std::process::exit(2);
+            })));
+            true
+        }
+        _ => false,
+    });
+    if let Some(path) = &restore {
         let (cfg, jobs) = snapshot_scenario();
         let state = read_snapshot(path).unwrap_or_else(|e| {
             eprintln!("cluster_sweep: cannot restore {}: {e}", path.display());
@@ -146,7 +161,7 @@ fn main() {
         );
         return;
     }
-    if let Some(at) = opts.snapshot_at() {
+    if let Some(at) = snapshot_at {
         let (cfg, jobs) = snapshot_scenario();
         let mut cluster =
             Cluster::new(cfg.clone(), jobs.clone(), opts.sink()).expect("snapshot scenario admits");
@@ -270,4 +285,18 @@ fn main() {
          Fred-D solo makespans; the mesh sees the same arrival stream."
     );
     opts.finish();
+}
+
+fn parse_secs(flag: &str, next: &mut dyn FnMut() -> Option<String>) -> f64 {
+    let v = next().unwrap_or_else(|| {
+        eprintln!("cluster_sweep: {flag} expects seconds");
+        std::process::exit(2);
+    });
+    match v.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => t,
+        _ => {
+            eprintln!("cluster_sweep: {flag} expects finite seconds >= 0, got `{v}`");
+            std::process::exit(2);
+        }
+    }
 }

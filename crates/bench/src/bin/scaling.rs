@@ -7,8 +7,16 @@
 //! 2. Multi-wafer sweep: the §8.3 hierarchical global All-Reduce across
 //!    2–4 wafers, showing the inter-wafer channel bandwidth taking over
 //!    as the bottleneck.
+//! 3. Flow-churn simulator throughput at 256, 1024 and 4096 NPUs.
+//!
+//! Also enforces the self-profiler's overhead budget: the smallest
+//! churn configuration reruns with `fred_telemetry::prof` enabled and
+//! must keep ≥ 95% of the unprofiled events/s (best paired ratio over
+//! interleaved runs, measured in-process so machine speed cancels
+//! out). The ratio is a host timing and lands in the report's `perf`
+//! section as `profiled_events_per_sec_ratio`.
 
-use fred_bench::churn::{run_churn, SCALING_SWEEP};
+use fred_bench::churn::{run_churn, ChurnConfig, SCALING_SWEEP};
 use fred_bench::table::{fmt_bw, Table};
 use fred_bench::traceopt::TraceOpts;
 use fred_core::multiwafer::MultiWafer;
@@ -16,8 +24,13 @@ use fred_core::params::FabricConfig;
 use fred_hwmodel::iohotspot;
 use fred_sim::flow::Priority;
 use fred_sim::netsim::FlowNetwork;
+use fred_telemetry::prof;
 
 fn main() {
+    // Runs before `TraceOpts` opens its process-wide counter window:
+    // the loop's length depends on host timing, so its solves must not
+    // reach the report's deterministic `solver/*` counters.
+    let (plain, profiled, ratio) = profiler_overhead(&SCALING_SWEEP[0]);
     let mut opts = TraceOpts::from_args("scaling");
     // 1. Mesh vs FRED streaming scalability (closed form).
     let p = 128e9;
@@ -105,5 +118,49 @@ fn main() {
         ]);
     }
     table.print("scaling — flow-churn simulator throughput (local traffic, target concurrency)");
+
+    println!(
+        "\nprofiler overhead: {:.0} ev/s unprofiled vs {:.0} ev/s profiled \
+         ({:.1}% of baseline)",
+        plain,
+        profiled,
+        ratio * 100.0
+    );
+    assert!(
+        ratio >= 0.95,
+        "profiler overhead exceeds the 5% budget: profiled run reached only \
+         {:.1}% of unprofiled events/s",
+        ratio * 100.0
+    );
+    opts.perf("profiled_events_per_sec_ratio", ratio);
     opts.finish();
+}
+
+/// Profiler overhead budget: best unprofiled and profiled events/s and
+/// the best paired profiled/unprofiled ratio. In-process comparison
+/// means the assertion holds on any machine, unlike a cross-machine
+/// baseline diff. Interleaved pairs cancel host drift; keep sampling
+/// (up to 16 pairs) until the budget holds with margin.
+fn profiler_overhead(cfg: &ChurnConfig) -> (f64, f64, f64) {
+    prof::set_enabled(false);
+    run_churn(cfg); // warm-up: stabilise caches and CPU clocks
+    let (mut plain, mut profiled) = (0.0f64, 0.0f64);
+    let mut ratio = 0.0f64;
+    for _ in 0..16 {
+        // Best *paired* ratio: adjacent runs see the same host
+        // conditions, so cross-run throughput drift (which dwarfs the
+        // budget on busy CI hosts) cancels out of the comparison.
+        prof::set_enabled(false);
+        let p = run_churn(cfg).events_per_sec();
+        prof::set_enabled(true);
+        let q = run_churn(cfg).events_per_sec();
+        plain = plain.max(p);
+        profiled = profiled.max(q);
+        ratio = ratio.max(q / p);
+        if ratio >= 0.97 {
+            break;
+        }
+    }
+    prof::set_enabled(false);
+    (plain, profiled, ratio)
 }

@@ -1,7 +1,7 @@
 //! Randomized flow-churn workload over a wafer-scale mesh.
 //!
-//! The solver-bound stress used by the `scaling` third section and the
-//! `solver_bench` binary: a fixed population of mostly-local transfers
+//! The solver-bound stress of the `scaling` binary's churn sweep and
+//! profiler-overhead check: a fixed population of mostly-local transfers
 //! is kept at a target concurrency over an N×N mesh, so every
 //! completion immediately admits a replacement. Each completion and
 //! each injection changes the active-flow set, making the fair-share
@@ -35,12 +35,6 @@ pub struct ChurnConfig {
     pub locality: usize,
     /// RNG seed; equal seeds give identical workloads.
     pub seed: u64,
-    /// Override for the solver's global-refill threshold
-    /// ([`FlowNetwork::set_refill_fraction`]); `None` keeps the
-    /// default. `Some(0.0)` forces a from-scratch refill on every set
-    /// change — the pre-incremental baseline `solver_bench` compares
-    /// against.
-    pub refill_fraction: Option<f64>,
 }
 
 impl ChurnConfig {
@@ -110,9 +104,6 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
     let mesh = MeshFabric::new(cfg.side, cfg.side, 750e9, 128e9, 20e-9);
     let mut rng = Rng64::seed_from_u64(cfg.seed);
     let mut net = FlowNetwork::new(mesh.clone_topology());
-    if let Some(f) = cfg.refill_fraction {
-        net.set_refill_fraction(f);
-    }
 
     let started = Instant::now();
     let initial = cfg.concurrency.min(cfg.flows);
@@ -172,7 +163,6 @@ pub const SCALING_SWEEP: [ChurnConfig; 3] = [
         concurrency: 128,
         locality: 4,
         seed: 0xC0FF_EE01,
-        refill_fraction: None,
     },
     ChurnConfig {
         side: 32,
@@ -180,7 +170,6 @@ pub const SCALING_SWEEP: [ChurnConfig; 3] = [
         concurrency: 256,
         locality: 4,
         seed: 0xC0FF_EE02,
-        refill_fraction: None,
     },
     ChurnConfig {
         side: 64,
@@ -188,7 +177,6 @@ pub const SCALING_SWEEP: [ChurnConfig; 3] = [
         concurrency: 256,
         locality: 4,
         seed: 0xC0FF_EE03,
-        refill_fraction: None,
     },
 ];
 
@@ -203,7 +191,6 @@ mod tests {
             concurrency: 16,
             locality: 2,
             seed: 7,
-            refill_fraction: None,
         }
     }
 
@@ -215,19 +202,6 @@ mod tests {
         assert_eq!(a.completion_checksum, b.completion_checksum);
         assert_eq!(a.events, b.events);
         assert!(a.makespan_secs > 0.0);
-    }
-
-    #[test]
-    fn forced_global_refill_is_result_identical() {
-        // The refill threshold is a pure performance knob: incremental
-        // and forced-global solves must produce the same simulation.
-        let incremental = run_churn(&tiny());
-        let global = run_churn(&ChurnConfig {
-            refill_fraction: Some(0.0),
-            ..tiny()
-        });
-        assert_eq!(incremental.makespan_secs, global.makespan_secs);
-        assert_eq!(incremental.completion_checksum, global.completion_checksum);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //!
 //! One binary per figure/table of the paper's evaluation (see
 //! `DESIGN.md` §3 for the index) plus shared table-formatting helpers.
-//! Micro-benchmarks live under `benches/` on the self-contained
-//! [`timing`] harness.
+//! Host-time performance is measured by the separate `fredbench`
+//! package, not here.
 
 pub mod churn;
 pub mod report;
 pub mod table;
-pub mod timing;
 pub mod traceopt;

@@ -15,14 +15,12 @@
 //!   dashboard (inline SVG sparklines and a link-utilization heatmap,
 //!   no CDN) from the flight-recorder time series;
 //! * `--prof` — enable the host-side self-profiler; its site table
-//!   lands in the report (`prof` section) and the dashboard;
-//! * `--snapshot-at <secs>` — for binaries with a resumable
-//!   simulation: capture a [`SimState`](fred_core::snapshot::SimState)
-//!   snapshot at the last event at or before `<secs>` simulated
-//!   seconds (written next to the binary's other outputs);
-//! * `--restore <path>` — resume from a snapshot file instead of
-//!   starting fresh. Resumed runs are bit-identical to uninterrupted
-//!   ones.
+//!   lands in the report (`prof` section) and the dashboard.
+//!
+//! Binary-specific flags (`dse_sweep`'s `--threads`, `cluster_sweep`'s
+//! `--snapshot-at` and `--restore`) go through
+//! [`TraceOpts::from_args_with`]; every other binary rejects them as
+//! unknown arguments.
 //!
 //! Any flag alone turns recording on; with none, the binary runs
 //! untraced through the zero-overhead `NullSink` and produces
@@ -69,8 +67,6 @@ pub struct TraceOpts {
     events_at_start: u64,
     solver_at_start: SolverStats,
     compactions_at_start: u64,
-    snapshot_at: Option<f64>,
-    restore_path: Option<PathBuf>,
 }
 
 impl TraceOpts {
@@ -105,8 +101,6 @@ impl TraceOpts {
         let mut report_path = None;
         let mut dashboard_path = None;
         let mut prof_enabled = false;
-        let mut snapshot_at = None;
-        let mut restore_path = None;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -129,26 +123,6 @@ impl TraceOpts {
                     dashboard_path = Some(PathBuf::from(v));
                 }
                 "--prof" => prof_enabled = true,
-                "--snapshot-at" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage(process_name, "--snapshot-at"));
-                    let t: f64 = v.parse().unwrap_or_else(|_| {
-                        eprintln!("{process_name}: --snapshot-at expects seconds, got `{v}`");
-                        usage(process_name, "--snapshot-at");
-                    });
-                    if !t.is_finite() || t < 0.0 {
-                        eprintln!("{process_name}: --snapshot-at expects finite secs >= 0");
-                        usage(process_name, "--snapshot-at");
-                    }
-                    snapshot_at = Some(t);
-                }
-                "--restore" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage(process_name, "--restore"));
-                    restore_path = Some(PathBuf::from(v));
-                }
                 other => {
                     if !custom(other, &mut || args.next()) {
                         eprintln!("{process_name}: unknown argument `{other}`");
@@ -182,21 +156,7 @@ impl TraceOpts {
             events_at_start: fred_sim::netsim::global_events_processed(),
             solver_at_start: fred_sim::solver::global_solver_stats(),
             compactions_at_start: fred_sim::netsim::global_heap_compactions(),
-            snapshot_at,
-            restore_path,
         }
-    }
-
-    /// The `--snapshot-at <secs>` capture point, if given. Binaries
-    /// with a resumable simulation capture a snapshot at the last
-    /// event at or before this simulated time; others reject the flag.
-    pub fn snapshot_at(&self) -> Option<f64> {
-        self.snapshot_at
-    }
-
-    /// The `--restore <path>` snapshot file to resume from, if given.
-    pub fn restore_path(&self) -> Option<&PathBuf> {
-        self.restore_path.as_ref()
     }
 
     /// Records one headline simulated result in the report's `sim`
@@ -373,8 +333,7 @@ impl TraceOpts {
 fn usage(process_name: &str, flag: &str) -> ! {
     eprintln!(
         "usage: {process_name} [--trace <path>] [--report <path>] \
-         [--dashboard <path>] [--prof] \
-         [--snapshot-at <secs>] [--restore <path>]  (failed at `{flag}`)"
+         [--dashboard <path>] [--prof]  (failed at `{flag}`)"
     );
     std::process::exit(2);
 }

@@ -24,7 +24,15 @@ fn prof_alone_prints_the_profiler_table() {
 
 #[test]
 fn threads_metrics_and_prom_are_not_shared_flags() {
-    for flag in ["--threads", "--metrics", "--prom"] {
+    // `--snapshot-at` and `--restore` belong to `cluster_sweep`,
+    // `--threads` to `dse_sweep`; the other two are gone.
+    for flag in [
+        "--threads",
+        "--metrics",
+        "--prom",
+        "--snapshot-at",
+        "--restore",
+    ] {
         let out = fig9().args([flag, "4"]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "fig9 accepted {flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -40,7 +40,7 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 2;
+pub const SIM_STATE_VERSION: u32 = 3;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
@@ -394,17 +394,25 @@ pub fn flow_spec_from_value(v: &Value, ctx: &str) -> Result<FlowSpec, SnapshotEr
     }
     let priority = priority_from_value(field(v, "priority", ctx)?, ctx)?;
     let tag = u64_of(field(v, "tag", ctx)?, ctx)?;
-    let tenant = u64_of(field(v, "tenant", ctx)?, ctx)?;
+    let tenant = tenant_of(field(v, "tenant", ctx)?, ctx)?;
+    Ok(FlowSpec::new(route, bytes)
+        .with_priority(priority)
+        .with_tag(tag)
+        .with_tenant(tenant))
+}
+
+/// Decodes a tenant rank, rejecting ranks whose fill classes would
+/// overflow the `u8` class space ([`FlowSpec::with_tenant`] asserts
+/// the same bound).
+pub fn tenant_of(v: &Value, ctx: &str) -> Result<u8, SnapshotError> {
+    let tenant = u64_of(v, ctx)?;
     let max_tenant = (u8::MAX as usize / Priority::ALL.len()) as u64 - 1;
     if tenant > max_tenant {
         return Err(SnapshotError::Mismatch(format!(
             "{ctx}: tenant {tenant} outside the class space"
         )));
     }
-    Ok(FlowSpec::new(route, bytes)
-        .with_priority(priority)
-        .with_tag(tag)
-        .with_tenant(tenant as u8))
+    Ok(tenant as u8)
 }
 
 fn completed_to_value(c: &CompletedFlow) -> Value {
@@ -456,7 +464,6 @@ pub fn solver_state_to_value(s: &SolverState) -> Value {
         ("link_alloc".into(), f64s(&s.link_alloc)),
         ("seed_links".into(), usizes(&s.seed_links)),
         ("dirty".into(), Value::Bool(s.dirty)),
-        ("refill_fraction".into(), v_f64(s.refill_fraction)),
         ("epoch".into(), v_u64(s.epoch)),
         ("solves".into(), v_u64(s.stats.solves)),
         ("global_solves".into(), v_u64(s.stats.global_solves)),
@@ -474,7 +481,8 @@ pub fn solver_state_from_value(v: &Value) -> Result<SolverState, SnapshotError> 
             Value::Null => Ok(None),
             f => Ok(Some(SolverFlowState {
                 links: usizes_of(field(f, "links", ctx)?, ctx)?,
-                class: u64_of(field(f, "class", ctx)?, ctx)? as u8,
+                class: u8::try_from(u64_of(field(f, "class", ctx)?, ctx)?)
+                    .map_err(|_| SnapshotError::Mismatch(format!("{ctx}: class exceeds u8")))?,
                 rate: f64_of(field(f, "rate", ctx)?, ctx)?,
             })),
         })
@@ -492,7 +500,6 @@ pub fn solver_state_from_value(v: &Value) -> Result<SolverState, SnapshotError> 
         link_alloc: f64s_of(field(v, "link_alloc", ctx)?, ctx)?,
         seed_links: usizes_of(field(v, "seed_links", ctx)?, ctx)?,
         dirty: bool_of(field(v, "dirty", ctx)?, ctx)?,
-        refill_fraction: f64_of(field(v, "refill_fraction", ctx)?, ctx)?,
         epoch: u64_of(field(v, "epoch", ctx)?, ctx)?,
         stats: SolverStats {
             solves: u64_of(field(v, "solves", ctx)?, ctx)?,
@@ -584,7 +591,7 @@ fn flow_state_from_value(v: &Value, ctx: &str) -> Result<FlowState, SnapshotErro
         id: u64_of(field(v, "id", ctx)?, ctx)?,
         links: usizes_of(field(v, "links", ctx)?, ctx)?,
         priority: priority_from_value(field(v, "priority", ctx)?, ctx)?,
-        tenant: u64_of(field(v, "tenant", ctx)?, ctx)? as u8,
+        tenant: tenant_of(field(v, "tenant", ctx)?, ctx)?,
         tag: u64_of(field(v, "tag", ctx)?, ctx)?,
         remaining: f64_of(field(v, "remaining", ctx)?, ctx)?,
         rate: f64_of(field(v, "rate", ctx)?, ctx)?,
@@ -850,6 +857,51 @@ mod tests {
             .iter()
             .position(Option::is_some)
             .expect("a live flow")
+    }
+
+    /// As [`assert_rejected`], but damages the encoded value tree, for
+    /// values the typed state cannot hold. `damage` also gets the first
+    /// live flow slot.
+    fn assert_value_rejected(damage: impl FnOnce(&mut Value, usize)) {
+        let (_, net) = busy_net();
+        let state = net.snapshot();
+        let mut v = core_state_to_value(&state);
+        damage(&mut v, first_live(&state.solver));
+        let got = core_state_from_value(&v);
+        assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
+    }
+
+    fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Obj(fields) = v else {
+            panic!("not an object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1
+    }
+
+    fn item_mut(v: &mut Value, i: usize) -> &mut Value {
+        let Value::Arr(items) = v else {
+            panic!("not an array")
+        };
+        &mut items[i]
+    }
+
+    #[test]
+    fn flow_tenant_outside_the_class_space_is_rejected() {
+        // 51 is one past the largest tenant whose classes fit a u8; 300
+        // does not fit a u8 at all.
+        for tenant in [51, 300] {
+            assert_value_rejected(|v, k| {
+                *field_mut(item_mut(field_mut(v, "flows"), k), "tenant") = v_u64(tenant);
+            });
+        }
+    }
+
+    #[test]
+    fn solver_class_above_u8_is_rejected() {
+        assert_value_rejected(|v, k| {
+            let flows = field_mut(field_mut(v, "solver"), "flows");
+            *field_mut(item_mut(flows, k), "class") = v_u64(256);
+        });
     }
 
     #[test]

@@ -392,16 +392,8 @@ impl FlowNetwork {
         self.compactions
     }
 
-    /// Sets the incremental solver's global-refill threshold; see
-    /// [`FairShareSolver::set_refill_fraction`]. `0.0` forces a full
-    /// from-scratch refill on every set change (the pre-incremental
-    /// behaviour), which `solver_bench` uses as its baseline.
-    pub fn set_refill_fraction(&mut self, fraction: f64) {
-        self.solver.set_refill_fraction(fraction);
-    }
-
-    /// The incremental solver's cost counters (solves, global
-    /// fallbacks, refilled flows).
+    /// The incremental solver's cost counters (solves, whole-set
+    /// solves, refilled flows).
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
     }
@@ -705,8 +697,8 @@ impl FlowNetwork {
                 self.live_drains += 1;
             }
         }
-        if self.tracing && !changed.is_empty() {
-            self.emit_rate_epoch(changed.len() as u32);
+        if self.tracing {
+            self.emit_rate_telemetry(changed.len() as u32);
         }
         // Heap depth after re-prediction, stale (lazy-deleted) entries
         // included: the churn that compaction has to keep in check.
@@ -736,18 +728,20 @@ impl FlowNetwork {
         GLOBAL_COMPACTIONS.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Emits a rate-reallocation epoch: the active-flow count, how many
-    /// flows actually changed rate, plus a utilization sample for every
-    /// touched link whose allocated rate moved. Only called while
-    /// tracing and only when the refill changed something — a delta
-    /// that leaves every rate intact emits nothing.
-    fn emit_rate_epoch(&mut self, changed: u32) {
+    /// Emits a rate-reallocation epoch (the active-flow count and how
+    /// many flows changed rate) when some rate changed, plus a
+    /// utilization sample for every touched link whose allocated rate
+    /// moved, even when no rate did: a link whose last flow left
+    /// reports its drop to zero. Only called while tracing.
+    fn emit_rate_telemetry(&mut self, changed: u32) {
         let t = self.now.as_secs();
-        self.sink.record(TraceEvent::RateEpoch {
-            t,
-            active_flows: self.active_count as u32,
-            changed,
-        });
+        if changed > 0 {
+            self.sink.record(TraceEvent::RateEpoch {
+                t,
+                active_flows: self.active_count as u32,
+                changed,
+            });
+        }
         for &l in self.solver.touched_links() {
             let new = self.solver.link_allocated(l);
             if (new - self.link_alloc[l]).abs() > 1e-9 * self.capacities[l].max(1.0) {
@@ -1322,22 +1316,29 @@ mod tests {
     }
 
     #[test]
-    fn forced_global_refill_matches_incremental() {
-        let run = |fraction: Option<f64>| {
-            let (mut net, l) = two_node_net(100.0, 1e-6);
-            if let Some(f) = fraction {
-                net.set_refill_fraction(f);
-            }
-            for i in 0..20 {
-                net.inject(FlowSpec::new(vec![l], 50.0 + i as f64).with_tag(i))
-                    .unwrap();
-            }
-            net.run_to_completion()
-                .iter()
-                .map(|c| (c.tag, c.completed_at))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(None), run(Some(0.0)));
+    fn link_util_drops_to_zero_when_the_last_flow_drains() {
+        use fred_telemetry::sink::RingRecorder;
+
+        let mut topo = Topology::new();
+        let a = topo.add_node(NodeKind::Npu, "a");
+        let b = topo.add_node(NodeKind::Npu, "b");
+        let l = topo.add_link(a, b, 100.0, 0.5);
+        let rec = Rc::new(RingRecorder::new());
+        let mut net = FlowNetwork::with_sink(topo, rec.clone());
+        net.inject(FlowSpec::new(vec![l], 500.0)).unwrap();
+        net.run_to_completion();
+        // The drain at t = 5 s changes no rate, but it empties the link.
+        let last = rec.events().into_iter().rev().find_map(|e| match e {
+            TraceEvent::LinkUtil {
+                t,
+                link,
+                utilization,
+            } if link as usize == l.0 => Some((t, utilization)),
+            _ => None,
+        });
+        assert_eq!(last, Some((5.0, 0.0)));
+        let snap = net.snapshot();
+        assert_eq!(snap.link_alloc, snap.solver.link_alloc);
     }
 
     #[test]

@@ -15,20 +15,19 @@
 //! into O(component) per event: with the mostly-local traffic of a
 //! wafer-scale fabric, a completing flow typically disturbs only its
 //! own neighbourhood. When churn *is* global (a wafer-wide collective
-//! phase boundary) the dirty component approaches the whole active set
-//! and the solver falls back to a global refill, which costs the same
-//! as the from-scratch allocator (see
-//! [`FairShareSolver::set_refill_fraction`]).
+//! phase boundary) the component grows to the whole active set and the
+//! refill costs what the from-scratch allocator does
+//! ([`SolverStats::global_solves`] counts these solves).
 //!
 //! The correctness contract — the foundation later PRs build on — is
 //! *rate identity*: after any sequence of deltas, [`FairShareSolver`]
 //! rates equal a from-scratch [`crate::fairshare::max_min_rates`] run
 //! over the current active set exactly, bit for bit
 //! (`tests/property_fairshare_incremental.rs` compares `to_bits()`
-//! under randomized churn). Both paths pick bottleneck links in
-//! ascending-index order, and every flow frozen in one round subtracts
-//! the same share from each link it crosses, so each link sees the same
-//! floating-point operations in the same order.
+//! under randomized churn). The solver and the oracle both pick
+//! bottleneck links in ascending-index order, and every flow frozen in
+//! one round subtracts the same share from each link it crosses, so
+//! each link sees the same floating-point operations in the same order.
 
 use crate::flow::Priority;
 
@@ -97,8 +96,6 @@ pub struct SolverState {
     pub seed_links: Vec<usize>,
     /// Whether deltas are pending.
     pub dirty: bool,
-    /// Global-refill threshold fraction.
-    pub refill_fraction: f64,
     /// Scratch-mark epoch (monotone; restored marks of zero stay stale).
     pub epoch: u64,
     /// Cost counters at capture.
@@ -110,14 +107,16 @@ pub struct SolverState {
 pub struct SolverStats {
     /// Total solves that ran (dirty deltas flushed).
     pub solves: u64,
-    /// Solves that fell back to a global refill.
+    /// Solves whose dirty component held every live flow, so the
+    /// refill redid the whole allocation (node-local flows, which never
+    /// join a component, must be absent for a solve to count).
     pub global_solves: u64,
     /// Flows whose rate was recomputed, summed over all solves (the
     /// work actually done; compare against `solves × live flows` for
     /// the from-scratch cost).
     pub refilled_flows: u64,
-    /// Largest single dirty component refilled (flows) — how close the
-    /// incremental solver comes to its global-fallback threshold.
+    /// Largest single dirty component refilled (flows): the worst case
+    /// of one solve's work.
     pub max_component: u64,
 }
 
@@ -160,7 +159,6 @@ pub struct FairShareSolver {
     /// Links touched by deltas since the last solve (may repeat).
     seed_links: Vec<usize>,
     dirty: bool,
-    refill_fraction: f64,
     // Persistent scratch (epoch-stamped so nothing is ever cleared).
     epoch: u64,
     link_mark: Vec<u64>,
@@ -179,11 +177,6 @@ pub struct FairShareSolver {
 }
 
 impl FairShareSolver {
-    /// Default fraction of the live flow set beyond which a dirty
-    /// component triggers a global refill instead of component-local
-    /// bookkeeping.
-    pub const DEFAULT_REFILL_FRACTION: f64 = 0.5;
-
     /// Creates a solver over links with the given capacities (bytes/s,
     /// indexed by `LinkId.0`).
     pub fn new(capacities: Vec<f64>) -> FairShareSolver {
@@ -197,7 +190,6 @@ impl FairShareSolver {
             link_alloc: vec![0.0; n],
             seed_links: Vec::new(),
             dirty: false,
-            refill_fraction: Self::DEFAULT_REFILL_FRACTION,
             epoch: 0,
             link_mark: vec![0; n],
             flow_mark: Vec::new(),
@@ -210,23 +202,6 @@ impl FairShareSolver {
             touched_links: Vec::new(),
             stats: SolverStats::default(),
         }
-    }
-
-    /// Sets the dirty-component size (as a fraction of live flows)
-    /// beyond which [`FairShareSolver::solve`] falls back to a global
-    /// refill. `0.0` forces every solve global (the from-scratch
-    /// behaviour, useful as a benchmark baseline); values ≥ 1.0
-    /// effectively disable the fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is NaN or negative.
-    pub fn set_refill_fraction(&mut self, fraction: f64) {
-        assert!(
-            fraction >= 0.0,
-            "refill fraction must be non-negative, got {fraction}"
-        );
-        self.refill_fraction = fraction;
     }
 
     /// Number of flows currently registered.
@@ -405,10 +380,9 @@ impl FairShareSolver {
         self.dirty = true;
     }
 
-    /// Flushes pending deltas: recomputes the dirty component (or
-    /// everything, past the refill threshold) and freezes the rest.
-    /// Returns `true` when a solve actually ran; inspect
-    /// [`FairShareSolver::changed_flows`] /
+    /// Flushes pending deltas: recomputes the dirty component and
+    /// freezes the rest. Returns `true` when a solve actually ran;
+    /// inspect [`FairShareSolver::changed_flows`] /
     /// [`FairShareSolver::touched_links`] afterwards.
     pub fn solve(&mut self) -> bool {
         if !self.dirty {
@@ -421,9 +395,8 @@ impl FairShareSolver {
         let epoch = self.epoch;
 
         // Component discovery: BFS from the dirty seed links through
-        // the incidence structure, aborting into a global refill when
-        // the component outgrows the threshold.
-        let threshold = (self.refill_fraction * self.live as f64) as usize;
+        // the incidence structure. A seed link whose last flow left
+        // joins with no flows, so the refill zeroes its allocation.
         let mut comp_links: Vec<usize> = Vec::new();
         let mut comp_flows: Vec<u32> = Vec::new();
         let mut stack: Vec<usize> = Vec::new();
@@ -435,8 +408,7 @@ impl FairShareSolver {
             }
         }
         self.seed_links.clear();
-        let mut global = false;
-        'bfs: while let Some(l) = stack.pop() {
+        while let Some(l) = stack.pop() {
             comp_links.push(l);
             for i in 0..self.link_flows[l].len() {
                 let fk = self.link_flows[l][i];
@@ -445,10 +417,6 @@ impl FairShareSolver {
                 }
                 self.flow_mark[fk as usize] = epoch;
                 comp_flows.push(fk);
-                if comp_flows.len() > threshold {
-                    global = true;
-                    break 'bfs;
-                }
                 let flow = self.flows[fk as usize].as_ref().expect("live incidence");
                 for &l2 in flow.links.iter() {
                     if self.link_mark[l2] != epoch {
@@ -458,31 +426,17 @@ impl FairShareSolver {
                 }
             }
         }
+        // Ascending order makes the filling arithmetic identical to the
+        // from-scratch allocator (rate identity) and the solve
+        // deterministic regardless of delta history.
+        comp_links.sort_unstable();
+        comp_flows.sort_unstable();
+        let comp = comp_flows.len() as u64;
+        let global = comp_flows.len() == self.live;
+        self.stats.refilled_flows += comp;
+        self.stats.max_component = self.stats.max_component.max(comp);
         if global {
             self.stats.global_solves += 1;
-            // Every link, not just populated ones: a link whose last
-            // flow was removed must still have its allocation zeroed.
-            comp_links.clear();
-            comp_links.extend(0..self.capacities.len());
-            comp_flows.clear();
-            for (k, f) in self.flows.iter().enumerate() {
-                if let Some(f) = f {
-                    if !f.links.is_empty() {
-                        comp_flows.push(k as u32);
-                    }
-                }
-            }
-        } else {
-            // Ascending order makes the filling arithmetic identical
-            // to the from-scratch allocator (rate identity) and the
-            // solve deterministic regardless of delta history.
-            comp_links.sort_unstable();
-            comp_flows.sort_unstable();
-        }
-        let comp = comp_flows.len() as u64;
-        self.stats.refilled_flows += comp;
-        if comp > self.stats.max_component {
-            self.stats.max_component = comp;
         }
         {
             use std::sync::atomic::Ordering::Relaxed;
@@ -493,12 +447,7 @@ impl FairShareSolver {
                 TOTAL_GLOBAL_SOLVES.fetch_add(1, Relaxed);
             }
         }
-        if fred_telemetry::prof::enabled() {
-            fred_telemetry::prof::record_value("solver.component_flows", comp as f64);
-            if global {
-                fred_telemetry::prof::record_value("solver.global_fallback", 1.0);
-            }
-        }
+        fred_telemetry::prof::record_value("solver.component_flows", comp as f64);
         self.refill(&comp_links, &comp_flows);
         true
     }
@@ -525,7 +474,6 @@ impl FairShareSolver {
             link_alloc: self.link_alloc.clone(),
             seed_links: self.seed_links.clone(),
             dirty: self.dirty,
-            refill_fraction: self.refill_fraction,
             epoch: self.epoch,
             stats: self.stats,
         }
@@ -566,7 +514,6 @@ impl FairShareSolver {
             link_alloc: state.link_alloc,
             seed_links: state.seed_links,
             dirty: state.dirty,
-            refill_fraction: state.refill_fraction,
             epoch: state.epoch,
             link_mark: vec![0; n],
             flow_mark: vec![0; slab],
@@ -714,20 +661,36 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_static_set() {
-        let caps = vec![10.0, 4.0];
-        let specs = vec![
-            (vec![0, 1], Priority::Bulk),
-            (vec![1], Priority::Bulk),
-            (vec![0], Priority::Bulk),
-            // Crosses link 1 twice: two incidence slots, one freeze.
-            (vec![1, 0, 1], Priority::Bulk),
+        let cases = [
+            (
+                vec![10.0, 4.0],
+                vec![
+                    (vec![0, 1], Priority::Bulk),
+                    (vec![1], Priority::Bulk),
+                    (vec![0], Priority::Bulk),
+                    // Crosses link 1 twice: two incidence slots, one freeze.
+                    (vec![1, 0, 1], Priority::Bulk),
+                ],
+            ),
+            // Mixed priorities: the Mp flow fills link 2 first.
+            (
+                vec![7.0, 5.0, 3.0],
+                vec![
+                    (vec![0, 1], Priority::Bulk),
+                    (vec![1, 2], Priority::Bulk),
+                    (vec![0, 2], Priority::Bulk),
+                    (vec![2], Priority::Mp),
+                ],
+            ),
         ];
-        let mut s = FairShareSolver::new(caps.clone());
-        let keys: Vec<FlowKey> = specs.iter().map(|(l, p)| s.add_flow(l, *p)).collect();
-        assert!(s.solve());
-        let want = oracle(&caps, &specs);
-        for (k, w) in keys.iter().zip(&want) {
-            assert_eq!(s.rate(*k).to_bits(), w.to_bits());
+        for (caps, specs) in cases {
+            let mut s = FairShareSolver::new(caps.clone());
+            let keys: Vec<FlowKey> = specs.iter().map(|(l, p)| s.add_flow(l, *p)).collect();
+            assert!(s.solve());
+            let want = oracle(&caps, &specs);
+            for (k, w) in keys.iter().zip(&want) {
+                assert_eq!(s.rate(*k).to_bits(), w.to_bits());
+            }
         }
     }
 
@@ -837,25 +800,21 @@ mod tests {
     }
 
     #[test]
-    fn global_fallback_matches_incremental() {
-        let caps = vec![7.0, 5.0, 3.0];
-        let specs = vec![
-            (vec![0usize, 1], Priority::Bulk),
-            (vec![1, 2], Priority::Bulk),
-            (vec![0, 2], Priority::Bulk),
-            (vec![2], Priority::Mp),
-        ];
-        let run = |fraction: f64| {
-            let mut s = FairShareSolver::new(caps.clone());
-            s.set_refill_fraction(fraction);
-            let keys: Vec<FlowKey> = specs.iter().map(|(l, p)| s.add_flow(l, *p)).collect();
-            s.solve();
-            keys.iter().map(|&k| s.rate(k)).collect::<Vec<f64>>()
-        };
-        let incremental = run(10.0);
-        let forced_global = run(0.0);
-        assert_eq!(incremental, forced_global);
-        assert_eq!(incremental, oracle(&caps, &specs));
+    fn global_solves_count_components_holding_every_live_flow() {
+        let mut s = FairShareSolver::new(vec![100.0, 60.0]);
+        let a = s.add_flow(&[0], Priority::Bulk);
+        s.add_flow(&[1], Priority::Bulk);
+        // Both flows are new: the component is the whole live set.
+        s.solve();
+        assert_eq!(s.stats().global_solves, 1);
+        // Removing `a` leaves link 1's component frozen.
+        s.remove_flow(a);
+        s.add_flow(&[0], Priority::Bulk);
+        s.solve();
+        assert!(!s.touched_links().contains(&1));
+        assert_eq!(s.stats().solves, 2);
+        assert_eq!(s.stats().global_solves, 1);
+        assert_eq!(s.stats().max_component, 2);
     }
 
     #[test]

@@ -147,8 +147,9 @@ pub enum TraceEvent {
         /// non-zero for emitted epochs).
         changed: u32,
     },
-    /// Utilization sample for one link, emitted when its allocated
-    /// rate changes at a rate epoch.
+    /// Utilization sample for one link, emitted when a refill moves
+    /// its allocated rate (also when no flow's rate changed, as when
+    /// the link's last flow drains).
     LinkUtil {
         /// Simulation time.
         t: f64,

@@ -10,9 +10,9 @@
 //! 1. **Near-zero cost when off.** The profiler defaults to disabled;
 //!    every instrumentation site is guarded by a single `Relaxed`
 //!    atomic load ([`enabled`]) before any clock is read or
-//!    thread-local touched. `solver_bench` asserts the overhead budget
-//!    (disabled *and* enabled runs must stay within 5% of baseline
-//!    throughput), which is why scopes are placed on infrequent paths
+//!    thread-local touched. `scaling` asserts the overhead budget
+//!    (a profiled churn run keeps ≥ 95% of the unprofiled events/s),
+//!    which is why scopes are placed on infrequent paths
 //!    — per solve / per batch, never per event.
 //! 2. **No dependencies, no unsafe.** Storage is a thread-local
 //!    `BTreeMap<&'static str, SiteStats>`; site names are `'static`

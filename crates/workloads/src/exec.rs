@@ -643,8 +643,8 @@ impl ScheduleExecutor {
 
 use fred_core::codec::{SnapshotError, Value};
 use fred_core::snapshot::{
-    arr_of, bools, bools_of, field, flow_spec_from_value, flow_spec_to_value, time_of, u64_of,
-    usize_of, usizes, usizes_of, v_time, v_u64,
+    arr_of, bools, bools_of, field, flow_spec_from_value, flow_spec_to_value, tenant_of, time_of,
+    u64_of, usize_of, usizes, usizes_of, v_time, v_u64,
 };
 
 impl ExecState {
@@ -761,7 +761,7 @@ impl ExecState {
         Ok(ExecState {
             cfg: ExecConfig {
                 tag_base: u64_of(field(v, "tag_base", ctx)?, ctx)?,
-                tenant: u64_of(field(v, "tenant", ctx)?, ctx)? as u8,
+                tenant: tenant_of(field(v, "tenant", ctx)?, ctx)?,
                 label,
             },
             indegree: usizes_of(field(v, "indegree", ctx)?, ctx)?,
@@ -783,9 +783,8 @@ impl ExecState {
 mod tests {
     use super::*;
 
-    #[test]
-    fn exec_state_round_trips_through_value() {
-        let state = ExecState {
+    fn sample_state() -> ExecState {
+        ExecState {
             cfg: ExecConfig {
                 tag_base: 64,
                 tenant: 2,
@@ -804,12 +803,35 @@ mod tests {
             staged: vec![FlowSpec::new(vec![LinkId(0), LinkId(3)], 1e9)
                 .with_tag(66)
                 .with_tenant(2)],
-        };
+        }
+    }
+
+    #[test]
+    fn exec_state_round_trips_through_value() {
+        let state = sample_state();
         let v = state.to_value();
         assert_eq!(ExecState::from_value(&v).unwrap(), state);
         // And through the binary codec.
         let bytes = fred_core::codec::to_binary(&v);
         let back = fred_core::codec::from_binary(&bytes).unwrap();
         assert_eq!(ExecState::from_value(&back).unwrap(), state);
+    }
+
+    #[test]
+    fn tenant_outside_the_class_space_is_rejected() {
+        // 51 is one past the largest tenant whose classes fit a u8; 300
+        // does not fit a u8 at all.
+        for tenant in [51, 300] {
+            let Value::Obj(mut fields) = sample_state().to_value() else {
+                panic!("not an object")
+            };
+            for (key, v) in &mut fields {
+                if key == "tenant" {
+                    *v = v_u64(tenant);
+                }
+            }
+            let got = ExecState::from_value(&Value::Obj(fields));
+            assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
+        }
     }
 }
