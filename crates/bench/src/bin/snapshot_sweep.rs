@@ -12,7 +12,7 @@
 //!
 //! 1. runs the cluster uninterrupted to completion (the baseline),
 //! 2. re-runs it to 40% of the baseline makespan and captures a
-//!    [`SimState`] snapshot (timing the capture and both encodings),
+//!    [`SimState`] snapshot (timing the capture and its encoding),
 //! 3. fork 0 — restores with the *original* job list and hard-asserts
 //!    the completed run is bit-identical to the baseline (makespan and
 //!    every job's first-start/completion/preemption count),
@@ -23,8 +23,7 @@
 //!
 //! Report keys (`--report BENCH_snapshot.json`): under `sim`,
 //! `snapshot/baseline_makespan_secs`, `snapshot/capture_at_secs`,
-//! `snapshot/bin_bytes`, `snapshot/json_bytes`,
-//! `snapshot/fork0_identical`, `snapshot/fork<k>/makespan_secs` and
+//! `snapshot/bin_bytes`, `snapshot/fork0_identical`, `snapshot/fork<k>/makespan_secs` and
 //! `snapshot/fork<k>/faults`; under `perf` (host timings),
 //! `snapshot/capture_ms` and `snapshot/restore_ms`.
 
@@ -123,7 +122,6 @@ fn main() {
     sim.insert("cluster", state.to_value());
     let bin = sim.to_binary();
     let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let json = sim.to_json();
     let running_jobs: Vec<usize> = state.running.iter().map(|r| r.job).collect();
     assert!(
         !running_jobs.is_empty(),
@@ -131,7 +129,6 @@ fn main() {
     );
     opts.metric("snapshot/capture_at_secs", cluster.now().as_secs());
     opts.metric("snapshot/bin_bytes", bin.len() as f64);
-    opts.metric("snapshot/json_bytes", json.len() as f64);
     opts.perf("snapshot/capture_ms", capture_ms);
 
     let mut table = Table::new(vec![
@@ -203,11 +200,10 @@ fn main() {
 
     table.print(&format!(
         "snapshot_sweep — {FORKS} futures forked from one capture at {} \
-         (baseline {}, snapshot {} B binary / {} B JSON)",
+         (baseline {}, snapshot {} B)",
         fmt_secs(capture_at),
         fmt_secs(baseline_secs),
-        bin.len(),
-        json.len()
+        bin.len()
     ));
     println!(
         "\nreading: fork 0 resumes with no new faults and is hard-asserted \

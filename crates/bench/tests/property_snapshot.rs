@@ -1,8 +1,8 @@
 //! Property tests for the snapshot/restore contract (DESIGN.md §12):
 //! capturing at *any* event boundary of a faulted, evicted or preempted
-//! run and resuming — through the full binary and JSON
-//! codecs — must be bit-identical to never having stopped, and damaged
-//! snapshot files must fail with typed errors, never panics.
+//! run and resuming — through the full binary codec — must be
+//! bit-identical to never having stopped, and damaged snapshot files
+//! must fail with typed errors, never panics.
 
 use std::rc::Rc;
 
@@ -10,9 +10,7 @@ use fred_cluster::{Cluster, ClusterConfig, ClusterState, JobClass, JobSpec};
 use fred_core::codec::{self, SnapshotError};
 use fred_core::params::FabricConfig;
 use fred_core::placement::Strategy3D;
-use fred_core::snapshot::{
-    core_state_from_value, core_state_to_value, SimState, SIM_STATE_VERSION,
-};
+use fred_core::snapshot::{core_state_from_value, core_state_to_value, SimState};
 use fred_mesh::topology::MeshFabric;
 use fred_sim::fault::FaultPlan;
 use fred_sim::flow::{FlowSpec, Priority};
@@ -144,18 +142,13 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
         let mut banked = Banked::new();
         let mut step = 0;
         drive_plain(&mut net, &m, &mut step, &mut banked, Some(boundary));
-        // Capture through the versioned container and BOTH codecs.
+        // Capture through the versioned container and the codec.
         let mut sim = SimState::new();
         sim.insert("net", core_state_to_value(&net.snapshot()));
         let from_bin = SimState::from_binary(&sim.to_binary()).unwrap();
-        let from_json = SimState::from_json(&sim.to_json()).unwrap();
         assert_eq!(
             from_bin, sim,
             "binary codec not lossless at boundary {boundary}"
-        );
-        assert_eq!(
-            from_json, sim,
-            "JSON codec not lossless at boundary {boundary}"
         );
         let state = core_state_from_value(from_bin.section("net").unwrap()).unwrap();
         let mut resumed = FlowNetwork::restore(m.clone_topology(), state);
@@ -297,19 +290,11 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
         let _ = SimState::from_binary(&bad);
     }
 
-    // JSON damage: wrong magic/version are typed, truncation is a
-    // parse error, and a structurally-valid but wrong-shaped document
-    // is a typed mismatch.
-    let json = sim.to_json();
-    assert!(SimState::from_json(&json[..json.len() / 2]).is_err());
-    let wrong_magic = json.replacen("FREDSNAP", "NOTASNAP", 1);
-    assert!(matches!(
-        SimState::from_json(&wrong_magic),
-        Err(SnapshotError::BadMagic)
-    ));
-    let wrong_shape =
-        format!(r#"{{"magic":"FREDSNAP","version":{SIM_STATE_VERSION},"sections":{{"net":42}}}}"#);
-    let decoded = SimState::from_json(&wrong_shape).unwrap();
+    // A well-formed file whose section has the wrong shape is a typed
+    // mismatch.
+    let mut wrong_shape = SimState::new();
+    wrong_shape.insert("net", codec::Value::Num(42.0));
+    let decoded = SimState::from_binary(&wrong_shape.to_binary()).unwrap();
     assert!(matches!(
         core_state_from_value(decoded.section("net").unwrap()),
         Err(SnapshotError::Mismatch(_))

@@ -1,19 +1,19 @@
 //! The workspace's shared serde-free value codec.
 //!
-//! One [`Value`] tree type with three wire forms:
+//! One [`Value`] tree type with two wire forms:
 //!
-//! * **JSON text** — [`parse`] / [`to_json`]. The recursive-descent
-//!   parser supports exactly the JSON this workspace emits (objects,
-//!   arrays, numbers, strings, booleans, null); the emitter reuses the
-//!   number/string formatting in [`fred_telemetry::json`], so bench
-//!   reports and snapshots render numbers identically.
-//! * **Binary** — [`to_binary`] / [`from_binary`]. A tagged tree with a
+//! * **JSON text** — [`parse`] / [`to_json`], the form of bench
+//!   reports. The recursive-descent parser supports exactly the JSON
+//!   this workspace emits (objects, arrays, numbers, strings, booleans,
+//!   null); the emitter reuses the number/string formatting in
+//!   [`fred_telemetry::json`], so reports render numbers identically.
+//! * **Binary** — [`to_binary`] / [`from_binary`], the only form of
+//!   simulation snapshots and DSE checkpoints. A tagged tree with a
 //!   magic + version header. Numbers are raw IEEE-754 bits, so the
 //!   binary form is exact for *every* `f64` (including `-0.0`, `NaN`
-//!   and infinities, which JSON cannot represent) — the preferred form
-//!   for simulation snapshots, where bit-exactness is the contract.
-//! * **Files** — [`write_binary`] / [`read_binary`] wrap the binary
-//!   form with I/O, mapping failures into [`SnapshotError`].
+//!   and infinities, which JSON cannot represent), as the snapshot
+//!   bit-exactness contract needs. [`write_binary`] / [`read_binary`]
+//!   wrap it with file I/O, mapping failures into [`SnapshotError`].
 //!
 //! This module grew out of `fred_bench::report`, which still re-exports
 //! [`Value`] and [`parse`] for its report-diffing surface.
@@ -90,17 +90,22 @@ impl Value {
 pub enum SnapshotError {
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file's codec version is not [`SNAPSHOT_VERSION`].
+    /// A version number the file carries is not the one this build
+    /// reads: the codec's [`SNAPSHOT_VERSION`] in the header, or the
+    /// state layout's `fred_core::snapshot::SIM_STATE_VERSION` inside
+    /// the decoded tree.
     BadVersion {
-        /// Version found in the file header.
+        /// Which version disagreed: `"codec"` or `"state layout"`.
+        of: &'static str,
+        /// Version found in the file.
         found: u32,
         /// The version this build decodes.
         expected: u32,
     },
     /// The input ended mid-value.
     Truncated,
-    /// The input is structurally invalid (bad tag, bad UTF-8, JSON
-    /// syntax error, …).
+    /// The input is structurally invalid (bad tag, bad UTF-8, trailing
+    /// bytes, …).
     Corrupt(String),
     /// The decoded value does not have the shape a state expects
     /// (missing section, wrong field type, wrong state version).
@@ -113,10 +118,14 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not a FRED snapshot (bad magic)"),
-            SnapshotError::BadVersion { found, expected } => {
+            SnapshotError::BadVersion {
+                of,
+                found,
+                expected,
+            } => {
                 write!(
                     f,
-                    "snapshot codec version {found} (this build reads {expected})"
+                    "snapshot {of} version {found} (this build reads {expected})"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
@@ -149,9 +158,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 /// via [`fred_telemetry::json::push_num`] (shortest round-trip, so
 /// `parse(to_json(v))` reproduces every finite number bit-exactly
 /// except `-0.0`); non-finite numbers are clamped the same way the
-/// bench reports clamp them. State snapshots avoid the clamp by
-/// encoding non-finite values as sentinel strings before they reach
-/// this emitter (see `fred_core::snapshot::v_f64`).
+/// bench reports clamp them.
 pub fn to_json(v: &Value) -> String {
     let mut out = String::with_capacity(256);
     emit(v, &mut out);
@@ -432,6 +439,7 @@ pub fn from_binary(bytes: &[u8]) -> Result<Value, SnapshotError> {
     let found = get_u32_le(bytes, &mut pos)?;
     if found != SNAPSHOT_VERSION {
         return Err(SnapshotError::BadVersion {
+            of: "codec",
             found,
             expected: SNAPSHOT_VERSION,
         });
@@ -616,12 +624,18 @@ mod tests {
         // Wrong version.
         let mut bad = good.clone();
         bad[8] = 99;
+        let err = from_binary(&bad).unwrap_err();
         assert_eq!(
-            from_binary(&bad),
-            Err(SnapshotError::BadVersion {
+            err,
+            SnapshotError::BadVersion {
+                of: "codec",
                 found: 99,
                 expected: SNAPSHOT_VERSION
-            })
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("snapshot codec version 99 (this build reads {SNAPSHOT_VERSION})")
         );
         // Truncation at every prefix length must never panic.
         for cut in 0..good.len() {

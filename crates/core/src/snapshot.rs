@@ -7,27 +7,25 @@
 //! `ScheduleExecutor` in `fred-workloads`; `Cluster` in
 //! `fred-cluster`). This module is the serialization hub: it converts
 //! those state structs to and from the shared [`Value`] tree and wraps
-//! them in a versioned [`SimState`] with named sections, encodable as
-//! JSON text or the exact binary form (see [`crate::codec`]).
+//! them in a versioned [`SimState`] with named sections, encoded in the
+//! binary form of [`crate::codec`].
 //!
 //! # Bit-exactness
 //!
-//! The binary form stores every `f64` as raw IEEE-754 bits and is the
-//! canonical snapshot format. The JSON form is human-inspectable and
-//! exact for every value the simulator actually produces: finite
-//! numbers round-trip bit-identically through the shortest-round-trip
-//! formatter, and the four JSON-unrepresentable cases are escaped as
-//! sentinel strings by [`v_f64`] (`"inf"`, `"-inf"`, `"nan"`, `"-0"`).
-//! Integers above 2^53 travel as decimal strings ([`v_u64`]).
+//! The binary form stores every `f64` as raw IEEE-754 bits, so every
+//! value — `-0.0`, NaN and the infinities included — round-trips
+//! exactly and [`v_f64`] is a plain number. Integers above 2^53, which
+//! an `f64` cannot hold, travel as decimal strings ([`v_u64`]).
 //!
 //! # Versioning policy
 //!
 //! [`SIM_STATE_VERSION`] names the *semantic* shape of the section
 //! tree; `codec::SNAPSHOT_VERSION` names the binary wire format. Both
 //! are checked on load and a mismatch is a typed
-//! [`SnapshotError::BadVersion`] — snapshots are not
-//! forward/backward compatible across versions, by design (a snapshot
-//! is a resume token, not an archive format).
+//! [`SnapshotError::BadVersion`] whose message names which of the two
+//! disagreed — snapshots are not forward/backward compatible across
+//! versions, by design (a snapshot is a resume token, not an archive
+//! format).
 
 use fred_sim::flow::{FlowId, FlowSpec, Priority};
 use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
@@ -40,14 +38,13 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 3;
+pub const SIM_STATE_VERSION: u32 = 4;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
 /// Drivers compose one `SimState` from however many layers they own —
 /// e.g. the cluster sweep stores a `"cluster"` section, a bare network
-/// a `"net"` section — and encode it
-/// with [`SimState::to_binary`] / [`SimState::to_json`].
+/// a `"net"` section — and encode it with [`SimState::to_binary`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimState {
     sections: Vec<(String, Value)>,
@@ -107,6 +104,7 @@ impl SimState {
         let version = u64_of(field(v, "version", "snapshot")?, "snapshot.version")?;
         if version != u64::from(SIM_STATE_VERSION) {
             return Err(SnapshotError::BadVersion {
+                of: "state layout",
                 found: version.min(u64::from(u32::MAX)) as u32,
                 expected: SIM_STATE_VERSION,
             });
@@ -117,20 +115,6 @@ impl SimState {
         Ok(SimState {
             sections: sections.clone(),
         })
-    }
-
-    /// Renders the snapshot as JSON text (exact modulo the [`v_f64`]
-    /// sentinel contract).
-    pub fn to_json(&self) -> String {
-        codec::to_json(&self.to_value())
-    }
-
-    /// Parses [`SimState::to_json`] output. Syntax errors surface as
-    /// [`SnapshotError::Corrupt`]; wrong magic/version as their typed
-    /// variants.
-    pub fn from_json(s: &str) -> Result<SimState, SnapshotError> {
-        let v = codec::parse(s).map_err(SnapshotError::Corrupt)?;
-        SimState::from_value(&v)
     }
 
     /// Encodes the snapshot in the exact binary form.
@@ -153,58 +137,21 @@ impl SimState {
         let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
         SimState::from_binary(&bytes)
     }
-
-    /// Writes the JSON form to `path`.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_json()).map_err(|e| SnapshotError::Io(e.to_string()))
-    }
-
-    /// Reads a [`SimState::write_json`] file.
-    pub fn read_json(path: impl AsRef<Path>) -> Result<SimState, SnapshotError> {
-        let s = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        SimState::from_json(&s)
-    }
 }
 
 // ---------------------------------------------------------------------
 // Scalar encoding helpers.
 // ---------------------------------------------------------------------
 
-/// Encodes an `f64` for the JSON-safe tree. Finite non-negative-zero
-/// values stay numbers (the emitter's shortest-round-trip rendering is
-/// bit-exact for them); the four cases JSON/`push_num` would mangle
-/// become sentinel strings: `"inf"`, `"-inf"`, `"nan"`, `"-0"`.
+/// Encodes an `f64` (every value is exact in the binary form).
 pub fn v_f64(x: f64) -> Value {
-    if x.is_nan() {
-        Value::Str("nan".into())
-    } else if x == f64::INFINITY {
-        Value::Str("inf".into())
-    } else if x == f64::NEG_INFINITY {
-        Value::Str("-inf".into())
-    } else if x == 0.0 && x.is_sign_negative() {
-        Value::Str("-0".into())
-    } else {
-        Value::Num(x)
-    }
+    Value::Num(x)
 }
 
 /// Decodes [`v_f64`].
 pub fn f64_of(v: &Value, ctx: &str) -> Result<f64, SnapshotError> {
-    match v {
-        Value::Num(n) => Ok(*n),
-        Value::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            "-0" => Ok(-0.0),
-            other => Err(SnapshotError::Mismatch(format!(
-                "{ctx}: `{other}` is not a number sentinel"
-            ))),
-        },
-        other => Err(SnapshotError::Mismatch(format!(
-            "{ctx}: expected number, found {other:?}"
-        ))),
-    }
+    v.as_f64()
+        .ok_or_else(|| SnapshotError::Mismatch(format!("{ctx}: expected number, found {v:?}")))
 }
 
 /// Encodes a `u64`. Values at or below 2^53 stay numbers (lossless in
@@ -573,12 +520,10 @@ fn check_solver_state(s: &SolverState) -> Result<(), SnapshotError> {
 fn flow_state_to_value(f: &FlowState) -> Value {
     Value::Obj(vec![
         ("id".into(), v_u64(f.id)),
-        ("links".into(), usizes(&f.links)),
         ("priority".into(), priority_to_value(f.priority)),
         ("tenant".into(), v_u64(u64::from(f.tenant))),
         ("tag".into(), v_u64(f.tag)),
         ("remaining".into(), v_f64(f.remaining)),
-        ("rate".into(), v_f64(f.rate)),
         ("updated_at".into(), v_time(f.updated_at)),
         ("generation".into(), v_u64(f.generation)),
         ("injected_at".into(), v_time(f.injected_at)),
@@ -589,12 +534,10 @@ fn flow_state_to_value(f: &FlowState) -> Value {
 fn flow_state_from_value(v: &Value, ctx: &str) -> Result<FlowState, SnapshotError> {
     Ok(FlowState {
         id: u64_of(field(v, "id", ctx)?, ctx)?,
-        links: usizes_of(field(v, "links", ctx)?, ctx)?,
         priority: priority_from_value(field(v, "priority", ctx)?, ctx)?,
         tenant: tenant_of(field(v, "tenant", ctx)?, ctx)?,
         tag: u64_of(field(v, "tag", ctx)?, ctx)?,
         remaining: f64_of(field(v, "remaining", ctx)?, ctx)?,
-        rate: f64_of(field(v, "rate", ctx)?, ctx)?,
         updated_at: time_of(field(v, "updated_at", ctx)?, ctx)?,
         generation: u64_of(field(v, "generation", ctx)?, ctx)?,
         injected_at: time_of(field(v, "injected_at", ctx)?, ctx)?,
@@ -643,11 +586,9 @@ pub fn core_state_to_value(s: &CoreState) -> Value {
         ("now".into(), v_time(s.now)),
         ("next_id".into(), v_u64(s.next_id)),
         ("flows".into(), flows),
-        ("active_count".into(), v_u64(s.active_count as u64)),
         ("solver".into(), solver_state_to_value(&s.solver)),
         ("drains".into(), drains),
         ("live_drains".into(), v_u64(s.live_drains as u64)),
-        ("compaction_min".into(), v_u64(s.compaction_min as u64)),
         ("compactions".into(), v_u64(s.compactions)),
         ("next_generation".into(), v_u64(s.next_generation)),
         ("pending".into(), pending),
@@ -655,8 +596,6 @@ pub fn core_state_to_value(s: &CoreState) -> Value {
             "completed".into(),
             Value::Arr(s.completed.iter().map(completed_to_value).collect()),
         ),
-        ("link_bytes".into(), f64s(&s.link_bytes)),
-        ("capacities".into(), f64s(&s.capacities)),
         ("failed".into(), bools(&s.failed)),
         ("events".into(), v_u64(s.events)),
         ("link_alloc".into(), f64s(&s.link_alloc)),
@@ -711,17 +650,13 @@ pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
         now: time_of(field(v, "now", ctx)?, ctx)?,
         next_id: u64_of(field(v, "next_id", ctx)?, ctx)?,
         flows,
-        active_count: usize_of(field(v, "active_count", ctx)?, ctx)?,
         solver: solver_state_from_value(field(v, "solver", ctx)?)?,
         drains,
         live_drains: usize_of(field(v, "live_drains", ctx)?, ctx)?,
-        compaction_min: usize_of(field(v, "compaction_min", ctx)?, ctx)?,
         compactions: u64_of(field(v, "compactions", ctx)?, ctx)?,
         next_generation: u64_of(field(v, "next_generation", ctx)?, ctx)?,
         pending,
         completed,
-        link_bytes: f64s_of(field(v, "link_bytes", ctx)?, ctx)?,
-        capacities: f64s_of(field(v, "capacities", ctx)?, ctx)?,
         failed: bools_of(field(v, "failed", ctx)?, ctx)?,
         events: u64_of(field(v, "events", ctx)?, ctx)?,
         link_alloc: f64s_of(field(v, "link_alloc", ctx)?, ctx)?,
@@ -730,15 +665,13 @@ pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
     Ok(state)
 }
 
-/// Checks that the network's slab and per-link vectors line up with its
-/// solver's (the two slabs share keys) and that every drain entry names
-/// a slot.
+/// Checks that the network's per-link vectors have the solver's link
+/// count, that its slab occupies exactly the solver's slots (the two
+/// slabs share keys) and that every drain entry names a slot.
 fn check_core_state(s: &CoreState) -> Result<(), SnapshotError> {
     let bad = |what: String| Err(SnapshotError::Mismatch(format!("core: {what}")));
     let n = s.solver.capacities.len();
     for (name, len) in [
-        ("capacities", s.capacities.len()),
-        ("link_bytes", s.link_bytes.len()),
         ("failed", s.failed.len()),
         ("link_alloc", s.link_alloc.len()),
     ] {
@@ -754,8 +687,8 @@ fn check_core_state(s: &CoreState) -> Result<(), SnapshotError> {
         ));
     }
     for (k, (f, sf)) in s.flows.iter().zip(&s.solver.flows).enumerate() {
-        if f.as_ref().map(|f| &f.links) != sf.as_ref().map(|sf| &sf.links) {
-            return bad(format!("slot {k} differs from the solver's"));
+        if f.is_some() != sf.is_some() {
+            return bad(format!("slot {k} is occupied in only one of the two slabs"));
         }
     }
     if let Some(&(_, _, _, slot)) = s.drains.iter().find(|d| d.3 as usize >= s.flows.len()) {
@@ -792,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn core_state_round_trips_json_and_binary_exactly() {
+    fn core_state_round_trips_binary_exactly() {
         let (_, net) = busy_net();
         let state = net.snapshot();
         let v = core_state_to_value(&state);
@@ -800,15 +733,8 @@ mod tests {
 
         let mut sim = SimState::new();
         sim.insert("net", v);
-        // Binary round-trip.
         let back = SimState::from_binary(&sim.to_binary()).unwrap();
         assert_eq!(back, sim);
-        assert_eq!(
-            core_state_from_value(back.section("net").unwrap()).unwrap(),
-            state
-        );
-        // JSON round-trip (all simulator-produced values are finite).
-        let back = SimState::from_json(&sim.to_json()).unwrap();
         assert_eq!(
             core_state_from_value(back.section("net").unwrap()).unwrap(),
             state
@@ -987,7 +913,8 @@ mod tests {
 
     #[test]
     fn core_link_vector_length_mismatch_is_rejected() {
-        assert_rejected(|s| s.link_bytes.push(0.0));
+        assert_rejected(|s| s.failed.push(false));
+        assert_rejected(|s| s.link_alloc.push(0.0));
     }
 
     #[test]
@@ -999,7 +926,16 @@ mod tests {
     }
 
     #[test]
-    fn scalar_sentinels_round_trip_through_json() {
+    fn string_in_a_number_field_is_rejected() {
+        // The former JSON sentinel for infinity is no number.
+        assert_value_rejected(|v, k| {
+            *field_mut(item_mut(field_mut(v, "flows"), k), "remaining") = Value::Str("inf".into());
+        });
+        assert_value_rejected(|v, _| *field_mut(v, "now") = Value::Str("-0".into()));
+    }
+
+    #[test]
+    fn scalars_round_trip_exactly_through_binary() {
         for x in [
             0.0,
             -0.0,
@@ -1012,14 +948,14 @@ mod tests {
         ] {
             let mut sim = SimState::new();
             sim.insert("x", v_f64(x));
-            let back = SimState::from_json(&sim.to_json()).unwrap();
+            let back = SimState::from_binary(&sim.to_binary()).unwrap();
             let y = f64_of(back.section("x").unwrap(), "x").unwrap();
             assert_eq!(y.to_bits(), x.to_bits(), "{x}");
         }
         for n in [0u64, 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
             let mut sim = SimState::new();
             sim.insert("n", v_u64(n));
-            let back = SimState::from_json(&sim.to_json()).unwrap();
+            let back = SimState::from_binary(&sim.to_binary()).unwrap();
             assert_eq!(u64_of(back.section("n").unwrap(), "n").unwrap(), n);
         }
     }
@@ -1042,10 +978,30 @@ mod tests {
             SimState::from_value(&Value::Obj(fields)),
             Err(SnapshotError::BadMagic)
         );
-        // JSON garbage is Corrupt, not a panic.
-        assert!(matches!(
-            SimState::from_json("{\"magic\": "),
-            Err(SnapshotError::Corrupt(_))
-        ));
+    }
+
+    #[test]
+    fn older_state_layout_is_rejected_naming_the_layout() {
+        // A version-3 file: the codec header is current, the state
+        // layout inside it is not.
+        let mut sim = SimState::new();
+        sim.insert("net", core_state_to_value(&busy_net().1.snapshot()));
+        let Value::Obj(mut fields) = sim.to_value() else {
+            panic!("not an object")
+        };
+        fields[1].1 = v_u64(3);
+        let err = SimState::from_binary(&codec::to_binary(&Value::Obj(fields))).unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::BadVersion {
+                of: "state layout",
+                found: 3,
+                expected: SIM_STATE_VERSION,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("snapshot state layout version 3 (this build reads {SIM_STATE_VERSION})")
+        );
     }
 }

@@ -135,8 +135,9 @@ pub struct SweepOutcome {
 /// to the first-arriving job, so they take effect the moment the
 /// cluster starts running: `fault_fraction` becomes a survivable
 /// seeded link-failure set, and `bw_ratio < 1` becomes a
-/// [`FaultKind::LinkDegrade`] on every *surviving* link (degrading a
-/// killed link would resurrect it — the failure set is excluded).
+/// [`FaultKind::LinkDegrade`] on every *surviving* link (a killed link
+/// stays dead under a degrade, so the failure set is left out of the
+/// plan).
 pub fn evaluate_point(spec: &SweepSpec, point: &SweepPoint) -> PointRow {
     let _scope = prof::scope("dse.point");
     let templates = point.workload.templates();
@@ -530,6 +531,29 @@ mod tests {
         write_checkpoint(&spec, &rows, &path).unwrap();
         let back = load_checkpoint(&spec, &path).unwrap();
         assert_eq!(back, rows, "codec roundtrip must be exact");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoint_of_an_older_state_layout_is_rejected_by_version() {
+        let spec = tiny_spec();
+        let dir = std::env::temp_dir().join("fred_dse_old_layout_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.bin");
+        write_checkpoint(&spec, &[], &path).unwrap();
+        // Rewrite the file as state layout 3 under the current codec.
+        let Value::Obj(mut fields) = fred_core::codec::read_binary(&path).unwrap() else {
+            panic!("not an object")
+        };
+        let version = fields.iter_mut().find(|(k, _)| k == "version").unwrap();
+        version.1 = v_u64(3);
+        fred_core::codec::write_binary(&path, &Value::Obj(fields)).unwrap();
+        let err = load_checkpoint(&spec, &path).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::BadVersion { found: 3, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("state layout version 3"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -24,12 +24,16 @@
 //! (cut-through) pipelining: bandwidth is held only while bytes are being
 //! pushed, and the constant propagation delay is appended at the end.
 //!
-//! Byte accounting is lazy to match: each flow carries an `updated_at`
-//! watermark and bytes are debited only when its rate changes or it
-//! drains, so a rate refill touches exactly the flows whose rate
-//! changed. Statistics queries ([`FlowNetwork::link_carried_bytes`],
-//! [`FlowNetwork::link_utilization`]) fold the in-flight contribution
-//! back in on demand.
+//! Byte accounting is lazy to match and per flow: each flow carries an
+//! `updated_at` watermark and its bytes left are debited only when its
+//! rate changes, it is evicted or it drains, so a rate refill touches
+//! exactly the flows whose rate changed.
+//!
+//! The solver is the only owner of each flow's route and rate, of link
+//! capacities and of the live-flow count. The network keeps, under the
+//! solver's key, only what the event loop adds: flow identity, bytes
+//! left and their watermark, the drain-heap generation, injection time
+//! and tail latency.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -87,17 +91,16 @@ pub fn global_heap_compactions() -> u64 {
     GLOBAL_COMPACTIONS.load(Ordering::Relaxed)
 }
 
+/// The event-loop fields of one bandwidth-consuming flow. Its route
+/// and rate live in the solver under the same key.
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     id: FlowId,
-    /// Route as raw link indices (allocator-friendly).
-    links: Vec<usize>,
     priority: Priority,
     tenant: u8,
     tag: u64,
     /// Bytes left as of `updated_at` (lazy accounting).
     remaining: f64,
-    rate: f64,
     /// Watermark of the last byte settlement / rate change.
     updated_at: Time,
     /// Generation of this flow's live drain-heap entry; entries with a
@@ -105,6 +108,18 @@ struct ActiveFlow {
     generation: u64,
     injected_at: Time,
     latency: Duration,
+}
+
+impl ActiveFlow {
+    /// Debits the bytes moved at `rate` since the watermark and moves
+    /// the watermark to `now`.
+    fn settle(&mut self, rate: f64, now: Time) {
+        let dt = (now - self.updated_at).as_secs();
+        if rate > 0.0 && dt > 0.0 {
+            self.remaining -= (rate * dt).min(self.remaining);
+        }
+        self.updated_at = now;
+    }
 }
 
 /// A flow forcibly removed from the network by [`FlowNetwork::fail_link`]
@@ -175,14 +190,13 @@ type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 
 /// Serializable image of one in-flight flow inside a [`CoreState`].
 /// Plain data: every field that feeds future arithmetic (lazy byte
-/// accounting watermark, rate, drain-entry generation) is carried
-/// verbatim so a restored network continues the exact float sequence.
+/// accounting watermark, drain-entry generation) is carried verbatim
+/// so a restored network continues the exact float sequence. Route
+/// and rate are the solver's (see [`crate::solver::SolverFlowState`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowState {
     /// The flow id ([`FlowId`] raw value).
     pub id: u64,
-    /// Route as raw link indices.
-    pub links: Vec<usize>,
     /// Priority class.
     pub priority: Priority,
     /// Tenant rank.
@@ -191,8 +205,6 @@ pub struct FlowState {
     pub tag: u64,
     /// Bytes left as of `updated_at`.
     pub remaining: f64,
-    /// Current allocated rate.
-    pub rate: f64,
     /// Watermark of the last byte settlement / rate change.
     pub updated_at: Time,
     /// Generation of the flow's live drain-heap entry.
@@ -210,8 +222,9 @@ pub struct FlowState {
 ///
 /// Deliberately excluded: the telemetry sink (configuration, supplied
 /// on restore), solver scratch (epoch-stamped, provably inert after
-/// restore), and the process-wide event/compaction counters
-/// (monotonic profiling aggregates, not simulation state).
+/// restore), the drain-heap compaction floor (a test hook, back at its
+/// default after a restore), and the process-wide event/compaction
+/// counters (monotonic profiling aggregates, not simulation state).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreState {
     /// Simulation clock.
@@ -220,9 +233,7 @@ pub struct CoreState {
     pub next_id: u64,
     /// The flow slab, holes included (slot = solver [`FlowKey`]).
     pub flows: Vec<Option<FlowState>>,
-    /// Number of live slots in `flows`.
-    pub active_count: usize,
-    /// The fair-share solver's image.
+    /// The fair-share solver's image: routes, rates, link capacities.
     pub solver: crate::solver::SolverState,
     /// Drain-heap entries `(when, flow id, generation, slot)`, sorted
     /// ascending — a binary heap's pop order is a pure function of its
@@ -230,8 +241,6 @@ pub struct CoreState {
     pub drains: Vec<(Time, u64, u64, u32)>,
     /// Live (non-stale) entry count within `drains`.
     pub live_drains: usize,
-    /// Heap size below which compaction never runs.
-    pub compaction_min: usize,
     /// Compactions performed so far (per-network statistic).
     pub compactions: u64,
     /// Drain-entry generation counter.
@@ -241,10 +250,6 @@ pub struct CoreState {
     pub pending: Vec<(Time, u64, CompletedFlow)>,
     /// Completions buffered but not yet drained by the caller.
     pub completed: Vec<CompletedFlow>,
-    /// Bytes settled per link.
-    pub link_bytes: Vec<f64>,
-    /// Current link capacities (post-fault/degrade).
-    pub capacities: Vec<f64>,
     /// Links killed by faults.
     pub failed: Vec<bool>,
     /// Lifecycle events processed by this network.
@@ -268,7 +273,6 @@ pub struct FlowNetwork {
     /// `add_flow`/`remove_flow` per slot transition), so the key is
     /// shared.
     flows: Vec<Option<ActiveFlow>>,
-    active_count: usize,
     solver: FairShareSolver,
     /// Predicted drain instants (lazy deletion via generations).
     drains: BinaryHeap<DrainEntry>,
@@ -283,10 +287,6 @@ pub struct FlowNetwork {
     /// Drained flows waiting out their tail latency.
     pending: BinaryHeap<Reverse<PendingNotice>>,
     completed: Vec<CompletedFlow>,
-    /// Bytes settled per link (statistics; excludes the in-flight
-    /// contribution since each flow's `updated_at`).
-    link_bytes: Vec<f64>,
-    capacities: Vec<f64>,
     /// Links killed by [`FlowNetwork::fail_link`]; failed links reject
     /// new injections and are what routing layers must detour around.
     failed: Vec<bool>,
@@ -299,8 +299,9 @@ pub struct FlowNetwork {
     /// Last emitted per-link allocated rate (telemetry scratch; only
     /// maintained while tracing).
     link_alloc: Vec<f64>,
-    /// Reusable buffer for the changed-flow keys of a refill.
-    changed_scratch: Vec<FlowKey>,
+    /// Reusable buffer for the changed flows of a refill, each with
+    /// its rate before the refill.
+    changed_scratch: Vec<(FlowKey, f64)>,
 }
 
 impl FlowNetwork {
@@ -322,8 +323,7 @@ impl FlowNetwork {
             now: Time::ZERO,
             next_id: 0,
             flows: Vec::new(),
-            active_count: 0,
-            solver: FairShareSolver::new(capacities.clone()),
+            solver: FairShareSolver::new(capacities),
             drains: BinaryHeap::new(),
             live_drains: 0,
             compaction_min: HEAP_COMPACTION_MIN,
@@ -331,9 +331,7 @@ impl FlowNetwork {
             next_generation: 0,
             pending: BinaryHeap::new(),
             completed: Vec::new(),
-            link_bytes: vec![0.0; n],
             failed: vec![false; n],
-            capacities,
             events: 0,
             tracing: sink.enabled(),
             sink,
@@ -351,7 +349,7 @@ impl FlowNetwork {
         if self.tracing {
             self.sink.record(TraceEvent::Topology {
                 t: self.now.as_secs(),
-                capacities: self.capacities.clone().into_boxed_slice(),
+                capacities: self.solver.capacities().into(),
             });
         }
     }
@@ -376,7 +374,7 @@ impl FlowNetwork {
     /// Number of flows currently consuming bandwidth or waiting out their
     /// tail latency.
     pub fn in_flight(&self) -> usize {
-        self.active_count + self.pending.len()
+        self.solver.len() + self.pending.len()
     }
 
     /// Lifecycle events (injections, drains, completions) this instance
@@ -414,57 +412,8 @@ impl FlowNetwork {
     /// the topology or crosses a link killed by
     /// [`FlowNetwork::fail_link`]. The network is unchanged on error.
     pub fn inject(&mut self, spec: FlowSpec) -> Result<FlowId, RouteError> {
-        self.topo.validate_route(&spec.route)?;
-        if let Some(&dead) = spec.route.iter().find(|l| self.failed[l.0]) {
-            return Err(RouteError::FailedLink(dead));
-        }
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
-        let latency = self.topo.route_latency(&spec.route);
-        let flow = ActiveFlow {
-            id,
-            links: spec.route.iter().map(|l| l.0).collect(),
-            priority: spec.priority,
-            tenant: spec.tenant,
-            tag: spec.tag,
-            remaining: spec.bytes,
-            rate: 0.0,
-            updated_at: self.now,
-            generation: 0,
-            injected_at: self.now,
-            latency,
-        };
-        self.count_event();
-        if self.tracing {
-            self.sink.record(TraceEvent::FlowInjected {
-                t: self.now.as_secs(),
-                id: id.0,
-                tag: flow.tag,
-                bytes: spec.bytes,
-                track: track_of(flow.priority),
-                links: flow.links.iter().map(|&l| l as u32).collect(),
-            });
-        }
-        if flow.remaining <= DRAIN_EPS || flow.links.is_empty() {
-            // Nothing to drain (or node-local): completes after latency.
-            self.count_event(); // its drain is implicit
-            self.push_pending(flow);
-        } else {
-            // Fill class = (tenant, priority) lexicographic: tenant 0
-            // yields exactly the priority rank, so single-tenant runs
-            // hit the same solver arithmetic as before tenancy existed.
-            let class = flow.tenant * Priority::ALL.len() as u8 + flow.priority.rank() as u8;
-            let key = self.solver.add_flow_class(&flow.links, class);
-            let slot = key.0 as usize;
-            if slot == self.flows.len() {
-                self.flows.push(Some(flow));
-            } else {
-                debug_assert!(self.flows[slot].is_none(), "solver key collision");
-                self.flows[slot] = Some(flow);
-            }
-            self.active_count += 1;
-        }
-        Ok(id)
+        self.check_route(&spec.route)?;
+        Ok(self.inject_checked(spec))
     }
 
     /// Injects several flows at the current time. Since the solver runs
@@ -481,34 +430,82 @@ impl FlowNetwork {
         let _prof = fred_telemetry::prof::scope("netsim.inject_batch");
         fred_telemetry::prof::record_value("netsim.inject_batch_flows", specs.len() as f64);
         for spec in &specs {
-            self.topo.validate_route(&spec.route)?;
-            if let Some(&dead) = spec.route.iter().find(|l| self.failed[l.0]) {
-                return Err(RouteError::FailedLink(dead));
+            self.check_route(&spec.route)?;
+        }
+        Ok(specs
+            .into_iter()
+            .map(|spec| self.inject_checked(spec))
+            .collect())
+    }
+
+    /// Rejects a route that is not a contiguous path in the topology or
+    /// that crosses a failed link.
+    fn check_route(&self, route: &[LinkId]) -> Result<(), RouteError> {
+        self.topo.validate_route(route)?;
+        match route.iter().find(|l| self.failed[l.0]) {
+            Some(&dead) => Err(RouteError::FailedLink(dead)),
+            None => Ok(()),
+        }
+    }
+
+    /// [`FlowNetwork::inject`] for a route [`FlowNetwork::check_route`]
+    /// accepted.
+    fn inject_checked(&mut self, spec: FlowSpec) -> FlowId {
+        let id = FlowId(self.next_id);
+        self.next_id += 1;
+        let flow = ActiveFlow {
+            id,
+            priority: spec.priority,
+            tenant: spec.tenant,
+            tag: spec.tag,
+            remaining: spec.bytes,
+            updated_at: self.now,
+            generation: 0,
+            injected_at: self.now,
+            latency: self.topo.route_latency(&spec.route),
+        };
+        self.count_event();
+        if self.tracing {
+            self.sink.record(TraceEvent::FlowInjected {
+                t: self.now.as_secs(),
+                id: id.0,
+                tag: flow.tag,
+                bytes: spec.bytes,
+                track: track_of(flow.priority),
+                links: spec.route.iter().map(|l| l.0 as u32).collect(),
+            });
+        }
+        if flow.remaining <= DRAIN_EPS || spec.route.is_empty() {
+            // Nothing to drain (or node-local): completes after latency.
+            self.count_event(); // its drain is implicit
+            self.push_pending(flow);
+        } else {
+            // Fill class = (tenant, priority) lexicographic: tenant 0
+            // yields exactly the priority rank, so single-tenant runs
+            // hit the same solver arithmetic as before tenancy existed.
+            let class = flow.tenant * Priority::ALL.len() as u8 + flow.priority.rank() as u8;
+            let links = spec.route.iter().map(|l| l.0).collect();
+            let slot = self.solver.add_flow_class(links, class).0 as usize;
+            if slot == self.flows.len() {
+                self.flows.push(Some(flow));
+            } else {
+                debug_assert!(self.flows[slot].is_none(), "solver key collision");
+                self.flows[slot] = Some(flow);
             }
         }
-        specs.into_iter().map(|spec| self.inject(spec)).collect()
+        id
     }
 
     /// Current capacity of a link (bytes/s): the topology bandwidth,
     /// reduced by [`FlowNetwork::degrade_link`], zero after
     /// [`FlowNetwork::fail_link`].
     pub fn link_capacity(&self, link: LinkId) -> f64 {
-        self.capacities[link.0]
+        self.solver.capacity(link.0)
     }
 
     /// Whether `link` has been killed by [`FlowNetwork::fail_link`].
     pub fn is_link_failed(&self, link: LinkId) -> bool {
         self.failed[link.0]
-    }
-
-    /// All links killed so far, in id order.
-    pub fn failed_links(&self) -> Vec<LinkId> {
-        self.failed
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| LinkId(i))
-            .collect()
     }
 
     /// Whether any link has been killed (cheap guard: the zero-fault
@@ -520,11 +517,12 @@ impl FlowNetwork {
 
     /// Kills `link` at the current instant: its capacity drops to zero,
     /// new injections across it are rejected, and every in-flight flow
-    /// crossing it is *evicted* — returned with its unsent byte count so
-    /// the caller can re-route and re-inject. Byte accounting of evicted
-    /// flows is settled at their pre-fault rate up to now. Surviving
-    /// flows that shared a bottleneck with the dead link's flows are
-    /// re-solved by the incremental allocator at the next event.
+    /// crossing it is *evicted*, in slot order, and returned with its
+    /// unsent byte count so the caller can re-route and re-inject. Byte
+    /// accounting of evicted flows is settled at their pre-fault rate
+    /// up to now. Surviving flows that shared a bottleneck with the
+    /// dead link's flows are re-solved by the incremental allocator at
+    /// the next event.
     ///
     /// Idempotent: failing an already-dead link evicts nothing.
     pub fn fail_link(&mut self, link: LinkId) -> Vec<EvictedFlow> {
@@ -532,9 +530,15 @@ impl FlowNetwork {
             return Vec::new();
         }
         self.failed[link.0] = true;
-        self.capacities[link.0] = 0.0;
         self.solver.set_capacity(link.0, 0.0);
-        let evicted = self.evict_where(|f| f.links.contains(&link.0));
+        // A route crossing the link twice is listed twice.
+        let mut victims = self.solver.link_flows(link.0).to_vec();
+        victims.sort_unstable();
+        victims.dedup();
+        let evicted: Vec<EvictedFlow> = victims
+            .into_iter()
+            .map(|key| self.evict_slot(key as usize))
+            .collect();
         if self.tracing {
             self.sink.record(TraceEvent::Fault {
                 t: self.now.as_secs(),
@@ -550,7 +554,8 @@ impl FlowNetwork {
     /// port surviving at reduced width). Flows crossing it keep flowing
     /// at the re-solved lower rate; nothing is evicted. A `fraction` of
     /// `0.0` is a full failure — use [`FlowNetwork::fail_link`], which
-    /// also evicts.
+    /// also evicts. A link [`FlowNetwork::fail_link`] killed stays dead:
+    /// degrading it changes nothing and records no event.
     ///
     /// # Panics
     ///
@@ -560,9 +565,11 @@ impl FlowNetwork {
             fraction > 0.0 && fraction <= 1.0,
             "degrade fraction must be in (0, 1], got {fraction} (use fail_link for 0)"
         );
-        let cap = self.topo.link(link).bandwidth * fraction;
-        self.capacities[link.0] = cap;
-        self.solver.set_capacity(link.0, cap);
+        if self.failed[link.0] {
+            return;
+        }
+        self.solver
+            .set_capacity(link.0, self.topo.link(link).bandwidth * fraction);
         if self.tracing {
             self.sink.record(TraceEvent::Fault {
                 t: self.now.as_secs(),
@@ -574,21 +581,16 @@ impl FlowNetwork {
     }
 
     /// Forcibly evicts every bandwidth-consuming flow whose tag
-    /// satisfies `pred`, settling moved bytes exactly like a link-fault
-    /// eviction but leaving link capacities untouched — the preemption
-    /// entry point for a scheduling layer that owns disjoint tag ranges
-    /// per job. Flows already drained and waiting out their tail latency
-    /// are *not* recalled; their completions still surface and the
-    /// caller is expected to drop retired tags.
+    /// satisfies `pred`, in slot order, settling moved bytes exactly
+    /// like a link-fault eviction but leaving link capacities untouched
+    /// — the preemption entry point for a scheduling layer that owns
+    /// disjoint tag ranges per job. Flows already drained and waiting
+    /// out their tail latency are *not* recalled; their completions
+    /// still surface and the caller is expected to drop retired tags.
     pub fn evict_flows_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<EvictedFlow> {
-        self.evict_where(|f| pred(f.tag))
-    }
-
-    /// Evicts every live flow matching `pred`, in slot order.
-    fn evict_where(&mut self, mut pred: impl FnMut(&ActiveFlow) -> bool) -> Vec<EvictedFlow> {
         let mut evicted = Vec::new();
         for slot in 0..self.flows.len() {
-            if self.flows[slot].as_ref().is_some_and(&mut pred) {
+            if self.flows[slot].as_ref().is_some_and(|f| pred(f.tag)) {
                 evicted.push(self.evict_slot(slot));
             }
         }
@@ -600,26 +602,21 @@ impl FlowNetwork {
     /// drain prediction is discarded on pop (empty slot / bumped
     /// generation).
     fn evict_slot(&mut self, slot: usize) -> EvictedFlow {
-        let now = self.now;
+        let key = FlowKey(slot as u32);
         let mut f = self.flows[slot].take().expect("evict_slot on a dead slot");
-        self.active_count -= 1;
-        if f.rate > 0.0 {
+        let rate = self.solver.rate(key);
+        if rate > 0.0 {
             // Its live drain entry just went stale.
             self.live_drains -= 1;
         }
-        let moved = {
-            let dt = (now - f.updated_at).as_secs();
-            if f.rate > 0.0 && dt > 0.0 {
-                (f.rate * dt).min(f.remaining)
-            } else {
-                0.0
-            }
-        };
-        f.remaining -= moved;
-        for &l in &f.links {
-            self.link_bytes[l] += moved;
-        }
-        self.solver.remove_flow(FlowKey(slot as u32));
+        f.settle(rate, self.now);
+        let route = self
+            .solver
+            .flow_links(key)
+            .iter()
+            .map(|&l| LinkId(l))
+            .collect();
+        self.solver.remove_flow(key);
         self.count_event();
         EvictedFlow {
             id: f.id,
@@ -627,7 +624,7 @@ impl FlowNetwork {
             priority: f.priority,
             tenant: f.tenant,
             remaining_bytes: f.remaining,
-            route: f.links.iter().map(|&l| LinkId(l)).collect(),
+            route,
             injected_at: f.injected_at,
         }
     }
@@ -660,38 +657,33 @@ impl FlowNetwork {
         changed.clear();
         changed.extend_from_slice(self.solver.changed_flows());
         let now = self.now;
-        for &key in &changed {
+        for &(key, old_rate) in &changed {
             let f = self.flows[key.0 as usize]
                 .as_mut()
                 .expect("solver changed a dead flow");
             // Debit bytes moved at the old rate up to now.
-            let dt = (now - f.updated_at).as_secs();
-            if f.rate > 0.0 && dt > 0.0 {
-                let moved = (f.rate * dt).min(f.remaining);
-                f.remaining -= moved;
-                for &l in &f.links {
-                    self.link_bytes[l] += moved;
-                }
-            }
-            if f.rate > 0.0 {
+            f.settle(old_rate, now);
+            if old_rate > 0.0 {
                 // The generation bump below invalidates its live entry.
                 self.live_drains -= 1;
             }
-            f.updated_at = now;
-            f.rate = self.solver.rate(key);
+            let rate = self.solver.rate(key);
             // Feasibility: no allocation can beat the flow's solo
             // (bottleneck-capacity) rate — the ideal rate the analysis
             // layer re-costs against.
             debug_assert!(
-                f.rate <= crate::fairshare::solo_rate(&self.capacities, &f.links) + 1e-9,
+                rate <= crate::fairshare::solo_rate(
+                    self.solver.capacities(),
+                    self.solver.flow_links(key)
+                ) + 1e-9,
                 "allocated rate exceeds contention-free rate"
             );
             // Re-predict the drain. The old heap entry (if any) is
             // invalidated by the generation bump and discarded on pop.
             self.next_generation += 1;
             f.generation = self.next_generation;
-            if f.rate > 0.0 {
-                let eta = Duration::from_secs((f.remaining / f.rate).max(0.0));
+            if rate > 0.0 {
+                let eta = Duration::from_secs((f.remaining / rate).max(0.0));
                 self.drains
                     .push(Reverse((now + eta, f.id.0, f.generation, key.0)));
                 self.live_drains += 1;
@@ -738,19 +730,16 @@ impl FlowNetwork {
         if changed > 0 {
             self.sink.record(TraceEvent::RateEpoch {
                 t,
-                active_flows: self.active_count as u32,
+                active_flows: self.solver.len() as u32,
                 changed,
             });
         }
         for &l in self.solver.touched_links() {
             let new = self.solver.link_allocated(l);
-            if (new - self.link_alloc[l]).abs() > 1e-9 * self.capacities[l].max(1.0) {
+            let capacity = self.solver.capacity(l);
+            if (new - self.link_alloc[l]).abs() > 1e-9 * capacity.max(1.0) {
                 // A dead link (capacity 0) reports utilization 0, not NaN.
-                let utilization = if self.capacities[l] > 0.0 {
-                    new / self.capacities[l]
-                } else {
-                    0.0
-                };
+                let utilization = if capacity > 0.0 { new / capacity } else { 0.0 };
                 self.sink.record(TraceEvent::LinkUtil {
                     t,
                     link: l as u32,
@@ -840,14 +829,7 @@ impl FlowNetwork {
                 continue;
             }
             let f = self.flows[slot].take().expect("checked live");
-            self.active_count -= 1;
             self.live_drains -= 1;
-            // The prediction is exact for a constant rate, so the
-            // un-debited bytes are the flow's full `remaining` (modulo
-            // float residue, which we settle here rather than simulate).
-            for &l in &f.links {
-                self.link_bytes[l] += f.remaining;
-            }
             self.solver.remove_flow(FlowKey(slot as u32));
             self.count_event();
             if self.tracing {
@@ -904,52 +886,18 @@ impl FlowNetwork {
         self.drain_completed()
     }
 
-    /// Bytes a live flow has moved since its last settlement watermark.
-    fn in_flight_bytes(&self, f: &ActiveFlow) -> f64 {
-        let dt = (self.now - f.updated_at).as_secs();
-        if f.rate > 0.0 && dt > 0.0 {
-            (f.rate * dt).min(f.remaining)
-        } else {
-            0.0
-        }
-    }
-
-    /// Cumulative bytes carried by a link since construction, including
-    /// the in-flight contribution of active flows.
-    pub fn link_carried_bytes(&self, link: LinkId) -> f64 {
-        let mut total = self.link_bytes[link.0];
-        for f in self.flows.iter().flatten() {
-            if f.links.contains(&link.0) {
-                total += self.in_flight_bytes(f);
-            }
-        }
-        total
-    }
-
-    /// Link utilisation over `[Time::ZERO, now]`: carried bytes divided
-    /// by capacity × elapsed. Returns 0 when no time has elapsed (or the
-    /// link has no capacity), never NaN.
-    pub fn link_utilization(&self, link: LinkId) -> f64 {
-        let elapsed = self.now.as_secs();
-        let denom = self.capacities[link.0] * elapsed;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            self.link_carried_bytes(link) / denom
-        }
-    }
-
     /// Test hook: lowers the drain-heap compaction floor so small
     /// workloads can exercise the rebuild path (`usize::MAX` disables
-    /// compaction entirely).
+    /// compaction entirely). Not simulation state: snapshots leave it
+    /// out and a restored network starts at the default.
     pub fn set_heap_compaction_min(&mut self, min: usize) {
         self.compaction_min = min;
     }
 
     /// Captures the simulator's complete mutable state. Restoring the
     /// capture with [`FlowNetwork::restore`] and running to completion
-    /// is bit-identical (completion times, rate epochs, byte
-    /// accounting) to never having paused. Valid at any point between
+    /// is bit-identical (completion times, rate epochs, evicted bytes)
+    /// to never having paused. Valid at any point between
     /// public calls, including mid-fault with evicted flows awaiting
     /// re-injection.
     pub fn snapshot(&self) -> CoreState {
@@ -971,12 +919,10 @@ impl FlowNetwork {
                 .map(|slot| {
                     slot.as_ref().map(|f| FlowState {
                         id: f.id.0,
-                        links: f.links.clone(),
                         priority: f.priority,
                         tenant: f.tenant,
                         tag: f.tag,
                         remaining: f.remaining,
-                        rate: f.rate,
                         updated_at: f.updated_at,
                         generation: f.generation,
                         injected_at: f.injected_at,
@@ -984,17 +930,13 @@ impl FlowNetwork {
                     })
                 })
                 .collect(),
-            active_count: self.active_count,
             solver: self.solver.snapshot(),
             drains,
             live_drains: self.live_drains,
-            compaction_min: self.compaction_min,
             compactions: self.compactions,
             next_generation: self.next_generation,
             pending,
             completed: self.completed.clone(),
-            link_bytes: self.link_bytes.clone(),
-            capacities: self.capacities.clone(),
             failed: self.failed.clone(),
             events: self.events,
             link_alloc: self.link_alloc.clone(),
@@ -1024,11 +966,10 @@ impl FlowNetwork {
     ) -> FlowNetwork {
         let n = topo.links().count();
         assert_eq!(
-            state.capacities.len(),
+            state.solver.capacities.len(),
             n,
             "snapshot link count does not match the topology"
         );
-        assert_eq!(state.link_bytes.len(), n, "corrupt snapshot: link_bytes");
         assert_eq!(state.failed.len(), n, "corrupt snapshot: failed");
         assert_eq!(state.link_alloc.len(), n, "corrupt snapshot: link_alloc");
         let flows: Vec<Option<ActiveFlow>> = state
@@ -1037,12 +978,10 @@ impl FlowNetwork {
             .map(|slot| {
                 slot.map(|f| ActiveFlow {
                     id: FlowId(f.id),
-                    links: f.links,
                     priority: f.priority,
                     tenant: f.tenant,
                     tag: f.tag,
                     remaining: f.remaining,
-                    rate: f.rate,
                     updated_at: f.updated_at,
                     generation: f.generation,
                     injected_at: f.injected_at,
@@ -1055,11 +994,10 @@ impl FlowNetwork {
             now: state.now,
             next_id: state.next_id,
             flows,
-            active_count: state.active_count,
             solver: FairShareSolver::restore(state.solver),
             drains: state.drains.into_iter().map(Reverse).collect(),
             live_drains: state.live_drains,
-            compaction_min: state.compaction_min,
+            compaction_min: HEAP_COMPACTION_MIN,
             compactions: state.compactions,
             next_generation: state.next_generation,
             pending: state
@@ -1068,8 +1006,6 @@ impl FlowNetwork {
                 .map(|(at, seq, flow)| Reverse(PendingNotice { at, seq, flow }))
                 .collect(),
             completed: state.completed,
-            link_bytes: state.link_bytes,
-            capacities: state.capacities,
             failed: state.failed,
             events: state.events,
             tracing: sink.enabled(),
@@ -1102,7 +1038,6 @@ mod tests {
         let done = net.run_to_completion();
         assert_eq!(done.len(), 1);
         assert!((done[0].completed_at.as_secs() - 5.0).abs() < 1e-9);
-        assert!((net.link_carried_bytes(l) - 500.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1183,38 +1118,6 @@ mod tests {
         net.inject(FlowSpec::new(vec![], 1e9)).unwrap();
         let done = net.run_to_completion();
         assert_eq!(done[0].completed_at, Time::ZERO);
-    }
-
-    #[test]
-    fn utilization_accounts_busy_fraction() {
-        let (mut net, l) = two_node_net(100.0, 0.0);
-        net.inject(FlowSpec::new(vec![l], 100.0)).unwrap();
-        net.advance_to(Time::from_secs(2.0));
-        // Busy 1 s out of 2 s.
-        assert!((net.link_utilization(l) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_is_zero_not_nan_before_time_advances() {
-        let (mut net, l) = two_node_net(100.0, 0.0);
-        // No time has elapsed and a flow is mid-injection: the elapsed
-        // divisor is zero and the result must be 0.0, never NaN.
-        net.inject(FlowSpec::new(vec![l], 100.0)).unwrap();
-        let u = net.link_utilization(l);
-        assert_eq!(u, 0.0);
-        assert!(!u.is_nan());
-    }
-
-    #[test]
-    fn in_flight_bytes_visible_mid_drain() {
-        // Lazy accounting must not hide bytes between settlements: half
-        // way through a lone flow, the link has carried half the bytes
-        // even though no rate change has settled them.
-        let (mut net, l) = two_node_net(100.0, 0.0);
-        net.inject(FlowSpec::new(vec![l], 100.0)).unwrap();
-        net.advance_to(Time::from_secs(0.5));
-        assert!((net.link_carried_bytes(l) - 50.0).abs() < 1e-9);
-        assert!((net.link_utilization(l) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1521,7 +1424,6 @@ mod tests {
         assert!((evicted[0].remaining_bytes - 100.0).abs() < 1e-9);
         assert_eq!(evicted[0].route, vec![l0]);
         assert!(net.is_link_failed(l0));
-        assert_eq!(net.failed_links(), vec![l0]);
         assert!(net.any_link_failed());
         assert_eq!(net.link_capacity(l0), 0.0);
         // Re-failing is a no-op.
@@ -1534,6 +1436,69 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 8);
         assert!((done[0].completed_at.as_secs() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fail_link_evicts_each_flow_once_in_slot_order() {
+        // Links a->b and b->a; one route crosses a->b twice. Freeing
+        // slot 0 and refilling it leaves a->b's incidence list out of
+        // slot order and holding slot 1 twice.
+        let mut topo = Topology::new();
+        let a = topo.add_node(NodeKind::Npu, "a");
+        let b = topo.add_node(NodeKind::Npu, "b");
+        let ab = topo.add_link(a, b, 100.0, 0.0);
+        let ba = topo.add_link(b, a, 100.0, 0.0);
+        let mut net = FlowNetwork::new(topo);
+        let routes = [vec![ab], vec![ab, ba, ab], vec![ab], vec![ba, ab], vec![ba]];
+        let inject = |net: &mut FlowNetwork, tag: usize| {
+            net.inject(FlowSpec::new(routes[tag].clone(), 100.0).with_tag(tag as u64))
+                .unwrap();
+        };
+        for tag in 0..3 {
+            inject(&mut net, tag);
+        }
+        assert_eq!(net.evict_flows_matching(|tag| tag == 0).len(), 1);
+        inject(&mut net, 3); // reuses slot 0
+        inject(&mut net, 4); // slot 3, never crosses a->b
+        let evicted = net.fail_link(ab);
+        let tags: Vec<u64> = evicted.iter().map(|e| e.tag).collect();
+        assert_eq!(tags, vec![3, 1, 2], "one eviction per flow, in slot order");
+        for e in &evicted {
+            assert_eq!(e.route, routes[e.tag as usize]);
+        }
+        assert_eq!(net.in_flight(), 1);
+    }
+
+    #[test]
+    fn degrading_a_failed_link_leaves_it_dead() {
+        use fred_telemetry::sink::RingRecorder;
+
+        let mut topo = Topology::new();
+        let a = topo.add_node(NodeKind::Npu, "a");
+        let b = topo.add_node(NodeKind::Npu, "b");
+        let l = topo.add_link(a, b, 100.0, 0.0);
+        let rec = Rc::new(RingRecorder::new());
+        let mut net = FlowNetwork::with_sink(topo, rec.clone());
+        net.fail_link(l);
+        net.degrade_link(l, 0.5);
+        assert!(net.is_link_failed(l));
+        assert_eq!(net.link_capacity(l), 0.0);
+        let err = net.inject(FlowSpec::new(vec![l], 1.0)).unwrap_err();
+        assert_eq!(err, RouteError::FailedLink(l));
+        // Only the failure reaches the trace.
+        let faults: Vec<(u32, f64)> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Fault {
+                    link,
+                    capacity_fraction,
+                    ..
+                } => Some((*link, *capacity_fraction)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(faults, vec![(l.0 as u32, 0.0)]);
     }
 
     #[test]

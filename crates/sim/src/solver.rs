@@ -1,12 +1,14 @@
 //! Persistent, incrementally-updated max-min fair-share solver.
 //!
 //! [`FairShareSolver`] owns the link ↔ flow incidence structure of the
-//! active flow set and recomputes rates *incrementally*: an
-//! [`FairShareSolver::add_flow`] / [`FairShareSolver::remove_flow`]
-//! delta marks the touched links dirty, and the next
-//! [`FairShareSolver::solve`] re-runs progressive filling only over the
-//! *connected component* of links and flows transitively reachable from
-//! the dirty links (through shared links, across every priority class).
+//! active flow set — each flow's route and rate, the link capacities
+//! and the live count have no other owner — and recomputes rates
+//! *incrementally*: an [`FairShareSolver::add_flow`] /
+//! [`FairShareSolver::remove_flow`] delta marks the touched links
+//! dirty, and the next [`FairShareSolver::solve`] re-runs progressive
+//! filling only over the *connected component* of links and flows
+//! transitively reachable from the dirty links (through shared links,
+//! across every priority class).
 //! Rates outside the component are provably unchanged — no flow outside
 //! the component shares a link with any flow inside it, so the
 //! progressive-filling solution decomposes exactly — and stay frozen.
@@ -171,7 +173,7 @@ pub struct FairShareSolver {
     counts: Vec<usize>,
     new_rate: Vec<f64>,
     // Outputs of the last solve.
-    changed: Vec<FlowKey>,
+    changed: Vec<(FlowKey, f64)>,
     touched_links: Vec<usize>,
     stats: SolverStats,
 }
@@ -234,40 +236,32 @@ impl FairShareSolver {
     ///
     /// Panics if a link index is out of range.
     pub fn add_flow(&mut self, links: &[usize], priority: Priority) -> FlowKey {
-        self.add_flow_class(links, priority.rank() as u8)
+        self.add_flow_class(links.into(), priority.rank() as u8)
     }
 
     /// Registers a flow under an explicit numeric fill class (0 filled
-    /// first; classes are strict, exactly like [`Priority`] ranks).
-    /// [`FairShareSolver::add_flow`] delegates here with
-    /// `priority.rank()`, so single-tenant callers see identical
-    /// arithmetic; multi-tenant callers compose
+    /// first; classes are strict, exactly like [`Priority`] ranks),
+    /// taking ownership of its route. [`FairShareSolver::add_flow`]
+    /// delegates here with `priority.rank()`, so single-tenant callers
+    /// see identical arithmetic; multi-tenant callers compose
     /// `tenant_rank × Priority::ALL.len() + priority.rank()` to give
     /// higher tenants strict precedence on shared links.
     ///
     /// # Panics
     ///
     /// Panics if a link index is out of range.
-    pub fn add_flow_class(&mut self, links: &[usize], class: u8) -> FlowKey {
+    pub fn add_flow_class(&mut self, links: Box<[usize]>, class: u8) -> FlowKey {
         let rate = if links.is_empty() { f64::INFINITY } else { 0.0 };
-        for &l in links {
+        for &l in links.iter() {
             assert!(
                 l < self.capacities.len(),
                 "flow references unknown link index {l}"
             );
         }
-        let flow = SolverFlow {
-            links: links.into(),
-            class,
-            rate,
-        };
         let key = match self.free.pop() {
-            Some(k) => {
-                self.flows[k as usize] = Some(flow);
-                k
-            }
+            Some(k) => k,
             None => {
-                self.flows.push(Some(flow));
+                self.flows.push(None);
                 self.flow_mark.push(0);
                 self.flow_pass.push(0);
                 self.new_rate.push(0.0);
@@ -275,11 +269,12 @@ impl FairShareSolver {
             }
         };
         self.live += 1;
-        for &l in links {
+        for &l in links.iter() {
             self.link_flows[l].push(key);
             self.seed_links.push(l);
             self.dirty = true;
         }
+        self.flows[key as usize] = Some(SolverFlow { links, class, rate });
         FlowKey(key)
     }
 
@@ -322,9 +317,32 @@ impl FairShareSolver {
             .rate
     }
 
-    /// Flows whose rate changed in the last [`FairShareSolver::solve`]
-    /// (removed flows are never reported).
-    pub fn changed_flows(&self) -> &[FlowKey] {
+    /// The links a live flow crosses, in route order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` does not name a live flow.
+    pub(crate) fn flow_links(&self, key: FlowKey) -> &[usize] {
+        &self.flows[key.0 as usize]
+            .as_ref()
+            .expect("links of a dead key")
+            .links
+    }
+
+    /// Keys of the live flows crossing `link`, once per traversal, in
+    /// incidence order (not sorted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link index is out of range.
+    pub(crate) fn link_flows(&self, link: usize) -> &[u32] {
+        &self.link_flows[link]
+    }
+
+    /// Flows whose rate changed in the last [`FairShareSolver::solve`],
+    /// each with its rate before that solve (removed flows are never
+    /// reported).
+    pub fn changed_flows(&self) -> &[(FlowKey, f64)] {
         &self.changed
     }
 
@@ -351,6 +369,11 @@ impl FairShareSolver {
     /// Panics if the link index is out of range.
     pub fn capacity(&self, link: usize) -> f64 {
         self.capacities[link]
+    }
+
+    /// Current capacity of every link (bytes/s), indexed by `LinkId.0`.
+    pub(crate) fn capacities(&self) -> &[f64] {
+        &self.capacities
     }
 
     /// Changes a link's capacity (the fault-injection entry point:
@@ -633,8 +656,8 @@ impl FairShareSolver {
             let f = self.flows[fk as usize].as_mut().expect("live component");
             let new = self.new_rate[fk as usize];
             if new != f.rate {
+                self.changed.push((FlowKey(fk), f.rate));
                 f.rate = new;
-                self.changed.push(FlowKey(fk));
             }
             for &l in f.links.iter() {
                 self.link_alloc[l] += f.rate;
@@ -710,7 +733,7 @@ mod tests {
         s.remove_flow(a0);
         assert!(s.solve());
         assert_eq!(s.rate(a1), 100.0);
-        assert_eq!(s.changed_flows(), &[a1]);
+        assert_eq!(s.changed_flows(), &[(a1, 50.0)]);
         assert!(s.touched_links().contains(&0));
         assert!(!s.touched_links().contains(&1));
         assert_eq!(s.rate(b0), 30.0);
@@ -736,9 +759,9 @@ mod tests {
         // 5·1+1 = 6): tenants are the outer key of the composite class.
         let classes = Priority::ALL.len() as u8;
         let mut s = FairShareSolver::new(vec![100.0]);
-        let t0_bulk = s.add_flow_class(&[0], Priority::Bulk.rank() as u8);
-        let t1_mp = s.add_flow_class(&[0], classes + Priority::Mp.rank() as u8);
-        let t1_dp = s.add_flow_class(&[0], classes + Priority::Dp.rank() as u8);
+        let t0_bulk = s.add_flow_class(Box::new([0]), Priority::Bulk.rank() as u8);
+        let t1_mp = s.add_flow_class(Box::new([0]), classes + Priority::Mp.rank() as u8);
+        let t1_dp = s.add_flow_class(Box::new([0]), classes + Priority::Dp.rank() as u8);
         s.solve();
         assert_eq!(s.rate(t0_bulk), 100.0);
         assert_eq!(s.rate(t1_mp), 0.0);
@@ -770,7 +793,7 @@ mod tests {
             let mut s = FairShareSolver::new(caps);
             let keys: Vec<FlowKey> = specs
                 .iter()
-                .map(|(l, p)| s.add_flow_class(l, p.rank() as u8))
+                .map(|(l, p)| s.add_flow_class(l.as_slice().into(), p.rank() as u8))
                 .collect();
             s.solve();
             keys.iter().map(|&k| s.rate(k)).collect::<Vec<f64>>()
@@ -843,7 +866,7 @@ mod tests {
         assert!(s.solve());
         assert_eq!(s.rate(a), 50.0);
         assert_eq!(s.rate(b), 60.0);
-        assert_eq!(s.changed_flows(), &[a]);
+        assert_eq!(s.changed_flows(), &[(a, 100.0)]);
         assert_eq!(s.capacity(0), 50.0);
         // A dead link starves its flows entirely.
         s.set_capacity(0, 0.0);
