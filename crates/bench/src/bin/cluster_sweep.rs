@@ -139,17 +139,18 @@ fn main() {
     });
     if let Some(path) = &restore {
         let (cfg, jobs) = snapshot_scenario();
-        let state = read_snapshot(path).unwrap_or_else(|e| {
+        let cannot_restore = |e: &dyn std::fmt::Display| -> ! {
             eprintln!("cluster_sweep: cannot restore {}: {e}", path.display());
             std::process::exit(1);
-        });
+        };
+        let state = read_snapshot(path).unwrap_or_else(|e| cannot_restore(&e));
         let mut reference =
             Cluster::new(cfg.clone(), jobs.clone(), opts.sink()).expect("snapshot scenario admits");
         reference
             .run_to_completion()
             .expect("uninterrupted reference run completes");
-        let mut resumed = Cluster::restore(cfg, jobs, opts.sink(), state)
-            .expect("snapshot pairs with the scenario");
+        let mut resumed =
+            Cluster::restore(cfg, jobs, opts.sink(), state).unwrap_or_else(|e| cannot_restore(&e));
         resumed.run_to_completion().expect("resumed run completes");
         let full = reference.into_report();
         assert_reports_identical(&resumed.into_report(), &full);

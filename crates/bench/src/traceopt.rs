@@ -6,7 +6,7 @@
 //! * `--trace <path>` — record telemetry and write a Chrome-trace /
 //!   Perfetto JSON file (open at <https://ui.perfetto.dev>);
 //! * `--report <path>` — write a versioned machine-readable
-//!   [`BenchReport`](crate::report::BenchReport) JSON
+//!   [`BenchReport`] JSON
 //!   (`BENCH_<name>.json` by convention) with the binary's headline
 //!   simulated results and solver cost counters (`sim`), host timings
 //!   (`perf`), and critical-path attribution — the input to

@@ -1,20 +1,21 @@
 //! Property tests for the snapshot/restore contract (DESIGN.md §12):
 //! capturing at *any* event boundary of a faulted, evicted or preempted
 //! run and resuming — through the full binary codec — must be
-//! bit-identical to never having stopped, and damaged snapshot files
-//! must fail with typed errors, never panics.
+//! bit-identical to never having stopped, and damaged snapshot files,
+//! or snapshots that do not pair with their configuration, must fail
+//! with typed errors, never panics.
 
 use std::rc::Rc;
 
-use fred_cluster::{Cluster, ClusterConfig, ClusterState, JobClass, JobSpec};
+use fred_cluster::{Cluster, ClusterConfig, ClusterError, ClusterState, JobClass, JobSpec};
 use fred_core::codec::{self, SnapshotError};
 use fred_core::params::FabricConfig;
 use fred_core::placement::Strategy3D;
-use fred_core::snapshot::{core_state_from_value, core_state_to_value, SimState};
+use fred_core::snapshot::{SimState, Snap};
 use fred_mesh::topology::MeshFabric;
 use fred_sim::fault::FaultPlan;
 use fred_sim::flow::{FlowSpec, Priority};
-use fred_sim::netsim::FlowNetwork;
+use fred_sim::netsim::{CoreState, FlowNetwork};
 use fred_sim::time::Time;
 use fred_telemetry::sink::NullSink;
 use fred_workloads::backend::FabricBackend;
@@ -144,14 +145,15 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
         drive_plain(&mut net, &m, &mut step, &mut banked, Some(boundary));
         // Capture through the versioned container and the codec.
         let mut sim = SimState::new();
-        sim.insert("net", core_state_to_value(&net.snapshot()));
+        sim.insert("net", net.snapshot().encode());
         let from_bin = SimState::from_binary(&sim.to_binary()).unwrap();
         assert_eq!(
             from_bin, sim,
             "binary codec not lossless at boundary {boundary}"
         );
-        let state = core_state_from_value(from_bin.section("net").unwrap()).unwrap();
-        let mut resumed = FlowNetwork::restore(m.clone_topology(), state);
+        let state = CoreState::decode(from_bin.section("net").unwrap()).unwrap();
+        let mut resumed =
+            FlowNetwork::restore(m.clone_topology(), Rc::new(NullSink), state).unwrap();
         drive_plain(&mut resumed, &m, &mut step, &mut banked, None);
         assert_eq!(
             resumed.now().as_secs().to_bits(),
@@ -255,7 +257,7 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
         net.advance_to(t);
     }
     let mut sim = SimState::new();
-    sim.insert("net", core_state_to_value(&net.snapshot()));
+    sim.insert("net", net.snapshot().encode());
     let good = sim.to_binary();
     assert!(SimState::from_binary(&good).is_ok());
 
@@ -296,7 +298,7 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
     wrong_shape.insert("net", codec::Value::Num(42.0));
     let decoded = SimState::from_binary(&wrong_shape.to_binary()).unwrap();
     assert!(matches!(
-        core_state_from_value(decoded.section("net").unwrap()),
+        CoreState::decode(decoded.section("net").unwrap()),
         Err(SnapshotError::Mismatch(_))
     ));
 
@@ -307,6 +309,78 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
     claim.extend_from_slice(&codec::SNAPSHOT_VERSION.to_le_bytes());
     claim.extend_from_slice(&[4, 0xFF, 0xFF, 0xFF, 0x7F]);
     assert!(codec::from_binary(&claim).is_err());
+}
+
+#[test]
+fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
+    // Two Low jobs share the wafer; the High job has not arrived yet.
+    let model = DnnModel::resnet152();
+    let strategy = Strategy3D::new(1, 10, 1);
+    let params = ScheduleParams::sweep_default(&model, strategy);
+    let job = |name: &str| JobSpec::new(name, model.clone(), strategy, params);
+    let backend = FabricBackend::new(FabricConfig::FredD);
+    let solo = simulate(&model, strategy, &backend, params)
+        .unwrap()
+        .total
+        .as_secs();
+    let jobs = vec![
+        job("low-a").with_class(JobClass::Low),
+        job("low-b").with_class(JobClass::Low),
+        job("high")
+            .with_class(JobClass::High)
+            .with_arrival(Time::from_secs(solo * 0.25)),
+    ];
+    let cfg = ClusterConfig::new(FabricConfig::FredD);
+    let mut cluster = Cluster::new(cfg.clone(), jobs.clone(), Rc::new(NullSink)).unwrap();
+    cluster.run_until(Time::from_secs(solo * 0.1)).unwrap();
+    let good = cluster.snapshot();
+    assert_eq!(good.running.len(), 2, "both Low jobs run at the capture");
+    let restore =
+        |st: ClusterState| Cluster::restore(cfg.clone(), jobs.clone(), Rc::new(NullSink), st);
+    assert!(restore(good.clone()).is_ok());
+
+    // One-field edits that still decode, each with the field its error
+    // must name.
+    type Edit = fn(&mut ClusterState);
+    let edits: [(&str, Edit); 7] = [
+        (".slot_owners", |s| {
+            s.slot_owners.pop();
+        }),
+        (".first_start", |s| {
+            s.first_start.pop();
+        }),
+        (".queues", |s| s.queues[1].push(999)),
+        (".running[0].job", |s| s.running[0].job = 999),
+        (".running[0].base", |s| s.running[0].base = 19),
+        (".indegree", |s| {
+            s.running[0].exec.indegree.pop();
+        }),
+        // The network one link short of the topology.
+        ("solver.capacities", |s| {
+            let net = &mut s.net;
+            net.solver.capacities.pop();
+            net.solver.link_flows.pop();
+            net.solver.link_alloc.pop();
+            net.failed.pop();
+            net.link_alloc.pop();
+        }),
+    ];
+    for (field, edit) in edits {
+        let mut st = good.clone();
+        edit(&mut st);
+        let mut sim = SimState::new();
+        sim.insert("cluster", st.to_value());
+        let decoded = SimState::from_binary(&sim.to_binary()).unwrap();
+        let st = ClusterState::from_value(decoded.section("cluster").unwrap())
+            .unwrap_or_else(|e| panic!("edit of {field} must decode: {e}"));
+        match restore(st) {
+            Err(ClusterError::Snapshot(SnapshotError::Mismatch(why))) => {
+                assert!(why.contains(field), "edit of {field}: {why}");
+            }
+            Err(e) => panic!("edit of {field}: {e}"),
+            Ok(_) => panic!("edit of {field} restored"),
+        }
+    }
 }
 
 #[test]

@@ -37,15 +37,17 @@ use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
 
+use fred_core::codec::{SnapshotError, Value};
 use fred_core::params::FabricConfig;
 use fred_core::placement::{Placement, PlacementPolicy};
-use fred_sim::netsim::FlowNetwork;
+use fred_core::snapshot::{field, Snap};
+use fred_sim::netsim::{CoreState, FlowNetwork};
 use fred_sim::time::Time;
 use fred_telemetry::event::TraceEvent;
 use fred_telemetry::sink::{NullSink, TraceSink};
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::error::TrainError;
-use fred_workloads::exec::{repair_and_inject, ExecConfig, ScheduleExecutor};
+use fred_workloads::exec::{repair_and_inject, ExecConfig, ExecState, ScheduleExecutor};
 use fred_workloads::schedule::build_schedule;
 use fred_workloads::trainer::simulate;
 
@@ -126,6 +128,9 @@ pub enum ClusterError {
         /// Jobs that did complete.
         completed: usize,
     },
+    /// [`Cluster::restore`] was handed a state that does not pair with
+    /// its config and job list.
+    Snapshot(SnapshotError),
 }
 
 impl fmt::Display for ClusterError {
@@ -149,6 +154,7 @@ impl fmt::Display for ClusterError {
                 "cluster stalled with no pending events: {queued} queued, {running} running, \
                  {completed} completed"
             ),
+            ClusterError::Snapshot(e) => write!(f, "{e}"),
         }
     }
 }
@@ -262,6 +268,76 @@ fn validate_and_order(
             .expect("finite arrival time")
     });
     Ok((order, PlacementPolicy::for_fabric(cfg.fabric)))
+}
+
+/// Checks that a [`ClusterState`] pairs with `jobs` on a fabric of
+/// `slots` NPUs, so [`Cluster::restore`] can index by it.
+fn check_pairing(
+    state: &ClusterState,
+    jobs: &[JobSpec],
+    slots: usize,
+) -> Result<(), SnapshotError> {
+    let n = jobs.len();
+    let bad = |what: String| Err(SnapshotError::Mismatch(what));
+    if state.slot_owners.len() != slots {
+        return bad(format!(
+            ".slot_owners: {} slots but the fabric has {slots}",
+            state.slot_owners.len()
+        ));
+    }
+    for (name, len) in [
+        ("first_start", state.first_start.len()),
+        ("completion", state.completion.len()),
+        ("preempt_count", state.preempt_count.len()),
+        ("fault_cursor", state.fault_cursor.len()),
+    ] {
+        if len != n {
+            return bad(format!(".{name}: {len} entries but there are {n} jobs"));
+        }
+    }
+    if state.arrival_cursor > n {
+        return bad(format!(
+            ".arrival_cursor: {} past {n} jobs",
+            state.arrival_cursor
+        ));
+    }
+    if let Some(j) = state.queues.iter().flatten().find(|&&j| j >= n) {
+        return bad(format!(".queues: job {j} out of range ({n} jobs)"));
+    }
+    // The running jobs' windows must be exactly the occupied slots.
+    let mut owners = vec![None; slots];
+    for (k, r) in state.running.iter().enumerate() {
+        let Some(spec) = jobs.get(r.job) else {
+            return bad(format!(
+                ".running[{k}].job: job {} out of range ({n} jobs)",
+                r.job
+            ));
+        };
+        let window = r
+            .base
+            .checked_add(spec.npus())
+            .and_then(|end| owners.get_mut(r.base..end))
+            .filter(|w| w.iter().all(Option::is_none));
+        let Some(window) = window else {
+            return bad(format!(
+                ".running[{k}].base: slots {}.. do not fit job {} ({} NPUs)",
+                r.base,
+                r.job,
+                spec.npus()
+            ));
+        };
+        window.fill(Some(r.job));
+        if state.first_start[r.job].is_none() {
+            return bad(format!(
+                ".first_start[{}]: running job never started",
+                r.job
+            ));
+        }
+    }
+    if owners != state.slot_owners {
+        return bad(".slot_owners: not the running jobs' windows".into());
+    }
+    Ok(())
 }
 
 impl Cluster {
@@ -462,14 +538,12 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// The same job-validation errors as [`Cluster::new`].
-    ///
-    /// # Panics
-    ///
-    /// If the state disagrees with the config/job list in shape (slot
-    /// count, job count, per-job vector lengths) — a snapshot pairing
-    /// error; file-level corruption is caught earlier by the codec's
-    /// typed errors.
+    /// The same job-validation errors as [`Cluster::new`], and
+    /// [`ClusterError::Snapshot`] when the state does not pair with the
+    /// config and jobs: a per-job or per-slot vector of another length,
+    /// a job index out of range, a running job whose slot window is not
+    /// the one the slot map gives it, or an executor or network state
+    /// that does not fit its schedule or the fabric.
     pub fn restore(
         cfg: ClusterConfig,
         jobs: Vec<JobSpec>,
@@ -479,46 +553,29 @@ impl Cluster {
         let backend = FabricBackend::new(cfg.fabric);
         let slots = backend.npu_count();
         let (order, policy) = validate_and_order(&cfg, &jobs, &backend)?;
-        let n = jobs.len();
-        assert_eq!(state.slot_owners.len(), slots, "slot-count mismatch");
-        assert_eq!(state.first_start.len(), n, "first_start/job-count mismatch");
-        assert_eq!(state.completion.len(), n, "completion/job-count mismatch");
-        assert_eq!(state.preempt_count.len(), n, "preempt/job-count mismatch");
-        assert_eq!(state.fault_cursor.len(), n, "fault/job-count mismatch");
-        assert!(state.arrival_cursor <= n, "arrival cursor out of range");
-        for q in &state.queues {
-            for &j in q {
-                assert!(j < n, "queued job {j} out of range");
-            }
-        }
-        let net = FlowNetwork::restore_with_sink(backend.topology(), sink.clone(), state.net);
+        check_pairing(&state, &jobs, slots).map_err(ClusterError::Snapshot)?;
+        let net = FlowNetwork::restore(backend.topology(), sink.clone(), state.net)
+            .map_err(|e| ClusterError::Snapshot(SnapshotError::Mismatch(e.to_string())))?;
         let tracing = sink.enabled();
         let dropped_baseline = sink.dropped();
-        let running = state
-            .running
-            .iter()
-            .map(|r| {
-                assert!(r.job < n, "running job {} out of range", r.job);
-                let spec = &jobs[r.job];
-                let placement = Placement::with_base(spec.strategy, policy, r.base);
-                let schedule = build_schedule(
-                    &spec.model,
-                    spec.strategy,
-                    &placement,
-                    &backend,
-                    spec.params,
-                );
-                Running {
-                    job: r.job,
-                    base: r.base,
-                    exec: ScheduleExecutor::restore(
-                        Rc::new(schedule),
-                        sink.clone(),
-                        r.exec.clone(),
-                    ),
-                }
-            })
-            .collect();
+        let mut running = Vec::with_capacity(state.running.len());
+        for r in state.running {
+            let spec = &jobs[r.job];
+            let placement = Placement::with_base(spec.strategy, policy, r.base);
+            let schedule = build_schedule(
+                &spec.model,
+                spec.strategy,
+                &placement,
+                &backend,
+                spec.params,
+            );
+            running.push(Running {
+                job: r.job,
+                base: r.base,
+                exec: ScheduleExecutor::restore(Rc::new(schedule), sink.clone(), r.exec)
+                    .map_err(ClusterError::Snapshot)?,
+            });
+        }
         Ok(Cluster {
             cfg,
             jobs,
@@ -529,11 +586,7 @@ impl Cluster {
             tracing,
             dropped_baseline,
             slotmap: SlotMap::from_owners(state.slot_owners),
-            queues: [
-                state.queues[0].iter().copied().collect(),
-                state.queues[1].iter().copied().collect(),
-                state.queues[2].iter().copied().collect(),
-            ],
+            queues: state.queues.map(VecDeque::from),
             running,
             order,
             arrival_cursor: state.arrival_cursor,
@@ -933,14 +986,6 @@ impl Cluster {
 // Snapshot state and serialization.
 // ---------------------------------------------------------------------
 
-use fred_core::codec::{SnapshotError, Value};
-use fred_core::snapshot::{
-    arr_of, core_state_from_value, core_state_to_value, f64_of, field, time_of, u32s, u32s_of,
-    u64_of, usize_of, usizes, usizes_of, v_f64, v_time, v_u64,
-};
-use fred_sim::netsim::CoreState;
-use fred_workloads::exec::ExecState;
-
 /// One running job inside a [`ClusterState`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunningState {
@@ -985,122 +1030,67 @@ pub struct ClusterState {
 }
 
 impl ClusterState {
-    /// Encodes the state for the shared snapshot codec.
+    /// Encodes the state for the shared snapshot codec ([`Snap::encode`]).
     pub fn to_value(&self) -> Value {
+        self.encode()
+    }
+
+    /// Decodes [`ClusterState::to_value`] ([`Snap::decode`]).
+    pub fn from_value(v: &Value) -> Result<ClusterState, SnapshotError> {
+        ClusterState::decode(v)
+    }
+}
+
+impl Snap for RunningState {
+    fn encode(&self) -> Value {
         Value::Obj(vec![
-            ("net".into(), core_state_to_value(&self.net)),
-            (
-                "slot_owners".into(),
-                Value::Arr(
-                    self.slot_owners
-                        .iter()
-                        .map(|o| match o {
-                            None => Value::Null,
-                            Some(j) => v_u64(*j as u64),
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "queues".into(),
-                Value::Arr(self.queues.iter().map(|q| usizes(q)).collect()),
-            ),
-            (
-                "running".into(),
-                Value::Arr(
-                    self.running
-                        .iter()
-                        .map(|r| {
-                            Value::Obj(vec![
-                                ("job".into(), v_u64(r.job as u64)),
-                                ("base".into(), v_u64(r.base as u64)),
-                                ("exec".into(), r.exec.to_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("arrival_cursor".into(), v_u64(self.arrival_cursor as u64)),
-            ("next_tag_base".into(), v_u64(self.next_tag_base)),
-            (
-                "first_start".into(),
-                Value::Arr(
-                    self.first_start
-                        .iter()
-                        .map(|t| match t {
-                            None => Value::Null,
-                            Some(t) => v_time(*t),
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "completion".into(),
-                Value::Arr(self.completion.iter().map(|&t| v_time(t)).collect()),
-            ),
-            ("preempt_count".into(), u32s(&self.preempt_count)),
-            ("fault_cursor".into(), usizes(&self.fault_cursor)),
-            ("done_count".into(), v_u64(self.done_count as u64)),
-            ("busy_npu_secs".into(), v_f64(self.busy_npu_secs)),
+            ("job".into(), self.job.encode()),
+            ("base".into(), self.base.encode()),
+            ("exec".into(), self.exec.encode()),
         ])
     }
 
-    /// Decodes [`ClusterState::to_value`] with typed errors on any
-    /// shape mismatch.
-    pub fn from_value(v: &Value) -> Result<ClusterState, SnapshotError> {
-        let ctx = "cluster";
-        let slot_owners = arr_of(field(v, "slot_owners", ctx)?, ctx)?
-            .iter()
-            .map(|o| match o {
-                Value::Null => Ok(None),
-                j => usize_of(j, "cluster.slot_owners").map(Some),
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let queues_raw = arr_of(field(v, "queues", ctx)?, ctx)?;
-        if queues_raw.len() != 3 {
-            return Err(SnapshotError::Mismatch(
-                "cluster.queues: expected 3 class queues".into(),
-            ));
-        }
-        let queues = [
-            usizes_of(&queues_raw[0], "cluster.queues")?,
-            usizes_of(&queues_raw[1], "cluster.queues")?,
-            usizes_of(&queues_raw[2], "cluster.queues")?,
-        ];
-        let running = arr_of(field(v, "running", ctx)?, ctx)?
-            .iter()
-            .map(|r| {
-                Ok(RunningState {
-                    job: usize_of(field(r, "job", "cluster.running")?, "cluster.running.job")?,
-                    base: usize_of(field(r, "base", "cluster.running")?, "cluster.running.base")?,
-                    exec: ExecState::from_value(field(r, "exec", "cluster.running")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let first_start = arr_of(field(v, "first_start", ctx)?, ctx)?
-            .iter()
-            .map(|t| match t {
-                Value::Null => Ok(None),
-                t => time_of(t, "cluster.first_start").map(Some),
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let completion = arr_of(field(v, "completion", ctx)?, ctx)?
-            .iter()
-            .map(|t| time_of(t, "cluster.completion"))
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
+    fn decode(v: &Value) -> Result<RunningState, SnapshotError> {
+        Ok(RunningState {
+            job: field(v, "job")?,
+            base: field(v, "base")?,
+            exec: field(v, "exec")?,
+        })
+    }
+}
+
+impl Snap for ClusterState {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("net".into(), self.net.encode()),
+            ("slot_owners".into(), self.slot_owners.encode()),
+            ("queues".into(), self.queues.encode()),
+            ("running".into(), self.running.encode()),
+            ("arrival_cursor".into(), self.arrival_cursor.encode()),
+            ("next_tag_base".into(), self.next_tag_base.encode()),
+            ("first_start".into(), self.first_start.encode()),
+            ("completion".into(), self.completion.encode()),
+            ("preempt_count".into(), self.preempt_count.encode()),
+            ("fault_cursor".into(), self.fault_cursor.encode()),
+            ("done_count".into(), self.done_count.encode()),
+            ("busy_npu_secs".into(), self.busy_npu_secs.encode()),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<ClusterState, SnapshotError> {
         Ok(ClusterState {
-            net: core_state_from_value(field(v, "net", ctx)?)?,
-            slot_owners,
-            queues,
-            running,
-            arrival_cursor: usize_of(field(v, "arrival_cursor", ctx)?, ctx)?,
-            next_tag_base: u64_of(field(v, "next_tag_base", ctx)?, ctx)?,
-            first_start,
-            completion,
-            preempt_count: u32s_of(field(v, "preempt_count", ctx)?, ctx)?,
-            fault_cursor: usizes_of(field(v, "fault_cursor", ctx)?, ctx)?,
-            done_count: usize_of(field(v, "done_count", ctx)?, ctx)?,
-            busy_npu_secs: f64_of(field(v, "busy_npu_secs", ctx)?, ctx)?,
+            net: field(v, "net")?,
+            slot_owners: field(v, "slot_owners")?,
+            queues: field(v, "queues")?,
+            running: field(v, "running")?,
+            arrival_cursor: field(v, "arrival_cursor")?,
+            next_tag_base: field(v, "next_tag_base")?,
+            first_start: field(v, "first_start")?,
+            completion: field(v, "completion")?,
+            preempt_count: field(v, "preempt_count")?,
+            fault_cursor: field(v, "fault_cursor")?,
+            done_count: field(v, "done_count")?,
+            busy_npu_secs: field(v, "busy_npu_secs")?,
         })
     }
 }

@@ -57,18 +57,12 @@ impl Phase {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// A phase's flows were rejected by the network (invalid route or
-    /// a route crossing a failed link that no repair was attempted for).
+    /// a route crossing a failed link).
     Route {
         /// Index of the failing phase.
         phase: usize,
         /// The underlying routing error.
         source: RouteError,
-    },
-    /// A phase crosses failed links and no surviving path exists
-    /// between some transfer's endpoints — the fabric is cut.
-    Unroutable {
-        /// Index of the unroutable phase.
-        phase: usize,
     },
     /// Transfers were in flight but the network had no pending event;
     /// the plan would deadlock instead of completing.
@@ -85,9 +79,6 @@ impl fmt::Display for PlanError {
         match self {
             PlanError::Route { phase, source } => {
                 write!(f, "phase {phase} rejected by the network: {source}")
-            }
-            PlanError::Unroutable { phase } => {
-                write!(f, "phase {phase} has no surviving route around failed links")
             }
             PlanError::Stalled { phase, outstanding } => write!(
                 f,
@@ -149,20 +140,15 @@ impl CommPlan {
 
     /// Executes the plan alone on a fresh view of `net`, phase by
     /// phase, and returns the end-to-end duration. Used by the
-    /// microbenchmarks; the trainer interleaves plans itself.
-    ///
-    /// Fault awareness: if the network has failed links, each phase's
-    /// transfers are re-routed over the shortest surviving paths before
-    /// injection (the retry-on-a-repaired-plan contract). On a healthy
-    /// network the phase flows are injected exactly as compiled — the
-    /// zero-fault code path is unchanged.
+    /// microbenchmarks; the trainer interleaves plans itself and
+    /// repairs routes around failed links
+    /// (`fred_workloads::exec::repair_and_inject`).
     ///
     /// # Errors
     ///
-    /// [`PlanError::Route`] if the network rejects a phase (invalid
-    /// route), [`PlanError::Unroutable`] if failed links cut some
-    /// transfer's endpoints apart, [`PlanError::Stalled`] if a phase
-    /// would deadlock.
+    /// [`PlanError::Route`] if the network rejects a phase (an invalid
+    /// route, or one crossing a failed link), [`PlanError::Stalled`] if
+    /// a phase would deadlock.
     pub fn execute(
         &self,
         net: &mut FlowNetwork,
@@ -214,13 +200,6 @@ impl CommPlan {
                         .with_tag(span.unwrap_or(0))
                 })
                 .collect();
-            let flows = if net.any_link_failed() {
-                net.topology()
-                    .reroute_flows_avoiding(flows, |l| net.is_link_failed(l))
-                    .ok_or(PlanError::Unroutable { phase: k })?
-            } else {
-                flows
-            };
             let injected = net
                 .inject_batch(flows)
                 .map_err(|source| PlanError::Route { phase: k, source })?;
@@ -343,36 +322,25 @@ mod tests {
     }
 
     #[test]
-    fn execute_detours_around_failed_links() {
-        // Duplex line 0 - 1 - 2: the direct 0->1 link can fail, but
-        // 0 -> 1 survives via... nothing on a line — so build a triangle.
-        let mut t = Topology::new();
-        let n: Vec<_> = (0..3)
-            .map(|i| t.add_node(NodeKind::Npu, format!("n{i}")))
-            .collect();
-        let (l01, _) = t.add_duplex_link(n[0], n[1], 100.0, 0.0);
-        let (l12, _) = t.add_duplex_link(n[1], n[2], 100.0, 0.0);
-        let (l02, _) = t.add_duplex_link(n[0], n[2], 100.0, 0.0);
-        let mut plan = CommPlan::new("detour");
+    fn execute_rejects_a_phase_across_a_failed_link() {
+        let (topo, l) = line(2, 100.0);
+        let mut plan = CommPlan::new("dead");
         plan.phases.push(Phase {
             transfers: vec![Transfer {
                 src: 0,
                 dst: 1,
                 bytes: 100.0,
-                route: vec![l01],
+                route: vec![l[0]],
             }],
         });
-        let mut net = FlowNetwork::new(t);
-        assert!(net.fail_link(l01).is_empty());
-        // Repaired route 0 -> 2 -> 1: two hops at 100 B/s, 1 second.
-        let d = plan.execute(&mut net, Priority::Bulk).unwrap();
-        assert!((d.as_secs() - 1.0).abs() < 1e-9);
-        // Cutting the detour as well makes the plan unroutable.
-        net.fail_link(l02);
-        net.fail_link(l12);
+        let mut net = FlowNetwork::new(topo);
+        assert!(net.fail_link(l[0]).is_empty());
         assert_eq!(
             plan.execute(&mut net, Priority::Bulk),
-            Err(PlanError::Unroutable { phase: 0 })
+            Err(PlanError::Route {
+                phase: 0,
+                source: RouteError::FailedLink(l[0]),
+            })
         );
     }
 

@@ -5,8 +5,9 @@
 //! * **JSON text** — [`parse`] / [`to_json`], the form of bench
 //!   reports. The recursive-descent parser supports exactly the JSON
 //!   this workspace emits (objects, arrays, numbers, strings, booleans,
-//!   null); the emitter reuses the number/string formatting in
-//!   [`fred_telemetry::json`], so reports render numbers identically.
+//!   null) in one pass over the input; the emitter reuses the
+//!   number/string formatting in [`fred_telemetry::json`], so reports
+//!   render numbers identically.
 //! * **Binary** — [`to_binary`] / [`from_binary`], the only form of
 //!   simulation snapshots and DSE checkpoints. A tagged tree with a
 //!   magic + version header. Numbers are raw IEEE-754 bits, so the
@@ -14,6 +15,11 @@
 //!   and infinities, which JSON cannot represent), as the snapshot
 //!   bit-exactness contract needs. [`write_binary`] / [`read_binary`]
 //!   wrap it with file I/O, mapping failures into [`SnapshotError`].
+//!
+//! Both decoders stop at 512 levels of nesting with a typed error, so a
+//! hostile input cannot overflow the stack. Turning a [`Value`] tree
+//! into simulation state is `fred_core::snapshot`'s job (its `Snap`
+//! trait).
 //!
 //! This module grew out of `fred_bench::report`, which still re-exports
 //! [`Value`] and [`parse`] for its report-diffing surface.
@@ -39,7 +45,7 @@ pub enum Value {
     Bool(bool),
     /// Any JSON number (always an `f64` — this workspace emits no
     /// integers beyond 2^53; larger integers travel as strings, see
-    /// `fred_core::snapshot::v_u64`).
+    /// the `u64` impl of `fred_core::snapshot::Snap`).
     Num(f64),
     /// A string.
     Str(String),
@@ -138,15 +144,24 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// Depth guard of both decoders: a hostile input of nested arrays must
+/// not overflow the stack.
+const MAX_DEPTH: u32 = 512;
+
 // ---------------------------------------------------------------------
 // JSON text form.
 // ---------------------------------------------------------------------
 
 /// Parses a JSON document.
+///
+/// # Errors
+///
+/// A message naming the byte offset of the first syntax error, or
+/// nesting deeper than 512 levels.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -217,12 +232,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{') => parse_obj(b, pos, depth),
+        Some(b'[') => parse_arr(b, pos, depth),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -291,17 +309,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape. Both are
+                // ASCII, so the run ends on a UTF-8 boundary of the
+                // input `&str`.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -314,7 +335,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth + 1)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -328,7 +349,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -337,7 +358,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth + 1)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -453,10 +474,6 @@ pub fn from_binary(bytes: &[u8]) -> Result<Value, SnapshotError> {
     }
     Ok(v)
 }
-
-/// Depth guard: a hostile file of nested array tags must not overflow
-/// the decoder's stack.
-const MAX_DEPTH: u32 = 512;
 
 fn get_varint(b: &[u8], pos: &mut usize) -> Result<u64, SnapshotError> {
     let mut n: u64 = 0;
@@ -659,6 +676,32 @@ mod tests {
         bad.push(TAG_ARR);
         put_varint(u64::MAX, &mut bad);
         assert_eq!(from_binary(&bad), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn deep_json_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 512"), "{err}");
+        // A document 512 levels deep still parses.
+        let ok = format!("{}{}", "[".repeat(512), "]".repeat(512));
+        assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn json_strings_decode_escapes_and_multibyte_characters() {
+        let v =
+            parse(r#"["h\u00e9 \"q\" \\ \/ \b\f\n\r\t", "wafer ≈ 46,225 mm² 🚀", ""]"#).unwrap();
+        assert_eq!(
+            v,
+            Value::Arr(vec![
+                Value::Str("hé \"q\" \\ / \u{8}\u{c}\n\r\t".into()),
+                Value::Str("wafer ≈ 46,225 mm² 🚀".into()),
+                Value::Str(String::new()),
+            ])
+        );
+        assert!(parse(r#""unterminated"#).is_err());
+        assert!(parse(r#""bad \q escape""#).is_err());
     }
 
     #[test]

@@ -782,27 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn reroute_flows_repairs_collective_tree() {
-        let f = fabric(FabricConfig::FredD);
-        let group: Vec<usize> = (0..20).collect();
-        let flows = f.in_network_all_reduce(&group, 1e9, Priority::Dp, 3);
-        let dead = f.l1_up[2];
-        let fixed = f
-            .topology()
-            .reroute_flows_avoiding(flows.clone(), |l| l == dead)
-            .unwrap();
-        assert_eq!(fixed.len(), flows.len());
-        for fl in &fixed {
-            assert!(!fl.route.contains(&dead));
-            f.topology().validate_route(&fl.route).unwrap();
-            assert_eq!(fl.tag, 3);
-        }
-        // Exactly one leg (the dead trunk's) was re-routed.
-        let moved = fixed.iter().zip(&flows).filter(|(a, b)| a != b).count();
-        assert_eq!(moved, 1);
-    }
-
-    #[test]
     fn io_and_ext_routes_are_valid() {
         let f = fabric(FabricConfig::FredD);
         let topo = f.topology();

@@ -186,19 +186,6 @@ impl Interconnect {
         }
     }
 
-    /// Number of ports each middle subnetwork exposes at this level
-    /// (`r` for even stages, `r + 1` for odd).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a leaf.
-    pub fn middle_ports(&self) -> usize {
-        match &self.kind {
-            NetKind::Leaf2 | NetKind::Leaf3 => panic!("a base switch has no middle subnetworks"),
-            NetKind::Stage { middle, .. } => middle.ports(),
-        }
-    }
-
     /// Structural statistics for the area/power model.
     pub fn stats(&self) -> InterconnectStats {
         match &self.kind {

@@ -34,8 +34,8 @@
 //! * [`codec`] — the workspace's shared serde-free JSON + binary value
 //!   codec (no external dependencies),
 //! * [`snapshot`] — the versioned [`snapshot::SimState`] container and
-//!   the `Value` conversions for every simulator layer's state, the
-//!   foundation of bit-identical snapshot/resume.
+//!   the [`snapshot::Snap`] trait every simulator layer's state
+//!   implements, the foundation of bit-identical snapshot/resume.
 //!
 //! ## Quick example: route two concurrent All-Reduces on Fred₂(8)
 //!

@@ -1,21 +1,33 @@
 //! Versioned simulation snapshots: the [`SimState`] container and the
-//! [`Value`] conversions for every simulator layer's captured state.
+//! [`Snap`] trait that writes every captured state as a [`Value`] tree.
 //!
 //! Each layer that owns mutable simulation state exposes a plain-data
 //! `snapshot() -> …State` / `restore(…State)` pair in its own crate
 //! (`FairShareSolver`, `FlowNetwork` in `fred-sim`;
 //! `ScheduleExecutor` in `fred-workloads`; `Cluster` in
-//! `fred-cluster`). This module is the serialization hub: it converts
-//! those state structs to and from the shared [`Value`] tree and wraps
-//! them in a versioned [`SimState`] with named sections, encoded in the
-//! binary form of [`crate::codec`].
+//! `fred-cluster`). A type's snapshot layout is written once, in its
+//! [`Snap`] impl: the scalars, the containers and the `fred-sim` states
+//! here, `ExecState`, `ClusterState` and the DSE checkpoint row next to
+//! their types. The states nest, and [`SimState`] wraps them in a
+//! versioned container with named sections, encoded in the binary form
+//! of [`crate::codec`].
 //!
-//! # Bit-exactness
+//! # Layout
 //!
-//! The binary form stores every `f64` as raw IEEE-754 bits, so every
-//! value — `-0.0`, NaN and the infinities included — round-trips
-//! exactly and [`v_f64`] is a plain number. Integers above 2^53, which
-//! an `f64` cannot hold, travel as decimal strings ([`v_u64`]).
+//! A struct is an object with one field per struct field, in
+//! declaration order; `Vec`, boxed slices, arrays and tuples are
+//! arrays; `None` is `null`. The binary form stores every `f64` as raw
+//! IEEE-754 bits, so every value — `-0.0`, NaN and the infinities
+//! included — round-trips exactly. Integers above 2^53, which an `f64`
+//! cannot hold, travel as decimal strings. `Time` and `Duration` are
+//! seconds, a `Priority` its rank.
+//!
+//! # Errors
+//!
+//! A tree of the wrong shape is a [`SnapshotError::Mismatch`] whose
+//! message starts with the jq-style path of the value that failed,
+//! e.g. `.net.flows[3].remaining: expected number, found Str("inf")`.
+//! The path is built only when a decode fails.
 //!
 //! # Versioning policy
 //!
@@ -27,12 +39,14 @@
 //! versions, by design (a snapshot is a resume token, not an archive
 //! format).
 
-use fred_sim::flow::{FlowId, FlowSpec, Priority};
-use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
-use fred_sim::solver::{SolverFlowState, SolverState, SolverStats};
+use std::fmt;
+use std::path::Path;
+
+use fred_sim::flow::{FlowId, FlowSpec, Priority, MAX_TENANT};
+use fred_sim::netsim::{CompletedFlow, CoreState, FlowState, PendingNotice};
+use fred_sim::solver::{SolverFlow, SolverState, SolverStats};
 use fred_sim::time::{Duration, Time};
 use fred_sim::topology::LinkId;
-use std::path::Path;
 
 use crate::codec::{self, SnapshotError, Value};
 
@@ -89,7 +103,7 @@ impl SimState {
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("magic".into(), Value::Str("FREDSNAP".into())),
-            ("version".into(), v_u64(u64::from(SIM_STATE_VERSION))),
+            ("version".into(), SIM_STATE_VERSION.encode()),
             ("sections".into(), Value::Obj(self.sections.clone())),
         ])
     }
@@ -97,11 +111,17 @@ impl SimState {
     /// Rebuilds a snapshot from [`SimState::to_value`], checking magic
     /// and version.
     pub fn from_value(v: &Value) -> Result<SimState, SnapshotError> {
+        SimState::from_tree(v.clone())
+    }
+
+    /// [`SimState::from_value`] taking the tree, so its sections move
+    /// instead of being copied.
+    fn from_tree(v: Value) -> Result<SimState, SnapshotError> {
         match v.get("magic").and_then(Value::as_str) {
             Some("FREDSNAP") => {}
             _ => return Err(SnapshotError::BadMagic),
         }
-        let version = u64_of(field(v, "version", "snapshot")?, "snapshot.version")?;
+        let version: u64 = field(&v, "version")?;
         if version != u64::from(SIM_STATE_VERSION) {
             return Err(SnapshotError::BadVersion {
                 of: "state layout",
@@ -109,12 +129,13 @@ impl SimState {
                 expected: SIM_STATE_VERSION,
             });
         }
-        let Some(Value::Obj(sections)) = v.get("sections") else {
-            return Err(SnapshotError::Mismatch("sections is not an object".into()));
+        let Value::Obj(fields) = v else {
+            return Err(SnapshotError::BadMagic);
         };
-        Ok(SimState {
-            sections: sections.clone(),
-        })
+        match fields.into_iter().find(|(k, _)| k == "sections") {
+            Some((_, Value::Obj(sections))) => Ok(SimState { sections }),
+            _ => Err(SnapshotError::Mismatch(".sections: expected object".into())),
+        }
     }
 
     /// Encodes the snapshot in the exact binary form.
@@ -124,7 +145,7 @@ impl SimState {
 
     /// Decodes [`SimState::to_binary`] output.
     pub fn from_binary(bytes: &[u8]) -> Result<SimState, SnapshotError> {
-        SimState::from_value(&codec::from_binary(bytes)?)
+        SimState::from_tree(codec::from_binary(bytes)?)
     }
 
     /// Writes the binary form to `path`.
@@ -139,324 +160,410 @@ impl SimState {
     }
 }
 
-// ---------------------------------------------------------------------
-// Scalar encoding helpers.
-// ---------------------------------------------------------------------
+/// A type with one snapshot layout (see the module docs).
+pub trait Snap: Sized {
+    /// The value tree of `self`.
+    fn encode(&self) -> Value;
 
-/// Encodes an `f64` (every value is exact in the binary form).
-pub fn v_f64(x: f64) -> Value {
-    Value::Num(x)
+    /// Reads an [`Snap::encode`] tree back. Any other shape is a
+    /// [`SnapshotError::Mismatch`] naming the path that failed.
+    fn decode(v: &Value) -> Result<Self, SnapshotError>;
 }
 
-/// Decodes [`v_f64`].
-pub fn f64_of(v: &Value, ctx: &str) -> Result<f64, SnapshotError> {
-    v.as_f64()
-        .ok_or_else(|| SnapshotError::Mismatch(format!("{ctx}: expected number, found {v:?}")))
-}
-
-/// Encodes a `u64`. Values at or below 2^53 stay numbers (lossless in
-/// an `f64`); larger ones travel as decimal strings.
-pub fn v_u64(x: u64) -> Value {
-    if x <= (1u64 << 53) {
-        Value::Num(x as f64)
-    } else {
-        Value::Str(x.to_string())
+/// Decodes field `key` of object `obj`. A missing field, a non-object
+/// `obj` or a field of the wrong shape is a [`SnapshotError::Mismatch`]
+/// naming it.
+pub fn field<T: Snap>(obj: &Value, key: &str) -> Result<T, SnapshotError> {
+    match obj.get(key) {
+        Some(v) => T::decode(v).map_err(|e| under(e, format_args!(".{key}"))),
+        None if matches!(obj, Value::Obj(_)) => {
+            Err(mismatch(format_args!("missing field `{key}`")))
+        }
+        None => Err(expected("object", obj)),
     }
 }
 
-/// Decodes [`v_u64`].
-pub fn u64_of(v: &Value, ctx: &str) -> Result<u64, SnapshotError> {
-    match v {
-        Value::Num(n) => {
-            if n.is_finite() && *n >= 0.0 && n.trunc() == *n && *n <= (1u64 << 53) as f64 {
-                Ok(*n as u64)
-            } else {
-                Err(SnapshotError::Mismatch(format!(
-                    "{ctx}: {n} is not a non-negative integer"
-                )))
+/// Prefixes the path of a decode failure with the field (`.key`) or
+/// index (`[i]`) it happened under.
+fn under(err: SnapshotError, seg: fmt::Arguments<'_>) -> SnapshotError {
+    match err {
+        SnapshotError::Mismatch(m) => {
+            // A message that already carries a path starts with it.
+            let sep = if m.starts_with(['.', '[']) { "" } else { ": " };
+            SnapshotError::Mismatch(format!("{seg}{sep}{m}"))
+        }
+        other => other,
+    }
+}
+
+fn mismatch(what: impl fmt::Display) -> SnapshotError {
+    SnapshotError::Mismatch(what.to_string())
+}
+
+fn expected(what: &str, found: &Value) -> SnapshotError {
+    mismatch(format_args!("expected {what}, found {found:?}"))
+}
+
+// ---------------------------------------------------------------------
+// Scalars.
+// ---------------------------------------------------------------------
+
+impl Snap for f64 {
+    fn encode(&self) -> Value {
+        Value::Num(*self)
+    }
+
+    fn decode(v: &Value) -> Result<f64, SnapshotError> {
+        v.as_f64().ok_or_else(|| expected("number", v))
+    }
+}
+
+/// Values at or below 2^53 stay numbers (lossless in an `f64`); larger
+/// ones travel as decimal strings.
+impl Snap for u64 {
+    fn encode(&self) -> Value {
+        if *self <= 1 << 53 {
+            Value::Num(*self as f64)
+        } else {
+            Value::Str(self.to_string())
+        }
+    }
+
+    fn decode(v: &Value) -> Result<u64, SnapshotError> {
+        match v {
+            &Value::Num(n) if n >= 0.0 && n.trunc() == n && n <= (1u64 << 53) as f64 => {
+                Ok(n as u64)
+            }
+            Value::Num(n) => Err(mismatch(format_args!("{n} is not a non-negative integer"))),
+            Value::Str(s) => s
+                .parse()
+                .map_err(|e| mismatch(format_args!("expected integer, found `{s}` ({e})"))),
+            other => Err(expected("integer", other)),
+        }
+    }
+}
+
+/// The narrower integers, encoded as a `u64` and range-checked on
+/// decode.
+macro_rules! snap_via_u64 {
+    ($($t:ty),*) => {$(
+        impl Snap for $t {
+            fn encode(&self) -> Value {
+                (*self as u64).encode()
+            }
+
+            fn decode(v: &Value) -> Result<$t, SnapshotError> {
+                let n = u64::decode(v)?;
+                <$t>::try_from(n)
+                    .map_err(|_| mismatch(format_args!("{n} exceeds {}", stringify!($t))))
             }
         }
-        Value::Str(s) => s
-            .parse::<u64>()
-            .map_err(|e| SnapshotError::Mismatch(format!("{ctx}: `{s}`: {e}"))),
-        other => Err(SnapshotError::Mismatch(format!(
-            "{ctx}: expected integer, found {other:?}"
-        ))),
+    )*};
+}
+
+snap_via_u64!(u8, u32, usize);
+
+impl Snap for bool {
+    fn encode(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn decode(v: &Value) -> Result<bool, SnapshotError> {
+        v.as_bool().ok_or_else(|| expected("bool", v))
     }
 }
 
-/// Decodes a `usize` via [`u64_of`].
-pub fn usize_of(v: &Value, ctx: &str) -> Result<usize, SnapshotError> {
-    usize::try_from(u64_of(v, ctx)?)
-        .map_err(|_| SnapshotError::Mismatch(format!("{ctx}: value exceeds usize")))
-}
-
-/// Encodes a simulation instant as seconds.
-pub fn v_time(t: Time) -> Value {
-    v_f64(t.as_secs())
-}
-
-/// Decodes [`v_time`], rejecting values [`Time::from_secs`] would
-/// panic on (NaN, negative) as typed errors.
-pub fn time_of(v: &Value, ctx: &str) -> Result<Time, SnapshotError> {
-    let secs = f64_of(v, ctx)?;
-    if secs.is_nan() || secs < 0.0 {
-        return Err(SnapshotError::Mismatch(format!(
-            "{ctx}: {secs} is not a valid instant"
-        )));
+impl Snap for String {
+    fn encode(&self) -> Value {
+        Value::Str(self.clone())
     }
-    Ok(Time::from_secs(secs))
-}
 
-fn v_dur(d: Duration) -> Value {
-    v_f64(d.as_secs())
-}
-
-fn dur_of(v: &Value, ctx: &str) -> Result<Duration, SnapshotError> {
-    let secs = f64_of(v, ctx)?;
-    if secs.is_nan() || secs < 0.0 {
-        return Err(SnapshotError::Mismatch(format!(
-            "{ctx}: {secs} is not a valid duration"
-        )));
+    fn decode(v: &Value) -> Result<String, SnapshotError> {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| expected("string", v))
     }
-    Ok(Duration::from_secs(secs))
 }
 
-/// Field lookup that turns absence into a typed error.
-pub fn field<'a>(obj: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, SnapshotError> {
-    obj.get(key)
-        .ok_or_else(|| SnapshotError::Mismatch(format!("{ctx}: missing field `{key}`")))
+/// Seconds that [`Time::from_secs`] and [`Duration::from_secs`] accept:
+/// finite and non-negative.
+fn secs(v: &Value, what: &str) -> Result<f64, SnapshotError> {
+    let secs = f64::decode(v)?;
+    if secs.is_finite() && secs >= 0.0 {
+        Ok(secs)
+    } else {
+        Err(mismatch(format_args!("{secs} is not a valid {what}")))
+    }
 }
 
-/// Array access that turns a non-array into a typed error.
-pub fn arr_of<'a>(v: &'a Value, ctx: &str) -> Result<&'a [Value], SnapshotError> {
+impl Snap for Time {
+    fn encode(&self) -> Value {
+        Value::Num(self.as_secs())
+    }
+
+    fn decode(v: &Value) -> Result<Time, SnapshotError> {
+        secs(v, "instant").map(Time::from_secs)
+    }
+}
+
+impl Snap for Duration {
+    fn encode(&self) -> Value {
+        Value::Num(self.as_secs())
+    }
+
+    fn decode(v: &Value) -> Result<Duration, SnapshotError> {
+        secs(v, "duration").map(Duration::from_secs)
+    }
+}
+
+impl Snap for Priority {
+    fn encode(&self) -> Value {
+        self.rank().encode()
+    }
+
+    fn decode(v: &Value) -> Result<Priority, SnapshotError> {
+        let rank = usize::decode(v)?;
+        Priority::ALL
+            .get(rank)
+            .copied()
+            .ok_or_else(|| mismatch(format_args!("priority rank {rank} out of range")))
+    }
+}
+
+impl Snap for FlowId {
+    fn encode(&self) -> Value {
+        self.0.encode()
+    }
+
+    fn decode(v: &Value) -> Result<FlowId, SnapshotError> {
+        u64::decode(v).map(FlowId)
+    }
+}
+
+impl Snap for LinkId {
+    fn encode(&self) -> Value {
+        self.0.encode()
+    }
+
+    fn decode(v: &Value) -> Result<LinkId, SnapshotError> {
+        usize::decode(v).map(LinkId)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Containers.
+// ---------------------------------------------------------------------
+
+impl<T: Snap> Snap for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Snap::encode)
+    }
+
+    fn decode(v: &Value) -> Result<Option<T>, SnapshotError> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::decode(v).map(Some),
+        }
+    }
+}
+
+fn encode_all<T: Snap>(xs: &[T]) -> Value {
+    Value::Arr(xs.iter().map(Snap::encode).collect())
+}
+
+fn items(v: &Value) -> Result<&[Value], SnapshotError> {
     match v {
-        Value::Arr(items) => Ok(items),
-        other => Err(SnapshotError::Mismatch(format!(
-            "{ctx}: expected array, found {other:?}"
-        ))),
+        Value::Arr(xs) => Ok(xs),
+        other => Err(expected("array", other)),
     }
 }
 
-/// Decodes a JSON boolean with a typed error.
-pub fn bool_of(v: &Value, ctx: &str) -> Result<bool, SnapshotError> {
-    v.as_bool()
-        .ok_or_else(|| SnapshotError::Mismatch(format!("{ctx}: expected bool")))
+impl<T: Snap> Snap for Vec<T> {
+    fn encode(&self) -> Value {
+        encode_all(self)
+    }
+
+    fn decode(v: &Value) -> Result<Vec<T>, SnapshotError> {
+        let xs = items(v)?;
+        let mut out = Vec::with_capacity(xs.len());
+        for (i, x) in xs.iter().enumerate() {
+            out.push(T::decode(x).map_err(|e| under(e, format_args!("[{i}]")))?);
+        }
+        Ok(out)
+    }
 }
 
-/// Encodes an `f64` slice via [`v_f64`].
-pub fn f64s(xs: &[f64]) -> Value {
-    Value::Arr(xs.iter().map(|&x| v_f64(x)).collect())
+impl<T: Snap> Snap for Box<[T]> {
+    fn encode(&self) -> Value {
+        encode_all(self)
+    }
+
+    fn decode(v: &Value) -> Result<Box<[T]>, SnapshotError> {
+        Vec::decode(v).map(Vec::into_boxed_slice)
+    }
 }
 
-/// Decodes [`f64s`].
-pub fn f64s_of(v: &Value, ctx: &str) -> Result<Vec<f64>, SnapshotError> {
-    arr_of(v, ctx)?.iter().map(|x| f64_of(x, ctx)).collect()
-}
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn encode(&self) -> Value {
+        encode_all(self)
+    }
 
-/// Encodes a `usize` slice via [`v_u64`].
-pub fn usizes(xs: &[usize]) -> Value {
-    Value::Arr(xs.iter().map(|&x| v_u64(x as u64)).collect())
-}
-
-/// Decodes [`usizes`].
-pub fn usizes_of(v: &Value, ctx: &str) -> Result<Vec<usize>, SnapshotError> {
-    arr_of(v, ctx)?.iter().map(|x| usize_of(x, ctx)).collect()
-}
-
-/// Encodes a `u32` slice via [`v_u64`].
-pub fn u32s(xs: &[u32]) -> Value {
-    Value::Arr(xs.iter().map(|&x| v_u64(u64::from(x))).collect())
-}
-
-/// Decodes [`u32s`].
-pub fn u32s_of(v: &Value, ctx: &str) -> Result<Vec<u32>, SnapshotError> {
-    arr_of(v, ctx)?
-        .iter()
-        .map(|x| {
-            u64_of(x, ctx).and_then(|n| {
-                u32::try_from(n)
-                    .map_err(|_| SnapshotError::Mismatch(format!("{ctx}: {n} exceeds u32")))
-            })
+    fn decode(v: &Value) -> Result<[T; N], SnapshotError> {
+        Vec::decode(v)?.try_into().map_err(|xs: Vec<T>| {
+            mismatch(format_args!("expected {N} elements, found {}", xs.len()))
         })
-        .collect()
+    }
 }
 
-/// Encodes a `bool` slice.
-pub fn bools(xs: &[bool]) -> Value {
-    Value::Arr(xs.iter().map(|&b| Value::Bool(b)).collect())
+/// Tuples, as arrays of their fields.
+macro_rules! snap_tuple {
+    ($n:literal: $($t:ident $x:ident $i:tt),+) => {
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn encode(&self) -> Value {
+                Value::Arr(vec![$(self.$i.encode()),+])
+            }
+
+            fn decode(v: &Value) -> Result<Self, SnapshotError> {
+                match items(v)? {
+                    [$($x),+] => Ok(($(
+                        $t::decode($x).map_err(|e| under(e, format_args!("[{}]", $i)))?,
+                    )+)),
+                    xs => Err(mismatch(format_args!("expected {} elements, found {}", $n, xs.len()))),
+                }
+            }
+        }
+    };
 }
 
-/// Decodes [`bools`].
-pub fn bools_of(v: &Value, ctx: &str) -> Result<Vec<bool>, SnapshotError> {
-    arr_of(v, ctx)?.iter().map(|x| bool_of(x, ctx)).collect()
-}
+snap_tuple!(3: A a 0, B b 1, C c 2);
+snap_tuple!(4: A a 0, B b 1, C c 2, D d 3);
 
 // ---------------------------------------------------------------------
-// Priority / flow-spec / completion conversions.
+// Flow specs and completions.
 // ---------------------------------------------------------------------
 
-/// Encodes a priority as its fill-class rank.
-pub fn priority_to_value(p: Priority) -> Value {
-    v_u64(p.rank() as u64)
-}
-
-/// Decodes [`priority_to_value`].
-pub fn priority_from_value(v: &Value, ctx: &str) -> Result<Priority, SnapshotError> {
-    let rank = usize_of(v, ctx)?;
-    Priority::ALL
-        .get(rank)
-        .copied()
-        .ok_or_else(|| SnapshotError::Mismatch(format!("{ctx}: priority rank {rank} out of range")))
-}
-
-/// Encodes a [`FlowSpec`] (used for staged-but-uninjected flows in
-/// executor snapshots).
-pub fn flow_spec_to_value(s: &FlowSpec) -> Value {
-    Value::Obj(vec![
-        (
-            "route".into(),
-            usizes(&s.route.iter().map(|l| l.0).collect::<Vec<usize>>()),
-        ),
-        ("bytes".into(), v_f64(s.bytes)),
-        ("priority".into(), priority_to_value(s.priority)),
-        ("tag".into(), v_u64(s.tag)),
-        ("tenant".into(), v_u64(u64::from(s.tenant))),
-    ])
-}
-
-/// Decodes [`flow_spec_to_value`], re-validating the invariants the
-/// [`FlowSpec`] constructors assert (finite non-negative bytes, tenant
-/// within the class space) as typed errors instead of panics.
-pub fn flow_spec_from_value(v: &Value, ctx: &str) -> Result<FlowSpec, SnapshotError> {
-    let route = usizes_of(field(v, "route", ctx)?, ctx)?
-        .into_iter()
-        .map(LinkId)
-        .collect();
-    let bytes = f64_of(field(v, "bytes", ctx)?, ctx)?;
-    if !(bytes.is_finite() && bytes >= 0.0) {
-        return Err(SnapshotError::Mismatch(format!(
-            "{ctx}: flow bytes {bytes} invalid"
+/// Field `tenant` of `obj`, rejecting ranks past [`MAX_TENANT`] (their
+/// fill classes would overflow the allocator's `u8` class space).
+fn tenant(obj: &Value) -> Result<u8, SnapshotError> {
+    let tenant: u8 = field(obj, "tenant")?;
+    if tenant > MAX_TENANT {
+        return Err(mismatch(format_args!(
+            ".tenant: tenant {tenant} outside the class space"
         )));
     }
-    let priority = priority_from_value(field(v, "priority", ctx)?, ctx)?;
-    let tag = u64_of(field(v, "tag", ctx)?, ctx)?;
-    let tenant = tenant_of(field(v, "tenant", ctx)?, ctx)?;
-    Ok(FlowSpec::new(route, bytes)
-        .with_priority(priority)
-        .with_tag(tag)
-        .with_tenant(tenant))
+    Ok(tenant)
 }
 
-/// Decodes a tenant rank, rejecting ranks whose fill classes would
-/// overflow the `u8` class space ([`FlowSpec::with_tenant`] asserts
-/// the same bound).
-pub fn tenant_of(v: &Value, ctx: &str) -> Result<u8, SnapshotError> {
-    let tenant = u64_of(v, ctx)?;
-    let max_tenant = (u8::MAX as usize / Priority::ALL.len()) as u64 - 1;
-    if tenant > max_tenant {
-        return Err(SnapshotError::Mismatch(format!(
-            "{ctx}: tenant {tenant} outside the class space"
-        )));
+/// Staged-but-uninjected flows in executor snapshots. Decoding
+/// re-validates what the [`FlowSpec`] constructors assert (finite
+/// non-negative bytes, tenant within the class space) as typed errors.
+impl Snap for FlowSpec {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("route".into(), self.route.encode()),
+            ("bytes".into(), self.bytes.encode()),
+            ("priority".into(), self.priority.encode()),
+            ("tag".into(), self.tag.encode()),
+            ("tenant".into(), self.tenant.encode()),
+        ])
     }
-    Ok(tenant as u8)
+
+    fn decode(v: &Value) -> Result<FlowSpec, SnapshotError> {
+        let bytes: f64 = field(v, "bytes")?;
+        if !(bytes.is_finite() && bytes >= 0.0) {
+            return Err(mismatch(format_args!(".bytes: flow bytes {bytes} invalid")));
+        }
+        Ok(FlowSpec::new(field(v, "route")?, bytes)
+            .with_priority(field(v, "priority")?)
+            .with_tag(field(v, "tag")?)
+            .with_tenant(tenant(v)?))
+    }
 }
 
-fn completed_to_value(c: &CompletedFlow) -> Value {
-    Value::Obj(vec![
-        ("id".into(), v_u64(c.id.0)),
-        ("tag".into(), v_u64(c.tag)),
-        ("priority".into(), priority_to_value(c.priority)),
-        ("injected_at".into(), v_time(c.injected_at)),
-        ("completed_at".into(), v_time(c.completed_at)),
-    ])
-}
+impl Snap for CompletedFlow {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("id".into(), self.id.encode()),
+            ("tag".into(), self.tag.encode()),
+            ("priority".into(), self.priority.encode()),
+            ("injected_at".into(), self.injected_at.encode()),
+            ("completed_at".into(), self.completed_at.encode()),
+        ])
+    }
 
-fn completed_from_value(v: &Value, ctx: &str) -> Result<CompletedFlow, SnapshotError> {
-    Ok(CompletedFlow {
-        id: FlowId(u64_of(field(v, "id", ctx)?, ctx)?),
-        tag: u64_of(field(v, "tag", ctx)?, ctx)?,
-        priority: priority_from_value(field(v, "priority", ctx)?, ctx)?,
-        injected_at: time_of(field(v, "injected_at", ctx)?, ctx)?,
-        completed_at: time_of(field(v, "completed_at", ctx)?, ctx)?,
-    })
+    fn decode(v: &Value) -> Result<CompletedFlow, SnapshotError> {
+        Ok(CompletedFlow {
+            id: field(v, "id")?,
+            tag: field(v, "tag")?,
+            priority: field(v, "priority")?,
+            injected_at: field(v, "injected_at")?,
+            completed_at: field(v, "completed_at")?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Solver state.
 // ---------------------------------------------------------------------
 
-/// Encodes a [`SolverState`].
-pub fn solver_state_to_value(s: &SolverState) -> Value {
-    let flows = Value::Arr(
-        s.flows
-            .iter()
-            .map(|slot| match slot {
-                None => Value::Null,
-                Some(f) => Value::Obj(vec![
-                    ("links".into(), usizes(&f.links)),
-                    ("class".into(), v_u64(u64::from(f.class))),
-                    ("rate".into(), v_f64(f.rate)),
-                ]),
-            })
-            .collect(),
-    );
-    let link_flows = Value::Arr(s.link_flows.iter().map(|ks| u32s(ks)).collect());
-    Value::Obj(vec![
-        ("capacities".into(), f64s(&s.capacities)),
-        ("flows".into(), flows),
-        ("free".into(), u32s(&s.free)),
-        ("live".into(), v_u64(s.live as u64)),
-        ("link_flows".into(), link_flows),
-        ("link_alloc".into(), f64s(&s.link_alloc)),
-        ("seed_links".into(), usizes(&s.seed_links)),
-        ("dirty".into(), Value::Bool(s.dirty)),
-        ("epoch".into(), v_u64(s.epoch)),
-        ("solves".into(), v_u64(s.stats.solves)),
-        ("global_solves".into(), v_u64(s.stats.global_solves)),
-        ("refilled_flows".into(), v_u64(s.stats.refilled_flows)),
-        ("max_component".into(), v_u64(s.stats.max_component)),
-    ])
+impl Snap for SolverFlow {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("links".into(), self.links.encode()),
+            ("class".into(), self.class.encode()),
+            ("rate".into(), self.rate.encode()),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<SolverFlow, SnapshotError> {
+        Ok(SolverFlow {
+            links: field(v, "links")?,
+            class: field(v, "class")?,
+            rate: field(v, "rate")?,
+        })
+    }
 }
 
-/// Decodes [`solver_state_to_value`].
-pub fn solver_state_from_value(v: &Value) -> Result<SolverState, SnapshotError> {
-    let ctx = "solver";
-    let flows = arr_of(field(v, "flows", ctx)?, ctx)?
-        .iter()
-        .map(|slot| match slot {
-            Value::Null => Ok(None),
-            f => Ok(Some(SolverFlowState {
-                links: usizes_of(field(f, "links", ctx)?, ctx)?,
-                class: u8::try_from(u64_of(field(f, "class", ctx)?, ctx)?)
-                    .map_err(|_| SnapshotError::Mismatch(format!("{ctx}: class exceeds u8")))?,
-                rate: f64_of(field(f, "rate", ctx)?, ctx)?,
-            })),
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let link_flows = arr_of(field(v, "link_flows", ctx)?, ctx)?
-        .iter()
-        .map(|ks| u32s_of(ks, ctx))
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let state = SolverState {
-        capacities: f64s_of(field(v, "capacities", ctx)?, ctx)?,
-        flows,
-        free: u32s_of(field(v, "free", ctx)?, ctx)?,
-        live: usize_of(field(v, "live", ctx)?, ctx)?,
-        link_flows,
-        link_alloc: f64s_of(field(v, "link_alloc", ctx)?, ctx)?,
-        seed_links: usizes_of(field(v, "seed_links", ctx)?, ctx)?,
-        dirty: bool_of(field(v, "dirty", ctx)?, ctx)?,
-        epoch: u64_of(field(v, "epoch", ctx)?, ctx)?,
-        stats: SolverStats {
-            solves: u64_of(field(v, "solves", ctx)?, ctx)?,
-            global_solves: u64_of(field(v, "global_solves", ctx)?, ctx)?,
-            refilled_flows: u64_of(field(v, "refilled_flows", ctx)?, ctx)?,
-            max_component: u64_of(field(v, "max_component", ctx)?, ctx)?,
-        },
-    };
-    check_solver_state(&state)?;
-    Ok(state)
+impl Snap for SolverState {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("capacities".into(), self.capacities.encode()),
+            ("flows".into(), self.flows.encode()),
+            ("free".into(), self.free.encode()),
+            ("live".into(), self.live.encode()),
+            ("link_flows".into(), self.link_flows.encode()),
+            ("link_alloc".into(), self.link_alloc.encode()),
+            ("seed_links".into(), self.seed_links.encode()),
+            ("dirty".into(), self.dirty.encode()),
+            ("epoch".into(), self.epoch.encode()),
+            ("solves".into(), self.stats.solves.encode()),
+            ("global_solves".into(), self.stats.global_solves.encode()),
+            ("refilled_flows".into(), self.stats.refilled_flows.encode()),
+            ("max_component".into(), self.stats.max_component.encode()),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<SolverState, SnapshotError> {
+        let state = SolverState {
+            capacities: field(v, "capacities")?,
+            flows: field(v, "flows")?,
+            free: field(v, "free")?,
+            live: field(v, "live")?,
+            link_flows: field(v, "link_flows")?,
+            link_alloc: field(v, "link_alloc")?,
+            seed_links: field(v, "seed_links")?,
+            dirty: field(v, "dirty")?,
+            epoch: field(v, "epoch")?,
+            stats: SolverStats {
+                solves: field(v, "solves")?,
+                global_solves: field(v, "global_solves")?,
+                refilled_flows: field(v, "refilled_flows")?,
+                max_component: field(v, "max_component")?,
+            },
+        };
+        check_solver_state(&state).map_err(mismatch)?;
+        Ok(state)
+    }
 }
 
 /// Checks the structural invariants `FairShareSolver::restore` trusts
@@ -464,11 +571,10 @@ pub fn solver_state_from_value(v: &Value) -> Result<SolverState, SnapshotError> 
 /// every link index is in range, the link→flow lists hold each live key
 /// exactly as often as its route crosses the link (and nothing else),
 /// and the free stack and live count agree with the slab.
-fn check_solver_state(s: &SolverState) -> Result<(), SnapshotError> {
-    let bad = |what: String| Err(SnapshotError::Mismatch(format!("solver: {what}")));
+fn check_solver_state(s: &SolverState) -> Result<(), String> {
     let n = s.capacities.len();
     if s.link_flows.len() != n || s.link_alloc.len() != n {
-        return bad(format!(
+        return Err(format!(
             "{} capacities but {} link_flows and {} link_alloc",
             n,
             s.link_flows.len(),
@@ -476,13 +582,13 @@ fn check_solver_state(s: &SolverState) -> Result<(), SnapshotError> {
         ));
     }
     if let Some(l) = s.seed_links.iter().find(|&&l| l >= n) {
-        return bad(format!("seed link {l} out of range ({n} links)"));
+        return Err(format!("seed link {l} out of range ({n} links)"));
     }
     let mut want: Vec<(usize, usize)> = Vec::new();
     for (k, f) in s.flows.iter().enumerate() {
         let Some(f) = f else { continue };
         if let Some(l) = f.links.iter().find(|&&l| l >= n) {
-            return bad(format!(
+            return Err(format!(
                 "flow {k} crosses link {l} out of range ({n} links)"
             ));
         }
@@ -497,190 +603,130 @@ fn check_solver_state(s: &SolverState) -> Result<(), SnapshotError> {
     want.sort_unstable();
     got.sort_unstable();
     if got != want {
-        return bad("link_flows do not match the flow routes".into());
+        return Err("link_flows do not match the flow routes".into());
     }
     let occupied = s.flows.iter().filter(|f| f.is_some()).count();
     if s.live != occupied {
-        return bad(format!("live {} but {occupied} occupied slots", s.live));
+        return Err(format!("live {} but {occupied} occupied slots", s.live));
     }
     let mut freed = vec![false; s.flows.len()];
     for &k in &s.free {
         match freed.get_mut(k as usize) {
             Some(seen) if !*seen && s.flows[k as usize].is_none() => *seen = true,
-            _ => return bad(format!("free key {k} is repeated or names no empty slot")),
+            _ => return Err(format!("free key {k} is repeated or names no empty slot")),
         }
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Core (single-network) state.
+// Network state.
 // ---------------------------------------------------------------------
 
-fn flow_state_to_value(f: &FlowState) -> Value {
-    Value::Obj(vec![
-        ("id".into(), v_u64(f.id)),
-        ("priority".into(), priority_to_value(f.priority)),
-        ("tenant".into(), v_u64(u64::from(f.tenant))),
-        ("tag".into(), v_u64(f.tag)),
-        ("remaining".into(), v_f64(f.remaining)),
-        ("updated_at".into(), v_time(f.updated_at)),
-        ("generation".into(), v_u64(f.generation)),
-        ("injected_at".into(), v_time(f.injected_at)),
-        ("latency".into(), v_dur(f.latency)),
-    ])
+impl Snap for FlowState {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("id".into(), self.id.encode()),
+            ("priority".into(), self.priority.encode()),
+            ("tenant".into(), self.tenant.encode()),
+            ("tag".into(), self.tag.encode()),
+            ("remaining".into(), self.remaining.encode()),
+            ("updated_at".into(), self.updated_at.encode()),
+            ("generation".into(), self.generation.encode()),
+            ("injected_at".into(), self.injected_at.encode()),
+            ("latency".into(), self.latency.encode()),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<FlowState, SnapshotError> {
+        Ok(FlowState {
+            id: field(v, "id")?,
+            priority: field(v, "priority")?,
+            tenant: tenant(v)?,
+            tag: field(v, "tag")?,
+            remaining: field(v, "remaining")?,
+            updated_at: field(v, "updated_at")?,
+            generation: field(v, "generation")?,
+            injected_at: field(v, "injected_at")?,
+            latency: field(v, "latency")?,
+        })
+    }
 }
 
-fn flow_state_from_value(v: &Value, ctx: &str) -> Result<FlowState, SnapshotError> {
-    Ok(FlowState {
-        id: u64_of(field(v, "id", ctx)?, ctx)?,
-        priority: priority_from_value(field(v, "priority", ctx)?, ctx)?,
-        tenant: tenant_of(field(v, "tenant", ctx)?, ctx)?,
-        tag: u64_of(field(v, "tag", ctx)?, ctx)?,
-        remaining: f64_of(field(v, "remaining", ctx)?, ctx)?,
-        updated_at: time_of(field(v, "updated_at", ctx)?, ctx)?,
-        generation: u64_of(field(v, "generation", ctx)?, ctx)?,
-        injected_at: time_of(field(v, "injected_at", ctx)?, ctx)?,
-        latency: dur_of(field(v, "latency", ctx)?, ctx)?,
-    })
+impl Snap for PendingNotice {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("at".into(), self.at.encode()),
+            ("seq".into(), self.seq.encode()),
+            ("flow".into(), self.flow.encode()),
+        ])
+    }
+
+    fn decode(v: &Value) -> Result<PendingNotice, SnapshotError> {
+        Ok(PendingNotice {
+            at: field(v, "at")?,
+            seq: field(v, "seq")?,
+            flow: field(v, "flow")?,
+        })
+    }
 }
 
-/// Encodes a [`CoreState`] (the [`fred_sim::netsim::FlowNetwork`]
-/// snapshot).
-pub fn core_state_to_value(s: &CoreState) -> Value {
-    let flows = Value::Arr(
-        s.flows
-            .iter()
-            .map(|slot| match slot {
-                None => Value::Null,
-                Some(f) => flow_state_to_value(f),
-            })
-            .collect(),
-    );
-    let drains = Value::Arr(
-        s.drains
-            .iter()
-            .map(|&(at, id, generation, slot)| {
-                Value::Arr(vec![
-                    v_time(at),
-                    v_u64(id),
-                    v_u64(generation),
-                    v_u64(u64::from(slot)),
-                ])
-            })
-            .collect(),
-    );
-    let pending = Value::Arr(
-        s.pending
-            .iter()
-            .map(|(at, seq, flow)| {
-                Value::Obj(vec![
-                    ("at".into(), v_time(*at)),
-                    ("seq".into(), v_u64(*seq)),
-                    ("flow".into(), completed_to_value(flow)),
-                ])
-            })
-            .collect(),
-    );
-    Value::Obj(vec![
-        ("now".into(), v_time(s.now)),
-        ("next_id".into(), v_u64(s.next_id)),
-        ("flows".into(), flows),
-        ("solver".into(), solver_state_to_value(&s.solver)),
-        ("drains".into(), drains),
-        ("live_drains".into(), v_u64(s.live_drains as u64)),
-        ("compactions".into(), v_u64(s.compactions)),
-        ("next_generation".into(), v_u64(s.next_generation)),
-        ("pending".into(), pending),
-        (
-            "completed".into(),
-            Value::Arr(s.completed.iter().map(completed_to_value).collect()),
-        ),
-        ("failed".into(), bools(&s.failed)),
-        ("events".into(), v_u64(s.events)),
-        ("link_alloc".into(), f64s(&s.link_alloc)),
-    ])
-}
+/// The [`fred_sim::netsim::FlowNetwork`] snapshot.
+impl Snap for CoreState {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("now".into(), self.now.encode()),
+            ("next_id".into(), self.next_id.encode()),
+            ("flows".into(), self.flows.encode()),
+            ("solver".into(), self.solver.encode()),
+            ("drains".into(), self.drains.encode()),
+            ("live_drains".into(), self.live_drains.encode()),
+            ("compactions".into(), self.compactions.encode()),
+            ("next_generation".into(), self.next_generation.encode()),
+            ("pending".into(), self.pending.encode()),
+            ("completed".into(), self.completed.encode()),
+            ("failed".into(), self.failed.encode()),
+            ("events".into(), self.events.encode()),
+            ("link_alloc".into(), self.link_alloc.encode()),
+        ])
+    }
 
-/// Decodes [`core_state_to_value`].
-pub fn core_state_from_value(v: &Value) -> Result<CoreState, SnapshotError> {
-    let ctx = "core";
-    let flows = arr_of(field(v, "flows", ctx)?, ctx)?
-        .iter()
-        .map(|slot| match slot {
-            Value::Null => Ok(None),
-            f => flow_state_from_value(f, "core.flow").map(Some),
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let drains = arr_of(field(v, "drains", ctx)?, ctx)?
-        .iter()
-        .map(|e| {
-            let e = arr_of(e, "core.drain")?;
-            if e.len() != 4 {
-                return Err(SnapshotError::Mismatch(
-                    "core.drain: expected 4 elements".into(),
-                ));
-            }
-            let slot = u64_of(&e[3], "core.drain.slot")?;
-            Ok((
-                time_of(&e[0], "core.drain.at")?,
-                u64_of(&e[1], "core.drain.id")?,
-                u64_of(&e[2], "core.drain.generation")?,
-                u32::try_from(slot).map_err(|_| {
-                    SnapshotError::Mismatch(format!("core.drain.slot {slot} exceeds u32"))
-                })?,
-            ))
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let pending = arr_of(field(v, "pending", ctx)?, ctx)?
-        .iter()
-        .map(|p| {
-            Ok((
-                time_of(field(p, "at", "core.pending")?, "core.pending.at")?,
-                u64_of(field(p, "seq", "core.pending")?, "core.pending.seq")?,
-                completed_from_value(field(p, "flow", "core.pending")?, "core.pending.flow")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let completed = arr_of(field(v, "completed", ctx)?, ctx)?
-        .iter()
-        .map(|c| completed_from_value(c, "core.completed"))
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let state = CoreState {
-        now: time_of(field(v, "now", ctx)?, ctx)?,
-        next_id: u64_of(field(v, "next_id", ctx)?, ctx)?,
-        flows,
-        solver: solver_state_from_value(field(v, "solver", ctx)?)?,
-        drains,
-        live_drains: usize_of(field(v, "live_drains", ctx)?, ctx)?,
-        compactions: u64_of(field(v, "compactions", ctx)?, ctx)?,
-        next_generation: u64_of(field(v, "next_generation", ctx)?, ctx)?,
-        pending,
-        completed,
-        failed: bools_of(field(v, "failed", ctx)?, ctx)?,
-        events: u64_of(field(v, "events", ctx)?, ctx)?,
-        link_alloc: f64s_of(field(v, "link_alloc", ctx)?, ctx)?,
-    };
-    check_core_state(&state)?;
-    Ok(state)
+    fn decode(v: &Value) -> Result<CoreState, SnapshotError> {
+        let state = CoreState {
+            now: field(v, "now")?,
+            next_id: field(v, "next_id")?,
+            flows: field(v, "flows")?,
+            solver: field(v, "solver")?,
+            drains: field(v, "drains")?,
+            live_drains: field(v, "live_drains")?,
+            compactions: field(v, "compactions")?,
+            next_generation: field(v, "next_generation")?,
+            pending: field(v, "pending")?,
+            completed: field(v, "completed")?,
+            failed: field(v, "failed")?,
+            events: field(v, "events")?,
+            link_alloc: field(v, "link_alloc")?,
+        };
+        check_core_state(&state).map_err(mismatch)?;
+        Ok(state)
+    }
 }
 
 /// Checks that the network's per-link vectors have the solver's link
 /// count, that its slab occupies exactly the solver's slots (the two
 /// slabs share keys) and that every drain entry names a slot.
-fn check_core_state(s: &CoreState) -> Result<(), SnapshotError> {
-    let bad = |what: String| Err(SnapshotError::Mismatch(format!("core: {what}")));
+fn check_core_state(s: &CoreState) -> Result<(), String> {
     let n = s.solver.capacities.len();
     for (name, len) in [
         ("failed", s.failed.len()),
         ("link_alloc", s.link_alloc.len()),
     ] {
         if len != n {
-            return bad(format!("{len} {name} but the solver has {n} links"));
+            return Err(format!("{len} {name} but the solver has {n} links"));
         }
     }
     if s.flows.len() != s.solver.flows.len() {
-        return bad(format!(
+        return Err(format!(
             "{} flow slots but the solver has {}",
             s.flows.len(),
             s.solver.flows.len()
@@ -688,11 +734,11 @@ fn check_core_state(s: &CoreState) -> Result<(), SnapshotError> {
     }
     for (k, (f, sf)) in s.flows.iter().zip(&s.solver.flows).enumerate() {
         if f.is_some() != sf.is_some() {
-            return bad(format!("slot {k} is occupied in only one of the two slabs"));
+            return Err(format!("slot {k} is occupied in only one of the two slabs"));
         }
     }
     if let Some(&(_, _, _, slot)) = s.drains.iter().find(|d| d.3 as usize >= s.flows.len()) {
-        return bad(format!("drain slot {slot} out of range"));
+        return Err(format!("drain slot {slot} out of range"));
     }
     Ok(())
 }
@@ -702,6 +748,8 @@ mod tests {
     use super::*;
     use fred_sim::netsim::FlowNetwork;
     use fred_sim::topology::{NodeKind, Topology};
+    use fred_telemetry::sink::NullSink;
+    use std::rc::Rc;
 
     fn busy_net() -> (Topology, FlowNetwork) {
         let mut topo = Topology::new();
@@ -728,15 +776,15 @@ mod tests {
     fn core_state_round_trips_binary_exactly() {
         let (_, net) = busy_net();
         let state = net.snapshot();
-        let v = core_state_to_value(&state);
-        assert_eq!(core_state_from_value(&v).unwrap(), state);
+        let v = state.encode();
+        assert_eq!(CoreState::decode(&v).unwrap(), state);
 
         let mut sim = SimState::new();
         sim.insert("net", v);
         let back = SimState::from_binary(&sim.to_binary()).unwrap();
         assert_eq!(back, sim);
         assert_eq!(
-            core_state_from_value(back.section("net").unwrap()).unwrap(),
+            CoreState::decode(back.section("net").unwrap()).unwrap(),
             state
         );
     }
@@ -747,12 +795,12 @@ mod tests {
         let state = net.snapshot();
         let bytes = {
             let mut sim = SimState::new();
-            sim.insert("net", core_state_to_value(&state));
+            sim.insert("net", state.encode());
             sim.to_binary()
         };
         let decoded = SimState::from_binary(&bytes).unwrap();
-        let restored = core_state_from_value(decoded.section("net").unwrap()).unwrap();
-        let mut resumed = FlowNetwork::restore(topo, restored);
+        let restored = CoreState::decode(decoded.section("net").unwrap()).unwrap();
+        let mut resumed = FlowNetwork::restore(topo, Rc::new(NullSink), restored).unwrap();
         let a: Vec<(u64, u64)> = net
             .run_to_completion()
             .iter()
@@ -772,9 +820,9 @@ mod tests {
     fn assert_rejected(damage: impl FnOnce(&mut CoreState)) {
         let (_, net) = busy_net();
         let mut state = net.snapshot();
-        assert!(core_state_from_value(&core_state_to_value(&state)).is_ok());
+        assert!(CoreState::decode(&state.encode()).is_ok());
         damage(&mut state);
-        let got = core_state_from_value(&core_state_to_value(&state));
+        let got = CoreState::decode(&state.encode());
         assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
     }
 
@@ -791,9 +839,9 @@ mod tests {
     fn assert_value_rejected(damage: impl FnOnce(&mut Value, usize)) {
         let (_, net) = busy_net();
         let state = net.snapshot();
-        let mut v = core_state_to_value(&state);
+        let mut v = state.encode();
         damage(&mut v, first_live(&state.solver));
-        let got = core_state_from_value(&v);
+        let got = CoreState::decode(&v);
         assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
     }
 
@@ -815,9 +863,9 @@ mod tests {
     fn flow_tenant_outside_the_class_space_is_rejected() {
         // 51 is one past the largest tenant whose classes fit a u8; 300
         // does not fit a u8 at all.
-        for tenant in [51, 300] {
+        for tenant in [51u64, 300] {
             assert_value_rejected(|v, k| {
-                *field_mut(item_mut(field_mut(v, "flows"), k), "tenant") = v_u64(tenant);
+                *field_mut(item_mut(field_mut(v, "flows"), k), "tenant") = tenant.encode();
             });
         }
     }
@@ -826,7 +874,7 @@ mod tests {
     fn solver_class_above_u8_is_rejected() {
         assert_value_rejected(|v, k| {
             let flows = field_mut(field_mut(v, "solver"), "flows");
-            *field_mut(item_mut(flows, k), "class") = v_u64(256);
+            *field_mut(item_mut(flows, k), "class") = 256u64.encode();
         });
     }
 
@@ -835,7 +883,8 @@ mod tests {
         assert_rejected(|s| {
             let k = first_live(&s.solver);
             let n = s.solver.capacities.len();
-            s.solver.flows[k].as_mut().unwrap().links.push(n);
+            let f = s.solver.flows[k].as_mut().unwrap();
+            f.links = f.links.iter().copied().chain([n]).collect();
             s.solver.link_flows[0].push(k as u32);
         });
     }
@@ -947,16 +996,16 @@ mod tests {
             f64::MAX,
         ] {
             let mut sim = SimState::new();
-            sim.insert("x", v_f64(x));
+            sim.insert("x", x.encode());
             let back = SimState::from_binary(&sim.to_binary()).unwrap();
-            let y = f64_of(back.section("x").unwrap(), "x").unwrap();
+            let y = f64::decode(back.section("x").unwrap()).unwrap();
             assert_eq!(y.to_bits(), x.to_bits(), "{x}");
         }
         for n in [0u64, 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
             let mut sim = SimState::new();
-            sim.insert("n", v_u64(n));
+            sim.insert("n", n.encode());
             let back = SimState::from_binary(&sim.to_binary()).unwrap();
-            assert_eq!(u64_of(back.section("n").unwrap(), "n").unwrap(), n);
+            assert_eq!(u64::decode(back.section("n").unwrap()).unwrap(), n);
         }
     }
 
@@ -968,7 +1017,7 @@ mod tests {
         let Value::Obj(mut fields) = sim.to_value() else {
             panic!("not an object")
         };
-        fields[1].1 = v_u64(999);
+        fields[1].1 = 999u64.encode();
         assert!(matches!(
             SimState::from_value(&Value::Obj(fields.clone())),
             Err(SnapshotError::BadVersion { found: 999, .. })
@@ -985,11 +1034,11 @@ mod tests {
         // A version-3 file: the codec header is current, the state
         // layout inside it is not.
         let mut sim = SimState::new();
-        sim.insert("net", core_state_to_value(&busy_net().1.snapshot()));
+        sim.insert("net", busy_net().1.snapshot().encode());
         let Value::Obj(mut fields) = sim.to_value() else {
             panic!("not an object")
         };
-        fields[1].1 = v_u64(3);
+        fields[1].1 = 3u64.encode();
         let err = SimState::from_binary(&codec::to_binary(&Value::Obj(fields))).unwrap_err();
         assert_eq!(
             err,

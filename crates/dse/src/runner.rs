@@ -25,7 +25,7 @@ use fred_cluster::arrivals::poisson_arrivals;
 use fred_cluster::{run_cluster, ClusterConfig};
 use fred_core::codec::{SnapshotError, Value};
 use fred_core::params::FabricConfig;
-use fred_core::snapshot::{arr_of, f64_of, field, u64_of, usize_of, v_f64, v_u64, SimState};
+use fred_core::snapshot::{field, SimState, Snap};
 use fred_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use fred_sim::rng::Rng64;
 use fred_sim::time::Time;
@@ -349,11 +349,11 @@ pub fn write_checkpoint(
     sim.insert(
         "dse",
         Value::Obj(vec![
-            ("version".into(), v_u64(CHECKPOINT_VERSION)),
-            ("fingerprint".into(), v_u64(spec.fingerprint())),
+            ("version".into(), CHECKPOINT_VERSION.encode()),
+            ("fingerprint".into(), spec.fingerprint().encode()),
             (
                 "rows".into(),
-                Value::Arr(rows.iter().map(row_to_value).collect()),
+                Value::Arr(rows.iter().map(Snap::encode).collect()),
             ),
         ]),
     );
@@ -365,136 +365,111 @@ pub fn write_checkpoint(
 pub fn load_checkpoint(spec: &SweepSpec, path: &Path) -> Result<Vec<PointRow>, SnapshotError> {
     let sim = SimState::read_binary(path)?;
     let dse = sim.section("dse")?;
-    let version = u64_of(field(dse, "version", "dse")?, "dse.version")?;
+    let version: u64 = field(dse, "version")?;
     if version != CHECKPOINT_VERSION {
         return Err(SnapshotError::Mismatch(format!(
             "dse checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
         )));
     }
-    let fp = u64_of(field(dse, "fingerprint", "dse")?, "dse.fingerprint")?;
-    if fp != spec.fingerprint() {
+    if field::<u64>(dse, "fingerprint")? != spec.fingerprint() {
         return Err(SnapshotError::Mismatch(
             "checkpoint was written by a different sweep spec".into(),
         ));
     }
-    arr_of(field(dse, "rows", "dse")?, "dse.rows")?
-        .iter()
-        .map(row_from_value)
-        .collect()
+    field(dse, "rows")
 }
 
-fn row_to_value(row: &PointRow) -> Value {
-    let p = &row.point;
-    let mut fields = vec![
-        ("index".into(), v_u64(p.index as u64)),
-        ("cols".into(), v_u64(p.array.0 as u64)),
-        ("rows".into(), v_u64(p.array.1 as u64)),
-        ("bw_ratio".into(), v_f64(p.bw_ratio)),
-        ("hub_gb".into(), v_f64(p.hub_gb)),
-        ("workload".into(), v_u64(p.workload.tag())),
-        ("fault_fraction".into(), v_f64(p.fault_fraction)),
-        (
-            "mix".into(),
-            Value::Arr(p.tenant_mix.iter().map(|&x| v_f64(x)).collect()),
-        ),
-        ("rng_state".into(), v_u64(p.rng_state)),
-    ];
-    match &row.outcome {
-        PointOutcome::Metrics(m) => {
-            fields.push(("outcome".into(), Value::Str("ok".into())));
-            fields.push((
-                "metrics".into(),
-                Value::Obj(vec![
-                    ("makespan_secs".into(), v_f64(m.makespan_secs)),
-                    ("norm_makespan_secs".into(), v_f64(m.norm_makespan_secs)),
-                    ("mean_stretch".into(), v_f64(m.mean_stretch)),
-                    ("p99_stretch".into(), v_f64(m.p99_stretch)),
-                    ("fairness".into(), v_f64(m.fairness)),
-                    ("utilization".into(), v_f64(m.utilization)),
-                    ("area_mm2".into(), v_f64(m.area_mm2)),
-                    ("power_w".into(), v_f64(m.power_w)),
-                    ("tco_dollars".into(), v_f64(m.tco_dollars)),
-                ]),
-            ));
-        }
-        PointOutcome::Infeasible { hub_gb_required } => {
-            fields.push(("outcome".into(), Value::Str("infeasible".into())));
-            fields.push(("hub_gb_required".into(), v_f64(*hub_gb_required)));
-        }
-        PointOutcome::Error(e) => {
-            fields.push(("outcome".into(), Value::Str("error".into())));
-            fields.push(("message".into(), Value::Str(e.message.clone())));
-        }
+impl Snap for PointMetrics {
+    fn encode(&self) -> Value {
+        Value::Obj(vec![
+            ("makespan_secs".into(), self.makespan_secs.encode()),
+            (
+                "norm_makespan_secs".into(),
+                self.norm_makespan_secs.encode(),
+            ),
+            ("mean_stretch".into(), self.mean_stretch.encode()),
+            ("p99_stretch".into(), self.p99_stretch.encode()),
+            ("fairness".into(), self.fairness.encode()),
+            ("utilization".into(), self.utilization.encode()),
+            ("area_mm2".into(), self.area_mm2.encode()),
+            ("power_w".into(), self.power_w.encode()),
+            ("tco_dollars".into(), self.tco_dollars.encode()),
+        ])
     }
-    Value::Obj(fields)
-}
 
-fn str_of<'a>(v: &'a Value, ctx: &str) -> Result<&'a str, SnapshotError> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(SnapshotError::Mismatch(format!(
-            "{ctx}: expected string, found {other:?}"
-        ))),
+    fn decode(v: &Value) -> Result<PointMetrics, SnapshotError> {
+        Ok(PointMetrics {
+            makespan_secs: field(v, "makespan_secs")?,
+            norm_makespan_secs: field(v, "norm_makespan_secs")?,
+            mean_stretch: field(v, "mean_stretch")?,
+            p99_stretch: field(v, "p99_stretch")?,
+            fairness: field(v, "fairness")?,
+            utilization: field(v, "utilization")?,
+            area_mm2: field(v, "area_mm2")?,
+            power_w: field(v, "power_w")?,
+            tco_dollars: field(v, "tco_dollars")?,
+        })
     }
 }
 
-fn row_from_value(v: &Value) -> Result<PointRow, SnapshotError> {
-    let ctx = "dse.row";
-    let mix_vals = arr_of(field(v, "mix", ctx)?, "dse.row.mix")?;
-    if mix_vals.len() != 3 {
-        return Err(SnapshotError::Mismatch(
-            "dse.row.mix: expected 3 fractions".into(),
-        ));
+/// One checkpoint row: the point's fields, then its outcome as a
+/// variant name and that variant's fields.
+impl Snap for PointRow {
+    fn encode(&self) -> Value {
+        let p = &self.point;
+        let mut fields = vec![
+            ("index".into(), p.index.encode()),
+            ("cols".into(), p.array.0.encode()),
+            ("rows".into(), p.array.1.encode()),
+            ("bw_ratio".into(), p.bw_ratio.encode()),
+            ("hub_gb".into(), p.hub_gb.encode()),
+            ("workload".into(), p.workload.tag().encode()),
+            ("fault_fraction".into(), p.fault_fraction.encode()),
+            ("mix".into(), p.tenant_mix.encode()),
+            ("rng_state".into(), p.rng_state.encode()),
+        ];
+        let (variant, key, value) = match &self.outcome {
+            PointOutcome::Metrics(m) => ("ok", "metrics", m.encode()),
+            PointOutcome::Infeasible { hub_gb_required } => {
+                ("infeasible", "hub_gb_required", hub_gb_required.encode())
+            }
+            PointOutcome::Error(e) => ("error", "message", e.message.encode()),
+        };
+        fields.push(("outcome".into(), Value::Str(variant.into())));
+        fields.push((key.into(), value));
+        Value::Obj(fields)
     }
-    let mut tenant_mix = [0.0; 3];
-    for (i, m) in mix_vals.iter().enumerate() {
-        tenant_mix[i] = f64_of(m, "dse.row.mix")?;
+
+    fn decode(v: &Value) -> Result<PointRow, SnapshotError> {
+        let tag: u64 = field(v, "workload")?;
+        let workload = Workload::from_tag(tag)
+            .ok_or_else(|| SnapshotError::Mismatch(format!(".workload: unknown tag {tag}")))?;
+        let point = SweepPoint {
+            index: field(v, "index")?,
+            array: (field(v, "cols")?, field(v, "rows")?),
+            bw_ratio: field(v, "bw_ratio")?,
+            hub_gb: field(v, "hub_gb")?,
+            workload,
+            fault_fraction: field(v, "fault_fraction")?,
+            tenant_mix: field(v, "mix")?,
+            rng_state: field(v, "rng_state")?,
+        };
+        let outcome = match field::<String>(v, "outcome")?.as_str() {
+            "ok" => PointOutcome::Metrics(field(v, "metrics")?),
+            "infeasible" => PointOutcome::Infeasible {
+                hub_gb_required: field(v, "hub_gb_required")?,
+            },
+            "error" => PointOutcome::Error(PointError {
+                message: field(v, "message")?,
+            }),
+            other => {
+                return Err(SnapshotError::Mismatch(format!(
+                    ".outcome: unknown variant `{other}`"
+                )))
+            }
+        };
+        Ok(PointRow { point, outcome })
     }
-    let tag = u64_of(field(v, "workload", ctx)?, "dse.row.workload")?;
-    let workload = Workload::from_tag(tag)
-        .ok_or_else(|| SnapshotError::Mismatch(format!("dse.row.workload: unknown tag {tag}")))?;
-    let point = SweepPoint {
-        index: usize_of(field(v, "index", ctx)?, "dse.row.index")?,
-        array: (
-            usize_of(field(v, "cols", ctx)?, "dse.row.cols")?,
-            usize_of(field(v, "rows", ctx)?, "dse.row.rows")?,
-        ),
-        bw_ratio: f64_of(field(v, "bw_ratio", ctx)?, "dse.row.bw_ratio")?,
-        hub_gb: f64_of(field(v, "hub_gb", ctx)?, "dse.row.hub_gb")?,
-        workload,
-        fault_fraction: f64_of(field(v, "fault_fraction", ctx)?, "dse.row.fault_fraction")?,
-        tenant_mix,
-        rng_state: u64_of(field(v, "rng_state", ctx)?, "dse.row.rng_state")?,
-    };
-    let outcome = match str_of(field(v, "outcome", ctx)?, "dse.row.outcome")? {
-        "ok" => {
-            let m = field(v, "metrics", ctx)?;
-            let g = |key: &str| f64_of(field(m, key, "dse.row.metrics")?, key);
-            PointOutcome::Metrics(PointMetrics {
-                makespan_secs: g("makespan_secs")?,
-                norm_makespan_secs: g("norm_makespan_secs")?,
-                mean_stretch: g("mean_stretch")?,
-                p99_stretch: g("p99_stretch")?,
-                fairness: g("fairness")?,
-                utilization: g("utilization")?,
-                area_mm2: g("area_mm2")?,
-                power_w: g("power_w")?,
-                tco_dollars: g("tco_dollars")?,
-            })
-        }
-        "infeasible" => PointOutcome::Infeasible {
-            hub_gb_required: f64_of(field(v, "hub_gb_required", ctx)?, "dse.row.hub_gb_required")?,
-        },
-        "error" => PointOutcome::Error(PointError {
-            message: str_of(field(v, "message", ctx)?, "dse.row.message")?.to_string(),
-        }),
-        other => {
-            return Err(SnapshotError::Mismatch(format!(
-                "dse.row.outcome: unknown variant `{other}`"
-            )))
-        }
-    };
-    Ok(PointRow { point, outcome })
 }
 
 #[cfg(test)]
@@ -546,7 +521,7 @@ mod tests {
             panic!("not an object")
         };
         let version = fields.iter_mut().find(|(k, _)| k == "version").unwrap();
-        version.1 = v_u64(3);
+        version.1 = 3u64.encode();
         fred_core::codec::write_binary(&path, &Value::Obj(fields)).unwrap();
         let err = load_checkpoint(&spec, &path).unwrap_err();
         assert!(

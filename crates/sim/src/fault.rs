@@ -12,7 +12,7 @@
 //! mesh), which detour the evicted traffic.
 //!
 //! Determinism contract: plans are generated from an explicit
-//! [`Rng64`](crate::rng::Rng64) seed, events are kept sorted by
+//! [`Rng64`] seed, events are kept sorted by
 //! `(time, link)`, and an **empty plan injects nothing** — a simulation
 //! driven with [`FaultPlan::none`] takes the exact code path of a
 //! fault-free build and stays bit-identical to it. The seeded generator

@@ -59,6 +59,19 @@ impl Priority {
     }
 }
 
+/// Largest tenant rank. The allocator's fill classes are a `u8`, one
+/// per `(tenant, priority)` pair (see [`fill_class`]), so 256 classes
+/// hold 51 tenants of five priorities each.
+pub const MAX_TENANT: u8 = ((u8::MAX as usize + 1) / Priority::ALL.len() - 1) as u8;
+
+/// The allocator fill class of a flow: `(tenant, priority)`
+/// lexicographic, 0 filled first. Tenant 0 yields exactly the priority
+/// rank, so single-tenant runs hit the same solver arithmetic as
+/// [`FairShareSolver::add_flow`](crate::solver::FairShareSolver::add_flow).
+pub fn fill_class(tenant: u8, priority: Priority) -> u8 {
+    tenant * Priority::ALL.len() as u8 + priority.rank() as u8
+}
+
 impl fmt::Display for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -143,12 +156,11 @@ impl FlowSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the composed `(tenant, priority)` class would overflow
-    /// the allocator's `u8` class space.
+    /// Panics if `tenant` is past [`MAX_TENANT`], whose fill classes
+    /// would overflow the allocator's `u8` class space.
     pub fn with_tenant(mut self, tenant: u8) -> FlowSpec {
-        let classes = Priority::ALL.len();
         assert!(
-            (tenant as usize + 1) * classes <= u8::MAX as usize + 1,
+            tenant <= MAX_TENANT,
             "tenant rank {tenant} overflows the class space"
         );
         self.tenant = tenant;

@@ -37,13 +37,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fred_telemetry::event::{TraceEvent, Track};
 use fred_telemetry::sink::{NullSink, TraceSink};
 
-use crate::flow::{FlowId, FlowSpec, Priority};
+use crate::flow::{fill_class, FlowId, FlowSpec, Priority};
 use crate::solver::{FairShareSolver, FlowKey, SolverStats};
 use crate::time::{Duration, Time};
 use crate::topology::{LinkId, Route, RouteError, Topology};
@@ -91,26 +92,36 @@ pub fn global_heap_compactions() -> u64 {
     GLOBAL_COMPACTIONS.load(Ordering::Relaxed)
 }
 
-/// The event-loop fields of one bandwidth-consuming flow. Its route
-/// and rate live in the solver under the same key.
-#[derive(Debug, Clone)]
-struct ActiveFlow {
-    id: FlowId,
-    priority: Priority,
-    tenant: u8,
-    tag: u64,
+/// The event-loop fields of one bandwidth-consuming flow: a slab
+/// element of the network and of its [`CoreState`]. Its route and rate
+/// live in the solver under the same key. Every field that feeds future
+/// arithmetic (the byte watermark, the drain-entry generation) is
+/// carried verbatim, so a restored network continues the exact float
+/// sequence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowState {
+    /// The id returned by [`FlowNetwork::inject`].
+    pub id: FlowId,
+    /// Priority class.
+    pub priority: Priority,
+    /// Tenant rank.
+    pub tenant: u8,
+    /// Caller tag.
+    pub tag: u64,
     /// Bytes left as of `updated_at` (lazy accounting).
-    remaining: f64,
+    pub remaining: f64,
     /// Watermark of the last byte settlement / rate change.
-    updated_at: Time,
+    pub updated_at: Time,
     /// Generation of this flow's live drain-heap entry; entries with a
     /// stale generation are discarded on pop.
-    generation: u64,
-    injected_at: Time,
-    latency: Duration,
+    pub generation: u64,
+    /// Injection instant.
+    pub injected_at: Time,
+    /// Tail (route) latency.
+    pub latency: Duration,
 }
 
-impl ActiveFlow {
+impl FlowState {
     /// Debits the bytes moved at `rate` since the watermark and moves
     /// the watermark to `now`.
     fn settle(&mut self, rate: f64, now: Time) {
@@ -160,11 +171,15 @@ pub struct CompletedFlow {
     pub completed_at: Time,
 }
 
+/// A drained flow waiting out its tail latency.
 #[derive(Debug, Clone, PartialEq)]
-struct PendingNotice {
-    at: Time,
-    seq: u64,
-    flow: CompletedFlow,
+pub struct PendingNotice {
+    /// When the tail arrives.
+    pub at: Time,
+    /// Tie-break among notices due at one instant (the flow id).
+    pub seq: u64,
+    /// The completion record it becomes.
+    pub flow: CompletedFlow,
 }
 
 impl Eq for PendingNotice {}
@@ -187,33 +202,6 @@ impl PartialOrd for PendingNotice {
 /// reuse, so the pop order does not depend on how generation numbers
 /// were interleaved.
 type DrainEntry = Reverse<(Time, u64, u64, u32)>;
-
-/// Serializable image of one in-flight flow inside a [`CoreState`].
-/// Plain data: every field that feeds future arithmetic (lazy byte
-/// accounting watermark, drain-entry generation) is carried verbatim
-/// so a restored network continues the exact float sequence. Route
-/// and rate are the solver's (see [`crate::solver::SolverFlowState`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowState {
-    /// The flow id ([`FlowId`] raw value).
-    pub id: u64,
-    /// Priority class.
-    pub priority: Priority,
-    /// Tenant rank.
-    pub tenant: u8,
-    /// Caller tag.
-    pub tag: u64,
-    /// Bytes left as of `updated_at`.
-    pub remaining: f64,
-    /// Watermark of the last byte settlement / rate change.
-    pub updated_at: Time,
-    /// Generation of the flow's live drain-heap entry.
-    pub generation: u64,
-    /// Injection instant.
-    pub injected_at: Time,
-    /// Tail (route) latency.
-    pub latency: Duration,
-}
 
 /// Serializable image of a [`FlowNetwork`]: everything mutable that
 /// the next event needs, structurally faithful down to slab holes and
@@ -245,9 +233,9 @@ pub struct CoreState {
     pub compactions: u64,
     /// Drain-entry generation counter.
     pub next_generation: u64,
-    /// Drained flows waiting out their tail latency, as
-    /// `(due, tie-break seq, record)` sorted ascending.
-    pub pending: Vec<(Time, u64, CompletedFlow)>,
+    /// Drained flows waiting out their tail latency, sorted by
+    /// `(at, seq)`.
+    pub pending: Vec<PendingNotice>,
     /// Completions buffered but not yet drained by the caller.
     pub completed: Vec<CompletedFlow>,
     /// Links killed by faults.
@@ -272,7 +260,7 @@ pub struct FlowNetwork {
     /// solver's slab and this one allocate keys in lockstep (one
     /// `add_flow`/`remove_flow` per slot transition), so the key is
     /// shared.
-    flows: Vec<Option<ActiveFlow>>,
+    flows: Vec<Option<FlowState>>,
     solver: FairShareSolver,
     /// Predicted drain instants (lazy deletion via generations).
     drains: BinaryHeap<DrainEntry>,
@@ -453,7 +441,7 @@ impl FlowNetwork {
     fn inject_checked(&mut self, spec: FlowSpec) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let flow = ActiveFlow {
+        let flow = FlowState {
             id,
             priority: spec.priority,
             tenant: spec.tenant,
@@ -480,10 +468,7 @@ impl FlowNetwork {
             self.count_event(); // its drain is implicit
             self.push_pending(flow);
         } else {
-            // Fill class = (tenant, priority) lexicographic: tenant 0
-            // yields exactly the priority rank, so single-tenant runs
-            // hit the same solver arithmetic as before tenancy existed.
-            let class = flow.tenant * Priority::ALL.len() as u8 + flow.priority.rank() as u8;
+            let class = fill_class(flow.tenant, flow.priority);
             let links = spec.route.iter().map(|l| l.0).collect();
             let slot = self.solver.add_flow_class(links, class).0 as usize;
             if slot == self.flows.len() {
@@ -629,7 +614,7 @@ impl FlowNetwork {
         }
     }
 
-    fn push_pending(&mut self, f: ActiveFlow) {
+    fn push_pending(&mut self, f: FlowState) {
         let at = self.now + f.latency;
         let seq = f.id.0;
         self.pending.push(Reverse(PendingNotice {
@@ -904,32 +889,13 @@ impl FlowNetwork {
         let mut drains: Vec<(Time, u64, u64, u32)> =
             self.drains.iter().map(|&Reverse(e)| e).collect();
         drains.sort();
-        let mut pending: Vec<(Time, u64, CompletedFlow)> = self
-            .pending
-            .iter()
-            .map(|Reverse(p)| (p.at, p.seq, p.flow.clone()))
-            .collect();
-        pending.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut pending: Vec<PendingNotice> =
+            self.pending.iter().map(|Reverse(p)| p.clone()).collect();
+        pending.sort();
         CoreState {
             now: self.now,
             next_id: self.next_id,
-            flows: self
-                .flows
-                .iter()
-                .map(|slot| {
-                    slot.as_ref().map(|f| FlowState {
-                        id: f.id.0,
-                        priority: f.priority,
-                        tenant: f.tenant,
-                        tag: f.tag,
-                        remaining: f.remaining,
-                        updated_at: f.updated_at,
-                        generation: f.generation,
-                        injected_at: f.injected_at,
-                        latency: f.latency,
-                    })
-                })
-                .collect(),
+            flows: self.flows.clone(),
             solver: self.solver.snapshot(),
             drains,
             live_drains: self.live_drains,
@@ -944,67 +910,46 @@ impl FlowNetwork {
     }
 
     /// Rebuilds a simulator from a [`FlowNetwork::snapshot`] capture
-    /// over `topo` (which must be the topology the capture was taken
-    /// from), with tracing disabled.
+    /// over `topo`, the topology the capture was taken from, recording
+    /// into `sink`. When the sink is enabled a fresh
+    /// [`TraceEvent::Topology`] marker is emitted at the restored clock
+    /// — the same segment marker [`FlowNetwork::with_sink`] emits at
+    /// construction — so analysis layers can re-cost the resumed
+    /// segment on its own.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state's per-link vectors do not match `topo`.
-    pub fn restore(topo: Topology, state: CoreState) -> FlowNetwork {
-        FlowNetwork::restore_with_sink(topo, Rc::new(NullSink), state)
-    }
-
-    /// [`FlowNetwork::restore`] recording into `sink`. When the sink is
-    /// enabled a fresh [`TraceEvent::Topology`] marker is emitted at
-    /// the restored clock — the same segment marker
-    /// [`FlowNetwork::with_sink`] emits at construction — so analysis
-    /// layers can re-cost the resumed segment on its own.
-    pub fn restore_with_sink(
+    /// [`TopologyMismatch`] if a per-link vector of the state does not
+    /// have the topology's link count.
+    pub fn restore(
         topo: Topology,
         sink: Rc<dyn TraceSink>,
         state: CoreState,
-    ) -> FlowNetwork {
-        let n = topo.links().count();
-        assert_eq!(
-            state.solver.capacities.len(),
-            n,
-            "snapshot link count does not match the topology"
-        );
-        assert_eq!(state.failed.len(), n, "corrupt snapshot: failed");
-        assert_eq!(state.link_alloc.len(), n, "corrupt snapshot: link_alloc");
-        let flows: Vec<Option<ActiveFlow>> = state
-            .flows
-            .into_iter()
-            .map(|slot| {
-                slot.map(|f| ActiveFlow {
-                    id: FlowId(f.id),
-                    priority: f.priority,
-                    tenant: f.tenant,
-                    tag: f.tag,
-                    remaining: f.remaining,
-                    updated_at: f.updated_at,
-                    generation: f.generation,
-                    injected_at: f.injected_at,
-                    latency: f.latency,
-                })
-            })
-            .collect();
+    ) -> Result<FlowNetwork, TopologyMismatch> {
+        let links = topo.links().count();
+        for (field, len) in [
+            ("solver.capacities", state.solver.capacities.len()),
+            ("solver.link_flows", state.solver.link_flows.len()),
+            ("solver.link_alloc", state.solver.link_alloc.len()),
+            ("failed", state.failed.len()),
+            ("link_alloc", state.link_alloc.len()),
+        ] {
+            if len != links {
+                return Err(TopologyMismatch { field, len, links });
+            }
+        }
         let net = FlowNetwork {
             topo,
             now: state.now,
             next_id: state.next_id,
-            flows,
+            flows: state.flows,
             solver: FairShareSolver::restore(state.solver),
             drains: state.drains.into_iter().map(Reverse).collect(),
             live_drains: state.live_drains,
             compaction_min: HEAP_COMPACTION_MIN,
             compactions: state.compactions,
             next_generation: state.next_generation,
-            pending: state
-                .pending
-                .into_iter()
-                .map(|(at, seq, flow)| Reverse(PendingNotice { at, seq, flow }))
-                .collect(),
+            pending: state.pending.into_iter().map(Reverse).collect(),
             completed: state.completed,
             failed: state.failed,
             events: state.events,
@@ -1014,9 +959,31 @@ impl FlowNetwork {
             changed_scratch: Vec::new(),
         };
         net.record_topology();
-        net
+        Ok(net)
     }
 }
+
+/// Why [`FlowNetwork::restore`] refused a [`CoreState`]: a per-link
+/// vector has another length than the topology has links, so the state
+/// was captured over a different topology.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopologyMismatch {
+    /// The per-link vector that disagrees.
+    pub field: &'static str,
+    /// Its length.
+    pub len: usize,
+    /// The topology's link count.
+    pub links: usize,
+}
+
+impl fmt::Display for TopologyMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let TopologyMismatch { field, len, links } = self;
+        write!(f, "{field} covers {len} links but the topology has {links}")
+    }
+}
+
+impl std::error::Error for TopologyMismatch {}
 
 #[cfg(test)]
 mod tests {
@@ -1678,7 +1645,7 @@ mod tests {
         let state = paused.snapshot();
         drop(paused);
         let (topo, _, l1c) = build();
-        let mut resumed = FlowNetwork::restore(topo, state.clone());
+        let mut resumed = FlowNetwork::restore(topo, Rc::new(NullSink), state.clone()).unwrap();
         // A snapshot of the restored (untouched) network is stable.
         assert_eq!(resumed.snapshot(), state);
         assert_eq!(finish(&mut resumed, l1c, ev2), uninterrupted);

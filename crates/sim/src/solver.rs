@@ -44,23 +44,15 @@ const EPS: f64 = 1e-9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey(pub u32);
 
-#[derive(Debug, Clone)]
-struct SolverFlow {
-    links: Box<[usize]>,
+/// One registered flow: a slab element of the solver and of its
+/// [`SolverState`], which preserves slab order and holes exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SolverFlow {
+    /// Link indices the flow crosses (multiset, in route order).
+    pub links: Box<[usize]>,
     /// Strict fill class, 0 filled first. Single-tenant callers pass
     /// [`Priority::rank`]; the cluster layer composes tenant × priority
     /// into one ordinal (see [`FairShareSolver::add_flow_class`]).
-    class: u8,
-    rate: f64,
-}
-
-/// Serialized form of one registered flow inside a [`SolverState`].
-/// Slab order and holes are preserved exactly (see [`SolverState`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverFlowState {
-    /// Link indices the flow crosses (multiset, in route order).
-    pub links: Vec<usize>,
-    /// Strict fill class (see [`FairShareSolver::add_flow_class`]).
     pub class: u8,
     /// Rate as of the last solve.
     pub rate: f64,
@@ -85,7 +77,7 @@ pub struct SolverState {
     /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
     pub capacities: Vec<f64>,
     /// The flow slab, holes included.
-    pub flows: Vec<Option<SolverFlowState>>,
+    pub flows: Vec<Option<SolverFlow>>,
     /// Free-key stack, top last.
     pub free: Vec<u32>,
     /// Live flow count.
@@ -243,9 +235,9 @@ impl FairShareSolver {
     /// first; classes are strict, exactly like [`Priority`] ranks),
     /// taking ownership of its route. [`FairShareSolver::add_flow`]
     /// delegates here with `priority.rank()`, so single-tenant callers
-    /// see identical arithmetic; multi-tenant callers compose
-    /// `tenant_rank × Priority::ALL.len() + priority.rank()` to give
-    /// higher tenants strict precedence on shared links.
+    /// see identical arithmetic; multi-tenant callers pass
+    /// [`crate::flow::fill_class`] to give higher tenants strict
+    /// precedence on shared links.
     ///
     /// # Panics
     ///
@@ -480,17 +472,7 @@ impl FairShareSolver {
     pub fn snapshot(&self) -> SolverState {
         SolverState {
             capacities: self.capacities.clone(),
-            flows: self
-                .flows
-                .iter()
-                .map(|f| {
-                    f.as_ref().map(|f| SolverFlowState {
-                        links: f.links.to_vec(),
-                        class: f.class,
-                        rate: f.rate,
-                    })
-                })
-                .collect(),
+            flows: self.flows.clone(),
             free: self.free.clone(),
             live: self.live,
             link_flows: self.link_flows.clone(),
@@ -511,8 +493,9 @@ impl FairShareSolver {
     /// # Panics
     ///
     /// Panics if the state is internally inconsistent (per-link vector
-    /// lengths disagree) — codec-level decoding reports corruption as
-    /// typed errors before this is reached.
+    /// lengths disagree) — snapshot decoding and
+    /// [`crate::netsim::FlowNetwork::restore`] report that as typed
+    /// errors before this is reached.
     pub fn restore(state: SolverState) -> FairShareSolver {
         let n = state.capacities.len();
         assert_eq!(state.link_flows.len(), n, "link_flows length mismatch");
@@ -520,17 +503,7 @@ impl FairShareSolver {
         let slab = state.flows.len();
         FairShareSolver {
             capacities: state.capacities,
-            flows: state
-                .flows
-                .into_iter()
-                .map(|f| {
-                    f.map(|f| SolverFlow {
-                        links: f.links.into_boxed_slice(),
-                        class: f.class,
-                        rate: f.rate,
-                    })
-                })
-                .collect(),
+            flows: state.flows,
             free: state.free,
             live: state.live,
             link_flows: state.link_flows,
@@ -757,11 +730,11 @@ mod tests {
     fn tenant_composed_classes_fill_strictly_across_tenants() {
         // Tenant 0 Bulk (class 4) still outranks tenant 1 Mp (class
         // 5·1+1 = 6): tenants are the outer key of the composite class.
-        let classes = Priority::ALL.len() as u8;
+        use crate::flow::fill_class;
         let mut s = FairShareSolver::new(vec![100.0]);
-        let t0_bulk = s.add_flow_class(Box::new([0]), Priority::Bulk.rank() as u8);
-        let t1_mp = s.add_flow_class(Box::new([0]), classes + Priority::Mp.rank() as u8);
-        let t1_dp = s.add_flow_class(Box::new([0]), classes + Priority::Dp.rank() as u8);
+        let t0_bulk = s.add_flow_class(Box::new([0]), fill_class(0, Priority::Bulk));
+        let t1_mp = s.add_flow_class(Box::new([0]), fill_class(1, Priority::Mp));
+        let t1_dp = s.add_flow_class(Box::new([0]), fill_class(1, Priority::Dp));
         s.solve();
         assert_eq!(s.rate(t0_bulk), 100.0);
         assert_eq!(s.rate(t1_mp), 0.0);

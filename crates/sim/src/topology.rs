@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::flow::FlowSpec;
 use crate::time::Duration;
 
 /// Identifier of a node within a [`Topology`].
@@ -343,40 +342,6 @@ impl Topology {
         None
     }
 
-    /// Repairs a compiled flow set against a set of blocked links: every
-    /// flow whose route crosses a blocked link is re-routed over the
-    /// shortest surviving path between the same endpoints (bytes,
-    /// priority and tag are preserved); flows on healthy routes pass
-    /// through untouched. Returns `None` if any affected flow has no
-    /// surviving path — the fabric is cut between its endpoints.
-    ///
-    /// This is the tree/collective analogue of the point-to-point
-    /// `*_route_avoiding` routers in the fabric crates: the in-network
-    /// collective compilers emit one flow per tree leg, so repairing
-    /// each leg independently re-hangs the tree around the failure.
-    pub fn reroute_flows_avoiding(
-        &self,
-        flows: Vec<FlowSpec>,
-        blocked: impl Fn(LinkId) -> bool,
-    ) -> Option<Vec<FlowSpec>> {
-        let mut out = Vec::with_capacity(flows.len());
-        for f in flows {
-            if !f.route.iter().any(|&l| blocked(l)) {
-                out.push(f);
-                continue;
-            }
-            let src = self.link(f.route[0]).src;
-            let dst = self.link(*f.route.last().expect("non-empty route")).dst;
-            let detour = self.shortest_path_avoiding(src, dst, &blocked)?;
-            out.push(
-                FlowSpec::new(detour, f.bytes)
-                    .with_priority(f.priority)
-                    .with_tag(f.tag),
-            );
-        }
-        Some(out)
-    }
-
     /// Rebuilds the adjacency indexes. Required after deserialisation
     /// (the indexes are not serialised).
     pub fn rebuild_indexes(&mut self) {
@@ -523,41 +488,6 @@ mod tests {
             Some(vec![ab, bd])
         );
         assert_eq!(t.shortest_path_avoiding(a, d, |l| l == ab || l == ac), None);
-    }
-
-    #[test]
-    fn reroute_flows_repairs_only_affected_legs() {
-        use crate::flow::Priority;
-        // Diamond again: a -> b -> d and a -> c -> d.
-        let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Npu, "a");
-        let b = t.add_node(NodeKind::Npu, "b");
-        let c = t.add_node(NodeKind::Npu, "c");
-        let d = t.add_node(NodeKind::Npu, "d");
-        let ab = t.add_link(a, b, 100.0, 0.0);
-        let bd = t.add_link(b, d, 100.0, 0.0);
-        let ac = t.add_link(a, c, 100.0, 0.0);
-        let cd = t.add_link(c, d, 100.0, 0.0);
-        let flows = vec![
-            FlowSpec::new(vec![ab, bd], 10.0)
-                .with_priority(Priority::Mp)
-                .with_tag(7),
-            FlowSpec::new(vec![ac], 20.0),
-        ];
-        let fixed = t
-            .reroute_flows_avoiding(flows.clone(), |l| l == ab)
-            .unwrap();
-        // Leg 0 detoured a->c->d, metadata preserved; leg 1 untouched.
-        assert_eq!(fixed[0].route, vec![ac, cd]);
-        assert_eq!(
-            (fixed[0].bytes, fixed[0].priority, fixed[0].tag),
-            (10.0, Priority::Mp, 7)
-        );
-        assert_eq!(fixed[1], flows[1]);
-        // Cutting both exits of `a` leaves leg 0 unroutable.
-        assert!(t
-            .reroute_flows_avoiding(flows, |l| l == ab || l == ac)
-            .is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Continuous time-series flight recorder.
 //!
-//! A [`FlightRecorder`] is a [`TraceSink`](crate::sink::TraceSink)
+//! A [`FlightRecorder`] is a [`TraceSink`]
 //! that *aggregates as it records*: instead of storing every event it
 //! folds the stream into bounded per-quantity time series — per-link
 //! utilization, active-flow count, open-phase mix per track, fault and

@@ -26,8 +26,6 @@ use fred_mesh::{rings, streaming};
 use fred_sim::flow::{FlowSpec, Priority};
 use fred_sim::topology::{LinkId, NodeId, Route, Topology};
 
-/// Label offset for I/O-controller endpoints in [`Transfer`] records.
-pub const IO_LABEL_BASE: usize = 10_000;
 /// Label for the external-memory endpoint in [`Transfer`] records.
 pub const EXT_LABEL: usize = 20_000;
 

@@ -28,8 +28,10 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use fred_core::codec::{SnapshotError, Value};
+use fred_core::snapshot::{field, Snap};
 use fred_sim::events::EventQueue;
-use fred_sim::flow::FlowSpec;
+use fred_sim::flow::{FlowSpec, MAX_TENANT};
 use fred_sim::netsim::FlowNetwork;
 use fred_sim::time::Time;
 use fred_sim::topology::LinkId;
@@ -271,34 +273,61 @@ impl ScheduleExecutor {
     /// Rebuilds an executor from a [`ScheduleExecutor::snapshot`] and
     /// the same schedule it was captured against.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If the state's per-task vectors do not match the schedule's task
-    /// count or reference out-of-range tasks — a snapshot/schedule
-    /// pairing error, not file corruption (which the codec layer
-    /// reports as typed errors before state structs are ever built).
-    pub fn restore(schedule: Rc<Schedule>, sink: Rc<dyn TraceSink>, state: ExecState) -> Self {
+    /// [`SnapshotError::Mismatch`] if the state does not pair with the
+    /// schedule: a per-task vector of another length than the task
+    /// count, a task index out of range, or an in-flight comm entry
+    /// naming a compute task.
+    pub fn restore(
+        schedule: Rc<Schedule>,
+        sink: Rc<dyn TraceSink>,
+        state: ExecState,
+    ) -> Result<Self, SnapshotError> {
         let n = schedule.tasks.len();
-        assert_eq!(state.indegree.len(), n, "indegree/task-count mismatch");
-        assert_eq!(state.start.len(), n, "start/task-count mismatch");
-        assert_eq!(state.finish.len(), n, "finish/task-count mismatch");
-        assert_eq!(state.done.len(), n, "done/task-count mismatch");
+        let pairing = |what: String| Err(SnapshotError::Mismatch(what));
+        for (name, len) in [
+            ("indegree", state.indegree.len()),
+            ("start", state.start.len()),
+            ("finish", state.finish.len()),
+            ("done", state.done.len()),
+        ] {
+            if len != n {
+                return pairing(format!(
+                    ".{name}: {len} entries but the schedule has {n} tasks"
+                ));
+            }
+        }
+        let queued = state.compute_queue.iter().map(|&(_, _, i)| i);
+        if let Some(i) = queued
+            .chain(state.ready_stack.iter().copied())
+            .chain(state.finished_now.iter().copied())
+            .find(|&i| i >= n)
+        {
+            return pairing(format!("task {i} out of range ({n} tasks)"));
+        }
+        let is_comm = |i: usize| {
+            schedule
+                .tasks
+                .get(i)
+                .is_some_and(|t| matches!(t.body, TaskBody::Comm { .. }))
+        };
+        if let Some(&(i, ..)) = state.comm.iter().find(|&&(i, ..)| !is_comm(i)) {
+            return pairing(format!(".comm: task {i} is no comm task of the schedule"));
+        }
         let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         for (i, t) in schedule.tasks.iter().enumerate() {
             for d in &t.deps {
                 dependents[d.0].push(TaskId(i));
             }
         }
-        let mut comm = BTreeMap::new();
-        for &(i, phase, outstanding) in &state.comm {
-            assert!(i < n, "comm task {i} out of range");
-            comm.insert(i, CommState { phase, outstanding });
-        }
-        for &i in state.ready_stack.iter().chain(&state.finished_now) {
-            assert!(i < n, "task {i} out of range");
-        }
+        let comm = state
+            .comm
+            .iter()
+            .map(|&(i, phase, outstanding)| (i, CommState { phase, outstanding }))
+            .collect();
         let tracing = sink.enabled();
-        ScheduleExecutor {
+        Ok(ScheduleExecutor {
             schedule,
             cfg: state.cfg,
             sink,
@@ -316,22 +345,12 @@ impl ScheduleExecutor {
             ready_stack: state.ready_stack,
             finished_now: state.finished_now,
             staged: state.staged,
-        }
+        })
     }
 
     /// The schedule being executed.
     pub fn schedule(&self) -> &Rc<Schedule> {
         &self.schedule
-    }
-
-    /// Tasks finished so far.
-    pub fn completed_count(&self) -> usize {
-        self.completed
-    }
-
-    /// Total tasks in the schedule.
-    pub fn total_tasks(&self) -> usize {
-        self.schedule.tasks.len()
     }
 
     /// Whether every task has finished.
@@ -641,140 +660,50 @@ impl ScheduleExecutor {
 // Snapshot serialization.
 // ---------------------------------------------------------------------
 
-use fred_core::codec::{SnapshotError, Value};
-use fred_core::snapshot::{
-    arr_of, bools, bools_of, field, flow_spec_from_value, flow_spec_to_value, tenant_of, time_of,
-    u64_of, usize_of, usizes, usizes_of, v_time, v_u64,
-};
-
-impl ExecState {
-    /// Encodes the state for the shared snapshot codec.
-    pub fn to_value(&self) -> Value {
-        let comm = Value::Arr(
-            self.comm
-                .iter()
-                .map(|&(i, phase, outstanding)| {
-                    Value::Arr(vec![
-                        v_u64(i as u64),
-                        v_u64(phase as u64),
-                        v_u64(outstanding as u64),
-                    ])
-                })
-                .collect(),
-        );
-        let queue = Value::Arr(
-            self.compute_queue
-                .iter()
-                .map(|&(at, seq, task)| {
-                    Value::Arr(vec![v_time(at), v_u64(seq), v_u64(task as u64)])
-                })
-                .collect(),
-        );
+impl Snap for ExecState {
+    fn encode(&self) -> Value {
         Value::Obj(vec![
-            ("tag_base".into(), v_u64(self.cfg.tag_base)),
-            ("tenant".into(), v_u64(u64::from(self.cfg.tenant))),
-            (
-                "label".into(),
-                match &self.cfg.label {
-                    Some(l) => Value::Str(l.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("indegree".into(), usizes(&self.indegree)),
-            (
-                "start".into(),
-                Value::Arr(self.start.iter().map(|&t| v_time(t)).collect()),
-            ),
-            (
-                "finish".into(),
-                Value::Arr(self.finish.iter().map(|&t| v_time(t)).collect()),
-            ),
-            ("done".into(), bools(&self.done)),
-            ("comm".into(), comm),
-            ("compute_queue".into(), queue),
-            ("compute_next_seq".into(), v_u64(self.compute_next_seq)),
-            ("completed".into(), v_u64(self.completed as u64)),
-            ("ready_stack".into(), usizes(&self.ready_stack)),
-            ("finished_now".into(), usizes(&self.finished_now)),
-            (
-                "staged".into(),
-                Value::Arr(self.staged.iter().map(flow_spec_to_value).collect()),
-            ),
+            ("tag_base".into(), self.cfg.tag_base.encode()),
+            ("tenant".into(), self.cfg.tenant.encode()),
+            ("label".into(), self.cfg.label.encode()),
+            ("indegree".into(), self.indegree.encode()),
+            ("start".into(), self.start.encode()),
+            ("finish".into(), self.finish.encode()),
+            ("done".into(), self.done.encode()),
+            ("comm".into(), self.comm.encode()),
+            ("compute_queue".into(), self.compute_queue.encode()),
+            ("compute_next_seq".into(), self.compute_next_seq.encode()),
+            ("completed".into(), self.completed.encode()),
+            ("ready_stack".into(), self.ready_stack.encode()),
+            ("finished_now".into(), self.finished_now.encode()),
+            ("staged".into(), self.staged.encode()),
         ])
     }
 
-    /// Decodes [`ExecState::to_value`] with typed errors on any shape
-    /// mismatch.
-    pub fn from_value(v: &Value) -> Result<ExecState, SnapshotError> {
-        let ctx = "exec";
-        let comm = arr_of(field(v, "comm", ctx)?, ctx)?
-            .iter()
-            .map(|e| {
-                let e = arr_of(e, "exec.comm")?;
-                if e.len() != 3 {
-                    return Err(SnapshotError::Mismatch(
-                        "exec.comm: expected 3 elements".into(),
-                    ));
-                }
-                Ok((
-                    usize_of(&e[0], "exec.comm.task")?,
-                    usize_of(&e[1], "exec.comm.phase")?,
-                    usize_of(&e[2], "exec.comm.outstanding")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let compute_queue = arr_of(field(v, "compute_queue", ctx)?, ctx)?
-            .iter()
-            .map(|e| {
-                let e = arr_of(e, "exec.compute_queue")?;
-                if e.len() != 3 {
-                    return Err(SnapshotError::Mismatch(
-                        "exec.compute_queue: expected 3 elements".into(),
-                    ));
-                }
-                Ok((
-                    time_of(&e[0], "exec.compute_queue.at")?,
-                    u64_of(&e[1], "exec.compute_queue.seq")?,
-                    usize_of(&e[2], "exec.compute_queue.task")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let staged = arr_of(field(v, "staged", ctx)?, ctx)?
-            .iter()
-            .map(|f| flow_spec_from_value(f, "exec.staged"))
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let label = match field(v, "label", ctx)? {
-            Value::Null => None,
-            Value::Str(s) => Some(s.clone()),
-            other => {
-                return Err(SnapshotError::Mismatch(format!(
-                    "exec.label: expected string or null, found {other:?}"
-                )))
-            }
-        };
-        let time_vec = |key: &str| -> Result<Vec<Time>, SnapshotError> {
-            arr_of(field(v, key, ctx)?, ctx)?
-                .iter()
-                .map(|t| time_of(t, key))
-                .collect()
-        };
+    fn decode(v: &Value) -> Result<ExecState, SnapshotError> {
+        let tenant: u8 = field(v, "tenant")?;
+        if tenant > MAX_TENANT {
+            return Err(SnapshotError::Mismatch(format!(
+                ".tenant: tenant {tenant} outside the class space"
+            )));
+        }
         Ok(ExecState {
             cfg: ExecConfig {
-                tag_base: u64_of(field(v, "tag_base", ctx)?, ctx)?,
-                tenant: tenant_of(field(v, "tenant", ctx)?, ctx)?,
-                label,
+                tag_base: field(v, "tag_base")?,
+                tenant,
+                label: field(v, "label")?,
             },
-            indegree: usizes_of(field(v, "indegree", ctx)?, ctx)?,
-            start: time_vec("start")?,
-            finish: time_vec("finish")?,
-            done: bools_of(field(v, "done", ctx)?, ctx)?,
-            comm,
-            compute_queue,
-            compute_next_seq: u64_of(field(v, "compute_next_seq", ctx)?, ctx)?,
-            completed: usize_of(field(v, "completed", ctx)?, ctx)?,
-            ready_stack: usizes_of(field(v, "ready_stack", ctx)?, ctx)?,
-            finished_now: usizes_of(field(v, "finished_now", ctx)?, ctx)?,
-            staged,
+            indegree: field(v, "indegree")?,
+            start: field(v, "start")?,
+            finish: field(v, "finish")?,
+            done: field(v, "done")?,
+            comm: field(v, "comm")?,
+            compute_queue: field(v, "compute_queue")?,
+            compute_next_seq: field(v, "compute_next_seq")?,
+            completed: field(v, "completed")?,
+            ready_stack: field(v, "ready_stack")?,
+            finished_now: field(v, "finished_now")?,
+            staged: field(v, "staged")?,
         })
     }
 }
@@ -809,28 +738,71 @@ mod tests {
     #[test]
     fn exec_state_round_trips_through_value() {
         let state = sample_state();
-        let v = state.to_value();
-        assert_eq!(ExecState::from_value(&v).unwrap(), state);
+        let v = state.encode();
+        assert_eq!(ExecState::decode(&v).unwrap(), state);
         // And through the binary codec.
         let bytes = fred_core::codec::to_binary(&v);
         let back = fred_core::codec::from_binary(&bytes).unwrap();
-        assert_eq!(ExecState::from_value(&back).unwrap(), state);
+        assert_eq!(ExecState::decode(&back).unwrap(), state);
+    }
+
+    #[test]
+    fn repair_and_inject_rehangs_an_in_network_tree_around_a_dead_trunk() {
+        use fred_core::params::FabricConfig;
+        use fred_sim::flow::Priority;
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let FabricBackend::Fred(f) = &backend else {
+            panic!("Fred-D is a tree")
+        };
+        let group: Vec<usize> = (0..f.npu_count()).collect();
+        let flows: Vec<FlowSpec> = f
+            .in_network_all_reduce(&group, 1e9, Priority::Dp, 3)
+            .into_iter()
+            .map(|fl| fl.with_tenant(2))
+            .collect();
+        // The L1–L2 trunk of the third L1 switch.
+        let dead = f.npu_route(f.npus_of_l1(2)[0], f.npus_of_l1(0)[0])[1];
+        let mut net = FlowNetwork::new(backend.topology());
+        assert!(net.fail_link(dead).is_empty());
+        repair_and_inject(&mut net, &backend, flows.clone()).unwrap();
+        // A fresh network fills its slab in injection order.
+        let state = net.snapshot();
+        assert_eq!(state.flows.len(), flows.len());
+        let topo = net.topology();
+        let mut moved = 0;
+        for ((spec, live), solver) in flows.iter().zip(&state.flows).zip(&state.solver.flows) {
+            let (live, solver) = (live.as_ref().unwrap(), solver.as_ref().unwrap());
+            let route: Vec<LinkId> = solver.links.iter().map(|&l| LinkId(l)).collect();
+            assert!(!route.contains(&dead));
+            // Each leg keeps its endpoints, tag and tenant.
+            assert_eq!(
+                topo.validate_route(&route).unwrap(),
+                topo.validate_route(&spec.route).unwrap()
+            );
+            assert_eq!((live.tag, live.tenant), (3, 2));
+            moved += usize::from(route != spec.route);
+        }
+        // Exactly one leg (the dead trunk's) was re-routed.
+        assert_eq!(moved, 1);
+        let done = net.run_to_completion();
+        assert_eq!(done.len(), flows.len());
+        assert!(done.iter().all(|c| c.tag == 3));
     }
 
     #[test]
     fn tenant_outside_the_class_space_is_rejected() {
         // 51 is one past the largest tenant whose classes fit a u8; 300
         // does not fit a u8 at all.
-        for tenant in [51, 300] {
-            let Value::Obj(mut fields) = sample_state().to_value() else {
+        for tenant in [51u64, 300] {
+            let Value::Obj(mut fields) = sample_state().encode() else {
                 panic!("not an object")
             };
             for (key, v) in &mut fields {
                 if key == "tenant" {
-                    *v = v_u64(tenant);
+                    *v = tenant.encode();
                 }
             }
-            let got = ExecState::from_value(&Value::Obj(fields));
+            let got = ExecState::decode(&Value::Obj(fields));
             assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
         }
     }
