@@ -1,8 +1,8 @@
-//! Aligned-table and CSV emission for the experiment binaries.
+//! Aligned-table emission for the experiment binaries.
 
 use std::fmt::Write as _;
 
-/// A simple column-aligned text table with an optional CSV mirror.
+/// A simple column-aligned text table.
 ///
 /// ```
 /// use fred_bench::table::Table;
@@ -66,34 +66,7 @@ impl Table {
         out
     }
 
-    /// Renders the CSV mirror.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prints the table, preceded by a title banner, and optionally
-    /// writes the CSV next to it.
+    /// Prints the table, preceded by a title banner.
     pub fn print(&self, title: &str) {
         println!("\n== {title} ==");
         print!("{}", self.render());
@@ -137,13 +110,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("a      bbbb"));
         assert!(lines[2].starts_with("xxxxx  1"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(vec!["x"]);
-        t.row(vec!["a,b".into()]);
-        assert_eq!(t.to_csv(), "x\n\"a,b\"\n");
     }
 
     #[test]

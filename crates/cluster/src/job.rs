@@ -107,12 +107,6 @@ impl JobSpec {
         self
     }
 
-    /// Sets the job-relative fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> JobSpec {
-        self.faults = faults;
-        self
-    }
-
     /// Contiguous NPU slots the job needs (one per worker).
     pub fn npus(&self) -> usize {
         self.strategy.worker_count()

@@ -1,12 +1,11 @@
-//! Contiguous NPU-slot carving with fragmentation accounting.
+//! Contiguous NPU-slot carving.
 //!
 //! Jobs occupy *contiguous* runs of NPU slots: every collective a job
 //! issues then stays inside its carve-out (the mesh's snake mapping and
 //! FRED's switch both keep contiguous slots physically adjacent), so
 //! isolation is spatial as well as bandwidth-level. The cost of
 //! contiguity is external fragmentation — free slots split into runs
-//! too short for the next arrival — which [`SlotMap::fragmentation`]
-//! quantifies and the placement benches report.
+//! too short for the next arrival, visible in [`SlotMap::free_runs`].
 
 /// How a free run is chosen for a new job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,23 +138,6 @@ impl SlotMap {
         }
         freed
     }
-
-    /// External fragmentation in `[0, 1]`: `1 − largest_free_run /
-    /// total_free`. Zero when free space is one run (or none at all);
-    /// approaching one as free slots shatter into unusable slivers.
-    pub fn fragmentation(&self) -> f64 {
-        let free = self.free();
-        if free == 0 {
-            return 0.0;
-        }
-        let largest = self
-            .free_runs()
-            .iter()
-            .map(|&(_, len)| len)
-            .max()
-            .unwrap_or(0);
-        1.0 - largest as f64 / free as f64
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +173,7 @@ mod tests {
         m.occupy(b0, 8, 0);
         assert_eq!(m.free(), 0);
         assert_eq!(m.find(1, FitPolicy::FirstFit), None);
-        assert_eq!(m.fragmentation(), 0.0);
+        assert!(m.free_runs().is_empty());
         assert_eq!(m.release(0), 8);
         assert_eq!(m.free(), 8);
     }
@@ -207,7 +189,7 @@ mod tests {
         assert_eq!(m.find(4, FitPolicy::FirstFit), None);
         assert_eq!(m.find(4, FitPolicy::BestFit), None);
         // Largest run is 2 of 6 free.
-        assert!((m.fragmentation() - (1.0 - 2.0 / 6.0)).abs() < 1e-12);
+        assert_eq!(m.free_runs(), vec![(0, 2), (4, 2), (8, 2)]);
     }
 
     #[test]
@@ -217,11 +199,10 @@ mod tests {
         m.occupy(2, 2, 1);
         m.occupy(4, 2, 2);
         m.release(1);
-        assert!(m.fragmentation() > 0.0 || m.free_runs().len() == 1);
+        assert_eq!(m.free_runs(), vec![(2, 2)]);
         m.release(0);
         // Free runs [0,4): one run, no fragmentation.
         assert_eq!(m.free_runs(), vec![(0, 4)]);
-        assert_eq!(m.fragmentation(), 0.0);
     }
 
     #[test]

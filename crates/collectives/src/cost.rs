@@ -85,20 +85,6 @@ pub fn effective_npu_bw(per_npu_traffic: f64, duration_secs: f64) -> f64 {
     }
 }
 
-/// §3.2.1: on an `cols × rows` mesh with one I/O channel of `p` bytes/s
-/// per border position (4·N for an N×N mesh), the hotspot link during
-/// simultaneous full-rate streaming must carry `(2·cols − 1)·p`.
-pub fn mesh_streaming_hotspot_load(cols: usize, p: f64) -> f64 {
-    (2.0 * cols as f64 - 1.0) * p
-}
-
-/// §3.2.1 / §8.2: the achievable fraction of I/O line rate on the mesh:
-/// `min(1, link_bw / hotspot_load)` — e.g. 750/1152 ≈ 0.65 for the
-/// 5-wide baseline with 128 GBps CXL channels.
-pub fn mesh_streaming_linerate_fraction(cols: usize, p: f64, link_bw: f64) -> f64 {
-    (link_bw / mesh_streaming_hotspot_load(cols, p)).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,18 +136,6 @@ mod tests {
         let in_net = in_network_all_reduce_time(d, 3e12, 0.0);
         assert!(in_net < endpoint);
         assert!((endpoint / in_net - 1.9).abs() < 0.01);
-    }
-
-    #[test]
-    fn hotspot_law_matches_section_3_2_1() {
-        // 4x4 mesh: hotspot = 7P (Fig 4B).
-        assert_eq!(mesh_streaming_hotspot_load(4, 1.0), 7.0);
-        // Baseline GPT-3 analysis: (2*5-1)*128 GBps = 1152 GBps; with
-        // 750 GBps links the line-rate fraction is 750/1152 = 0.65.
-        let frac = mesh_streaming_linerate_fraction(5, 128e9, 750e9);
-        assert!((frac - 0.6510416).abs() < 1e-6);
-        // A fat enough link is not limited.
-        assert_eq!(mesh_streaming_linerate_fraction(2, 1.0, 10.0), 1.0);
     }
 
     #[test]

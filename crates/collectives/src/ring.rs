@@ -193,33 +193,6 @@ pub fn point_to_point(src: usize, dst: usize, bytes: f64, routes: &impl RoutePro
     plan
 }
 
-/// A multicast implemented as concurrent unicasts from `src` to each
-/// destination (the endpoint-based fallback when the fabric has no
-/// in-network distribution).
-pub fn unicast_multicast(
-    src: usize,
-    dsts: &[usize],
-    bytes: f64,
-    routes: &impl RouteProvider,
-) -> CommPlan {
-    let mut plan = CommPlan::new("unicast-multicast");
-    let mut phase = Phase::default();
-    for &d in dsts {
-        if d != src {
-            phase.transfers.push(Transfer {
-                src,
-                dst: d,
-                bytes,
-                route: routes.route(src, d),
-            });
-        }
-    }
-    if !phase.transfers.is_empty() {
-        plan.phases.push(phase);
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,14 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn p2p_and_multicast_structure() {
+    fn p2p_structure() {
         let routes = |_s: usize, _d: usize| -> Route { vec![] };
         let p = point_to_point(3, 7, 42.0, &routes);
         assert_eq!(p.phase_count(), 1);
         assert_eq!(p.total_bytes(), 42.0);
-        let m = unicast_multicast(0, &[0, 1, 2], 10.0, &routes);
-        // Self-send skipped: 2 transfers of 10 B each (full payload per dst).
-        assert_eq!(m.phases[0].transfers.len(), 2);
-        assert_eq!(m.total_bytes(), 20.0);
     }
 }

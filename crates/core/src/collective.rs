@@ -78,18 +78,6 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// True for patterns realised by a single flow (shaded rows of
-    /// Table 2).
-    pub fn is_simple(&self) -> bool {
-        matches!(
-            self,
-            Pattern::Unicast { .. }
-                | Pattern::Multicast { .. }
-                | Pattern::Reduce { .. }
-                | Pattern::AllReduce { .. }
-        )
-    }
-
     /// Short lowercase name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -246,7 +234,6 @@ mod tests {
                 group: vec![1, 3, 5, 7],
             },
         ] {
-            assert!(p.is_simple());
             assert_eq!(compile(&p).unwrap().len(), 1);
             all_steps_route(&p, 2, 8);
         }

@@ -96,23 +96,6 @@ impl Flow {
     pub fn ops(&self) -> &BTreeSet<usize> {
         &self.ops
     }
-
-    /// The highest port number referenced by this flow.
-    pub fn max_port(&self) -> usize {
-        let i = self.ips.iter().next_back().copied().unwrap_or(0);
-        let o = self.ops.iter().next_back().copied().unwrap_or(0);
-        i.max(o)
-    }
-
-    /// Whether this flow performs any reduction (more than one input).
-    pub fn reduces(&self) -> bool {
-        self.ips.len() > 1
-    }
-
-    /// Whether this flow performs any distribution (more than one output).
-    pub fn distributes(&self) -> bool {
-        self.ops.len() > 1
-    }
 }
 
 impl fmt::Display for Flow {
@@ -238,17 +221,18 @@ mod tests {
         let u = Flow::unicast(1, 5);
         assert_eq!(u.ips(), &BTreeSet::from([1]));
         assert_eq!(u.ops(), &BTreeSet::from([5]));
-        assert!(!u.reduces() && !u.distributes());
 
         let r = Flow::reduce_to([0, 1, 2], 2).unwrap();
-        assert!(r.reduces() && !r.distributes());
+        assert_eq!(r.ips(), &BTreeSet::from([0, 1, 2]));
+        assert_eq!(r.ops(), &BTreeSet::from([2]));
 
         let m = Flow::multicast(3, [0, 7]).unwrap();
-        assert!(!m.reduces() && m.distributes());
+        assert_eq!(m.ips(), &BTreeSet::from([3]));
+        assert_eq!(m.ops(), &BTreeSet::from([0, 7]));
 
         let ar = Flow::all_reduce([2, 4, 6]).unwrap();
-        assert!(ar.reduces() && ar.distributes());
-        assert_eq!(ar.max_port(), 6);
+        assert_eq!(ar.ips(), &BTreeSet::from([2, 4, 6]));
+        assert_eq!(ar.ops(), ar.ips());
     }
 
     #[test]

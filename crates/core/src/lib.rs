@@ -4,7 +4,6 @@
 //!
 //! This crate implements the paper's primary contribution (§4–§6):
 //!
-//! * [`microswitch`] — the R-/D-/RD-μSwitch building blocks (Fig 7e–g),
 //! * [`interconnect`] — the recursive Fred_m(P) Clos-like interconnect
 //!   for an arbitrary number of ports (Fig 7b–d),
 //! * [`flow`] — the flow abstraction: a set of input ports reduced and
@@ -12,7 +11,8 @@
 //! * [`conflict`] — conflict-graph construction and exact graph
 //!   colouring (§5.2, Fig 7i–j),
 //! * [`routing`] — the recursive conflict-free routing protocol that
-//!   materialises per-μSwitch configurations and evaluates the
+//!   materialises per-unit configurations (input units reduce, output
+//!   units broadcast: the R/D features of Fig 7e–g) and evaluates the
 //!   configured datapath functionally (§5.2–§5.3),
 //! * [`collective`] — simple and compound collective algorithms compiled
 //!   to flow steps (Table 2),
@@ -27,8 +27,6 @@
 //! * [`microsim`] — a cycle-level packet model of one FRED switch with
 //!   virtual channels, credit flow control, priority preemption and
 //!   Go-Back-N retransmission (§5.4, §6.2.3),
-//! * [`resolve`] — the §5.3 conflict-resolution strategies (blocking
-//!   and endpoint decomposition),
 //! * [`multiwafer`] — the §8.3 multi-wafer hierarchy and its
 //!   three-step global All-Reduce,
 //! * [`codec`] — the workspace's shared serde-free JSON + binary value
@@ -62,11 +60,9 @@ pub mod fabric;
 pub mod flow;
 pub mod interconnect;
 pub mod microsim;
-pub mod microswitch;
 pub mod multiwafer;
 pub mod params;
 pub mod placement;
-pub mod resolve;
 pub mod routing;
 pub mod snapshot;
 pub mod switch;

@@ -34,7 +34,6 @@ pub struct MultiWafer {
     npu_down: Vec<LinkId>,
     l1_up: Vec<LinkId>,
     l1_down: Vec<LinkId>,
-    l1_of_npu: Vec<usize>,
     l1_count_per_wafer: usize,
     /// Inter-wafer ring links between boundary aggregation points:
     /// `ring[(w, b)]` connects wafer w's boundary b to wafer w+1's.
@@ -67,7 +66,6 @@ impl MultiWafer {
         let mut npu_down = Vec::new();
         let mut l1_up = Vec::new();
         let mut l1_down = Vec::new();
-        let mut l1_of_npu = Vec::new();
         let mut boundary_nodes = Vec::new();
 
         for w in 0..wafers {
@@ -82,7 +80,6 @@ impl MultiWafer {
                 npus.push(npu);
                 npu_up.push(up);
                 npu_down.push(down);
-                l1_of_npu.push(l1);
             }
             for &l1 in &l1s {
                 let (up, down) = topo.add_duplex_link(l1, l2, config.l1_l2_bw(), lat);
@@ -122,7 +119,6 @@ impl MultiWafer {
             npu_down,
             l1_up,
             l1_down,
-            l1_of_npu,
             l1_count_per_wafer: l1_count,
             ring_fwd,
             ring_rev,
@@ -148,11 +144,6 @@ impl MultiWafer {
     /// NPUs per wafer.
     pub fn npus_per_wafer(&self) -> usize {
         self.npus_per_wafer
-    }
-
-    /// Total NPUs in the cluster.
-    pub fn total_npus(&self) -> usize {
-        self.wafers * self.npus_per_wafer
     }
 
     /// Node id of NPU `i` on wafer `w`.
@@ -237,12 +228,6 @@ impl MultiWafer {
         }
         flows
     }
-
-    /// Index of the L1 switch serving NPU `i` of wafer `w` (used by
-    /// tests).
-    pub fn l1_of(&self, w: usize, i: usize) -> usize {
-        self.l1_of_npu[w * self.npus_per_wafer + i]
-    }
 }
 
 #[cfg(test)]
@@ -258,9 +243,7 @@ mod tests {
     fn builds_expected_shape() {
         let mw = cluster(3);
         assert_eq!(mw.wafers(), 3);
-        assert_eq!(mw.total_npus(), 60);
         assert_eq!(mw.npus_per_wafer(), 20);
-        assert_eq!(mw.l1_of(2, 19), 4);
         // Nodes: per wafer 5 L1 + 1 L2 + 20 NPU + 4 boundary = 30.
         assert_eq!(mw.topology().node_count(), 90);
     }
@@ -320,7 +303,7 @@ mod tests {
                     mw.topology().node(link.src).kind == NodeKind::Npu
                 })
                 .collect();
-            assert_eq!(npu_flows.len(), mw.total_npus());
+            assert_eq!(npu_flows.len(), mw.wafers() * mw.npus_per_wafer());
             assert!(npu_flows.iter().all(|f| f.bytes == d));
         }
     }

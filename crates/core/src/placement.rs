@@ -71,21 +71,6 @@ impl Strategy3D {
     pub fn pp_group(&self, mp: usize, dp: usize) -> Vec<Worker> {
         (0..self.pp).map(|p| Worker { mp, dp, pp: p }).collect()
     }
-
-    /// Number of concurrent MP groups (= dp × pp); cf. Fig 1.
-    pub fn mp_group_count(&self) -> usize {
-        self.dp * self.pp
-    }
-
-    /// Number of concurrent DP groups (= mp × pp).
-    pub fn dp_group_count(&self) -> usize {
-        self.mp * self.pp
-    }
-
-    /// Number of concurrent PP groups (= mp × dp).
-    pub fn pp_group_count(&self) -> usize {
-        self.mp * self.dp
-    }
 }
 
 impl fmt::Display for Strategy3D {
@@ -319,9 +304,6 @@ mod tests {
     fn strategy_counts() {
         let s = Strategy3D::new(4, 3, 2);
         assert_eq!(s.worker_count(), 24);
-        assert_eq!(s.mp_group_count(), 6);
-        assert_eq!(s.dp_group_count(), 8);
-        assert_eq!(s.pp_group_count(), 12);
         assert_eq!(s.workers().count(), 24);
         assert_eq!(s.to_string(), "MP(4)-DP(3)-PP(2)");
     }
@@ -381,8 +363,9 @@ mod tests {
         let mut all: Vec<usize> = pl.all_mp_groups().into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..20).collect::<Vec<_>>());
-        assert_eq!(pl.all_dp_groups().len(), s.dp_group_count());
-        assert_eq!(pl.all_pp_groups().len(), s.pp_group_count());
+        // One DP group per (mp, pp) and one PP group per (mp, dp).
+        assert_eq!(pl.all_dp_groups().len(), s.mp * s.pp);
+        assert_eq!(pl.all_pp_groups().len(), s.mp * s.dp);
     }
 
     /// §5.3: Fred₃ switches + the MP-PP-DP placement suffice to route

@@ -393,7 +393,7 @@ impl RoutedNetwork {
                             .ok_or(EvalError::MissingInput { port: p })?;
                         acc = Some(match acc {
                             None => v.clone(),
-                            Some(a) => crate::microswitch::reduce(&a, v),
+                            Some(a) => reduce(&a, v),
                         });
                     }
                     let val = acc.expect("flow has at least one input");
@@ -426,7 +426,7 @@ impl RoutedNetwork {
                         InputUnitConfig::Reduce { out } => {
                             let a = v0.ok_or(EvalError::MissingInput { port: 2 * k })?;
                             let b = v1.ok_or(EvalError::MissingInput { port: 2 * k + 1 })?;
-                            mid_in[out][k] = Some(crate::microswitch::reduce(a, b));
+                            mid_in[out][k] = Some(reduce(a, b));
                         }
                     }
                 }
@@ -622,6 +622,17 @@ impl RoutedNetwork {
             }
         }
     }
+}
+
+/// What an active reduction feature computes: the element-wise sum of
+/// two payloads.
+///
+/// # Panics
+///
+/// Panics if the payload lengths differ.
+fn reduce(a: &[f64], b: &[f64]) -> Vec<f64> {
+    assert_eq!(a.len(), b.len(), "reduced payloads must have equal length");
+    a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
 #[cfg(test)]

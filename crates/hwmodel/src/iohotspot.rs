@@ -1,9 +1,10 @@
 //! The mesh I/O streaming hotspot analysis (§3.2.1, Fig 4).
 //!
-//! Closed-form version of the channel-load argument; the empirical
-//! counterpart (counting tree edges on a concrete mesh) lives in
-//! `fred-mesh::streaming` and is cross-checked against these formulas
-//! in the integration tests.
+//! Closed-form version of the channel-load argument and the workspace's
+//! one owner of the `(2N − 1)·P` law; the empirical counterpart
+//! (simulated streaming on a concrete mesh) lives in
+//! `fred-mesh::streaming`, whose tests and the integration tests
+//! cross-check it against [`achievable_channel_rate`].
 
 /// Per-link load profile of rightward row edges when all channels of an
 /// `cols`-wide mesh stream simultaneously at rate `P`: the edge between
@@ -74,10 +75,10 @@ mod tests {
     #[test]
     fn baseline_gpt3_numbers() {
         // §8.2: (2*5-1) * 128 GBps = 1152 GBps required; with 750 GBps
-        // links the channels run at 0.65x line rate.
+        // links the channels run at 750/1152 = 0.65x line rate.
         assert_eq!(required_link_bw(5, 128e9), 1152e9);
         let rate = achievable_channel_rate(5, 128e9, 750e9);
-        assert!((rate / 128e9 - 0.651).abs() < 0.001);
+        assert!((rate / 128e9 - 0.6510416).abs() < 1e-6);
     }
 
     #[test]
@@ -94,6 +95,8 @@ mod tests {
     #[test]
     fn fat_links_are_never_the_limit() {
         assert_eq!(achievable_channel_rate(2, 10.0, 1e9), 10.0);
+        // At p = 1 the rate is the line-rate fraction.
+        assert_eq!(achievable_channel_rate(2, 1.0, 10.0), 1.0);
         assert_eq!(hotspot_multiplier(1), 1);
     }
 }

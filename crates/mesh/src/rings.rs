@@ -154,28 +154,6 @@ pub fn wafer_all_reduce(mesh: &MeshFabric, group: &[usize], bytes: f64) -> CommP
     all_reduce(mesh, group, bytes)
 }
 
-/// Wafer-wide Reduce-Scatter over the Hamiltonian cycle (falls back
-/// like [`wafer_all_reduce`]).
-pub fn wafer_reduce_scatter(mesh: &MeshFabric, group: &[usize], bytes: f64) -> CommPlan {
-    if group.len() == mesh.npu_count() {
-        if let Some(order) = hamiltonian_order(mesh) {
-            return ring::reduce_scatter(&order, bytes, Direction::Bidirectional, mesh);
-        }
-    }
-    reduce_scatter(mesh, group, bytes)
-}
-
-/// Wafer-wide All-Gather over the Hamiltonian cycle (falls back like
-/// [`wafer_all_reduce`]).
-pub fn wafer_all_gather(mesh: &MeshFabric, group: &[usize], bytes: f64) -> CommPlan {
-    if group.len() == mesh.npu_count() {
-        if let Some(order) = hamiltonian_order(mesh) {
-            return ring::all_gather(&order, bytes, Direction::Bidirectional, mesh);
-        }
-    }
-    all_gather(mesh, group, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,21 +245,6 @@ mod tests {
             .execute(&mut net2, fred_sim::flow::Priority::Dp)
             .unwrap();
         assert!(d <= d_ring, "hier {d:?} vs ring {d_ring:?}");
-    }
-
-    #[test]
-    fn wafer_rs_and_ag_compose_to_wafer_ar() {
-        let m = MeshFabric::paper_baseline();
-        let group: Vec<usize> = (0..20).collect();
-        let d = 2e9;
-        let rs = wafer_reduce_scatter(&m, &group, d);
-        let ag = wafer_all_gather(&m, &group, d);
-        let ar = wafer_all_reduce(&m, &group, d);
-        assert_eq!(rs.phase_count() + ag.phase_count(), ar.phase_count());
-        assert!((rs.total_bytes() + ag.total_bytes() - ar.total_bytes()).abs() < 1e-3);
-        // Partial groups fall back to the snake ring.
-        let partial = wafer_reduce_scatter(&m, &[0, 1, 2], d);
-        assert_eq!(partial.label, "ring-reduce-scatter");
     }
 
     #[test]

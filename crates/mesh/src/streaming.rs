@@ -208,7 +208,7 @@ mod tests {
         let done = net.run_to_completion();
         let t = done.iter().map(|c| c.completed_at).max().unwrap().as_secs();
         let achieved_fraction = 1.0 / t;
-        let predicted = fred_collectives::cost::mesh_streaming_linerate_fraction(5, 128e9, 750e9);
+        let predicted = fred_hwmodel::iohotspot::achievable_channel_rate(5, 128e9, 750e9) / 128e9;
         assert!(
             (achieved_fraction - predicted).abs() / predicted < 0.05,
             "simulated fraction {achieved_fraction:.3} vs predicted {predicted:.3}"

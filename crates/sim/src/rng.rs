@@ -109,30 +109,6 @@ impl Rng64 {
         // gen_f64 is in [0, 1), so 1-u is in (0, 1] and ln is finite.
         -(1.0 - self.gen_f64()).ln() / rate
     }
-
-    /// A Poisson-distributed count with the given mean, via Knuth's
-    /// product-of-uniforms method — O(mean) draws, fine for the small
-    /// per-interval means simulation workloads use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not finite and non-negative.
-    pub fn gen_poisson(&mut self, mean: f64) -> u64 {
-        assert!(
-            mean.is_finite() && mean >= 0.0,
-            "poisson mean must be finite and non-negative, got {mean}"
-        );
-        let threshold = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.gen_f64();
-            if p <= threshold {
-                return k;
-            }
-            k += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -190,20 +166,6 @@ mod tests {
         // Mean 1/rate = 0.5 within sampling tolerance.
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - 0.5).abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_is_deterministic_and_has_the_right_mean() {
-        let draw = |seed: u64, mean: f64| {
-            let mut r = Rng64::seed_from_u64(seed);
-            (0..4000).map(|_| r.gen_poisson(mean)).collect::<Vec<u64>>()
-        };
-        assert_eq!(draw(5, 3.0), draw(5, 3.0));
-        let xs = draw(5, 3.0);
-        let mean = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
-        // Mean zero degenerates to the constant 0.
-        assert!(draw(5, 0.0).iter().all(|&k| k == 0));
     }
 
     #[test]

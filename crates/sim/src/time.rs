@@ -16,8 +16,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// ```
 /// use fred_sim::time::{Duration, Time};
-/// let t = Time::ZERO + Duration::from_nanos(20.0);
-/// assert_eq!(t.as_nanos(), 20.0);
+/// let t = Time::ZERO + Duration::from_millis(500.0);
+/// assert_eq!(t.as_secs(), 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Time(f64);
@@ -26,8 +26,8 @@ pub struct Time(f64);
 ///
 /// ```
 /// use fred_sim::time::Duration;
-/// let d = Duration::from_micros(3.0) + Duration::from_micros(2.0);
-/// assert_eq!(d.as_micros(), 5.0);
+/// let d = Duration::from_secs(3.0) + Duration::from_secs(2.0);
+/// assert_eq!(d.as_nanos(), 5e9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Duration(f64);
@@ -57,16 +57,6 @@ impl Time {
     /// Nanoseconds since the start of the simulation.
     pub fn as_nanos(self) -> f64 {
         self.0 * 1e9
-    }
-
-    /// Microseconds since the start of the simulation.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
-    /// Milliseconds since the start of the simulation.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// The later of two instants.
@@ -123,16 +113,6 @@ impl Duration {
         Duration::from_secs(ms * 1e-3)
     }
 
-    /// Creates a duration from microseconds.
-    pub fn from_micros(us: f64) -> Duration {
-        Duration::from_secs(us * 1e-6)
-    }
-
-    /// Creates a duration from nanoseconds.
-    pub fn from_nanos(ns: f64) -> Duration {
-        Duration::from_secs(ns * 1e-9)
-    }
-
     /// Seconds in this span.
     pub fn as_secs(self) -> f64 {
         self.0
@@ -141,16 +121,6 @@ impl Duration {
     /// Nanoseconds in this span.
     pub fn as_nanos(self) -> f64 {
         self.0 * 1e9
-    }
-
-    /// Microseconds in this span.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
-    /// Milliseconds in this span.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// The longer of two spans.
@@ -295,9 +265,8 @@ mod tests {
 
     #[test]
     fn duration_unit_conversions() {
-        assert_eq!(Duration::from_nanos(20.0).as_secs(), 2e-8);
-        assert_eq!(Duration::from_micros(1.0).as_nanos(), 1000.0);
-        assert_eq!(Duration::from_millis(1.0).as_micros(), 1000.0);
+        assert_eq!(Duration::from_millis(250.0).as_secs(), 0.25);
+        assert_eq!(Duration::from_secs(2.0).as_nanos(), 2e9);
     }
 
     #[test]
@@ -323,9 +292,9 @@ mod tests {
 
     #[test]
     fn display_picks_sensible_units() {
-        assert_eq!(format!("{}", Duration::from_nanos(20.0)), "20.00 ns");
+        assert_eq!(format!("{}", Duration::from_secs(20e-9)), "20.00 ns");
         assert_eq!(format!("{}", Duration::from_secs(2.5)), "2.5000 s");
-        assert_eq!(format!("{}", Duration::from_micros(3.0)), "3.0000 us");
+        assert_eq!(format!("{}", Duration::from_secs(3e-6)), "3.0000 us");
         assert_eq!(format!("{}", Duration::from_millis(7.25)), "7.2500 ms");
     }
 

@@ -124,16 +124,6 @@ impl Attribution {
         }
     }
 
-    /// The bucket holding the most time (the run's bottleneck), with
-    /// its seconds. `None` when the attribution is empty.
-    pub fn dominant(&self) -> Option<(Bucket, f64)> {
-        Bucket::ALL
-            .iter()
-            .map(|&b| (b, self.get(b)))
-            .filter(|&(_, s)| s > 0.0)
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
     /// Appends `{"compute":…, "comm_mp":…, …}` to `out`.
     pub fn push_json(&self, out: &mut String) {
         out.push('{');
@@ -184,13 +174,11 @@ mod tests {
         a.add(Bucket::Contention, 0.25);
         assert!((a.total() - 1.75).abs() < 1e-12);
         assert!((a.exposed_comm_total() - 0.5).abs() < 1e-12);
-        assert_eq!(a.dominant().unwrap().0, Bucket::Compute);
 
         let mut b = Attribution::default();
         b.add(Bucket::CommDp, 2.0);
         a.merge(&b);
         assert!((a.get(Bucket::CommDp) - 2.5).abs() < 1e-12);
-        assert_eq!(a.dominant().unwrap().0, Bucket::CommDp);
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub enum TrainError {
         pending: Vec<PendingTask>,
     },
     /// A flow completion carried a correlation tag that maps to no
-    /// in-flight comm task — a tagging bug in the scheduler or a
-    /// foreign flow leaked into the trainer's network.
+    /// in-flight comm task with an outstanding transfer — a tagging bug
+    /// in the scheduler, a foreign flow leaked into the trainer's
+    /// network, or a restored state that miscounts a task's transfers.
     UnknownCommTag {
         /// The offending tag (task index + 1 by the trainer's scheme).
         tag: u64,

@@ -277,8 +277,10 @@ impl ScheduleExecutor {
     ///
     /// [`SnapshotError::Mismatch`] if the state does not pair with the
     /// schedule: a per-task vector of another length than the task
-    /// count, a task index out of range, or an in-flight comm entry
-    /// naming a compute task.
+    /// count, a task index out of range, an in-flight comm entry
+    /// naming a compute task, an `indegree` other than the task's count
+    /// of unfinished dependencies, or a `completed` other than the
+    /// count of `done`.
     pub fn restore(
         schedule: Rc<Schedule>,
         sink: Rc<dyn TraceSink>,
@@ -316,10 +318,26 @@ impl ScheduleExecutor {
             return pairing(format!(".comm: task {i} is no comm task of the schedule"));
         }
         let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+        let mut done = 0;
         for (i, t) in schedule.tasks.iter().enumerate() {
+            let mut open = 0;
             for d in &t.deps {
                 dependents[d.0].push(TaskId(i));
+                open += usize::from(!state.done[d.0]);
             }
+            if state.indegree[i] != open {
+                return pairing(format!(
+                    ".indegree[{i}]: {} but the task has {open} unfinished dependencies",
+                    state.indegree[i]
+                ));
+            }
+            done += usize::from(state.done[i]);
+        }
+        if state.completed != done {
+            return pairing(format!(
+                ".completed: {} but {done} tasks are done",
+                state.completed
+            ));
         }
         let comm = state
             .comm
@@ -427,7 +445,8 @@ impl ScheduleExecutor {
     /// # Errors
     ///
     /// [`TrainError::UnknownCommTag`] if the tag is in this executor's
-    /// namespace arithmetic but maps to no in-flight comm task.
+    /// namespace arithmetic but maps to no in-flight comm task with an
+    /// outstanding transfer.
     pub fn handle_completion(&mut self, tag: u64) -> Result<(), TrainError> {
         let Some(i) = tag
             .checked_sub(self.cfg.tag_base)
@@ -435,7 +454,7 @@ impl ScheduleExecutor {
         else {
             return Ok(());
         };
-        let Some(state) = self.comm.get_mut(&i) else {
+        let Some(state) = self.comm.get_mut(&i).filter(|s| s.outstanding > 0) else {
             return Err(TrainError::UnknownCommTag { tag });
         };
         state.outstanding -= 1;
@@ -747,6 +766,40 @@ mod tests {
     }
 
     #[test]
+    fn completion_with_nothing_outstanding_is_an_unknown_tag() {
+        use crate::model::DnnModel;
+        use crate::schedule::{build_schedule, ScheduleParams};
+        use fred_core::params::FabricConfig;
+        use fred_core::placement::{Placement, PlacementPolicy};
+        use fred_telemetry::sink::NullSink;
+        let model = DnnModel::resnet152();
+        let strategy = model.default_strategy;
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let placement = Placement::new(strategy, PlacementPolicy::MpPpDp);
+        let params = ScheduleParams::paper_default(&model, strategy);
+        let schedule = Rc::new(build_schedule(
+            &model, strategy, &placement, &backend, params,
+        ));
+        let i = schedule
+            .tasks
+            .iter()
+            .position(|t| matches!(t.body, TaskBody::Comm { .. }))
+            .expect("a comm task");
+        let fresh =
+            ScheduleExecutor::new(schedule.clone(), ExecConfig::default(), Rc::new(NullSink));
+        // A capture claiming the comm task is in flight with every
+        // transfer already landed.
+        let mut state = fresh.snapshot();
+        state.comm = vec![(i, 1, 0)];
+        let mut exec = ScheduleExecutor::restore(schedule, Rc::new(NullSink), state).unwrap();
+        let tag = i as u64 + 1;
+        assert_eq!(
+            exec.handle_completion(tag),
+            Err(TrainError::UnknownCommTag { tag })
+        );
+    }
+
+    #[test]
     fn repair_and_inject_rehangs_an_in_network_tree_around_a_dead_trunk() {
         use fred_core::params::FabricConfig;
         use fred_sim::flow::Priority;
@@ -760,8 +813,8 @@ mod tests {
             .into_iter()
             .map(|fl| fl.with_tenant(2))
             .collect();
-        // The L1–L2 trunk of the third L1 switch.
-        let dead = f.npu_route(f.npus_of_l1(2)[0], f.npus_of_l1(0)[0])[1];
+        // The L1–L2 trunk of the third L1 switch, which serves NPU 8.
+        let dead = f.npu_route(8, 0)[1];
         let mut net = FlowNetwork::new(backend.topology());
         assert!(net.fail_link(dead).is_empty());
         repair_and_inject(&mut net, &backend, flows.clone()).unwrap();

@@ -1,9 +1,7 @@
 //! Strategy-space enumeration (§8.3, Fig 2/11 sweeps).
 //!
 //! The compiler searching for the best parallelization strategy needs
-//! the space of candidate (MP, DP, PP) triples for a given NPU count —
-//! including non-aligned strategies that leave NPUs idle (§3.2.3),
-//! which FRED makes viable.
+//! the space of candidate (MP, DP, PP) triples for a given NPU count.
 
 use fred_core::placement::Strategy3D;
 
@@ -26,49 +24,6 @@ pub fn aligned_strategies(npus: usize) -> Vec<Strategy3D> {
     out
 }
 
-/// Aligned strategies plus non-aligned ones using at least
-/// `min_utilisation` of the NPUs (e.g. MP(5)-DP(3)-PP(1) on 20 NPUs at
-/// 0.75 utilisation).
-///
-/// # Panics
-///
-/// Panics if `min_utilisation` is not in `(0, 1]`.
-pub fn strategies_with_slack(npus: usize, min_utilisation: f64) -> Vec<Strategy3D> {
-    assert!(
-        min_utilisation > 0.0 && min_utilisation <= 1.0,
-        "utilisation must be in (0, 1]"
-    );
-    let floor = (npus as f64 * min_utilisation).ceil() as usize;
-    let mut out = Vec::new();
-    for mp in 1..=npus {
-        for dp in 1..=npus / mp {
-            for pp in 1..=npus / (mp * dp) {
-                let workers = mp * dp * pp;
-                if workers >= floor && workers <= npus {
-                    out.push(Strategy3D::new(mp, dp, pp));
-                }
-            }
-        }
-    }
-    out.sort_by_key(|s| (usize::MAX - s.worker_count(), usize::MAX - s.mp, s.dp));
-    out
-}
-
-/// Filters strategies by shape constraints typical for a model:
-/// MP must divide the attention heads (approximated by `hidden`
-/// divisibility), PP must not exceed the layer count.
-pub fn feasible_for_model(
-    strategies: &[Strategy3D],
-    hidden: usize,
-    layers: usize,
-) -> Vec<Strategy3D> {
-    strategies
-        .iter()
-        .copied()
-        .filter(|s| s.pp <= layers && (s.mp == 1 || hidden.is_multiple_of(s.mp)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,40 +40,5 @@ mod tests {
         assert!(all.iter().all(|s| s.worker_count() == 20));
         // MP-descending order: first entry is MP(20).
         assert_eq!(all[0], Strategy3D::new(20, 1, 1));
-    }
-
-    #[test]
-    fn slack_admits_non_aligned() {
-        let all = strategies_with_slack(20, 0.75);
-        assert!(
-            all.contains(&Strategy3D::new(5, 3, 1)),
-            "the Fig 6 strategy"
-        );
-        assert!(all
-            .iter()
-            .all(|s| s.worker_count() >= 15 && s.worker_count() <= 20));
-        // Full-utilisation strategies are still present.
-        assert!(all.contains(&Strategy3D::new(2, 5, 2)));
-        // And they come first (sorted by worker count descending).
-        assert_eq!(all[0].worker_count(), 20);
-    }
-
-    #[test]
-    fn model_feasibility_filters() {
-        let all = aligned_strategies(20);
-        // hidden=4256 = 2^5 * 7 * 19: divisible by 2 and 4, not 5.
-        let feasible = feasible_for_model(&all, 4256, 78);
-        assert!(feasible.contains(&Strategy3D::new(4, 5, 1)));
-        assert!(!feasible.contains(&Strategy3D::new(5, 4, 1)));
-        assert!(!feasible.contains(&Strategy3D::new(20, 1, 1))); // 4256 % 20 != 0
-                                                                 // PP bound: layers=2 forbids PP > 2.
-        let shallow = feasible_for_model(&all, 4096, 2);
-        assert!(shallow.iter().all(|s| s.pp <= 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "utilisation")]
-    fn zero_utilisation_rejected() {
-        let _ = strategies_with_slack(20, 0.0);
     }
 }

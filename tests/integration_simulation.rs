@@ -6,6 +6,7 @@ use fred::collectives::cost;
 use fred::collectives::plan::execute_standalone;
 use fred::collectives::ring::{self, Direction};
 use fred::core::params::FabricConfig;
+use fred::hwmodel::iohotspot;
 use fred::mesh::streaming;
 use fred::mesh::topology::MeshFabric;
 use fred::sim::flow::Priority;
@@ -82,7 +83,7 @@ fn streaming_linerate_fractions() {
         .iter()
         .map(|c| c.completed_at.as_secs())
         .fold(0.0, f64::max);
-    let predicted = cost::mesh_streaming_linerate_fraction(5, 128e9, 750e9);
+    let predicted = iohotspot::achievable_channel_rate(5, 128e9, 750e9) / 128e9;
     assert!(
         (1.0 / t - predicted).abs() < 0.03,
         "mesh fraction {}",
