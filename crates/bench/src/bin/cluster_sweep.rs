@@ -89,37 +89,6 @@ fn read_snapshot(path: &Path) -> Result<ClusterState, SnapshotError> {
     ClusterState::from_value(SimState::read_binary(path)?.section(SECTION)?)
 }
 
-/// Asserts two reports of the same scenario are bit-identical where it
-/// matters: makespan, preemptions, and every job's first-start and
-/// completion times.
-fn assert_reports_identical(a: &fred_cluster::ClusterReport, b: &fred_cluster::ClusterReport) {
-    assert_eq!(
-        a.makespan.as_secs().to_bits(),
-        b.makespan.as_secs().to_bits(),
-        "RESUME VIOLATION: makespan diverged"
-    );
-    assert_eq!(a.records.len(), b.records.len());
-    for (ra, rb) in a.records.iter().zip(&b.records) {
-        assert_eq!(
-            ra.first_start.as_secs().to_bits(),
-            rb.first_start.as_secs().to_bits(),
-            "RESUME VIOLATION: {} first-start diverged",
-            ra.name
-        );
-        assert_eq!(
-            ra.completion.as_secs().to_bits(),
-            rb.completion.as_secs().to_bits(),
-            "RESUME VIOLATION: {} completion diverged",
-            ra.name
-        );
-        assert_eq!(
-            ra.preemptions, rb.preemptions,
-            "RESUME VIOLATION: {} preemption count diverged",
-            ra.name
-        );
-    }
-}
-
 fn main() {
     let mut snapshot_at: Option<f64> = None;
     let mut restore: Option<PathBuf> = None;
@@ -153,7 +122,9 @@ fn main() {
             Cluster::restore(cfg, jobs, opts.sink(), state).unwrap_or_else(|e| cannot_restore(&e));
         resumed.run_to_completion().expect("resumed run completes");
         let full = reference.into_report();
-        assert_reports_identical(&resumed.into_report(), &full);
+        if let Some(field) = resumed.into_report().first_difference(&full) {
+            panic!("RESUME VIOLATION: {field} diverged");
+        }
         println!(
             "cluster_sweep: resumed {} to completion; makespan {} and every job's \
              timeline bit-identical to the uninterrupted run",
@@ -188,7 +159,9 @@ fn main() {
         let mut resumed = Cluster::restore(cfg, jobs, opts.sink(), reread)
             .expect("snapshot pairs with the scenario");
         resumed.run_to_completion().expect("resumed run completes");
-        assert_reports_identical(&resumed.into_report(), &full);
+        if let Some(field) = resumed.into_report().first_difference(&full) {
+            panic!("RESUME VIOLATION: {field} diverged");
+        }
         println!(
             "cluster_sweep: captured at {at} s into {} and verified the resumed run \
              bit-identical (makespan {})",

@@ -14,7 +14,7 @@ use fred_bench::traceopt::TraceOpts;
 use fred_hwmodel::iohotspot;
 use fred_mesh::streaming;
 use fred_mesh::topology::MeshFabric;
-use fred_sim::flow::Priority;
+use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::FlowNetwork;
 
 fn main() {
@@ -58,8 +58,8 @@ fn main() {
     let mut net = FlowNetwork::with_sink(mesh.clone_topology(), opts.sink());
     let bytes = 128e9; // one second at channel line rate
     for io in 0..mesh.io_count() {
-        for f in streaming::streaming_in_flows(&mesh, io, bytes, Priority::Bulk, io as u64) {
-            net.inject(f)
+        for (route, bytes) in streaming::streaming_in_flows(&mesh, io, bytes) {
+            net.inject(FlowSpec::new(route, bytes))
                 .expect("streaming flows route on a healthy mesh");
         }
     }

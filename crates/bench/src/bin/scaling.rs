@@ -20,9 +20,8 @@ use fred_bench::churn::{run_churn, ChurnConfig, SCALING_SWEEP};
 use fred_bench::table::{fmt_bw, Table};
 use fred_bench::traceopt::TraceOpts;
 use fred_core::multiwafer::MultiWafer;
-use fred_core::params::FabricConfig;
 use fred_hwmodel::iohotspot;
-use fred_sim::flow::Priority;
+use fred_sim::flow::{FlowSpec, Priority};
 use fred_sim::netsim::FlowNetwork;
 use fred_telemetry::prof;
 
@@ -63,11 +62,16 @@ fn main() {
     ]);
     for wafers in [2usize, 3, 4] {
         for inter_bw in [128e9, 512e9, 2e12] {
-            let mw = MultiWafer::new(wafers, FabricConfig::FredD, 4, inter_bw);
+            let mw = MultiWafer::new(wafers, inter_bw);
             let topo = mw.clone_topology();
             opts.name_links(&topo);
             let mut net = FlowNetwork::with_sink(topo, opts.sink());
-            net.inject_batch(mw.global_all_reduce(d, Priority::Dp, 0))
+            // DP priority: the report's bare-flow attribution reads it.
+            let flows = mw
+                .global_all_reduce(d)
+                .into_iter()
+                .map(|(route, bytes)| FlowSpec::new(route, bytes).with_priority(Priority::Dp));
+            net.inject_batch(flows.collect())
                 .expect("multiwafer routes are valid on a healthy fabric");
             let done = net.run_to_completion();
             let t = done

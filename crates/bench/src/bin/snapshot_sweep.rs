@@ -69,34 +69,6 @@ fn run_all(cfg: &ClusterConfig, jobs: &[JobSpec], opts: &TraceOpts) -> ClusterRe
     c.into_report()
 }
 
-fn assert_identical(a: &ClusterReport, b: &ClusterReport) {
-    assert_eq!(
-        a.makespan.as_secs().to_bits(),
-        b.makespan.as_secs().to_bits(),
-        "FORK VIOLATION: no-fault fork diverged from the uninterrupted baseline"
-    );
-    assert_eq!(a.records.len(), b.records.len());
-    for (ra, rb) in a.records.iter().zip(&b.records) {
-        assert_eq!(
-            ra.first_start.as_secs().to_bits(),
-            rb.first_start.as_secs().to_bits(),
-            "FORK VIOLATION: {} first-start diverged",
-            ra.name
-        );
-        assert_eq!(
-            ra.completion.as_secs().to_bits(),
-            rb.completion.as_secs().to_bits(),
-            "FORK VIOLATION: {} completion diverged",
-            ra.name
-        );
-        assert_eq!(
-            ra.preemptions, rb.preemptions,
-            "FORK VIOLATION: {} preemption count diverged",
-            ra.name
-        );
-    }
-}
-
 fn main() {
     let mut opts = TraceOpts::from_args("snapshot_sweep");
     let (cfg, jobs) = scenario();
@@ -178,7 +150,9 @@ fn main() {
         let report = fork.into_report();
         let secs = report.makespan.as_secs();
         if k == 0 {
-            assert_identical(&report, &baseline);
+            if let Some(field) = report.first_difference(&baseline) {
+                panic!("FORK VIOLATION: no-fault fork's {field} diverged from the uninterrupted baseline");
+            }
             opts.metric("snapshot/fork0_identical", 1.0);
         } else {
             opts.metric(format!("snapshot/fork{k}/makespan_secs"), secs);

@@ -89,6 +89,37 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
+    /// The first field, in a fixed order, where `other` differs from
+    /// this report bit for bit, or `None` when they agree. The fields
+    /// are the makespan, the occupied NPU-seconds, and each job's first
+    /// start, completion and preemption count. A run resumed from a
+    /// snapshot, or forked without faults, must agree with the
+    /// uninterrupted run on all of them.
+    pub fn first_difference(&self, other: &ClusterReport) -> Option<String> {
+        let bits = |t: Time| t.as_secs().to_bits();
+        if bits(self.makespan) != bits(other.makespan) {
+            return Some("makespan".into());
+        }
+        if self.busy_npu_secs.to_bits() != other.busy_npu_secs.to_bits() {
+            return Some("busy NPU-seconds".into());
+        }
+        if self.records.len() != other.records.len() {
+            return Some("job count".into());
+        }
+        self.records.iter().zip(&other.records).find_map(|(a, b)| {
+            let field = if bits(a.first_start) != bits(b.first_start) {
+                "first start"
+            } else if bits(a.completion) != bits(b.completion) {
+                "completion"
+            } else if a.preemptions != b.preemptions {
+                "preemption count"
+            } else {
+                return None;
+            };
+            Some(format!("job {} {field}", a.name))
+        })
+    }
+
     /// Fraction of offered NPU-seconds actually occupied by placed
     /// jobs, `busy / (slots × makespan)`.
     pub fn utilization(&self) -> f64 {

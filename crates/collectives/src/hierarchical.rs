@@ -1,13 +1,10 @@
 //! Two-level hierarchical collectives (§7.2).
 //!
-//! Both baselines compose collectives hierarchically:
-//!
-//! * the mesh uses the *hierarchical 2D* algorithm (rows, then columns;
-//!   Kumar & Jouppi) for wafer-wide collectives;
-//! * Fred-A/Fred-C run a *hierarchical 2-level ring* (BlueConnect-style,
-//!   Cho et al.): Reduce-Scatter inside each L1 cluster, an All-Reduce
-//!   ring across clusters for each shard position, then All-Gather
-//!   inside each cluster — reducing L1–L2 traffic.
+//! Fred-A/Fred-C run a *hierarchical 2-level ring* (BlueConnect-style,
+//! Cho et al.): Reduce-Scatter inside each L1 cluster, an All-Reduce
+//! ring across clusters for each shard position, then All-Gather inside
+//! each cluster — reducing L1–L2 traffic. Every ring here is
+//! unidirectional.
 //!
 //! The generic composition here takes an arbitrary partition of the
 //! group into equal-size clusters. Unequal partitions fall back to a
@@ -16,6 +13,9 @@
 
 use crate::plan::{CommPlan, Phase, RouteProvider};
 use crate::ring::{self, Direction};
+
+/// Every ring of the composition runs one way round.
+const DIRECTION: Direction = Direction::Unidirectional;
 
 /// Merges plans that execute concurrently into one plan, aligning them
 /// phase by phase (shorter plans simply stop participating).
@@ -39,12 +39,11 @@ pub fn merge_concurrent(label: &str, plans: Vec<CommPlan>) -> CommPlan {
 ///
 /// ```
 /// use fred_collectives::hierarchical::all_reduce;
-/// use fred_collectives::ring::Direction;
 /// use fred_sim::topology::Route;
 ///
 /// let clusters = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
 /// let routes = |_s: usize, _d: usize| -> Route { vec![] };
-/// let plan = all_reduce(&clusters, 800.0, Direction::Unidirectional, &routes);
+/// let plan = all_reduce(&clusters, 800.0, &routes);
 /// // intra RS (3) + inter AR (2) + intra AG (3)
 /// assert_eq!(plan.phase_count(), 8);
 /// ```
@@ -64,25 +63,20 @@ pub fn merge_concurrent(label: &str, plans: Vec<CommPlan>) -> CommPlan {
 /// # Panics
 ///
 /// Panics if `clusters` is empty or any cluster is empty.
-pub fn all_reduce(
-    clusters: &[Vec<usize>],
-    bytes: f64,
-    direction: Direction,
-    routes: &impl RouteProvider,
-) -> CommPlan {
+pub fn all_reduce(clusters: &[Vec<usize>], bytes: f64, routes: &impl RouteProvider) -> CommPlan {
     assert!(!clusters.is_empty(), "cluster partition must not be empty");
     assert!(
         clusters.iter().all(|c| !c.is_empty()),
         "clusters must not be empty"
     );
     if clusters.len() == 1 {
-        return ring::all_reduce(&clusters[0], bytes, direction, routes);
+        return ring::all_reduce(&clusters[0], bytes, DIRECTION, routes);
     }
     let n = clusters[0].len();
     if clusters.iter().any(|c| c.len() != n) {
         // Non-aligned partition: flat ring fallback.
         let flat: Vec<usize> = clusters.iter().flatten().copied().collect();
-        let mut plan = ring::all_reduce(&flat, bytes, direction, routes);
+        let mut plan = ring::all_reduce(&flat, bytes, DIRECTION, routes);
         plan.label = "hier-allreduce-flat-fallback".into();
         return plan;
     }
@@ -92,7 +86,7 @@ pub fn all_reduce(
         "hier-intra-rs",
         clusters
             .iter()
-            .map(|c| ring::reduce_scatter(c, bytes, direction, routes))
+            .map(|c| ring::reduce_scatter(c, bytes, DIRECTION, routes))
             .collect(),
     );
     // 2. Inter-cluster All-Reduce per shard position.
@@ -102,7 +96,7 @@ pub fn all_reduce(
         (0..n)
             .map(|j| {
                 let position_ring: Vec<usize> = clusters.iter().map(|c| c[j]).collect();
-                ring::all_reduce(&position_ring, shard, direction, routes)
+                ring::all_reduce(&position_ring, shard, DIRECTION, routes)
             })
             .collect(),
     );
@@ -111,7 +105,7 @@ pub fn all_reduce(
         "hier-intra-ag",
         clusters
             .iter()
-            .map(|c| ring::all_gather(c, bytes, direction, routes))
+            .map(|c| ring::all_gather(c, bytes, DIRECTION, routes))
             .collect(),
     );
 
@@ -131,23 +125,22 @@ pub fn all_reduce(
 pub fn reduce_scatter(
     clusters: &[Vec<usize>],
     bytes: f64,
-    direction: Direction,
     routes: &impl RouteProvider,
 ) -> CommPlan {
     assert!(!clusters.is_empty() && clusters.iter().all(|c| !c.is_empty()));
     if clusters.len() == 1 {
-        return ring::reduce_scatter(&clusters[0], bytes, direction, routes);
+        return ring::reduce_scatter(&clusters[0], bytes, DIRECTION, routes);
     }
     let n = clusters[0].len();
     if clusters.iter().any(|c| c.len() != n) {
         let flat: Vec<usize> = clusters.iter().flatten().copied().collect();
-        return ring::reduce_scatter(&flat, bytes, direction, routes);
+        return ring::reduce_scatter(&flat, bytes, DIRECTION, routes);
     }
     let intra = merge_concurrent(
         "hier-intra-rs",
         clusters
             .iter()
-            .map(|c| ring::reduce_scatter(c, bytes, direction, routes))
+            .map(|c| ring::reduce_scatter(c, bytes, DIRECTION, routes))
             .collect(),
     );
     let shard = bytes / n as f64;
@@ -156,7 +149,7 @@ pub fn reduce_scatter(
         (0..n)
             .map(|j| {
                 let position_ring: Vec<usize> = clusters.iter().map(|c| c[j]).collect();
-                ring::reduce_scatter(&position_ring, shard, direction, routes)
+                ring::reduce_scatter(&position_ring, shard, DIRECTION, routes)
             })
             .collect(),
     );
@@ -170,20 +163,15 @@ pub fn reduce_scatter(
 /// # Panics
 ///
 /// Panics if `clusters` is empty or any cluster is empty.
-pub fn all_gather(
-    clusters: &[Vec<usize>],
-    bytes: f64,
-    direction: Direction,
-    routes: &impl RouteProvider,
-) -> CommPlan {
+pub fn all_gather(clusters: &[Vec<usize>], bytes: f64, routes: &impl RouteProvider) -> CommPlan {
     assert!(!clusters.is_empty() && clusters.iter().all(|c| !c.is_empty()));
     if clusters.len() == 1 {
-        return ring::all_gather(&clusters[0], bytes, direction, routes);
+        return ring::all_gather(&clusters[0], bytes, DIRECTION, routes);
     }
     let n = clusters[0].len();
     if clusters.iter().any(|c| c.len() != n) {
         let flat: Vec<usize> = clusters.iter().flatten().copied().collect();
-        return ring::all_gather(&flat, bytes, direction, routes);
+        return ring::all_gather(&flat, bytes, DIRECTION, routes);
     }
     let shard = bytes / n as f64;
     let inter = merge_concurrent(
@@ -191,7 +179,7 @@ pub fn all_gather(
         (0..n)
             .map(|j| {
                 let position_ring: Vec<usize> = clusters.iter().map(|c| c[j]).collect();
-                ring::all_gather(&position_ring, shard, direction, routes)
+                ring::all_gather(&position_ring, shard, DIRECTION, routes)
             })
             .collect(),
     );
@@ -199,7 +187,7 @@ pub fn all_gather(
         "hier-intra-ag",
         clusters
             .iter()
-            .map(|c| ring::all_gather(c, bytes, direction, routes))
+            .map(|c| ring::all_gather(c, bytes, DIRECTION, routes))
             .collect(),
     );
     let mut plan = inter.chain(intra);
@@ -220,7 +208,7 @@ mod tests {
     fn phase_structure_for_equal_clusters() {
         // 2 clusters of 4: intra RS = 3, inter AR = 2*(2-1) = 2, intra AG = 3.
         let clusters = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
-        let plan = all_reduce(&clusters, 800.0, Direction::Unidirectional, &no_routes());
+        let plan = all_reduce(&clusters, 800.0, &no_routes());
         assert_eq!(plan.phase_count(), 3 + 2 + 3);
         // Per-NPU traffic: intra 2*(3/4)*D + inter 2*(1/2)*(D/4).
         let per_npu = plan.bytes_sent_by(0);
@@ -231,7 +219,7 @@ mod tests {
     #[test]
     fn single_cluster_degenerates_to_ring() {
         let clusters = vec![vec![0, 1, 2]];
-        let plan = all_reduce(&clusters, 300.0, Direction::Unidirectional, &no_routes());
+        let plan = all_reduce(&clusters, 300.0, &no_routes());
         assert_eq!(plan.label, "ring-allreduce");
         assert_eq!(plan.phase_count(), 4);
     }
@@ -239,7 +227,7 @@ mod tests {
     #[test]
     fn unequal_clusters_fall_back_to_flat_ring() {
         let clusters = vec![vec![0, 1], vec![2], vec![3, 4, 5]];
-        let plan = all_reduce(&clusters, 600.0, Direction::Unidirectional, &no_routes());
+        let plan = all_reduce(&clusters, 600.0, &no_routes());
         assert_eq!(plan.label, "hier-allreduce-flat-fallback");
         // Flat ring over 6 members: 10 phases.
         assert_eq!(plan.phase_count(), 10);
@@ -262,16 +250,16 @@ mod tests {
         let clusters = vec![vec![0, 1], vec![2, 3], vec![4, 5]];
         let d = 1200.0;
         let routes = no_routes();
-        let rs = reduce_scatter(&clusters, d, Direction::Unidirectional, &routes);
-        let ag = all_gather(&clusters, d, Direction::Unidirectional, &routes);
-        let ar = all_reduce(&clusters, d, Direction::Unidirectional, &routes);
+        let rs = reduce_scatter(&clusters, d, &routes);
+        let ag = all_gather(&clusters, d, &routes);
+        let ar = all_reduce(&clusters, d, &routes);
         assert!((rs.total_bytes() + ag.total_bytes() - ar.total_bytes()).abs() < 1e-9);
     }
 
     #[test]
     fn position_rings_connect_matching_offsets() {
         let clusters = vec![vec![10, 11], vec![20, 21]];
-        let plan = all_reduce(&clusters, 100.0, Direction::Unidirectional, &no_routes());
+        let plan = all_reduce(&clusters, 100.0, &no_routes());
         // Inter phases are after the single intra-RS phase (n-1 = 1).
         let inter = &plan.phases[1];
         for t in &inter.transfers {
@@ -283,6 +271,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_partition_rejected() {
-        let _ = all_reduce(&[], 1.0, Direction::Unidirectional, &no_routes());
+        let _ = all_reduce(&[], 1.0, &no_routes());
     }
 }

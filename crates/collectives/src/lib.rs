@@ -16,11 +16,8 @@
 //! * [`ring`] — ring Reduce-Scatter / All-Gather / All-Reduce /
 //!   All-to-All (with the two reverse-direction concurrent chunks used
 //!   by the paper's mesh baseline, §7.2),
-//! * [`tree`] — binomial-tree multicast and reduce (the MPI-style
-//!   broadcast of Fig 4),
-//! * [`hierarchical`] — two-level (BlueConnect-style) composition used
-//!   both by the mesh's hierarchical 2D algorithm and by Fred-A/C's
-//!   endpoint collectives (§7.2),
+//! * [`hierarchical`] — the two-level (BlueConnect-style) ring
+//!   composition of Fred-A/C's endpoint collectives (§7.2),
 //! * [`cost`] — closed-form α-β cost models used to cross-validate the
 //!   flow-level simulator.
 
@@ -28,6 +25,5 @@ pub mod cost;
 pub mod hierarchical;
 pub mod plan;
 pub mod ring;
-pub mod tree;
 
 pub use plan::{CommPlan, Phase, RouteProvider, Transfer};

@@ -179,20 +179,6 @@ pub fn all_to_all(order: &[usize], bytes: f64, routes: &impl RouteProvider) -> C
     plan
 }
 
-/// A single point-to-point transfer as a one-phase plan.
-pub fn point_to_point(src: usize, dst: usize, bytes: f64, routes: &impl RouteProvider) -> CommPlan {
-    let mut plan = CommPlan::new("p2p");
-    plan.phases.push(Phase {
-        transfers: vec![Transfer {
-            src,
-            dst,
-            bytes,
-            route: routes.route(src, dst),
-        }],
-    });
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,13 +307,5 @@ mod tests {
             }
         }
         drop(rt);
-    }
-
-    #[test]
-    fn p2p_structure() {
-        let routes = |_s: usize, _d: usize| -> Route { vec![] };
-        let p = point_to_point(3, 7, 42.0, &routes);
-        assert_eq!(p.phase_count(), 1);
-        assert_eq!(p.total_bytes(), 42.0);
     }
 }

@@ -10,12 +10,14 @@
 //! [`crate::routing`]) — contention only occurs on the external
 //! NPU–L1, L1–L2 and I/O links.
 //!
-//! The module also compiles *in-network* collectives into flow sets for
-//! the flow-level simulator: with in-switch reduction/distribution, an
-//! All-Reduce of D bytes puts exactly D bytes on every tree link it
-//! touches (§2.2), half the endpoint-based traffic.
+//! The module also compiles *in-network* collectives into per-link
+//! traffic: each builder returns `(route, bytes)` legs that run
+//! concurrently (pipelined through the switches). With in-switch
+//! reduction/distribution, an All-Reduce of D bytes puts exactly D
+//! bytes on every tree link it touches (§2.2), half the endpoint-based
+//! traffic. Flow metadata (priority, tag, tenant) is set where the legs
+//! are injected, not here.
 
-use fred_sim::flow::{FlowSpec, Priority};
 use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
 
 use crate::params::{FabricConfig, PhysicalParams, NPUS_PER_L1};
@@ -59,48 +61,26 @@ pub struct WaferFabric {
 
 impl WaferFabric {
     /// Builds the paper's 20-NPU / 18-I/O instance for a FRED
-    /// configuration from Table 5.
+    /// configuration from Table 5: [`NPUS_PER_L1`] NPUs attach to each
+    /// L1 switch, and I/O controllers are spread across the L1 switches
+    /// round-robin.
     ///
     /// # Panics
     ///
     /// Panics if `config` is [`FabricConfig::BaselineMesh`] (built by
-    /// the `fred-mesh` crate instead).
+    /// the `fred-mesh` crate instead), or if `params.npu_count` is not a
+    /// multiple of [`NPUS_PER_L1`].
     pub fn new(config: FabricConfig, params: &PhysicalParams) -> WaferFabric {
         assert!(
             config.is_fred(),
             "the baseline mesh is built by fred-mesh, not WaferFabric"
         );
-        Self::with_shape(
-            config,
-            params,
-            params.npu_count,
-            NPUS_PER_L1,
-            params.io_count,
-        )
-    }
-
-    /// Builds a fabric with an explicit shape (used by scaling sweeps
-    /// and tests). `npus_per_l1` NPUs attach to each L1; I/O controllers
-    /// are distributed round-robin-at-the-end across L1 switches as
-    /// evenly as possible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `npu_count` is not a multiple of `npus_per_l1`, or if
-    /// `config` is the baseline mesh.
-    pub fn with_shape(
-        config: FabricConfig,
-        params: &PhysicalParams,
-        npu_count: usize,
-        npus_per_l1: usize,
-        io_count: usize,
-    ) -> WaferFabric {
-        assert!(config.is_fred());
+        let (npu_count, io_count) = (params.npu_count, params.io_count);
         assert!(
-            npus_per_l1 > 0 && npu_count.is_multiple_of(npus_per_l1),
-            "npu_count {npu_count} must be a multiple of npus_per_l1 {npus_per_l1}"
+            npu_count.is_multiple_of(NPUS_PER_L1),
+            "npu_count {npu_count} must be a multiple of {NPUS_PER_L1}"
         );
-        let l1_count = npu_count / npus_per_l1;
+        let l1_count = npu_count / NPUS_PER_L1;
         let lat = params.link_latency;
 
         let mut topo = Topology::new();
@@ -120,7 +100,7 @@ impl WaferFabric {
         let mut npu_down = Vec::new();
         let mut l1_of_npu = Vec::new();
         for (i, &npu) in npus.iter().enumerate() {
-            let l1 = i / npus_per_l1;
+            let l1 = i / NPUS_PER_L1;
             l1_of_npu.push(l1);
             let (up, down) = topo.add_duplex_link(npu, l1s[l1], params.npu_bw, lat);
             npu_up.push(up);
@@ -141,7 +121,7 @@ impl WaferFabric {
         let mut io_to_ext = Vec::new();
         let mut l1_of_io = Vec::new();
         for (i, &io) in ios.iter().enumerate() {
-            let l1 = if l1_count == 0 { 0 } else { i % l1_count };
+            let l1 = i % l1_count;
             l1_of_io.push(l1);
             let (up, down) = topo.add_duplex_link(io, l1s[l1], params.io_bw, lat);
             io_up.push(up);
@@ -219,15 +199,6 @@ impl WaferFabric {
         let base = self.npus.first()?.0;
         let i = node.0.checked_sub(base)?;
         (i < self.npus.len() && self.npus[i] == node).then_some(i)
-    }
-
-    /// Node id of I/O controller `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn io(&self, i: usize) -> NodeId {
-        self.ios[i]
     }
 
     /// The external-memory node.
@@ -357,7 +328,7 @@ impl WaferFabric {
     }
 
     /// Compiles an **in-network All-Reduce** among the NPU indices in
-    /// `group` into concurrent flows: each member pushes `bytes` up into
+    /// `group` into concurrent legs: each member pushes `bytes` up into
     /// its L1 switch (reduced in-switch), partial sums cross the L1–L2
     /// links once when the group spans switches, and the result is
     /// broadcast back down — exactly D bytes on every touched link
@@ -366,56 +337,34 @@ impl WaferFabric {
     /// # Panics
     ///
     /// Panics if `group` is empty or contains an out-of-range index.
-    pub fn in_network_all_reduce(
-        &self,
-        group: &[usize],
-        bytes: f64,
-        priority: Priority,
-        tag: u64,
-    ) -> Vec<FlowSpec> {
+    pub fn in_network_all_reduce(&self, group: &[usize], bytes: f64) -> Vec<(Route, f64)> {
         assert!(!group.is_empty(), "all-reduce group must not be empty");
-        let mut flows = Vec::new();
+        let mut legs = Vec::new();
         if group.len() == 1 {
-            return flows;
+            return legs;
         }
         let parts = self.partition_by_l1(group);
-        let spans_l2 = parts.len() > 1;
         for &n in group {
-            // Up: NPU -> L1 (reduced in the L1 switch).
-            flows.push(
-                FlowSpec::new(vec![self.npu_up[n]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-            // Down: L1 -> NPU (broadcast from the L1 switch).
-            flows.push(
-                FlowSpec::new(vec![self.npu_down[n]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
+            // Up: NPU -> L1 (reduced in the L1 switch); down: L1 -> NPU
+            // (broadcast from the L1 switch).
+            legs.push((vec![self.npu_up[n]], bytes));
+            legs.push((vec![self.npu_down[n]], bytes));
         }
-        if spans_l2 {
+        if parts.len() > 1 {
             for part in &parts {
                 let l1 = self.l1_of_npu[part[0]];
-                flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
-                flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.l1_up[l1]], bytes));
+                legs.push((vec![self.l1_down[l1]], bytes));
             }
         }
-        flows
+        legs
     }
 
     /// Compiles an **in-network Reduce** of `bytes` from the NPUs in
     /// `group` to I/O controller `io` (weight-streaming gradient
     /// egress): D bytes up each NPU link, D across each touched L1–L2
     /// link, D down to the I/O controller and out to external memory.
+    /// The external-memory leg is last.
     ///
     /// # Panics
     ///
@@ -425,53 +374,34 @@ impl WaferFabric {
         group: &[usize],
         io: usize,
         bytes: f64,
-        priority: Priority,
-        tag: u64,
-    ) -> Vec<FlowSpec> {
+    ) -> Vec<(Route, f64)> {
         assert!(!group.is_empty());
         let io_l1 = self.l1_of_io[io];
-        let mut flows = Vec::new();
-        for &n in group {
-            flows.push(
-                FlowSpec::new(vec![self.npu_up[n]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-        }
+        let mut legs: Vec<(Route, f64)> = group
+            .iter()
+            .map(|&n| (vec![self.npu_up[n]], bytes))
+            .collect();
         // Partial sums cross L1->L2 for every L1 that is not the I/O's
         // own, then L2->L1(io).
-        let parts = self.partition_by_l1(group);
         let mut remote = false;
-        for part in &parts {
+        for part in &self.partition_by_l1(group) {
             let l1 = self.l1_of_npu[part[0]];
             if l1 != io_l1 {
                 remote = true;
-                flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.l1_up[l1]], bytes));
             }
         }
         if remote {
-            flows.push(
-                FlowSpec::new(vec![self.l1_down[io_l1]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
+            legs.push((vec![self.l1_down[io_l1]], bytes));
         }
-        flows.push(
-            FlowSpec::new(vec![self.io_down[io], self.io_to_ext[io]], bytes)
-                .with_priority(priority)
-                .with_tag(tag),
-        );
-        flows
+        legs.push((vec![self.io_down[io], self.io_to_ext[io]], bytes));
+        legs
     }
 
     /// Compiles an **in-network Multicast** of `bytes` from I/O
     /// controller `io` to the NPUs in `group` (weight-streaming
     /// ingress): the switches replicate, so each touched link carries
-    /// exactly D bytes.
+    /// exactly D bytes. The external-memory leg is first.
     ///
     /// # Panics
     ///
@@ -481,45 +411,23 @@ impl WaferFabric {
         group: &[usize],
         io: usize,
         bytes: f64,
-        priority: Priority,
-        tag: u64,
-    ) -> Vec<FlowSpec> {
+    ) -> Vec<(Route, f64)> {
         assert!(!group.is_empty());
         let io_l1 = self.l1_of_io[io];
-        let mut flows = Vec::new();
-        flows.push(
-            FlowSpec::new(vec![self.ext_to_io[io], self.io_up[io]], bytes)
-                .with_priority(priority)
-                .with_tag(tag),
-        );
-        let parts = self.partition_by_l1(group);
+        let mut legs = vec![(vec![self.ext_to_io[io], self.io_up[io]], bytes)];
         let mut remote = false;
-        for part in &parts {
+        for part in &self.partition_by_l1(group) {
             let l1 = self.l1_of_npu[part[0]];
             if l1 != io_l1 {
                 remote = true;
-                flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.l1_down[l1]], bytes));
             }
         }
         if remote {
-            flows.push(
-                FlowSpec::new(vec![self.l1_up[io_l1]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
+            legs.push((vec![self.l1_up[io_l1]], bytes));
         }
-        for &n in group {
-            flows.push(
-                FlowSpec::new(vec![self.npu_down[n]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-        }
-        flows
+        legs.extend(group.iter().map(|&n| (vec![self.npu_down[n]], bytes)));
+        legs
     }
 
     /// Compiles an **in-network Reduce-Scatter** among `group`: every
@@ -529,49 +437,27 @@ impl WaferFabric {
     /// # Panics
     ///
     /// Panics if `group` is empty.
-    pub fn in_network_reduce_scatter(
-        &self,
-        group: &[usize],
-        bytes: f64,
-        priority: Priority,
-        tag: u64,
-    ) -> Vec<FlowSpec> {
+    pub fn in_network_reduce_scatter(&self, group: &[usize], bytes: f64) -> Vec<(Route, f64)> {
         assert!(!group.is_empty());
         let n = group.len() as f64;
-        let mut flows = Vec::new();
+        let mut legs = Vec::new();
         if group.len() == 1 {
-            return flows;
+            return legs;
         }
         let parts = self.partition_by_l1(group);
         for &m in group {
-            flows.push(
-                FlowSpec::new(vec![self.npu_up[m]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-            flows.push(
-                FlowSpec::new(vec![self.npu_down[m]], bytes / n)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
+            legs.push((vec![self.npu_up[m]], bytes));
+            legs.push((vec![self.npu_down[m]], bytes / n));
         }
         if parts.len() > 1 {
             for part in &parts {
                 let l1 = self.l1_of_npu[part[0]];
                 // Partial sums up (full payload), shards down.
-                flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
-                flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes * part.len() as f64 / n)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.l1_up[l1]], bytes));
+                legs.push((vec![self.l1_down[l1]], bytes * part.len() as f64 / n));
             }
         }
-        flows
+        legs
     }
 
     /// Compiles an **in-network All-Gather** among `group`: every member
@@ -581,104 +467,26 @@ impl WaferFabric {
     /// # Panics
     ///
     /// Panics if `group` is empty.
-    pub fn in_network_all_gather(
-        &self,
-        group: &[usize],
-        bytes: f64,
-        priority: Priority,
-        tag: u64,
-    ) -> Vec<FlowSpec> {
+    pub fn in_network_all_gather(&self, group: &[usize], bytes: f64) -> Vec<(Route, f64)> {
         assert!(!group.is_empty());
         let n = group.len() as f64;
-        let mut flows = Vec::new();
+        let mut legs = Vec::new();
         if group.len() == 1 {
-            return flows;
+            return legs;
         }
         let parts = self.partition_by_l1(group);
         for &m in group {
-            flows.push(
-                FlowSpec::new(vec![self.npu_up[m]], bytes / n)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-            flows.push(
-                FlowSpec::new(vec![self.npu_down[m]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
+            legs.push((vec![self.npu_up[m]], bytes / n));
+            legs.push((vec![self.npu_down[m]], bytes));
         }
         if parts.len() > 1 {
             for part in &parts {
                 let l1 = self.l1_of_npu[part[0]];
-                flows.push(
-                    FlowSpec::new(vec![self.l1_up[l1]], bytes * part.len() as f64 / n)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
-                flows.push(
-                    FlowSpec::new(vec![self.l1_down[l1]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.l1_up[l1]], bytes * part.len() as f64 / n));
+                legs.push((vec![self.l1_down[l1]], bytes));
             }
         }
-        flows
-    }
-
-    /// Compiles an **in-network Multicast** of `bytes` from NPU `src` to
-    /// the NPUs in `dsts` (PP activation forwarding, §8.1): the switches
-    /// replicate, so each touched link carries exactly `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dsts` is empty.
-    pub fn in_network_multicast_from_npu(
-        &self,
-        src: usize,
-        dsts: &[usize],
-        bytes: f64,
-        priority: Priority,
-        tag: u64,
-    ) -> Vec<FlowSpec> {
-        assert!(!dsts.is_empty());
-        let src_l1 = self.l1_of_npu[src];
-        let real_dsts: Vec<usize> = dsts.iter().copied().filter(|&d| d != src).collect();
-        let mut flows = Vec::new();
-        if real_dsts.is_empty() {
-            return flows;
-        }
-        flows.push(
-            FlowSpec::new(vec![self.npu_up[src]], bytes)
-                .with_priority(priority)
-                .with_tag(tag),
-        );
-        let parts = self.partition_by_l1(&real_dsts);
-        let spans = parts.iter().any(|p| self.l1_of_npu[p[0]] != src_l1);
-        if spans {
-            flows.push(
-                FlowSpec::new(vec![self.l1_up[src_l1]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-            for part in &parts {
-                let l1 = self.l1_of_npu[part[0]];
-                if l1 != src_l1 {
-                    flows.push(
-                        FlowSpec::new(vec![self.l1_down[l1]], bytes)
-                            .with_priority(priority)
-                            .with_tag(tag),
-                    );
-                }
-            }
-        }
-        for &d in &real_dsts {
-            flows.push(
-                FlowSpec::new(vec![self.npu_down[d]], bytes)
-                    .with_priority(priority)
-                    .with_tag(tag),
-            );
-        }
-        flows
+        legs
     }
 
     /// Bisection bandwidth of the tree (sum of L1–L2 capacities divided
@@ -796,25 +604,25 @@ mod tests {
         let d = 1e9;
         // Wafer-wide group: every NPU link carries D up and D down; every
         // L1 carries D up and D down.
-        let flows = f.in_network_all_reduce(&(0..20).collect::<Vec<_>>(), d, Priority::Dp, 0);
+        let legs = f.in_network_all_reduce(&(0..20).collect::<Vec<_>>(), d);
         // 20 up + 20 down + 5 l1-up + 5 l1-down.
-        assert_eq!(flows.len(), 50);
-        for fl in &flows {
-            assert_eq!(fl.bytes, d);
-            assert_eq!(fl.route.len(), 1);
+        assert_eq!(legs.len(), 50);
+        for (route, bytes) in &legs {
+            assert_eq!(*bytes, d);
+            assert_eq!(route.len(), 1);
         }
     }
 
     #[test]
     fn in_network_all_reduce_within_one_l1_skips_spine() {
         let f = fabric(FabricConfig::FredD);
-        let flows = f.in_network_all_reduce(&[0, 1, 2, 3], 1e6, Priority::Mp, 0);
-        // 4 up + 4 down, no L1-L2 flows.
-        assert_eq!(flows.len(), 8);
-        let l1_links: Vec<_> = flows
+        let legs = f.in_network_all_reduce(&[0, 1, 2, 3], 1e6);
+        // 4 up + 4 down, no L1-L2 legs.
+        assert_eq!(legs.len(), 8);
+        let l1_links: Vec<_> = legs
             .iter()
-            .filter(|fl| {
-                let link = f.topology().link(fl.route[0]);
+            .filter(|(route, _)| {
+                let link = f.topology().link(route[0]);
                 f.topology().node(link.src).kind.is_switch()
                     && f.topology().node(link.dst).kind.is_switch()
             })
@@ -825,20 +633,18 @@ mod tests {
     #[test]
     fn singleton_all_reduce_is_free() {
         let f = fabric(FabricConfig::FredB);
-        assert!(f
-            .in_network_all_reduce(&[5], 1e9, Priority::Dp, 0)
-            .is_empty());
+        assert!(f.in_network_all_reduce(&[5], 1e9).is_empty());
     }
 
     #[test]
     fn reduce_to_io_touches_each_l1_once() {
         let f = fabric(FabricConfig::FredD);
         let group: Vec<usize> = (0..20).collect();
-        let flows = f.in_network_reduce_to_io(&group, 0, 1e9, Priority::Bulk, 0);
+        let legs = f.in_network_reduce_to_io(&group, 0, 1e9);
         // 20 NPU-up + 4 remote L1-up + 1 L2->L1(io) + 1 io egress.
-        assert_eq!(flows.len(), 26);
-        for fl in &flows {
-            f.topology().validate_route(&fl.route).unwrap();
+        assert_eq!(legs.len(), 26);
+        for (route, _) in &legs {
+            f.topology().validate_route(route).unwrap();
         }
     }
 
@@ -846,10 +652,12 @@ mod tests {
     fn multicast_from_io_replicates_down() {
         let f = fabric(FabricConfig::FredD);
         let group: Vec<usize> = (0..20).collect();
-        let flows = f.in_network_multicast_from_io(&group, 3, 1e9, Priority::Bulk, 7);
+        let legs = f.in_network_multicast_from_io(&group, 3, 1e9);
         // 1 ingress + 4 remote L1-down + 1 L1(io)-up + 20 NPU-down.
-        assert_eq!(flows.len(), 26);
-        assert!(flows.iter().all(|fl| fl.tag == 7));
+        assert_eq!(legs.len(), 26);
+        // The ingress leg comes first and leaves external memory.
+        let ingress = f.topology().link(legs[0].0[0]);
+        assert_eq!(ingress.src, f.external_memory());
     }
 
     #[test]

@@ -10,24 +10,26 @@
 //! 3. a final **intra-wafer All-Gather** broadcasting the result to
 //!    every NPU on each wafer.
 //!
-//! This module builds a multi-wafer topology (each wafer a
+//! This module builds a multi-wafer topology (each wafer a Fred-D
 //! [`WaferFabric`], wafers joined by inter-wafer links between their
 //! I/O controllers) and compiles the three-step global All-Reduce into
-//! flows for the simulator.
+//! per-link `(route, bytes)` legs for the simulator.
 
-use fred_sim::flow::{FlowSpec, Priority};
-use fred_sim::topology::{LinkId, NodeId, NodeKind, Topology};
+use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
 
 use crate::fabric::WaferFabric;
 use crate::params::{FabricConfig, PhysicalParams};
 
-/// A cluster of FRED wafers joined by inter-wafer links.
+/// Boundary aggregation points per wafer (bonded groups of I/O
+/// controllers), each with its own inter-wafer ring.
+const BOUNDARY: usize = 4;
+
+/// A cluster of Fred-D wafers joined by inter-wafer links.
 #[derive(Debug, Clone)]
 pub struct MultiWafer {
     topo: Topology,
     wafers: usize,
     npus_per_wafer: usize,
-    boundary_per_wafer: usize,
     /// `npu[(w, i)]` node ids, wafer-major.
     npus: Vec<NodeId>,
     npu_up: Vec<LinkId>,
@@ -39,21 +41,20 @@ pub struct MultiWafer {
     /// `ring[(w, b)]` connects wafer w's boundary b to wafer w+1's.
     ring_fwd: Vec<LinkId>,
     ring_rev: Vec<LinkId>,
-    boundary_nodes: Vec<NodeId>,
 }
 
 impl MultiWafer {
-    /// Builds `wafers` copies of the 20-NPU FRED wafer, joined by an
+    /// Builds `wafers` copies of the 20-NPU Fred-D wafer, joined by an
     /// inter-wafer ring of `inter_bw` bytes/s per boundary channel.
-    /// Each wafer exposes `boundary` aggregation points (bonded groups
-    /// of I/O controllers).
+    /// Each wafer exposes four boundary aggregation points (bonded
+    /// groups of I/O controllers).
     ///
     /// # Panics
     ///
-    /// Panics if `wafers < 2` or `boundary == 0`.
-    pub fn new(wafers: usize, config: FabricConfig, boundary: usize, inter_bw: f64) -> MultiWafer {
+    /// Panics if `wafers < 2`.
+    pub fn new(wafers: usize, inter_bw: f64) -> MultiWafer {
         assert!(wafers >= 2, "a multi-wafer system needs at least 2 wafers");
-        assert!(boundary > 0);
+        let config = FabricConfig::FredD;
         let params = PhysicalParams::paper();
         let single = WaferFabric::new(config, &params);
         let npus_per_wafer = single.npu_count();
@@ -88,7 +89,7 @@ impl MultiWafer {
             }
             // Boundary aggregation points hang off L1 switches
             // round-robin, at the inter-wafer channel bandwidth.
-            for b in 0..boundary {
+            for b in 0..BOUNDARY {
                 let node = topo.add_node(NodeKind::IoController, format!("w{w}.boundary{b}"));
                 let l1 = l1s[b % l1_count];
                 topo.add_duplex_link(node, l1, inter_bw, lat);
@@ -100,9 +101,9 @@ impl MultiWafer {
         let mut ring_fwd = Vec::new();
         let mut ring_rev = Vec::new();
         for w in 0..wafers {
-            for b in 0..boundary {
-                let here = boundary_nodes[w * boundary + b];
-                let there = boundary_nodes[((w + 1) % wafers) * boundary + b];
+            for b in 0..BOUNDARY {
+                let here = boundary_nodes[w * BOUNDARY + b];
+                let there = boundary_nodes[((w + 1) % wafers) * BOUNDARY + b];
                 let (f, r) = topo.add_duplex_link(here, there, inter_bw, 10.0 * lat);
                 ring_fwd.push(f);
                 ring_rev.push(r);
@@ -113,7 +114,6 @@ impl MultiWafer {
             topo,
             wafers,
             npus_per_wafer,
-            boundary_per_wafer: boundary,
             npus,
             npu_up,
             npu_down,
@@ -122,7 +122,6 @@ impl MultiWafer {
             l1_count_per_wafer: l1_count,
             ring_fwd,
             ring_rev,
-            boundary_nodes,
         }
     }
 
@@ -156,87 +155,54 @@ impl MultiWafer {
         self.npus[w * self.npus_per_wafer + i]
     }
 
-    /// Node id of boundary aggregation point `b` on wafer `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn boundary(&self, w: usize, b: usize) -> NodeId {
-        assert!(w < self.wafers && b < self.boundary_per_wafer);
-        self.boundary_nodes[w * self.boundary_per_wafer + b]
-    }
-
     /// Compiles the §8.3 three-step global All-Reduce of `bytes` over
-    /// every NPU of every wafer into concurrent flows (pipelined,
+    /// every NPU of every wafer into concurrent legs (pipelined,
     /// in-network on each wafer):
     ///
     /// 1. intra-wafer Reduce-Scatter toward the boundary: every NPU
     ///    pushes `bytes` up; each boundary point ends with a
-    ///    `bytes / boundary` shard of the wafer-reduced data;
+    ///    `bytes / 4` shard of the wafer-reduced data;
     /// 2. inter-wafer ring All-Reduce of each shard across wafers
     ///    (`2(W−1)/W` of the shard per boundary link);
     /// 3. intra-wafer All-Gather: `bytes` broadcast back down to every
     ///    NPU.
-    pub fn global_all_reduce(&self, bytes: f64, priority: Priority, tag: u64) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
-        let shard = bytes / self.boundary_per_wafer as f64;
+    pub fn global_all_reduce(&self, bytes: f64) -> Vec<(Route, f64)> {
+        let mut legs = Vec::new();
+        let shard = bytes / BOUNDARY as f64;
         let w_traffic = 2.0 * (self.wafers as f64 - 1.0) / self.wafers as f64;
         for w in 0..self.wafers {
             for i in 0..self.npus_per_wafer {
                 let g = w * self.npus_per_wafer + i;
                 // Step 1 up + step 3 down on every NPU link.
-                flows.push(
-                    FlowSpec::new(vec![self.npu_up[g]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
-                flows.push(
-                    FlowSpec::new(vec![self.npu_down[g]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.npu_up[g]], bytes));
+                legs.push((vec![self.npu_down[g]], bytes));
             }
             for l in 0..self.l1_count_per_wafer {
                 let g = w * self.l1_count_per_wafer + l;
                 // Partial sums converge over L2 (step 1) and the result
                 // fans back out (step 3).
-                flows.push(
-                    FlowSpec::new(vec![self.l1_up[g]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
-                flows.push(
-                    FlowSpec::new(vec![self.l1_down[g]], bytes)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+                legs.push((vec![self.l1_up[g]], bytes));
+                legs.push((vec![self.l1_down[g]], bytes));
             }
             // Step 2: ring All-Reduce of each boundary shard.
-            for b in 0..self.boundary_per_wafer {
-                let g = w * self.boundary_per_wafer + b;
-                flows.push(
-                    FlowSpec::new(vec![self.ring_fwd[g]], shard * w_traffic / 2.0)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
-                flows.push(
-                    FlowSpec::new(vec![self.ring_rev[g]], shard * w_traffic / 2.0)
-                        .with_priority(priority)
-                        .with_tag(tag),
-                );
+            for b in 0..BOUNDARY {
+                let g = w * BOUNDARY + b;
+                legs.push((vec![self.ring_fwd[g]], shard * w_traffic / 2.0));
+                legs.push((vec![self.ring_rev[g]], shard * w_traffic / 2.0));
             }
         }
-        flows
+        legs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fred_sim::flow::FlowSpec;
     use fred_sim::netsim::FlowNetwork;
 
     fn cluster(wafers: usize) -> MultiWafer {
-        MultiWafer::new(wafers, FabricConfig::FredD, 4, 256e9)
+        MultiWafer::new(wafers, 256e9)
     }
 
     #[test]
@@ -251,12 +217,12 @@ mod tests {
     #[test]
     fn global_allreduce_routes_validate() {
         let mw = cluster(2);
-        let flows = mw.global_all_reduce(1e9, Priority::Dp, 0);
-        for f in &flows {
-            mw.topology().validate_route(&f.route).unwrap();
+        let legs = mw.global_all_reduce(1e9);
+        for (route, _) in &legs {
+            mw.topology().validate_route(route).unwrap();
         }
-        // Per wafer: 40 NPU flows + 10 L1 flows + 8 ring flows.
-        assert_eq!(flows.len(), 2 * (40 + 10 + 8));
+        // Per wafer: 40 NPU legs + 10 L1 legs + 8 ring legs.
+        assert_eq!(legs.len(), 2 * (40 + 10 + 8));
     }
 
     #[test]
@@ -265,9 +231,10 @@ mod tests {
         // step 2; with fat channels it is bound by the on-wafer 3 TBps.
         let d = 10e9;
         let time_with = |inter_bw: f64| {
-            let mw = MultiWafer::new(2, FabricConfig::FredD, 4, inter_bw);
+            let mw = MultiWafer::new(2, inter_bw);
             let mut net = FlowNetwork::new(mw.clone_topology());
-            net.inject_batch(mw.global_all_reduce(d, Priority::Dp, 0))
+            let legs = mw.global_all_reduce(d);
+            net.inject_batch(legs.into_iter().map(|(r, b)| FlowSpec::new(r, b)).collect())
                 .unwrap();
             let done = net.run_to_completion();
             done.iter()
@@ -293,18 +260,18 @@ mod tests {
         let d = 1e9;
         for w in [2usize, 3, 4] {
             let mw = cluster(w);
-            let flows = mw.global_all_reduce(d, Priority::Dp, 0);
+            let legs = mw.global_all_reduce(d);
             // Every NPU link still carries exactly D (in-network
             // property preserved across the hierarchy).
-            let npu_flows: Vec<_> = flows
+            let npu_legs: Vec<_> = legs
                 .iter()
-                .filter(|f| {
-                    let link = mw.topology().link(f.route[0]);
+                .filter(|(route, _)| {
+                    let link = mw.topology().link(route[0]);
                     mw.topology().node(link.src).kind == NodeKind::Npu
                 })
                 .collect();
-            assert_eq!(npu_flows.len(), mw.wafers() * mw.npus_per_wafer());
-            assert!(npu_flows.iter().all(|f| f.bytes == d));
+            assert_eq!(npu_legs.len(), mw.wafers() * mw.npus_per_wafer());
+            assert!(npu_legs.iter().all(|(_, bytes)| *bytes == d));
         }
     }
 

@@ -214,16 +214,6 @@ impl Placement {
             .expect("a strategy always has at least one worker")
     }
 
-    /// The strategy this placement was built for.
-    pub fn strategy(&self) -> Strategy3D {
-        self.strategy
-    }
-
-    /// The policy used.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Physical NPU index hosting `worker`.
     ///
     /// # Panics

@@ -94,11 +94,6 @@ impl SimState {
             .ok_or_else(|| SnapshotError::Mismatch(format!("missing section `{name}`")))
     }
 
-    /// All sections in insertion order.
-    pub fn sections(&self) -> &[(String, Value)] {
-        &self.sections
-    }
-
     /// The snapshot as a [`Value`] tree (magic, version, sections).
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![

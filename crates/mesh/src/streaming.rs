@@ -13,8 +13,7 @@
 //! The reverse trees sum weight gradients back out to the channels
 //! (Fig 4 caption).
 
-use fred_sim::flow::{FlowSpec, Priority};
-use fred_sim::topology::LinkId;
+use fred_sim::topology::{LinkId, Route};
 
 use crate::topology::{IoSide, MeshFabric};
 
@@ -75,62 +74,36 @@ pub fn broadcast_tree_links(mesh: &MeshFabric, io: usize) -> Vec<LinkId> {
     links
 }
 
-/// Concurrent flows modelling channel `io` streaming `bytes` onto the
-/// wafer and broadcasting to all NPUs: one flow on the
-/// external-memory→controller link, one on the controller→entry link,
-/// and one per tree edge — each carrying the full `bytes` (pipelined
-/// stream).
-pub fn streaming_in_flows(
-    mesh: &MeshFabric,
-    io: usize,
-    bytes: f64,
-    priority: Priority,
-    tag: u64,
-) -> Vec<FlowSpec> {
-    let mut flows = vec![
-        FlowSpec::new(mesh.ext_to_npu_route(io, mesh.io_entry_npu(io)), bytes)
-            .with_priority(priority)
-            .with_tag(tag),
-    ];
-    for l in broadcast_tree_links(mesh, io) {
-        flows.push(
-            FlowSpec::new(vec![l], bytes)
-                .with_priority(priority)
-                .with_tag(tag),
-        );
-    }
-    flows
+/// Concurrent `(route, bytes)` legs modelling channel `io` streaming
+/// `bytes` onto the wafer and broadcasting to all NPUs: first the
+/// external-memory→entry-NPU leg, then one leg per tree edge — each
+/// carrying the full `bytes` (pipelined stream).
+pub fn streaming_in_flows(mesh: &MeshFabric, io: usize, bytes: f64) -> Vec<(Route, f64)> {
+    let ingress = mesh.ext_to_npu_route(io, mesh.io_entry_npu(io));
+    let tree = broadcast_tree_links(mesh, io).into_iter().map(|l| vec![l]);
+    std::iter::once(ingress)
+        .chain(tree)
+        .map(|route| (route, bytes))
+        .collect()
 }
 
-/// Concurrent flows modelling the reverse direction: weight gradients
+/// Concurrent legs modelling the reverse direction: weight gradients
 /// reduced over the same tree (edges reversed) and written out through
-/// channel `io` to external memory.
-pub fn streaming_out_flows(
-    mesh: &MeshFabric,
-    io: usize,
-    bytes: f64,
-    priority: Priority,
-    tag: u64,
-) -> Vec<FlowSpec> {
+/// channel `io` to external memory by the last leg.
+pub fn streaming_out_flows(mesh: &MeshFabric, io: usize, bytes: f64) -> Vec<(Route, f64)> {
     let topo = mesh.topology();
-    let mut flows = Vec::new();
-    for l in broadcast_tree_links(mesh, io) {
-        let link = topo.link(l);
-        let rev = topo
-            .find_link(link.dst, link.src)
-            .expect("mesh links are duplex");
-        flows.push(
-            FlowSpec::new(vec![rev], bytes)
-                .with_priority(priority)
-                .with_tag(tag),
-        );
-    }
-    flows.push(
-        FlowSpec::new(mesh.npu_to_ext_route(mesh.io_entry_npu(io), io), bytes)
-            .with_priority(priority)
-            .with_tag(tag),
-    );
-    flows
+    let mut legs: Vec<(Route, f64)> = broadcast_tree_links(mesh, io)
+        .into_iter()
+        .map(|l| {
+            let link = topo.link(l);
+            let rev = topo
+                .find_link(link.dst, link.src)
+                .expect("mesh links are duplex");
+            (vec![rev], bytes)
+        })
+        .collect();
+    legs.push((mesh.npu_to_ext_route(mesh.io_entry_npu(io), io), bytes));
+    legs
 }
 
 /// Static per-link load multipliers when *every* channel streams at
@@ -158,6 +131,7 @@ pub fn hotspot_factor(mesh: &MeshFabric) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fred_sim::flow::FlowSpec;
     use fred_sim::netsim::FlowNetwork;
     use std::collections::BTreeSet;
 
@@ -201,8 +175,8 @@ mod tests {
         let mut net = FlowNetwork::new(m.clone_topology());
         let bytes = 128e9; // 1 second at line rate
         for io in 0..m.io_count() {
-            for f in streaming_in_flows(&m, io, bytes, Priority::Bulk, io as u64) {
-                net.inject(f).unwrap();
+            for (route, bytes) in streaming_in_flows(&m, io, bytes) {
+                net.inject(FlowSpec::new(route, bytes)).unwrap();
             }
         }
         let done = net.run_to_completion();
@@ -219,8 +193,8 @@ mod tests {
     fn single_stream_runs_at_line_rate() {
         let m = MeshFabric::paper_baseline();
         let mut net = FlowNetwork::new(m.clone_topology());
-        for f in streaming_in_flows(&m, 0, 128e9, Priority::Bulk, 0) {
-            net.inject(f).unwrap();
+        for (route, bytes) in streaming_in_flows(&m, 0, 128e9) {
+            net.inject(FlowSpec::new(route, bytes)).unwrap();
         }
         let done = net.run_to_completion();
         let t = done.iter().map(|c| c.completed_at).max().unwrap().as_secs();
@@ -231,11 +205,11 @@ mod tests {
     #[test]
     fn out_flows_mirror_in_flows() {
         let m = MeshFabric::paper_baseline();
-        let inn = streaming_in_flows(&m, 5, 1e9, Priority::Bulk, 0);
-        let out = streaming_out_flows(&m, 5, 1e9, Priority::Bulk, 0);
+        let inn = streaming_in_flows(&m, 5, 1e9);
+        let out = streaming_out_flows(&m, 5, 1e9);
         assert_eq!(inn.len(), out.len());
-        for f in inn.iter().chain(&out) {
-            m.topology().validate_route(&f.route).unwrap();
+        for (route, _) in inn.iter().chain(&out) {
+            m.topology().validate_route(route).unwrap();
         }
     }
 }

@@ -3,27 +3,28 @@
 //! [`FabricBackend`] compiles every communication operation the trainer
 //! issues into a [`CommPlan`], using:
 //!
-//! * the **baseline mesh**: snake-ring / hierarchical-2D endpoint
+//! * the **baseline mesh**: snake-ring and Hamiltonian-cycle endpoint
 //!   collectives with X-Y routes, Fig 4 streaming trees;
 //! * **Fred-A/C**: endpoint collectives on the tree (hierarchical
-//!   2-level ring over the L1 partition, §7.2), binomial trees for
-//!   multicast, pipelined streaming over endpoint trees;
+//!   2-level ring over the L1 partition, §7.2), pipelined streaming
+//!   over endpoint trees;
 //! * **Fred-B/D**: in-network collectives — each touched link carries
 //!   exactly the collective payload once (§2.2).
 //!
-//! In-network operations compile to a *single-phase* plan whose
-//! transfers are the per-link flows (pipelined through the switches);
-//! endpoint operations keep their serial phase structure.
+//! In-network operations and streaming trees compile to a
+//! *single-phase* plan whose transfers are the `(route, bytes)` legs
+//! the fabric builders return (pipelined through the switches);
+//! endpoint operations keep their serial phase structure. Plans carry
+//! traffic only: the priority, tag and tenant of each injected flow are
+//! set by whoever executes the plan.
 
 use fred_collectives::hierarchical;
 use fred_collectives::plan::{CommPlan, Phase, Transfer};
-use fred_collectives::ring::{self, Direction};
-use fred_collectives::tree;
+use fred_collectives::ring;
 use fred_core::fabric::WaferFabric;
 use fred_core::params::{FabricConfig, PhysicalParams};
 use fred_mesh::topology::MeshFabric;
 use fred_mesh::{rings, streaming};
-use fred_sim::flow::{FlowSpec, Priority};
 use fred_sim::topology::{LinkId, NodeId, Route, Topology};
 
 /// Label for the external-memory endpoint in [`Transfer`] records.
@@ -171,18 +172,10 @@ impl FabricBackend {
             FabricBackend::Mesh(m) => rings::wafer_all_reduce(m, group, bytes),
             FabricBackend::Fred(f) => {
                 if self.in_network() {
-                    flows_to_plan(
-                        "innet-allreduce",
-                        f.in_network_all_reduce(group, bytes, Priority::Bulk, 0),
-                    )
+                    legs_to_plan("innet-allreduce", f.in_network_all_reduce(group, bytes))
                 } else {
                     let clusters = f.partition_by_l1(group);
-                    hierarchical::all_reduce(
-                        &clusters,
-                        bytes,
-                        Direction::Unidirectional,
-                        &|a, b| f.npu_route(a, b),
-                    )
+                    hierarchical::all_reduce(&clusters, bytes, &|a, b| f.npu_route(a, b))
                 }
             }
         }
@@ -202,18 +195,13 @@ impl FabricBackend {
             FabricBackend::Mesh(m) => rings::reduce_scatter(m, group, bytes),
             FabricBackend::Fred(f) => {
                 if self.in_network() {
-                    flows_to_plan(
+                    legs_to_plan(
                         "innet-reduce-scatter",
-                        f.in_network_reduce_scatter(group, bytes, Priority::Bulk, 0),
+                        f.in_network_reduce_scatter(group, bytes),
                     )
                 } else {
                     let clusters = f.partition_by_l1(group);
-                    hierarchical::reduce_scatter(
-                        &clusters,
-                        bytes,
-                        Direction::Unidirectional,
-                        &|a, b| f.npu_route(a, b),
-                    )
+                    hierarchical::reduce_scatter(&clusters, bytes, &|a, b| f.npu_route(a, b))
                 }
             }
         }
@@ -233,18 +221,10 @@ impl FabricBackend {
             FabricBackend::Mesh(m) => rings::all_gather(m, group, bytes),
             FabricBackend::Fred(f) => {
                 if self.in_network() {
-                    flows_to_plan(
-                        "innet-allgather",
-                        f.in_network_all_gather(group, bytes, Priority::Bulk, 0),
-                    )
+                    legs_to_plan("innet-allgather", f.in_network_all_gather(group, bytes))
                 } else {
                     let clusters = f.partition_by_l1(group);
-                    hierarchical::all_gather(
-                        &clusters,
-                        bytes,
-                        Direction::Unidirectional,
-                        &|a, b| f.npu_route(a, b),
-                    )
+                    hierarchical::all_gather(&clusters, bytes, &|a, b| f.npu_route(a, b))
                 }
             }
         }
@@ -261,39 +241,6 @@ impl FabricBackend {
         match self {
             FabricBackend::Mesh(m) => rings::all_to_all(m, group, bytes),
             FabricBackend::Fred(f) => ring::all_to_all(group, bytes, &|a, b| f.npu_route(a, b)),
-        }
-    }
-
-    /// Point-to-point transfer (PP stage boundary).
-    pub fn p2p(&self, src: usize, dst: usize, bytes: f64) -> CommPlan {
-        match self {
-            FabricBackend::Mesh(m) => ring::point_to_point(src, dst, bytes, m),
-            FabricBackend::Fred(f) => {
-                ring::point_to_point(src, dst, bytes, &|a, b| f.npu_route(a, b))
-            }
-        }
-    }
-
-    /// Multicast of `bytes` from NPU `src` to `dsts` (PP activation
-    /// forwarding when the next stage has MP peers, §8.1 footnote 8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dsts` is empty.
-    pub fn multicast(&self, src: usize, dsts: &[usize], bytes: f64) -> CommPlan {
-        assert!(!dsts.is_empty());
-        match self {
-            FabricBackend::Mesh(m) => tree::multicast(src, dsts, bytes, m),
-            FabricBackend::Fred(f) => {
-                if self.in_network() {
-                    flows_to_plan(
-                        "innet-multicast",
-                        f.in_network_multicast_from_npu(src, dsts, bytes, Priority::Bulk, 0),
-                    )
-                } else {
-                    tree::multicast(src, dsts, bytes, &|a, b| f.npu_route(a, b))
-                }
-            }
         }
     }
 
@@ -331,95 +278,35 @@ impl FabricBackend {
     /// shard concurrently (pipelined; single phase).
     pub fn stream_in(&self, total_bytes: f64) -> CommPlan {
         let per_channel = total_bytes / self.io_count() as f64;
-        match self {
-            FabricBackend::Mesh(m) => {
-                let mut phase = Phase::default();
-                for io in 0..m.io_count() {
-                    // The first flow is the external-memory ingress; the
-                    // rest are broadcast-tree edges (label src/dst 0 so
-                    // traffic accounting can separate I/O from fabric).
-                    for (i, f) in
-                        streaming::streaming_in_flows(m, io, per_channel, Priority::Bulk, io as u64)
-                            .into_iter()
-                            .enumerate()
-                    {
-                        let src = if i == 0 { EXT_LABEL } else { 0 };
-                        phase.transfers.push(flow_to_transfer(f, src, 0));
-                    }
+        let group: Vec<usize> = (0..self.npu_count()).collect();
+        let mut phase = Phase::default();
+        for io in 0..self.io_count() {
+            let legs = match self {
+                FabricBackend::Mesh(m) => streaming::streaming_in_flows(m, io, per_channel),
+                FabricBackend::Fred(f) if self.in_network() => {
+                    f.in_network_multicast_from_io(&group, io, per_channel)
                 }
-                CommPlan {
-                    label: "mesh-stream-in".into(),
-                    phases: vec![phase],
+                FabricBackend::Fred(f) => {
+                    endpoint_stream_in(f, &group, io, per_channel, &mut phase);
+                    continue;
                 }
+            };
+            // The first leg is the external-memory ingress; the rest
+            // are tree edges, labelled 0 → 0 so traffic accounting can
+            // separate I/O from fabric.
+            for (i, (route, bytes)) in legs.into_iter().enumerate() {
+                let src = if i == 0 { EXT_LABEL } else { 0 };
+                phase.transfers.push(Transfer {
+                    src,
+                    dst: 0,
+                    bytes,
+                    route,
+                });
             }
-            FabricBackend::Fred(f) => {
-                let group: Vec<usize> = (0..f.npu_count()).collect();
-                let mut phase = Phase::default();
-                if self.in_network() {
-                    for io in 0..f.io_count() {
-                        for (i, fl) in f
-                            .in_network_multicast_from_io(
-                                &group,
-                                io,
-                                per_channel,
-                                Priority::Bulk,
-                                io as u64,
-                            )
-                            .into_iter()
-                            .enumerate()
-                        {
-                            let src = if i == 0 { EXT_LABEL } else { 0 };
-                            phase.transfers.push(flow_to_transfer(fl, src, 0));
-                        }
-                    }
-                } else {
-                    // Endpoint streaming: each channel feeds one NPU under
-                    // its L1; a pipelined *hierarchical* tree spreads it on
-                    // (one representative per L1 cluster, then L1-local
-                    // fan-out) so each L1–L2 trunk carries the stream once
-                    // per cluster rather than once per receiver.
-                    for io in 0..f.io_count() {
-                        let entry = io % f.npu_count();
-                        phase.transfers.push(Transfer {
-                            src: EXT_LABEL,
-                            dst: entry,
-                            bytes: per_channel,
-                            route: f.ext_to_npu_route(io, entry),
-                        });
-                        for cluster in f.partition_by_l1(&group) {
-                            // Rotate the representative per channel so no
-                            // single NPU's link serves every stream.
-                            let rep = if cluster.contains(&entry) {
-                                entry
-                            } else {
-                                cluster[io % cluster.len()]
-                            };
-                            if rep != entry {
-                                phase.transfers.push(Transfer {
-                                    src: entry,
-                                    dst: rep,
-                                    bytes: per_channel,
-                                    route: f.npu_route(entry, rep),
-                                });
-                            }
-                            for &n in &cluster {
-                                if n != rep {
-                                    phase.transfers.push(Transfer {
-                                        src: rep,
-                                        dst: n,
-                                        bytes: per_channel,
-                                        route: f.npu_route(rep, n),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                CommPlan {
-                    label: "fred-stream-in".into(),
-                    phases: vec![phase],
-                }
-            }
+        }
+        CommPlan {
+            label: self.stream_label("stream-in"),
+            phases: vec![phase],
         }
     }
 
@@ -427,91 +314,42 @@ impl FabricBackend {
     /// reduced across all NPUs on the way out (the reverse of Fig 4).
     pub fn stream_out(&self, total_bytes: f64) -> CommPlan {
         let per_channel = total_bytes / self.io_count() as f64;
+        let group: Vec<usize> = (0..self.npu_count()).collect();
+        let mut phase = Phase::default();
+        for io in 0..self.io_count() {
+            let legs = match self {
+                FabricBackend::Mesh(m) => streaming::streaming_out_flows(m, io, per_channel),
+                FabricBackend::Fred(f) if self.in_network() => {
+                    f.in_network_reduce_to_io(&group, io, per_channel)
+                }
+                FabricBackend::Fred(f) => {
+                    endpoint_stream_out(f, &group, io, per_channel, &mut phase);
+                    continue;
+                }
+            };
+            // The last leg is the external-memory egress.
+            let last = legs.len() - 1;
+            for (i, (route, bytes)) in legs.into_iter().enumerate() {
+                let dst = if i == last { EXT_LABEL } else { 0 };
+                phase.transfers.push(Transfer {
+                    src: 0,
+                    dst,
+                    bytes,
+                    route,
+                });
+            }
+        }
+        CommPlan {
+            label: self.stream_label("stream-out"),
+            phases: vec![phase],
+        }
+    }
+
+    /// `mesh-<op>` on the mesh, `fred-<op>` on a tree.
+    fn stream_label(&self, op: &str) -> String {
         match self {
-            FabricBackend::Mesh(m) => {
-                let mut phase = Phase::default();
-                for io in 0..m.io_count() {
-                    // The last flow is the external-memory egress.
-                    let flows = streaming::streaming_out_flows(
-                        m,
-                        io,
-                        per_channel,
-                        Priority::Bulk,
-                        io as u64,
-                    );
-                    let last = flows.len() - 1;
-                    for (i, f) in flows.into_iter().enumerate() {
-                        let dst = if i == last { EXT_LABEL } else { 0 };
-                        phase.transfers.push(flow_to_transfer(f, 0, dst));
-                    }
-                }
-                CommPlan {
-                    label: "mesh-stream-out".into(),
-                    phases: vec![phase],
-                }
-            }
-            FabricBackend::Fred(f) => {
-                let group: Vec<usize> = (0..f.npu_count()).collect();
-                let mut phase = Phase::default();
-                if self.in_network() {
-                    for io in 0..f.io_count() {
-                        let flows = f.in_network_reduce_to_io(
-                            &group,
-                            io,
-                            per_channel,
-                            Priority::Bulk,
-                            io as u64,
-                        );
-                        let last = flows.len() - 1;
-                        for (i, fl) in flows.into_iter().enumerate() {
-                            let dst = if i == last { EXT_LABEL } else { 0 };
-                            phase.transfers.push(flow_to_transfer(fl, 0, dst));
-                        }
-                    }
-                } else {
-                    // Mirror of stream_in: L1-local reduction to one
-                    // representative per cluster, representatives to the
-                    // exit NPU, exit to external memory.
-                    for io in 0..f.io_count() {
-                        let exit = io % f.npu_count();
-                        for cluster in f.partition_by_l1(&group) {
-                            let rep = if cluster.contains(&exit) {
-                                exit
-                            } else {
-                                cluster[io % cluster.len()]
-                            };
-                            for &n in &cluster {
-                                if n != rep {
-                                    phase.transfers.push(Transfer {
-                                        src: n,
-                                        dst: rep,
-                                        bytes: per_channel,
-                                        route: f.npu_route(n, rep),
-                                    });
-                                }
-                            }
-                            if rep != exit {
-                                phase.transfers.push(Transfer {
-                                    src: rep,
-                                    dst: exit,
-                                    bytes: per_channel,
-                                    route: f.npu_route(rep, exit),
-                                });
-                            }
-                        }
-                        phase.transfers.push(Transfer {
-                            src: exit,
-                            dst: EXT_LABEL,
-                            bytes: per_channel,
-                            route: f.npu_to_ext_route(exit, io),
-                        });
-                    }
-                }
-                CommPlan {
-                    label: "fred-stream-out".into(),
-                    phases: vec![phase],
-                }
-            }
+            FabricBackend::Mesh(_) => format!("mesh-{op}"),
+            FabricBackend::Fred(_) => format!("fred-{op}"),
         }
     }
 
@@ -541,24 +379,101 @@ impl FabricBackend {
     }
 }
 
-fn flow_to_transfer(f: FlowSpec, src: usize, dst: usize) -> Transfer {
-    Transfer {
-        src,
-        dst,
-        bytes: f.bytes,
-        route: f.route,
+/// A one-phase plan of concurrent `legs`, each labelled 0 → 0.
+fn legs_to_plan(label: &str, legs: Vec<(Route, f64)>) -> CommPlan {
+    let transfers = legs
+        .into_iter()
+        .map(|(route, bytes)| Transfer {
+            src: 0,
+            dst: 0,
+            bytes,
+            route,
+        })
+        .collect();
+    CommPlan {
+        label: label.into(),
+        phases: vec![Phase { transfers }],
     }
 }
 
-fn flows_to_plan(label: &str, flows: Vec<FlowSpec>) -> CommPlan {
-    let mut phase = Phase::default();
-    for f in flows {
-        phase.transfers.push(flow_to_transfer(f, 0, 0));
+/// Endpoint streaming of channel `io` on Fred-A/C: the channel feeds
+/// one NPU under its L1, and a pipelined *hierarchical* tree spreads it
+/// on (one representative per L1 cluster, then L1-local fan-out) so each
+/// L1–L2 trunk carries the stream once per cluster rather than once per
+/// receiver.
+fn endpoint_stream_in(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, phase: &mut Phase) {
+    let entry = io % f.npu_count();
+    phase.transfers.push(Transfer {
+        src: EXT_LABEL,
+        dst: entry,
+        bytes,
+        route: f.ext_to_npu_route(io, entry),
+    });
+    for cluster in f.partition_by_l1(group) {
+        // Rotate the representative per channel so no single NPU's link
+        // serves every stream.
+        let rep = if cluster.contains(&entry) {
+            entry
+        } else {
+            cluster[io % cluster.len()]
+        };
+        if rep != entry {
+            phase.transfers.push(Transfer {
+                src: entry,
+                dst: rep,
+                bytes,
+                route: f.npu_route(entry, rep),
+            });
+        }
+        for &n in &cluster {
+            if n != rep {
+                phase.transfers.push(Transfer {
+                    src: rep,
+                    dst: n,
+                    bytes,
+                    route: f.npu_route(rep, n),
+                });
+            }
+        }
     }
-    CommPlan {
-        label: label.into(),
-        phases: vec![phase],
+}
+
+/// The mirror of [`endpoint_stream_in`]: L1-local reduction to one
+/// representative per cluster, representatives to the exit NPU, exit to
+/// external memory.
+fn endpoint_stream_out(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, phase: &mut Phase) {
+    let exit = io % f.npu_count();
+    for cluster in f.partition_by_l1(group) {
+        let rep = if cluster.contains(&exit) {
+            exit
+        } else {
+            cluster[io % cluster.len()]
+        };
+        for &n in &cluster {
+            if n != rep {
+                phase.transfers.push(Transfer {
+                    src: n,
+                    dst: rep,
+                    bytes,
+                    route: f.npu_route(n, rep),
+                });
+            }
+        }
+        if rep != exit {
+            phase.transfers.push(Transfer {
+                src: rep,
+                dst: exit,
+                bytes,
+                route: f.npu_route(rep, exit),
+            });
+        }
     }
+    phase.transfers.push(Transfer {
+        src: exit,
+        dst: EXT_LABEL,
+        bytes,
+        route: f.npu_to_ext_route(exit, io),
+    });
 }
 
 #[cfg(test)]
@@ -594,8 +509,7 @@ mod tests {
                 b.reduce_scatter(&group, 1e6),
                 b.all_gather(&sub, 1e6),
                 b.all_to_all(&sub, 1e6),
-                b.p2p(0, 19, 1e6),
-                b.multicast(0, &[5, 10, 15], 1e6),
+                b.stage_transfer(&[0], &[19], 1e6),
                 b.stream_in(1e9),
                 b.stream_out(1e9),
                 b.input_load(1e6),
@@ -694,6 +608,64 @@ mod tests {
         assert!((tf.as_secs() - 1.0).abs() < 0.05, "fred stream {tf}");
         let ratio = tf.as_secs() / tm.as_secs();
         assert!((ratio - 0.65).abs() < 0.05, "line-rate fraction {ratio}");
+    }
+
+    /// Pins the contents of every plan the schedules compile: each
+    /// plan's label, its phase boundaries and every transfer's src, dst,
+    /// byte bits and link ids, hashed in order into one FNV-1a digest.
+    /// Refactors of the compile path must leave it unchanged.
+    #[test]
+    fn compiled_traffic_is_pinned() {
+        struct Fnv(u64);
+        impl Fnv {
+            fn eat(&mut self, bytes: &[u8]) {
+                for &b in bytes {
+                    self.0 ^= u64::from(b);
+                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            fn word(&mut self, x: u64) {
+                self.eat(&x.to_le_bytes());
+            }
+        }
+        let all: Vec<usize> = (0..20).collect();
+        let groups: [&[usize]; 4] = [&all, &[0, 1, 2, 3], &[0, 4, 8, 12, 16], &[7]];
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for b in backends() {
+            let mut plans = Vec::new();
+            for g in groups {
+                plans.push(b.all_reduce(g, 3e8));
+                plans.push(b.reduce_scatter(g, 3e8));
+                plans.push(b.all_gather(g, 3e8));
+                plans.push(b.all_to_all(g, 3e8));
+            }
+            plans.push(b.stage_transfer(&[0, 1], &[4, 5, 6], 7e6));
+            plans.push(b.stream_in(1.3e9));
+            plans.push(b.stream_out(1.3e9));
+            plans.push(b.input_load(5e6));
+            for plan in &plans {
+                h.word(plan.label.len() as u64);
+                h.eat(plan.label.as_bytes());
+                h.word(plan.phases.len() as u64);
+                for phase in &plan.phases {
+                    h.word(phase.transfers.len() as u64);
+                    for t in &phase.transfers {
+                        h.word(t.src as u64);
+                        h.word(t.dst as u64);
+                        h.word(t.bytes.to_bits());
+                        h.word(t.route.len() as u64);
+                        for l in &t.route {
+                            h.word(l.0 as u64);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            h.0, 0xa2ec_1bab_88be_c070,
+            "compiled traffic digest {:#018x}",
+            h.0
+        );
     }
 
     #[test]

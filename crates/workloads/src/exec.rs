@@ -809,9 +809,14 @@ mod tests {
         };
         let group: Vec<usize> = (0..f.npu_count()).collect();
         let flows: Vec<FlowSpec> = f
-            .in_network_all_reduce(&group, 1e9, Priority::Dp, 3)
+            .in_network_all_reduce(&group, 1e9)
             .into_iter()
-            .map(|fl| fl.with_tenant(2))
+            .map(|(route, bytes)| {
+                FlowSpec::new(route, bytes)
+                    .with_priority(Priority::Dp)
+                    .with_tag(3)
+                    .with_tenant(2)
+            })
             .collect();
         // The L1–L2 trunk of the third L1 switch, which serves NPU 8.
         let dead = f.npu_route(8, 0)[1];

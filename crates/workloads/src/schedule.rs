@@ -99,11 +99,6 @@ pub struct ScheduleParams {
     pub microbatches: usize,
     /// Per-NPU peak FLOP/s.
     pub npu_flops: f64,
-    /// Weight-streaming double-buffering: when true (the default and
-    /// the paper's setting), the next layer window streams in while the
-    /// current one computes; when false, every round serialises
-    /// stream-then-compute — the prefetch ablation.
-    pub stream_double_buffer: bool,
 }
 
 impl ScheduleParams {
@@ -122,7 +117,6 @@ impl ScheduleParams {
             minibatch: strategy.dp * 16,
             microbatches,
             npu_flops: fred_core::params::PhysicalParams::paper().npu_flops,
-            stream_double_buffer: true,
         }
     }
 
@@ -140,7 +134,6 @@ impl ScheduleParams {
             minibatch: strategy.dp * 40,
             microbatches,
             npu_flops: fred_core::params::PhysicalParams::paper().npu_flops,
-            stream_double_buffer: true,
         }
     }
 }
@@ -436,7 +429,8 @@ impl<'a> Builder<'a> {
         let mut run_pass = |this: &mut Builder<'a>, backward: bool| {
             for r in 0..rounds {
                 // Stream the window in (serialised on the I/O channels,
-                // double-buffered against compute two rounds back).
+                // double-buffered: it refills the buffer of round r − 2,
+                // so it waits for that round and overlaps round r − 1).
                 let mut deps = Vec::new();
                 if let Some(prev) = prev_stream {
                     deps.push(prev);
@@ -444,12 +438,7 @@ impl<'a> Builder<'a> {
                 if r == 0 && !backward {
                     deps.push(load);
                 }
-                let buf = if this.params.stream_double_buffer {
-                    r % 2
-                } else {
-                    0
-                };
-                deps.extend(prev_round_done[buf].iter().copied());
+                deps.extend(prev_round_done[r % 2].iter().copied());
                 let plan = this.plan(PlanKey::StreamIn(chunk_bytes.to_bits()));
                 let stream = this.push_comm(
                     plan,
@@ -488,12 +477,7 @@ impl<'a> Builder<'a> {
                 }
                 // The round's barrier: every worker's last task.
                 let round_done: Vec<TaskId> = prev_in_worker.iter().flatten().copied().collect();
-                let buf = if this.params.stream_double_buffer {
-                    r % 2
-                } else {
-                    0
-                };
-                prev_round_done[buf] = round_done.clone();
+                prev_round_done[r % 2] = round_done.clone();
 
                 // Backward rounds stream the window's weight gradients
                 // back out, reduced across DP on the way (§7.3).
@@ -741,31 +725,50 @@ mod tests {
     }
 
     #[test]
-    fn double_buffering_hides_streaming() {
-        // Prefetch ablation: with double-buffering off, every round
-        // serialises stream-then-compute, so the iteration slows down.
+    fn stream_in_prefetches_one_round_ahead() {
+        // Double buffering: from the third round on, a forward stream-in
+        // waits for the previous stream-in and for the last task of
+        // every worker in round r − 2, whose buffer it refills. It never
+        // waits for round r − 1, which it overlaps.
         let m = DnnModel::gpt3();
-        let strategy = m.default_strategy;
-        let backend = FabricBackend::new(FabricConfig::BaselineMesh);
-        let placement = Placement::new(strategy, PlacementPolicy::MpPpDp);
-        let mut params = ScheduleParams::paper_default(&m, strategy);
-        let with = crate::trainer::run_iteration(
-            &build_schedule(&m, strategy, &placement, &backend, params),
-            &backend,
-        )
-        .unwrap();
-        params.stream_double_buffer = false;
-        let without = crate::trainer::run_iteration(
-            &build_schedule(&m, strategy, &placement, &backend, params),
-            &backend,
-        )
-        .unwrap();
-        assert!(
-            without.makespan.as_secs() > with.makespan.as_secs() * 1.02,
-            "no prefetch {} should be clearly slower than prefetch {}",
-            without.makespan.as_secs(),
-            with.makespan.as_secs()
-        );
+        let (s, _) = build(&m, m.default_strategy, FabricConfig::BaselineMesh);
+        let rounds = m.layers.div_ceil(m.default_strategy.pp);
+        let stream_ins: Vec<usize> = s
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| {
+                matches!(&t.body, TaskBody::Comm { plan, .. } if plan.label.ends_with("stream-in"))
+            })
+            .map(|(i, _)| i)
+            .take(rounds)
+            .collect();
+        assert_eq!(stream_ins.len(), 48);
+        for r in 2..rounds {
+            // Round k's tasks lie strictly between stream-ins k and k + 1.
+            let in_round = |t: usize, k: usize| stream_ins[k] < t && t < stream_ins[k + 1];
+            let mut expected: Vec<usize> = s
+                .worker_chains
+                .iter()
+                .filter_map(|chain| {
+                    chain
+                        .iter()
+                        .map(|t| t.0)
+                        .filter(|&t| in_round(t, r - 2))
+                        .max()
+                })
+                .collect();
+            expected.push(stream_ins[r - 1]);
+            expected.sort_unstable();
+            let mut deps: Vec<usize> = s.tasks[stream_ins[r]].deps.iter().map(|t| t.0).collect();
+            deps.sort_unstable();
+            assert_eq!(deps, expected, "round {r}");
+            assert!(
+                !deps.iter().any(|&t| in_round(t, r - 1)),
+                "round {r} waits on round {}",
+                r - 1
+            );
+        }
     }
 
     /// The plan of every comm task, in task order.

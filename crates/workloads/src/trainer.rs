@@ -238,7 +238,6 @@ mod tests {
             minibatch,
             microbatches,
             npu_flops: 1000e12,
-            stream_double_buffer: true,
         }
     }
 

@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example multiwafer`
 
 use fred::core::multiwafer::MultiWafer;
-use fred::core::params::FabricConfig;
-use fred::sim::flow::Priority;
+use fred::sim::flow::{FlowSpec, Priority};
 use fred::sim::netsim::FlowNetwork;
 
 fn main() {
@@ -18,9 +17,13 @@ fn main() {
     );
     for wafers in [2usize, 4] {
         for inter_bw in [128e9, 512e9, 2e12] {
-            let mw = MultiWafer::new(wafers, FabricConfig::FredD, 4, inter_bw);
+            let mw = MultiWafer::new(wafers, inter_bw);
             let mut net = FlowNetwork::new(mw.clone_topology());
-            net.inject_batch(mw.global_all_reduce(d, Priority::Dp, 0))
+            let flows = mw
+                .global_all_reduce(d)
+                .into_iter()
+                .map(|(route, bytes)| FlowSpec::new(route, bytes).with_priority(Priority::Dp));
+            net.inject_batch(flows.collect())
                 .expect("multiwafer routes are valid on a healthy fabric");
             let done = net.run_to_completion();
             let t = done

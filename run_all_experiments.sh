@@ -5,7 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p results
-BINS="fig2 fig4 memory_feasibility fig5_placement fig6_nonaligned fig7_routing fig9 fig10 fig11 table4 scaling ep_alltoall fault_sweep cluster_sweep"
+BINS="fig2 fig4 memory_feasibility fig5_placement fig6_nonaligned fig7_routing fig9 fig10 fig11 table4 scaling ep_alltoall fault_sweep cluster_sweep snapshot_sweep"
 # Build everything up front so per-binary times measure the run, not the build.
 cargo build --release -q -p fred-bench
 

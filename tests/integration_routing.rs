@@ -112,20 +112,19 @@ fn m3_resolves_m2_conflicts() {
 fn in_network_traffic_is_group_size_independent() {
     use fred::core::fabric::WaferFabric;
     use fred::core::params::{FabricConfig, PhysicalParams};
-    use fred::sim::flow::Priority;
     let f = WaferFabric::new(FabricConfig::FredD, &PhysicalParams::paper());
     let d = 1e9;
     for n in [2usize, 4, 8, 20] {
         let group: Vec<usize> = (0..n).collect();
-        let flows = f.in_network_all_reduce(&group, d, Priority::Dp, 0);
-        for fl in &flows {
-            assert_eq!(fl.bytes, d, "group size {n}");
+        let flows = f.in_network_all_reduce(&group, d);
+        for (_, bytes) in &flows {
+            assert_eq!(*bytes, d, "group size {n}");
         }
         // Per-NPU traffic: one up + one down flow of D bytes each.
         let npu_up_flows = flows
             .iter()
-            .filter(|fl| {
-                let link = f.topology().link(fl.route[0]);
+            .filter(|(route, _)| {
+                let link = f.topology().link(route[0]);
                 link.src == f.npu(0)
             })
             .count();

@@ -9,7 +9,7 @@ use fred::core::params::FabricConfig;
 use fred::hwmodel::iohotspot;
 use fred::mesh::streaming;
 use fred::mesh::topology::MeshFabric;
-use fred::sim::flow::Priority;
+use fred::sim::flow::{FlowSpec, Priority};
 use fred::sim::netsim::FlowNetwork;
 use fred::workloads::backend::FabricBackend;
 
@@ -74,8 +74,8 @@ fn streaming_linerate_fractions() {
     let mesh = MeshFabric::paper_baseline();
     let mut net = FlowNetwork::new(mesh.clone_topology());
     for io in 0..mesh.io_count() {
-        for f in streaming::streaming_in_flows(&mesh, io, 128e9, Priority::Bulk, io as u64) {
-            net.inject(f).unwrap();
+        for (route, bytes) in streaming::streaming_in_flows(&mesh, io, 128e9) {
+            net.inject(FlowSpec::new(route, bytes)).unwrap();
         }
     }
     let done = net.run_to_completion();
