@@ -26,8 +26,9 @@
 //! Snapshot modes (exclusive with the sweep, on the Fred-D
 //! highest-load scenario): `--snapshot-at <secs>` captures mid-run to
 //! `cluster_sweep.snapshot.bin`, continues, then reloads and verifies
-//! the resumed run bit-identical; `--restore <path>` resumes a
-//! snapshot and verifies it against the uninterrupted run.
+//! the resumed run bit-identical (a time past the end of the run writes
+//! no file and exits 2); `--restore <path>` resumes a snapshot and
+//! verifies it against the uninterrupted run.
 
 use std::path::{Path, PathBuf};
 
@@ -140,10 +141,13 @@ fn main() {
         cluster
             .run_until(Time::from_secs(at))
             .expect("run to the capture point completes");
-        assert!(
-            !cluster.is_done(),
-            "cluster_sweep: --snapshot-at {at} is past the end of the run"
-        );
+        if cluster.is_done() {
+            eprintln!(
+                "cluster_sweep: --snapshot-at {at} is past the end of the run (makespan {})",
+                fmt_secs(cluster.into_report().makespan.as_secs())
+            );
+            std::process::exit(2);
+        }
         let state = cluster.snapshot();
         let path = Path::new("cluster_sweep.snapshot.bin");
         let mut sim = SimState::new();

@@ -16,7 +16,8 @@
 //!   of the CI smoke grid;
 //! * `--checkpoint <path>` — write a resumable checkpoint after every
 //!   chunk;
-//! * `--resume` — resume from `--checkpoint` if the file exists;
+//! * `--resume` — resume from `--checkpoint` if the file exists
+//!   (without `--checkpoint` it is a usage error, exit 2);
 //! * `--stop-after-chunks <n>` — exit cleanly after `n` chunks (the
 //!   kill half of a kill/resume demonstration);
 //! * `--inject-panic <idx>` — force point `idx` to panic, to
@@ -76,6 +77,10 @@ fn main() {
         }
         _ => false,
     });
+    if resume && checkpoint.is_none() {
+        eprintln!("dse_sweep: --resume needs --checkpoint <path>");
+        std::process::exit(2);
+    }
     let spec = if full {
         SweepSpec::full()
     } else {

@@ -209,7 +209,10 @@ fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
     // Walk one cluster forward, capturing at every event boundary;
     // resume a sampled subset to completion (every boundary would be
     // O(n²) full runs — the stride still lands captures mid-fault,
-    // mid-preemption, and mid-queue).
+    // mid-preemption, and mid-queue). Resumes alternate between a clone
+    // of the capturing config, whose compile context already holds the
+    // fabric, the schedules and the solo runs, and a fresh config that
+    // compiles them again, as a process restoring from a file does.
     let mut walker = Cluster::new(cfg.clone(), mk(), Rc::new(NullSink)).unwrap();
     let mut boundary = 0usize;
     while let Some(t) = walker.next_event() {
@@ -223,7 +226,12 @@ fn cluster_boundaries_with_faults_and_preemption_resume_bit_identically() {
         );
         if boundary.is_multiple_of(7) {
             let st = ClusterState::from_value(decoded.section("cluster").unwrap()).unwrap();
-            let mut resumed = Cluster::restore(cfg.clone(), mk(), Rc::new(NullSink), st).unwrap();
+            let resume_cfg = if boundary.is_multiple_of(14) {
+                cfg.clone()
+            } else {
+                ClusterConfig::new(FabricConfig::FredD)
+            };
+            let mut resumed = Cluster::restore(resume_cfg, mk(), Rc::new(NullSink), st).unwrap();
             resumed.run_to_completion().unwrap();
             let report = resumed.into_report();
             assert_eq!(

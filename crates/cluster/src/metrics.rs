@@ -92,9 +92,11 @@ impl ClusterReport {
     /// The first field, in a fixed order, where `other` differs from
     /// this report bit for bit, or `None` when they agree. The fields
     /// are the makespan, the occupied NPU-seconds, and each job's first
-    /// start, completion and preemption count. A run resumed from a
-    /// snapshot, or forked without faults, must agree with the
-    /// uninterrupted run on all of them.
+    /// start, completion, preemption count and solo makespan (the
+    /// stretch denominator, which comes from a compile context the two
+    /// runs may or may not share). A run resumed from a snapshot, or
+    /// forked without faults, must agree with the uninterrupted run on
+    /// all of them.
     pub fn first_difference(&self, other: &ClusterReport) -> Option<String> {
         let bits = |t: Time| t.as_secs().to_bits();
         if bits(self.makespan) != bits(other.makespan) {
@@ -113,6 +115,8 @@ impl ClusterReport {
                 "completion"
             } else if a.preemptions != b.preemptions {
                 "preemption count"
+            } else if a.solo_secs.to_bits() != b.solo_secs.to_bits() {
+                "solo makespan"
             } else {
                 return None;
             };
@@ -282,6 +286,14 @@ mod tests {
             preemptions: 0,
             dropped_events: 0,
         }
+    }
+
+    #[test]
+    fn first_difference_compares_solo_makespans_bit_for_bit() {
+        let a = report(vec![record(4.0, 2.0)]);
+        assert_eq!(a.first_difference(&report(vec![record(4.0, 2.0)])), None);
+        let b = report(vec![record(4.0, f64::from_bits(2.0f64.to_bits() + 1))]);
+        assert_eq!(a.first_difference(&b), Some("job j solo makespan".into()));
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! same placement base, same tag namespace, same tenant rank, same
 //! network-operation order.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -39,7 +40,7 @@ use std::rc::Rc;
 
 use fred_core::codec::{SnapshotError, Value};
 use fred_core::params::FabricConfig;
-use fred_core::placement::{Placement, PlacementPolicy};
+use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
 use fred_core::snapshot::{field, Snap};
 use fred_sim::netsim::{CoreState, FlowNetwork};
 use fred_sim::time::Time;
@@ -48,14 +49,27 @@ use fred_telemetry::sink::{NullSink, TraceSink};
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::error::TrainError;
 use fred_workloads::exec::{repair_and_inject, ExecConfig, ExecState, ScheduleExecutor};
-use fred_workloads::schedule::build_schedule;
+use fred_workloads::model::DnnModel;
+use fred_workloads::schedule::{build_schedule, Schedule, ScheduleParams};
 use fred_workloads::trainer::simulate;
 
 use crate::job::{JobClass, JobSpec};
 use crate::metrics::{ClusterReport, JobRecord};
 use crate::placement::{FitPolicy, SlotMap};
 
-/// Cluster-wide policy knobs.
+/// Cluster-wide policy knobs, and the compile context that every
+/// clone of the config shares.
+///
+/// The context memoises the pure computations the cluster layer
+/// repeats: the fabric of each [`FabricConfig`], each job's schedule
+/// per (fabric, model, strategy, placement base, params), and each
+/// solo reference makespan per (fabric, model, strategy, params).
+/// [`ClusterConfig::new`] starts an empty one and builds nothing.
+/// Clones share it, so a [`Cluster::restore`] through a clone of the
+/// capturing cluster's config compiles nothing, and a DSE worker
+/// builds its fabric once. A hit is the value a fresh computation
+/// returns, bit for bit (DESIGN.md §9.6). The context holds `Rc`s,
+/// so a `ClusterConfig` is not `Send`: make one per thread.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The fabric every job shares.
@@ -64,6 +78,7 @@ pub struct ClusterConfig {
     pub fit: FitPolicy,
     /// Whether higher classes may evict strictly-lower-class jobs.
     pub preemption: bool,
+    ctx: Rc<CompileContext>,
 }
 
 impl ClusterConfig {
@@ -73,6 +88,7 @@ impl ClusterConfig {
             fabric,
             fit: FitPolicy::FirstFit,
             preemption: true,
+            ctx: Rc::default(),
         }
     }
 
@@ -87,6 +103,126 @@ impl ClusterConfig {
         self.preemption = preemption;
         self
     }
+
+    /// The backend of [`ClusterConfig::fabric`], built on first use and
+    /// shared by every clone of this config.
+    pub fn backend(&self) -> Rc<FabricBackend> {
+        let fabric = self.fabric;
+        memo(
+            &self.ctx.fabrics,
+            |&f| f == fabric,
+            || fabric,
+            || Rc::new(FabricBackend::new(fabric)),
+        )
+    }
+
+    /// `spec`'s schedule placed at slot `base`.
+    fn schedule(&self, spec: &JobSpec, base: usize) -> Rc<Schedule> {
+        memo(
+            &self.ctx.schedules,
+            |(k, b)| *b == base && k.matches(self.fabric, spec),
+            || (JobKey::new(self.fabric, spec), base),
+            || {
+                let policy = PlacementPolicy::for_fabric(self.fabric);
+                let placement = Placement::with_base(spec.strategy, policy, base);
+                let backend = self.backend();
+                Rc::new(build_schedule(
+                    &spec.model,
+                    spec.strategy,
+                    &placement,
+                    &backend,
+                    spec.params,
+                ))
+            },
+        )
+    }
+
+    /// `spec`'s makespan run alone on a private network of the fabric:
+    /// the stretch denominator.
+    fn solo_secs(&self, spec: &JobSpec) -> f64 {
+        memo(
+            &self.ctx.solos,
+            |k| k.matches(self.fabric, spec),
+            || JobKey::new(self.fabric, spec),
+            || {
+                simulate(&spec.model, spec.strategy, &self.backend(), spec.params)
+                    .expect("solo reference run completes on a healthy fabric")
+                    .total
+                    .as_secs()
+            },
+        )
+    }
+}
+
+/// The memo tables behind [`ClusterConfig`]. A key holds every input
+/// its computation reads; a job's name, class, arrival and fault plan
+/// are not among them (faults act on the network, not on plans).
+#[derive(Default)]
+struct CompileContext {
+    fabrics: Memo<FabricConfig, Rc<FabricBackend>>,
+    /// Keyed by the job and its placement base (the placement policy
+    /// follows from the fabric).
+    schedules: Memo<(JobKey, usize), Rc<Schedule>>,
+    solos: Memo<JobKey, f64>,
+}
+
+/// A memo table: each key beside the value computed from it.
+type Memo<K, V> = RefCell<Vec<(K, V)>>;
+
+/// Sizes only: a context can hold dozens of schedules.
+impl fmt::Debug for CompileContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompileContext")
+            .field("fabrics", &self.fabrics.borrow().len())
+            .field("schedules", &self.schedules.borrow().len())
+            .field("solos", &self.solos.borrow().len())
+            .finish()
+    }
+}
+
+/// What a job's schedule and solo run read besides its placement base.
+struct JobKey {
+    fabric: FabricConfig,
+    model: DnnModel,
+    strategy: Strategy3D,
+    params: ScheduleParams,
+}
+
+impl JobKey {
+    fn new(fabric: FabricConfig, spec: &JobSpec) -> JobKey {
+        JobKey {
+            fabric,
+            model: spec.model.clone(),
+            strategy: spec.strategy,
+            params: spec.params,
+        }
+    }
+
+    /// Whether `spec` on `fabric` has these inputs, the whole model
+    /// included; the cheap fields are compared first.
+    fn matches(&self, fabric: FabricConfig, spec: &JobSpec) -> bool {
+        self.fabric == fabric
+            && self.strategy == spec.strategy
+            && self.params == spec.params
+            && self.model == spec.model
+    }
+}
+
+/// The value stored under the first key `hit` accepts, or else the
+/// value `make` computes, then stored under `key()`. No borrow is held
+/// while `make` runs, so a panic inside it leaves the table usable.
+fn memo<K, V: Clone>(
+    table: &Memo<K, V>,
+    hit: impl Fn(&K) -> bool,
+    key: impl FnOnce() -> K,
+    make: impl FnOnce() -> V,
+) -> V {
+    if let Some((_, v)) = table.borrow().iter().find(|(k, _)| hit(k)) {
+        return v.clone();
+    }
+    let v = make();
+    table.borrow_mut().push((key(), v.clone()));
+    v
 }
 
 /// Why a cluster run could not complete.
@@ -166,8 +302,8 @@ impl Error for ClusterError {}
 struct Running {
     /// Index into the submitted job list.
     job: usize,
-    /// First slot of the job's contiguous carve-out (restores rebuild
-    /// the schedule from the same placement base).
+    /// First slot of the job's contiguous carve-out (a restore takes
+    /// the schedule for the same placement base).
     base: usize,
     exec: ScheduleExecutor,
 }
@@ -209,8 +345,7 @@ pub fn run_cluster_traced(
 pub struct Cluster {
     cfg: ClusterConfig,
     jobs: Vec<JobSpec>,
-    backend: FabricBackend,
-    policy: PlacementPolicy,
+    backend: Rc<FabricBackend>,
     net: FlowNetwork,
     sink: Rc<dyn TraceSink>,
     tracing: bool,
@@ -236,15 +371,9 @@ pub struct Cluster {
     busy_npu_secs: f64,
 }
 
-/// Validates `jobs` against the fabric and derives the arrival order
-/// and placement policy shared by [`Cluster::new`] and
-/// [`Cluster::restore`].
-fn validate_and_order(
-    cfg: &ClusterConfig,
-    jobs: &[JobSpec],
-    backend: &FabricBackend,
-) -> Result<(Vec<usize>, PlacementPolicy), ClusterError> {
-    let slots = backend.npu_count();
+/// Validates `jobs` against a fabric of `slots` NPUs and derives the
+/// arrival order shared by [`Cluster::new`] and [`Cluster::restore`].
+fn validate_and_order(jobs: &[JobSpec], slots: usize) -> Result<Vec<usize>, ClusterError> {
     for j in jobs {
         if !j.is_schedulable() {
             return Err(ClusterError::UnsupportedExecution {
@@ -267,7 +396,7 @@ fn validate_and_order(
             .partial_cmp(&jobs[b].arrival)
             .expect("finite arrival time")
     });
-    Ok((order, PlacementPolicy::for_fabric(cfg.fabric)))
+    Ok(order)
 }
 
 /// Checks that a [`ClusterState`] pairs with `jobs` (admitted in
@@ -374,8 +503,9 @@ fn check_pairing(
 }
 
 impl Cluster {
-    /// Validates `jobs`, builds the shared network, and admits and
-    /// places everything due at time zero. Nothing has advanced yet.
+    /// Validates `jobs`, builds the shared network on the config's
+    /// fabric, and admits and places everything due at time zero.
+    /// Nothing has advanced yet.
     ///
     /// # Errors
     ///
@@ -385,9 +515,9 @@ impl Cluster {
         jobs: Vec<JobSpec>,
         sink: Rc<dyn TraceSink>,
     ) -> Result<Cluster, ClusterError> {
-        let backend = FabricBackend::new(cfg.fabric);
+        let backend = cfg.backend();
         let slots = backend.npu_count();
-        let (order, policy) = validate_and_order(&cfg, &jobs, &backend)?;
+        let order = validate_and_order(&jobs, slots)?;
         let n = jobs.len();
         let net = FlowNetwork::with_sink(backend.topology(), sink.clone());
         let tracing = sink.enabled();
@@ -399,7 +529,6 @@ impl Cluster {
             cfg,
             jobs,
             backend,
-            policy,
             net,
             sink,
             tracing,
@@ -567,7 +696,10 @@ impl Cluster {
     /// Rebuilds a cluster from a [`Cluster::snapshot`], the same
     /// config and the same job list it was captured against. Running
     /// forward from here is bit-identical to the uninterrupted run
-    /// (telemetry excepted: traces restart at the restore point).
+    /// (telemetry excepted: traces restart at the restore point). The
+    /// fabric and the running jobs' schedules come from the config's
+    /// compile context: a clone of the capturing cluster's config
+    /// compiles nothing, a fresh one compiles them once.
     ///
     /// # Errors
     ///
@@ -585,9 +717,9 @@ impl Cluster {
         sink: Rc<dyn TraceSink>,
         state: ClusterState,
     ) -> Result<Cluster, ClusterError> {
-        let backend = FabricBackend::new(cfg.fabric);
+        let backend = cfg.backend();
         let slots = backend.npu_count();
-        let (order, policy) = validate_and_order(&cfg, &jobs, &backend)?;
+        let order = validate_and_order(&jobs, slots)?;
         check_pairing(&state, &jobs, &order, slots).map_err(ClusterError::Snapshot)?;
         let net = FlowNetwork::restore(backend.topology(), sink.clone(), state.net)
             .map_err(|e| ClusterError::Snapshot(SnapshotError::Mismatch(format!(".net.{e}"))))?;
@@ -595,19 +727,11 @@ impl Cluster {
         let dropped_baseline = sink.dropped();
         let mut running = Vec::with_capacity(state.running.len());
         for r in state.running {
-            let spec = &jobs[r.job];
-            let placement = Placement::with_base(spec.strategy, policy, r.base);
-            let schedule = build_schedule(
-                &spec.model,
-                spec.strategy,
-                &placement,
-                &backend,
-                spec.params,
-            );
+            let schedule = cfg.schedule(&jobs[r.job], r.base);
             running.push(Running {
                 job: r.job,
                 base: r.base,
-                exec: ScheduleExecutor::restore(Rc::new(schedule), sink.clone(), r.exec)
+                exec: ScheduleExecutor::restore(schedule, sink.clone(), r.exec)
                     .map_err(ClusterError::Snapshot)?,
             });
         }
@@ -615,7 +739,6 @@ impl Cluster {
             cfg,
             jobs,
             backend,
-            policy,
             net,
             sink,
             tracing,
@@ -823,24 +946,16 @@ impl Cluster {
         }
     }
 
-    /// Builds, places and settles one job at `base`, on a fresh tag
-    /// range.
+    /// Places and settles one job at `base`, on a fresh tag range, with
+    /// its schedule from the compile context.
     fn start_job(&mut self, job: usize, base: usize, width: usize) -> Result<(), ClusterError> {
         let spec = &self.jobs[job];
-        let placement = Placement::with_base(spec.strategy, self.policy, base);
-        let schedule = build_schedule(
-            &spec.model,
-            spec.strategy,
-            &placement,
-            &self.backend,
-            spec.params,
-        );
         let cfg = ExecConfig {
             tag_base: self.next_tag_base,
             tenant: spec.class.tenant_rank(),
             label: Some(spec.name.clone()),
         };
-        let mut exec = ScheduleExecutor::new(Rc::new(schedule), cfg, self.sink.clone());
+        let mut exec = ScheduleExecutor::new(self.cfg.schedule(spec, base), cfg, self.sink.clone());
         self.next_tag_base = exec.tag_end();
         self.slotmap.occupy(base, width, job);
         if self.first_start[job].is_none() {
@@ -945,31 +1060,15 @@ impl Cluster {
         }
     }
 
-    /// Builds the report; solo makespans (the stretch denominator) run
-    /// each distinct (model, strategy, params) once on a private
-    /// network of the same fabric. Meaningful once
+    /// Builds the report. Solo makespans (the stretch denominator) run
+    /// each distinct (model, strategy, params) once per compile context,
+    /// on a private network of the same fabric. Meaningful once
     /// [`Cluster::is_done`].
     pub fn into_report(self) -> ClusterReport {
-        // Every input `simulate` reads, compared by equality; a cluster
-        // holds few distinct jobs, so a linear scan suffices.
-        let mut solos: Vec<(&JobSpec, f64)> = Vec::new();
         let mut records = Vec::with_capacity(self.jobs.len());
         let mut makespan = Time::ZERO;
         for (j, spec) in self.jobs.iter().enumerate() {
-            let same_run = |(s, _): &&(&JobSpec, f64)| {
-                s.model == spec.model && s.strategy == spec.strategy && s.params == spec.params
-            };
-            let solo_secs = match solos.iter().find(same_run) {
-                Some(&(_, secs)) => secs,
-                None => {
-                    let secs = simulate(&spec.model, spec.strategy, &self.backend, spec.params)
-                        .expect("solo reference run completes on a healthy fabric")
-                        .total
-                        .as_secs();
-                    solos.push((spec, secs));
-                    secs
-                }
-            };
+            let solo_secs = self.cfg.solo_secs(spec);
             let completion = self.completion[j];
             makespan = makespan.max(completion);
             records.push(JobRecord {
@@ -1140,9 +1239,8 @@ impl Snap for ClusterState {
 mod tests {
     use super::*;
     use crate::job::JobClass;
-    use fred_core::placement::Strategy3D;
-    use fred_workloads::model::DnnModel;
-    use fred_workloads::schedule::ScheduleParams;
+    use fred_sim::fault::{FaultEvent, FaultKind, FaultPlan};
+    use fred_sim::topology::LinkId;
 
     fn resnet_job(name: &str, dp: usize) -> JobSpec {
         let model = DnnModel::resnet152();
@@ -1192,6 +1290,140 @@ mod tests {
                 "{}",
                 rec.name
             );
+        }
+    }
+
+    #[test]
+    fn jobs_that_agree_on_every_key_field_share_a_schedule_and_a_solo_run() {
+        // Same model, strategy, params and base (the second arrives
+        // after the first finishes, so both start at slot 0); another
+        // name, class, arrival and fault plan.
+        let cfg = ClusterConfig::new(FabricConfig::FredD);
+        let first = resnet_job("first", 4).with_class(JobClass::High);
+        let later = Time::from_secs(2.0 * cfg.solo_secs(&first));
+        let second = JobSpec {
+            faults: FaultPlan::new(vec![FaultEvent {
+                at: Time::ZERO,
+                link: LinkId(0),
+                kind: FaultKind::LinkDegrade(0.5),
+            }]),
+            ..resnet_job("second", 4)
+                .with_class(JobClass::Low)
+                .with_arrival(later)
+        };
+        let mut cluster =
+            Cluster::new(cfg.clone(), vec![first, second], Rc::new(NullSink)).unwrap();
+        let schedule = cluster.running[0].exec.schedule().clone();
+        cluster.run_until(later).unwrap();
+        let r = &cluster.running[0];
+        assert_eq!((r.job, r.base), (1, 0), "the second job runs at slot 0");
+        assert!(Rc::ptr_eq(r.exec.schedule(), &schedule));
+        cluster.run_to_completion().unwrap();
+        let report = cluster.into_report();
+        let [a, b] = &report.records[..] else {
+            panic!("two records")
+        };
+        assert_eq!(a.solo_secs.to_bits(), b.solo_secs.to_bits());
+        assert_eq!(cfg.ctx.schedules.borrow().len(), 1);
+        assert_eq!(cfg.ctx.solos.borrow().len(), 1);
+    }
+
+    #[test]
+    fn a_change_to_any_key_field_compiles_and_runs_afresh() {
+        let cfg = ClusterConfig::new(FabricConfig::FredD);
+        // Pipelined, so the microbatch count moves the makespan too.
+        let model = DnnModel::resnet152();
+        let strategy = Strategy3D::new(1, 2, 2);
+        let params = ScheduleParams::sweep_default(&model, strategy);
+        let job = JobSpec::new("job", model, strategy, params);
+        let cached = cfg.schedule(&job, 0);
+        let cached_solo = cfg.solo_secs(&job);
+        let with = |edit: fn(&mut JobSpec)| {
+            let mut spec = job.clone();
+            edit(&mut spec);
+            spec
+        };
+        let mut mesh = cfg.clone();
+        mesh.fabric = FabricConfig::BaselineMesh;
+        let cases = [
+            (
+                "model",
+                &cfg,
+                with(|j| j.model.compute_calibration *= 2.0),
+                0,
+            ),
+            ("strategy", &cfg, with(|j| j.strategy.dp = 4), 0),
+            ("base", &cfg, job.clone(), 4),
+            ("minibatch", &cfg, with(|j| j.params.minibatch *= 2), 0),
+            ("microbatches", &cfg, with(|j| j.params.microbatches = 5), 0),
+            ("npu_flops", &cfg, with(|j| j.params.npu_flops /= 2.0), 0),
+            ("fabric", &mesh, job.clone(), 0),
+        ];
+        for (field, cfg, spec, base) in cases {
+            let backend = FabricBackend::new(cfg.fabric);
+            let placement =
+                Placement::with_base(spec.strategy, PlacementPolicy::for_fabric(cfg.fabric), base);
+            let fresh = build_schedule(
+                &spec.model,
+                spec.strategy,
+                &placement,
+                &backend,
+                spec.params,
+            );
+            let schedule = cfg.schedule(&spec, base);
+            assert!(!Rc::ptr_eq(&schedule, &cached), "{field}");
+            assert_eq!(format!("{schedule:?}"), format!("{fresh:?}"), "{field}");
+            assert_ne!(format!("{fresh:?}"), format!("{cached:?}"), "{field}");
+            let solo = simulate(&spec.model, spec.strategy, &backend, spec.params)
+                .unwrap()
+                .total
+                .as_secs();
+            assert_eq!(cfg.solo_secs(&spec).to_bits(), solo.to_bits(), "{field}");
+            // A solo run is always placed at slot 0.
+            assert_eq!(solo == cached_solo, field == "base", "{field}");
+        }
+    }
+
+    #[test]
+    fn restores_share_the_capturing_context_and_also_resume_cold() {
+        let low_a = resnet_job("low-a", 10).with_class(JobClass::Low);
+        let low_b = resnet_job("low-b", 10).with_class(JobClass::Low);
+        let solo = ClusterConfig::new(FabricConfig::FredD).solo_secs(&low_a);
+        let mk = || {
+            vec![
+                low_a.clone(),
+                low_b.clone(),
+                resnet_job("high", 10)
+                    .with_class(JobClass::High)
+                    .with_arrival(Time::from_secs(solo * 0.25)),
+            ]
+        };
+        let reference = run_cluster(&ClusterConfig::new(FabricConfig::FredD), mk()).unwrap();
+        let cfg = ClusterConfig::new(FabricConfig::FredD);
+        let mut cluster = Cluster::new(cfg.clone(), mk(), Rc::new(NullSink)).unwrap();
+        // Past the preemption: the High job and a Low job run.
+        cluster.run_until(Time::from_secs(solo * 0.5)).unwrap();
+        assert_eq!(cluster.running.len(), 2);
+        let state = cluster.snapshot();
+        let compiled = cfg.ctx.schedules.borrow().len();
+        let warm = Cluster::restore(cfg.clone(), mk(), Rc::new(NullSink), state.clone()).unwrap();
+        assert_eq!(
+            cfg.ctx.schedules.borrow().len(),
+            compiled,
+            "compiled on restore"
+        );
+        assert_eq!(cfg.ctx.fabrics.borrow().len(), 1);
+        assert!(Rc::ptr_eq(&warm.backend, &cluster.backend));
+        for (w, c) in warm.running.iter().zip(&cluster.running) {
+            assert!(Rc::ptr_eq(w.exec.schedule(), c.exec.schedule()));
+        }
+        // A fresh config is what a process restoring from a file has.
+        let cold = ClusterConfig::new(FabricConfig::FredD);
+        let cold = Cluster::restore(cold, mk(), Rc::new(NullSink), state).unwrap();
+        for (path, mut resumed) in [("warm", warm), ("cold", cold)] {
+            resumed.run_to_completion().unwrap();
+            let report = resumed.into_report();
+            assert_eq!(report.first_difference(&reference), None, "{path}");
         }
     }
 

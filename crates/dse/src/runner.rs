@@ -32,7 +32,6 @@ use fred_sim::time::Time;
 use fred_telemetry::event::TraceEvent;
 use fred_telemetry::prof;
 use fred_telemetry::sink::TraceSink;
-use fred_workloads::backend::FabricBackend;
 
 use crate::cost::{design_cost, hub_gb_required, normalized_makespan, tco_dollars};
 use crate::spec::{SweepPoint, SweepSpec, Workload};
@@ -128,8 +127,11 @@ pub struct SweepOutcome {
     pub chunks_run: usize,
 }
 
-/// Evaluates one design point (no panic isolation — the runner wraps
-/// this in `catch_unwind`).
+/// Evaluates one design point on `cfg`, the paper's Fred-D cluster
+/// config (no panic isolation — the runner wraps this in
+/// `catch_unwind`). Each worker of [`run_sweep`] hands every point of a
+/// chunk one config, so the points share its compile context: one
+/// fabric build, and each job shape's schedules and solo run once.
 ///
 /// The point's fabric knobs are encoded as a [`FaultPlan`] attached
 /// to the first-arriving job, so they take effect the moment the
@@ -138,7 +140,7 @@ pub struct SweepOutcome {
 /// [`FaultKind::LinkDegrade`] on every *surviving* link (a killed link
 /// stays dead under a degrade, so the failure set is left out of the
 /// plan).
-pub fn evaluate_point(spec: &SweepSpec, point: &SweepPoint) -> PointRow {
+pub fn evaluate_point(spec: &SweepSpec, point: &SweepPoint, cfg: &ClusterConfig) -> PointRow {
     let _scope = prof::scope("dse.point");
     let templates = point.workload.templates();
     let required = hub_gb_required(&templates);
@@ -160,8 +162,7 @@ pub fn evaluate_point(spec: &SweepSpec, point: &SweepPoint) -> PointRow {
         point.tenant_mix,
         arrival_seed,
     );
-    let cfg = ClusterConfig::new(FabricConfig::FredD);
-    let topo = FabricBackend::new(cfg.fabric).topology();
+    let topo = cfg.backend().topology();
     let mut events: Vec<FaultEvent> = Vec::new();
     if point.fault_fraction > 0.0 {
         let failures =
@@ -186,7 +187,7 @@ pub fn evaluate_point(spec: &SweepSpec, point: &SweepPoint) -> PointRow {
         // reshapes the fabric before any traffic flows.
         jobs[0].faults = FaultPlan::new(events);
     }
-    let outcome = match run_cluster(&cfg, jobs) {
+    let outcome = match run_cluster(cfg, jobs) {
         Ok(report) => {
             let makespan = report.makespan.as_secs();
             let norm = normalized_makespan(makespan, point.npus());
@@ -255,6 +256,9 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOpts) -> Result<SweepOutcome, Snaps
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
+                    // Per worker: the config's compile context is not
+                    // `Send`.
+                    let cfg = ClusterConfig::new(FabricConfig::FredD);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= chunk.len() {
@@ -265,7 +269,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOpts) -> Result<SweepOutcome, Snaps
                             if panic_at == Some(point.index) {
                                 panic!("injected panic at point {}", point.index);
                             }
-                            evaluate_point(spec, point)
+                            evaluate_point(spec, point, &cfg)
                         }))
                         .unwrap_or_else(|payload| PointRow {
                             point: point.clone(),
@@ -538,8 +542,9 @@ mod tests {
         let points = spec.enumerate();
         // Points 0 and 1 differ only in bw_ratio (1.0 vs 0.5) — same
         // array, same workload, same rng stream shape.
-        let full = evaluate_point(&spec, &points[0]);
-        let half = evaluate_point(&spec, &points[1]);
+        let cfg = ClusterConfig::new(FabricConfig::FredD);
+        let full = evaluate_point(&spec, &points[0], &cfg);
+        let half = evaluate_point(&spec, &points[1], &cfg);
         let (PointOutcome::Metrics(f), PointOutcome::Metrics(h)) = (&full.outcome, &half.outcome)
         else {
             panic!("both points must simulate: {full:?} {half:?}");
@@ -559,7 +564,7 @@ mod tests {
         spec.workload = vec![Workload::T17b];
         spec.hub_gb = vec![32.0];
         let points = spec.enumerate();
-        let row = evaluate_point(&spec, &points[0]);
+        let row = evaluate_point(&spec, &points[0], &ClusterConfig::new(FabricConfig::FredD));
         match row.outcome {
             PointOutcome::Infeasible { hub_gb_required } => {
                 assert!(hub_gb_required > 32.0);
