@@ -5,6 +5,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use fred_bench::report::{self, BenchReport};
+use fred_sim::rng::Rng64;
 
 fn bench_diff() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bench-diff"))
@@ -206,4 +207,55 @@ fn written_report_parses_and_diffs_via_library() {
     assert_eq!(d.compared, 1);
     assert!(d.changed.is_empty());
     std::fs::remove_file(path).ok();
+}
+
+/// Seeded single-byte edits of committed baselines — a truncation, or a
+/// byte replaced, deleted or inserted — each driven through the parser
+/// and, when it parses, through self-check and a diff against the
+/// original. Every call must return `Ok` or `Err`: a panic fails the
+/// test.
+#[test]
+fn single_byte_edits_of_baselines_parse_check_and_diff_without_panics() {
+    // JSON structure, number syntax, and letters of the literals.
+    const BYTES: &[u8] = b"{}[]:,\"\\ 0123456789.eE+-truefalsn";
+    let mut rng = Rng64::seed_from_u64(5);
+    for name in [
+        "table4",
+        "dse",
+        "scaling",
+        "fig7_routing",
+        "memory_feasibility",
+    ] {
+        let path = format!(
+            "{}/../../results/baselines/BENCH_{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let original = report::parse(&text).unwrap();
+        assert!(report::self_check(&original).is_ok(), "{name}");
+        // Edits that failed to parse, and that parsed.
+        let mut outcomes = [0usize; 2];
+        for _ in 0..2_000 {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.gen_range(0, bytes.len());
+            let byte = BYTES[rng.gen_range(0, BYTES.len())];
+            match rng.gen_range(0, 4) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = byte,
+                2 => drop(bytes.remove(at)),
+                _ => bytes.insert(at, byte),
+            }
+            // The baselines and the edit alphabet are ASCII.
+            let edited = String::from_utf8(bytes).unwrap();
+            let Ok(v) = report::parse(&edited) else {
+                outcomes[0] += 1;
+                continue;
+            };
+            let _ = report::self_check(&v);
+            let _ = report::diff(&original, &v);
+            let _ = report::diff(&v, &original);
+            outcomes[1] += 1;
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "{name}: {outcomes:?}");
+    }
 }

@@ -64,16 +64,6 @@ impl SlotMap {
         self.owner[slot]
     }
 
-    /// The full ownership vector, for snapshots.
-    pub fn owners(&self) -> &[Option<usize>] {
-        &self.owner
-    }
-
-    /// Rebuilds a map from a captured ownership vector.
-    pub fn from_owners(owner: Vec<Option<usize>>) -> SlotMap {
-        SlotMap { owner }
-    }
-
     /// Maximal free runs as `(base, len)`, left to right.
     pub fn free_runs(&self) -> Vec<(usize, usize)> {
         let mut runs = Vec::new();

@@ -367,7 +367,6 @@ pub struct Cluster {
     /// Per-job cursor into its fault plan (survives preemption: fired
     /// events are never re-fired on restart).
     fault_cursor: Vec<usize>,
-    done_count: usize,
     busy_npu_secs: f64,
 }
 
@@ -399,23 +398,28 @@ fn validate_and_order(jobs: &[JobSpec], slots: usize) -> Result<Vec<usize>, Clus
     Ok(order)
 }
 
+/// The executor config of `spec` on the tag range starting past
+/// `tag_base`: its tenant rank is its class, its spans carry its name.
+fn exec_config(spec: &JobSpec, tag_base: u64) -> ExecConfig {
+    ExecConfig {
+        tag_base,
+        tenant: spec.class.tenant_rank(),
+        label: Some(spec.name.clone()),
+    }
+}
+
 /// Checks that a [`ClusterState`] pairs with `jobs` (admitted in
 /// `order`) on a fabric of `slots` NPUs, so [`Cluster::restore`] can
-/// index by it.
+/// index by it, and returns the slot map the running jobs' windows
+/// make.
 fn check_pairing(
     state: &ClusterState,
     jobs: &[JobSpec],
     order: &[usize],
     slots: usize,
-) -> Result<(), SnapshotError> {
+) -> Result<SlotMap, SnapshotError> {
     let n = jobs.len();
     let bad = |what: String| Err(SnapshotError::Mismatch(what));
-    if state.slot_owners.len() != slots {
-        return bad(format!(
-            ".slot_owners: {} slots but the fabric has {slots}",
-            state.slot_owners.len()
-        ));
-    }
     for (name, len) in [
         ("first_start", state.first_start.len()),
         ("completion", state.completion.len()),
@@ -461,8 +465,9 @@ fn check_pairing(
             ));
         }
     }
-    // The running jobs' windows must be exactly the occupied slots.
-    let mut owners = vec![None; slots];
+    // The running jobs' windows fit the fabric without overlapping;
+    // they are the slot map.
+    let mut slotmap = SlotMap::new(slots);
     for (k, r) in state.running.iter().enumerate() {
         let Some(spec) = jobs.get(r.job) else {
             return bad(format!(
@@ -470,20 +475,18 @@ fn check_pairing(
                 r.job
             ));
         };
-        let window = r
-            .base
-            .checked_add(spec.npus())
-            .and_then(|end| owners.get_mut(r.base..end))
-            .filter(|w| w.iter().all(Option::is_none));
-        let Some(window) = window else {
+        let fits = r.base.checked_add(spec.npus()).is_some_and(|end| {
+            end <= slots && (r.base..end).all(|s| slotmap.owner_of(s).is_none())
+        });
+        if !fits {
             return bad(format!(
                 ".running[{k}].base: slots {}.. do not fit job {} ({} NPUs)",
                 r.base,
                 r.job,
                 spec.npus()
             ));
-        };
-        window.fill(Some(r.job));
+        }
+        slotmap.occupy(r.base, spec.npus(), r.job);
         if state.first_start[r.job].is_none() {
             return bad(format!(
                 ".first_start[{}]: running job never started",
@@ -496,10 +499,26 @@ fn check_pairing(
             ));
         }
     }
-    if owners != state.slot_owners {
-        return bad(".slot_owners: not the running jobs' windows".into());
+    // Every admitted job is queued, running, or started and finished:
+    // exactly one of these.
+    let mut places = vec![0usize; n];
+    for &j in state.queues.iter().flatten() {
+        places[j] += 1;
     }
-    Ok(())
+    for r in &state.running {
+        places[r.job] += 1;
+    }
+    for &j in &order[..state.arrival_cursor] {
+        if places[j] > 1 {
+            return bad(format!(".queues: job {j} is queued or running twice"));
+        }
+        if places[j] == 0 && state.first_start[j].is_none() {
+            return bad(format!(
+                ".queues: job {j} is admitted but neither queued, running nor finished"
+            ));
+        }
+    }
+    Ok(slotmap)
 }
 
 impl Cluster {
@@ -543,7 +562,6 @@ impl Cluster {
             completion: vec![Time::ZERO; n],
             preempt_count: vec![0; n],
             fault_cursor: vec![0; n],
-            done_count: 0,
             busy_npu_secs: 0.0,
         };
         cluster.admit_arrivals(Time::ZERO);
@@ -557,9 +575,12 @@ impl Cluster {
         self.net.now()
     }
 
-    /// Whether every job has completed.
+    /// Whether every job has completed: all are admitted and none is
+    /// queued or running.
     pub fn is_done(&self) -> bool {
-        self.done_count == self.jobs.len()
+        self.arrival_cursor == self.jobs.len()
+            && self.running.is_empty()
+            && self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// The instant of the next pending event (arrival, compute finish,
@@ -582,10 +603,11 @@ impl Cluster {
     }
 
     fn stalled(&self) -> ClusterError {
+        let queued = self.queues.iter().map(VecDeque::len).sum();
         ClusterError::Stalled {
-            queued: self.queues.iter().map(VecDeque::len).sum(),
+            queued,
             running: self.running.len(),
-            completed: self.done_count,
+            completed: self.arrival_cursor - queued - self.running.len(),
         }
     }
 
@@ -667,7 +689,6 @@ impl Cluster {
     pub fn snapshot(&self) -> ClusterState {
         ClusterState {
             net: self.net.snapshot(),
-            slot_owners: self.slotmap.owners().to_vec(),
             queues: [
                 self.queues[0].iter().copied().collect(),
                 self.queues[1].iter().copied().collect(),
@@ -679,6 +700,7 @@ impl Cluster {
                 .map(|r| RunningState {
                     job: r.job,
                     base: r.base,
+                    tag_base: r.exec.tag_base(),
                     exec: r.exec.snapshot(),
                 })
                 .collect(),
@@ -688,7 +710,6 @@ impl Cluster {
             completion: self.completion.clone(),
             preempt_count: self.preempt_count.clone(),
             fault_cursor: self.fault_cursor.clone(),
-            done_count: self.done_count,
             busy_npu_secs: self.busy_npu_secs,
         }
     }
@@ -705,12 +726,13 @@ impl Cluster {
     ///
     /// The same job-validation errors as [`Cluster::new`], and
     /// [`ClusterError::Snapshot`] when the state does not pair with the
-    /// config and jobs: a per-job or per-slot vector of another length,
-    /// a job index out of range, a running job whose slot window is not
-    /// the one the slot map gives it, a started job the arrival cursor
-    /// has not admitted, a clock later than the next unadmitted arrival
-    /// or a pending compute finish, or an executor or network state
-    /// that does not fit its schedule or the fabric.
+    /// config and jobs: a per-job vector of another length, a job index
+    /// out of range, running jobs whose slot windows overlap or leave
+    /// the fabric, a started job the arrival cursor has not admitted, an
+    /// admitted job that is not exactly one of queued, running or
+    /// finished, a clock later than the next unadmitted arrival or a
+    /// pending compute finish, or an executor or network state that
+    /// does not fit its schedule or the fabric.
     pub fn restore(
         cfg: ClusterConfig,
         jobs: Vec<JobSpec>,
@@ -720,19 +742,26 @@ impl Cluster {
         let backend = cfg.backend();
         let slots = backend.npu_count();
         let order = validate_and_order(&jobs, slots)?;
-        check_pairing(&state, &jobs, &order, slots).map_err(ClusterError::Snapshot)?;
+        let slotmap =
+            check_pairing(&state, &jobs, &order, slots).map_err(ClusterError::Snapshot)?;
         let net = FlowNetwork::restore(backend.topology(), sink.clone(), state.net)
             .map_err(|e| ClusterError::Snapshot(SnapshotError::Mismatch(format!(".net.{e}"))))?;
         let tracing = sink.enabled();
         let dropped_baseline = sink.dropped();
         let mut running = Vec::with_capacity(state.running.len());
         for r in state.running {
-            let schedule = cfg.schedule(&jobs[r.job], r.base);
+            let spec = &jobs[r.job];
+            let exec = ScheduleExecutor::restore(
+                cfg.schedule(spec, r.base),
+                exec_config(spec, r.tag_base),
+                sink.clone(),
+                r.exec,
+            )
+            .map_err(ClusterError::Snapshot)?;
             running.push(Running {
                 job: r.job,
                 base: r.base,
-                exec: ScheduleExecutor::restore(schedule, sink.clone(), r.exec)
-                    .map_err(ClusterError::Snapshot)?,
+                exec,
             });
         }
         Ok(Cluster {
@@ -743,7 +772,7 @@ impl Cluster {
             sink,
             tracing,
             dropped_baseline,
-            slotmap: SlotMap::from_owners(state.slot_owners),
+            slotmap,
             queues: state.queues.map(VecDeque::from),
             running,
             order,
@@ -753,7 +782,6 @@ impl Cluster {
             completion: state.completion,
             preempt_count: state.preempt_count,
             fault_cursor: state.fault_cursor,
-            done_count: state.done_count,
             busy_npu_secs: state.busy_npu_secs,
         })
     }
@@ -950,11 +978,7 @@ impl Cluster {
     /// its schedule from the compile context.
     fn start_job(&mut self, job: usize, base: usize, width: usize) -> Result<(), ClusterError> {
         let spec = &self.jobs[job];
-        let cfg = ExecConfig {
-            tag_base: self.next_tag_base,
-            tenant: spec.class.tenant_rank(),
-            label: Some(spec.name.clone()),
-        };
+        let cfg = exec_config(spec, self.next_tag_base);
         let mut exec = ScheduleExecutor::new(self.cfg.schedule(spec, base), cfg, self.sink.clone());
         self.next_tag_base = exec.tag_end();
         self.slotmap.occupy(base, width, job);
@@ -1050,7 +1074,6 @@ impl Cluster {
             let r = self.running.remove(k);
             self.slotmap.release(r.job);
             self.completion[r.job] = r.exec.completion_time();
-            self.done_count += 1;
             if self.tracing {
                 self.sink.record(TraceEvent::IterStage {
                     t: self.net.now().as_secs(),
@@ -1126,27 +1149,31 @@ impl Cluster {
 // Snapshot state and serialization.
 // ---------------------------------------------------------------------
 
-/// One running job inside a [`ClusterState`].
+/// One running job inside a [`ClusterState`]: where the scheduler
+/// placed it and which tags it gave it, and its executor's progress.
+/// The executor's tenant rank and span label follow from the job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunningState {
     /// Index into the submitted job list.
     pub job: usize,
     /// First slot of the job's carve-out.
     pub base: usize,
+    /// Its executor's tag base (see [`ExecConfig::tag_base`]).
+    pub tag_base: u64,
     /// The executor's captured progress.
     pub exec: ExecState,
 }
 
 /// Captured cluster progress: everything [`Cluster`] mutates while
-/// running, as plain data. The config and job list are configuration
-/// and are handed to [`Cluster::restore`] alongside this.
+/// running, as plain data, each fact once. The config and job list are
+/// configuration and are handed to [`Cluster::restore`] alongside
+/// this. The slot map is not captured, because it is the running jobs'
+/// windows, nor is the finished-job count, because every admitted job
+/// that is neither queued nor running has finished.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterState {
     /// The shared network.
     pub net: CoreState,
-    /// Slot-ownership vector (see
-    /// [`crate::placement::SlotMap::owners`]).
-    pub slot_owners: Vec<Option<usize>>,
     /// Per-class FIFO queues of pending job indices, front first.
     pub queues: [Vec<usize>; 3],
     /// In-flight jobs in placement order.
@@ -1163,8 +1190,6 @@ pub struct ClusterState {
     pub preempt_count: Vec<u32>,
     /// Per-job cursor into its fault plan.
     pub fault_cursor: Vec<usize>,
-    /// Jobs completed so far.
-    pub done_count: usize,
     /// Integrated slot-seconds of occupancy.
     pub busy_npu_secs: f64,
 }
@@ -1186,6 +1211,7 @@ impl Snap for RunningState {
         Value::Obj(vec![
             ("job".into(), self.job.encode()),
             ("base".into(), self.base.encode()),
+            ("tag_base".into(), self.tag_base.encode()),
             ("exec".into(), self.exec.encode()),
         ])
     }
@@ -1194,6 +1220,7 @@ impl Snap for RunningState {
         Ok(RunningState {
             job: field(v, "job")?,
             base: field(v, "base")?,
+            tag_base: field(v, "tag_base")?,
             exec: field(v, "exec")?,
         })
     }
@@ -1203,7 +1230,6 @@ impl Snap for ClusterState {
     fn encode(&self) -> Value {
         Value::Obj(vec![
             ("net".into(), self.net.encode()),
-            ("slot_owners".into(), self.slot_owners.encode()),
             ("queues".into(), self.queues.encode()),
             ("running".into(), self.running.encode()),
             ("arrival_cursor".into(), self.arrival_cursor.encode()),
@@ -1212,7 +1238,6 @@ impl Snap for ClusterState {
             ("completion".into(), self.completion.encode()),
             ("preempt_count".into(), self.preempt_count.encode()),
             ("fault_cursor".into(), self.fault_cursor.encode()),
-            ("done_count".into(), self.done_count.encode()),
             ("busy_npu_secs".into(), self.busy_npu_secs.encode()),
         ])
     }
@@ -1220,7 +1245,6 @@ impl Snap for ClusterState {
     fn decode(v: &Value) -> Result<ClusterState, SnapshotError> {
         Ok(ClusterState {
             net: field(v, "net")?,
-            slot_owners: field(v, "slot_owners")?,
             queues: field(v, "queues")?,
             running: field(v, "running")?,
             arrival_cursor: field(v, "arrival_cursor")?,
@@ -1229,7 +1253,6 @@ impl Snap for ClusterState {
             completion: field(v, "completion")?,
             preempt_count: field(v, "preempt_count")?,
             fault_cursor: field(v, "fault_cursor")?,
-            done_count: field(v, "done_count")?,
             busy_npu_secs: field(v, "busy_npu_secs")?,
         })
     }

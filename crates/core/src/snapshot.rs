@@ -52,7 +52,7 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 4;
+pub const SIM_STATE_VERSION: u32 = 5;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
@@ -525,8 +525,6 @@ impl Snap for SolverState {
             ("capacities".into(), self.capacities.encode()),
             ("flows".into(), self.flows.encode()),
             ("free".into(), self.free.encode()),
-            ("live".into(), self.live.encode()),
-            ("link_flows".into(), self.link_flows.encode()),
             ("link_alloc".into(), self.link_alloc.encode()),
             ("seed_links".into(), self.seed_links.encode()),
             ("dirty".into(), self.dirty.encode()),
@@ -543,8 +541,6 @@ impl Snap for SolverState {
             capacities: field(v, "capacities")?,
             flows: field(v, "flows")?,
             free: field(v, "free")?,
-            live: field(v, "live")?,
-            link_flows: field(v, "link_flows")?,
             link_alloc: field(v, "link_alloc")?,
             seed_links: field(v, "seed_links")?,
             dirty: field(v, "dirty")?,
@@ -563,23 +559,19 @@ impl Snap for SolverState {
 
 /// Checks the structural invariants `FairShareSolver::restore` trusts
 /// and a later solve indexes by: per-link vectors share one length,
-/// every link index is in range, the link→flow lists hold each live key
-/// exactly as often as its route crosses the link (and nothing else),
-/// and the free stack and live count agree with the slab.
+/// every link index is in range, and the free stack names distinct
+/// empty slots.
 fn check_solver_state(s: &SolverState) -> Result<(), String> {
     let n = s.capacities.len();
-    if s.link_flows.len() != n || s.link_alloc.len() != n {
+    if s.link_alloc.len() != n {
         return Err(format!(
-            "{} capacities but {} link_flows and {} link_alloc",
-            n,
-            s.link_flows.len(),
+            "{n} capacities but {} link_alloc",
             s.link_alloc.len()
         ));
     }
     if let Some(l) = s.seed_links.iter().find(|&&l| l >= n) {
         return Err(format!("seed link {l} out of range ({n} links)"));
     }
-    let mut want: Vec<(usize, usize)> = Vec::new();
     for (k, f) in s.flows.iter().enumerate() {
         let Some(f) = f else { continue };
         if let Some(l) = f.links.iter().find(|&&l| l >= n) {
@@ -587,22 +579,6 @@ fn check_solver_state(s: &SolverState) -> Result<(), String> {
                 "flow {k} crosses link {l} out of range ({n} links)"
             ));
         }
-        want.extend(f.links.iter().map(|&l| (l, k)));
-    }
-    let mut got: Vec<(usize, usize)> = s
-        .link_flows
-        .iter()
-        .enumerate()
-        .flat_map(|(l, ks)| ks.iter().map(move |&k| (l, k as usize)))
-        .collect();
-    want.sort_unstable();
-    got.sort_unstable();
-    if got != want {
-        return Err("link_flows do not match the flow routes".into());
-    }
-    let occupied = s.flows.iter().filter(|f| f.is_some()).count();
-    if s.live != occupied {
-        return Err(format!("live {} but {occupied} occupied slots", s.live));
     }
     let mut freed = vec![false; s.flows.len()];
     for &k in &s.free {
@@ -675,14 +651,12 @@ impl Snap for CoreState {
             ("flows".into(), self.flows.encode()),
             ("solver".into(), self.solver.encode()),
             ("drains".into(), self.drains.encode()),
-            ("live_drains".into(), self.live_drains.encode()),
             ("compactions".into(), self.compactions.encode()),
             ("next_generation".into(), self.next_generation.encode()),
             ("pending".into(), self.pending.encode()),
             ("completed".into(), self.completed.encode()),
             ("failed".into(), self.failed.encode()),
             ("events".into(), self.events.encode()),
-            ("link_alloc".into(), self.link_alloc.encode()),
         ])
     }
 
@@ -693,32 +667,28 @@ impl Snap for CoreState {
             flows: field(v, "flows")?,
             solver: field(v, "solver")?,
             drains: field(v, "drains")?,
-            live_drains: field(v, "live_drains")?,
             compactions: field(v, "compactions")?,
             next_generation: field(v, "next_generation")?,
             pending: field(v, "pending")?,
             completed: field(v, "completed")?,
             failed: field(v, "failed")?,
             events: field(v, "events")?,
-            link_alloc: field(v, "link_alloc")?,
         };
         check_core_state(&state).map_err(mismatch)?;
         Ok(state)
     }
 }
 
-/// Checks that the network's per-link vectors have the solver's link
+/// Checks that the network's failed-link flags have the solver's link
 /// count, that its slab occupies exactly the solver's slots (the two
 /// slabs share keys) and that every drain entry names a slot.
 fn check_core_state(s: &CoreState) -> Result<(), String> {
     let n = s.solver.capacities.len();
-    for (name, len) in [
-        ("failed", s.failed.len()),
-        ("link_alloc", s.link_alloc.len()),
-    ] {
-        if len != n {
-            return Err(format!("{len} {name} but the solver has {n} links"));
-        }
+    if s.failed.len() != n {
+        return Err(format!(
+            "{} failed but the solver has {n} links",
+            s.failed.len()
+        ));
     }
     if s.flows.len() != s.solver.flows.len() {
         return Err(format!(
@@ -880,37 +850,12 @@ mod tests {
             let n = s.solver.capacities.len();
             let f = s.solver.flows[k].as_mut().unwrap();
             f.links = f.links.iter().copied().chain([n]).collect();
-            s.solver.link_flows[0].push(k as u32);
         });
-    }
-
-    #[test]
-    fn link_flows_length_mismatch_is_rejected() {
-        assert_rejected(|s| s.solver.link_flows.push(Vec::new()));
     }
 
     #[test]
     fn link_alloc_length_mismatch_is_rejected() {
         assert_rejected(|s| s.solver.link_alloc.push(0.0));
-    }
-
-    #[test]
-    fn link_flows_naming_a_dead_key_is_rejected() {
-        assert_rejected(|s| {
-            let dead = s.solver.free[0];
-            s.solver.link_flows[0].push(dead);
-        });
-    }
-
-    #[test]
-    fn link_flows_multiplicity_mismatch_is_rejected() {
-        // The key's route crosses its first link once, the list names
-        // it twice.
-        assert_rejected(|s| {
-            let k = first_live(&s.solver);
-            let l = s.solver.flows[k].as_ref().unwrap().links[0];
-            s.solver.link_flows[l].push(k as u32);
-        });
     }
 
     #[test]
@@ -927,11 +872,6 @@ mod tests {
             let k = s.solver.free[0];
             s.solver.free.push(k);
         });
-    }
-
-    #[test]
-    fn live_count_mismatch_is_rejected() {
-        assert_rejected(|s| s.solver.live += 1);
     }
 
     #[test]
@@ -958,7 +898,6 @@ mod tests {
     #[test]
     fn core_link_vector_length_mismatch_is_rejected() {
         assert_rejected(|s| s.failed.push(false));
-        assert_rejected(|s| s.link_alloc.push(0.0));
     }
 
     #[test]

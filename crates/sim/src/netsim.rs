@@ -211,8 +211,11 @@ type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 /// Deliberately excluded: the telemetry sink (configuration, supplied
 /// on restore), solver scratch (epoch-stamped, provably inert after
 /// restore), the drain-heap compaction floor (a test hook, back at its
-/// default after a restore), and the process-wide event/compaction
-/// counters (monotonic profiling aggregates, not simulation state).
+/// default after a restore), the process-wide event/compaction
+/// counters (monotonic profiling aggregates, not simulation state),
+/// and what restore derives from the rest: the live drain-entry count
+/// and the telemetry mirror of per-link allocations, which is the
+/// solver's allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreState {
     /// Simulation clock.
@@ -227,8 +230,6 @@ pub struct CoreState {
     /// ascending — a binary heap's pop order is a pure function of its
     /// entry set, so the heap is rebuilt from this verbatim.
     pub drains: Vec<(Time, u64, u64, u32)>,
-    /// Live (non-stale) entry count within `drains`.
-    pub live_drains: usize,
     /// Compactions performed so far (per-network statistic).
     pub compactions: u64,
     /// Drain-entry generation counter.
@@ -242,10 +243,6 @@ pub struct CoreState {
     pub failed: Vec<bool>,
     /// Lifecycle events processed by this network.
     pub events: u64,
-    /// Last emitted per-link allocated rate (feeds the delta check in
-    /// rate-epoch emission, so it must survive a snapshot for the
-    /// restored trace to stay canonical).
-    pub link_alloc: Vec<f64>,
 }
 
 /// Flow-level network simulator over a fixed [`Topology`].
@@ -285,7 +282,8 @@ pub struct FlowNetwork {
     /// before building an event.
     tracing: bool,
     /// Last emitted per-link allocated rate (telemetry scratch; only
-    /// maintained while tracing).
+    /// maintained while tracing, when it equals the solver's
+    /// allocation after every solve).
     link_alloc: Vec<f64>,
     /// Reusable buffer for the changed flows of a refill, each with
     /// its rate before the refill.
@@ -892,14 +890,12 @@ impl FlowNetwork {
             flows: self.flows.clone(),
             solver: self.solver.snapshot(),
             drains,
-            live_drains: self.live_drains,
             compactions: self.compactions,
             next_generation: self.next_generation,
             pending,
             completed: self.completed.clone(),
             failed: self.failed.clone(),
             events: self.events,
-            link_alloc: self.link_alloc.clone(),
         }
     }
 
@@ -909,7 +905,10 @@ impl FlowNetwork {
     /// [`TraceEvent::Topology`] marker is emitted at the restored clock
     /// — the same segment marker [`FlowNetwork::with_sink`] emits at
     /// construction — so analysis layers can re-cost the resumed
-    /// segment on its own.
+    /// segment on its own. The live drain-entry count is recounted and
+    /// the telemetry mirror starts as the solver's allocation, so a
+    /// capture taken untraced resumes into a traced sink without
+    /// reporting a change no solve made.
     ///
     /// # Errors
     ///
@@ -917,10 +916,10 @@ impl FlowNetwork {
     /// have the topology's link count, if a link's capacity is not
     /// between zero and its bandwidth (zero once failed), if the clock is later than a
     /// drain entry or pending notice the state still holds or earlier
-    /// than a flow's injection or byte watermark, if a flow with a
+    /// than a flow's injection or byte watermark, or if a flow with a
     /// positive rate does not have exactly one live drain entry (one
     /// whose generation is the flow's current one) or a starved flow
-    /// has one, or if `live_drains` is not the number of live entries.
+    /// has one.
     pub fn restore(
         topo: Topology,
         sink: Rc<dyn TraceSink>,
@@ -930,10 +929,8 @@ impl FlowNetwork {
         let links = topo.links().count();
         for (field, len) in [
             ("solver.capacities", state.solver.capacities.len()),
-            ("solver.link_flows", state.solver.link_flows.len()),
             ("solver.link_alloc", state.solver.link_alloc.len()),
             ("failed", state.failed.len()),
-            ("link_alloc", state.link_alloc.len()),
         ] {
             if len != links {
                 let why = format!("covers {len} links but the topology has {links}");
@@ -975,10 +972,6 @@ impl FlowNetwork {
         if let Some(p) = state.pending.iter().find(|p| p.at < now) {
             return behind("pending notice", p.at);
         }
-        if state.live_drains != live {
-            let why = format!("{} but {live} drain entries are live", state.live_drains);
-            return bad("live_drains", why);
-        }
         // Settling a flow debits its bytes from the watermark up to the
         // clock, and a rate change or eviction retires its live entry
         // exactly when its old rate is positive.
@@ -1000,6 +993,7 @@ impl FlowNetwork {
                 return bad("solver.flows", why);
             }
         }
+        let link_alloc = state.solver.link_alloc.clone();
         let net = FlowNetwork {
             topo,
             now: state.now,
@@ -1007,7 +1001,7 @@ impl FlowNetwork {
             flows: state.flows,
             solver: FairShareSolver::restore(state.solver),
             drains: state.drains.into_iter().map(Reverse).collect(),
-            live_drains: state.live_drains,
+            live_drains: live,
             compaction_min: HEAP_COMPACTION_MIN,
             compactions: state.compactions,
             next_generation: state.next_generation,
@@ -1017,7 +1011,7 @@ impl FlowNetwork {
             events: state.events,
             tracing: sink.enabled(),
             sink,
-            link_alloc: state.link_alloc,
+            link_alloc,
             changed_scratch: Vec::new(),
         };
         net.record_topology();
@@ -1265,8 +1259,56 @@ mod tests {
             _ => None,
         });
         assert_eq!(last, Some((5.0, 0.0)));
-        let snap = net.snapshot();
-        assert_eq!(snap.link_alloc, snap.solver.link_alloc);
+        let solver: Vec<f64> = (0..net.link_alloc.len())
+            .map(|l| net.solver.link_allocated(l))
+            .collect();
+        assert_eq!(net.link_alloc, solver);
+    }
+
+    #[test]
+    fn untraced_capture_resumed_traced_reports_the_same_link_utilization() {
+        use fred_telemetry::sink::RingRecorder;
+
+        // Link 0 carries A and B, link 1 carries B and C, 50 B/s each.
+        // When A drains at t = 2, B and C still share link 1 at 50 B/s
+        // each: link 1's allocation does not move, so no `LinkUtil`
+        // for it.
+        let run = |capture_at: Option<f64>| {
+            let mut topo = Topology::new();
+            let a = topo.add_node(NodeKind::Npu, "a");
+            let b = topo.add_node(NodeKind::Npu, "b");
+            let c = topo.add_node(NodeKind::Npu, "c");
+            let l0 = topo.add_link(a, b, 100.0, 0.0);
+            let l1 = topo.add_link(b, c, 100.0, 0.0);
+            let rec = Rc::new(RingRecorder::new());
+            let sink: Rc<dyn TraceSink> = match capture_at {
+                Some(_) => Rc::new(NullSink),
+                None => rec.clone(),
+            };
+            let mut net = FlowNetwork::with_sink(topo.clone(), sink);
+            for (route, bytes) in [(vec![l0], 100.0), (vec![l0, l1], 300.0), (vec![l1], 1e3)] {
+                net.inject(FlowSpec::new(route, bytes)).unwrap();
+            }
+            if let Some(t) = capture_at {
+                net.advance_to(Time::from_secs(t));
+                net = FlowNetwork::restore(topo, rec.clone(), net.snapshot()).unwrap();
+            }
+            net.run_to_completion();
+            rec.events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::LinkUtil {
+                        t,
+                        link,
+                        utilization,
+                    } if t > 1.0 => Some((t, link, utilization)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let uninterrupted = run(None);
+        assert_eq!(uninterrupted.len(), 3, "{uninterrupted:?}");
+        assert_eq!(run(Some(1.0)), uninterrupted);
     }
 
     #[test]

@@ -62,16 +62,20 @@ pub struct SolverFlow {
 /// [`FairShareSolver::snapshot`] and revived by
 /// [`FairShareSolver::restore`].
 ///
-/// The capture is *structural*, not merely semantic: slab holes, the
-/// free-key stack and per-link incidence order are preserved verbatim,
-/// because key reuse order and `swap_remove` incidence positions feed
-/// future arithmetic and tie-breaking. Epoch-stamped scratch vectors
-/// are deliberately **not** captured — restore re-zeros them, which is
-/// equivalent because the serialized `epoch` keeps every zero mark
-/// stale (the refill's class-pass stamps restart at zero with their
-/// counter, which is never zero while a pass runs). Pending deltas
-/// (`seed_links`, `dirty`) are captured so a snapshot taken between a
-/// delta and its solve resumes exactly.
+/// The capture holds each fact once. Slab holes and the free-key stack
+/// are preserved verbatim, because key reuse order decides future slot
+/// assignment. The live count and the per-link incidence lists are not
+/// captured: restore counts the occupied slots and lists each live
+/// slot's route in key order. Incidence order never changes a bit
+/// (every walk over a list is order-free or sorts its result; see
+/// DESIGN.md §7.2). Epoch-stamped scratch vectors are **not** captured
+/// either — restore re-zeros them, which is equivalent because the
+/// serialized `epoch` keeps every zero mark stale (the refill's
+/// class-pass stamps restart at zero with their counter, which is
+/// never zero while a pass runs). Pending deltas (`seed_links`,
+/// `dirty`) are captured so a snapshot taken between a delta and its
+/// solve resumes exactly, and so is `link_alloc`: for a link with a
+/// pending delta it holds the sum before the delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverState {
     /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
@@ -80,11 +84,7 @@ pub struct SolverState {
     pub flows: Vec<Option<SolverFlow>>,
     /// Free-key stack, top last.
     pub free: Vec<u32>,
-    /// Live flow count.
-    pub live: usize,
-    /// Per-link incidence lists, in insertion/`swap_remove` order.
-    pub link_flows: Vec<Vec<u32>>,
-    /// Allocated rate sum per link.
+    /// Allocated rate sum per link as of the last solve.
     pub link_alloc: Vec<f64>,
     /// Dirty seed links pending the next solve (may repeat).
     pub seed_links: Vec<usize>,
@@ -474,8 +474,6 @@ impl FairShareSolver {
             capacities: self.capacities.clone(),
             flows: self.flows.clone(),
             free: self.free.clone(),
-            live: self.live,
-            link_flows: self.link_flows.clone(),
             link_alloc: self.link_alloc.clone(),
             seed_links: self.seed_links.clone(),
             dirty: self.dirty,
@@ -486,27 +484,36 @@ impl FairShareSolver {
 
     /// Rebuilds a solver from a [`FairShareSolver::snapshot`] capture.
     /// Continuing the restored solver is bit-identical to continuing
-    /// the captured one: slab layout, free-key order, incidence order
-    /// and the pending-delta set are all revived verbatim; only the
+    /// the captured one: slab layout, free-key order and the
+    /// pending-delta set are revived verbatim, the live count and the
+    /// incidence lists are rebuilt from the slab, and the
     /// epoch-stamped scratch is re-zeroed (safe — see [`SolverState`]).
     ///
     /// # Panics
     ///
     /// Panics if the state is internally inconsistent (per-link vector
-    /// lengths disagree) — snapshot decoding and
-    /// [`crate::netsim::FlowNetwork::restore`] report that as typed
-    /// errors before this is reached.
+    /// lengths disagree, or a route crosses a link out of range) —
+    /// snapshot decoding and [`crate::netsim::FlowNetwork::restore`]
+    /// report that as typed errors before this is reached.
     pub fn restore(state: SolverState) -> FairShareSolver {
         let n = state.capacities.len();
-        assert_eq!(state.link_flows.len(), n, "link_flows length mismatch");
         assert_eq!(state.link_alloc.len(), n, "link_alloc length mismatch");
         let slab = state.flows.len();
+        let mut link_flows = vec![Vec::new(); n];
+        let mut live = 0;
+        for (k, f) in state.flows.iter().enumerate() {
+            let Some(f) = f else { continue };
+            live += 1;
+            for &l in f.links.iter() {
+                link_flows[l].push(k as u32);
+            }
+        }
         FairShareSolver {
             capacities: state.capacities,
             flows: state.flows,
             free: state.free,
-            live: state.live,
-            link_flows: state.link_flows,
+            live,
+            link_flows,
             link_alloc: state.link_alloc,
             seed_links: state.seed_links,
             dirty: state.dirty,

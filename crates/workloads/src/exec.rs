@@ -31,7 +31,7 @@ use std::rc::Rc;
 use fred_core::codec::{SnapshotError, Value};
 use fred_core::snapshot::{field, Snap};
 use fred_sim::events::EventQueue;
-use fred_sim::flow::{FlowSpec, MAX_TENANT};
+use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::FlowNetwork;
 use fred_sim::time::Time;
 use fred_sim::topology::LinkId;
@@ -137,20 +137,19 @@ pub struct ExecConfig {
 }
 
 /// Captured executor progress: everything [`ScheduleExecutor`] mutates
-/// while running, as plain data.
+/// while running, as plain data, each fact once.
 ///
-/// The schedule itself, the trace sink and the derived `dependents`
-/// adjacency are configuration — a restore is handed the same schedule
-/// and rebuilds them. Telemetry span bookkeeping (`spans`/`span_ids`)
-/// is deliberately excluded: traces restart at the restore point, so
-/// tasks already running resume without an open span (the dependency
-/// edge emitter skips the zero sentinel).
+/// The schedule, the [`ExecConfig`] and the trace sink are
+/// configuration: a restore is handed the same ones again. What follows
+/// from the schedule and the `done` flags is not captured either:
+/// restore rebuilds the `dependents` adjacency, recounts each task's
+/// unfinished dependencies and the finished-task count. Telemetry span
+/// bookkeeping (`spans`/`span_ids`) is deliberately excluded: traces
+/// restart at the restore point, so tasks already running resume
+/// without an open span (the dependency edge emitter skips the zero
+/// sentinel).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecState {
-    /// The executor's namespace identity.
-    pub cfg: ExecConfig,
-    /// Remaining unfinished-dependency count per task.
-    pub indegree: Vec<usize>,
     /// Start time per task (ZERO until started).
     pub start: Vec<Time>,
     /// Finish time per task (ZERO until finished).
@@ -165,8 +164,6 @@ pub struct ExecState {
     pub compute_queue: Vec<(Time, u64, usize)>,
     /// The compute queue's next tie-break sequence number.
     pub compute_next_seq: u64,
-    /// Tasks finished so far.
-    pub completed: usize,
     /// Tasks ready to start (popped back-to-front).
     pub ready_stack: Vec<usize>,
     /// Tasks that finished at the current instant, awaiting settle.
@@ -247,12 +244,10 @@ impl ScheduleExecutor {
 
     /// Captures every piece of mutable executor state as plain data.
     /// Restoring with [`ScheduleExecutor::restore`] against the same
-    /// schedule resumes bit-identically (modulo telemetry spans — see
-    /// [`ExecState`]).
+    /// schedule and config resumes bit-identically (modulo telemetry
+    /// spans — see [`ExecState`]).
     pub fn snapshot(&self) -> ExecState {
         ExecState {
-            cfg: self.cfg.clone(),
-            indegree: self.indegree.clone(),
             start: self.start.clone(),
             finish: self.finish.clone(),
             done: self.done.clone(),
@@ -263,7 +258,6 @@ impl ScheduleExecutor {
                 .collect(),
             compute_queue: self.compute_queue.entries(),
             compute_next_seq: self.compute_queue.next_seq(),
-            completed: self.completed,
             ready_stack: self.ready_stack.clone(),
             finished_now: self.finished_now.clone(),
             staged: self.staged.clone(),
@@ -271,25 +265,26 @@ impl ScheduleExecutor {
     }
 
     /// Rebuilds an executor from a [`ScheduleExecutor::snapshot`] and
-    /// the same schedule it was captured against.
+    /// the same schedule and config it was captured against — the
+    /// arguments [`ScheduleExecutor::new`] took. Each task's count of
+    /// unfinished dependencies and the finished-task count are
+    /// recounted from the `done` flags.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Mismatch`] if the state does not pair with the
     /// schedule: a per-task vector of another length than the task
-    /// count, a task index out of range, an in-flight comm entry
-    /// naming a compute task, an `indegree` other than the task's count
-    /// of unfinished dependencies, or a `completed` other than the
-    /// count of `done`.
+    /// count, a task index out of range, or an in-flight comm entry
+    /// naming a compute task.
     pub fn restore(
         schedule: Rc<Schedule>,
+        cfg: ExecConfig,
         sink: Rc<dyn TraceSink>,
         state: ExecState,
     ) -> Result<Self, SnapshotError> {
         let n = schedule.tasks.len();
         let pairing = |what: String| Err(SnapshotError::Mismatch(what));
         for (name, len) in [
-            ("indegree", state.indegree.len()),
             ("start", state.start.len()),
             ("finish", state.finish.len()),
             ("done", state.done.len()),
@@ -318,27 +313,14 @@ impl ScheduleExecutor {
             return pairing(format!(".comm: task {i} is no comm task of the schedule"));
         }
         let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut done = 0;
+        let mut indegree = vec![0; n];
         for (i, t) in schedule.tasks.iter().enumerate() {
-            let mut open = 0;
             for d in &t.deps {
                 dependents[d.0].push(TaskId(i));
-                open += usize::from(!state.done[d.0]);
+                indegree[i] += usize::from(!state.done[d.0]);
             }
-            if state.indegree[i] != open {
-                return pairing(format!(
-                    ".indegree[{i}]: {} but the task has {open} unfinished dependencies",
-                    state.indegree[i]
-                ));
-            }
-            done += usize::from(state.done[i]);
         }
-        if state.completed != done {
-            return pairing(format!(
-                ".completed: {} but {done} tasks are done",
-                state.completed
-            ));
-        }
+        let completed = state.done.iter().filter(|&&d| d).count();
         let comm = state
             .comm
             .iter()
@@ -347,17 +329,17 @@ impl ScheduleExecutor {
         let tracing = sink.enabled();
         Ok(ScheduleExecutor {
             schedule,
-            cfg: state.cfg,
+            cfg,
             sink,
             tracing,
-            indegree: state.indegree,
+            indegree,
             dependents,
             start: state.start,
             finish: state.finish,
             done: state.done,
             comm,
             compute_queue: EventQueue::from_entries(state.compute_queue, state.compute_next_seq),
-            completed: state.completed,
+            completed,
             spans: vec![None; n],
             span_ids: vec![0; n],
             ready_stack: state.ready_stack,
@@ -374,6 +356,12 @@ impl ScheduleExecutor {
     /// Whether every task has finished.
     pub fn is_done(&self) -> bool {
         self.completed == self.schedule.tasks.len()
+    }
+
+    /// The first tag of this executor's namespace, less one: its flows
+    /// are tagged `tag_base + task_index + 1`.
+    pub fn tag_base(&self) -> u64 {
+        self.cfg.tag_base
     }
 
     /// Whether `tag` belongs to this executor's namespace.
@@ -682,17 +670,12 @@ impl ScheduleExecutor {
 impl Snap for ExecState {
     fn encode(&self) -> Value {
         Value::Obj(vec![
-            ("tag_base".into(), self.cfg.tag_base.encode()),
-            ("tenant".into(), self.cfg.tenant.encode()),
-            ("label".into(), self.cfg.label.encode()),
-            ("indegree".into(), self.indegree.encode()),
             ("start".into(), self.start.encode()),
             ("finish".into(), self.finish.encode()),
             ("done".into(), self.done.encode()),
             ("comm".into(), self.comm.encode()),
             ("compute_queue".into(), self.compute_queue.encode()),
             ("compute_next_seq".into(), self.compute_next_seq.encode()),
-            ("completed".into(), self.completed.encode()),
             ("ready_stack".into(), self.ready_stack.encode()),
             ("finished_now".into(), self.finished_now.encode()),
             ("staged".into(), self.staged.encode()),
@@ -700,26 +683,13 @@ impl Snap for ExecState {
     }
 
     fn decode(v: &Value) -> Result<ExecState, SnapshotError> {
-        let tenant: u8 = field(v, "tenant")?;
-        if tenant > MAX_TENANT {
-            return Err(SnapshotError::Mismatch(format!(
-                ".tenant: tenant {tenant} outside the class space"
-            )));
-        }
         Ok(ExecState {
-            cfg: ExecConfig {
-                tag_base: field(v, "tag_base")?,
-                tenant,
-                label: field(v, "label")?,
-            },
-            indegree: field(v, "indegree")?,
             start: field(v, "start")?,
             finish: field(v, "finish")?,
             done: field(v, "done")?,
             comm: field(v, "comm")?,
             compute_queue: field(v, "compute_queue")?,
             compute_next_seq: field(v, "compute_next_seq")?,
-            completed: field(v, "completed")?,
             ready_stack: field(v, "ready_stack")?,
             finished_now: field(v, "finished_now")?,
             staged: field(v, "staged")?,
@@ -733,19 +703,12 @@ mod tests {
 
     fn sample_state() -> ExecState {
         ExecState {
-            cfg: ExecConfig {
-                tag_base: 64,
-                tenant: 2,
-                label: Some("job3".into()),
-            },
-            indegree: vec![0, 1, 2],
             start: vec![Time::ZERO, Time::from_secs(0.5), Time::ZERO],
             finish: vec![Time::from_secs(0.25), Time::ZERO, Time::ZERO],
             done: vec![true, false, false],
             comm: vec![(1, 2, 3)],
             compute_queue: vec![(Time::from_secs(1.5), 7, 2)],
             compute_next_seq: 8,
-            completed: 1,
             ready_stack: vec![2],
             finished_now: vec![],
             staged: vec![FlowSpec::new(vec![LinkId(0), LinkId(3)], 1e9)
@@ -791,12 +754,91 @@ mod tests {
         // transfer already landed.
         let mut state = fresh.snapshot();
         state.comm = vec![(i, 1, 0)];
-        let mut exec = ScheduleExecutor::restore(schedule, Rc::new(NullSink), state).unwrap();
+        let mut exec =
+            ScheduleExecutor::restore(schedule, ExecConfig::default(), Rc::new(NullSink), state)
+                .unwrap();
         let tag = i as u64 + 1;
         assert_eq!(
             exec.handle_completion(tag),
             Err(TrainError::UnknownCommTag { tag })
         );
+    }
+
+    #[test]
+    fn restoring_at_every_event_instant_recounts_partly_finished_dependencies() {
+        use crate::model::DnnModel;
+        use crate::schedule::{build_schedule, ScheduleParams};
+        use fred_core::params::FabricConfig;
+        use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
+        use fred_telemetry::sink::NullSink;
+        // Pipelined and data-parallel: a stage's compute waits on its
+        // previous microbatch and on the stage before it, a gradient
+        // reduce-scatter on every replica.
+        let model = DnnModel::resnet152();
+        let strategy = Strategy3D::new(1, 2, 2);
+        let fabric = FabricConfig::FredD;
+        let backend = FabricBackend::new(fabric);
+        let placement = Placement::new(strategy, PlacementPolicy::for_fabric(fabric));
+        let params = ScheduleParams::sweep_default(&model, strategy);
+        let schedule = Rc::new(build_schedule(
+            &model, strategy, &placement, &backend, params,
+        ));
+        let cfg = ExecConfig::default;
+        // Finish times, and how many captures held a task with both
+        // finished and unfinished dependencies.
+        let run = |restore_each_instant: bool| {
+            let mut net = FlowNetwork::new(backend.topology());
+            let mut ex = ScheduleExecutor::new(schedule.clone(), cfg(), Rc::new(NullSink));
+            let mut partly_finished = 0;
+            ex.settle(&mut net, &backend).unwrap();
+            while !ex.is_done() {
+                if restore_each_instant {
+                    let state = ex.snapshot();
+                    let done = |d: &TaskId| state.done[d.0];
+                    partly_finished += usize::from(
+                        schedule
+                            .tasks
+                            .iter()
+                            .any(|t| t.deps.iter().any(done) && !t.deps.iter().all(done)),
+                    );
+                    ex = ScheduleExecutor::restore(
+                        schedule.clone(),
+                        cfg(),
+                        Rc::new(NullSink),
+                        state,
+                    )
+                    .unwrap();
+                    let topo = backend.topology();
+                    net = FlowNetwork::restore(topo, Rc::new(NullSink), net.snapshot()).unwrap();
+                }
+                let next = [ex.next_compute_time(), net.next_event()]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                    .expect("the run stalled");
+                net.advance_to(next);
+                for c in net.drain_completed() {
+                    ex.handle_completion(c.tag).unwrap();
+                }
+                ex.flush_staged(&mut net, &backend).unwrap();
+                ex.release_computes_due(next);
+                ex.settle(&mut net, &backend).unwrap();
+            }
+            let finish: Vec<u64> = ex
+                .timing()
+                .finish
+                .iter()
+                .map(|t| t.as_secs().to_bits())
+                .collect();
+            (finish, partly_finished)
+        };
+        let (reference, _) = run(false);
+        let (resumed, partly_finished) = run(true);
+        assert!(
+            partly_finished > 0,
+            "no capture was mid-way through a task's dependencies"
+        );
+        assert_eq!(resumed, reference);
     }
 
     #[test]
@@ -845,23 +887,5 @@ mod tests {
         let done = net.run_to_completion();
         assert_eq!(done.len(), flows.len());
         assert!(done.iter().all(|c| c.tag == 3));
-    }
-
-    #[test]
-    fn tenant_outside_the_class_space_is_rejected() {
-        // 51 is one past the largest tenant whose classes fit a u8; 300
-        // does not fit a u8 at all.
-        for tenant in [51u64, 300] {
-            let Value::Obj(mut fields) = sample_state().encode() else {
-                panic!("not an object")
-            };
-            for (key, v) in &mut fields {
-                if key == "tenant" {
-                    *v = tenant.encode();
-                }
-            }
-            let got = ExecState::decode(&Value::Obj(fields));
-            assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
-        }
     }
 }
