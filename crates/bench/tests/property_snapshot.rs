@@ -339,16 +339,16 @@ fn two_low_jobs_and_a_high() -> (ClusterConfig, Vec<JobSpec>, f64) {
     (ClusterConfig::new(FabricConfig::FredD), jobs, solo)
 }
 
-/// The [`two_low_jobs_and_a_high`] cluster captured while the two Low
-/// jobs share the wafer and the High job has not arrived yet, with the
-/// config and jobs it pairs with.
-fn two_low_jobs_capture() -> (ClusterConfig, Vec<JobSpec>, ClusterState) {
+/// The [`two_low_jobs_and_a_high`] cluster captured at `frac` of a solo
+/// run, with the config and jobs it pairs with. At 0.1 the two Low jobs
+/// share the wafer and the High job has not arrived yet; at 0.3 the
+/// High job runs and the Low job it preempted waits in its queue.
+fn two_low_jobs_capture(frac: f64) -> (ClusterConfig, Vec<JobSpec>, ClusterState) {
     let (cfg, jobs, solo) = two_low_jobs_and_a_high();
     let mut cluster = Cluster::new(cfg.clone(), jobs.clone(), Rc::new(NullSink)).unwrap();
-    cluster.run_until(Time::from_secs(solo * 0.1)).unwrap();
-    let good = cluster.snapshot();
-    assert_eq!(good.running.len(), 2, "both Low jobs run at the capture");
-    (cfg, jobs, good)
+    cluster.run_until(Time::from_secs(solo * frac)).unwrap();
+    let state = cluster.snapshot();
+    (cfg, jobs, state)
 }
 
 /// The same cluster captured at the first event boundary after which a
@@ -376,7 +376,8 @@ fn rerate_capture(cfg: &ClusterConfig, jobs: &[JobSpec]) -> (ClusterState, usize
 
 #[test]
 fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
-    let (cfg, jobs, good) = two_low_jobs_capture();
+    let (cfg, jobs, good) = two_low_jobs_capture(0.1);
+    assert_eq!(good.running.len(), 2, "both Low jobs run at the capture");
     let restore =
         |st: ClusterState| Cluster::restore(cfg.clone(), jobs.clone(), Rc::new(NullSink), st);
     assert!(restore(good.clone()).is_ok());
@@ -399,7 +400,7 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
 
     // One-field edits, each with the field its error must name.
     type Edit = fn(&mut ClusterState);
-    let edits: [(&str, Edit); 12] = [
+    let edits: [(&str, Edit); 16] = [
         (".first_start", |s| {
             s.first_start.pop();
         }),
@@ -431,6 +432,26 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
             net.solver.link_alloc.pop();
             net.failed.pop();
         }),
+        // A drain entry for a slot past the slab.
+        (".net.drains", |s| {
+            s.net.drains[0].3 = s.net.flows.len() as u32
+        }),
+        // A route through a link the fabric does not have.
+        (".net.solver.flows", |s| {
+            let n = s.net.solver.capacities.len();
+            let f = s.net.solver.flows.iter_mut().flatten().next().unwrap();
+            f.links = f.links.iter().copied().chain([n]).collect();
+        }),
+        // A free key naming an occupied slot.
+        (".net.solver.free", |s| {
+            let k = s.net.solver.flows.iter().position(Option::is_some).unwrap();
+            s.net.solver.free.push(k as u32);
+        }),
+        // A class that disagrees with the flow's tenant and priority.
+        (".net.solver.flows", |s| {
+            let f = s.net.solver.flows.iter_mut().flatten().next().unwrap();
+            f.class += 1;
+        }),
     ];
     for (field, edit) in edits {
         let mut st = good.clone();
@@ -446,6 +467,14 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
     let flow = st.net.flows[slot].as_mut().unwrap();
     flow.updated_at += Duration::from_secs(1.0);
     expect_mismatch(".net.flows", st);
+
+    // The preempted Low job moved from its own queue to the High one:
+    // resumed, it would be dispatched as High.
+    let (_, _, mut st) = two_low_jobs_capture(0.3);
+    assert_eq!(st.queues, [vec![], vec![], vec![0]]);
+    assert!(restore(st.clone()).is_ok());
+    st.queues = [vec![0], vec![], vec![]];
+    expect_mismatch(".queues[0]", st);
 }
 
 /// Every edit site of a value tree: numbers, booleans and non-empty
@@ -509,7 +538,7 @@ fn single_leaf_edits_restore_and_run_or_fail_typed() {
     // error — a panic fails the test. The second
     // capture is followed by rate changes, so edited watermarks, rates
     // and capacities reach a settle.
-    let (cfg, jobs, low) = two_low_jobs_capture();
+    let (cfg, jobs, low) = two_low_jobs_capture(0.1);
     let (rerate, _) = rerate_capture(&cfg, &jobs);
     let mut rng = Rng64::seed_from_u64(1);
     for good in [low, rerate] {

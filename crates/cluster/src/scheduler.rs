@@ -439,6 +439,18 @@ fn check_pairing(
     if let Some(j) = state.queues.iter().flatten().find(|&&j| j >= n) {
         return bad(format!(".queues: job {j} out of range ({n} jobs)"));
     }
+    // Each queue holds the jobs of one class, by tenant rank.
+    for (rank, q) in state.queues.iter().enumerate() {
+        let stray = q
+            .iter()
+            .find(|&&j| jobs[j].class.tenant_rank() as usize != rank);
+        if let Some(&j) = stray {
+            return bad(format!(
+                ".queues[{rank}]: job {j} is {} but queued at rank {rank}",
+                jobs[j].class.name()
+            ));
+        }
+    }
     // Admission precedes queueing and any start.
     let mut admitted = vec![false; n];
     for &j in &order[..state.arrival_cursor] {
@@ -727,12 +739,13 @@ impl Cluster {
     /// The same job-validation errors as [`Cluster::new`], and
     /// [`ClusterError::Snapshot`] when the state does not pair with the
     /// config and jobs: a per-job vector of another length, a job index
-    /// out of range, running jobs whose slot windows overlap or leave
-    /// the fabric, a started job the arrival cursor has not admitted, an
-    /// admitted job that is not exactly one of queued, running or
-    /// finished, a clock later than the next unadmitted arrival or a
-    /// pending compute finish, or an executor or network state that
-    /// does not fit its schedule or the fabric.
+    /// out of range, a queued job in another class's queue, running
+    /// jobs whose slot windows overlap or leave the fabric, a started
+    /// job the arrival cursor has not admitted, an admitted job that is
+    /// not exactly one of queued, running or finished, a clock later
+    /// than the next unadmitted arrival or a pending compute finish, or
+    /// an executor or network state that does not fit its schedule or
+    /// the fabric.
     pub fn restore(
         cfg: ClusterConfig,
         jobs: Vec<JobSpec>,

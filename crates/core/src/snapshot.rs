@@ -3,7 +3,7 @@
 //!
 //! Each layer that owns mutable simulation state exposes a plain-data
 //! `snapshot() -> …State` / `restore(…State)` pair in its own crate
-//! (`FairShareSolver`, `FlowNetwork` in `fred-sim`;
+//! (`FlowNetwork` in `fred-sim`, whose state nests its solver's;
 //! `ScheduleExecutor` in `fred-workloads`; `Cluster` in
 //! `fred-cluster`). A type's snapshot layout is written once, in its
 //! [`Snap`] impl: the scalars, the containers and the `fred-sim` states
@@ -24,10 +24,18 @@
 //!
 //! # Errors
 //!
-//! A tree of the wrong shape is a [`SnapshotError::Mismatch`] whose
-//! message starts with the jq-style path of the value that failed,
-//! e.g. `.net.flows[3].remaining: expected number, found Str("inf")`.
-//! The path is built only when a decode fails.
+//! Decoding checks shapes only: each value has its field's type and
+//! fits it (an integer its width, an instant or duration is finite and
+//! non-negative, a priority rank names a class). A tree of the wrong
+//! shape is a [`SnapshotError::Mismatch`] whose message starts with the
+//! jq-style path of the value that failed, e.g.
+//! `.net.flows[3].remaining: expected number, found Str("inf")`. The
+//! path is built only when a decode fails. How a field relates to
+//! another field, to the topology or to the config is a rule, and the
+//! layer that restores the state checks it (for the network,
+//! [`FlowNetwork::restore`](fred_sim::netsim::FlowNetwork::restore)).
+//! Staged [`FlowSpec`]s are built through their constructors, so their
+//! decode also rejects what those assert.
 //!
 //! # Versioning policy
 //!
@@ -43,7 +51,7 @@ use std::fmt;
 use std::path::Path;
 
 use fred_sim::flow::{FlowId, FlowSpec, Priority, MAX_TENANT};
-use fred_sim::netsim::{CompletedFlow, CoreState, FlowState, PendingNotice};
+use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
 use fred_sim::solver::{SolverFlow, SolverState, SolverStats};
 use fred_sim::time::{Duration, Time};
 use fred_sim::topology::LinkId;
@@ -52,7 +60,7 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 5;
+pub const SIM_STATE_VERSION: u32 = 6;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
@@ -437,18 +445,6 @@ snap_tuple!(4: A a 0, B b 1, C c 2, D d 3);
 // Flow specs and completions.
 // ---------------------------------------------------------------------
 
-/// Field `tenant` of `obj`, rejecting ranks past [`MAX_TENANT`] (their
-/// fill classes would overflow the allocator's `u8` class space).
-fn tenant(obj: &Value) -> Result<u8, SnapshotError> {
-    let tenant: u8 = field(obj, "tenant")?;
-    if tenant > MAX_TENANT {
-        return Err(mismatch(format_args!(
-            ".tenant: tenant {tenant} outside the class space"
-        )));
-    }
-    Ok(tenant)
-}
-
 /// Staged-but-uninjected flows in executor snapshots. Decoding
 /// re-validates what the [`FlowSpec`] constructors assert (finite
 /// non-negative bytes, tenant within the class space) as typed errors.
@@ -468,10 +464,16 @@ impl Snap for FlowSpec {
         if !(bytes.is_finite() && bytes >= 0.0) {
             return Err(mismatch(format_args!(".bytes: flow bytes {bytes} invalid")));
         }
+        let tenant: u8 = field(v, "tenant")?;
+        if tenant > MAX_TENANT {
+            return Err(mismatch(format_args!(
+                ".tenant: tenant {tenant} outside the class space"
+            )));
+        }
         Ok(FlowSpec::new(field(v, "route")?, bytes)
             .with_priority(field(v, "priority")?)
             .with_tag(field(v, "tag")?)
-            .with_tenant(tenant(v)?))
+            .with_tenant(tenant))
     }
 }
 
@@ -537,7 +539,7 @@ impl Snap for SolverState {
     }
 
     fn decode(v: &Value) -> Result<SolverState, SnapshotError> {
-        let state = SolverState {
+        Ok(SolverState {
             capacities: field(v, "capacities")?,
             flows: field(v, "flows")?,
             free: field(v, "free")?,
@@ -551,43 +553,8 @@ impl Snap for SolverState {
                 refilled_flows: field(v, "refilled_flows")?,
                 max_component: field(v, "max_component")?,
             },
-        };
-        check_solver_state(&state).map_err(mismatch)?;
-        Ok(state)
+        })
     }
-}
-
-/// Checks the structural invariants `FairShareSolver::restore` trusts
-/// and a later solve indexes by: per-link vectors share one length,
-/// every link index is in range, and the free stack names distinct
-/// empty slots.
-fn check_solver_state(s: &SolverState) -> Result<(), String> {
-    let n = s.capacities.len();
-    if s.link_alloc.len() != n {
-        return Err(format!(
-            "{n} capacities but {} link_alloc",
-            s.link_alloc.len()
-        ));
-    }
-    if let Some(l) = s.seed_links.iter().find(|&&l| l >= n) {
-        return Err(format!("seed link {l} out of range ({n} links)"));
-    }
-    for (k, f) in s.flows.iter().enumerate() {
-        let Some(f) = f else { continue };
-        if let Some(l) = f.links.iter().find(|&&l| l >= n) {
-            return Err(format!(
-                "flow {k} crosses link {l} out of range ({n} links)"
-            ));
-        }
-    }
-    let mut freed = vec![false; s.flows.len()];
-    for &k in &s.free {
-        match freed.get_mut(k as usize) {
-            Some(seen) if !*seen && s.flows[k as usize].is_none() => *seen = true,
-            _ => return Err(format!("free key {k} is repeated or names no empty slot")),
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -613,31 +580,13 @@ impl Snap for FlowState {
         Ok(FlowState {
             id: field(v, "id")?,
             priority: field(v, "priority")?,
-            tenant: tenant(v)?,
+            tenant: field(v, "tenant")?,
             tag: field(v, "tag")?,
             remaining: field(v, "remaining")?,
             updated_at: field(v, "updated_at")?,
             generation: field(v, "generation")?,
             injected_at: field(v, "injected_at")?,
             latency: field(v, "latency")?,
-        })
-    }
-}
-
-impl Snap for PendingNotice {
-    fn encode(&self) -> Value {
-        Value::Obj(vec![
-            ("at".into(), self.at.encode()),
-            ("seq".into(), self.seq.encode()),
-            ("flow".into(), self.flow.encode()),
-        ])
-    }
-
-    fn decode(v: &Value) -> Result<PendingNotice, SnapshotError> {
-        Ok(PendingNotice {
-            at: field(v, "at")?,
-            seq: field(v, "seq")?,
-            flow: field(v, "flow")?,
         })
     }
 }
@@ -661,7 +610,7 @@ impl Snap for CoreState {
     }
 
     fn decode(v: &Value) -> Result<CoreState, SnapshotError> {
-        let state = CoreState {
+        Ok(CoreState {
             now: field(v, "now")?,
             next_id: field(v, "next_id")?,
             flows: field(v, "flows")?,
@@ -673,39 +622,8 @@ impl Snap for CoreState {
             completed: field(v, "completed")?,
             failed: field(v, "failed")?,
             events: field(v, "events")?,
-        };
-        check_core_state(&state).map_err(mismatch)?;
-        Ok(state)
+        })
     }
-}
-
-/// Checks that the network's failed-link flags have the solver's link
-/// count, that its slab occupies exactly the solver's slots (the two
-/// slabs share keys) and that every drain entry names a slot.
-fn check_core_state(s: &CoreState) -> Result<(), String> {
-    let n = s.solver.capacities.len();
-    if s.failed.len() != n {
-        return Err(format!(
-            "{} failed but the solver has {n} links",
-            s.failed.len()
-        ));
-    }
-    if s.flows.len() != s.solver.flows.len() {
-        return Err(format!(
-            "{} flow slots but the solver has {}",
-            s.flows.len(),
-            s.solver.flows.len()
-        ));
-    }
-    for (k, (f, sf)) in s.flows.iter().zip(&s.solver.flows).enumerate() {
-        if f.is_some() != sf.is_some() {
-            return Err(format!("slot {k} is occupied in only one of the two slabs"));
-        }
-    }
-    if let Some(&(_, _, _, slot)) = s.drains.iter().find(|d| d.3 as usize >= s.flows.len()) {
-        return Err(format!("drain slot {slot} out of range"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -779,18 +697,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Damages a live network's captured state, encodes it and requires
-    /// the decoder to reject it with a typed `Mismatch` (the undamaged
-    /// state must decode).
-    fn assert_rejected(damage: impl FnOnce(&mut CoreState)) {
-        let (_, net) = busy_net();
-        let mut state = net.snapshot();
-        assert!(CoreState::decode(&state.encode()).is_ok());
-        damage(&mut state);
-        let got = CoreState::decode(&state.encode());
-        assert!(matches!(got, Err(SnapshotError::Mismatch(_))), "{got:?}");
-    }
-
     fn first_live(s: &SolverState) -> usize {
         s.flows
             .iter()
@@ -798,9 +704,10 @@ mod tests {
             .expect("a live flow")
     }
 
-    /// As [`assert_rejected`], but damages the encoded value tree, for
-    /// values the typed state cannot hold. `damage` also gets the first
-    /// live flow slot.
+    /// Damages the encoded value tree of a live network's captured
+    /// state, for values the typed state cannot hold, and requires the
+    /// decoder to reject it with a typed `Mismatch`. `damage` also gets
+    /// the first live flow slot.
     fn assert_value_rejected(damage: impl FnOnce(&mut Value, usize)) {
         let (_, net) = busy_net();
         let state = net.snapshot();
@@ -825,18 +732,10 @@ mod tests {
     }
 
     #[test]
-    fn flow_tenant_outside_the_class_space_is_rejected() {
-        // 51 is one past the largest tenant whose classes fit a u8; 300
-        // does not fit a u8 at all.
-        for tenant in [51u64, 300] {
-            assert_value_rejected(|v, k| {
-                *field_mut(item_mut(field_mut(v, "flows"), k), "tenant") = tenant.encode();
-            });
-        }
-    }
-
-    #[test]
-    fn solver_class_above_u8_is_rejected() {
+    fn integers_that_do_not_fit_their_type_are_rejected() {
+        assert_value_rejected(|v, k| {
+            *field_mut(item_mut(field_mut(v, "flows"), k), "tenant") = 300u64.encode();
+        });
         assert_value_rejected(|v, k| {
             let flows = field_mut(field_mut(v, "solver"), "flows");
             *field_mut(item_mut(flows, k), "class") = 256u64.encode();
@@ -844,68 +743,59 @@ mod tests {
     }
 
     #[test]
-    fn route_link_out_of_range_is_rejected() {
-        assert_rejected(|s| {
-            let k = first_live(&s.solver);
-            let n = s.solver.capacities.len();
-            let f = s.solver.flows[k].as_mut().unwrap();
-            f.links = f.links.iter().copied().chain([n]).collect();
-        });
-    }
-
-    #[test]
-    fn link_alloc_length_mismatch_is_rejected() {
-        assert_rejected(|s| s.solver.link_alloc.push(0.0));
-    }
-
-    #[test]
-    fn free_key_naming_an_occupied_slot_is_rejected() {
-        assert_rejected(|s| {
-            let k = first_live(&s.solver);
-            s.solver.free.push(k as u32);
-        });
-    }
-
-    #[test]
-    fn repeated_free_key_is_rejected() {
-        assert_rejected(|s| {
-            let k = s.solver.free[0];
-            s.solver.free.push(k);
-        });
-    }
-
-    #[test]
-    fn seed_link_out_of_range_is_rejected() {
-        assert_rejected(|s| {
-            let n = s.solver.capacities.len();
-            s.solver.seed_links.push(n);
-        });
-    }
-
-    #[test]
-    fn core_and_solver_slab_length_mismatch_is_rejected() {
-        assert_rejected(|s| s.flows.push(None));
-    }
-
-    #[test]
-    fn core_slot_differing_from_the_solver_is_rejected() {
-        assert_rejected(|s| {
-            let k = first_live(&s.solver);
-            s.flows[k] = None;
-        });
-    }
-
-    #[test]
-    fn core_link_vector_length_mismatch_is_rejected() {
-        assert_rejected(|s| s.failed.push(false));
-    }
-
-    #[test]
-    fn drain_slot_out_of_range_is_rejected() {
-        assert_rejected(|s| {
-            let slots = s.flows.len() as u32;
-            s.drains[0].3 = slots;
-        });
+    fn restore_names_the_field_of_each_broken_rule() {
+        // Each edit decodes, since decoding checks shapes only, and
+        // restore must reject it naming the field, never panic.
+        type Edit = fn(&mut CoreState);
+        let edits: [(&str, Edit); 11] = [
+            ("solver.link_alloc", |s| s.solver.link_alloc.push(0.0)),
+            ("failed", |s| s.failed.push(false)),
+            ("solver.seed_links", |s| {
+                s.solver.seed_links.push(s.solver.capacities.len())
+            }),
+            // The network slab one slot longer than the solver's.
+            ("solver.flows", |s| s.flows.push(None)),
+            ("solver.flows", |s| {
+                let k = first_live(&s.solver);
+                let n = s.solver.capacities.len();
+                let f = s.solver.flows[k].as_mut().unwrap();
+                f.links = f.links.iter().copied().chain([n]).collect();
+            }),
+            // A slot occupied only in the solver.
+            ("flows", |s| {
+                let k = first_live(&s.solver);
+                s.flows[k] = None;
+            }),
+            ("solver.free", |s| {
+                let k = first_live(&s.solver);
+                s.solver.free.push(k as u32);
+            }),
+            ("solver.free", |s| {
+                let k = s.solver.free[0];
+                s.solver.free.push(k);
+            }),
+            ("drains", |s| s.drains[0].3 = s.flows.len() as u32),
+            ("solver.flows", |s| {
+                let k = first_live(&s.solver);
+                s.flows[k].as_mut().unwrap().tenant = MAX_TENANT + 1;
+            }),
+            // A class that disagrees with the flow's tenant and priority.
+            ("solver.flows", |s| {
+                let k = first_live(&s.solver);
+                s.solver.flows[k].as_mut().unwrap().class += 1;
+            }),
+        ];
+        for (field, edit) in edits {
+            let (topo, net) = busy_net();
+            let mut state = net.snapshot();
+            edit(&mut state);
+            let decoded = CoreState::decode(&state.encode());
+            assert_eq!(decoded.as_ref(), Ok(&state), "edit of {field} must decode");
+            match FlowNetwork::restore(topo, Rc::new(NullSink), state) {
+                Err(e) => assert_eq!(e.field, field, "{e}"),
+                Ok(_) => panic!("edit of {field} restored"),
+            }
+        }
     }
 
     #[test]

@@ -221,8 +221,10 @@ pub fn evaluate_point(spec: &SweepSpec, point: &SweepPoint, cfg: &ClusterConfig)
 ///
 /// # Errors
 ///
-/// Only checkpoint I/O and resume-validation errors are returned;
-/// per-point failures become [`PointOutcome::Error`] rows.
+/// Only checkpoint I/O and resume-validation errors are returned (a
+/// checkpoint of another spec, or a row that is not the spec's point
+/// at its position); per-point failures become [`PointOutcome::Error`]
+/// rows.
 pub fn run_sweep(spec: &SweepSpec, opts: &RunOpts) -> Result<SweepOutcome, SnapshotError> {
     let points = spec.enumerate();
     let mut rows: Vec<PointRow> = Vec::new();
@@ -235,6 +237,12 @@ pub fn run_sweep(spec: &SweepSpec, opts: &RunOpts) -> Result<SweepOutcome, Snaps
                         "checkpoint has {} rows but the spec enumerates {} points",
                         rows.len(),
                         points.len()
+                    )));
+                }
+                // The fingerprint covers the spec, not the rows.
+                if let Some(i) = rows.iter().zip(&points).position(|(r, p)| r.point != *p) {
+                    return Err(SnapshotError::Mismatch(format!(
+                        "checkpoint row {i} is not the spec's point {i}"
                     )));
                 }
             }
@@ -647,6 +655,30 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SnapshotError::Mismatch(_)), "{err:?}");
+
+        // So must rows that are not the spec's points, which the
+        // fingerprint does not cover: one claiming another point's
+        // index, one with a bandwidth ratio off the spec's axis.
+        let good = load_checkpoint(&spec, &path).unwrap();
+        type Edit = fn(&mut Vec<PointRow>);
+        let edits: [(&str, Edit); 2] = [
+            ("row 0", |rows| rows[0].point.index = 3),
+            ("row 1", |rows| rows[1].point.bw_ratio = 0.25),
+        ];
+        for (row, edit) in edits {
+            let mut rows = good.clone();
+            edit(&mut rows);
+            write_checkpoint(&spec, &rows, &path).unwrap();
+            let opts = RunOpts {
+                checkpoint: Some(path.clone()),
+                resume: true,
+                ..RunOpts::default()
+            };
+            match run_sweep(&spec, &opts) {
+                Err(SnapshotError::Mismatch(why)) => assert!(why.contains(row), "{why}"),
+                other => panic!("edit of {row}: {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

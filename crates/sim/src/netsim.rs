@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fred_telemetry::event::{TraceEvent, Track};
 use fred_telemetry::sink::{NullSink, TraceSink};
 
-use crate::flow::{fill_class, FlowId, FlowSpec, Priority};
+use crate::flow::{fill_class, FlowId, FlowSpec, Priority, MAX_TENANT};
 use crate::solver::{FairShareSolver, FlowKey, SolverStats};
 use crate::time::{Duration, Time};
 use crate::topology::{LinkId, Route, RouteError, Topology};
@@ -171,21 +171,20 @@ pub struct CompletedFlow {
     pub completed_at: Time,
 }
 
-/// A drained flow waiting out its tail latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingNotice {
-    /// When the tail arrives.
-    pub at: Time,
-    /// Tie-break among notices due at one instant (the flow id).
-    pub seq: u64,
-    /// The completion record it becomes.
-    pub flow: CompletedFlow,
+/// The order completions surface in: by arrival, ties by flow id.
+fn completion_key(c: &CompletedFlow) -> (Time, FlowId) {
+    (c.completed_at, c.id)
 }
+
+/// A drained flow waiting out its tail latency: the completion record
+/// it becomes, ordered by [`completion_key`].
+#[derive(Debug, Clone, PartialEq)]
+struct PendingNotice(CompletedFlow);
 
 impl Eq for PendingNotice {}
 impl Ord for PendingNotice {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
+        completion_key(&self.0).cmp(&completion_key(&other.0))
     }
 }
 impl PartialOrd for PendingNotice {
@@ -216,6 +215,10 @@ type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 /// and what restore derives from the rest: the live drain-entry count
 /// and the telemetry mirror of per-link allocations, which is the
 /// solver's allocation.
+///
+/// The fields are plain data, and any values of their types decode:
+/// how they relate to each other and to the topology is checked by
+/// [`FlowNetwork::restore`], the one judge of a capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreState {
     /// Simulation clock.
@@ -234,9 +237,9 @@ pub struct CoreState {
     pub compactions: u64,
     /// Drain-entry generation counter.
     pub next_generation: u64,
-    /// Drained flows waiting out their tail latency, sorted by
-    /// `(at, seq)`.
-    pub pending: Vec<PendingNotice>,
+    /// Drained flows waiting out their tail latency, as the completion
+    /// records they become, sorted by `(completed_at, id)`.
+    pub pending: Vec<CompletedFlow>,
     /// Completions buffered but not yet drained by the caller.
     pub completed: Vec<CompletedFlow>,
     /// Links killed by faults.
@@ -607,19 +610,13 @@ impl FlowNetwork {
     }
 
     fn push_pending(&mut self, f: FlowState) {
-        let at = self.now + f.latency;
-        let seq = f.id.0;
-        self.pending.push(Reverse(PendingNotice {
-            at,
-            seq,
-            flow: CompletedFlow {
-                id: f.id,
-                tag: f.tag,
-                priority: f.priority,
-                injected_at: f.injected_at,
-                completed_at: at,
-            },
-        }));
+        self.pending.push(Reverse(PendingNotice(CompletedFlow {
+            id: f.id,
+            tag: f.tag,
+            priority: f.priority,
+            injected_at: f.injected_at,
+            completed_at: self.now + f.latency,
+        })));
     }
 
     /// Flushes pending solver deltas: one component-local refill
@@ -754,7 +751,7 @@ impl FlowNetwork {
     pub fn next_event(&mut self) -> Option<Time> {
         self.flush_rates();
         let drain = self.peek_drain();
-        let notice = self.pending.peek().map(|Reverse(p)| p.at);
+        let notice = self.pending.peek().map(|Reverse(p)| p.0.completed_at);
         match (drain, notice) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -819,19 +816,19 @@ impl FlowNetwork {
         }
         // Expired latency tails become completions.
         while let Some(Reverse(p)) = self.pending.peek() {
-            if p.at <= self.now {
-                let Reverse(p) = self.pending.pop().expect("peeked");
+            if p.0.completed_at <= self.now {
+                let Reverse(PendingNotice(c)) = self.pending.pop().expect("peeked");
                 self.count_event();
                 if self.tracing {
                     self.sink.record(TraceEvent::FlowCompleted {
-                        t: p.flow.completed_at.as_secs(),
-                        id: p.flow.id.0,
-                        tag: p.flow.tag,
-                        injected_at: p.flow.injected_at.as_secs(),
-                        track: track_of(p.flow.priority),
+                        t: c.completed_at.as_secs(),
+                        id: c.id.0,
+                        tag: c.tag,
+                        injected_at: c.injected_at.as_secs(),
+                        track: track_of(c.priority),
                     });
                 }
-                self.completed.push(p.flow);
+                self.completed.push(c);
             } else {
                 break;
             }
@@ -842,7 +839,7 @@ impl FlowNetwork {
     /// completion time.
     pub fn drain_completed(&mut self) -> Vec<CompletedFlow> {
         let mut out = std::mem::take(&mut self.completed);
-        out.sort_by(|a, b| a.completed_at.cmp(&b.completed_at).then(a.id.cmp(&b.id)));
+        out.sort_by_key(completion_key);
         out
     }
 
@@ -881,9 +878,9 @@ impl FlowNetwork {
         let mut drains: Vec<(Time, u64, u64, u32)> =
             self.drains.iter().map(|&Reverse(e)| e).collect();
         drains.sort();
-        let mut pending: Vec<PendingNotice> =
-            self.pending.iter().map(|Reverse(p)| p.clone()).collect();
-        pending.sort();
+        let mut pending: Vec<CompletedFlow> =
+            self.pending.iter().map(|Reverse(p)| p.0.clone()).collect();
+        pending.sort_by_key(completion_key);
         CoreState {
             now: self.now,
             next_id: self.next_id,
@@ -912,14 +909,24 @@ impl FlowNetwork {
     ///
     /// # Errors
     ///
-    /// [`StateMismatch`] if a per-link vector of the state does not
-    /// have the topology's link count, if a link's capacity is not
-    /// between zero and its bandwidth (zero once failed), if the clock is later than a
-    /// drain entry or pending notice the state still holds or earlier
-    /// than a flow's injection or byte watermark, or if a flow with a
-    /// positive rate does not have exactly one live drain entry (one
-    /// whose generation is the flow's current one) or a starved flow
-    /// has one.
+    /// This is the one judge of a capture's rules (decoding checks only
+    /// shapes). A [`StateMismatch`] names the field at fault if:
+    ///
+    /// - a per-link vector does not have the topology's link count, or
+    ///   a pending seed link or a route crosses a link past it;
+    /// - a link's capacity is not between zero and its bandwidth (zero
+    ///   once failed);
+    /// - the two slabs differ in length or in which slots they occupy,
+    ///   a free key repeats or names an occupied slot, or a drain entry
+    ///   names a slot past the slab;
+    /// - a flow's solver class is not [`fill_class`] of its tenant and
+    ///   priority, or its tenant is past [`MAX_TENANT`];
+    /// - the clock is later than a drain entry or pending notice the
+    ///   state still holds, or earlier than a flow's injection or byte
+    ///   watermark;
+    /// - a flow with a positive rate does not have exactly one live
+    ///   drain entry (one whose generation is the flow's current one),
+    ///   or a starved flow has one.
     pub fn restore(
         topo: Topology,
         sink: Rc<dyn TraceSink>,
@@ -937,6 +944,10 @@ impl FlowNetwork {
                 return bad(field, why);
             }
         }
+        if let Some(l) = state.solver.seed_links.iter().find(|&&l| l >= links) {
+            let why = format!("link {l} is out of range ({links} links)");
+            return bad("solver.seed_links", why);
+        }
         // A degraded link keeps a share of its bandwidth; a failed one
         // has none.
         for (LinkId(l), link) in topo.links() {
@@ -949,36 +960,60 @@ impl FlowNetwork {
                 return bad("solver.capacities", why);
             }
         }
+        // The two slabs share keys, and the solver's free stack holds
+        // each of its empty slots at most once.
+        let slots = state.flows.len();
+        if state.solver.flows.len() != slots {
+            let why = format!("{} slots, the network's {slots}", state.solver.flows.len());
+            return bad("solver.flows", why);
+        }
+        let mut freed = vec![false; slots];
+        for &k in &state.solver.free {
+            let k = k as usize;
+            let empty = matches!(state.solver.flows.get(k), Some(None));
+            if !empty || std::mem::replace(&mut freed[k], true) {
+                let why = format!("key {k} repeats or names no empty slot");
+                return bad("solver.free", why);
+            }
+        }
         let now = state.now;
         let behind = |what: &str, at: Time| {
             let why = format!("clock {now} is later than the {what} at {at}");
             bad("now", why)
         };
-        let mut has_entry = vec![false; state.flows.len()];
+        let mut has_entry = vec![false; slots];
         let mut live = 0;
         for &(at, _, generation, slot) in &state.drains {
             if at < now {
                 return behind("drain entry", at);
             }
             let slot = slot as usize;
-            let flow = state.flows.get(slot).and_then(Option::as_ref);
-            if flow.is_some_and(|f| f.generation == generation) {
+            let Some(flow) = state.flows.get(slot) else {
+                let why = format!("an entry names slot {slot} of a {slots}-slot slab");
+                return bad("drains", why);
+            };
+            if flow.as_ref().is_some_and(|f| f.generation == generation) {
                 if std::mem::replace(&mut has_entry[slot], true) {
                     return bad("drains", format!("slot {slot} has two live entries"));
                 }
                 live += 1;
             }
         }
-        if let Some(p) = state.pending.iter().find(|p| p.at < now) {
-            return behind("pending notice", p.at);
+        if let Some(c) = state.pending.iter().find(|c| c.completed_at < now) {
+            return behind("pending notice", c.completed_at);
         }
         // Settling a flow debits its bytes from the watermark up to the
         // clock, and a rate change or eviction retires its live entry
         // exactly when its old rate is positive.
         let slabs = state.flows.iter().zip(&state.solver.flows);
         for (k, (f, sf)) in slabs.enumerate() {
-            let (Some(f), Some(sf)) = (f, sf) else {
-                continue;
+            let (f, sf) = match (f, sf) {
+                (Some(f), Some(sf)) => (f, sf),
+                (None, None) => continue,
+                _ => {
+                    let why = format!("slot {k} is occupied in only one of the two slabs");
+                    return bad("flows", why);
+                }
             };
             if f.injected_at > now || f.updated_at > now {
                 let why = format!(
@@ -986,6 +1021,17 @@ impl FlowNetwork {
                     f.injected_at, f.updated_at
                 );
                 return bad("flows", why);
+            }
+            if f.tenant > MAX_TENANT || sf.class != fill_class(f.tenant, f.priority) {
+                let why = format!(
+                    "slot {k} has class {}, not that of tenant {} (at most {MAX_TENANT}) at priority {}",
+                    sf.class, f.tenant, f.priority
+                );
+                return bad("solver.flows", why);
+            }
+            if let Some(l) = sf.links.iter().find(|&&l| l >= links) {
+                let why = format!("slot {k} crosses link {l}, out of range ({links} links)");
+                return bad("solver.flows", why);
             }
             if has_entry[k] != (sf.rate > 0.0) {
                 let entry = if has_entry[k] { "a" } else { "no" };
@@ -1005,7 +1051,12 @@ impl FlowNetwork {
             compaction_min: HEAP_COMPACTION_MIN,
             compactions: state.compactions,
             next_generation: state.next_generation,
-            pending: state.pending.into_iter().map(Reverse).collect(),
+            pending: state
+                .pending
+                .into_iter()
+                .map(PendingNotice)
+                .map(Reverse)
+                .collect(),
             completed: state.completed,
             failed: state.failed,
             events: state.events,

@@ -59,8 +59,8 @@ pub struct SolverFlow {
 }
 
 /// Complete mutable state of a [`FairShareSolver`], captured by
-/// [`FairShareSolver::snapshot`] and revived by
-/// [`FairShareSolver::restore`].
+/// [`FairShareSolver::snapshot`] and revived, as part of a network
+/// capture, by [`FlowNetwork::restore`](crate::netsim::FlowNetwork::restore).
 ///
 /// The capture holds each fact once. Slab holes and the free-key stack
 /// are preserved verbatim, because key reuse order decides future slot
@@ -491,11 +491,11 @@ impl FairShareSolver {
     ///
     /// # Panics
     ///
-    /// Panics if the state is internally inconsistent (per-link vector
-    /// lengths disagree, or a route crosses a link out of range) —
-    /// snapshot decoding and [`crate::netsim::FlowNetwork::restore`]
-    /// report that as typed errors before this is reached.
-    pub fn restore(state: SolverState) -> FairShareSolver {
+    /// Panics if the state breaks a rule (per-link vector lengths
+    /// disagree, or a route crosses a link out of range). Its one
+    /// caller, [`crate::netsim::FlowNetwork::restore`], rejects such a
+    /// state with a typed error first.
+    pub(crate) fn restore(state: SolverState) -> FairShareSolver {
         let n = state.capacities.len();
         assert_eq!(state.link_alloc.len(), n, "link_alloc length mismatch");
         let slab = state.flows.len();

@@ -32,7 +32,7 @@ use fred_core::codec::{SnapshotError, Value};
 use fred_core::snapshot::{field, Snap};
 use fred_sim::events::EventQueue;
 use fred_sim::flow::FlowSpec;
-use fred_sim::netsim::FlowNetwork;
+use fred_sim::netsim::{track_of, FlowNetwork};
 use fred_sim::time::Time;
 use fred_sim::topology::LinkId;
 use fred_telemetry::event::{next_span_id, TraceEvent, Track};
@@ -40,7 +40,6 @@ use fred_telemetry::sink::TraceSink;
 
 use crate::backend::FabricBackend;
 use crate::error::{PendingTask, TrainError};
-use crate::report::CommType;
 use crate::schedule::{Schedule, TaskBody, TaskId};
 
 /// Per-task timing from one simulated iteration.
@@ -65,16 +64,6 @@ struct CommState {
 /// (foreign) flows and maps to no task.
 pub fn comm_task_of_tag(tag: u64) -> Option<usize> {
     tag.checked_sub(1).map(|v| v as usize)
-}
-
-/// Maps an exposure type to its telemetry display track.
-fn track_of_comm(ctype: CommType) -> Track {
-    match ctype {
-        CommType::Mp => Track::Mp,
-        CommType::Pp => Track::Pp,
-        CommType::Dp => Track::Dp,
-        CommType::InputLoad | CommType::Streaming => Track::Bulk,
-    }
 }
 
 /// Injects `flows` into `net` as one batch (one solver delta), first
@@ -522,7 +511,7 @@ impl ScheduleExecutor {
     /// (one solver delta).
     fn advance_comm(&mut self, i: usize) -> bool {
         let schedule = self.schedule.clone();
-        let TaskBody::Comm { plan, priority, .. } = &schedule.tasks[i].body else {
+        let TaskBody::Comm { plan, ctype } = &schedule.tasks[i].body else {
             unreachable!("advance_comm on a compute task")
         };
         let state = self.comm.get_mut(&i).expect("comm state exists");
@@ -535,7 +524,7 @@ impl ScheduleExecutor {
                 let tag = self.cfg.tag_base + i as u64 + 1;
                 self.staged.extend(transfers.iter().map(|t| {
                     FlowSpec::new(t.route.clone(), t.bytes)
-                        .with_priority(*priority)
+                        .with_priority(ctype.priority())
                         .with_tag(tag)
                         .with_tenant(self.cfg.tenant)
                 }));
@@ -585,7 +574,7 @@ impl ScheduleExecutor {
         if let Some(span) = self.spans[i].take() {
             let track = match &self.schedule.tasks[i].body {
                 TaskBody::Compute { .. } => Track::Compute,
-                TaskBody::Comm { ctype, .. } => track_of_comm(*ctype),
+                TaskBody::Comm { ctype, .. } => track_of(ctype.priority()),
             };
             self.sink.record(TraceEvent::PhaseEnd {
                 t: net.now().as_secs(),
@@ -619,7 +608,7 @@ impl ScheduleExecutor {
                 srcs.sort_unstable();
                 srcs.dedup();
                 (
-                    track_of_comm(*ctype),
+                    track_of(ctype.priority()),
                     plan.label.clone(),
                     plan.total_bytes(),
                     srcs.len() as u32,

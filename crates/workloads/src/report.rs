@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use fred_sim::flow::Priority;
 use fred_sim::time::Duration;
 
 /// The sources of exposed communication time (Fig 10's stack segments).
@@ -34,6 +35,17 @@ impl CommType {
         CommType::Dp,
         CommType::Streaming,
     ];
+
+    /// The virtual-channel priority class this traffic travels in
+    /// (§5.4: MP > PP > DP > bulk).
+    pub fn priority(self) -> Priority {
+        match self {
+            CommType::Mp => Priority::Mp,
+            CommType::Pp => Priority::Pp,
+            CommType::Dp => Priority::Dp,
+            CommType::InputLoad | CommType::Streaming => Priority::Bulk,
+        }
+    }
 
     /// Display name.
     pub fn name(self) -> &'static str {

@@ -3,8 +3,8 @@
 //! A training iteration is compiled into a DAG of *compute* tasks
 //! (roofline-timed layer execution on a virtual worker — one MP group
 //! at a (dp, pp) coordinate, whose members run in lockstep) and *comm*
-//! tasks (compiled [`CommPlan`]s with a priority class and an exposure
-//! type). Two execution modes are supported:
+//! tasks (compiled [`CommPlan`]s with an exposure type, which also
+//! names their priority class). Two execution modes are supported:
 //!
 //! * **weight stationary** (§3.1.1): GPipe microbatch pipelining with
 //!   Megatron MP All-Reduces inside every forward/backward stage, PP
@@ -29,7 +29,6 @@ use std::rc::Rc;
 
 use fred_collectives::plan::CommPlan;
 use fred_core::placement::{Placement, Strategy3D};
-use fred_sim::flow::Priority;
 use fred_sim::time::Duration;
 
 use crate::backend::FabricBackend;
@@ -59,9 +58,8 @@ pub enum TaskBody {
         /// The compiled plan, shared by every task of the schedule
         /// that issues the same backend call.
         plan: Rc<CommPlan>,
-        /// Virtual-channel priority class (§5.4: MP > PP > DP > bulk).
-        priority: Priority,
-        /// Exposure attribution (Fig 10 stack segment).
+        /// Exposure attribution (Fig 10 stack segment); its
+        /// [`CommType::priority`] is the flows' priority class.
         ctype: CommType,
     },
 }
@@ -217,19 +215,11 @@ impl<'a> Builder<'a> {
     fn push_comm(
         &mut self,
         plan: Rc<CommPlan>,
-        priority: Priority,
         ctype: CommType,
         deps: Vec<TaskId>,
         blocked: &[WorkerId],
     ) -> TaskId {
-        let id = self.push(
-            TaskBody::Comm {
-                plan,
-                priority,
-                ctype,
-            },
-            deps,
-        );
+        let id = self.push(TaskBody::Comm { plan, ctype }, deps);
         for w in blocked {
             self.chains[w.0].push(id);
         }
@@ -270,7 +260,7 @@ impl<'a> Builder<'a> {
             .physical_group(&self.placement.mp_group_npus(dp, pp));
         let plan = self.plan(PlanKey::AllReduce(group, self.mp_bytes(layers).to_bits()));
         let w = self.worker(dp, pp);
-        self.push_comm(plan, Priority::Mp, CommType::Mp, deps, &[w])
+        self.push_comm(plan, CommType::Mp, deps, &[w])
     }
 
     /// PP boundary: the source MP group feeds the destination MP group
@@ -285,7 +275,7 @@ impl<'a> Builder<'a> {
         let bytes = self.model.activation_bytes(self.mb_samples());
         let plan = self.plan(PlanKey::Stage(srcs, dsts, bytes.to_bits()));
         let w = self.worker(dp, to_pp);
-        self.push_comm(plan, Priority::Pp, CommType::Pp, deps, &[w])
+        self.push_comm(plan, CommType::Pp, deps, &[w])
     }
 
     #[allow(clippy::needless_range_loop)]
@@ -298,13 +288,7 @@ impl<'a> Builder<'a> {
         let load_bytes = self.params.minibatch as f64 * self.model.sample_bytes;
         let load_plan = self.plan(PlanKey::InputLoad(load_bytes.to_bits()));
         let stage0: Vec<WorkerId> = (0..s.dp).map(|d| self.worker(d, 0)).collect();
-        let load = self.push_comm(
-            load_plan,
-            Priority::Bulk,
-            CommType::InputLoad,
-            vec![],
-            &stage0,
-        );
+        let load = self.push_comm(load_plan, CommType::InputLoad, vec![], &stage0);
 
         // fwd_done[d][p][mb] = task that completes (compute + MP) fwd.
         let mut fwd_done = vec![vec![vec![TaskId(0); m]; s.pp]; s.dp];
@@ -380,9 +364,9 @@ impl<'a> Builder<'a> {
                     let blocked: Vec<WorkerId> = (0..s.dp).map(|d| self.worker(d, p)).collect();
                     let bits = grad_bytes_per_member.to_bits();
                     let rs = self.plan(PlanKey::ReduceScatter(group.clone(), bits));
-                    let rs_id = self.push_comm(rs, Priority::Dp, CommType::Dp, deps, &blocked);
+                    let rs_id = self.push_comm(rs, CommType::Dp, deps, &blocked);
                     let ag = self.plan(PlanKey::AllGather(group, bits));
-                    self.push_comm(ag, Priority::Dp, CommType::Dp, vec![rs_id], &blocked);
+                    self.push_comm(ag, CommType::Dp, vec![rs_id], &blocked);
                 }
             }
         }
@@ -413,13 +397,7 @@ impl<'a> Builder<'a> {
         // channels are busy, §8.2).
         let load_bytes = self.params.minibatch as f64 * self.model.sample_bytes;
         let load_plan = self.plan(PlanKey::InputLoad(load_bytes.to_bits()));
-        let load = self.push_comm(
-            load_plan,
-            Priority::Bulk,
-            CommType::InputLoad,
-            vec![],
-            &all_workers,
-        );
+        let load = self.push_comm(load_plan, CommType::InputLoad, vec![], &all_workers);
 
         let mut prev_in_worker: Vec<Option<TaskId>> = vec![None; s.dp * s.pp];
         let mut prev_stream: Option<TaskId> = None;
@@ -440,13 +418,7 @@ impl<'a> Builder<'a> {
                 }
                 deps.extend(prev_round_done[r % 2].iter().copied());
                 let plan = this.plan(PlanKey::StreamIn(chunk_bytes.to_bits()));
-                let stream = this.push_comm(
-                    plan,
-                    Priority::Bulk,
-                    CommType::Streaming,
-                    deps,
-                    &all_workers,
-                );
+                let stream = this.push_comm(plan, CommType::Streaming, deps, &all_workers);
                 prev_stream = Some(stream);
 
                 // The window pipeline: microbatches through pp stages of
@@ -487,7 +459,7 @@ impl<'a> Builder<'a> {
                         gdeps.push(prev);
                     }
                     let plan = this.plan(PlanKey::StreamOut(grad_chunk.to_bits()));
-                    let g = this.push_comm(plan, Priority::Bulk, CommType::Streaming, gdeps, &[]);
+                    let g = this.push_comm(plan, CommType::Streaming, gdeps, &[]);
                     prev_grad_stream = Some(g);
                 }
             }
