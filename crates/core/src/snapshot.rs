@@ -34,8 +34,9 @@
 //! another field, to the topology or to the config is a rule, and the
 //! layer that restores the state checks it (for the network,
 //! [`FlowNetwork::restore`](fred_sim::netsim::FlowNetwork::restore)).
-//! Staged [`FlowSpec`]s are built through their constructors, so their
-//! decode also rejects what those assert.
+//! A state never holds what its layer can derive on restore: an
+//! executor's capture, for one, has no staged flows or ready tasks,
+//! because captures are taken between event instants.
 //!
 //! # Versioning policy
 //!
@@ -50,17 +51,16 @@
 use std::fmt;
 use std::path::Path;
 
-use fred_sim::flow::{FlowId, FlowSpec, Priority, MAX_TENANT};
+use fred_sim::flow::{FlowId, Priority};
 use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
 use fred_sim::solver::{SolverFlow, SolverState, SolverStats};
 use fred_sim::time::{Duration, Time};
-use fred_sim::topology::LinkId;
 
 use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 6;
+pub const SIM_STATE_VERSION: u32 = 7;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
@@ -343,16 +343,6 @@ impl Snap for FlowId {
     }
 }
 
-impl Snap for LinkId {
-    fn encode(&self) -> Value {
-        self.0.encode()
-    }
-
-    fn decode(v: &Value) -> Result<LinkId, SnapshotError> {
-        usize::decode(v).map(LinkId)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Containers.
 // ---------------------------------------------------------------------
@@ -442,40 +432,8 @@ snap_tuple!(3: A a 0, B b 1, C c 2);
 snap_tuple!(4: A a 0, B b 1, C c 2, D d 3);
 
 // ---------------------------------------------------------------------
-// Flow specs and completions.
+// Completions.
 // ---------------------------------------------------------------------
-
-/// Staged-but-uninjected flows in executor snapshots. Decoding
-/// re-validates what the [`FlowSpec`] constructors assert (finite
-/// non-negative bytes, tenant within the class space) as typed errors.
-impl Snap for FlowSpec {
-    fn encode(&self) -> Value {
-        Value::Obj(vec![
-            ("route".into(), self.route.encode()),
-            ("bytes".into(), self.bytes.encode()),
-            ("priority".into(), self.priority.encode()),
-            ("tag".into(), self.tag.encode()),
-            ("tenant".into(), self.tenant.encode()),
-        ])
-    }
-
-    fn decode(v: &Value) -> Result<FlowSpec, SnapshotError> {
-        let bytes: f64 = field(v, "bytes")?;
-        if !(bytes.is_finite() && bytes >= 0.0) {
-            return Err(mismatch(format_args!(".bytes: flow bytes {bytes} invalid")));
-        }
-        let tenant: u8 = field(v, "tenant")?;
-        if tenant > MAX_TENANT {
-            return Err(mismatch(format_args!(
-                ".tenant: tenant {tenant} outside the class space"
-            )));
-        }
-        Ok(FlowSpec::new(field(v, "route")?, bytes)
-            .with_priority(field(v, "priority")?)
-            .with_tag(field(v, "tag")?)
-            .with_tenant(tenant))
-    }
-}
 
 impl Snap for CompletedFlow {
     fn encode(&self) -> Value {
@@ -629,6 +587,7 @@ impl Snap for CoreState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fred_sim::flow::{FlowSpec, MAX_TENANT};
     use fred_sim::netsim::FlowNetwork;
     use fred_sim::topology::{NodeKind, Topology};
     use fred_telemetry::sink::NullSink;

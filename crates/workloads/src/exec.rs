@@ -24,6 +24,13 @@
 //! stays the "foreign flow" sentinel) and carry the executor's tenant
 //! rank, so the allocator isolates tenants and completions route back
 //! to the owning executor by tag range alone.
+//!
+//! The task graph, reverse edges included, is the shared [`Schedule`]'s;
+//! an executor holds only progress. A capture ([`ExecState`]) is taken
+//! between event instants, and [`ScheduleExecutor::new`] is the restore
+//! of empty progress: both derive each task's unfinished dependencies,
+//! the finished count and the ready tasks from what has started and
+//! finished.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -125,18 +132,20 @@ pub struct ExecConfig {
     pub label: Option<String>,
 }
 
-/// Captured executor progress: everything [`ScheduleExecutor`] mutates
-/// while running, as plain data, each fact once.
+/// Captured executor progress: which tasks have started and finished,
+/// and where each running one stands, as plain data, each fact once.
 ///
 /// The schedule, the [`ExecConfig`] and the trace sink are
 /// configuration: a restore is handed the same ones again. What follows
-/// from the schedule and the `done` flags is not captured either:
-/// restore rebuilds the `dependents` adjacency, recounts each task's
-/// unfinished dependencies and the finished-task count. Telemetry span
-/// bookkeeping (`spans`/`span_ids`) is deliberately excluded: traces
-/// restart at the restore point, so tasks already running resume
-/// without an open span (the dependency edge emitter skips the zero
-/// sentinel).
+/// from the schedule and this progress is not captured: restore counts
+/// each task's unfinished dependencies and the finished tasks, and
+/// takes as ready every task that has not started (it is neither done,
+/// in flight nor queued) and whose dependencies have all finished.
+/// Captures are taken only between event instants, so no flow is
+/// staged and no finished task awaits a settle. Telemetry span ids are
+/// deliberately excluded: traces restart at the restore point, so tasks
+/// already running resume without an open span (the dependency edge
+/// emitter skips the zero sentinel).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecState {
     /// Start time per task (ZERO until started).
@@ -146,19 +155,13 @@ pub struct ExecState {
     /// Finished flag per task.
     pub done: Vec<bool>,
     /// In-flight comm tasks as `(task, next_phase, outstanding)`,
-    /// sorted by task index.
+    /// sorted by task index. A comm task leaves it when it finishes.
     pub comm: Vec<(usize, usize, usize)>,
     /// Pending compute finishes (see
     /// [`fred_sim::events::EventQueue::entries`]).
     pub compute_queue: Vec<(Time, u64, usize)>,
     /// The compute queue's next tie-break sequence number.
     pub compute_next_seq: u64,
-    /// Tasks ready to start (popped back-to-front).
-    pub ready_stack: Vec<usize>,
-    /// Tasks that finished at the current instant, awaiting settle.
-    pub finished_now: Vec<usize>,
-    /// Flows staged but not yet injected.
-    pub staged: Vec<FlowSpec>,
 }
 
 /// The trainer's dependency-driven event loop as a resumable state
@@ -171,19 +174,20 @@ pub struct ScheduleExecutor {
     sink: Rc<dyn TraceSink>,
     tracing: bool,
     indegree: Vec<usize>,
-    dependents: Vec<Vec<TaskId>>,
     start: Vec<Time>,
     finish: Vec<Time>,
     done: Vec<bool>,
     comm: BTreeMap<usize, CommState>,
     compute_queue: EventQueue<usize>,
     completed: usize,
-    // Open span per running task / persistent span id per task
-    // (telemetry only; the id survives PhaseEnd so dependency edges can
-    // reference predecessors that already finished).
-    spans: Vec<Option<u64>>,
+    // Span id per task, nonzero once the task has started under this
+    // executor (telemetry only, empty untraced; the id outlives the
+    // task so dependency edges can reference finished predecessors).
     span_ids: Vec<u64>,
+    /// Tasks ready to start, popped back-to-front; between instants
+    /// only a fresh executor has any.
     ready_stack: Vec<usize>,
+    /// Tasks finished at the current instant, awaiting settle.
     finished_now: Vec<usize>,
     /// Flows staged by comm tasks at the current timestep, injected as
     /// one batch (one solver delta) by the next flush.
@@ -191,51 +195,41 @@ pub struct ScheduleExecutor {
 }
 
 impl ScheduleExecutor {
-    /// Creates an executor with every dependency-free task ready to
-    /// start. Nothing touches the network until the first
+    /// Creates an executor with nothing started, so every
+    /// dependency-free task is ready: the restore of empty progress.
+    /// Nothing touches the network until the first
     /// [`ScheduleExecutor::settle`].
     pub fn new(schedule: Rc<Schedule>, cfg: ExecConfig, sink: Rc<dyn TraceSink>) -> Self {
         let n = schedule.tasks.len();
-        let indegree: Vec<usize> = schedule.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (i, t) in schedule.tasks.iter().enumerate() {
-            for d in &t.deps {
-                dependents[d.0].push(TaskId(i));
-            }
-        }
-        // Tasks with no dependencies start in schedule order; the stack
-        // pops them back-to-front exactly like the classic trainer.
-        let ready_stack: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        for &i in &ready_stack {
-            debug_assert_eq!(indegree[i], 0);
-        }
-        let tracing = sink.enabled();
-        ScheduleExecutor {
-            schedule,
-            cfg,
-            sink,
-            tracing,
-            indegree,
-            dependents,
+        let nothing_started = ExecState {
             start: vec![Time::ZERO; n],
             finish: vec![Time::ZERO; n],
             done: vec![false; n],
-            comm: BTreeMap::new(),
-            compute_queue: EventQueue::new(),
-            completed: 0,
-            spans: vec![None; n],
-            span_ids: vec![0; n],
-            ready_stack,
-            finished_now: Vec::new(),
-            staged: Vec::new(),
-        }
+            comm: Vec::new(),
+            compute_queue: Vec::new(),
+            compute_next_seq: 0,
+        };
+        Self::resume(schedule, cfg, sink, nothing_started)
     }
 
-    /// Captures every piece of mutable executor state as plain data.
-    /// Restoring with [`ScheduleExecutor::restore`] against the same
-    /// schedule and config resumes bit-identically (modulo telemetry
-    /// spans — see [`ExecState`]).
+    /// Captures the executor's progress as plain data. Restoring with
+    /// [`ScheduleExecutor::restore`] against the same schedule and
+    /// config resumes bit-identically (modulo telemetry spans — see
+    /// [`ExecState`]). A fresh executor's capture is valid too: its
+    /// ready tasks follow from its progress.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "executor captured mid-instant" if flows are staged
+    /// or a finished task awaits a settle: between
+    /// [`ScheduleExecutor::handle_completion`] or
+    /// [`ScheduleExecutor::release_computes_due`] and the next
+    /// [`ScheduleExecutor::settle`].
     pub fn snapshot(&self) -> ExecState {
+        assert!(
+            self.staged.is_empty() && self.finished_now.is_empty(),
+            "executor captured mid-instant: settle before capturing"
+        );
         ExecState {
             start: self.start.clone(),
             finish: self.finish.clone(),
@@ -247,24 +241,20 @@ impl ScheduleExecutor {
                 .collect(),
             compute_queue: self.compute_queue.entries(),
             compute_next_seq: self.compute_queue.next_seq(),
-            ready_stack: self.ready_stack.clone(),
-            finished_now: self.finished_now.clone(),
-            staged: self.staged.clone(),
         }
     }
 
     /// Rebuilds an executor from a [`ScheduleExecutor::snapshot`] and
     /// the same schedule and config it was captured against — the
-    /// arguments [`ScheduleExecutor::new`] took. Each task's count of
-    /// unfinished dependencies and the finished-task count are
-    /// recounted from the `done` flags.
+    /// arguments [`ScheduleExecutor::new`] took. What the capture does
+    /// not hold is derived as for a fresh executor (see [`ExecState`]).
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Mismatch`] if the state does not pair with the
     /// schedule: a per-task vector of another length than the task
-    /// count, a task index out of range, or an in-flight comm entry
-    /// naming a compute task.
+    /// count, a queued task out of range, or an in-flight comm entry
+    /// naming no comm task.
     pub fn restore(
         schedule: Rc<Schedule>,
         cfg: ExecConfig,
@@ -284,12 +274,7 @@ impl ScheduleExecutor {
                 ));
             }
         }
-        let queued = state.compute_queue.iter().map(|&(_, _, i)| i);
-        if let Some(i) = queued
-            .chain(state.ready_stack.iter().copied())
-            .chain(state.finished_now.iter().copied())
-            .find(|&i| i >= n)
-        {
+        if let Some(&(.., i)) = state.compute_queue.iter().find(|&&(.., i)| i >= n) {
             return pairing(format!("task {i} out of range ({n} tasks)"));
         }
         let is_comm = |i: usize| {
@@ -301,40 +286,65 @@ impl ScheduleExecutor {
         if let Some(&(i, ..)) = state.comm.iter().find(|&&(i, ..)| !is_comm(i)) {
             return pairing(format!(".comm: task {i} is no comm task of the schedule"));
         }
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut indegree = vec![0; n];
-        for (i, t) in schedule.tasks.iter().enumerate() {
-            for d in &t.deps {
-                dependents[d.0].push(TaskId(i));
-                indegree[i] += usize::from(!state.done[d.0]);
-            }
-        }
-        let completed = state.done.iter().filter(|&&d| d).count();
-        let comm = state
-            .comm
+        Ok(Self::resume(schedule, cfg, sink, state))
+    }
+
+    /// The executor at `progress`, which pairs with `schedule`, with
+    /// what [`ExecState`] leaves out derived from it. Ready tasks are
+    /// listed in task order and popped back-to-front.
+    fn resume(
+        schedule: Rc<Schedule>,
+        cfg: ExecConfig,
+        sink: Rc<dyn TraceSink>,
+        progress: ExecState,
+    ) -> Self {
+        let ExecState {
+            start,
+            finish,
+            done,
+            comm,
+            compute_queue,
+            compute_next_seq,
+        } = progress;
+        let n = schedule.tasks.len();
+        let indegree: Vec<usize> = schedule
+            .tasks
             .iter()
-            .map(|&(i, phase, outstanding)| (i, CommState { phase, outstanding }))
+            .map(|t| t.deps.iter().filter(|d| !done[d.0]).count())
             .collect();
+        // A task has started once it is in flight, queued or done.
+        let mut started = done.clone();
+        for i in comm.iter().map(|&(i, ..)| i) {
+            started[i] = true;
+        }
+        for &(.., i) in &compute_queue {
+            started[i] = true;
+        }
+        let ready_stack = (0..n)
+            .filter(|&i| !started[i] && indegree[i] == 0)
+            .collect();
+        let completed = done.iter().filter(|&&d| d).count();
         let tracing = sink.enabled();
-        Ok(ScheduleExecutor {
+        ScheduleExecutor {
             schedule,
             cfg,
             sink,
             tracing,
             indegree,
-            dependents,
-            start: state.start,
-            finish: state.finish,
-            done: state.done,
-            comm,
-            compute_queue: EventQueue::from_entries(state.compute_queue, state.compute_next_seq),
+            start,
+            finish,
+            done,
+            comm: comm
+                .into_iter()
+                .map(|(i, phase, outstanding)| (i, CommState { phase, outstanding }))
+                .collect(),
+            compute_queue: EventQueue::from_entries(compute_queue, compute_next_seq),
             completed,
-            spans: vec![None; n],
-            span_ids: vec![0; n],
-            ready_stack: state.ready_stack,
-            finished_now: state.finished_now,
-            staged: state.staged,
-        })
+            span_ids: if tracing { vec![0; n] } else { Vec::new() },
+            ready_stack,
+            finished_now: Vec::new(),
+            staged: Vec::new(),
+        }
     }
 
     /// The schedule being executed.
@@ -562,8 +572,8 @@ impl ScheduleExecutor {
         }
     }
 
-    /// Marks task `i` finished at the current time and releases its
-    /// dependents.
+    /// Marks task `i` finished at the current time, drops its comm
+    /// cursor and releases its dependents.
     fn finish_task(&mut self, i: usize, net: &FlowNetwork) {
         if self.done[i] {
             return;
@@ -571,7 +581,8 @@ impl ScheduleExecutor {
         self.done[i] = true;
         self.finish[i] = net.now();
         self.completed += 1;
-        if let Some(span) = self.spans[i].take() {
+        self.comm.remove(&i);
+        if let Some(&span) = self.span_ids.get(i).filter(|&&span| span != 0) {
             let track = match &self.schedule.tasks[i].body {
                 TaskBody::Compute { .. } => Track::Compute,
                 TaskBody::Comm { ctype, .. } => track_of(ctype.priority()),
@@ -582,14 +593,12 @@ impl ScheduleExecutor {
                 span,
             });
         }
-        let deps = std::mem::take(&mut self.dependents[i]);
-        for &dep in &deps {
+        for &dep in &self.schedule.dependents[i] {
             self.indegree[dep.0] -= 1;
             if self.indegree[dep.0] == 0 {
                 self.ready_stack.push(dep.0);
             }
         }
-        self.dependents[i] = deps;
     }
 
     /// Telemetry for a task start: its span, correlation tag and
@@ -620,7 +629,6 @@ impl ScheduleExecutor {
             None => label,
         };
         let span = next_span_id();
-        self.spans[i] = Some(span);
         self.span_ids[i] = span;
         // Comm spans claim their flows through the namespaced
         // correlation tag (see advance_comm).
@@ -665,9 +673,6 @@ impl Snap for ExecState {
             ("comm".into(), self.comm.encode()),
             ("compute_queue".into(), self.compute_queue.encode()),
             ("compute_next_seq".into(), self.compute_next_seq.encode()),
-            ("ready_stack".into(), self.ready_stack.encode()),
-            ("finished_now".into(), self.finished_now.encode()),
-            ("staged".into(), self.staged.encode()),
         ])
     }
 
@@ -679,9 +684,6 @@ impl Snap for ExecState {
             comm: field(v, "comm")?,
             compute_queue: field(v, "compute_queue")?,
             compute_next_seq: field(v, "compute_next_seq")?,
-            ready_stack: field(v, "ready_stack")?,
-            finished_now: field(v, "finished_now")?,
-            staged: field(v, "staged")?,
         })
     }
 }
@@ -698,11 +700,6 @@ mod tests {
             comm: vec![(1, 2, 3)],
             compute_queue: vec![(Time::from_secs(1.5), 7, 2)],
             compute_next_seq: 8,
-            ready_stack: vec![2],
-            finished_now: vec![],
-            staged: vec![FlowSpec::new(vec![LinkId(0), LinkId(3)], 1e9)
-                .with_tag(66)
-                .with_tenant(2)],
         }
     }
 
@@ -753,25 +750,28 @@ mod tests {
         );
     }
 
-    #[test]
-    fn restoring_at_every_event_instant_recounts_partly_finished_dependencies() {
+    /// ResNet-152 pipelined and data-parallel on Fred-D: a stage's
+    /// compute waits on its previous microbatch and on the stage before
+    /// it, a gradient reduce-scatter on every replica.
+    fn pipelined_resnet() -> (FabricBackend, Rc<Schedule>) {
         use crate::model::DnnModel;
         use crate::schedule::{build_schedule, ScheduleParams};
         use fred_core::params::FabricConfig;
         use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
-        use fred_telemetry::sink::NullSink;
-        // Pipelined and data-parallel: a stage's compute waits on its
-        // previous microbatch and on the stage before it, a gradient
-        // reduce-scatter on every replica.
         let model = DnnModel::resnet152();
         let strategy = Strategy3D::new(1, 2, 2);
         let fabric = FabricConfig::FredD;
         let backend = FabricBackend::new(fabric);
         let placement = Placement::new(strategy, PlacementPolicy::for_fabric(fabric));
         let params = ScheduleParams::sweep_default(&model, strategy);
-        let schedule = Rc::new(build_schedule(
-            &model, strategy, &placement, &backend, params,
-        ));
+        let schedule = build_schedule(&model, strategy, &placement, &backend, params);
+        (backend, Rc::new(schedule))
+    }
+
+    #[test]
+    fn restoring_at_every_event_instant_recounts_partly_finished_dependencies() {
+        use fred_telemetry::sink::NullSink;
+        let (backend, schedule) = pipelined_resnet();
         let cfg = ExecConfig::default;
         // Finish times, and how many captures held a task with both
         // finished and unfinished dependencies.
@@ -783,6 +783,13 @@ mod tests {
             while !ex.is_done() {
                 if restore_each_instant {
                     let state = ex.snapshot();
+                    // Progress only: a comm task leaves its cursor
+                    // behind when it finishes.
+                    assert!(
+                        state.comm.iter().all(|&(i, ..)| !state.done[i]),
+                        "a finished comm task in {:?}",
+                        state.comm
+                    );
                     let done = |d: &TaskId| state.done[d.0];
                     partly_finished += usize::from(
                         schedule
@@ -828,6 +835,26 @@ mod tests {
             "no capture was mid-way through a task's dependencies"
         );
         assert_eq!(resumed, reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "executor captured mid-instant")]
+    fn capturing_between_a_completion_and_its_settle_panics() {
+        use fred_telemetry::sink::NullSink;
+        let (backend, schedule) = pipelined_resnet();
+        let mut net = FlowNetwork::new(backend.topology());
+        let mut ex = ScheduleExecutor::new(schedule, ExecConfig::default(), Rc::new(NullSink));
+        ex.settle(&mut net, &backend).unwrap();
+        // Up to the first completion that ends a phase or a task, whose
+        // next phase or dependents the settle would start.
+        while ex.staged.is_empty() && ex.finished_now.is_empty() {
+            let next = net.next_event().expect("the input load is in flight");
+            net.advance_to(next);
+            for c in net.drain_completed() {
+                ex.handle_completion(c.tag).unwrap();
+            }
+        }
+        ex.snapshot();
     }
 
     #[test]

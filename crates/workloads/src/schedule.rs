@@ -73,7 +73,10 @@ pub struct Task {
     pub deps: Vec<TaskId>,
 }
 
-/// A compiled training iteration.
+/// A compiled training iteration. Its task graph is fixed once built:
+/// [`Schedule::new`] derives each task's dependents, which every
+/// executor sharing the schedule reads, so editing `tasks` afterwards
+/// would leave them stale.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// All tasks; `TaskId` indexes into this.
@@ -86,6 +89,9 @@ pub struct Schedule {
     pub strategy: String,
     /// Minibatch samples per iteration.
     pub minibatch: usize,
+    /// Per task, the tasks that list it in their `deps`, in task
+    /// order: the graph's reverse edges.
+    pub(crate) dependents: Vec<Vec<TaskId>>,
 }
 
 /// Scheduling inputs beyond the model and strategy.
@@ -279,7 +285,7 @@ impl<'a> Builder<'a> {
     }
 
     #[allow(clippy::needless_range_loop)]
-    fn build_weight_stationary(mut self) -> Schedule {
+    fn build_weight_stationary(&mut self) {
         let s = self.strategy;
         let m = self.params.microbatches;
         let layers_per_stage = self.model.layers as f64 / s.pp as f64;
@@ -370,17 +376,10 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-
-        Schedule {
-            tasks: self.tasks,
-            worker_chains: self.chains,
-            strategy: s.to_string(),
-            minibatch: self.params.minibatch,
-        }
     }
 
     #[allow(clippy::needless_range_loop)]
-    fn build_weight_streaming(mut self) -> Schedule {
+    fn build_weight_streaming(&mut self) {
         let s = self.strategy;
         let m = self.params.microbatches;
         // Each round streams in a window of `pp` consecutive layers —
@@ -465,8 +464,8 @@ impl<'a> Builder<'a> {
             }
         };
 
-        run_pass(&mut self, false);
-        run_pass(&mut self, true);
+        run_pass(self, false);
+        run_pass(self, true);
 
         // The iteration ends when the last gradient chunk has left the
         // wafer; block every worker on it.
@@ -474,14 +473,6 @@ impl<'a> Builder<'a> {
             for w in &all_workers {
                 self.chains[w.0].push(g);
             }
-            let _ = g;
-        }
-
-        Schedule {
-            tasks: self.tasks,
-            worker_chains: self.chains,
-            strategy: s.to_string(),
-            minibatch: self.params.minibatch,
         }
     }
 }
@@ -509,7 +500,7 @@ pub fn build_schedule(
         backend.npu_count()
     );
     assert!(params.minibatch > 0 && params.microbatches > 0);
-    let builder = Builder {
+    let mut builder = Builder {
         model,
         strategy,
         placement,
@@ -523,9 +514,38 @@ pub fn build_schedule(
         ExecutionMode::WeightStationary => builder.build_weight_stationary(),
         ExecutionMode::WeightStreaming => builder.build_weight_streaming(),
     }
+    let (tasks, chains) = (builder.tasks, builder.chains);
+    Schedule::new(tasks, chains, strategy.to_string(), params.minibatch)
 }
 
 impl Schedule {
+    /// A schedule of `tasks`, with each task's dependents derived from
+    /// the `deps` lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dependency names a task past `tasks`.
+    pub fn new(
+        tasks: Vec<Task>,
+        worker_chains: Vec<Vec<TaskId>>,
+        strategy: String,
+        minibatch: usize,
+    ) -> Schedule {
+        let mut dependents = vec![Vec::new(); tasks.len()];
+        for (i, t) in tasks.iter().enumerate() {
+            for d in &t.deps {
+                dependents[d.0].push(TaskId(i));
+            }
+        }
+        Schedule {
+            tasks,
+            worker_chains,
+            strategy,
+            minibatch,
+            dependents,
+        }
+    }
+
     /// Total busy-compute seconds of worker `w`.
     pub fn worker_compute_secs(&self, w: usize) -> f64 {
         self.worker_chains[w]

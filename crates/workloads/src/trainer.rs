@@ -38,7 +38,8 @@ use crate::schedule::{build_schedule, Schedule, ScheduleParams, TaskBody};
 
 pub use crate::exec::{comm_task_of_tag, IterationTiming};
 
-/// Executes `schedule` on a fresh simulator over `backend`'s topology.
+/// Executes a copy of `schedule` on a fresh simulator over `backend`'s
+/// topology ([`simulate`] runs the schedule it builds without a copy).
 ///
 /// # Errors
 ///
@@ -48,7 +49,12 @@ pub fn run_iteration(
     schedule: &Schedule,
     backend: &FabricBackend,
 ) -> Result<IterationTiming, TrainError> {
-    run_iteration_faulted(schedule, backend, &FaultPlan::none(), Rc::new(NullSink))
+    run_iteration_faulted(
+        Rc::new(schedule.clone()),
+        backend,
+        &FaultPlan::none(),
+        Rc::new(NullSink),
+    )
 }
 
 /// The trainer's event loop: one executor driven to completion over a
@@ -62,7 +68,7 @@ pub fn run_iteration(
 /// and a [`NullSink`] records nothing: timing results are bit-identical
 /// whatever the sink.
 fn run_iteration_faulted(
-    schedule: &Schedule,
+    schedule: Rc<Schedule>,
     backend: &FabricBackend,
     faults: &FaultPlan,
     sink: Rc<dyn TraceSink>,
@@ -79,11 +85,7 @@ fn run_iteration_faulted(
     // single-job tags and tenant rank, driven to completion over a
     // private network. The cluster scheduler drives many of these
     // through one shared network instead.
-    let mut ex = ScheduleExecutor::new(
-        Rc::new(schedule.clone()),
-        ExecConfig::default(),
-        sink.clone(),
-    );
+    let mut ex = ScheduleExecutor::new(schedule, ExecConfig::default(), sink.clone());
     // Cursor into the (time-sorted) fault plan; fault times count from
     // the iteration's start at zero.
     let mut fault_cursor = 0usize;
@@ -216,8 +218,8 @@ pub fn simulate_faulted(
     sink: Rc<dyn TraceSink>,
 ) -> Result<TrainingReport, TrainError> {
     let placement = Placement::new(strategy, PlacementPolicy::for_fabric(backend.config()));
-    let schedule = build_schedule(model, strategy, &placement, backend, params);
-    let timing = run_iteration_faulted(&schedule, backend, faults, sink)?;
+    let schedule = Rc::new(build_schedule(model, strategy, &placement, backend, params));
+    let timing = run_iteration_faulted(Rc::clone(&schedule), backend, faults, sink)?;
     Ok(breakdown(
         &schedule,
         &timing,
@@ -354,12 +356,12 @@ mod tests {
                 duration: D::from_secs(1.0),
             },
         };
-        let schedule = Schedule {
-            tasks: vec![mk(vec![]), mk(vec![TaskId(2)]), mk(vec![TaskId(1)])],
-            worker_chains: vec![vec![TaskId(0), TaskId(1), TaskId(2)]],
-            strategy: "cyclic-test".into(),
-            minibatch: 1,
-        };
+        let schedule = Schedule::new(
+            vec![mk(vec![]), mk(vec![TaskId(2)]), mk(vec![TaskId(1)])],
+            vec![vec![TaskId(0), TaskId(1), TaskId(2)]],
+            "cyclic-test".into(),
+            1,
+        );
         let err = run_iteration(&schedule, &backend).unwrap_err();
         let TrainError::Stalled {
             completed,
