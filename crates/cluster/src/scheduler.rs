@@ -505,7 +505,7 @@ fn check_pairing(
                 r.job
             ));
         }
-        if let Some(&(at, _, task)) = r.exec.compute_queue.iter().find(|e| e.0 < now) {
+        if let Some(&(at, task)) = r.exec.compute_queue.iter().find(|e| e.0 < now) {
             return bad(format!(
                 ".net.now: clock {now} is later than the finish of task {task} at {at} (.running[{k}].exec.compute_queue)"
             ));

@@ -36,7 +36,9 @@
 //! [`FlowNetwork::restore`](fred_sim::netsim::FlowNetwork::restore)).
 //! A state never holds what its layer can derive on restore: an
 //! executor's capture, for one, has no staged flows or ready tasks,
-//! because captures are taken between event instants.
+//! because captures are taken between event instants, and a network's
+//! has no drain heap, because each flow's settled bytes and rate give
+//! its entry.
 //!
 //! # Versioning policy
 //!
@@ -60,7 +62,7 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 7;
+pub const SIM_STATE_VERSION: u32 = 8;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
@@ -428,8 +430,8 @@ macro_rules! snap_tuple {
     };
 }
 
+snap_tuple!(2: A a 0, B b 1);
 snap_tuple!(3: A a 0, B b 1, C c 2);
-snap_tuple!(4: A a 0, B b 1, C c 2, D d 3);
 
 // ---------------------------------------------------------------------
 // Completions.
@@ -488,7 +490,6 @@ impl Snap for SolverState {
             ("link_alloc".into(), self.link_alloc.encode()),
             ("seed_links".into(), self.seed_links.encode()),
             ("dirty".into(), self.dirty.encode()),
-            ("epoch".into(), self.epoch.encode()),
             ("solves".into(), self.stats.solves.encode()),
             ("global_solves".into(), self.stats.global_solves.encode()),
             ("refilled_flows".into(), self.stats.refilled_flows.encode()),
@@ -504,7 +505,6 @@ impl Snap for SolverState {
             link_alloc: field(v, "link_alloc")?,
             seed_links: field(v, "seed_links")?,
             dirty: field(v, "dirty")?,
-            epoch: field(v, "epoch")?,
             stats: SolverStats {
                 solves: field(v, "solves")?,
                 global_solves: field(v, "global_solves")?,
@@ -557,8 +557,6 @@ impl Snap for CoreState {
             ("next_id".into(), self.next_id.encode()),
             ("flows".into(), self.flows.encode()),
             ("solver".into(), self.solver.encode()),
-            ("drains".into(), self.drains.encode()),
-            ("compactions".into(), self.compactions.encode()),
             ("next_generation".into(), self.next_generation.encode()),
             ("pending".into(), self.pending.encode()),
             ("completed".into(), self.completed.encode()),
@@ -573,8 +571,6 @@ impl Snap for CoreState {
             next_id: field(v, "next_id")?,
             flows: field(v, "flows")?,
             solver: field(v, "solver")?,
-            drains: field(v, "drains")?,
-            compactions: field(v, "compactions")?,
             next_generation: field(v, "next_generation")?,
             pending: field(v, "pending")?,
             completed: field(v, "completed")?,
@@ -663,6 +659,14 @@ mod tests {
             .expect("a live flow")
     }
 
+    /// The first slot whose flow drains at a positive rate.
+    fn first_rated(s: &SolverState) -> usize {
+        s.flows
+            .iter()
+            .position(|f| f.as_ref().is_some_and(|f| f.rate > 0.0))
+            .expect("a rated flow")
+    }
+
     /// Damages the encoded value tree of a live network's captured
     /// state, for values the typed state cannot hold, and requires the
     /// decoder to reject it with a typed `Mismatch`. `damage` also gets
@@ -706,7 +710,11 @@ mod tests {
         // Each edit decodes, since decoding checks shapes only, and
         // restore must reject it naming the field, never panic.
         type Edit = fn(&mut CoreState);
-        let edits: [(&str, Edit); 11] = [
+        fn bytes_left(s: &mut CoreState, bytes: f64) {
+            let k = first_rated(&s.solver);
+            s.flows[k].as_mut().unwrap().remaining = bytes;
+        }
+        let edits: [(&str, Edit); 16] = [
             ("solver.link_alloc", |s| s.solver.link_alloc.push(0.0)),
             ("failed", |s| s.failed.push(false)),
             ("solver.seed_links", |s| {
@@ -733,7 +741,24 @@ mod tests {
                 let k = s.solver.free[0];
                 s.solver.free.push(k);
             }),
-            ("drains", |s| s.drains[0].3 = s.flows.len() as u32),
+            ("flows", |s| bytes_left(s, f64::INFINITY)),
+            ("flows", |s| bytes_left(s, f64::NAN)),
+            ("flows", |s| bytes_left(s, -5.0)),
+            // A rate so small the flow's bytes never drain.
+            ("solver.flows", |s| {
+                let k = first_rated(&s.solver);
+                s.solver.flows[k].as_mut().unwrap().rate = 1e-308;
+            }),
+            // A rated flow with a new flow's generation, and one with a
+            // generation not yet assigned.
+            ("flows", |s| {
+                let k = first_rated(&s.solver);
+                s.flows[k].as_mut().unwrap().generation = 0;
+            }),
+            ("flows", |s| {
+                let k = first_live(&s.solver);
+                s.flows[k].as_mut().unwrap().generation = s.next_generation + 1;
+            }),
             ("solver.flows", |s| {
                 let k = first_live(&s.solver);
                 s.flows[k].as_mut().unwrap().tenant = MAX_TENANT + 1;
@@ -748,8 +773,10 @@ mod tests {
             let (topo, net) = busy_net();
             let mut state = net.snapshot();
             edit(&mut state);
-            let decoded = CoreState::decode(&state.encode());
-            assert_eq!(decoded.as_ref(), Ok(&state), "edit of {field} must decode");
+            // Compared as binary images, which hold a NaN's exact bits.
+            let image = |s: &CoreState| codec::to_binary(&s.encode());
+            let decoded = CoreState::decode(&state.encode()).map(|d| image(&d));
+            assert_eq!(decoded, Ok(image(&state)), "edit of {field} must decode");
             match FlowNetwork::restore(topo, Rc::new(NullSink), state) {
                 Err(e) => assert_eq!(e.field, field, "{e}"),
                 Ok(_) => panic!("edit of {field} restored"),

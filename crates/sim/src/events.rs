@@ -90,34 +90,28 @@ impl<E: Eq> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// The sequence number the next [`EventQueue::schedule`] will use.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Every pending entry, sorted by `(at, seq)` — the queue's pop
-    /// order is a pure function of this set, so snapshots serialize it
-    /// and [`EventQueue::from_entries`] rebuilds an equivalent heap.
-    pub fn entries(&self) -> Vec<(Time, u64, E)>
+    /// Every pending event with its instant, in pop order. The pop
+    /// order is all a queue's state: snapshots serialize this list and
+    /// [`EventQueue::from_entries`] rebuilds an equivalent queue.
+    pub fn entries(&self) -> Vec<(Time, E)>
     where
         E: Clone,
     {
-        let mut out: Vec<(Time, u64, E)> = self
-            .heap
-            .iter()
-            .map(|Reverse(s)| (s.at, s.seq, s.event.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
+        let mut out: Vec<&Scheduled<E>> = self.heap.iter().map(|Reverse(s)| s).collect();
+        out.sort_unstable();
+        out.into_iter().map(|s| (s.at, s.event.clone())).collect()
     }
 
-    /// Rebuilds a queue from [`EventQueue::entries`] and
-    /// [`EventQueue::next_seq`] captures. Pop order (and all future
-    /// tie-breaking) matches the captured queue exactly.
-    pub fn from_entries(entries: Vec<(Time, u64, E)>, next_seq: u64) -> EventQueue<E> {
-        let heap = entries
-            .into_iter()
-            .map(|(at, seq, event)| Reverse(Scheduled { at, seq, event }))
+    /// Rebuilds a queue from [`EventQueue::entries`], numbering the
+    /// entries by position. Pop order matches the captured queue, and
+    /// so does all future tie-breaking: every later
+    /// [`EventQueue::schedule`] numbers above every restored entry, as
+    /// it did above every captured one.
+    pub fn from_entries(entries: Vec<(Time, E)>) -> EventQueue<E> {
+        let next_seq = entries.len() as u64;
+        let heap = (0..)
+            .zip(entries)
+            .map(|(seq, (at, event))| Reverse(Scheduled { at, seq, event }))
             .collect();
         EventQueue { heap, next_seq }
     }
@@ -144,8 +138,14 @@ mod tests {
         q.schedule(Time::from_secs(2.0), 'b');
         q.schedule(Time::from_secs(1.0), 'a');
         q.schedule(Time::from_secs(1.0), 'c');
+        q.schedule(Time::from_secs(1.0), 'e');
         q.pop();
-        let mut r = EventQueue::from_entries(q.entries(), q.next_seq());
+        // The capture is the pop order, without sequence numbers.
+        let entries = q.entries();
+        let at = Time::from_secs;
+        assert_eq!(entries, [(at(1.0), 'c'), (at(1.0), 'e'), (at(2.0), 'b')]);
+        let mut r = EventQueue::from_entries(entries);
+        assert_eq!(r.entries(), q.entries());
         // New same-instant events in both queues keep FIFO parity.
         q.schedule(Time::from_secs(1.0), 'd');
         r.schedule(Time::from_secs(1.0), 'd');

@@ -97,7 +97,7 @@ pub fn global_heap_compactions() -> u64 {
 /// live in the solver under the same key. Every field that feeds future
 /// arithmetic (the byte watermark, the drain-entry generation) is
 /// carried verbatim, so a restored network continues the exact float
-/// sequence.
+/// sequence and rebuilds the exact drain entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowState {
     /// The id returned by [`FlowNetwork::inject`].
@@ -112,8 +112,9 @@ pub struct FlowState {
     pub remaining: f64,
     /// Watermark of the last byte settlement / rate change.
     pub updated_at: Time,
-    /// Generation of this flow's live drain-heap entry; entries with a
-    /// stale generation are discarded on pop.
+    /// Generation of this flow's live drain-heap entry (0 until its
+    /// first rate assignment); entries with a stale generation are
+    /// discarded on pop.
     pub generation: u64,
     /// Injection instant.
     pub injected_at: Time,
@@ -130,6 +131,18 @@ impl FlowState {
             self.remaining -= (rate * dt).min(self.remaining);
         }
         self.updated_at = now;
+    }
+
+    /// When this flow drains at `rate` (positive) from its settled
+    /// bytes: the instant of the drain entry its last rate assignment
+    /// pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow never drains (`remaining / rate` is not
+    /// finite).
+    fn drain_instant(&self, rate: f64) -> Time {
+        self.updated_at + Duration::from_secs((self.remaining / rate).max(0.0))
     }
 }
 
@@ -202,19 +215,21 @@ impl PartialOrd for PendingNotice {
 /// were interleaved.
 type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 
-/// Serializable image of a [`FlowNetwork`]: everything mutable that
-/// the next event needs, structurally faithful down to slab holes and
-/// heap entry sets. Captured by [`FlowNetwork::snapshot`]; restoring
-/// and running to completion is bit-identical to never having paused.
+/// Serializable image of a [`FlowNetwork`]: the simulation state the
+/// next event needs, structurally faithful down to slab holes. Captured
+/// by [`FlowNetwork::snapshot`]; restoring and running to completion is
+/// bit-identical to never having paused, and two networks in the same
+/// simulated state capture equal states.
 ///
 /// Deliberately excluded: the telemetry sink (configuration, supplied
-/// on restore), solver scratch (epoch-stamped, provably inert after
-/// restore), the drain-heap compaction floor (a test hook, back at its
-/// default after a restore), the process-wide event/compaction
-/// counters (monotonic profiling aggregates, not simulation state),
-/// and what restore derives from the rest: the live drain-entry count
-/// and the telemetry mirror of per-link allocations, which is the
-/// solver's allocation.
+/// on restore), solver scratch (restarted at zero), the drain-heap
+/// compaction floor and count (a test hook and a statistic, back at the
+/// default and at zero after a restore), the process-wide counters
+/// (profiling aggregates, not simulation state), and what restore
+/// derives from the rest: the drain heap (one entry per flow with a
+/// positive rate, from its settled bytes and rate) with its live-entry
+/// count, and the telemetry mirror of per-link allocations, which is
+/// the solver's allocation.
 ///
 /// The fields are plain data, and any values of their types decode:
 /// how they relate to each other and to the topology is checked by
@@ -229,13 +244,7 @@ pub struct CoreState {
     pub flows: Vec<Option<FlowState>>,
     /// The fair-share solver's image: routes, rates, link capacities.
     pub solver: crate::solver::SolverState,
-    /// Drain-heap entries `(when, flow id, generation, slot)`, sorted
-    /// ascending — a binary heap's pop order is a pure function of its
-    /// entry set, so the heap is rebuilt from this verbatim.
-    pub drains: Vec<(Time, u64, u64, u32)>,
-    /// Compactions performed so far (per-network statistic).
-    pub compactions: u64,
-    /// Drain-entry generation counter.
+    /// Drain-entry generation counter: the last generation assigned.
     pub next_generation: u64,
     /// Drained flows waiting out their tail latency, as the completion
     /// records they become, sorted by `(completed_at, id)`.
@@ -366,9 +375,11 @@ impl FlowNetwork {
         self.solver.len() + self.pending.len()
     }
 
-    /// Drain-heap compactions this instance has performed (see
-    /// [`global_heap_compactions`] for the process-wide counter behind
-    /// the `sim.solver/heap_compactions` report key).
+    /// Drain-heap compactions this instance has performed since it was
+    /// built or restored; a restored heap holds no garbage, so the count
+    /// starts at zero (see [`global_heap_compactions`] for the
+    /// process-wide counter behind the `sim.solver/heap_compactions`
+    /// report key).
     pub fn heap_compactions(&self) -> u64 {
         self.compactions
     }
@@ -657,9 +668,8 @@ impl FlowNetwork {
             self.next_generation += 1;
             f.generation = self.next_generation;
             if rate > 0.0 {
-                let eta = Duration::from_secs((f.remaining / rate).max(0.0));
-                self.drains
-                    .push(Reverse((now + eta, f.id.0, f.generation, key.0)));
+                let at = f.drain_instant(rate);
+                self.drains.push(Reverse((at, f.id.0, f.generation, key.0)));
                 self.live_drains += 1;
             }
         }
@@ -868,16 +878,14 @@ impl FlowNetwork {
         self.compaction_min = min;
     }
 
-    /// Captures the simulator's complete mutable state. Restoring the
-    /// capture with [`FlowNetwork::restore`] and running to completion
-    /// is bit-identical (completion times, rate epochs, evicted bytes)
-    /// to never having paused. Valid at any point between
-    /// public calls, including mid-fault with evicted flows awaiting
-    /// re-injection.
+    /// Captures the simulator's state. Restoring the capture with
+    /// [`FlowNetwork::restore`] and running to completion is
+    /// bit-identical (completion times, rate epochs, evicted bytes) to
+    /// never having paused. Valid at any point between public calls,
+    /// including mid-fault with evicted flows awaiting re-injection.
+    /// The drain heap is left out (restore rebuilds it), so the capture
+    /// does not depend on when the heap last compacted.
     pub fn snapshot(&self) -> CoreState {
-        let mut drains: Vec<(Time, u64, u64, u32)> =
-            self.drains.iter().map(|&Reverse(e)| e).collect();
-        drains.sort();
         let mut pending: Vec<CompletedFlow> =
             self.pending.iter().map(|Reverse(p)| p.0.clone()).collect();
         pending.sort_by_key(completion_key);
@@ -886,8 +894,6 @@ impl FlowNetwork {
             next_id: self.next_id,
             flows: self.flows.clone(),
             solver: self.solver.snapshot(),
-            drains,
-            compactions: self.compactions,
             next_generation: self.next_generation,
             pending,
             completed: self.completed.clone(),
@@ -902,10 +908,13 @@ impl FlowNetwork {
     /// [`TraceEvent::Topology`] marker is emitted at the restored clock
     /// — the same segment marker [`FlowNetwork::with_sink`] emits at
     /// construction — so analysis layers can re-cost the resumed
-    /// segment on its own. The live drain-entry count is recounted and
-    /// the telemetry mirror starts as the solver's allocation, so a
-    /// capture taken untraced resumes into a traced sink without
-    /// reporting a change no solve made.
+    /// segment on its own. The drain heap holds one entry `(updated_at +
+    /// remaining / rate, id, generation, slot)` per flow with a positive
+    /// solver rate, bit for bit the one its last rate assignment pushed;
+    /// the lazy-deletion garbage beside it never popped as live. The
+    /// telemetry mirror starts as the solver's allocation, so a capture
+    /// taken untraced resumes into a traced sink without reporting a
+    /// change no solve made.
     ///
     /// # Errors
     ///
@@ -917,16 +926,17 @@ impl FlowNetwork {
     /// - a link's capacity is not between zero and its bandwidth (zero
     ///   once failed);
     /// - the two slabs differ in length or in which slots they occupy,
-    ///   a free key repeats or names an occupied slot, or a drain entry
-    ///   names a slot past the slab;
+    ///   or a free key repeats or names an occupied slot;
+    /// - a flow's bytes left are not finite or are negative, or its
+    ///   generation is above `next_generation` or is 0 while its rate
+    ///   is positive (a later flow in its slot could take a retired
+    ///   entry for its own);
     /// - a flow's solver class is not [`fill_class`] of its tenant and
     ///   priority, or its tenant is past [`MAX_TENANT`];
-    /// - the clock is later than a drain entry or pending notice the
-    ///   state still holds, or earlier than a flow's injection or byte
-    ///   watermark;
-    /// - a flow with a positive rate does not have exactly one live
-    ///   drain entry (one whose generation is the flow's current one),
-    ///   or a starved flow has one.
+    /// - a flow with a positive rate never drains (its drain instant is
+    ///   not finite);
+    /// - the clock is later than a flow's drain instant or a pending
+    ///   notice, or earlier than a flow's injection or byte watermark.
     pub fn restore(
         topo: Topology,
         sink: Rc<dyn TraceSink>,
@@ -981,30 +991,14 @@ impl FlowNetwork {
             let why = format!("clock {now} is later than the {what} at {at}");
             bad("now", why)
         };
-        let mut has_entry = vec![false; slots];
-        let mut live = 0;
-        for &(at, _, generation, slot) in &state.drains {
-            if at < now {
-                return behind("drain entry", at);
-            }
-            let slot = slot as usize;
-            let Some(flow) = state.flows.get(slot) else {
-                let why = format!("an entry names slot {slot} of a {slots}-slot slab");
-                return bad("drains", why);
-            };
-            if flow.as_ref().is_some_and(|f| f.generation == generation) {
-                if std::mem::replace(&mut has_entry[slot], true) {
-                    return bad("drains", format!("slot {slot} has two live entries"));
-                }
-                live += 1;
-            }
-        }
         if let Some(c) = state.pending.iter().find(|c| c.completed_at < now) {
             return behind("pending notice", c.completed_at);
         }
         // Settling a flow debits its bytes from the watermark up to the
-        // clock, and a rate change or eviction retires its live entry
-        // exactly when its old rate is positive.
+        // clock, and each rate assignment stamps a fresh generation on
+        // the flow and, when the rate is positive, pushes its drain
+        // entry.
+        let mut drains = Vec::new();
         let slabs = state.flows.iter().zip(&state.solver.flows);
         for (k, (f, sf)) in slabs.enumerate() {
             let (f, sf) = match (f, sf) {
@@ -1022,6 +1016,18 @@ impl FlowNetwork {
                 );
                 return bad("flows", why);
             }
+            if !(f.remaining.is_finite() && f.remaining >= 0.0) {
+                let why = format!("slot {k} has {} bytes left", f.remaining);
+                return bad("flows", why);
+            }
+            let rated = sf.rate > 0.0;
+            if f.generation > state.next_generation || (rated && f.generation == 0) {
+                let why = format!(
+                    "slot {k} has generation {} at rate {}; the last one assigned is {}",
+                    f.generation, sf.rate, state.next_generation
+                );
+                return bad("flows", why);
+            }
             if f.tenant > MAX_TENANT || sf.class != fill_class(f.tenant, f.priority) {
                 let why = format!(
                     "slot {k} has class {}, not that of tenant {} (at most {MAX_TENANT}) at priority {}",
@@ -1033,10 +1039,19 @@ impl FlowNetwork {
                 let why = format!("slot {k} crosses link {l}, out of range ({links} links)");
                 return bad("solver.flows", why);
             }
-            if has_entry[k] != (sf.rate > 0.0) {
-                let entry = if has_entry[k] { "a" } else { "no" };
-                let why = format!("slot {k} has rate {} but {entry} live drain entry", sf.rate);
-                return bad("solver.flows", why);
+            if rated {
+                if !(f.updated_at.as_secs() + f.remaining / sf.rate).is_finite() {
+                    let why = format!(
+                        "slot {k} never drains its {} bytes at rate {}",
+                        f.remaining, sf.rate
+                    );
+                    return bad("solver.flows", why);
+                }
+                let at = f.drain_instant(sf.rate);
+                if at < now {
+                    return behind(&format!("drain of slot {k}"), at);
+                }
+                drains.push(Reverse((at, f.id.0, f.generation, k as u32)));
             }
         }
         let link_alloc = state.solver.link_alloc.clone();
@@ -1046,10 +1061,10 @@ impl FlowNetwork {
             next_id: state.next_id,
             flows: state.flows,
             solver: FairShareSolver::restore(state.solver),
-            drains: state.drains.into_iter().map(Reverse).collect(),
-            live_drains: live,
+            live_drains: drains.len(),
+            drains: BinaryHeap::from(drains),
             compaction_min: HEAP_COMPACTION_MIN,
-            compactions: state.compactions,
+            compactions: 0,
             next_generation: state.next_generation,
             pending: state
                 .pending
@@ -1368,7 +1383,8 @@ mod tests {
         // survivor set, orphaning heap entries. With the floor lowered
         // the garbage crosses 50% and compaction must fire — without
         // changing a single completion time relative to a run where
-        // compaction is disabled.
+        // compaction is disabled, or a byte of the capture taken before
+        // the runs complete.
         let run = |compaction_min: usize| {
             let (mut net, l) = two_node_net(100.0, 1e-6);
             net.set_heap_compaction_min(compaction_min);
@@ -1377,15 +1393,17 @@ mod tests {
                     .unwrap();
                 net.next_event();
             }
+            let state = net.snapshot();
             let done = net.run_to_completion();
             let times: Vec<(u64, Time)> = done.iter().map(|c| (c.tag, c.completed_at)).collect();
-            (times, net.heap_compactions())
+            (times, net.heap_compactions(), state)
         };
-        let (baseline, none) = run(usize::MAX);
-        let (compacted, some) = run(8);
+        let (baseline, none, uncompacted) = run(usize::MAX);
+        let (compacted, some, state) = run(8);
         assert_eq!(none, 0);
         assert!(some > 0, "compaction never fired");
         assert_eq!(baseline, compacted, "compaction changed results");
+        assert_eq!(state, uncompacted, "compaction changed the capture");
     }
 
     #[test]

@@ -68,14 +68,13 @@ pub struct SolverFlow {
 /// captured: restore counts the occupied slots and lists each live
 /// slot's route in key order. Incidence order never changes a bit
 /// (every walk over a list is order-free or sorts its result; see
-/// DESIGN.md §7.2). Epoch-stamped scratch vectors are **not** captured
-/// either — restore re-zeros them, which is equivalent because the
-/// serialized `epoch` keeps every zero mark stale (the refill's
-/// class-pass stamps restart at zero with their counter, which is
-/// never zero while a pass runs). Pending deltas (`seed_links`,
-/// `dirty`) are captured so a snapshot taken between a delta and its
-/// solve resumes exactly, and so is `link_alloc`: for a link with a
-/// pending delta it holds the sum before the delta.
+/// DESIGN.md §7.2). Scratch is **not** captured either: restore zeros
+/// the stamped marks and restarts both stamp counters (the solve
+/// epoch and the refill's class pass) at zero. Each counter is bumped
+/// before it stamps, so no zero mark is ever current. Pending deltas
+/// (`seed_links`, `dirty`) are captured so a snapshot taken between a
+/// delta and its solve resumes exactly, and so is `link_alloc`: for a
+/// link with a pending delta it holds the sum before the delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverState {
     /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
@@ -90,8 +89,6 @@ pub struct SolverState {
     pub seed_links: Vec<usize>,
     /// Whether deltas are pending.
     pub dirty: bool,
-    /// Scratch-mark epoch (monotone; restored marks of zero stay stale).
-    pub epoch: u64,
     /// Cost counters at capture.
     pub stats: SolverStats,
 }
@@ -477,7 +474,6 @@ impl FairShareSolver {
             link_alloc: self.link_alloc.clone(),
             seed_links: self.seed_links.clone(),
             dirty: self.dirty,
-            epoch: self.epoch,
             stats: self.stats,
         }
     }
@@ -486,8 +482,8 @@ impl FairShareSolver {
     /// Continuing the restored solver is bit-identical to continuing
     /// the captured one: slab layout, free-key order and the
     /// pending-delta set are revived verbatim, the live count and the
-    /// incidence lists are rebuilt from the slab, and the
-    /// epoch-stamped scratch is re-zeroed (safe — see [`SolverState`]).
+    /// incidence lists are rebuilt from the slab, and the stamped
+    /// scratch and its counters restart at zero (see [`SolverState`]).
     ///
     /// # Panics
     ///
@@ -517,7 +513,7 @@ impl FairShareSolver {
             link_alloc: state.link_alloc,
             seed_links: state.seed_links,
             dirty: state.dirty,
-            epoch: state.epoch,
+            epoch: 0,
             link_mark: vec![0; n],
             flow_mark: vec![0; slab],
             pass: 0,

@@ -138,9 +138,10 @@ pub struct ExecConfig {
 /// The schedule, the [`ExecConfig`] and the trace sink are
 /// configuration: a restore is handed the same ones again. What follows
 /// from the schedule and this progress is not captured: restore counts
-/// each task's unfinished dependencies and the finished tasks, and
-/// takes as ready every task that has not started (it is neither done,
-/// in flight nor queued) and whose dependencies have all finished.
+/// each task's unfinished dependencies and the finished tasks, takes as
+/// ready every task that has not started (it is neither done, in flight
+/// nor queued) and whose dependencies have all finished, and numbers
+/// the compute queue by position.
 /// Captures are taken only between event instants, so no flow is
 /// staged and no finished task awaits a settle. Telemetry span ids are
 /// deliberately excluded: traces restart at the restore point, so tasks
@@ -157,11 +158,9 @@ pub struct ExecState {
     /// In-flight comm tasks as `(task, next_phase, outstanding)`,
     /// sorted by task index. A comm task leaves it when it finishes.
     pub comm: Vec<(usize, usize, usize)>,
-    /// Pending compute finishes (see
-    /// [`fred_sim::events::EventQueue::entries`]).
-    pub compute_queue: Vec<(Time, u64, usize)>,
-    /// The compute queue's next tie-break sequence number.
-    pub compute_next_seq: u64,
+    /// Pending compute finishes `(at, task)`, in the order they
+    /// release (see [`fred_sim::events::EventQueue::entries`]).
+    pub compute_queue: Vec<(Time, usize)>,
 }
 
 /// The trainer's dependency-driven event loop as a resumable state
@@ -207,7 +206,6 @@ impl ScheduleExecutor {
             done: vec![false; n],
             comm: Vec::new(),
             compute_queue: Vec::new(),
-            compute_next_seq: 0,
         };
         Self::resume(schedule, cfg, sink, nothing_started)
     }
@@ -240,7 +238,6 @@ impl ScheduleExecutor {
                 .map(|(&i, s)| (i, s.phase, s.outstanding))
                 .collect(),
             compute_queue: self.compute_queue.entries(),
-            compute_next_seq: self.compute_queue.next_seq(),
         }
     }
 
@@ -274,7 +271,7 @@ impl ScheduleExecutor {
                 ));
             }
         }
-        if let Some(&(.., i)) = state.compute_queue.iter().find(|&&(.., i)| i >= n) {
+        if let Some(&(_, i)) = state.compute_queue.iter().find(|&&(_, i)| i >= n) {
             return pairing(format!("task {i} out of range ({n} tasks)"));
         }
         let is_comm = |i: usize| {
@@ -304,7 +301,6 @@ impl ScheduleExecutor {
             done,
             comm,
             compute_queue,
-            compute_next_seq,
         } = progress;
         let n = schedule.tasks.len();
         let indegree: Vec<usize> = schedule
@@ -317,7 +313,7 @@ impl ScheduleExecutor {
         for i in comm.iter().map(|&(i, ..)| i) {
             started[i] = true;
         }
-        for &(.., i) in &compute_queue {
+        for &(_, i) in &compute_queue {
             started[i] = true;
         }
         let ready_stack = (0..n)
@@ -338,7 +334,7 @@ impl ScheduleExecutor {
                 .into_iter()
                 .map(|(i, phase, outstanding)| (i, CommState { phase, outstanding }))
                 .collect(),
-            compute_queue: EventQueue::from_entries(compute_queue, compute_next_seq),
+            compute_queue: EventQueue::from_entries(compute_queue),
             completed,
             span_ids: if tracing { vec![0; n] } else { Vec::new() },
             ready_stack,
@@ -672,7 +668,6 @@ impl Snap for ExecState {
             ("done".into(), self.done.encode()),
             ("comm".into(), self.comm.encode()),
             ("compute_queue".into(), self.compute_queue.encode()),
-            ("compute_next_seq".into(), self.compute_next_seq.encode()),
         ])
     }
 
@@ -683,7 +678,6 @@ impl Snap for ExecState {
             done: field(v, "done")?,
             comm: field(v, "comm")?,
             compute_queue: field(v, "compute_queue")?,
-            compute_next_seq: field(v, "compute_next_seq")?,
         })
     }
 }
@@ -698,8 +692,7 @@ mod tests {
             finish: vec![Time::from_secs(0.25), Time::ZERO, Time::ZERO],
             done: vec![true, false, false],
             comm: vec![(1, 2, 3)],
-            compute_queue: vec![(Time::from_secs(1.5), 7, 2)],
-            compute_next_seq: 8,
+            compute_queue: vec![(Time::from_secs(1.5), 2)],
         }
     }
 
