@@ -430,7 +430,12 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
         (".net.solver.flows", |s| {
             let n = s.net.solver.capacities.len();
             let f = s.net.solver.flows.iter_mut().flatten().next().unwrap();
-            f.links = f.links.iter().copied().chain([n]).collect();
+            f.links = f
+                .links
+                .iter()
+                .copied()
+                .chain([fred_sim::topology::LinkId(n)])
+                .collect();
         }),
         // A free key naming an occupied slot.
         (".net.solver.free", |s| {

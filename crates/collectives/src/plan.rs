@@ -1,16 +1,18 @@
 //! Communication plans: serial phases of concurrent routed transfers.
 
 use std::fmt;
+use std::rc::Rc;
 
 use fred_sim::flow::{FlowSpec, Priority};
 use fred_sim::netsim::{track_of, FlowNetwork};
 use fred_sim::time::{Duration, Time};
-use fred_sim::topology::{Route, RouteError};
+use fred_sim::topology::{LinkId, Route, RouteError};
 use fred_telemetry::event::{next_span_id, TraceEvent};
 
 /// Supplies the route between two endpoints (NPU indices, plus any
 /// backend-specific identifiers). Implemented by the mesh's X-Y router
-/// and the FRED fabric's tree router.
+/// and the FRED fabric's tree router. A plan converts each route it
+/// asks for into a [`Transfer::route`] once, when it is compiled.
 pub trait RouteProvider {
     /// The route from `src` to `dst`. An empty route means the endpoints
     /// are co-located (node-local transfer).
@@ -35,8 +37,9 @@ pub struct Transfer {
     pub dst: usize,
     /// Payload bytes.
     pub bytes: f64,
-    /// Route from `src` to `dst`.
-    pub route: Route,
+    /// Route from `src` to `dst`, allocated once when the plan is
+    /// compiled and shared with every flow injected from it.
+    pub route: Rc<[LinkId]>,
 }
 
 /// A set of transfers executed concurrently.
@@ -195,7 +198,7 @@ impl CommPlan {
                 .transfers
                 .iter()
                 .map(|t| {
-                    FlowSpec::new(t.route.clone(), t.bytes)
+                    FlowSpec::new(Rc::clone(&t.route), t.bytes)
                         .with_priority(priority)
                         .with_tag(span.unwrap_or(0))
                 })
@@ -279,7 +282,7 @@ mod tests {
                 src: 0,
                 dst: 1,
                 bytes: 100.0,
-                route: vec![l[0]],
+                route: Rc::new([l[0]]),
             }],
         });
         plan.phases.push(Phase {
@@ -287,7 +290,7 @@ mod tests {
                 src: 1,
                 dst: 2,
                 bytes: 100.0,
-                route: vec![l[1]],
+                route: Rc::new([l[1]]),
             }],
         });
         let mut net = FlowNetwork::new(topo);
@@ -306,13 +309,13 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 100.0,
-                    route: vec![l[0]],
+                    route: Rc::new([l[0]]),
                 },
                 Transfer {
                     src: 0,
                     dst: 1,
                     bytes: 100.0,
-                    route: vec![l[0]],
+                    route: Rc::new([l[0]]),
                 },
             ],
         });
@@ -330,7 +333,7 @@ mod tests {
                 src: 0,
                 dst: 1,
                 bytes: 100.0,
-                route: vec![l[0]],
+                route: Rc::new([l[0]]),
             }],
         });
         let mut net = FlowNetwork::new(topo);
@@ -353,7 +356,7 @@ mod tests {
                 src: 0,
                 dst: 1,
                 bytes: 1.0,
-                route: vec![fred_sim::topology::LinkId(99)],
+                route: Rc::new([LinkId(99)]),
             }],
         });
         let mut net = FlowNetwork::new(topo);
@@ -361,7 +364,7 @@ mod tests {
             plan.execute(&mut net, Priority::Bulk),
             Err(PlanError::Route {
                 phase: 0,
-                source: RouteError::UnknownLink(fred_sim::topology::LinkId(99)),
+                source: RouteError::UnknownLink(LinkId(99)),
             })
         );
     }
@@ -376,13 +379,13 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 10.0,
-                    route: vec![l[0]],
+                    route: Rc::new([l[0]]),
                 },
                 Transfer {
                     src: 1,
                     dst: 2,
                     bytes: 20.0,
-                    route: vec![l[1]],
+                    route: Rc::new([l[1]]),
                 },
             ],
         });

@@ -41,41 +41,28 @@ fn ring_steps(
     } else {
         direction
     };
-    for _ in 0..steps {
-        let mut phase = Phase::default();
+    // Every step sends over the same ring edges, in the same order: one
+    // transfer per member, or two in opposite directions. Each edge's
+    // route is asked for once and shared by all the steps.
+    let edge = |src: usize, dst: usize, bytes: f64| Transfer {
+        src,
+        dst,
+        bytes,
+        route: routes.route(src, dst).into(),
+    };
+    let mut step = Phase::default();
+    for i in 0..n {
+        let (src, cw) = (order[i], order[(i + 1) % n]);
         match direction {
-            Direction::Unidirectional => {
-                for i in 0..n {
-                    let (src, dst) = (order[i], order[(i + 1) % n]);
-                    phase.transfers.push(Transfer {
-                        src,
-                        dst,
-                        bytes: bytes_per_step,
-                        route: routes.route(src, dst),
-                    });
-                }
-            }
+            Direction::Unidirectional => step.transfers.push(edge(src, cw, bytes_per_step)),
             Direction::Bidirectional => {
-                for i in 0..n {
-                    let (src, cw) = (order[i], order[(i + 1) % n]);
-                    let ccw = order[(i + n - 1) % n];
-                    phase.transfers.push(Transfer {
-                        src,
-                        dst: cw,
-                        bytes: bytes_per_step / 2.0,
-                        route: routes.route(src, cw),
-                    });
-                    phase.transfers.push(Transfer {
-                        src,
-                        dst: ccw,
-                        bytes: bytes_per_step / 2.0,
-                        route: routes.route(src, ccw),
-                    });
-                }
+                let ccw = order[(i + n - 1) % n];
+                step.transfers.push(edge(src, cw, bytes_per_step / 2.0));
+                step.transfers.push(edge(src, ccw, bytes_per_step / 2.0));
             }
         }
-        plan.phases.push(phase);
     }
+    plan.phases = vec![step; steps];
     plan
 }
 
@@ -171,7 +158,7 @@ pub fn all_to_all(order: &[usize], bytes: f64, routes: &impl RouteProvider) -> C
                 src,
                 dst,
                 bytes: shard,
-                route: routes.route(src, dst),
+                route: routes.route(src, dst).into(),
             });
         }
         plan.phases.push(phase);

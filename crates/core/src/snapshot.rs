@@ -15,12 +15,12 @@
 //! # Layout
 //!
 //! A struct is an object with one field per struct field, in
-//! declaration order; `Vec`, boxed slices, arrays and tuples are
+//! declaration order; `Vec`, shared slices, arrays and tuples are
 //! arrays; `None` is `null`. The binary form stores every `f64` as raw
 //! IEEE-754 bits, so every value — `-0.0`, NaN and the infinities
 //! included — round-trips exactly. Integers above 2^53, which an `f64`
 //! cannot hold, travel as decimal strings. `Time` and `Duration` are
-//! seconds, a `Priority` its rank.
+//! seconds, a `Priority` its rank, a `LinkId` its index.
 //!
 //! # Errors
 //!
@@ -52,11 +52,13 @@
 
 use std::fmt;
 use std::path::Path;
+use std::rc::Rc;
 
 use fred_sim::flow::{FlowId, Priority};
 use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
 use fred_sim::solver::{SolverFlow, SolverState, SolverStats};
 use fred_sim::time::{Duration, Time};
+use fred_sim::topology::LinkId;
 
 use crate::codec::{self, SnapshotError, Value};
 
@@ -345,6 +347,16 @@ impl Snap for FlowId {
     }
 }
 
+impl Snap for LinkId {
+    fn encode(&self) -> Value {
+        self.0.encode()
+    }
+
+    fn decode(v: &Value) -> Result<LinkId, SnapshotError> {
+        usize::decode(v).map(LinkId)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Containers.
 // ---------------------------------------------------------------------
@@ -388,13 +400,13 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
-impl<T: Snap> Snap for Box<[T]> {
+impl<T: Snap> Snap for Rc<[T]> {
     fn encode(&self) -> Value {
         encode_all(self)
     }
 
-    fn decode(v: &Value) -> Result<Box<[T]>, SnapshotError> {
-        Vec::decode(v).map(Vec::into_boxed_slice)
+    fn decode(v: &Value) -> Result<Rc<[T]>, SnapshotError> {
+        Vec::decode(v).map(Rc::from)
     }
 }
 
@@ -587,7 +599,6 @@ mod tests {
     use fred_sim::netsim::FlowNetwork;
     use fred_sim::topology::{NodeKind, Topology};
     use fred_telemetry::sink::NullSink;
-    use std::rc::Rc;
 
     fn busy_net() -> (Topology, FlowNetwork) {
         let mut topo = Topology::new();
@@ -726,7 +737,7 @@ mod tests {
                 let k = first_live(&s.solver);
                 let n = s.solver.capacities.len();
                 let f = s.solver.flows[k].as_mut().unwrap();
-                f.links = f.links.iter().copied().chain([n]).collect();
+                f.links = f.links.iter().copied().chain([LinkId(n)]).collect();
             }),
             // A slot occupied only in the solver.
             ("flows", |s| {

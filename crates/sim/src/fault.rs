@@ -358,7 +358,7 @@ mod tests {
         assert!(net.is_link_failed(LinkId(0)));
         assert_eq!(specs.len(), 1);
         let s = &specs[0];
-        assert_eq!(s.route, vec![LinkId(0)]);
+        assert_eq!(*s.route, [LinkId(0)]);
         assert_eq!((s.priority, s.tag, s.tenant), (Priority::Mp, 7, 2));
         assert_eq!(s.bytes, 100.0, "nothing moved before the failure");
 

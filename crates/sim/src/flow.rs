@@ -1,8 +1,9 @@
 //! Flows: point-to-point transfers along a fixed route.
 
 use std::fmt;
+use std::rc::Rc;
 
-use crate::topology::Route;
+use crate::topology::LinkId;
 
 /// Identifier of an injected flow within a
 /// [`FlowNetwork`](crate::netsim::FlowNetwork).
@@ -100,8 +101,10 @@ impl fmt::Display for Priority {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     /// The links the flow traverses, in order. An empty route models a
-    /// node-local transfer, which completes immediately.
-    pub route: Route,
+    /// node-local transfer, which completes immediately. Shared, not
+    /// copied: a compiled plan's transfer, every flow injected from it
+    /// and the solver entry that carries the flow hold one allocation.
+    pub route: Rc<[LinkId]>,
     /// Payload size in bytes. Fractional bytes are permitted — collective
     /// algorithms routinely divide payloads by group sizes.
     pub bytes: f64,
@@ -120,18 +123,20 @@ pub struct FlowSpec {
 
 impl FlowSpec {
     /// Creates a flow over `route` carrying `bytes` bytes at the default
-    /// ([`Priority::Bulk`]) priority.
+    /// ([`Priority::Bulk`]) priority. A [`Route`](crate::topology::Route)
+    /// is copied into a shared slice once; an `Rc<[LinkId]>` is taken
+    /// as is.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is negative or not finite.
-    pub fn new(route: Route, bytes: f64) -> FlowSpec {
+    pub fn new(route: impl Into<Rc<[LinkId]>>, bytes: f64) -> FlowSpec {
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "flow size must be finite and non-negative, got {bytes}"
         );
         FlowSpec {
-            route,
+            route: route.into(),
             bytes,
             priority: Priority::default(),
             tag: 0,
@@ -171,14 +176,13 @@ impl FlowSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::LinkId;
 
     #[test]
     fn builder_sets_fields() {
         let f = FlowSpec::new(vec![LinkId(3)], 10.0)
             .with_priority(Priority::Dp)
             .with_tag(42);
-        assert_eq!(f.route, vec![LinkId(3)]);
+        assert_eq!(*f.route, [LinkId(3)]);
         assert_eq!(f.priority, Priority::Dp);
         assert_eq!(f.tag, 42);
         assert_eq!(f.tenant, 0, "default tenant is rank 0");

@@ -47,7 +47,7 @@ use fred_telemetry::sink::{NullSink, TraceSink};
 use crate::flow::{fill_class, FlowId, FlowSpec, Priority, MAX_TENANT};
 use crate::solver::{FairShareSolver, FlowKey, SolverStats};
 use crate::time::{Duration, Time};
-use crate::topology::{LinkId, Route, RouteError, Topology};
+use crate::topology::{LinkId, RouteError, Topology};
 
 /// Maps a priority class to its telemetry display track.
 pub fn track_of(priority: Priority) -> Track {
@@ -163,8 +163,9 @@ pub struct EvictedFlow {
     pub tenant: u8,
     /// Bytes still unsent when the link died (the payload to re-inject).
     pub remaining_bytes: f64,
-    /// The route the flow was using (crosses the failed link).
-    pub route: Route,
+    /// The route the flow was using (crosses the failed link): the
+    /// allocation it was injected with, handed back without a copy.
+    pub route: Rc<[LinkId]>,
     /// When the flow was originally injected.
     pub injected_at: Time,
 }
@@ -443,7 +444,8 @@ impl FlowNetwork {
     }
 
     /// [`FlowNetwork::inject`] for a route [`FlowNetwork::check_route`]
-    /// accepted.
+    /// accepted. A bandwidth-consuming flow's shared route moves into
+    /// the solver as is.
     fn inject_checked(&mut self, spec: FlowSpec) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -475,8 +477,7 @@ impl FlowNetwork {
             self.push_pending(flow);
         } else {
             let class = fill_class(flow.tenant, flow.priority);
-            let links = spec.route.iter().map(|l| l.0).collect();
-            let slot = self.solver.add_flow_class(links, class).0 as usize;
+            let slot = self.solver.add_flow_class(spec.route, class).0 as usize;
             if slot == self.flows.len() {
                 self.flows.push(Some(flow));
             } else {
@@ -601,12 +602,7 @@ impl FlowNetwork {
             self.live_drains -= 1;
         }
         f.settle(rate, self.now);
-        let route = self
-            .solver
-            .flow_links(key)
-            .iter()
-            .map(|&l| LinkId(l))
-            .collect();
+        let route = Rc::clone(self.solver.flow_links(key));
         self.solver.remove_flow(key);
         self.count_event();
         EvictedFlow {
@@ -655,12 +651,17 @@ impl FlowNetwork {
             let rate = self.solver.rate(key);
             // Feasibility: no allocation can beat the flow's solo
             // (bottleneck-capacity) rate — the ideal rate the analysis
-            // layer re-costs against.
+            // layer re-costs against. It is `fairshare::solo_rate`,
+            // taken in place: that function wants link indices, and
+            // collecting them would allocate per re-rated flow.
             debug_assert!(
-                rate <= crate::fairshare::solo_rate(
-                    self.solver.capacities(),
-                    self.solver.flow_links(key)
-                ) + 1e-9,
+                rate <= self
+                    .solver
+                    .flow_links(key)
+                    .iter()
+                    .map(|l| self.solver.capacity(l.0))
+                    .fold(f64::INFINITY, f64::min)
+                    + 1e-9,
                 "allocated rate exceeds contention-free rate"
             );
             // Re-predict the drain. The old heap entry (if any) is
@@ -1035,7 +1036,7 @@ impl FlowNetwork {
                 );
                 return bad("solver.flows", why);
             }
-            if let Some(l) = sf.links.iter().find(|&&l| l >= links) {
+            if let Some(LinkId(l)) = sf.links.iter().find(|l| l.0 >= links) {
                 let why = format!("slot {k} crosses link {l}, out of range ({links} links)");
                 return bad("solver.flows", why);
             }
@@ -1549,7 +1550,8 @@ mod tests {
         let l0 = topo.add_link(a, b, 100.0, 0.0);
         let l1 = topo.add_link(a, b, 100.0, 0.0);
         let mut net = FlowNetwork::new(topo);
-        net.inject(FlowSpec::new(vec![l0], 200.0).with_tag(7))
+        let route: Rc<[LinkId]> = Rc::new([l0]);
+        net.inject(FlowSpec::new(Rc::clone(&route), 200.0).with_tag(7))
             .unwrap();
         net.inject(FlowSpec::new(vec![l1], 200.0).with_tag(8))
             .unwrap();
@@ -1558,7 +1560,8 @@ mod tests {
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].tag, 7);
         assert!((evicted[0].remaining_bytes - 100.0).abs() < 1e-9);
-        assert_eq!(evicted[0].route, vec![l0]);
+        // The route comes back as the allocation it went in as.
+        assert!(Rc::ptr_eq(&evicted[0].route, &route));
         assert!(net.is_link_failed(l0));
         assert!(net.any_link_failed());
         assert_eq!(net.link_capacity(l0), 0.0);
@@ -1600,7 +1603,7 @@ mod tests {
         let tags: Vec<u64> = evicted.iter().map(|e| e.tag).collect();
         assert_eq!(tags, vec![3, 1, 2], "one eviction per flow, in slot order");
         for e in &evicted {
-            assert_eq!(e.route, routes[e.tag as usize]);
+            assert_eq!(*e.route, routes[e.tag as usize][..]);
         }
         assert_eq!(net.in_flight(), 1);
     }

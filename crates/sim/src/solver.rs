@@ -31,7 +31,10 @@
 //! one round subtracts the same share from each link it crosses, so
 //! each link sees the same floating-point operations in the same order.
 
+use std::rc::Rc;
+
 use crate::flow::Priority;
+use crate::topology::LinkId;
 
 /// Same drained-capacity clamp as the from-scratch allocator
 /// ([`crate::fairshare::max_min_rates`]); keeping them identical is
@@ -48,8 +51,9 @@ pub struct FlowKey(pub u32);
 /// [`SolverState`], which preserves slab order and holes exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverFlow {
-    /// Link indices the flow crosses (multiset, in route order).
-    pub links: Box<[usize]>,
+    /// Links the flow crosses (multiset, in route order): the injected
+    /// flow's shared route, held without a copy.
+    pub links: Rc<[LinkId]>,
     /// Strict fill class, 0 filled first. Single-tenant callers pass
     /// [`Priority::rank`]; the cluster layer composes tenant × priority
     /// into one ordinal (see [`FairShareSolver::add_flow_class`]).
@@ -69,12 +73,13 @@ pub struct SolverFlow {
 /// slot's route in key order. Incidence order never changes a bit
 /// (every walk over a list is order-free or sorts its result; see
 /// DESIGN.md §7.2). Scratch is **not** captured either: restore zeros
-/// the stamped marks and restarts both stamp counters (the solve
-/// epoch and the refill's class pass) at zero. Each counter is bumped
-/// before it stamps, so no zero mark is ever current. Pending deltas
-/// (`seed_links`, `dirty`) are captured so a snapshot taken between a
-/// delta and its solve resumes exactly, and so is `link_alloc`: for a
-/// link with a pending delta it holds the sum before the delta.
+/// the stamped marks, restarts both stamp counters (the solve epoch
+/// and the refill's class pass) at zero and starts the per-solve work
+/// lists empty. Each counter is bumped before it stamps, so no zero
+/// mark is ever current. Pending deltas (`seed_links`, `dirty`) are
+/// captured so a snapshot taken between a delta and its solve resumes
+/// exactly, and so is `link_alloc`: for a link with a pending delta it
+/// holds the sum before the delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverState {
     /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
@@ -161,6 +166,15 @@ pub struct FairShareSolver {
     remaining: Vec<f64>,
     counts: Vec<usize>,
     new_rate: Vec<f64>,
+    // Per-solve work lists, cleared on use and never freed, so a solve
+    // allocates nothing once they have grown to the largest component:
+    // the component's links and flows, the BFS stack, the classes
+    // present and the links a class pass still fills.
+    comp_links: Vec<usize>,
+    comp_flows: Vec<u32>,
+    stack: Vec<usize>,
+    classes: Vec<u8>,
+    used_links: Vec<usize>,
     // Outputs of the last solve.
     changed: Vec<(FlowKey, f64)>,
     touched_links: Vec<usize>,
@@ -189,6 +203,11 @@ impl FairShareSolver {
             remaining: vec![0.0; n],
             counts: vec![0; n],
             new_rate: Vec::new(),
+            comp_links: Vec::new(),
+            comp_flows: Vec::new(),
+            stack: Vec::new(),
+            classes: Vec::new(),
+            used_links: Vec::new(),
             changed: Vec::new(),
             touched_links: Vec::new(),
             stats: SolverStats::default(),
@@ -225,23 +244,25 @@ impl FairShareSolver {
     ///
     /// Panics if a link index is out of range.
     pub fn add_flow(&mut self, links: &[usize], priority: Priority) -> FlowKey {
-        self.add_flow_class(links.into(), priority.rank() as u8)
+        let links = links.iter().map(|&l| LinkId(l)).collect();
+        self.add_flow_class(links, priority.rank() as u8)
     }
 
     /// Registers a flow under an explicit numeric fill class (0 filled
     /// first; classes are strict, exactly like [`Priority`] ranks),
-    /// taking ownership of its route. [`FairShareSolver::add_flow`]
-    /// delegates here with `priority.rank()`, so single-tenant callers
-    /// see identical arithmetic; multi-tenant callers pass
+    /// holding its shared route without a copy.
+    /// [`FairShareSolver::add_flow`] delegates here with
+    /// `priority.rank()`, so single-tenant callers see identical
+    /// arithmetic; multi-tenant callers pass
     /// [`crate::flow::fill_class`] to give higher tenants strict
     /// precedence on shared links.
     ///
     /// # Panics
     ///
     /// Panics if a link index is out of range.
-    pub fn add_flow_class(&mut self, links: Box<[usize]>, class: u8) -> FlowKey {
+    pub fn add_flow_class(&mut self, links: Rc<[LinkId]>, class: u8) -> FlowKey {
         let rate = if links.is_empty() { f64::INFINITY } else { 0.0 };
-        for &l in links.iter() {
+        for &LinkId(l) in links.iter() {
             assert!(
                 l < self.capacities.len(),
                 "flow references unknown link index {l}"
@@ -258,7 +279,7 @@ impl FairShareSolver {
             }
         };
         self.live += 1;
-        for &l in links.iter() {
+        for &LinkId(l) in links.iter() {
             self.link_flows[l].push(key);
             self.seed_links.push(l);
             self.dirty = true;
@@ -279,7 +300,7 @@ impl FairShareSolver {
             .expect("remove_flow on a dead key");
         self.live -= 1;
         self.free.push(key.0);
-        for &l in flow.links.iter() {
+        for &LinkId(l) in flow.links.iter() {
             // A flow crossing the same link twice holds two incidence
             // slots; drop exactly one per traversal.
             let pos = self.link_flows[l]
@@ -306,12 +327,13 @@ impl FairShareSolver {
             .rate
     }
 
-    /// The links a live flow crosses, in route order.
+    /// The shared route of a live flow: the links it crosses, in route
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `key` does not name a live flow.
-    pub(crate) fn flow_links(&self, key: FlowKey) -> &[usize] {
+    pub(crate) fn flow_links(&self, key: FlowKey) -> &Rc<[LinkId]> {
         &self.flows[key.0 as usize]
             .as_ref()
             .expect("links of a dead key")
@@ -409,31 +431,32 @@ impl FairShareSolver {
         // Component discovery: BFS from the dirty seed links through
         // the incidence structure. A seed link whose last flow left
         // joins with no flows, so the refill zeroes its allocation.
-        let mut comp_links: Vec<usize> = Vec::new();
-        let mut comp_flows: Vec<u32> = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        for i in 0..self.seed_links.len() {
-            let l = self.seed_links[i];
+        // The two component lists are taken out of `self` so the refill
+        // can borrow them beside the solver, and put back after it.
+        let mut comp_links = std::mem::take(&mut self.comp_links);
+        let mut comp_flows = std::mem::take(&mut self.comp_flows);
+        comp_links.clear();
+        comp_flows.clear();
+        for &l in &self.seed_links {
             if self.link_mark[l] != epoch {
                 self.link_mark[l] = epoch;
-                stack.push(l);
+                self.stack.push(l);
             }
         }
         self.seed_links.clear();
-        while let Some(l) = stack.pop() {
+        while let Some(l) = self.stack.pop() {
             comp_links.push(l);
-            for i in 0..self.link_flows[l].len() {
-                let fk = self.link_flows[l][i];
+            for &fk in &self.link_flows[l] {
                 if self.flow_mark[fk as usize] == epoch {
                     continue;
                 }
                 self.flow_mark[fk as usize] = epoch;
                 comp_flows.push(fk);
                 let flow = self.flows[fk as usize].as_ref().expect("live incidence");
-                for &l2 in flow.links.iter() {
+                for &LinkId(l2) in flow.links.iter() {
                     if self.link_mark[l2] != epoch {
                         self.link_mark[l2] = epoch;
-                        stack.push(l2);
+                        self.stack.push(l2);
                     }
                 }
             }
@@ -461,6 +484,8 @@ impl FairShareSolver {
         }
         fred_telemetry::prof::record_value("solver.component_flows", comp as f64);
         self.refill(&comp_links, &comp_flows);
+        self.comp_links = comp_links;
+        self.comp_flows = comp_flows;
         true
     }
 
@@ -482,8 +507,9 @@ impl FairShareSolver {
     /// Continuing the restored solver is bit-identical to continuing
     /// the captured one: slab layout, free-key order and the
     /// pending-delta set are revived verbatim, the live count and the
-    /// incidence lists are rebuilt from the slab, and the stamped
-    /// scratch and its counters restart at zero (see [`SolverState`]).
+    /// incidence lists are rebuilt from the slab, the stamped scratch
+    /// and its counters restart at zero and the work lists start empty
+    /// (see [`SolverState`]).
     ///
     /// # Panics
     ///
@@ -500,7 +526,7 @@ impl FairShareSolver {
         for (k, f) in state.flows.iter().enumerate() {
             let Some(f) = f else { continue };
             live += 1;
-            for &l in f.links.iter() {
+            for &LinkId(l) in f.links.iter() {
                 link_flows[l].push(k as u32);
             }
         }
@@ -521,6 +547,11 @@ impl FairShareSolver {
             remaining: vec![0.0; n],
             counts: vec![0; n],
             new_rate: vec![0.0; slab],
+            comp_links: Vec::new(),
+            comp_flows: Vec::new(),
+            stack: Vec::new(),
+            classes: Vec::new(),
+            used_links: Vec::new(),
             changed: Vec::new(),
             touched_links: Vec::new(),
             stats: state.stats,
@@ -540,19 +571,18 @@ impl FairShareSolver {
         // order — the same subsequence the old fixed `Priority::ALL`
         // walk produced (absent classes were skipped there too), so the
         // filling arithmetic is unchanged for single-tenant flow sets.
-        let mut classes: Vec<u8> = flow_keys
-            .iter()
-            .map(|&fk| {
-                self.flows[fk as usize]
-                    .as_ref()
-                    .expect("live component")
-                    .class
-            })
-            .collect();
+        let mut classes = std::mem::take(&mut self.classes);
+        classes.clear();
+        classes.extend(flow_keys.iter().map(|&fk| {
+            self.flows[fk as usize]
+                .as_ref()
+                .expect("live component")
+                .class
+        }));
         classes.sort_unstable();
         classes.dedup();
-        let mut used_links: Vec<usize> = Vec::new();
-        for class in classes {
+        let mut used_links = std::mem::take(&mut self.used_links);
+        for &class in &classes {
             // Stamp this class's routed flows with a fresh pass number:
             // the bottleneck walk below freezes exactly the stamped
             // flows, un-stamping each as it goes.
@@ -570,7 +600,7 @@ impl FairShareSolver {
                 }
                 self.flow_pass[fk as usize] = pass;
                 unfrozen += 1;
-                for &l in f.links.iter() {
+                for &LinkId(l) in f.links.iter() {
                     self.counts[l] += 1;
                 }
             }
@@ -606,7 +636,7 @@ impl FairShareSolver {
                     self.flow_pass[fk] = 0;
                     self.new_rate[fk] = share;
                     let f = self.flows[fk].as_ref().expect("live component");
-                    for &l in f.links.iter() {
+                    for &LinkId(l) in f.links.iter() {
                         self.remaining[l] -= share;
                         if self.remaining[l] < EPS {
                             self.remaining[l] = 0.0;
@@ -619,6 +649,8 @@ impl FairShareSolver {
                 unfrozen -= frozen;
             }
         }
+        self.classes = classes;
+        self.used_links = used_links;
 
         // Commit: report changed rates and rebuild the allocation sums
         // of every touched link.
@@ -635,7 +667,7 @@ impl FairShareSolver {
                 self.changed.push((FlowKey(fk), f.rate));
                 f.rate = new;
             }
-            for &l in f.links.iter() {
+            for &LinkId(l) in f.links.iter() {
                 self.link_alloc[l] += f.rate;
             }
         }
@@ -735,9 +767,10 @@ mod tests {
         // 5·1+1 = 6): tenants are the outer key of the composite class.
         use crate::flow::fill_class;
         let mut s = FairShareSolver::new(vec![100.0]);
-        let t0_bulk = s.add_flow_class(Box::new([0]), fill_class(0, Priority::Bulk));
-        let t1_mp = s.add_flow_class(Box::new([0]), fill_class(1, Priority::Mp));
-        let t1_dp = s.add_flow_class(Box::new([0]), fill_class(1, Priority::Dp));
+        let link: Rc<[LinkId]> = Rc::new([LinkId(0)]);
+        let t0_bulk = s.add_flow_class(link.clone(), fill_class(0, Priority::Bulk));
+        let t1_mp = s.add_flow_class(link.clone(), fill_class(1, Priority::Mp));
+        let t1_dp = s.add_flow_class(link, fill_class(1, Priority::Dp));
         s.solve();
         assert_eq!(s.rate(t0_bulk), 100.0);
         assert_eq!(s.rate(t1_mp), 0.0);
@@ -769,7 +802,10 @@ mod tests {
             let mut s = FairShareSolver::new(caps);
             let keys: Vec<FlowKey> = specs
                 .iter()
-                .map(|(l, p)| s.add_flow_class(l.as_slice().into(), p.rank() as u8))
+                .map(|(l, p)| {
+                    let links = l.iter().map(|&l| LinkId(l)).collect();
+                    s.add_flow_class(links, p.rank() as u8)
+                })
                 .collect();
             s.solve();
             keys.iter().map(|&k| s.rate(k)).collect::<Vec<f64>>()

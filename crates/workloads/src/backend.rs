@@ -263,7 +263,7 @@ impl FabricBackend {
                     src,
                     dst,
                     bytes,
-                    route: self.npu_route(src, dst),
+                    route: self.npu_route(src, dst).into(),
                 });
             }
         }
@@ -300,7 +300,7 @@ impl FabricBackend {
                     src,
                     dst: 0,
                     bytes,
-                    route,
+                    route: route.into(),
                 });
             }
         }
@@ -335,7 +335,7 @@ impl FabricBackend {
                     src: 0,
                     dst,
                     bytes,
-                    route,
+                    route: route.into(),
                 });
             }
         }
@@ -369,7 +369,7 @@ impl FabricBackend {
                 src: EXT_LABEL,
                 dst: npu,
                 bytes: per_channel,
-                route,
+                route: route.into(),
             });
         }
         CommPlan {
@@ -387,7 +387,7 @@ fn legs_to_plan(label: &str, legs: Vec<(Route, f64)>) -> CommPlan {
             src: 0,
             dst: 0,
             bytes,
-            route,
+            route: route.into(),
         })
         .collect();
     CommPlan {
@@ -407,7 +407,7 @@ fn endpoint_stream_in(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, p
         src: EXT_LABEL,
         dst: entry,
         bytes,
-        route: f.ext_to_npu_route(io, entry),
+        route: f.ext_to_npu_route(io, entry).into(),
     });
     for cluster in f.partition_by_l1(group) {
         // Rotate the representative per channel so no single NPU's link
@@ -422,7 +422,7 @@ fn endpoint_stream_in(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, p
                 src: entry,
                 dst: rep,
                 bytes,
-                route: f.npu_route(entry, rep),
+                route: f.npu_route(entry, rep).into(),
             });
         }
         for &n in &cluster {
@@ -431,7 +431,7 @@ fn endpoint_stream_in(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, p
                     src: rep,
                     dst: n,
                     bytes,
-                    route: f.npu_route(rep, n),
+                    route: f.npu_route(rep, n).into(),
                 });
             }
         }
@@ -455,7 +455,7 @@ fn endpoint_stream_out(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, 
                     src: n,
                     dst: rep,
                     bytes,
-                    route: f.npu_route(n, rep),
+                    route: f.npu_route(n, rep).into(),
                 });
             }
         }
@@ -464,7 +464,7 @@ fn endpoint_stream_out(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, 
                 src: rep,
                 dst: exit,
                 bytes,
-                route: f.npu_route(rep, exit),
+                route: f.npu_route(rep, exit).into(),
             });
         }
     }
@@ -472,7 +472,7 @@ fn endpoint_stream_out(f: &WaferFabric, group: &[usize], io: usize, bytes: f64, 
         src: exit,
         dst: EXT_LABEL,
         bytes,
-        route: f.npu_to_ext_route(exit, io),
+        route: f.npu_to_ext_route(exit, io).into(),
     });
 }
 
@@ -654,7 +654,7 @@ mod tests {
                         h.word(t.dst as u64);
                         h.word(t.bytes.to_bits());
                         h.word(t.route.len() as u64);
-                        for l in &t.route {
+                        for l in t.route.iter() {
                             h.word(l.0 as u64);
                         }
                     }

@@ -107,7 +107,8 @@ pub fn repair_and_inject(
             }
             .ok_or(TrainError::Unroutable {
                 task: comm_task_of_tag(f.tag).map(TaskId),
-            })?;
+            })?
+            .into();
         }
     }
     net.inject_batch(flows)?;
@@ -514,7 +515,8 @@ impl ScheduleExecutor {
     /// Stages the next non-empty phase of comm task `i`; returns true
     /// if the task is finished instead (no phases left). All flows
     /// staged at one timestep are released with a single `inject_batch`
-    /// (one solver delta).
+    /// (one solver delta). Each flow shares its transfer's compiled
+    /// route: staging copies a pointer, not the links.
     fn advance_comm(&mut self, i: usize) -> bool {
         let schedule = self.schedule.clone();
         let TaskBody::Comm { plan, ctype } = &schedule.tasks[i].body else {
@@ -529,7 +531,7 @@ impl ScheduleExecutor {
                 // namespace base: tag 0 stays the "no owner" sentinel.
                 let tag = self.cfg.tag_base + i as u64 + 1;
                 self.staged.extend(transfers.iter().map(|t| {
-                    FlowSpec::new(t.route.clone(), t.bytes)
+                    FlowSpec::new(Rc::clone(&t.route), t.bytes)
                         .with_priority(ctype.priority())
                         .with_tag(tag)
                         .with_tenant(self.cfg.tenant)
@@ -881,15 +883,15 @@ mod tests {
         let mut moved = 0;
         for ((spec, live), solver) in flows.iter().zip(&state.flows).zip(&state.solver.flows) {
             let (live, solver) = (live.as_ref().unwrap(), solver.as_ref().unwrap());
-            let route: Vec<LinkId> = solver.links.iter().map(|&l| LinkId(l)).collect();
+            let route = &solver.links;
             assert!(!route.contains(&dead));
             // Each leg keeps its endpoints, tag and tenant.
             assert_eq!(
-                topo.validate_route(&route).unwrap(),
+                topo.validate_route(route).unwrap(),
                 topo.validate_route(&spec.route).unwrap()
             );
             assert_eq!((live.tag, live.tenant), (3, 2));
-            moved += usize::from(route != spec.route);
+            moved += usize::from(*route != spec.route);
         }
         // Exactly one leg (the dead trunk's) was re-routed.
         assert_eq!(moved, 1);

@@ -21,8 +21,9 @@
 //! same operation, groups and byte count — compiles once, and every
 //! task issuing it shares that plan. A weight-streaming iteration
 //! repeats the same few collectives in every layer window, so a
-//! schedule holds thousands of comm tasks but only tens of plans, and
-//! cloning a [`Schedule`] copies no routes.
+//! schedule holds thousands of comm tasks but only tens of plans. The
+//! task graph itself is shared too (`Rc<[_]>`), so cloning a
+//! [`Schedule`] copies no task, dependency list or route.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -73,25 +74,24 @@ pub struct Task {
     pub deps: Vec<TaskId>,
 }
 
-/// A compiled training iteration. Its task graph is fixed once built:
-/// [`Schedule::new`] derives each task's dependents, which every
-/// executor sharing the schedule reads, so editing `tasks` afterwards
-/// would leave them stale.
+/// A compiled training iteration. Its task graph is fixed once built
+/// and shared by every clone: [`Schedule::new`] derives each task's
+/// dependents, which every executor sharing the schedule reads.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// All tasks; `TaskId` indexes into this.
-    pub tasks: Vec<Task>,
+    pub tasks: Rc<[Task]>,
     /// Per virtual worker, the ordered list of tasks it waits on
     /// (computes it runs + comms that block it) — the basis for
     /// exposed-communication accounting.
-    pub worker_chains: Vec<Vec<TaskId>>,
+    pub worker_chains: Rc<[Vec<TaskId>]>,
     /// Strategy string for reports.
     pub strategy: String,
     /// Minibatch samples per iteration.
     pub minibatch: usize,
     /// Per task, the tasks that list it in their `deps`, in task
     /// order: the graph's reverse edges.
-    pub(crate) dependents: Vec<Vec<TaskId>>,
+    pub(crate) dependents: Rc<[Vec<TaskId>]>,
 }
 
 /// Scheduling inputs beyond the model and strategy.
@@ -538,11 +538,11 @@ impl Schedule {
             }
         }
         Schedule {
-            tasks,
-            worker_chains,
+            tasks: tasks.into(),
+            worker_chains: worker_chains.into(),
             strategy,
             minibatch,
-            dependents,
+            dependents: dependents.into(),
         }
     }
 
@@ -604,7 +604,7 @@ mod tests {
         let m = DnnModel::transformer_17b();
         let (s, _) = build(&m, m.default_strategy, FabricConfig::FredD);
         let mut kinds = std::collections::BTreeSet::new();
-        for t in &s.tasks {
+        for t in s.tasks.iter() {
             if let TaskBody::Comm { ctype, .. } = &t.body {
                 kinds.insert(*ctype);
             }
@@ -621,7 +621,7 @@ mod tests {
         let m = DnnModel::gpt3();
         let (s, _) = build(&m, m.default_strategy, FabricConfig::FredD);
         let mut stream_bytes = 0.0;
-        for t in &s.tasks {
+        for t in s.tasks.iter() {
             if let TaskBody::Comm {
                 plan,
                 ctype: CommType::Streaming,
@@ -802,6 +802,9 @@ mod tests {
         let m = DnnModel::transformer_17b();
         let (s, _) = build(&m, m.default_strategy, FabricConfig::BaselineMesh);
         let copy = s.clone();
+        assert!(Rc::ptr_eq(&s.tasks, &copy.tasks));
+        assert!(Rc::ptr_eq(&s.worker_chains, &copy.worker_chains));
+        assert!(Rc::ptr_eq(&s.dependents, &copy.dependents));
         let (a, b) = (comm_plans(&s), comm_plans(&copy));
         assert_eq!(a.len(), s.comm_task_count());
         assert_eq!(a.len(), b.len());

@@ -38,8 +38,8 @@ use crate::schedule::{build_schedule, Schedule, ScheduleParams, TaskBody};
 
 pub use crate::exec::{comm_task_of_tag, IterationTiming};
 
-/// Executes a copy of `schedule` on a fresh simulator over `backend`'s
-/// topology ([`simulate`] runs the schedule it builds without a copy).
+/// Executes `schedule` on a fresh simulator over `backend`'s topology.
+/// The executor holds a clone, which shares the schedule's task graph.
 ///
 /// # Errors
 ///
@@ -142,7 +142,7 @@ pub fn breakdown(
     let workers = schedule.worker_chains.len().max(1) as f64;
     let mut exposed: BTreeMap<CommType, f64> = BTreeMap::new();
     let mut compute_total = 0.0;
-    for chain in &schedule.worker_chains {
+    for chain in schedule.worker_chains.iter() {
         let mut horizon = Time::ZERO;
         for &t in chain {
             match &schedule.tasks[t.0].body {
