@@ -28,7 +28,8 @@
 //! `cluster_sweep.snapshot.bin`, continues, then reloads and verifies
 //! the resumed run bit-identical (a time past the end of the run writes
 //! no file and exits 2); `--restore <path>` resumes a snapshot and
-//! verifies it against the uninterrupted run.
+//! verifies it against the uninterrupted run. Both record into the
+//! `--trace`, `--report` and `--dashboard` outputs like the sweep.
 
 use std::path::{Path, PathBuf};
 
@@ -132,6 +133,7 @@ fn main() {
             path.display(),
             fmt_secs(full.makespan.as_secs())
         );
+        opts.finish();
         return;
     }
     if let Some(at) = snapshot_at {
@@ -172,6 +174,7 @@ fn main() {
             path.display(),
             fmt_secs(full.makespan.as_secs())
         );
+        opts.finish();
         return;
     }
     let templates = paper_mix();

@@ -8,7 +8,9 @@
 //! Paper headline: Fred improves ResNet-152 / Transformer-17B / GPT-3 /
 //! Transformer-1T by 1.76× / 1.87× / 1.34× / 1.4× (Fred-D vs baseline);
 //! Fred-C lands between the baseline and Fred-D (e.g. 1.41× for
-//! ResNet-152).
+//! ResNet-152). Ours does on the other three workloads, but on
+//! ResNet-152 Fred-C reads 1.756×, past Fred-D's 1.738× (deviation D4
+//! in EXPERIMENTS.md).
 
 use fred_bench::table::{fmt_secs, Table};
 use fred_bench::traceopt::TraceOpts;

@@ -421,10 +421,7 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
         (".arrival_cursor", |s| s.arrival_cursor -= 1),
         // The network one link short of the topology.
         ("solver.capacities", |s| {
-            let net = &mut s.net;
-            net.solver.capacities.pop();
-            net.solver.link_alloc.pop();
-            net.failed.pop();
+            s.net.solver.capacities.pop();
         }),
         // A route through a link the fabric does not have.
         (".net.solver.flows", |s| {

@@ -14,8 +14,7 @@
 //!   optional job-relative fault plan,
 //! * [`arrivals`] — seeded Poisson arrival generation over the model
 //!   zoo (trace-driven runs pass an explicit `Vec<JobSpec>` instead),
-//! * [`placement`] — contiguous NPU-slot carving (first-fit /
-//!   best-fit),
+//! * [`placement`] — contiguous NPU-slot carving (first fit),
 //! * [`scheduler`] — the shared-fabric event loop: per-job
 //!   [`fred_workloads::exec::ScheduleExecutor`]s interleaved through
 //!   one [`fred_sim::netsim::FlowNetwork`], priority classes mapped to
@@ -35,7 +34,7 @@ pub mod scheduler;
 
 pub use job::{JobClass, JobSpec};
 pub use metrics::{ClusterReport, JobRecord};
-pub use placement::{FitPolicy, SlotMap};
+pub use placement::SlotMap;
 pub use scheduler::{
     run_cluster, run_cluster_traced, Cluster, ClusterConfig, ClusterError, ClusterState,
 };

@@ -68,10 +68,6 @@ impl JobRecord {
 pub struct ClusterReport {
     /// Fabric configuration name.
     pub fabric: String,
-    /// Fit policy name.
-    pub fit: String,
-    /// Whether preemption was enabled.
-    pub preemption: bool,
     /// Per-job outcomes, in submission order.
     pub records: Vec<JobRecord>,
     /// Completion time of the last job (absolute; arrivals start at 0).
@@ -277,8 +273,6 @@ mod tests {
     fn report(records: Vec<JobRecord>) -> ClusterReport {
         ClusterReport {
             fabric: "fred-d".into(),
-            fit: "first-fit".into(),
-            preemption: true,
             records,
             makespan: Time::ZERO,
             npu_slots: 20,

@@ -6,28 +6,7 @@
 //! isolation is spatial as well as bandwidth-level. The cost of
 //! contiguity is external fragmentation — free slots split into runs
 //! too short for the next arrival, visible in [`SlotMap::free_runs`].
-
-/// How a free run is chosen for a new job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FitPolicy {
-    /// Leftmost run long enough. Fast, tends to concentrate churn at
-    /// low slot indices.
-    FirstFit,
-    /// Shortest run long enough (leftmost on ties). Preserves large
-    /// runs for wide arrivals at the price of leaving small stranded
-    /// remainders.
-    BestFit,
-}
-
-impl FitPolicy {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FitPolicy::FirstFit => "first-fit",
-            FitPolicy::BestFit => "best-fit",
-        }
-    }
-}
+//! A new job takes the leftmost free run long enough (first fit).
 
 /// Ownership map over the fabric's NPU slots.
 #[derive(Debug, Clone)]
@@ -82,21 +61,16 @@ impl SlotMap {
         runs
     }
 
-    /// Finds a base for a contiguous `width`-slot carve-out under
-    /// `policy`, without occupying it. `None` when no free run is long
-    /// enough (the fragmentation-rejection case: [`SlotMap::free`] may
-    /// still exceed `width`).
-    pub fn find(&self, width: usize, policy: FitPolicy) -> Option<usize> {
+    /// Finds a base for a contiguous `width`-slot carve-out, the
+    /// leftmost free run long enough, without occupying it. `None`
+    /// when no free run is long enough (the fragmentation-rejection
+    /// case: [`SlotMap::free`] may still exceed `width`).
+    pub fn find(&self, width: usize) -> Option<usize> {
         assert!(width > 0, "zero-width placement");
-        let runs = self.free_runs();
-        match policy {
-            FitPolicy::FirstFit => runs.iter().find(|&&(_, len)| len >= width).map(|&(b, _)| b),
-            FitPolicy::BestFit => runs
-                .iter()
-                .filter(|&&(_, len)| len >= width)
-                .min_by_key(|&&(base, len)| (len, base))
-                .map(|&(b, _)| b),
-        }
+        self.free_runs()
+            .into_iter()
+            .find(|&(_, len)| len >= width)
+            .map(|(base, _)| base)
     }
 
     /// Occupies `[base, base + width)` for `job`.
@@ -141,28 +115,17 @@ mod tests {
         m.occupy(2, 2, 0);
         m.occupy(7, 2, 1);
         assert_eq!(m.free_runs(), vec![(0, 2), (4, 3), (9, 1)]);
-        assert_eq!(m.find(2, FitPolicy::FirstFit), Some(0));
-        assert_eq!(m.find(3, FitPolicy::FirstFit), Some(4));
-    }
-
-    #[test]
-    fn best_fit_takes_the_tightest_run_leftmost_on_ties() {
-        let mut m = SlotMap::new(10);
-        m.occupy(2, 2, 0);
-        m.occupy(7, 2, 1);
-        // Width 2 fits [0,2) exactly (len 2) — tighter than [4,7).
-        assert_eq!(m.find(2, FitPolicy::BestFit), Some(0));
-        // Width 1 fits [9,10) exactly.
-        assert_eq!(m.find(1, FitPolicy::BestFit), Some(9));
+        assert_eq!(m.find(2), Some(0));
+        assert_eq!(m.find(3), Some(4));
     }
 
     #[test]
     fn exact_fit_fills_the_map_completely() {
         let mut m = SlotMap::new(8);
-        let b0 = m.find(8, FitPolicy::FirstFit).unwrap();
+        let b0 = m.find(8).unwrap();
         m.occupy(b0, 8, 0);
         assert_eq!(m.free(), 0);
-        assert_eq!(m.find(1, FitPolicy::FirstFit), None);
+        assert_eq!(m.find(1), None);
         assert!(m.free_runs().is_empty());
         assert_eq!(m.release(0), 8);
         assert_eq!(m.free(), 8);
@@ -176,8 +139,7 @@ mod tests {
         m.occupy(2, 2, 0);
         m.occupy(6, 2, 1);
         assert_eq!(m.free(), 6);
-        assert_eq!(m.find(4, FitPolicy::FirstFit), None);
-        assert_eq!(m.find(4, FitPolicy::BestFit), None);
+        assert_eq!(m.find(4), None);
         // Largest run is 2 of 6 free.
         assert_eq!(m.free_runs(), vec![(0, 2), (4, 2), (8, 2)]);
     }

@@ -15,9 +15,10 @@
 //! High→Low placing each queue's head until it no longer fits, then
 //! lets lower classes backfill — a narrow Low job may start ahead of a
 //! blocked wide High job (this favours utilization; the stranded
-//! head's delay is visible in the p99 queueing metric). When enabled,
-//! preemption evicts strictly-lower-class jobs from a slot window when
-//! the head cannot be placed any other way: victims lose their
+//! head's delay is visible in the p99 queueing metric). Each job takes
+//! the leftmost free slot window wide enough. Preemption evicts
+//! strictly-lower-class jobs from a slot window when the highest
+//! blocked head cannot be placed any other way: victims lose their
 //! in-flight iteration, return to the *front* of their class queue,
 //! and restart from scratch on fresh tags (retired tags still in the
 //! completion pipeline are dropped on arrival).
@@ -55,10 +56,11 @@ use fred_workloads::trainer::simulate;
 
 use crate::job::{JobClass, JobSpec};
 use crate::metrics::{ClusterReport, JobRecord};
-use crate::placement::{FitPolicy, SlotMap};
+use crate::placement::SlotMap;
 
-/// Cluster-wide policy knobs, and the compile context that every
-/// clone of the config shares.
+/// The fabric a cluster runs on, and the compile context that every
+/// clone of the config shares. Placement is first fit and preemption is
+/// always on (module docs).
 ///
 /// The context memoises the pure computations the cluster layer
 /// repeats: the fabric of each [`FabricConfig`], each job's schedule
@@ -74,34 +76,16 @@ use crate::placement::{FitPolicy, SlotMap};
 pub struct ClusterConfig {
     /// The fabric every job shares.
     pub fabric: FabricConfig,
-    /// How contiguous slot windows are chosen.
-    pub fit: FitPolicy,
-    /// Whether higher classes may evict strictly-lower-class jobs.
-    pub preemption: bool,
     ctx: Rc<CompileContext>,
 }
 
 impl ClusterConfig {
-    /// First-fit placement with preemption enabled.
+    /// A config over `fabric` with an empty compile context.
     pub fn new(fabric: FabricConfig) -> ClusterConfig {
         ClusterConfig {
             fabric,
-            fit: FitPolicy::FirstFit,
-            preemption: true,
             ctx: Rc::default(),
         }
-    }
-
-    /// Sets the fit policy.
-    pub fn with_fit(mut self, fit: FitPolicy) -> ClusterConfig {
-        self.fit = fit;
-        self
-    }
-
-    /// Enables or disables preemption.
-    pub fn with_preemption(mut self, preemption: bool) -> ClusterConfig {
-        self.preemption = preemption;
-        self
     }
 
     /// The backend of [`ClusterConfig::fabric`], built on first use and
@@ -867,7 +851,7 @@ impl Cluster {
 
     /// Places queued jobs: classes High→Low, FIFO head-of-line within
     /// a class, lower classes backfilling past a blocked head. Falls
-    /// back to preemption for the highest blocked head when enabled.
+    /// back to preemption for the highest blocked head.
     fn dispatch(&mut self) -> Result<(), ClusterError> {
         let _prof = fred_telemetry::prof::scope("cluster.dispatch");
         loop {
@@ -875,7 +859,7 @@ impl Cluster {
             for rank in 0..self.queues.len() {
                 while let Some(&job) = self.queues[rank].front() {
                     let width = self.jobs[job].npus();
-                    let Some(base) = self.slotmap.find(width, self.cfg.fit) else {
+                    let Some(base) = self.slotmap.find(width) else {
                         break;
                     };
                     self.queues[rank].pop_front();
@@ -886,15 +870,12 @@ impl Cluster {
             if placed_any {
                 continue;
             }
-            if self.cfg.preemption {
-                // The highest-class blocked head gets one preemption
-                // attempt per round.
-                let head =
-                    (0..self.queues.len()).find_map(|r| self.queues[r].front().map(|&j| (r, j)));
-                if let Some((rank, job)) = head {
-                    if self.try_preempt_for(rank, job)? {
-                        continue;
-                    }
+            // The highest-class blocked head gets one preemption
+            // attempt per round.
+            let head = (0..self.queues.len()).find_map(|r| self.queues[r].front().map(|&j| (r, j)));
+            if let Some((rank, job)) = head {
+                if self.try_preempt_for(rank, job)? {
+                    continue;
                 }
             }
             return Ok(());
@@ -1146,8 +1127,6 @@ impl Cluster {
         }
         ClusterReport {
             fabric: self.cfg.fabric.name().into(),
-            fit: self.cfg.fit.name().into(),
-            preemption: self.cfg.preemption,
             records,
             makespan,
             npu_slots: self.slotmap.slots(),
@@ -1521,25 +1500,6 @@ mod tests {
     }
 
     #[test]
-    fn preemption_disabled_queues_the_high_job_instead() {
-        let low_a = resnet_job("low-a", 10).with_class(JobClass::Low);
-        let low_b = resnet_job("low-b", 10).with_class(JobClass::Low);
-        let backend = FabricBackend::new(FabricConfig::FredD);
-        let solo = simulate(&low_a.model, low_a.strategy, &backend, low_a.params).unwrap();
-        let high = resnet_job("high", 10)
-            .with_class(JobClass::High)
-            .with_arrival(Time::from_secs(solo.total.as_secs() * 0.25));
-        let report = run_cluster(
-            &ClusterConfig::new(FabricConfig::FredD).with_preemption(false),
-            vec![low_a, low_b, high],
-        )
-        .unwrap();
-        assert_eq!(report.preemptions, 0);
-        let high_rec = report.records.iter().find(|r| r.name == "high").unwrap();
-        assert!(high_rec.queueing_delay_secs() > 0.0);
-    }
-
-    #[test]
     fn weight_streaming_jobs_are_rejected() {
         let model = DnnModel::gpt3();
         let strategy = Strategy3D::new(1, 1, 2);
@@ -1608,22 +1568,5 @@ mod tests {
                 "diverged after restore at frac {frac}"
             );
         }
-    }
-
-    #[test]
-    fn cluster_runs_are_deterministic() {
-        let mk = || {
-            vec![
-                resnet_job("a", 4).with_class(JobClass::Normal),
-                resnet_job("b", 8).with_class(JobClass::Low),
-                resnet_job("c", 10)
-                    .with_class(JobClass::High)
-                    .with_arrival(Time::from_secs(1e-4)),
-            ]
-        };
-        let cfg = ClusterConfig::new(FabricConfig::FredD).with_fit(FitPolicy::BestFit);
-        let r1 = run_cluster(&cfg, mk()).unwrap();
-        let r2 = run_cluster(&cfg, mk()).unwrap();
-        assert_eq!(r1.first_difference(&r2), None);
     }
 }

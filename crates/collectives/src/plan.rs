@@ -203,10 +203,9 @@ impl CommPlan {
                         .with_tag(span.unwrap_or(0))
                 })
                 .collect();
-            let injected = net
-                .inject_batch(flows)
+            let mut outstanding = flows.len();
+            net.inject_batch(flows)
                 .map_err(|source| PlanError::Route { phase: k, source })?;
-            let mut outstanding = injected.len();
             while outstanding > 0 {
                 let Some(te) = net.next_event() else {
                     return Err(PlanError::Stalled {

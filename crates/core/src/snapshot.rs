@@ -38,7 +38,8 @@
 //! executor's capture, for one, has no staged flows or ready tasks,
 //! because captures are taken between event instants, and a network's
 //! has no drain heap, because each flow's settled bytes and rate give
-//! its entry.
+//! its entry, and no failed-link list, because a failed link's
+//! capacity is zero.
 //!
 //! # Versioning policy
 //!
@@ -56,7 +57,7 @@ use std::rc::Rc;
 
 use fred_sim::flow::{FlowId, Priority};
 use fred_sim::netsim::{CompletedFlow, CoreState, FlowState};
-use fred_sim::solver::{SolverFlow, SolverState, SolverStats};
+use fred_sim::solver::{SolverFlow, SolverState};
 use fred_sim::time::{Duration, Time};
 use fred_sim::topology::LinkId;
 
@@ -64,7 +65,7 @@ use crate::codec::{self, SnapshotError, Value};
 
 /// Semantic snapshot-state version (see the module docs for how it
 /// relates to the binary codec version).
-pub const SIM_STATE_VERSION: u32 = 8;
+pub const SIM_STATE_VERSION: u32 = 9;
 
 /// A versioned, named-section snapshot of a whole simulation stack.
 ///
@@ -499,13 +500,7 @@ impl Snap for SolverState {
             ("capacities".into(), self.capacities.encode()),
             ("flows".into(), self.flows.encode()),
             ("free".into(), self.free.encode()),
-            ("link_alloc".into(), self.link_alloc.encode()),
             ("seed_links".into(), self.seed_links.encode()),
-            ("dirty".into(), self.dirty.encode()),
-            ("solves".into(), self.stats.solves.encode()),
-            ("global_solves".into(), self.stats.global_solves.encode()),
-            ("refilled_flows".into(), self.stats.refilled_flows.encode()),
-            ("max_component".into(), self.stats.max_component.encode()),
         ])
     }
 
@@ -514,15 +509,7 @@ impl Snap for SolverState {
             capacities: field(v, "capacities")?,
             flows: field(v, "flows")?,
             free: field(v, "free")?,
-            link_alloc: field(v, "link_alloc")?,
             seed_links: field(v, "seed_links")?,
-            dirty: field(v, "dirty")?,
-            stats: SolverStats {
-                solves: field(v, "solves")?,
-                global_solves: field(v, "global_solves")?,
-                refilled_flows: field(v, "refilled_flows")?,
-                max_component: field(v, "max_component")?,
-            },
         })
     }
 }
@@ -572,8 +559,6 @@ impl Snap for CoreState {
             ("next_generation".into(), self.next_generation.encode()),
             ("pending".into(), self.pending.encode()),
             ("completed".into(), self.completed.encode()),
-            ("failed".into(), self.failed.encode()),
-            ("events".into(), self.events.encode()),
         ])
     }
 
@@ -586,8 +571,6 @@ impl Snap for CoreState {
             next_generation: field(v, "next_generation")?,
             pending: field(v, "pending")?,
             completed: field(v, "completed")?,
-            failed: field(v, "failed")?,
-            events: field(v, "events")?,
         })
     }
 }
@@ -725,9 +708,8 @@ mod tests {
             let k = first_rated(&s.solver);
             s.flows[k].as_mut().unwrap().remaining = bytes;
         }
-        let edits: [(&str, Edit); 16] = [
-            ("solver.link_alloc", |s| s.solver.link_alloc.push(0.0)),
-            ("failed", |s| s.failed.push(false)),
+        let edits: [(&str, Edit); 15] = [
+            ("solver.capacities", |s| s.solver.capacities.push(100.0)),
             ("solver.seed_links", |s| {
                 s.solver.seed_links.push(s.solver.capacities.len())
             }),

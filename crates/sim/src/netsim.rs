@@ -224,13 +224,14 @@ type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 ///
 /// Deliberately excluded: the telemetry sink (configuration, supplied
 /// on restore), solver scratch (restarted at zero), the drain-heap
-/// compaction floor and count (a test hook and a statistic, back at the
-/// default and at zero after a restore), the process-wide counters
-/// (profiling aggregates, not simulation state), and what restore
-/// derives from the rest: the drain heap (one entry per flow with a
-/// positive rate, from its settled bytes and rate) with its live-entry
-/// count, and the telemetry mirror of per-link allocations, which is
-/// the solver's allocation.
+/// compaction floor and the compaction and solver cost counts (a test
+/// hook and statistics, back at the default and at zero after a
+/// restore), the process-wide counters (profiling aggregates, not
+/// simulation state), and what restore derives from the rest: the
+/// failed links (those with capacity zero), the drain heap (one entry
+/// per flow with a positive rate, from its settled bytes and rate) with
+/// its live-entry count, and, for an enabled sink, the telemetry mirror
+/// of per-link allocations (each link's sum of its flows' rates).
 ///
 /// The fields are plain data, and any values of their types decode:
 /// how they relate to each other and to the topology is checked by
@@ -252,10 +253,6 @@ pub struct CoreState {
     pub pending: Vec<CompletedFlow>,
     /// Completions buffered but not yet drained by the caller.
     pub completed: Vec<CompletedFlow>,
-    /// Links killed by faults.
-    pub failed: Vec<bool>,
-    /// Lifecycle events processed by this network.
-    pub events: u64,
 }
 
 /// Flow-level network simulator over a fixed [`Topology`].
@@ -285,19 +282,16 @@ pub struct FlowNetwork {
     /// Drained flows waiting out their tail latency.
     pending: BinaryHeap<Reverse<PendingNotice>>,
     completed: Vec<CompletedFlow>,
-    /// Links killed by [`FlowNetwork::fail_link`]; failed links reject
-    /// new injections and are what routing layers must detour around.
-    failed: Vec<bool>,
-    events: u64,
     /// Telemetry sink; [`NullSink`] (zero overhead) by default.
     sink: Rc<dyn TraceSink>,
     /// Cached `sink.enabled()`: every emission site checks this flag
     /// before building an event.
     tracing: bool,
-    /// Last emitted per-link allocated rate (telemetry scratch; only
-    /// maintained while tracing, when it equals the solver's
-    /// allocation after every solve).
+    /// Per-link allocated rate sums as of each link's last solve, the
+    /// `LinkUtil` baseline. Kept only while tracing (empty otherwise).
     link_alloc: Vec<f64>,
+    /// Telemetry scratch: the refilled links' sums before the refill.
+    alloc_before: Vec<f64>,
     /// Reusable buffer for the changed flows of a refill, each with
     /// its rate before the refill.
     changed_scratch: Vec<(FlowKey, f64)>,
@@ -316,7 +310,12 @@ impl FlowNetwork {
     /// untraced run: instrumentation only observes state.
     pub fn with_sink(topo: Topology, sink: Rc<dyn TraceSink>) -> FlowNetwork {
         let capacities: Vec<f64> = topo.links().map(|(_, l)| l.bandwidth).collect();
-        let n = capacities.len();
+        let tracing = sink.enabled();
+        let link_alloc = if tracing {
+            vec![0.0; capacities.len()]
+        } else {
+            Vec::new()
+        };
         let net = FlowNetwork {
             topo,
             now: Time::ZERO,
@@ -330,11 +329,10 @@ impl FlowNetwork {
             next_generation: 0,
             pending: BinaryHeap::new(),
             completed: Vec::new(),
-            failed: vec![false; n],
-            events: 0,
-            tracing: sink.enabled(),
+            tracing,
             sink,
-            link_alloc: vec![0.0; n],
+            link_alloc,
+            alloc_before: Vec::new(),
             changed_scratch: Vec::new(),
         };
         net.record_topology();
@@ -391,8 +389,7 @@ impl FlowNetwork {
         self.solver.stats()
     }
 
-    fn count_event(&mut self) {
-        self.events += 1;
+    fn count_event(&self) {
         GLOBAL_EVENTS.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -421,23 +418,23 @@ impl FlowNetwork {
     /// Returns the first [`RouteError`] among the specs. Every route is
     /// validated up front, so on error *no* flow has been injected —
     /// a phase either starts whole or not at all.
-    pub fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<Vec<FlowId>, RouteError> {
+    pub fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<(), RouteError> {
         let _prof = fred_telemetry::prof::scope("netsim.inject_batch");
         fred_telemetry::prof::record_value("netsim.inject_batch_flows", specs.len() as f64);
         for spec in &specs {
             self.check_route(&spec.route)?;
         }
-        Ok(specs
-            .into_iter()
-            .map(|spec| self.inject_checked(spec))
-            .collect())
+        for spec in specs {
+            self.inject_checked(spec);
+        }
+        Ok(())
     }
 
     /// Rejects a route that is not a contiguous path in the topology or
     /// that crosses a failed link.
     fn check_route(&self, route: &[LinkId]) -> Result<(), RouteError> {
         self.topo.validate_route(route)?;
-        match route.iter().find(|l| self.failed[l.0]) {
+        match route.iter().find(|&&l| self.is_link_failed(l)) {
             Some(&dead) => Err(RouteError::FailedLink(dead)),
             None => Ok(()),
         }
@@ -495,16 +492,17 @@ impl FlowNetwork {
         self.solver.capacity(link.0)
     }
 
-    /// Whether `link` has been killed by [`FlowNetwork::fail_link`].
+    /// Whether `link` has been killed by [`FlowNetwork::fail_link`]:
+    /// its capacity is zero, which no live or degraded link has.
     pub fn is_link_failed(&self, link: LinkId) -> bool {
-        self.failed[link.0]
+        self.solver.capacity(link.0) == 0.0
     }
 
     /// Whether any link has been killed (cheap guard: the zero-fault
     /// fast paths branch on this to stay bit-identical to a fault-free
     /// build).
     pub fn any_link_failed(&self) -> bool {
-        self.failed.iter().any(|&f| f)
+        self.solver.capacities().contains(&0.0)
     }
 
     /// Kills `link` at the current instant: its capacity drops to zero,
@@ -518,10 +516,9 @@ impl FlowNetwork {
     ///
     /// Idempotent: failing an already-dead link evicts nothing.
     pub fn fail_link(&mut self, link: LinkId) -> Vec<EvictedFlow> {
-        if self.failed[link.0] {
+        if self.is_link_failed(link) {
             return Vec::new();
         }
-        self.failed[link.0] = true;
         self.solver.set_capacity(link.0, 0.0);
         // A route crossing the link twice is listed twice.
         let mut victims = self.solver.link_flows(link.0).to_vec();
@@ -551,17 +548,22 @@ impl FlowNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `fraction` is not in `(0.0, 1.0]`.
+    /// Panics if `fraction` is not in `(0.0, 1.0]`, or if the degraded
+    /// capacity underflows to zero, which would read as a failure.
     pub fn degrade_link(&mut self, link: LinkId, fraction: f64) {
         assert!(
             fraction > 0.0 && fraction <= 1.0,
             "degrade fraction must be in (0, 1], got {fraction} (use fail_link for 0)"
         );
-        if self.failed[link.0] {
+        let capacity = self.topo.link(link).bandwidth * fraction;
+        assert!(
+            capacity > 0.0,
+            "degrading {link} by {fraction} leaves no capacity (use fail_link for 0)"
+        );
+        if self.is_link_failed(link) {
             return;
         }
-        self.solver
-            .set_capacity(link.0, self.topo.link(link).bandwidth * fraction);
+        self.solver.set_capacity(link.0, capacity);
         if self.tracing {
             self.sink.record(TraceEvent::Fault {
                 t: self.now.as_secs(),
@@ -710,6 +712,10 @@ impl FlowNetwork {
     /// utilization sample for every touched link whose allocated rate
     /// moved, even when no rate did: a link whose last flow left
     /// reports its drop to zero. Only called while tracing.
+    ///
+    /// Each touched link's sum is rebuilt from the refilled component,
+    /// flows by ascending key and each route in order, so a link's sum
+    /// takes the same float operations however the flow set got there.
     fn emit_rate_telemetry(&mut self, changed: u32) {
         let t = self.now.as_secs();
         if changed > 0 {
@@ -719,10 +725,21 @@ impl FlowNetwork {
                 changed,
             });
         }
-        for &l in self.solver.touched_links() {
-            let new = self.solver.link_allocated(l);
+        let links = self.solver.touched_links();
+        self.alloc_before.clear();
+        for &l in links {
+            self.alloc_before
+                .push(std::mem::replace(&mut self.link_alloc[l], 0.0));
+        }
+        for f in self.solver.touched_flows() {
+            for &LinkId(l) in f.links.iter() {
+                self.link_alloc[l] += f.rate;
+            }
+        }
+        for (&l, &before) in links.iter().zip(&self.alloc_before) {
+            let new = self.link_alloc[l];
             let capacity = self.solver.capacity(l);
-            if (new - self.link_alloc[l]).abs() > 1e-9 * capacity.max(1.0) {
+            if (new - before).abs() > 1e-9 * capacity.max(1.0) {
                 // A dead link (capacity 0) reports utilization 0, not NaN.
                 let utilization = if capacity > 0.0 { new / capacity } else { 0.0 };
                 self.sink.record(TraceEvent::LinkUtil {
@@ -731,7 +748,6 @@ impl FlowNetwork {
                     utilization,
                 });
             }
-            self.link_alloc[l] = new;
         }
     }
 
@@ -898,8 +914,6 @@ impl FlowNetwork {
             next_generation: self.next_generation,
             pending,
             completed: self.completed.clone(),
-            failed: self.failed.clone(),
-            events: self.events,
         }
     }
 
@@ -912,20 +926,22 @@ impl FlowNetwork {
     /// segment on its own. The drain heap holds one entry `(updated_at +
     /// remaining / rate, id, generation, slot)` per flow with a positive
     /// solver rate, bit for bit the one its last rate assignment pushed;
-    /// the lazy-deletion garbage beside it never popped as live. The
-    /// telemetry mirror starts as the solver's allocation, so a capture
-    /// taken untraced resumes into a traced sink without reporting a
-    /// change no solve made.
+    /// the lazy-deletion garbage beside it never popped as live. A link
+    /// with capacity zero is failed. For an enabled sink, the telemetry
+    /// mirror sums each link's flow rates in the order a solve does
+    /// (flows by ascending key), which is the sum as of the link's last
+    /// solve unless the link lost a flow since: a capture taken untraced
+    /// resumes into a traced sink without reporting a change no solve
+    /// made, except on such a link.
     ///
     /// # Errors
     ///
     /// This is the one judge of a capture's rules (decoding checks only
     /// shapes). A [`StateMismatch`] names the field at fault if:
     ///
-    /// - a per-link vector does not have the topology's link count, or
-    ///   a pending seed link or a route crosses a link past it;
-    /// - a link's capacity is not between zero and its bandwidth (zero
-    ///   once failed);
+    /// - the capacities do not cover the topology's links, or a pending
+    ///   seed link or a route crosses a link past them;
+    /// - a link's capacity is not between zero and its bandwidth;
     /// - the two slabs differ in length or in which slots they occupy,
     ///   or a free key repeats or names an occupied slot;
     /// - a flow's bytes left are not finite or are negative, or its
@@ -945,15 +961,10 @@ impl FlowNetwork {
     ) -> Result<FlowNetwork, StateMismatch> {
         let bad = |field: &'static str, why: String| Err(StateMismatch { field, why });
         let links = topo.links().count();
-        for (field, len) in [
-            ("solver.capacities", state.solver.capacities.len()),
-            ("solver.link_alloc", state.solver.link_alloc.len()),
-            ("failed", state.failed.len()),
-        ] {
-            if len != links {
-                let why = format!("covers {len} links but the topology has {links}");
-                return bad(field, why);
-            }
+        let len = state.solver.capacities.len();
+        if len != links {
+            let why = format!("covers {len} links but the topology has {links}");
+            return bad("solver.capacities", why);
         }
         if let Some(l) = state.solver.seed_links.iter().find(|&&l| l >= links) {
             let why = format!("link {l} is out of range ({links} links)");
@@ -962,10 +973,10 @@ impl FlowNetwork {
         // A degraded link keeps a share of its bandwidth; a failed one
         // has none.
         for (LinkId(l), link) in topo.links() {
-            let (cap, failed) = (state.solver.capacities[l], state.failed[l]);
-            if !(0.0..=link.bandwidth).contains(&cap) || (failed && cap != 0.0) {
+            let cap = state.solver.capacities[l];
+            if !(0.0..=link.bandwidth).contains(&cap) {
                 let why = format!(
-                    "link {l} (failed: {failed}) has capacity {cap}; its bandwidth is {}",
+                    "link {l} has capacity {cap}; its bandwidth is {}",
                     link.bandwidth
                 );
                 return bad("solver.capacities", why);
@@ -999,6 +1010,12 @@ impl FlowNetwork {
         // clock, and each rate assignment stamps a fresh generation on
         // the flow and, when the rate is positive, pushes its drain
         // entry.
+        let tracing = sink.enabled();
+        let mut link_alloc = if tracing {
+            vec![0.0; links]
+        } else {
+            Vec::new()
+        };
         let mut drains = Vec::new();
         let slabs = state.flows.iter().zip(&state.solver.flows);
         for (k, (f, sf)) in slabs.enumerate() {
@@ -1040,6 +1057,11 @@ impl FlowNetwork {
                 let why = format!("slot {k} crosses link {l}, out of range ({links} links)");
                 return bad("solver.flows", why);
             }
+            if tracing {
+                for &LinkId(l) in sf.links.iter() {
+                    link_alloc[l] += sf.rate;
+                }
+            }
             if rated {
                 if !(f.updated_at.as_secs() + f.remaining / sf.rate).is_finite() {
                     let why = format!(
@@ -1055,7 +1077,6 @@ impl FlowNetwork {
                 drains.push(Reverse((at, f.id.0, f.generation, k as u32)));
             }
         }
-        let link_alloc = state.solver.link_alloc.clone();
         let net = FlowNetwork {
             topo,
             now: state.now,
@@ -1074,11 +1095,10 @@ impl FlowNetwork {
                 .map(Reverse)
                 .collect(),
             completed: state.completed,
-            failed: state.failed,
-            events: state.events,
-            tracing: sink.enabled(),
+            tracing,
             sink,
             link_alloc,
+            alloc_before: Vec::new(),
             changed_scratch: Vec::new(),
         };
         net.record_topology();
@@ -1246,14 +1266,12 @@ mod tests {
     #[test]
     fn inject_batch_handles_mixed_empty_and_real_flows() {
         let (mut net, l) = two_node_net(100.0, 0.0);
-        let ids = net
-            .inject_batch(vec![
-                FlowSpec::new(vec![], 1e6).with_tag(0),
-                FlowSpec::new(vec![l], 100.0).with_tag(1),
-                FlowSpec::new(vec![l], 0.0).with_tag(2),
-            ])
-            .unwrap();
-        assert_eq!(ids.len(), 3);
+        net.inject_batch(vec![
+            FlowSpec::new(vec![], 1e6).with_tag(0),
+            FlowSpec::new(vec![l], 100.0).with_tag(1),
+            FlowSpec::new(vec![l], 0.0).with_tag(2),
+        ])
+        .unwrap();
         let done = net.run_to_completion();
         assert_eq!(done.len(), 3);
         // The node-local and zero-byte flows complete instantly.
@@ -1299,8 +1317,8 @@ mod tests {
         net.inject(FlowSpec::new(vec![l], 100.0)).unwrap();
         net.inject(FlowSpec::new(vec![], 1.0)).unwrap();
         net.run_to_completion();
-        // 2 injections + 2 drains (one implicit) + 2 completions.
-        assert_eq!(net.snapshot().events, 6);
+        // 2 injections + 2 drains (one implicit) + 2 completions; other
+        // tests' networks may count concurrently.
         assert!(global_events_processed() >= before_global + 6);
     }
 
@@ -1326,10 +1344,14 @@ mod tests {
             _ => None,
         });
         assert_eq!(last, Some((5.0, 0.0)));
-        let solver: Vec<f64> = (0..net.link_alloc.len())
-            .map(|l| net.solver.link_allocated(l))
+        // The mirror holds each link's sum of its flows' rates.
+        let sums: Vec<f64> = (0..net.link_alloc.len())
+            .map(|l| {
+                let keys = net.solver.link_flows(l).iter();
+                keys.map(|&k| net.solver.rate(FlowKey(k))).sum()
+            })
             .collect();
-        assert_eq!(net.link_alloc, solver);
+        assert_eq!(net.link_alloc, sums);
     }
 
     #[test]
@@ -1339,8 +1361,11 @@ mod tests {
         // Link 0 carries A and B, link 1 carries B and C, 50 B/s each.
         // When A drains at t = 2, B and C still share link 1 at 50 B/s
         // each: link 1's allocation does not move, so no `LinkUtil`
-        // for it.
-        let run = |capture_at: Option<f64>| {
+        // for it. With `late`, D joins link 0 at t = 1 and the capture
+        // is taken before its solve, which moves no link's sum: D's
+        // rate 0.0 leaves every sum restore rebuilds exact, so the
+        // resumed run reports no change at t = 1 either.
+        let run = |capture: bool, late: bool| {
             let mut topo = Topology::new();
             let a = topo.add_node(NodeKind::Npu, "a");
             let b = topo.add_node(NodeKind::Npu, "b");
@@ -1348,16 +1373,20 @@ mod tests {
             let l0 = topo.add_link(a, b, 100.0, 0.0);
             let l1 = topo.add_link(b, c, 100.0, 0.0);
             let rec = Rc::new(RingRecorder::new());
-            let sink: Rc<dyn TraceSink> = match capture_at {
-                Some(_) => Rc::new(NullSink),
-                None => rec.clone(),
+            let sink: Rc<dyn TraceSink> = if capture {
+                Rc::new(NullSink)
+            } else {
+                rec.clone()
             };
             let mut net = FlowNetwork::with_sink(topo.clone(), sink);
             for (route, bytes) in [(vec![l0], 100.0), (vec![l0, l1], 300.0), (vec![l1], 1e3)] {
                 net.inject(FlowSpec::new(route, bytes)).unwrap();
             }
-            if let Some(t) = capture_at {
-                net.advance_to(Time::from_secs(t));
+            net.advance_to(Time::from_secs(1.0));
+            if late {
+                net.inject(FlowSpec::new(vec![l0], 50.0)).unwrap();
+            }
+            if capture {
                 net = FlowNetwork::restore(topo, rec.clone(), net.snapshot()).unwrap();
             }
             net.run_to_completion();
@@ -1368,14 +1397,16 @@ mod tests {
                         t,
                         link,
                         utilization,
-                    } if t > 1.0 => Some((t, link, utilization)),
+                    } if t >= 1.0 => Some((t, link, utilization)),
                     _ => None,
                 })
                 .collect::<Vec<_>>()
         };
-        let uninterrupted = run(None);
-        assert_eq!(uninterrupted.len(), 3, "{uninterrupted:?}");
-        assert_eq!(run(Some(1.0)), uninterrupted);
+        for late in [false, true] {
+            let uninterrupted = run(false, late);
+            assert_eq!(uninterrupted.len(), 3, "{uninterrupted:?}");
+            assert_eq!(run(true, late), uninterrupted);
+        }
     }
 
     #[test]
@@ -1638,6 +1669,25 @@ mod tests {
             })
             .collect();
         assert_eq!(faults, vec![(l.0 as u32, 0.0)]);
+    }
+
+    #[test]
+    fn a_zero_capacity_link_restores_failed() {
+        let (mut net, l) = two_node_net(100.0, 0.0);
+        net.inject(FlowSpec::new(vec![l], 100.0)).unwrap();
+        net.fail_link(l);
+        let topo = net.topology().clone();
+        let mut net = FlowNetwork::restore(topo, Rc::new(NullSink), net.snapshot()).unwrap();
+        assert!(net.is_link_failed(l));
+        let err = net.inject(FlowSpec::new(vec![l], 1.0)).unwrap_err();
+        assert_eq!(err, RouteError::FailedLink(l));
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves no capacity")]
+    fn degrading_to_no_capacity_panics() {
+        let (mut net, l) = two_node_net(1e-300, 0.0);
+        net.degrade_link(l, 1e-300);
     }
 
     #[test]

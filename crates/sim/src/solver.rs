@@ -76,10 +76,10 @@ pub struct SolverFlow {
 /// the stamped marks, restarts both stamp counters (the solve epoch
 /// and the refill's class pass) at zero and starts the per-solve work
 /// lists empty. Each counter is bumped before it stamps, so no zero
-/// mark is ever current. Pending deltas (`seed_links`, `dirty`) are
-/// captured so a snapshot taken between a delta and its solve resumes
-/// exactly, and so is `link_alloc`: for a link with a pending delta it
-/// holds the sum before the delta.
+/// mark is ever current. The pending seed links are captured so a
+/// snapshot taken between a delta and its solve resumes exactly; deltas
+/// are pending exactly when there are seeds. The cost counters are
+/// measurements, not state: a restored solver counts from zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverState {
     /// Per-link capacities (bytes/s), indexed by `LinkId.0`.
@@ -88,14 +88,8 @@ pub struct SolverState {
     pub flows: Vec<Option<SolverFlow>>,
     /// Free-key stack, top last.
     pub free: Vec<u32>,
-    /// Allocated rate sum per link as of the last solve.
-    pub link_alloc: Vec<f64>,
     /// Dirty seed links pending the next solve (may repeat).
     pub seed_links: Vec<usize>,
-    /// Whether deltas are pending.
-    pub dirty: bool,
-    /// Cost counters at capture.
-    pub stats: SolverStats,
 }
 
 /// Running cost counters, exposed for benchmarks and telemetry.
@@ -149,12 +143,9 @@ pub struct FairShareSolver {
     live: usize,
     /// Flow keys crossing each link.
     link_flows: Vec<Vec<u32>>,
-    /// Current allocated rate sum per link (kept for telemetry and
-    /// feasibility checks).
-    link_alloc: Vec<f64>,
-    /// Links touched by deltas since the last solve (may repeat).
+    /// Links touched by deltas since the last solve (may repeat);
+    /// deltas are pending exactly when it is not empty.
     seed_links: Vec<usize>,
-    dirty: bool,
     // Persistent scratch (epoch-stamped so nothing is ever cleared).
     epoch: u64,
     link_mark: Vec<u64>,
@@ -168,16 +159,16 @@ pub struct FairShareSolver {
     new_rate: Vec<f64>,
     // Per-solve work lists, cleared on use and never freed, so a solve
     // allocates nothing once they have grown to the largest component:
-    // the component's links and flows, the BFS stack, the classes
-    // present and the links a class pass still fills.
+    // the component's links and flows (ascending, and after a solve
+    // that solve's component), the BFS stack, the classes present and
+    // the links a class pass still fills.
     comp_links: Vec<usize>,
     comp_flows: Vec<u32>,
     stack: Vec<usize>,
     classes: Vec<u8>,
     used_links: Vec<usize>,
-    // Outputs of the last solve.
+    // Output of the last solve.
     changed: Vec<(FlowKey, f64)>,
-    touched_links: Vec<usize>,
     stats: SolverStats,
 }
 
@@ -192,9 +183,7 @@ impl FairShareSolver {
             free: Vec::new(),
             live: 0,
             link_flows: vec![Vec::new(); n],
-            link_alloc: vec![0.0; n],
             seed_links: Vec::new(),
-            dirty: false,
             epoch: 0,
             link_mark: vec![0; n],
             flow_mark: Vec::new(),
@@ -209,7 +198,6 @@ impl FairShareSolver {
             classes: Vec::new(),
             used_links: Vec::new(),
             changed: Vec::new(),
-            touched_links: Vec::new(),
             stats: SolverStats::default(),
         }
     }
@@ -226,10 +214,10 @@ impl FairShareSolver {
 
     /// Whether deltas are pending a [`FairShareSolver::solve`].
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        !self.seed_links.is_empty()
     }
 
-    /// Cost counters accumulated since construction.
+    /// Cost counters accumulated since construction or restore.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
@@ -282,7 +270,6 @@ impl FairShareSolver {
         for &LinkId(l) in links.iter() {
             self.link_flows[l].push(key);
             self.seed_links.push(l);
-            self.dirty = true;
         }
         self.flows[key as usize] = Some(SolverFlow { links, class, rate });
         FlowKey(key)
@@ -309,7 +296,6 @@ impl FairShareSolver {
                 .expect("incidence list out of sync");
             self.link_flows[l].swap_remove(pos);
             self.seed_links.push(l);
-            self.dirty = true;
         }
     }
 
@@ -357,20 +343,20 @@ impl FairShareSolver {
         &self.changed
     }
 
-    /// Links whose allocation was recomputed in the last
-    /// [`FairShareSolver::solve`] (a superset of the links whose
-    /// allocated sum actually changed).
+    /// The links of the component the last [`FairShareSolver::solve`]
+    /// refilled, ascending: a superset of the links whose allocated sum
+    /// changed (empty before the first solve after construction or
+    /// restore).
     pub fn touched_links(&self) -> &[usize] {
-        &self.touched_links
+        &self.comp_links
     }
 
-    /// Current allocated rate sum on a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link index is out of range.
-    pub fn link_allocated(&self, link: usize) -> f64 {
-        self.link_alloc[link]
+    /// The flows of the component the last [`FairShareSolver::solve`]
+    /// refilled, by ascending key. Valid until the next delta.
+    pub(crate) fn touched_flows(&self) -> impl Iterator<Item = &SolverFlow> {
+        self.comp_flows
+            .iter()
+            .map(|&k| self.flows[k as usize].as_ref().expect("live component"))
     }
 
     /// Current capacity of a link (bytes/s).
@@ -411,7 +397,6 @@ impl FairShareSolver {
         }
         self.capacities[link] = capacity;
         self.seed_links.push(link);
-        self.dirty = true;
     }
 
     /// Flushes pending deltas: recomputes the dirty component and
@@ -419,18 +404,17 @@ impl FairShareSolver {
     /// inspect [`FairShareSolver::changed_flows`] /
     /// [`FairShareSolver::touched_links`] afterwards.
     pub fn solve(&mut self) -> bool {
-        if !self.dirty {
+        if self.seed_links.is_empty() {
             return false;
         }
         let _prof = fred_telemetry::prof::scope("solver.solve");
-        self.dirty = false;
         self.stats.solves += 1;
         self.epoch += 1;
         let epoch = self.epoch;
 
         // Component discovery: BFS from the dirty seed links through
         // the incidence structure. A seed link whose last flow left
-        // joins with no flows, so the refill zeroes its allocation.
+        // joins with no flows, so it still counts as touched.
         // The two component lists are taken out of `self` so the refill
         // can borrow them beside the solver, and put back after it.
         let mut comp_links = std::mem::take(&mut self.comp_links);
@@ -496,10 +480,7 @@ impl FairShareSolver {
             capacities: self.capacities.clone(),
             flows: self.flows.clone(),
             free: self.free.clone(),
-            link_alloc: self.link_alloc.clone(),
             seed_links: self.seed_links.clone(),
-            dirty: self.dirty,
-            stats: self.stats,
         }
     }
 
@@ -507,19 +488,17 @@ impl FairShareSolver {
     /// Continuing the restored solver is bit-identical to continuing
     /// the captured one: slab layout, free-key order and the
     /// pending-delta set are revived verbatim, the live count and the
-    /// incidence lists are rebuilt from the slab, the stamped scratch
-    /// and its counters restart at zero and the work lists start empty
-    /// (see [`SolverState`]).
+    /// incidence lists are rebuilt from the slab, the stamped scratch,
+    /// its counters and the cost counters restart at zero and the work
+    /// lists start empty (see [`SolverState`]).
     ///
     /// # Panics
     ///
-    /// Panics if the state breaks a rule (per-link vector lengths
-    /// disagree, or a route crosses a link out of range). Its one
-    /// caller, [`crate::netsim::FlowNetwork::restore`], rejects such a
-    /// state with a typed error first.
+    /// Panics if a route crosses a link out of range. Its one caller,
+    /// [`crate::netsim::FlowNetwork::restore`], rejects such a state
+    /// with a typed error first.
     pub(crate) fn restore(state: SolverState) -> FairShareSolver {
         let n = state.capacities.len();
-        assert_eq!(state.link_alloc.len(), n, "link_alloc length mismatch");
         let slab = state.flows.len();
         let mut link_flows = vec![Vec::new(); n];
         let mut live = 0;
@@ -536,9 +515,7 @@ impl FairShareSolver {
             free: state.free,
             live,
             link_flows,
-            link_alloc: state.link_alloc,
             seed_links: state.seed_links,
-            dirty: state.dirty,
             epoch: 0,
             link_mark: vec![0; n],
             flow_mark: vec![0; slab],
@@ -553,8 +530,7 @@ impl FairShareSolver {
             classes: Vec::new(),
             used_links: Vec::new(),
             changed: Vec::new(),
-            touched_links: Vec::new(),
-            stats: state.stats,
+            stats: SolverStats::default(),
         }
     }
 
@@ -652,23 +628,14 @@ impl FairShareSolver {
         self.classes = classes;
         self.used_links = used_links;
 
-        // Commit: report changed rates and rebuild the allocation sums
-        // of every touched link.
+        // Commit: report changed rates.
         self.changed.clear();
-        self.touched_links.clear();
-        self.touched_links.extend_from_slice(links);
-        for &l in links {
-            self.link_alloc[l] = 0.0;
-        }
         for &fk in flow_keys {
             let f = self.flows[fk as usize].as_mut().expect("live component");
             let new = self.new_rate[fk as usize];
             if new != f.rate {
                 self.changed.push((FlowKey(fk), f.rate));
                 f.rate = new;
-            }
-            for &LinkId(l) in f.links.iter() {
-                self.link_alloc[l] += f.rate;
             }
         }
     }
@@ -688,6 +655,18 @@ mod tests {
             })
             .collect();
         max_min_rates(caps, &flows)
+    }
+
+    /// A link's allocated rate sum, summed as traced telemetry sums it:
+    /// flows by ascending key, each route in order.
+    fn allocated(s: &FairShareSolver, link: usize) -> f64 {
+        let mut sum = 0.0;
+        for f in s.flows.iter().flatten() {
+            for _ in f.links.iter().filter(|l| l.0 == link) {
+                sum += f.rate;
+            }
+        }
+        sum
     }
 
     #[test]
@@ -862,8 +841,8 @@ mod tests {
         assert_eq!(a.0, b.0, "slab reuses freed keys");
         s.solve();
         assert_eq!(s.rate(b), 20.0);
-        assert_eq!(s.link_allocated(0), 0.0);
-        assert_eq!(s.link_allocated(1), 20.0);
+        assert_eq!(allocated(&s, 0), 0.0);
+        assert_eq!(allocated(&s, 1), 20.0);
     }
 
     #[test]
@@ -903,20 +882,23 @@ mod tests {
         s.remove_flow(a);
         s.set_capacity(2, 2.0); // pending deltas at capture time
         let state = s.snapshot();
-        assert!(state.dirty);
+        assert!(!state.seed_links.is_empty());
         let mut r = FairShareSolver::restore(state.clone());
+        assert!(r.is_dirty());
         assert_eq!(r.snapshot(), state, "snapshot of a restore is stable");
 
         // Identical continuation on both: solve, new flow (must reuse
-        // the same freed key), solve again.
+        // the same freed key), solve again. The cost counters restart
+        // at a restore, so only the solves after it are compared.
         let continue_run = |s: &mut FairShareSolver| -> Vec<(u32, u64)> {
+            let solves = s.stats().solves;
             s.solve();
             let d = s.add_flow(&[0, 1, 2], Priority::Dp);
             s.solve();
             let mut out = vec![(d.0, s.rate(d).to_bits()), (c.0, s.rate(c).to_bits())];
-            out.push((u32::MAX, s.stats().solves));
+            out.push((u32::MAX, s.stats().solves - solves));
             for l in 0..3 {
-                out.push((l as u32, s.link_allocated(l).to_bits()));
+                out.push((l as u32, allocated(s, l).to_bits()));
             }
             out
         };
@@ -933,7 +915,7 @@ mod tests {
         }
         s.solve();
         for (l, cap) in caps.iter().enumerate() {
-            assert!(s.link_allocated(l) <= cap + 1e-6);
+            assert!(allocated(&s, l) <= cap + 1e-6);
         }
     }
 }

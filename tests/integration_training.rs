@@ -39,10 +39,11 @@ fn fred_d_beats_baseline_on_all_table6_workloads() {
     }
 }
 
-/// Fig 10: Fred-C lands between the baseline and Fred-D (or ties
-/// Fred-D when in-network execution is not the bottleneck).
+/// Fig 10 on ResNet-152: Fred-C beats the baseline, and Fred-D's time
+/// is within 10% of Fred-C's. Fred-C is not between the baseline and
+/// Fred-D here: it edges past Fred-D (deviation D4 in EXPERIMENTS.md).
 #[test]
-fn fred_c_is_between_baseline_and_fred_d() {
+fn fred_c_beats_baseline_and_fred_d_is_within_10pct_of_fred_c() {
     let model = DnnModel::resnet152();
     let strategy = model.default_strategy;
     let params = ScheduleParams::paper_default(&model, strategy);
@@ -73,7 +74,7 @@ fn fred_c_is_between_baseline_and_fred_d() {
     );
     assert!(
         rd.total.as_secs() < rc.total.as_secs() * 1.1,
-        "Fred-D {rd} slower than Fred-C {rc}"
+        "Fred-D {rd} more than 10% slower than Fred-C {rc}"
     );
 }
 
