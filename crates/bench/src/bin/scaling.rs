@@ -71,7 +71,7 @@ fn main() {
                 .global_all_reduce(d)
                 .into_iter()
                 .map(|(route, bytes)| FlowSpec::new(route, bytes).with_priority(Priority::Dp));
-            net.inject_batch(flows.collect())
+            net.inject_batch(&mut flows.collect())
                 .expect("multiwafer routes are valid on a healthy fabric");
             let done = net.run_to_completion();
             let t = done

@@ -108,13 +108,14 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
     let started = Instant::now();
     let initial = cfg.concurrency.min(cfg.flows);
     let mut drawn = 0usize;
-    let first: Vec<FlowSpec> = (0..initial)
+    // One buffer for every batch: injection drains it.
+    let mut batch: Vec<FlowSpec> = (0..initial)
         .map(|_| {
             drawn += 1;
             draw_flow(&mesh, cfg, &mut rng, drawn - 1)
         })
         .collect();
-    net.inject_batch(first)
+    net.inject_batch(&mut batch)
         .expect("churn draws XY routes on a healthy mesh; injection cannot fail");
 
     let mut completed = 0usize;
@@ -135,13 +136,11 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
         // Refill to the target concurrency, one batch per timestep.
         let refill = done.len().min(cfg.flows - drawn);
         if refill > 0 {
-            let batch: Vec<FlowSpec> = (0..refill)
-                .map(|_| {
-                    drawn += 1;
-                    draw_flow(&mesh, cfg, &mut rng, drawn - 1)
-                })
-                .collect();
-            net.inject_batch(batch)
+            batch.extend((0..refill).map(|_| {
+                drawn += 1;
+                draw_flow(&mesh, cfg, &mut rng, drawn - 1)
+            }));
+            net.inject_batch(&mut batch)
                 .expect("churn draws XY routes on a healthy mesh; injection cannot fail");
         }
     }

@@ -72,9 +72,9 @@ fn wave2(m: &MeshFabric) -> Vec<FlowSpec> {
     ]
 }
 
-fn bank_evicted(banked: &mut Banked, evicted: Vec<fred_sim::netsim::EvictedFlow>) {
+fn bank_evicted(banked: &mut Banked, evicted: Vec<FlowSpec>) {
     for e in evicted {
-        banked.push((1, e.tag, e.remaining_bytes.to_bits()));
+        banked.push((1, e.tag, e.bytes.to_bits()));
     }
 }
 
@@ -89,7 +89,7 @@ fn plain_actions(net: &mut FlowNetwork, m: &MeshFabric, step: usize, banked: &mu
             bank_evicted(banked, net.fail_link(dead));
         }
         4 => {
-            net.inject_batch(wave2(m))
+            net.inject_batch(&mut wave2(m))
                 .expect("wave 2 avoids the dead link");
         }
         7 => {
@@ -131,7 +131,7 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
     let m = mesh();
     // Uninterrupted reference.
     let mut reference = FlowNetwork::new(m.clone_topology());
-    reference.inject_batch(wave1(&m)).unwrap();
+    reference.inject_batch(&mut wave1(&m)).unwrap();
     let mut ref_banked = Banked::new();
     let mut ref_step = 0;
     drive_plain(&mut reference, &m, &mut ref_step, &mut ref_banked, None);
@@ -140,7 +140,7 @@ fn every_boundary_of_a_faulted_evicted_run_resumes_bit_identically() {
 
     for boundary in 0..=ref_step {
         let mut net = FlowNetwork::new(m.clone_topology());
-        net.inject_batch(wave1(&m)).unwrap();
+        net.inject_batch(&mut wave1(&m)).unwrap();
         let mut banked = Banked::new();
         let mut step = 0;
         drive_plain(&mut net, &m, &mut step, &mut banked, Some(boundary));
@@ -257,7 +257,7 @@ fn damaged_snapshot_files_yield_typed_errors_not_panics() {
     // A real snapshot to damage.
     let m = mesh();
     let mut net = FlowNetwork::new(m.clone_topology());
-    net.inject_batch(wave1(&m)).unwrap();
+    net.inject_batch(&mut wave1(&m)).unwrap();
     if let Some(t) = net.next_event() {
         net.advance_to(t);
     }

@@ -355,7 +355,7 @@ pub struct Cluster {
 }
 
 /// Validates `jobs` against a fabric of `slots` NPUs and derives the
-/// arrival order shared by [`Cluster::new`] and [`Cluster::restore`].
+/// arrival order [`Cluster::restore`] admits them in.
 fn validate_and_order(jobs: &[JobSpec], slots: usize) -> Result<Vec<usize>, ClusterError> {
     for j in jobs {
         if !j.is_schedulable() {
@@ -520,7 +520,9 @@ fn check_pairing(
 impl Cluster {
     /// Validates `jobs`, builds the shared network on the config's
     /// fabric, and admits and places everything due at time zero.
-    /// Nothing has advanced yet.
+    /// Nothing has advanced yet. The cluster is the restore of a state
+    /// with nothing admitted over a fresh network
+    /// ([`CoreState::new`]).
     ///
     /// # Errors
     ///
@@ -530,28 +532,11 @@ impl Cluster {
         jobs: Vec<JobSpec>,
         sink: Rc<dyn TraceSink>,
     ) -> Result<Cluster, ClusterError> {
-        let backend = cfg.backend();
-        let slots = backend.npu_count();
-        let order = validate_and_order(&jobs, slots)?;
         let n = jobs.len();
-        let net = FlowNetwork::with_sink(backend.topology(), sink.clone());
-        let tracing = sink.enabled();
-        // Baseline, not zero: the caller may hand us a sink that
-        // already dropped events in an earlier run; the report carries
-        // this run's losses only.
-        let dropped_baseline = sink.dropped();
-        let mut cluster = Cluster {
-            cfg,
-            jobs,
-            backend,
-            net,
-            sink,
-            tracing,
-            dropped_baseline,
-            slotmap: SlotMap::new(slots),
-            queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+        let nothing_admitted = ClusterState {
+            net: CoreState::new(&cfg.backend().topology()),
+            queues: Default::default(),
             running: Vec::new(),
-            order,
             arrival_cursor: 0,
             next_tag_base: 0,
             first_start: vec![None; n],
@@ -560,6 +545,7 @@ impl Cluster {
             fault_cursor: vec![0; n],
             busy_npu_secs: 0.0,
         };
+        let mut cluster = Cluster::restore(cfg, jobs, sink, nothing_admitted)?;
         cluster.admit_arrivals(Time::ZERO);
         cluster.dispatch()?;
         cluster.emit_sched_samples(Time::ZERO);
@@ -641,20 +627,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Runs until every job completes.
+    /// Runs until every job completes: [`Cluster::run_until`] the
+    /// largest instant, which no event is past.
     ///
     /// # Errors
     ///
     /// See [`ClusterError`]; [`ClusterError::Stalled`] when events run
     /// out with jobs unfinished.
     pub fn run_to_completion(&mut self) -> Result<(), ClusterError> {
-        while !self.is_done() {
-            let Some(next) = self.next_event() else {
-                return Err(self.stalled());
-            };
-            self.step_at(next)?;
-        }
-        Ok(())
+        self.run_until(Time::from_secs(f64::MAX))
     }
 
     /// Processes every event at or before `t`, leaving the clock at
@@ -711,12 +692,13 @@ impl Cluster {
     }
 
     /// Rebuilds a cluster from a [`Cluster::snapshot`], the same
-    /// config and the same job list it was captured against. Running
-    /// forward from here is bit-identical to the uninterrupted run
-    /// (telemetry excepted: traces restart at the restore point). The
-    /// fabric and the running jobs' schedules come from the config's
-    /// compile context: a clone of the capturing cluster's config
-    /// compiles nothing, a fresh one compiles them once.
+    /// config and the same job list it was captured against: the one
+    /// place a cluster is put together. Running forward from here is
+    /// bit-identical to the uninterrupted run (telemetry excepted:
+    /// traces restart at the restore point). The fabric and the running
+    /// jobs' schedules come from the config's compile context: a clone
+    /// of the capturing cluster's config compiles nothing, a fresh one
+    /// compiles them once. The network shares the fabric's topology.
     ///
     /// # Errors
     ///
@@ -744,6 +726,9 @@ impl Cluster {
         let net = FlowNetwork::restore(backend.topology(), sink.clone(), state.net)
             .map_err(|e| ClusterError::Snapshot(SnapshotError::Mismatch(format!(".net.{e}"))))?;
         let tracing = sink.enabled();
+        // Baseline, not zero: the caller may hand us a sink that
+        // already dropped events in an earlier run; the report carries
+        // this run's losses only.
         let dropped_baseline = sink.dropped();
         let mut running = Vec::with_capacity(state.running.len());
         for r in state.running {
@@ -1032,7 +1017,7 @@ impl Cluster {
         }
         // Not attributable to a single job: the batch can carry many
         // jobs' flows.
-        repair_and_inject(&mut self.net, &self.backend, evicted).map_err(|err| {
+        repair_and_inject(&mut self.net, &self.backend, &mut evicted).map_err(|err| {
             ClusterError::Train {
                 job: "<fault re-injection>".into(),
                 err,

@@ -194,7 +194,7 @@ impl CommPlan {
             };
             // All transfers of a phase start together: one batch, one
             // solver delta.
-            let flows: Vec<FlowSpec> = phase
+            let mut flows: Vec<FlowSpec> = phase
                 .transfers
                 .iter()
                 .map(|t| {
@@ -204,7 +204,7 @@ impl CommPlan {
                 })
                 .collect();
             let mut outstanding = flows.len();
-            net.inject_batch(flows)
+            net.inject_batch(&mut flows)
                 .map_err(|source| PlanError::Route { phase: k, source })?;
             while outstanding > 0 {
                 let Some(te) = net.next_event() else {
@@ -228,10 +228,11 @@ impl CommPlan {
     }
 }
 
-/// Convenience: executes `plan` on a fresh network over `topo` and
-/// returns (duration, effective per-endpoint bandwidth) where the
-/// bandwidth is `collective_bytes / duration` — the paper's
-/// "effective NPU BW utilization" metric from §8.1.
+/// Convenience: executes `plan` on a fresh network over `topo` (a
+/// shared topology is held, not copied) and returns (duration,
+/// effective per-endpoint bandwidth) where the bandwidth is
+/// `collective_bytes / duration` — the paper's "effective NPU BW
+/// utilization" metric from §8.1.
 ///
 /// # Errors
 ///
@@ -239,7 +240,7 @@ impl CommPlan {
 /// network has no failed links, so errors only arise from invalid
 /// plan routes.
 pub fn execute_standalone(
-    topo: fred_sim::topology::Topology,
+    topo: impl Into<Rc<fred_sim::topology::Topology>>,
     plan: &CommPlan,
     collective_bytes: f64,
 ) -> Result<(Duration, f64), PlanError> {

@@ -18,6 +18,8 @@
 //! traffic. Flow metadata (priority, tag, tenant) is set where the legs
 //! are injected, not here.
 
+use std::rc::Rc;
+
 use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
 
 use crate::params::{FabricConfig, PhysicalParams, NPUS_PER_L1};
@@ -37,7 +39,9 @@ use crate::params::{FabricConfig, PhysicalParams, NPUS_PER_L1};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WaferFabric {
-    topo: Topology,
+    /// Built once; clones of the fabric and every network over it
+    /// share it.
+    topo: Rc<Topology>,
     config: FabricConfig,
     npus: Vec<NodeId>,
     l1s: Vec<NodeId>,
@@ -132,7 +136,7 @@ impl WaferFabric {
         }
 
         WaferFabric {
-            topo,
+            topo: Rc::new(topo),
             config,
             npus,
             l1s,
@@ -158,9 +162,10 @@ impl WaferFabric {
         &self.topo
     }
 
-    /// Clones the topology out (the simulator takes ownership).
-    pub fn clone_topology(&self) -> Topology {
-        self.topo.clone()
+    /// The shared topology for a simulator to hold: a pointer clone,
+    /// never a copy.
+    pub fn clone_topology(&self) -> Rc<Topology> {
+        Rc::clone(&self.topo)
     }
 
     /// The configuration this fabric was built for.

@@ -15,6 +15,8 @@
 //! I/O controllers) and compiles the three-step global All-Reduce into
 //! per-link `(route, bytes)` legs for the simulator.
 
+use std::rc::Rc;
+
 use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
 
 use crate::fabric::WaferFabric;
@@ -27,7 +29,8 @@ const BOUNDARY: usize = 4;
 /// A cluster of Fred-D wafers joined by inter-wafer links.
 #[derive(Debug, Clone)]
 pub struct MultiWafer {
-    topo: Topology,
+    /// Built once and shared, like [`WaferFabric`]'s.
+    topo: Rc<Topology>,
     wafers: usize,
     npus_per_wafer: usize,
     /// `npu[(w, i)]` node ids, wafer-major.
@@ -111,7 +114,7 @@ impl MultiWafer {
         }
 
         MultiWafer {
-            topo,
+            topo: Rc::new(topo),
             wafers,
             npus_per_wafer,
             npus,
@@ -130,9 +133,10 @@ impl MultiWafer {
         &self.topo
     }
 
-    /// A clone of the topology for the simulator.
-    pub fn clone_topology(&self) -> Topology {
-        self.topo.clone()
+    /// The shared topology for a simulator to hold: a pointer clone,
+    /// never a copy.
+    pub fn clone_topology(&self) -> Rc<Topology> {
+        Rc::clone(&self.topo)
     }
 
     /// Number of wafers.
@@ -234,7 +238,7 @@ mod tests {
             let mw = MultiWafer::new(2, inter_bw);
             let mut net = FlowNetwork::new(mw.clone_topology());
             let legs = mw.global_all_reduce(d);
-            net.inject_batch(legs.into_iter().map(|(r, b)| FlowSpec::new(r, b)).collect())
+            net.inject_batch(&mut legs.into_iter().map(|(r, b)| FlowSpec::new(r, b)).collect())
                 .unwrap();
             let done = net.run_to_completion();
             done.iter()

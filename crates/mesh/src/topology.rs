@@ -8,6 +8,8 @@
 //! for the paper's 5×4 instance. Each controller also links to the
 //! off-wafer external memory.
 
+use std::rc::Rc;
+
 use fred_sim::topology::{LinkId, NodeId, NodeKind, Route, Topology};
 
 use fred_collectives::plan::RouteProvider;
@@ -51,7 +53,9 @@ pub struct IoChannel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MeshFabric {
-    topo: Topology,
+    /// Built once; clones of the fabric and every network over it
+    /// share it.
+    topo: Rc<Topology>,
     cols: usize,
     rows: usize,
     npus: Vec<NodeId>,
@@ -162,7 +166,7 @@ impl MeshFabric {
         }
 
         MeshFabric {
-            topo,
+            topo: Rc::new(topo),
             cols,
             rows,
             npus,
@@ -211,9 +215,10 @@ impl MeshFabric {
         &self.topo
     }
 
-    /// Clones the topology out (the simulator takes ownership).
-    pub fn clone_topology(&self) -> Topology {
-        self.topo.clone()
+    /// The shared topology for a simulator to hold: a pointer clone,
+    /// never a copy.
+    pub fn clone_topology(&self) -> Rc<Topology> {
+        Rc::clone(&self.topo)
     }
 
     /// Grid coordinates of NPU `id`.

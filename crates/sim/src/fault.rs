@@ -25,7 +25,7 @@
 use std::collections::HashSet;
 
 use crate::flow::FlowSpec;
-use crate::netsim::{EvictedFlow, FlowNetwork};
+use crate::netsim::FlowNetwork;
 use crate::rng::Rng64;
 use crate::time::Time;
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
@@ -53,10 +53,11 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// Applies this fault to `net`, returning the flows evicted by a
-    /// [`FaultKind::LinkFail`] (empty for degradations). The caller is
-    /// responsible for re-routing and re-injecting the evictees.
-    pub fn apply(&self, net: &mut FlowNetwork) -> Vec<EvictedFlow> {
+    /// Applies this fault to `net`, returning the specs of the flows
+    /// evicted by a [`FaultKind::LinkFail`] (empty for degradations),
+    /// each carrying its remaining bytes. The caller is responsible for
+    /// re-routing and re-injecting the evictees.
+    pub fn apply(&self, net: &mut FlowNetwork) -> Vec<FlowSpec> {
         match self.kind {
             FaultKind::LinkFail => net.fail_link(self.link),
             FaultKind::LinkDegrade(fraction) => {
@@ -126,12 +127,7 @@ impl FaultPlan {
         let mut evicted = Vec::new();
         while let Some(ev) = self.events.get(*cursor).filter(|ev| due(start, ev) <= now) {
             *cursor += 1;
-            evicted.extend(ev.apply(net).into_iter().map(|e| {
-                FlowSpec::new(e.route, e.remaining_bytes)
-                    .with_priority(e.priority)
-                    .with_tag(e.tag)
-                    .with_tenant(e.tenant)
-            }));
+            evicted.extend(ev.apply(net));
         }
         evicted
     }

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::events::{EventQueue, Scheduled};
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::flow::{FlowId, FlowSpec, Priority};
-    pub use crate::netsim::{CompletedFlow, EvictedFlow, FlowNetwork};
+    pub use crate::netsim::{CompletedFlow, FlowNetwork};
     pub use crate::time::{Duration, Time};
     pub use crate::topology::{LinkId, NodeId, NodeKind, Route, RouteError, Topology};
 }

@@ -1,6 +1,7 @@
 //! The event-driven flow-level network simulator.
 //!
-//! [`FlowNetwork`] owns a [`Topology`] and a set of in-flight flows.
+//! [`FlowNetwork`] shares a [`Topology`] and owns a set of in-flight
+//! flows.
 //! Rates come from the persistent incremental allocator
 //! ([`crate::solver::FairShareSolver`]): injections and completions are
 //! handed to the solver as deltas and *coalesced* — the solver runs
@@ -133,41 +134,17 @@ impl FlowState {
         self.updated_at = now;
     }
 
-    /// When this flow drains at `rate` (positive) from its settled
-    /// bytes: the instant of the drain entry its last rate assignment
-    /// pushed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow never drains (`remaining / rate` is not
-    /// finite).
-    fn drain_instant(&self, rate: f64) -> Time {
-        self.updated_at + Duration::from_secs((self.remaining / rate).max(0.0))
+    /// When this flow drains at `rate` from its settled bytes: the
+    /// instant of the drain entry a rate assignment of `rate` pushes.
+    /// `None`, and no entry, when it never drains: at a rate that is
+    /// not positive (zero, or the NaN or negative one only a damaged
+    /// capture holds), and when the instant is past the largest
+    /// representable time. Such a flow gets its next prediction at its
+    /// next re-rate.
+    fn drain_instant(&self, rate: f64) -> Option<Time> {
+        let at = self.updated_at.as_secs() + (self.remaining / rate).max(0.0);
+        (rate > 0.0 && at.is_finite()).then(|| Time::from_secs(at))
     }
-}
-
-/// A flow forcibly removed from the network by [`FlowNetwork::fail_link`]
-/// because its route crossed the failed link. The caller (the trainer's
-/// fault handler, or any re-planning layer) is expected to re-route the
-/// remaining bytes and re-inject them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvictedFlow {
-    /// The id the flow had while in flight.
-    pub id: FlowId,
-    /// The tag from the [`FlowSpec`].
-    pub tag: u64,
-    /// The flow's priority class.
-    pub priority: Priority,
-    /// The flow's tenant rank (preserve it when re-injecting, or the
-    /// flow loses its isolation class).
-    pub tenant: u8,
-    /// Bytes still unsent when the link died (the payload to re-inject).
-    pub remaining_bytes: f64,
-    /// The route the flow was using (crosses the failed link): the
-    /// allocation it was injected with, handed back without a copy.
-    pub route: Rc<[LinkId]>,
-    /// When the flow was originally injected.
-    pub injected_at: Time,
 }
 
 /// Record of a finished flow.
@@ -229,13 +206,16 @@ type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 /// restore), the process-wide counters (profiling aggregates, not
 /// simulation state), and what restore derives from the rest: the
 /// failed links (those with capacity zero), the drain heap (one entry
-/// per flow with a positive rate, from its settled bytes and rate) with
-/// its live-entry count, and, for an enabled sink, the telemetry mirror
-/// of per-link allocations (each link's sum of its flows' rates).
+/// per flow with a finite drain instant at its positive rate, from its
+/// settled bytes and rate) with its live-entry count, and, for an
+/// enabled sink, the telemetry mirror of per-link allocations (each
+/// link's sum of its flows' rates).
 ///
 /// The fields are plain data, and any values of their types decode:
 /// how they relate to each other and to the topology is checked by
-/// [`FlowNetwork::restore`], the one judge of a capture.
+/// [`FlowNetwork::restore`], the one judge of a capture and the one
+/// place a network is put together: a fresh network is the restore of
+/// [`CoreState::new`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreState {
     /// Simulation clock.
@@ -255,12 +235,32 @@ pub struct CoreState {
     pub completed: Vec<CompletedFlow>,
 }
 
+impl CoreState {
+    /// The capture of a fresh network over `topo`: the clock at zero,
+    /// no flow, and each link at its bandwidth.
+    pub fn new(topo: &Topology) -> CoreState {
+        CoreState {
+            now: Time::ZERO,
+            next_id: 0,
+            flows: Vec::new(),
+            solver: crate::solver::SolverState::new(
+                topo.links().map(|(_, l)| l.bandwidth).collect(),
+            ),
+            next_generation: 0,
+            pending: Vec::new(),
+            completed: Vec::new(),
+        }
+    }
+}
+
 /// Flow-level network simulator over a fixed [`Topology`].
 ///
 /// See the [crate-level example](crate) for basic usage.
 #[derive(Debug)]
 pub struct FlowNetwork {
-    topo: Topology,
+    /// The topology, shared with the fabric that built it and every
+    /// other network over it.
+    topo: Rc<Topology>,
     now: Time,
     next_id: u64,
     /// Bandwidth-consuming flows, indexed by solver [`FlowKey`]. The
@@ -272,7 +272,7 @@ pub struct FlowNetwork {
     /// Predicted drain instants (lazy deletion via generations).
     drains: BinaryHeap<DrainEntry>,
     /// Entries in `drains` whose generation is still live (one per
-    /// flow with a positive rate); the rest is lazy-deletion garbage
+    /// flow with a drain instant); the rest is lazy-deletion garbage
     /// that compaction reclaims.
     live_drains: usize,
     /// Heap size below which compaction never runs.
@@ -299,44 +299,20 @@ pub struct FlowNetwork {
 
 impl FlowNetwork {
     /// Creates a simulator over `topo` with the clock at zero and
-    /// tracing disabled.
-    pub fn new(topo: Topology) -> FlowNetwork {
+    /// tracing disabled. A shared topology is held, not copied.
+    pub fn new(topo: impl Into<Rc<Topology>>) -> FlowNetwork {
         FlowNetwork::with_sink(topo, Rc::new(NullSink))
     }
 
-    /// Creates a simulator that records structured events into `sink`.
+    /// Creates a simulator that records structured events into `sink`:
+    /// the restore of a fresh network's capture ([`CoreState::new`]).
     ///
     /// With any sink, simulation results are bit-identical to an
     /// untraced run: instrumentation only observes state.
-    pub fn with_sink(topo: Topology, sink: Rc<dyn TraceSink>) -> FlowNetwork {
-        let capacities: Vec<f64> = topo.links().map(|(_, l)| l.bandwidth).collect();
-        let tracing = sink.enabled();
-        let link_alloc = if tracing {
-            vec![0.0; capacities.len()]
-        } else {
-            Vec::new()
-        };
-        let net = FlowNetwork {
-            topo,
-            now: Time::ZERO,
-            next_id: 0,
-            flows: Vec::new(),
-            solver: FairShareSolver::new(capacities),
-            drains: BinaryHeap::new(),
-            live_drains: 0,
-            compaction_min: HEAP_COMPACTION_MIN,
-            compactions: 0,
-            next_generation: 0,
-            pending: BinaryHeap::new(),
-            completed: Vec::new(),
-            tracing,
-            sink,
-            link_alloc,
-            alloc_before: Vec::new(),
-            changed_scratch: Vec::new(),
-        };
-        net.record_topology();
-        net
+    pub fn with_sink(topo: impl Into<Rc<Topology>>, sink: Rc<dyn TraceSink>) -> FlowNetwork {
+        let topo = topo.into();
+        let fresh = CoreState::new(&topo);
+        FlowNetwork::restore(topo, sink, fresh).expect("a fresh network's capture restores")
     }
 
     /// Marks the start of a simulation segment within the recording
@@ -408,23 +384,25 @@ impl FlowNetwork {
         Ok(self.inject_checked(spec))
     }
 
-    /// Injects several flows at the current time. Since the solver runs
-    /// lazily, this is equivalent to repeated [`FlowNetwork::inject`]
-    /// calls; it is kept as the idiomatic entry point for starting a
-    /// collective phase.
+    /// Injects several flows at the current time, draining `specs` and
+    /// leaving its capacity for the caller's next batch. Since the
+    /// solver runs lazily, this is equivalent to repeated
+    /// [`FlowNetwork::inject`] calls; it is kept as the idiomatic entry
+    /// point for starting a collective phase.
     ///
     /// # Errors
     ///
     /// Returns the first [`RouteError`] among the specs. Every route is
-    /// validated up front, so on error *no* flow has been injected —
-    /// a phase either starts whole or not at all.
-    pub fn inject_batch(&mut self, specs: Vec<FlowSpec>) -> Result<(), RouteError> {
+    /// validated up front, so on error *no* flow has been injected and
+    /// `specs` is left as it was — a phase either starts whole or not
+    /// at all.
+    pub fn inject_batch(&mut self, specs: &mut Vec<FlowSpec>) -> Result<(), RouteError> {
         let _prof = fred_telemetry::prof::scope("netsim.inject_batch");
         fred_telemetry::prof::record_value("netsim.inject_batch_flows", specs.len() as f64);
-        for spec in &specs {
+        for spec in specs.iter() {
             self.check_route(&spec.route)?;
         }
-        for spec in specs {
+        for spec in specs.drain(..) {
             self.inject_checked(spec);
         }
         Ok(())
@@ -507,15 +485,16 @@ impl FlowNetwork {
 
     /// Kills `link` at the current instant: its capacity drops to zero,
     /// new injections across it are rejected, and every in-flight flow
-    /// crossing it is *evicted*, in slot order, and returned with its
-    /// unsent byte count so the caller can re-route and re-inject. Byte
-    /// accounting of evicted flows is settled at their pre-fault rate
-    /// up to now. Surviving flows that shared a bottleneck with the
-    /// dead link's flows are re-solved by the incremental allocator at
-    /// the next event.
+    /// crossing it is *evicted*, in slot order, and returned as the
+    /// [`FlowSpec`] of its unsent bytes (see
+    /// [`FlowNetwork::evict_flows_matching`]) so the caller can re-route
+    /// and re-inject it. Byte accounting of evicted flows is settled at
+    /// their pre-fault rate up to now. Surviving flows that shared a
+    /// bottleneck with the dead link's flows are re-solved by the
+    /// incremental allocator at the next event.
     ///
     /// Idempotent: failing an already-dead link evicts nothing.
-    pub fn fail_link(&mut self, link: LinkId) -> Vec<EvictedFlow> {
+    pub fn fail_link(&mut self, link: LinkId) -> Vec<FlowSpec> {
         if self.is_link_failed(link) {
             return Vec::new();
         }
@@ -524,7 +503,7 @@ impl FlowNetwork {
         let mut victims = self.solver.link_flows(link.0).to_vec();
         victims.sort_unstable();
         victims.dedup();
-        let evicted: Vec<EvictedFlow> = victims
+        let evicted: Vec<FlowSpec> = victims
             .into_iter()
             .map(|key| self.evict_slot(key as usize))
             .collect();
@@ -578,10 +557,13 @@ impl FlowNetwork {
     /// satisfies `pred`, in slot order, settling moved bytes exactly
     /// like a link-fault eviction but leaving link capacities untouched
     /// — the preemption entry point for a scheduling layer that owns
-    /// disjoint tag ranges per job. Flows already drained and waiting
-    /// out their tail latency are *not* recalled; their completions
-    /// still surface and the caller is expected to drop retired tags.
-    pub fn evict_flows_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<EvictedFlow> {
+    /// disjoint tag ranges per job. Each evicted flow comes back as the
+    /// [`FlowSpec`] of its unsent bytes: its shared route (the
+    /// allocation it was injected with), priority, tag and tenant.
+    /// Flows already drained and waiting out their tail latency are
+    /// *not* recalled; their completions still surface and the caller
+    /// is expected to drop retired tags.
+    pub fn evict_flows_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> Vec<FlowSpec> {
         let mut evicted = Vec::new();
         for slot in 0..self.flows.len() {
             if self.flows[slot].as_ref().is_some_and(|f| pred(f.tag)) {
@@ -592,14 +574,14 @@ impl FlowNetwork {
     }
 
     /// Removes the flow in `slot` from the active set, settling the
-    /// bytes it moved at its pre-eviction rate up to now. The stale
-    /// drain prediction is discarded on pop (empty slot / bumped
-    /// generation).
-    fn evict_slot(&mut self, slot: usize) -> EvictedFlow {
+    /// bytes it moved at its pre-eviction rate up to now, and returns
+    /// the spec of its unsent bytes. The stale drain prediction is
+    /// discarded on pop (empty slot / bumped generation).
+    fn evict_slot(&mut self, slot: usize) -> FlowSpec {
         let key = FlowKey(slot as u32);
         let mut f = self.flows[slot].take().expect("evict_slot on a dead slot");
         let rate = self.solver.rate(key);
-        if rate > 0.0 {
+        if f.drain_instant(rate).is_some() {
             // Its live drain entry just went stale.
             self.live_drains -= 1;
         }
@@ -607,14 +589,12 @@ impl FlowNetwork {
         let route = Rc::clone(self.solver.flow_links(key));
         self.solver.remove_flow(key);
         self.count_event();
-        EvictedFlow {
-            id: f.id,
-            tag: f.tag,
-            priority: f.priority,
-            tenant: f.tenant,
-            remaining_bytes: f.remaining,
+        FlowSpec {
             route,
-            injected_at: f.injected_at,
+            bytes: f.remaining,
+            priority: f.priority,
+            tag: f.tag,
+            tenant: f.tenant,
         }
     }
 
@@ -644,12 +624,12 @@ impl FlowNetwork {
             let f = self.flows[key.0 as usize]
                 .as_mut()
                 .expect("solver changed a dead flow");
-            // Debit bytes moved at the old rate up to now.
-            f.settle(old_rate, now);
-            if old_rate > 0.0 {
+            if f.drain_instant(old_rate).is_some() {
                 // The generation bump below invalidates its live entry.
                 self.live_drains -= 1;
             }
+            // Debit bytes moved at the old rate up to now.
+            f.settle(old_rate, now);
             let rate = self.solver.rate(key);
             // Feasibility: no allocation can beat the flow's solo
             // (bottleneck-capacity) rate — the ideal rate the analysis
@@ -670,8 +650,7 @@ impl FlowNetwork {
             // invalidated by the generation bump and discarded on pop.
             self.next_generation += 1;
             f.generation = self.next_generation;
-            if rate > 0.0 {
-                let at = f.drain_instant(rate);
+            if let Some(at) = f.drain_instant(rate) {
                 self.drains.push(Reverse((at, f.id.0, f.generation, key.0)));
                 self.live_drains += 1;
             }
@@ -918,15 +897,18 @@ impl FlowNetwork {
     }
 
     /// Rebuilds a simulator from a [`FlowNetwork::snapshot`] capture
-    /// over `topo`, the topology the capture was taken from, recording
-    /// into `sink`. When the sink is enabled a fresh
-    /// [`TraceEvent::Topology`] marker is emitted at the restored clock
-    /// — the same segment marker [`FlowNetwork::with_sink`] emits at
-    /// construction — so analysis layers can re-cost the resumed
-    /// segment on its own. The drain heap holds one entry `(updated_at +
-    /// remaining / rate, id, generation, slot)` per flow with a positive
-    /// solver rate, bit for bit the one its last rate assignment pushed;
-    /// the lazy-deletion garbage beside it never popped as live. A link
+    /// over `topo`, the topology the capture was taken from (shared,
+    /// not copied), recording into `sink`. This is the one place a
+    /// network is put together: [`FlowNetwork::with_sink`] restores
+    /// [`CoreState::new`]. When the sink is enabled a
+    /// [`TraceEvent::Topology`] marker is emitted at the restored clock,
+    /// so analysis layers can re-cost each segment on its own. The
+    /// drain heap holds one entry `(updated_at + remaining / rate, id,
+    /// generation, slot)` per flow with a positive solver rate whose
+    /// drain instant is finite, bit for bit the one its last rate
+    /// assignment pushed; the lazy-deletion garbage beside it never
+    /// popped as live. A flow whose instant is past the largest
+    /// representable time gets no entry, as in the live network. A link
     /// with capacity zero is failed. For an enabled sink, the telemetry
     /// mirror sums each link's flow rates in the order a solve does
     /// (flows by ascending key), which is the sum as of the link's last
@@ -950,15 +932,14 @@ impl FlowNetwork {
     ///   entry for its own);
     /// - a flow's solver class is not [`fill_class`] of its tenant and
     ///   priority, or its tenant is past [`MAX_TENANT`];
-    /// - a flow with a positive rate never drains (its drain instant is
-    ///   not finite);
     /// - the clock is later than a flow's drain instant or a pending
     ///   notice, or earlier than a flow's injection or byte watermark.
     pub fn restore(
-        topo: Topology,
+        topo: impl Into<Rc<Topology>>,
         sink: Rc<dyn TraceSink>,
         state: CoreState,
     ) -> Result<FlowNetwork, StateMismatch> {
+        let topo = topo.into();
         let bad = |field: &'static str, why: String| Err(StateMismatch { field, why });
         let links = topo.links().count();
         let len = state.solver.capacities.len();
@@ -1008,7 +989,7 @@ impl FlowNetwork {
         }
         // Settling a flow debits its bytes from the watermark up to the
         // clock, and each rate assignment stamps a fresh generation on
-        // the flow and, when the rate is positive, pushes its drain
+        // the flow and, when it has a drain instant, pushes its drain
         // entry.
         let tracing = sink.enabled();
         let mut link_alloc = if tracing {
@@ -1062,15 +1043,7 @@ impl FlowNetwork {
                     link_alloc[l] += sf.rate;
                 }
             }
-            if rated {
-                if !(f.updated_at.as_secs() + f.remaining / sf.rate).is_finite() {
-                    let why = format!(
-                        "slot {k} never drains its {} bytes at rate {}",
-                        f.remaining, sf.rate
-                    );
-                    return bad("solver.flows", why);
-                }
-                let at = f.drain_instant(sf.rate);
+            if let Some(at) = f.drain_instant(sf.rate) {
                 if at < now {
                     return behind(&format!("drain of slot {k}"), at);
                 }
@@ -1250,10 +1223,10 @@ mod tests {
         for s in specs_a {
             a.inject(s).unwrap();
         }
-        let specs_b: Vec<FlowSpec> = (0..5)
+        let mut specs_b: Vec<FlowSpec> = (0..5)
             .map(|i| FlowSpec::new(vec![lb], 100.0).with_tag(i))
             .collect();
-        b.inject_batch(specs_b).unwrap();
+        b.inject_batch(&mut specs_b).unwrap();
         let da = a.run_to_completion();
         let db = b.run_to_completion();
         assert_eq!(da.len(), db.len());
@@ -1266,7 +1239,7 @@ mod tests {
     #[test]
     fn inject_batch_handles_mixed_empty_and_real_flows() {
         let (mut net, l) = two_node_net(100.0, 0.0);
-        net.inject_batch(vec![
+        net.inject_batch(&mut vec![
             FlowSpec::new(vec![], 1e6).with_tag(0),
             FlowSpec::new(vec![l], 100.0).with_tag(1),
             FlowSpec::new(vec![l], 0.0).with_tag(2),
@@ -1287,10 +1260,10 @@ mod tests {
         // the event loop terminates structurally even when predictions
         // collide within float residue of one another.
         let (mut net, l) = two_node_net(1e12, 2e-8);
-        let flows: Vec<FlowSpec> = (0..256)
+        let mut flows: Vec<FlowSpec> = (0..256)
             .map(|i| FlowSpec::new(vec![l], 1e9 + (i as f64) * 1e-3).with_tag(i))
             .collect();
-        net.inject_batch(flows).unwrap();
+        net.inject_batch(&mut flows).unwrap();
         let done = net.run_to_completion();
         assert_eq!(done.len(), 256);
     }
@@ -1560,14 +1533,21 @@ mod tests {
     #[test]
     fn inject_batch_is_all_or_nothing() {
         let (mut net, l) = two_node_net(100.0, 0.0);
-        let err = net
-            .inject_batch(vec![
-                FlowSpec::new(vec![l], 100.0).with_tag(0),
-                FlowSpec::new(vec![LinkId(99)], 100.0).with_tag(1),
-            ])
-            .unwrap_err();
+        let mut batch = vec![
+            FlowSpec::new(vec![l], 100.0).with_tag(0),
+            FlowSpec::new(vec![LinkId(99)], 100.0).with_tag(1),
+        ];
+        let err = net.inject_batch(&mut batch).unwrap_err();
         assert_eq!(err, RouteError::UnknownLink(LinkId(99)));
         assert_eq!(net.in_flight(), 0, "no partial phase on error");
+        assert_eq!(batch.len(), 2, "a rejected batch is left whole");
+        // An accepted batch is drained and keeps its buffer.
+        batch.pop();
+        let capacity = batch.capacity();
+        net.inject_batch(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        assert_eq!(batch.capacity(), capacity);
+        assert_eq!(net.in_flight(), 1);
     }
 
     #[test]
@@ -1590,7 +1570,7 @@ mod tests {
         let evicted = net.fail_link(l0);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].tag, 7);
-        assert!((evicted[0].remaining_bytes - 100.0).abs() < 1e-9);
+        assert!((evicted[0].bytes - 100.0).abs() < 1e-9);
         // The route comes back as the allocation it went in as.
         assert!(Rc::ptr_eq(&evicted[0].route, &route));
         assert!(net.is_link_failed(l0));
@@ -1684,6 +1664,33 @@ mod tests {
     }
 
     #[test]
+    fn a_drain_past_the_largest_time_gets_no_entry_and_restores() {
+        // 1e9 B at 1e-303 B/s drains after 1e312 s, which no `f64`
+        // holds: the flow keeps its rate but gets no drain entry.
+        let (mut net, l) = two_node_net(100.0, 0.0);
+        net.inject(FlowSpec::new(vec![l], 1e9)).unwrap();
+        net.advance_to(Time::from_secs(1.0));
+        net.degrade_link(l, 1e-305);
+        assert_eq!(net.next_event(), None);
+        assert_eq!(net.in_flight(), 1);
+        let topo = Rc::clone(&net.topo);
+        let mut restored = FlowNetwork::restore(topo, Rc::new(NullSink), net.snapshot()).unwrap();
+        assert_eq!(restored.next_event(), None);
+        assert_eq!(restored.snapshot(), net.snapshot());
+        // Back at full width, both drain the 9.999999e8 B left at the
+        // same instant.
+        let mut done = Vec::new();
+        for net in [&mut net, &mut restored] {
+            net.degrade_link(l, 1.0);
+            let c = net.run_to_completion();
+            assert_eq!(c.len(), 1);
+            done.push(c[0].completed_at);
+        }
+        assert_eq!(done[0], done[1]);
+        assert_eq!(done[0], Time::from_secs(1.0 + (1e9 - 100.0) / 100.0));
+    }
+
+    #[test]
     #[should_panic(expected = "leaves no capacity")]
     fn degrading_to_no_capacity_panics() {
         let (mut net, l) = two_node_net(1e-300, 0.0);
@@ -1711,7 +1718,7 @@ mod tests {
         net.advance_to(Time::from_secs(1.0));
         let evicted = net.fail_link(l0);
         assert_eq!(evicted.len(), 1);
-        assert!((evicted[0].remaining_bytes - 50.0).abs() < 1e-9);
+        assert!((evicted[0].bytes - 50.0).abs() < 1e-9);
         // f1 has 100 B left and now owns l2: done at t=2.
         let done = net.run_to_completion();
         assert_eq!(done.len(), 1);
@@ -1734,7 +1741,7 @@ mod tests {
         assert_eq!(evicted[0].tag, 10);
         assert_eq!(evicted[0].tenant, 2, "tenant survives eviction");
         // 1 s at 50 B/s each: 150 B unsent.
-        assert!((evicted[0].remaining_bytes - 150.0).abs() < 1e-9);
+        assert!((evicted[0].bytes - 150.0).abs() < 1e-9);
         // No link was failed — this is preemption, not a fault.
         assert!(!net.any_link_failed());
         let done = net.run_to_completion();
@@ -1838,11 +1845,11 @@ mod tests {
             net.advance_to(Time::from_secs(1.5));
             net.fail_link(l0)
         };
-        let finish = |net: &mut FlowNetwork, l1: LinkId, evicted: Vec<EvictedFlow>| {
+        let finish = |net: &mut FlowNetwork, l1: LinkId, evicted: Vec<FlowSpec>| {
             // Re-route the evicted bytes over the surviving link.
             for ev in evicted {
                 net.inject(
-                    FlowSpec::new(vec![l1], ev.remaining_bytes)
+                    FlowSpec::new(vec![l1], ev.bytes)
                         .with_priority(ev.priority)
                         .with_tag(ev.tag + 1000),
                 )

@@ -92,6 +92,19 @@ pub struct SolverState {
     pub seed_links: Vec<usize>,
 }
 
+impl SolverState {
+    /// The capture of a solver with no flows over links with the given
+    /// capacities (bytes/s, indexed by `LinkId.0`).
+    pub fn new(capacities: Vec<f64>) -> SolverState {
+        SolverState {
+            capacities,
+            flows: Vec::new(),
+            free: Vec::new(),
+            seed_links: Vec::new(),
+        }
+    }
+}
+
 /// Running cost counters, exposed for benchmarks and telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverStats {
@@ -174,32 +187,9 @@ pub struct FairShareSolver {
 
 impl FairShareSolver {
     /// Creates a solver over links with the given capacities (bytes/s,
-    /// indexed by `LinkId.0`).
+    /// indexed by `LinkId.0`): the restore of a state with no flows.
     pub fn new(capacities: Vec<f64>) -> FairShareSolver {
-        let n = capacities.len();
-        FairShareSolver {
-            capacities,
-            flows: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            link_flows: vec![Vec::new(); n],
-            seed_links: Vec::new(),
-            epoch: 0,
-            link_mark: vec![0; n],
-            flow_mark: Vec::new(),
-            pass: 0,
-            flow_pass: Vec::new(),
-            remaining: vec![0.0; n],
-            counts: vec![0; n],
-            new_rate: Vec::new(),
-            comp_links: Vec::new(),
-            comp_flows: Vec::new(),
-            stack: Vec::new(),
-            classes: Vec::new(),
-            used_links: Vec::new(),
-            changed: Vec::new(),
-            stats: SolverStats::default(),
-        }
+        FairShareSolver::restore(SolverState::new(capacities))
     }
 
     /// Number of flows currently registered.
@@ -484,19 +474,21 @@ impl FairShareSolver {
         }
     }
 
-    /// Rebuilds a solver from a [`FairShareSolver::snapshot`] capture.
-    /// Continuing the restored solver is bit-identical to continuing
-    /// the captured one: slab layout, free-key order and the
-    /// pending-delta set are revived verbatim, the live count and the
-    /// incidence lists are rebuilt from the slab, the stamped scratch,
-    /// its counters and the cost counters restart at zero and the work
-    /// lists start empty (see [`SolverState`]).
+    /// Rebuilds a solver from a [`FairShareSolver::snapshot`] capture:
+    /// the one place a solver is put together. Continuing the restored
+    /// solver is bit-identical to continuing the captured one: slab
+    /// layout, free-key order and the pending-delta set are revived
+    /// verbatim, the live count and the incidence lists are rebuilt
+    /// from the slab, the stamped scratch, its counters and the cost
+    /// counters restart at zero and the work lists start empty (see
+    /// [`SolverState`]).
     ///
     /// # Panics
     ///
-    /// Panics if a route crosses a link out of range. Its one caller,
-    /// [`crate::netsim::FlowNetwork::restore`], rejects such a state
-    /// with a typed error first.
+    /// Panics if a route crosses a link out of range. Its callers,
+    /// [`FairShareSolver::new`] and
+    /// [`crate::netsim::FlowNetwork::restore`], hand it no flow or
+    /// reject such a state with a typed error first.
     pub(crate) fn restore(state: SolverState) -> FairShareSolver {
         let n = state.capacities.len();
         let slab = state.flows.len();

@@ -18,6 +18,8 @@
 //! traffic only: the priority, tag and tenant of each injected flow are
 //! set by whoever executes the plan.
 
+use std::rc::Rc;
+
 use fred_collectives::hierarchical;
 use fred_collectives::plan::{CommPlan, Phase, Transfer};
 use fred_collectives::ring;
@@ -90,8 +92,9 @@ impl FabricBackend {
         }
     }
 
-    /// A clone of the topology for the simulator.
-    pub fn topology(&self) -> Topology {
+    /// The fabric's topology for a simulator to hold: a pointer clone
+    /// of the one topology the fabric built, never a copy.
+    pub fn topology(&self) -> Rc<Topology> {
         match self {
             FabricBackend::Mesh(m) => m.clone_topology(),
             FabricBackend::Fred(f) => f.clone_topology(),

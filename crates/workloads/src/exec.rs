@@ -76,18 +76,20 @@ pub fn comm_task_of_tag(tag: u64) -> Option<usize> {
 /// Injects `flows` into `net` as one batch (one solver delta), first
 /// re-routing any that cross a failed link onto a surviving path
 /// (fabric-aware when both endpoints are NPUs, generic BFS otherwise;
-/// priority, tag and tenant are kept). A no-op for an empty batch, and
-/// with no failed link the flows go in untouched — the zero-fault code
-/// path stays bit-identical.
+/// priority, tag and tenant are kept). The batch is drained and the
+/// buffer keeps its capacity for the caller's next one. A no-op for an
+/// empty batch, and with no failed link the flows go in untouched —
+/// the zero-fault code path stays bit-identical.
 ///
 /// # Errors
 ///
 /// [`TrainError::Unroutable`] if failures cut some flow's endpoints
-/// apart, [`TrainError::Route`] if the network rejects the batch.
+/// apart, [`TrainError::Route`] if the network rejects the batch. No
+/// flow is injected then.
 pub fn repair_and_inject(
     net: &mut FlowNetwork,
     backend: &FabricBackend,
-    mut flows: Vec<FlowSpec>,
+    flows: &mut Vec<FlowSpec>,
 ) -> Result<(), TrainError> {
     if flows.is_empty() {
         return Ok(());
@@ -472,7 +474,7 @@ impl ScheduleExecutor {
     ) -> Result<(), TrainError> {
         if !self.staged.is_empty() {
             let _prof = fred_telemetry::prof::scope("exec.flush_staged");
-            repair_and_inject(net, backend, std::mem::take(&mut self.staged))?;
+            repair_and_inject(net, backend, &mut self.staged)?;
         }
         Ok(())
     }
@@ -875,7 +877,7 @@ mod tests {
         let dead = f.npu_route(8, 0)[1];
         let mut net = FlowNetwork::new(backend.topology());
         assert!(net.fail_link(dead).is_empty());
-        repair_and_inject(&mut net, &backend, flows.clone()).unwrap();
+        repair_and_inject(&mut net, &backend, &mut flows.clone()).unwrap();
         // A fresh network fills its slab in injection order.
         let state = net.snapshot();
         assert_eq!(state.flows.len(), flows.len());

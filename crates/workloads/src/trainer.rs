@@ -106,8 +106,8 @@ fn run_iteration_faulted(
         // in-flight flows are evicted and immediately re-injected over
         // surviving routes with their remaining bytes (the moved bytes
         // were already credited by the eviction).
-        let evicted = faults.fire_due(&mut fault_cursor, Time::ZERO, next, &mut net);
-        repair_and_inject(&mut net, backend, evicted)?;
+        let mut evicted = faults.fire_due(&mut fault_cursor, Time::ZERO, next, &mut net);
+        repair_and_inject(&mut net, backend, &mut evicted)?;
 
         // Network completions progress comm tasks; freshly staged
         // phases are injected before computes settle.
@@ -409,6 +409,32 @@ mod tests {
         .unwrap();
         // Degradation can only slow the iteration down.
         assert!(faulted.total.as_secs() >= base.total.as_secs() * 0.999);
+    }
+
+    #[test]
+    fn a_link_too_slow_to_drain_stalls_the_iteration() {
+        // Degraded to 1e-320 of its width, NPU 0's uplink gives its
+        // flows a positive rate at which they drain past the largest
+        // representable time. They get no drain entry, so the
+        // iteration runs out of events with its gradients in flight.
+        use fred_sim::fault::{FaultEvent, FaultKind};
+        let m = DnnModel::resnet152();
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let faults = FaultPlan::new(vec![FaultEvent {
+            at: Time::ZERO,
+            link: backend.npu_route(0, 1)[0],
+            kind: FaultKind::LinkDegrade(1e-320),
+        }]);
+        let err = simulate_faulted(
+            &m,
+            m.default_strategy,
+            &backend,
+            quick_params(320, 1),
+            &faults,
+            Rc::new(NullSink),
+        )
+        .unwrap_err();
+        assert!(matches!(err, TrainError::Stalled { .. }), "{err:?}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Each route is allocated once, when its plan is compiled, and shared
 //! from the plan through the injected flow to the solver; the solver
-//! keeps its per-solve work lists; a schedule's clone shares its task
-//! graph. So an iteration that injects 168k flows allocates a few
-//! thousand times, not twice per flow.
+//! keeps its per-solve work lists; the executor keeps its staged-flow
+//! buffer; a schedule's clone shares its task graph, and the network
+//! shares the fabric's topology. So an iteration that injects 168k
+//! flows allocates a few thousand times, not twice per flow.
 //!
 //! The file holds one test, so it gets a test binary of its own whose
 //! global allocator is the counting one below. It counts per thread, so
@@ -71,7 +72,7 @@ fn allocations_of(f: impl FnOnce()) -> u64 {
 /// streaming injects 168,498 flows per iteration, most over routes of
 /// one or two links.
 #[test]
-fn an_iteration_allocates_less_than_once_per_sixteen_injected_flows() {
+fn an_iteration_allocates_less_than_once_per_twenty_four_injected_flows() {
     let model = DnnModel::transformer_1t();
     let strategy = model.default_strategy;
     let fabric = FabricConfig::FredD;
@@ -98,7 +99,7 @@ fn an_iteration_allocates_less_than_once_per_sixteen_injected_flows() {
     let second = run();
     assert_eq!(first, second, "two runs of one iteration allocate alike");
     assert!(
-        first * 16 < flows,
+        first * 24 < flows,
         "{first} allocations for {flows} injected flows: one per {:.1}",
         flows as f64 / first as f64
     );

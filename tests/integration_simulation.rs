@@ -112,7 +112,7 @@ fn mp_preempts_dp_on_shared_fabric() {
     let mut net = FlowNetwork::new(b.topology());
     // Long-running DP op over everything.
     for phase in &b.all_reduce(&group, 50.0 * d).phases {
-        let flows: Vec<_> = phase
+        let mut flows: Vec<_> = phase
             .transfers
             .iter()
             .map(|t| {
@@ -121,11 +121,11 @@ fn mp_preempts_dp_on_shared_fabric() {
                     .with_tag(1)
             })
             .collect();
-        net.inject_batch(flows).unwrap();
+        net.inject_batch(&mut flows).unwrap();
     }
     // MP op arrives; must complete in ~d / 3 TBps despite the DP load.
     for phase in &b.all_reduce(&[0, 1, 2, 3], d).phases {
-        let flows: Vec<_> = phase
+        let mut flows: Vec<_> = phase
             .transfers
             .iter()
             .map(|t| {
@@ -134,7 +134,7 @@ fn mp_preempts_dp_on_shared_fabric() {
                     .with_tag(2)
             })
             .collect();
-        net.inject_batch(flows).unwrap();
+        net.inject_batch(&mut flows).unwrap();
     }
     let done = net.run_to_completion();
     let mp_done = done

@@ -361,7 +361,7 @@ fn drive(mesh: &MeshFabric, mut net: FlowNetwork, rec: &Rc<RingRecorder>, seed: 
             let mut ev: Vec<(u64, u64)> = net
                 .fail_link(link)
                 .iter()
-                .map(|e| (e.tag, e.remaining_bytes.to_bits()))
+                .map(|e| (e.tag, e.bytes.to_bits()))
                 .collect();
             ev.sort_unstable();
             evictions.push(ev);
@@ -375,7 +375,7 @@ fn drive(mesh: &MeshFabric, mut net: FlowNetwork, rec: &Rc<RingRecorder>, seed: 
             let mut ev: Vec<(u64, u64)> = net
                 .evict_flows_matching(|tag| tag >> 56 == 2)
                 .iter()
-                .map(|e| (e.tag, e.remaining_bytes.to_bits()))
+                .map(|e| (e.tag, e.bytes.to_bits()))
                 .collect();
             ev.sort_unstable();
             evictions.push(ev);
