@@ -35,6 +35,11 @@ fn main() {
         ]);
     }
     t.print("Fig 4 — closed-form hotspot law ((2N-1)·P, 128 GB/s channels)");
+    // The 5x4 baseline needs (2·5 − 1) · 128 GB/s links (paper: 1152).
+    opts.metric(
+        "baseline_required_link_bw_gbps",
+        iohotspot::required_link_bw(5, 128e9) / 1e9,
+    );
 
     // 2. Empirical tree loads on concrete meshes.
     let mut t = Table::new(vec![

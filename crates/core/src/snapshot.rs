@@ -37,7 +37,7 @@
 //! A state never holds what its layer can derive on restore: an
 //! executor's capture, for one, has no staged flows or ready tasks,
 //! because captures are taken between event instants, and a network's
-//! has no drain heap, because each flow's settled bytes and rate give
+//! has no drain queue, because each flow's settled bytes and rate give
 //! its entry, and no failed-link list, because a failed link's
 //! capacity is zero.
 //!

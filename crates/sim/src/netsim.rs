@@ -10,8 +10,12 @@
 //! cost a single (component-local) refill. Between refills every flow
 //! progresses linearly at its assigned rate, so each flow's drain time
 //! is known in closed form the moment its rate is assigned; drain
-//! predictions sit in a heap instead of being rediscovered by scanning
-//! the active set every event.
+//! predictions sit in a queue keyed by instant instead of being
+//! rediscovered by scanning the active set every event. A collective
+//! phase's flows carry equal bytes at equal rates, so the flows one
+//! refill re-rates drain at one bit-identical instant: the queue keeps
+//! one bucket per distinct instant, and so does the queue of drained
+//! flows waiting out their tail latency.
 //!
 //! A flow's lifecycle:
 //!
@@ -33,11 +37,10 @@
 //! The solver is the only owner of each flow's route and rate, of link
 //! capacities and of the live-flow count. The network keeps, under the
 //! solver's key, only what the event loop adds: flow identity, bytes
-//! left and their watermark, the drain-heap generation, injection time
-//! and tail latency.
+//! left and their watermark, the drain-entry generation, injection
+//! time and tail latency.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,9 +67,9 @@ pub fn track_of(priority: Priority) -> Track {
 /// floating-point residue).
 const DRAIN_EPS: f64 = 1e-6;
 
-/// Default minimum drain-heap size before lazy-deletion garbage is
-/// compacted away (below this, stale entries are cheaper than a
-/// rebuild).
+/// Default minimum number of queued drain entries before lazy-deletion
+/// garbage is compacted away (below this, stale entries are cheaper
+/// than a sweep).
 const HEAP_COMPACTION_MIN: usize = 64;
 
 /// Lifecycle events (injections, drains, completions) processed by all
@@ -75,7 +78,7 @@ const HEAP_COMPACTION_MIN: usize = 64;
 /// harness.
 static GLOBAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 
-/// Drain-heap compactions performed by all networks in this process
+/// Drain-queue compactions performed by all networks in this process
 /// (see [`FlowNetwork::heap_compactions`]).
 static GLOBAL_COMPACTIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -86,7 +89,11 @@ pub fn global_events_processed() -> u64 {
     GLOBAL_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Process-wide drain-heap compaction count across every
+fn count_event() {
+    GLOBAL_EVENTS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Process-wide drain-queue compaction count across every
 /// [`FlowNetwork`] ever constructed. Monotonic; exported as
 /// `sim.solver/heap_compactions` in bench reports.
 pub fn global_heap_compactions() -> u64 {
@@ -113,9 +120,9 @@ pub struct FlowState {
     pub remaining: f64,
     /// Watermark of the last byte settlement / rate change.
     pub updated_at: Time,
-    /// Generation of this flow's live drain-heap entry (0 until its
-    /// first rate assignment); entries with a stale generation are
-    /// discarded on pop.
+    /// Generation of this flow's live drain entry (0 until its first
+    /// rate assignment); queued entries with a stale generation are
+    /// discarded when they are reached.
     pub generation: u64,
     /// Injection instant.
     pub injected_at: Time,
@@ -132,6 +139,18 @@ impl FlowState {
             self.remaining -= (rate * dt).min(self.remaining);
         }
         self.updated_at = now;
+    }
+
+    /// The completion record of this flow drained at `now`: its tail
+    /// arrives one route latency later.
+    fn notice(&self, now: Time) -> CompletedFlow {
+        CompletedFlow {
+            id: self.id,
+            tag: self.tag,
+            priority: self.priority,
+            injected_at: self.injected_at,
+            completed_at: now + self.latency,
+        }
     }
 
     /// When this flow drains at `rate` from its settled bytes: the
@@ -167,31 +186,139 @@ fn completion_key(c: &CompletedFlow) -> (Time, FlowId) {
     (c.completed_at, c.id)
 }
 
-/// A drained flow waiting out its tail latency: the completion record
-/// it becomes, ordered by [`completion_key`].
-#[derive(Debug, Clone, PartialEq)]
-struct PendingNotice(CompletedFlow);
-
-impl Eq for PendingNotice {}
-impl Ord for PendingNotice {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        completion_key(&self.0).cmp(&completion_key(&other.0))
-    }
-}
-impl PartialOrd for PendingNotice {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A predicted drain, queued at its instant: flow `id` in solver slot
+/// `slot`, as of rate assignment `generation`. Re-queueing on every
+/// rate change and discarding entries whose generation is no longer
+/// the flow's gives a queue without decrease-key (lazy deletion).
+/// Entries due at one instant are taken by ascending flow id, which
+/// is stable under solver-slot reuse, so the order does not depend on
+/// how generation numbers were interleaved.
+#[derive(Debug, Clone, Copy)]
+struct Drain {
+    id: u64,
+    generation: u64,
+    slot: u32,
 }
 
-/// A scheduled drain instant: `(when, flow id, generation, slot)`. The
-/// generation pins the entry to one rate assignment; re-pushing on
-/// every rate change plus discarding stale generations implements a
-/// decrease-key-free priority queue (lazy deletion). Ties at one
-/// instant break on the *flow id*, which is stable under solver-slot
-/// reuse, so the pop order does not depend on how generation numbers
-/// were interleaved.
-type DrainEntry = Reverse<(Time, u64, u64, u32)>;
+impl Drain {
+    /// Whether this is its flow's live entry: the slot still holds the
+    /// flow at this generation.
+    fn is_live(&self, flows: &[Option<FlowState>]) -> bool {
+        flows[self.slot as usize]
+            .as_ref()
+            .is_some_and(|f| f.generation == self.generation)
+    }
+}
+
+/// Items queued by the instant they fall due, one bucket per distinct
+/// instant, each bucket in push order. Pushes group runs of equal
+/// instants, so a batch of flows due together touches the map once;
+/// a bucket emptied by a take or a discard keeps its allocation for a
+/// later instant.
+#[derive(Debug)]
+struct InstantQueue<T> {
+    buckets: BTreeMap<Time, Vec<T>>,
+    /// Emptied buckets, cleared, for the next new instant.
+    spare: Vec<Vec<T>>,
+    /// Items in all buckets.
+    len: usize,
+}
+
+impl<T> InstantQueue<T> {
+    fn new() -> InstantQueue<T> {
+        InstantQueue {
+            buckets: BTreeMap::new(),
+            spare: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, at: Time, item: T) {
+        self.extend([(at, item)]);
+    }
+
+    /// Queues each item at its instant, looking a bucket up once per
+    /// run of equal instants.
+    fn extend(&mut self, items: impl IntoIterator<Item = (Time, T)>) {
+        let mut run: Option<(Time, &mut Vec<T>)> = None;
+        for (at, item) in items {
+            self.len += 1;
+            match &mut run {
+                Some((t, bucket)) if (*t).cmp(&at).is_eq() => bucket.push(item),
+                _ => {
+                    let spare = &mut self.spare;
+                    let bucket = self
+                        .buckets
+                        .entry(at)
+                        .or_insert_with(|| spare.pop().unwrap_or_default());
+                    bucket.push(item);
+                    run = Some((at, bucket));
+                }
+            }
+        }
+    }
+
+    /// The earliest instant holding an item `live` accepts. Rejected
+    /// items are discarded from the end of the earliest bucket until
+    /// its last item is accepted or the bucket is empty.
+    fn first_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<Time> {
+        while let Some(mut first) = self.buckets.first_entry() {
+            let at = *first.key();
+            let bucket = first.get_mut();
+            while let Some(last) = bucket.last() {
+                if live(last) {
+                    return Some(at);
+                }
+                bucket.pop();
+                self.len -= 1;
+            }
+            self.spare.push(first.remove());
+        }
+        None
+    }
+
+    /// Removes the earliest bucket if it is due at or before `now`.
+    /// Hand it back through [`InstantQueue::recycle`].
+    fn take_due(&mut self, now: Time) -> Option<Vec<T>> {
+        let first = self.buckets.first_entry()?;
+        if *first.key() > now {
+            return None;
+        }
+        let bucket = first.remove();
+        self.len -= bucket.len();
+        Some(bucket)
+    }
+
+    /// Keeps a taken bucket's allocation for a later instant.
+    fn recycle(&mut self, mut bucket: Vec<T>) {
+        bucket.clear();
+        self.spare.push(bucket);
+    }
+
+    /// Drops every item `keep` rejects, and every bucket left empty.
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let (spare, len) = (&mut self.spare, &mut self.len);
+        *len = 0;
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(&mut keep);
+            *len += bucket.len();
+            if bucket.is_empty() {
+                spare.push(std::mem::take(bucket));
+                return false;
+            }
+            true
+        });
+    }
+
+    /// Every item, bucket by bucket in instant order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.buckets.values().flatten()
+    }
+}
 
 /// Serializable image of a [`FlowNetwork`]: the simulation state the
 /// next event needs, structurally faithful down to slab holes. Captured
@@ -200,14 +327,15 @@ type DrainEntry = Reverse<(Time, u64, u64, u32)>;
 /// simulated state capture equal states.
 ///
 /// Deliberately excluded: the telemetry sink (configuration, supplied
-/// on restore), solver scratch (restarted at zero), the drain-heap
+/// on restore), solver scratch (restarted at zero), the drain-queue
 /// compaction floor and the compaction and solver cost counts (a test
 /// hook and statistics, back at the default and at zero after a
 /// restore), the process-wide counters (profiling aggregates, not
 /// simulation state), and what restore derives from the rest: the
-/// failed links (those with capacity zero), the drain heap (one entry
+/// failed links (those with capacity zero), the drain queue (one entry
 /// per flow with a finite drain instant at its positive rate, from its
-/// settled bytes and rate) with its live-entry count, and, for an
+/// settled bytes and rate) with its live-entry count, the pending
+/// notices' queue (each notice at its `completed_at`), and, for an
 /// enabled sink, the telemetry mirror of per-link allocations (each
 /// link's sum of its flows' rates).
 ///
@@ -269,18 +397,22 @@ pub struct FlowNetwork {
     /// shared.
     flows: Vec<Option<FlowState>>,
     solver: FairShareSolver,
-    /// Predicted drain instants (lazy deletion via generations).
-    drains: BinaryHeap<DrainEntry>,
+    /// Predicted drains by instant (lazy deletion via generations).
+    drains: InstantQueue<Drain>,
     /// Entries in `drains` whose generation is still live (one per
     /// flow with a drain instant); the rest is lazy-deletion garbage
     /// that compaction reclaims.
     live_drains: usize,
-    /// Heap size below which compaction never runs.
+    /// Queued drain entries below which compaction never runs.
     compaction_min: usize,
     compactions: u64,
     next_generation: u64,
-    /// Drained flows waiting out their tail latency.
-    pending: BinaryHeap<Reverse<PendingNotice>>,
+    /// Drained flows waiting out their tail latency, as the completion
+    /// records they become, each due at its `completed_at`.
+    pending: InstantQueue<CompletedFlow>,
+    /// Completions not yet handed out, in `(completed_at, id)` order
+    /// unless restored otherwise. Kept across calls, so its buffer is
+    /// allocated once.
     completed: Vec<CompletedFlow>,
     /// Telemetry sink; [`NullSink`] (zero overhead) by default.
     sink: Rc<dyn TraceSink>,
@@ -292,9 +424,6 @@ pub struct FlowNetwork {
     link_alloc: Vec<f64>,
     /// Telemetry scratch: the refilled links' sums before the refill.
     alloc_before: Vec<f64>,
-    /// Reusable buffer for the changed flows of a refill, each with
-    /// its rate before the refill.
-    changed_scratch: Vec<(FlowKey, f64)>,
 }
 
 impl FlowNetwork {
@@ -350,9 +479,9 @@ impl FlowNetwork {
         self.solver.len() + self.pending.len()
     }
 
-    /// Drain-heap compactions this instance has performed since it was
-    /// built or restored; a restored heap holds no garbage, so the count
-    /// starts at zero (see [`global_heap_compactions`] for the
+    /// Drain-queue compactions this instance has performed since it
+    /// was built or restored; a restored queue holds no garbage, so the
+    /// count starts at zero (see [`global_heap_compactions`] for the
     /// process-wide counter behind the `sim.solver/heap_compactions`
     /// report key).
     pub fn heap_compactions(&self) -> u64 {
@@ -363,10 +492,6 @@ impl FlowNetwork {
     /// solves, refilled flows).
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
-    }
-
-    fn count_event(&self) {
-        GLOBAL_EVENTS.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Injects a flow at the current time. The solver delta is deferred:
@@ -435,7 +560,7 @@ impl FlowNetwork {
             injected_at: self.now,
             latency: self.topo.route_latency(&spec.route),
         };
-        self.count_event();
+        count_event();
         if self.tracing {
             self.sink.record(TraceEvent::FlowInjected {
                 t: self.now.as_secs(),
@@ -448,8 +573,9 @@ impl FlowNetwork {
         }
         if flow.remaining <= DRAIN_EPS || spec.route.is_empty() {
             // Nothing to drain (or node-local): completes after latency.
-            self.count_event(); // its drain is implicit
-            self.push_pending(flow);
+            count_event(); // its drain is implicit
+            let notice = flow.notice(self.now);
+            self.pending.push(notice.completed_at, notice);
         } else {
             let class = fill_class(flow.tenant, flow.priority);
             let slot = self.solver.add_flow_class(spec.route, class).0 as usize;
@@ -588,7 +714,7 @@ impl FlowNetwork {
         f.settle(rate, self.now);
         let route = Rc::clone(self.solver.flow_links(key));
         self.solver.remove_flow(key);
-        self.count_event();
+        count_event();
         FlowSpec {
             route,
             bytes: f.remaining,
@@ -596,16 +722,6 @@ impl FlowNetwork {
             tag: f.tag,
             tenant: f.tenant,
         }
-    }
-
-    fn push_pending(&mut self, f: FlowState) {
-        self.pending.push(Reverse(PendingNotice(CompletedFlow {
-            id: f.id,
-            tag: f.tag,
-            priority: f.priority,
-            injected_at: f.injected_at,
-            completed_at: self.now + f.latency,
-        })));
     }
 
     /// Flushes pending solver deltas: one component-local refill
@@ -616,11 +732,10 @@ impl FlowNetwork {
         if !self.solver.solve() {
             return;
         }
-        let mut changed = std::mem::take(&mut self.changed_scratch);
-        changed.clear();
-        changed.extend_from_slice(self.solver.changed_flows());
+        let changed = self.solver.changed_flows();
+        let changed_count = changed.len() as u32;
         let now = self.now;
-        for &(key, old_rate) in &changed {
+        let predictions = changed.iter().filter_map(|&(key, old_rate)| {
             let f = self.flows[key.0 as usize]
                 .as_mut()
                 .expect("solver changed a dead flow");
@@ -646,42 +761,48 @@ impl FlowNetwork {
                     + 1e-9,
                 "allocated rate exceeds contention-free rate"
             );
-            // Re-predict the drain. The old heap entry (if any) is
-            // invalidated by the generation bump and discarded on pop.
+            // Re-predict the drain. The old entry (if any) is
+            // invalidated by the generation bump and discarded when
+            // reached.
             self.next_generation += 1;
             f.generation = self.next_generation;
-            if let Some(at) = f.drain_instant(rate) {
-                self.drains.push(Reverse((at, f.id.0, f.generation, key.0)));
-                self.live_drains += 1;
-            }
-        }
+            let at = f.drain_instant(rate)?;
+            self.live_drains += 1;
+            let drain = Drain {
+                id: f.id.0,
+                generation: f.generation,
+                slot: key.0,
+            };
+            Some((at, drain))
+        });
+        // The re-rated flows of a collective phase drain at one instant,
+        // so the queue groups these entries into few runs.
+        self.drains.extend(predictions);
         if self.tracing {
-            self.emit_rate_telemetry(changed.len() as u32);
+            self.emit_rate_telemetry(changed_count);
         }
-        // Heap depth after re-prediction, stale (lazy-deleted) entries
+        // Queued entries after re-prediction, stale (lazy-deleted) ones
         // included: the churn that compaction has to keep in check.
         fred_telemetry::prof::record_value("netsim.drain_heap_depth", self.drains.len() as f64);
-        self.changed_scratch = changed;
         self.maybe_compact();
     }
 
-    /// Rebuilds the drain heap without its lazy-deletion garbage once
-    /// dead entries exceed half the heap (and the heap is big enough
-    /// for the rebuild to pay for itself). Pop order is untouched: a
-    /// binary heap's pop sequence is a pure function of the entry
-    /// *set*, and only provably-stale entries are dropped.
+    /// Sweeps the lazy-deletion garbage out of the drain queue once
+    /// dead entries exceed half the queue (and the queue is big enough
+    /// for the sweep to pay for itself). No result moves: only
+    /// provably-stale entries are dropped, and stale entries are
+    /// skipped wherever they are met.
     fn maybe_compact(&mut self) {
         if self.drains.len() < self.compaction_min || self.drains.len() <= 2 * self.live_drains {
             return;
         }
-        let mut entries = std::mem::take(&mut self.drains).into_vec();
-        entries.retain(|&Reverse((_, _, generation, slot))| {
-            self.flows[slot as usize]
-                .as_ref()
-                .is_some_and(|f| f.generation == generation)
-        });
-        debug_assert_eq!(entries.len(), self.live_drains, "live-entry count drifted");
-        self.drains = BinaryHeap::from(entries);
+        let flows = &self.flows;
+        self.drains.retain(|d| d.is_live(flows));
+        debug_assert_eq!(
+            self.drains.len(),
+            self.live_drains,
+            "live-entry count drifted"
+        );
         self.compactions += 1;
         GLOBAL_COMPACTIONS.fetch_add(1, Ordering::Relaxed);
     }
@@ -733,18 +854,11 @@ impl FlowNetwork {
     /// Earliest valid drain prediction, discarding entries orphaned by
     /// rate changes or completed flows.
     fn peek_drain(&mut self) -> Option<Time> {
-        while let Some(&Reverse((at, _, generation, slot))) = self.drains.peek() {
-            let live = self.flows[slot as usize]
-                .as_ref()
-                .is_some_and(|f| f.generation == generation);
-            if live {
-                // Predictions never precede the clock: they are pushed
-                // as `now + eta` with `eta >= 0`.
-                return Some(at.max(self.now));
-            }
-            self.drains.pop();
-        }
-        None
+        let flows = &self.flows;
+        // Predictions never precede the clock: they are pushed as
+        // `now + eta` with `eta >= 0`.
+        let at = self.drains.first_live(|d| d.is_live(flows))?;
+        Some(at.max(self.now))
     }
 
     /// The next instant at which simulator state changes on its own
@@ -757,7 +871,8 @@ impl FlowNetwork {
     pub fn next_event(&mut self) -> Option<Time> {
         self.flush_rates();
         let drain = self.peek_drain();
-        let notice = self.pending.peek().map(|Reverse(p)| p.0.completed_at);
+        // Notices are never stale.
+        let notice = self.pending.first_live(|_| true);
         match (drain, notice) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -790,41 +905,44 @@ impl FlowNetwork {
     }
 
     /// Processes drained flows and expired tail latencies at the current
-    /// instant. Termination is structural: every due drain entry either
-    /// removes a flow or is a stale discard, so the event loop always
-    /// makes progress (no Zeno stalls even when many near-equal flows
-    /// finish within float residue of each other).
+    /// instant. Each due bucket is taken in instant order and its
+    /// entries by ascending flow id: drains `(at, id)` (a flow has one
+    /// live entry), so the solver frees slots in that order, and
+    /// notices `(completed_at, id)`, the order completions surface in.
+    /// Termination is structural: every due drain entry either removes
+    /// a flow or is a stale discard, so the event loop always makes
+    /// progress (no Zeno stalls even when many near-equal flows finish
+    /// within float residue of each other).
     fn settle_at(&mut self, t: Time) {
         debug_assert_eq!(t, self.now);
-        while let Some(&Reverse((at, _, generation, slot))) = self.drains.peek() {
-            if at > self.now {
-                break;
-            }
-            self.drains.pop();
-            let slot = slot as usize;
-            let stale = self.flows[slot]
-                .as_ref()
-                .is_none_or(|f| f.generation != generation);
-            if stale {
-                continue;
-            }
-            let f = self.flows[slot].take().expect("checked live");
-            self.live_drains -= 1;
-            self.solver.remove_flow(FlowKey(slot as u32));
-            self.count_event();
-            if self.tracing {
-                self.sink.record(TraceEvent::FlowDrained {
-                    t: self.now.as_secs(),
-                    id: f.id.0,
-                });
-            }
-            self.push_pending(f);
+        let now = self.now;
+        while let Some(mut due) = self.drains.take_due(now) {
+            let flows = &self.flows;
+            due.retain(|d| d.is_live(flows));
+            due.sort_unstable_by_key(|d| d.id);
+            self.live_drains -= due.len();
+            // Each drained flow leaves the solver, in id order, and its
+            // notice is queued at its arrival.
+            self.pending.extend(due.iter().map(|d| {
+                let f = self.flows[d.slot as usize].take().expect("checked live");
+                self.solver.remove_flow(FlowKey(d.slot));
+                count_event();
+                if self.tracing {
+                    self.sink.record(TraceEvent::FlowDrained {
+                        t: now.as_secs(),
+                        id: f.id.0,
+                    });
+                }
+                let notice = f.notice(now);
+                (notice.completed_at, notice)
+            }));
+            self.drains.recycle(due);
         }
         // Expired latency tails become completions.
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.0.completed_at <= self.now {
-                let Reverse(PendingNotice(c)) = self.pending.pop().expect("peeked");
-                self.count_event();
+        while let Some(mut due) = self.pending.take_due(now) {
+            due.sort_unstable_by_key(|c| c.id);
+            for c in due.drain(..) {
+                count_event();
                 if self.tracing {
                     self.sink.record(TraceEvent::FlowCompleted {
                         t: c.completed_at.as_secs(),
@@ -835,18 +953,20 @@ impl FlowNetwork {
                     });
                 }
                 self.completed.push(c);
-            } else {
-                break;
             }
+            self.pending.recycle(due);
         }
     }
 
     /// Removes and returns all buffered completions, ordered by
-    /// completion time.
+    /// completion time, ties by flow id.
     pub fn drain_completed(&mut self) -> Vec<CompletedFlow> {
-        let mut out = std::mem::take(&mut self.completed);
-        out.sort_by_key(completion_key);
-        out
+        // `settle_at` appends in this order; only a restored buffer can
+        // hold another.
+        if !self.completed.is_sorted_by_key(completion_key) {
+            self.completed.sort_by_key(completion_key);
+        }
+        self.completed.drain(..).collect()
     }
 
     /// Runs until every in-flight flow has completed and returns all
@@ -866,8 +986,8 @@ impl FlowNetwork {
         self.drain_completed()
     }
 
-    /// Test hook: lowers the drain-heap compaction floor so small
-    /// workloads can exercise the rebuild path (`usize::MAX` disables
+    /// Test hook: lowers the drain-queue compaction floor so small
+    /// workloads can exercise the sweep (`usize::MAX` disables
     /// compaction entirely). Not simulation state: snapshots leave it
     /// out and a restored network starts at the default.
     pub fn set_heap_compaction_min(&mut self, min: usize) {
@@ -879,11 +999,10 @@ impl FlowNetwork {
     /// bit-identical (completion times, rate epochs, evicted bytes) to
     /// never having paused. Valid at any point between public calls,
     /// including mid-fault with evicted flows awaiting re-injection.
-    /// The drain heap is left out (restore rebuilds it), so the capture
-    /// does not depend on when the heap last compacted.
+    /// The drain queue is left out (restore rebuilds it), so the
+    /// capture does not depend on when the queue last compacted.
     pub fn snapshot(&self) -> CoreState {
-        let mut pending: Vec<CompletedFlow> =
-            self.pending.iter().map(|Reverse(p)| p.0.clone()).collect();
+        let mut pending: Vec<CompletedFlow> = self.pending.iter().cloned().collect();
         pending.sort_by_key(completion_key);
         CoreState {
             now: self.now,
@@ -903,13 +1022,14 @@ impl FlowNetwork {
     /// [`CoreState::new`]. When the sink is enabled a
     /// [`TraceEvent::Topology`] marker is emitted at the restored clock,
     /// so analysis layers can re-cost each segment on its own. The
-    /// drain heap holds one entry `(updated_at + remaining / rate, id,
-    /// generation, slot)` per flow with a positive solver rate whose
-    /// drain instant is finite, bit for bit the one its last rate
-    /// assignment pushed; the lazy-deletion garbage beside it never
-    /// popped as live. A flow whose instant is past the largest
-    /// representable time gets no entry, as in the live network. A link
-    /// with capacity zero is failed. For an enabled sink, the telemetry
+    /// drain queue holds one entry `(id, generation, slot)` at
+    /// `updated_at + remaining / rate` per flow with a positive solver
+    /// rate whose drain instant is finite, bit for bit the one its last
+    /// rate assignment queued; the lazy-deletion garbage beside it was
+    /// never taken as live. A flow whose instant is past the largest
+    /// representable time gets no entry, as in the live network. Each
+    /// pending notice is queued at its `completed_at`. A link with
+    /// capacity zero is failed. For an enabled sink, the telemetry
     /// mirror sums each link's flow rates in the order a solve does
     /// (flows by ascending key), which is the sum as of the link's last
     /// solve unless the link lost a flow since: a capture taken untraced
@@ -997,7 +1117,7 @@ impl FlowNetwork {
         } else {
             Vec::new()
         };
-        let mut drains = Vec::new();
+        let mut drains = InstantQueue::new();
         let slabs = state.flows.iter().zip(&state.solver.flows);
         for (k, (f, sf)) in slabs.enumerate() {
             let (f, sf) = match (f, sf) {
@@ -1047,9 +1167,16 @@ impl FlowNetwork {
                 if at < now {
                     return behind(&format!("drain of slot {k}"), at);
                 }
-                drains.push(Reverse((at, f.id.0, f.generation, k as u32)));
+                let drain = Drain {
+                    id: f.id.0,
+                    generation: f.generation,
+                    slot: k as u32,
+                };
+                drains.push(at, drain);
             }
         }
+        let mut pending = InstantQueue::new();
+        pending.extend(state.pending.into_iter().map(|c| (c.completed_at, c)));
         let net = FlowNetwork {
             topo,
             now: state.now,
@@ -1057,22 +1184,16 @@ impl FlowNetwork {
             flows: state.flows,
             solver: FairShareSolver::restore(state.solver),
             live_drains: drains.len(),
-            drains: BinaryHeap::from(drains),
+            drains,
             compaction_min: HEAP_COMPACTION_MIN,
             compactions: 0,
             next_generation: state.next_generation,
-            pending: state
-                .pending
-                .into_iter()
-                .map(PendingNotice)
-                .map(Reverse)
-                .collect(),
+            pending,
             completed: state.completed,
             tracing,
             sink,
             link_alloc,
             alloc_before: Vec::new(),
-            changed_scratch: Vec::new(),
         };
         net.record_topology();
         Ok(net)
@@ -1385,7 +1506,7 @@ mod tests {
     #[test]
     fn heap_compaction_triggers_and_preserves_results() {
         // Repeated same-link churn: every injection re-rates the
-        // survivor set, orphaning heap entries. With the floor lowered
+        // survivor set, orphaning queued entries. With the floor lowered
         // the garbage crosses 50% and compaction must fire — without
         // changing a single completion time relative to a run where
         // compaction is disabled, or a byte of the capture taken before
@@ -1409,6 +1530,96 @@ mod tests {
         assert!(some > 0, "compaction never fired");
         assert_eq!(baseline, compacted, "compaction changed results");
         assert_eq!(state, uncompacted, "compaction changed the capture");
+    }
+
+    #[test]
+    fn same_instant_drains_free_slots_by_flow_id() {
+        // Flows 0 and 1 take slots 0 and 1 and are evicted in slot
+        // order, so flows 3 and 4 refill slots 1 and 0: slot order
+        // (4, 3, 2) reverses id order. Flows 2-4 carry equal bytes at
+        // equal rates, so they drain at one instant and arrive one
+        // latency later, at one instant too.
+        let (mut net, l) = two_node_net(100.0, 0.5);
+        let inject = |net: &mut FlowNetwork, tag: u64| {
+            net.inject(FlowSpec::new(vec![l], 300.0).with_tag(tag))
+                .unwrap()
+        };
+        for tag in 0..3 {
+            inject(&mut net, tag);
+        }
+        assert_eq!(net.evict_flows_matching(|tag| tag < 2).len(), 2);
+        for tag in 3..5 {
+            inject(&mut net, tag);
+        }
+        let slot_of = |net: &FlowNetwork, id: FlowId| {
+            net.flows
+                .iter()
+                .position(|f| f.as_ref().is_some_and(|f| f.id == id))
+        };
+        let slots = [2, 3, 4].map(|id| slot_of(&net, FlowId(id)));
+        assert_eq!(slots, [Some(2), Some(1), Some(0)]);
+        let done = net.run_to_completion();
+        let ids: Vec<u64> = done.iter().map(|c| c.id.0).collect();
+        assert_eq!(ids, [2, 3, 4], "completions by flow id");
+        assert!(done.iter().all(|c| c.completed_at == done[0].completed_at));
+        // The drains freed slots 2, 1, 0 in id order, so the next flow
+        // takes slot 0, the last one freed.
+        let next = inject(&mut net, 5);
+        assert_eq!(slot_of(&net, next), Some(0));
+    }
+
+    #[test]
+    fn same_instant_notices_surface_by_flow_id() {
+        use fred_telemetry::sink::RingRecorder;
+
+        // Flow 1 drains first (t = 1) but crosses the slower link, so
+        // both flows arrive at t = 2: flow 1's notice is queued before
+        // flow 0's, and flow 0 still completes first.
+        let mut topo = Topology::new();
+        let a = topo.add_node(NodeKind::Npu, "a");
+        let b = topo.add_node(NodeKind::Npu, "b");
+        let c = topo.add_node(NodeKind::Npu, "c");
+        let fast = topo.add_link(a, b, 100.0, 0.5);
+        let slow = topo.add_link(a, c, 100.0, 1.0);
+        let rec = Rc::new(RingRecorder::new());
+        let mut net = FlowNetwork::with_sink(topo, rec.clone());
+        net.inject(FlowSpec::new(vec![fast], 150.0)).unwrap();
+        net.inject(FlowSpec::new(vec![slow], 100.0)).unwrap();
+        let done = net.run_to_completion();
+        let arrivals = |ids: Vec<(f64, u64)>| assert_eq!(ids, [(2.0, 0), (2.0, 1)]);
+        arrivals(
+            done.iter()
+                .map(|c| (c.completed_at.as_secs(), c.id.0))
+                .collect(),
+        );
+        arrivals(
+            rec.events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::FlowCompleted { t, id, .. } => Some((t, id)),
+                    _ => None,
+                })
+                .collect(),
+        );
+    }
+
+    #[test]
+    fn a_restored_completion_buffer_drains_in_order() {
+        // Only a capture can hand the buffer over out of order.
+        let (net, _) = two_node_net(100.0, 0.0);
+        let mut state = net.snapshot();
+        let record = |id: u64, at: f64| CompletedFlow {
+            id: FlowId(id),
+            tag: id,
+            priority: Priority::Bulk,
+            injected_at: Time::ZERO,
+            completed_at: Time::from_secs(at),
+        };
+        state.completed = vec![record(1, 1.0), record(0, 1.0), record(2, 0.5)];
+        let mut net = FlowNetwork::restore(Rc::clone(&net.topo), Rc::new(NullSink), state).unwrap();
+        let ids: Vec<u64> = net.drain_completed().iter().map(|c| c.id.0).collect();
+        assert_eq!(ids, [2, 0, 1]);
+        assert!(net.drain_completed().is_empty());
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! from the plan through the injected flow to the solver; the solver
 //! keeps its per-solve work lists; the executor keeps its staged-flow
 //! buffer; a schedule's clone shares its task graph, and the network
-//! shares the fabric's topology. So an iteration that injects 168k
-//! flows allocates a few thousand times, not twice per flow.
+//! shares the fabric's topology. The network queues drains and tail
+//! notices by instant, reusing emptied buckets, and keeps its
+//! completion buffer across calls. So an iteration that injects 168k
+//! flows allocates about a thousand and a half times, not twice per
+//! flow.
 //!
 //! The file holds one test, so it gets a test binary of its own whose
 //! global allocator is the counting one below. It counts per thread, so
@@ -72,7 +75,7 @@ fn allocations_of(f: impl FnOnce()) -> u64 {
 /// streaming injects 168,498 flows per iteration, most over routes of
 /// one or two links.
 #[test]
-fn an_iteration_allocates_less_than_once_per_twenty_four_injected_flows() {
+fn an_iteration_allocates_less_than_once_per_sixty_four_injected_flows() {
     let model = DnnModel::transformer_1t();
     let strategy = model.default_strategy;
     let fabric = FabricConfig::FredD;
@@ -99,7 +102,7 @@ fn an_iteration_allocates_less_than_once_per_twenty_four_injected_flows() {
     let second = run();
     assert_eq!(first, second, "two runs of one iteration allocate alike");
     assert!(
-        first * 24 < flows,
+        first * 64 < flows,
         "{first} allocations for {flows} injected flows: one per {:.1}",
         flows as f64 / first as f64
     );

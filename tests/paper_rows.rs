@@ -31,8 +31,12 @@ fn committed_baselines_hold_the_paper_rows() {
     assert_eq!(leaf(&table4, "total_switch_area_mm2"), 25_195.0);
     assert_eq!(leaf(&table4, "total_power_w"), 179.35);
 
-    // Fig 4: the mesh streams at 0.651 of line rate.
-    let line_rate = leaf(&sim("fig4"), "baseline_line_rate_fraction");
+    // Fig 4: streaming all of the 5x4 mesh's 128 GB/s channels at full
+    // rate needs 1152 GB/s links, and at 750 GB/s the mesh streams at
+    // 0.651 of line rate.
+    let fig4 = sim("fig4");
+    assert_eq!(leaf(&fig4, "baseline_required_link_bw_gbps"), 1152.0);
+    let line_rate = leaf(&fig4, "baseline_line_rate_fraction");
     assert_eq!(
         (line_rate * 1e3).round(),
         651.0,

@@ -263,12 +263,12 @@ fn changed_flows_reports_are_sound() {
 }
 
 // ---------------------------------------------------------------------------
-// Drain-heap compaction invariance on the event engine.
+// Drain-queue compaction invariance on the event engine.
 //
-// Compaction only drops provably-stale drain-heap entries, so the
-// threshold that triggers it is a pure performance knob: the same call
-// sequence must produce bit-identical results — completions, evictions,
-// rejections, makespan and the full trace — whether the heap is
+// Compaction only drops provably-stale drain entries, so the threshold
+// that triggers it is a pure performance knob: the same call sequence
+// must produce bit-identical results — completions, evictions,
+// rejections, makespan and the full trace — whether the queue is
 // compacted eagerly or never.
 // ---------------------------------------------------------------------------
 
@@ -426,8 +426,8 @@ fn heap_compaction_threshold_is_result_invariant() {
     assert_eq!(run(1), run(usize::MAX));
 
     // And aggressive compaction must actually fire under heavy
-    // eviction churn: 3/4 of the heap goes dead in one preemption,
-    // tripping the dead-majority trigger at threshold 1.
+    // eviction churn: 3/4 of the queued drain entries go dead in one
+    // preemption, tripping the dead-majority trigger at threshold 1.
     let mut net = FlowNetwork::new(mesh.clone_topology());
     net.set_heap_compaction_min(1);
     for i in 0..64u64 {
@@ -437,7 +437,7 @@ fn heap_compaction_threshold_is_result_invariant() {
         net.inject(FlowSpec::new(route, 1e6).with_tag(i))
             .expect("mesh routes are valid");
     }
-    // Force a solver flush so every flow holds a live heap entry
+    // Force a solver flush so every flow holds a live drain entry
     // before the preemption marks 3/4 of them dead.
     net.next_event();
     let evicted = net.evict_flows_matching(|tag| tag % 4 != 0);
@@ -445,6 +445,6 @@ fn heap_compaction_threshold_is_result_invariant() {
     net.run_to_completion();
     assert!(
         net.heap_compactions() > 0,
-        "threshold 1 with 75% dead heap entries must trigger compactions"
+        "threshold 1 with 75% dead drain entries must trigger compactions"
     );
 }
