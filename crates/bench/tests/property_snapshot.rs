@@ -378,6 +378,8 @@ fn rerate_capture(cfg: &ClusterConfig, jobs: &[JobSpec]) -> (ClusterState, usize
 fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
     let (cfg, jobs, good) = two_low_jobs_capture(0.1);
     assert_eq!(good.running.len(), 2, "both Low jobs run at the capture");
+    let tags = good.running.iter().map(|r| r.tag_base);
+    assert_eq!((tags.collect(), good.next_tag_base), (vec![0, 23], 46));
     let restore =
         |st: ClusterState| Cluster::restore(cfg.clone(), jobs.clone(), Rc::new(NullSink), st);
     assert!(restore(good.clone()).is_ok());
@@ -400,7 +402,7 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
 
     // One-field edits, each with the field its error must name.
     type Edit = fn(&mut ClusterState);
-    let edits: [(&str, Edit); 13] = [
+    let edits: [(&str, Edit); 16] = [
         (".first_start", |s| {
             s.first_start.pop();
         }),
@@ -409,6 +411,12 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
         (".queues", |s| s.queues[2].push(s.running[0].job)),
         (".running[0].job", |s| s.running[0].job = 999),
         (".running[0].base", |s| s.running[0].base = 19),
+        // The jobs' tags are 1..=23 and 24..=46, and 46 were handed out.
+        // The second job on the first one's tags, on tags never handed
+        // out, and the handed-out tags one job short.
+        (".running[1].tag_base", |s| s.running[1].tag_base = 0),
+        (".running[1].tag_base", |s| s.running[1].tag_base = 1046),
+        (".next_tag_base", |s| s.next_tag_base = 23),
         (".start", |s| {
             s.running[0].exec.start.pop();
         }),

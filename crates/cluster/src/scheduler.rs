@@ -1,12 +1,13 @@
-//! The cluster event loop: many jobs, one fabric, one clock.
+//! The cluster scheduler: many jobs, one fabric, one clock.
 //!
-//! [`run_cluster`] interleaves per-job [`ScheduleExecutor`]s through a
-//! single shared [`FlowNetwork`]. Each placed job gets a disjoint
-//! correlation-tag range (completions route back by tag alone) and a
-//! tenant rank equal to its [`JobClass`], so the fair-share solver
-//! isolates classes in bandwidth: High traffic is served strictly
-//! before Normal, Normal before Low, on every contended link. Job
-//! starts and finishes are solver *deltas* (`inject_batch` /
+//! [`run_cluster`] runs per-job executors through one [`Stepper`], the
+//! event loop the trainer runs one executor through, and wraps each of
+//! its steps with admission, dispatch, preemption and retirement. Each
+//! placed job gets a fresh correlation-tag range (completions route
+//! back by tag alone) and a tenant rank equal to its [`JobClass`], so
+//! the fair-share solver isolates classes in bandwidth: High traffic is
+//! served strictly before Normal, Normal before Low, on every contended
+//! link. Job starts and finishes are solver *deltas* (`inject_batch` /
 //! completion drains) — the world is never re-solved from scratch.
 //!
 //! ## Dispatch and preemption
@@ -20,18 +21,16 @@
 //! strictly-lower-class jobs from a slot window when the highest
 //! blocked head cannot be placed any other way: victims lose their
 //! in-flight iteration, return to the *front* of their class queue,
-//! and restart from scratch on fresh tags (retired tags still in the
-//! completion pipeline are dropped on arrival).
+//! and restart from scratch on fresh tags.
 //!
 //! ## Determinism contract
 //!
 //! A cluster run is a pure function of its inputs: jobs are processed
 //! in arrival order (submission order on ties), running executors in
-//! placement order, and every random choice lives in the seeded
-//! arrival generator. A single High-class job arriving at time zero
-//! reproduces [`fred_workloads::trainer::simulate`] *bit-identically*:
-//! same placement base, same tag namespace, same tenant rank, same
-//! network-operation order.
+//! start order, and every random choice lives in the seeded arrival
+//! generator. A single High-class job arriving at time zero reproduces
+//! [`fred_workloads::trainer::simulate`] *bit-identically*: same
+//! placement base, same tag namespace, same tenant rank, same step.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -49,7 +48,7 @@ use fred_telemetry::event::TraceEvent;
 use fred_telemetry::sink::{NullSink, TraceSink};
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::error::TrainError;
-use fred_workloads::exec::{repair_and_inject, ExecConfig, ExecState, ScheduleExecutor};
+use fred_workloads::exec::{ExecConfig, ExecState, ScheduleExecutor, Stepper};
 use fred_workloads::model::DnnModel;
 use fred_workloads::schedule::{build_schedule, Schedule, ScheduleParams};
 use fred_workloads::trainer::simulate;
@@ -232,8 +231,8 @@ pub enum ClusterError {
     /// A job's executor failed (stall, unroutable transfer, rejected
     /// flow — see [`TrainError`]).
     Train {
-        /// The failing job's name (or a scheduler-internal label for
-        /// fault re-injection failures that cross jobs).
+        /// The failing job's name, or `<no job>` for a failure no job
+        /// owns (see [`fred_workloads::exec::StepError`]).
         job: String,
         /// The underlying trainer error.
         err: TrainError,
@@ -281,17 +280,6 @@ impl fmt::Display for ClusterError {
 
 impl Error for ClusterError {}
 
-/// One placed job mid-flight (its slots are recorded in the
-/// [`SlotMap`], keyed by job id).
-struct Running {
-    /// Index into the submitted job list.
-    job: usize,
-    /// First slot of the job's contiguous carve-out (a restore takes
-    /// the schedule for the same placement base).
-    base: usize,
-    exec: ScheduleExecutor,
-}
-
 /// Runs `jobs` to completion on one shared fabric and reports per-job
 /// SLO metrics. Untraced (zero-overhead [`NullSink`]).
 ///
@@ -330,27 +318,22 @@ pub struct Cluster {
     cfg: ClusterConfig,
     jobs: Vec<JobSpec>,
     backend: Rc<FabricBackend>,
-    net: FlowNetwork,
+    /// The network and the running jobs' executors, each owned by its
+    /// job index, with every job's first start and fault cursor.
+    run: Stepper,
     sink: Rc<dyn TraceSink>,
     tracing: bool,
     /// [`TraceSink::dropped`] reading when this run began.
     dropped_baseline: u64,
+    /// Each running job's slots; a job's placement base is its first.
     slotmap: SlotMap,
     /// Pending job indices, one FIFO per class rank.
     queues: [VecDeque<usize>; 3],
-    running: Vec<Running>,
     /// Job indices sorted by arrival.
     order: Vec<usize>,
     arrival_cursor: usize,
-    /// Monotonic: every (re)start gets a fresh disjoint tag range, so
-    /// retired ranges never collide and stale completions are dropped.
-    next_tag_base: u64,
-    first_start: Vec<Option<Time>>,
     completion: Vec<Time>,
     preempt_count: Vec<u32>,
-    /// Per-job cursor into its fault plan (survives preemption: fired
-    /// events are never re-fired on restart).
-    fault_cursor: Vec<usize>,
     busy_npu_secs: f64,
 }
 
@@ -380,16 +363,6 @@ fn validate_and_order(jobs: &[JobSpec], slots: usize) -> Result<Vec<usize>, Clus
             .expect("finite arrival time")
     });
     Ok(order)
-}
-
-/// The executor config of `spec` on the tag range starting past
-/// `tag_base`: its tenant rank is its class, its spans carry its name.
-fn exec_config(spec: &JobSpec, tag_base: u64) -> ExecConfig {
-    ExecConfig {
-        tag_base,
-        tenant: spec.class.tenant_rank(),
-        label: Some(spec.name.clone()),
-    }
 }
 
 /// Checks that a [`ClusterState`] pairs with `jobs` (admitted in
@@ -450,8 +423,7 @@ fn check_pairing(
             ".arrival_cursor: job {j} is queued but not admitted"
         ));
     }
-    // The clock never passes an arrival without admitting it, nor a
-    // compute finish without releasing it.
+    // The clock never passes an arrival without admitting it.
     let now = state.net.now;
     if let Some(&j) = order.get(state.arrival_cursor) {
         if jobs[j].arrival < now {
@@ -483,17 +455,6 @@ fn check_pairing(
             ));
         }
         slotmap.occupy(r.base, spec.npus(), r.job);
-        if state.first_start[r.job].is_none() {
-            return bad(format!(
-                ".first_start[{}]: running job never started",
-                r.job
-            ));
-        }
-        if let Some(&(at, task)) = r.exec.compute_queue.iter().find(|e| e.0 < now) {
-            return bad(format!(
-                ".net.now: clock {now} is later than the finish of task {task} at {at} (.running[{k}].exec.compute_queue)"
-            ));
-        }
     }
     // Every admitted job is queued, running, or started and finished:
     // exactly one of these.
@@ -554,71 +515,42 @@ impl Cluster {
 
     /// The shared clock.
     pub fn now(&self) -> Time {
-        self.net.now()
+        self.run.net().now()
     }
 
     /// Whether every job has completed: all are admitted and none is
     /// queued or running.
     pub fn is_done(&self) -> bool {
         self.arrival_cursor == self.jobs.len()
-            && self.running.is_empty()
+            && self.run.running().len() == 0
             && self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// The instant of the next pending event (arrival, compute finish,
-    /// network event or fault horizon), if any. (`&mut` because the
-    /// network prunes stale drain predictions lazily while peeking.)
+    /// network event or fault), if any. (`&mut` because the network
+    /// prunes stale drain predictions lazily while peeking.)
     pub fn next_event(&mut self) -> Option<Time> {
-        let now = self.net.now();
         let ta = self
             .order
             .get(self.arrival_cursor)
             .map(|&j| self.jobs[j].arrival);
-        let tc = self
-            .running
-            .iter()
-            .filter_map(|r| r.exec.next_compute_time())
-            .min();
-        let tn = self.net.next_event();
-        let tf = self.next_fault_time(now);
-        [ta, tc, tn, tf].into_iter().flatten().min()
+        let jobs = &self.jobs;
+        let tr = self.run.next_event(|j| &jobs[j].faults);
+        [ta, tr].into_iter().flatten().min()
     }
 
-    fn stalled(&self) -> ClusterError {
-        let queued = self.queues.iter().map(VecDeque::len).sum();
-        ClusterError::Stalled {
-            queued,
-            running: self.running.len(),
-            completed: self.arrival_cursor - queued - self.running.len(),
-        }
-    }
-
-    /// Processes exactly one event instant: advances the clock to
-    /// `next`, fires due faults, routes completions, settles every
-    /// executor, retires finished jobs and dispatches the queues.
+    /// Processes exactly one event instant: one [`Stepper::step`] to
+    /// `next`, then retires finished jobs and dispatches the queues.
     fn step_at(&mut self, next: Time) -> Result<(), ClusterError> {
-        let now = self.net.now();
+        let now = self.run.net().now();
         // Occupancy integrates between event instants (membership only
         // changes at instants).
         self.busy_npu_secs +=
             self.slotmap.used() as f64 * (next.as_secs() - now.as_secs()).max(0.0);
-        self.net.advance_to(next);
-        self.fire_faults(next)?;
-        for c in self.net.drain_completed() {
-            self.route_completion(c.tag)?;
-        }
-        for k in 0..self.running.len() {
-            let job = self.running[k].job;
-            if let Err(e) = self.running[k]
-                .exec
-                .flush_staged(&mut self.net, &self.backend)
-            {
-                return Err(self.train_err(job, e));
-            }
-            self.running[k].exec.release_computes_due(next);
-            if let Err(e) = self.running[k].exec.settle(&mut self.net, &self.backend) {
-                return Err(self.train_err(job, e));
-            }
+        let jobs = &self.jobs;
+        if let Err((owner, err)) = self.run.step(next, &self.backend, |j| &jobs[j].faults) {
+            let job = owner.map_or_else(|| "<no job>".into(), |j| jobs[j].name.clone());
+            return Err(ClusterError::Train { job, err });
         }
         self.retire_finished();
         self.admit_arrivals(next);
@@ -649,7 +581,14 @@ impl Cluster {
     pub fn run_until(&mut self, t: Time) -> Result<(), ClusterError> {
         while !self.is_done() {
             let Some(next) = self.next_event() else {
-                return Err(self.stalled());
+                let queued = self.queues.iter().map(VecDeque::len).sum();
+                let running = self.run.running().len();
+                let completed = self.arrival_cursor - queued - running;
+                return Err(ClusterError::Stalled {
+                    queued,
+                    running,
+                    completed,
+                });
             };
             if next > t {
                 return Ok(());
@@ -665,28 +604,30 @@ impl Cluster {
     /// [`Cluster::restore`] is handed the same ones again.
     pub fn snapshot(&self) -> ClusterState {
         ClusterState {
-            net: self.net.snapshot(),
+            net: self.run.net().snapshot(),
             queues: [
                 self.queues[0].iter().copied().collect(),
                 self.queues[1].iter().copied().collect(),
                 self.queues[2].iter().copied().collect(),
             ],
             running: self
-                .running
-                .iter()
-                .map(|r| RunningState {
-                    job: r.job,
-                    base: r.base,
-                    tag_base: r.exec.tag_base(),
-                    exec: r.exec.snapshot(),
+                .run
+                .running()
+                .map(|(job, exec)| RunningState {
+                    job,
+                    base: (0..self.slotmap.slots())
+                        .find(|&s| self.slotmap.owner_of(s) == Some(job))
+                        .expect("a running job holds slots"),
+                    tag_base: exec.tag_base(),
+                    exec: exec.snapshot(),
                 })
                 .collect(),
             arrival_cursor: self.arrival_cursor,
-            next_tag_base: self.next_tag_base,
-            first_start: self.first_start.clone(),
+            next_tag_base: self.run.next_tag_base(),
+            first_start: self.run.clocks().iter().map(|c| c.0).collect(),
             completion: self.completion.clone(),
             preempt_count: self.preempt_count.clone(),
-            fault_cursor: self.fault_cursor.clone(),
+            fault_cursor: self.run.clocks().iter().map(|c| c.1).collect(),
             busy_npu_secs: self.busy_npu_secs,
         }
     }
@@ -703,15 +644,10 @@ impl Cluster {
     /// # Errors
     ///
     /// The same job-validation errors as [`Cluster::new`], and
-    /// [`ClusterError::Snapshot`] when the state does not pair with the
-    /// config and jobs: a per-job vector of another length, a job index
-    /// out of range, a queued job in another class's queue, running
-    /// jobs whose slot windows overlap or leave the fabric, a started
-    /// job the arrival cursor has not admitted, an admitted job that is
-    /// not exactly one of queued, running or finished, a clock later
-    /// than the next unadmitted arrival or a pending compute finish, or
-    /// an executor or network state that does not fit its schedule or
-    /// the fabric.
+    /// [`ClusterError::Snapshot`] naming the field when the state does
+    /// not pair with the config and jobs (DESIGN.md §12.1 lists the
+    /// rules; the network's, executors' and [`Stepper`]'s restores judge
+    /// their own parts).
     pub fn restore(
         cfg: ClusterConfig,
         jobs: Vec<JobSpec>,
@@ -733,37 +669,37 @@ impl Cluster {
         let mut running = Vec::with_capacity(state.running.len());
         for r in state.running {
             let spec = &jobs[r.job];
+            let exec_cfg = ExecConfig {
+                tag_base: r.tag_base,
+                tenant: spec.class.tenant_rank(),
+                label: Some(spec.name.clone()),
+            };
             let exec = ScheduleExecutor::restore(
                 cfg.schedule(spec, r.base),
-                exec_config(spec, r.tag_base),
+                exec_cfg,
                 sink.clone(),
                 r.exec,
             )
             .map_err(ClusterError::Snapshot)?;
-            running.push(Running {
-                job: r.job,
-                base: r.base,
-                exec,
-            });
+            running.push((r.job, exec));
         }
+        let clocks = state.first_start.into_iter().zip(state.fault_cursor);
+        let run = Stepper::restore(net, running, state.next_tag_base, clocks.collect())
+            .map_err(ClusterError::Snapshot)?;
         Ok(Cluster {
             cfg,
             jobs,
             backend,
-            net,
+            run,
             sink,
             tracing,
             dropped_baseline,
             slotmap,
             queues: state.queues.map(VecDeque::from),
-            running,
             order,
             arrival_cursor: state.arrival_cursor,
-            next_tag_base: state.next_tag_base,
-            first_start: state.first_start,
             completion: state.completion,
             preempt_count: state.preempt_count,
-            fault_cursor: state.fault_cursor,
             busy_npu_secs: state.busy_npu_secs,
         })
     }
@@ -786,27 +722,14 @@ impl Cluster {
                 value: q.len() as f64,
             });
         }
-        self.sink.record(TraceEvent::Sample {
-            t,
-            key: "running_jobs".into(),
-            value: self.running.len() as f64,
-        });
-        self.sink.record(TraceEvent::Sample {
-            t,
-            key: "slots_used".into(),
-            value: self.slotmap.used() as f64,
-        });
-        self.sink.record(TraceEvent::Sample {
-            t,
-            key: "preemptions_total".into(),
-            value: self.preempt_count.iter().map(|&c| c as u64).sum::<u64>() as f64,
-        });
-    }
-
-    fn train_err(&self, job: usize, err: TrainError) -> ClusterError {
-        ClusterError::Train {
-            job: self.jobs[job].name.clone(),
-            err,
+        let preemptions = self.preempt_count.iter().map(|&c| c as u64).sum::<u64>();
+        for (key, value) in [
+            ("running_jobs", self.run.running().len() as f64),
+            ("slots_used", self.slotmap.used() as f64),
+            ("preemptions_total", preemptions as f64),
+        ] {
+            let key = key.into();
+            self.sink.record(TraceEvent::Sample { t, key, value });
         }
     }
 
@@ -926,137 +849,53 @@ impl Cluster {
         Ok(true)
     }
 
-    /// Evicts a running job: its in-flight flows are removed from the
-    /// network (bytes moved so far are lost — the iteration restarts
-    /// from scratch), its slots freed, and the job requeued at the
+    /// Preempts a running job ([`Stepper::preempt`]; its iteration
+    /// restarts from scratch), frees its slots and requeues it at the
     /// front of its class.
     fn preempt(&mut self, job: usize) {
-        let pos = self
-            .running
-            .iter()
-            .position(|r| r.job == job)
-            .expect("victim is running");
-        let r = self.running.remove(pos);
-        // Drop the evictees: a preempted job does not resume mid-flow,
-        // and its retired tag range routes to no executor, so any
-        // completion notices already in the pipeline are dropped too.
-        let _ = self.net.evict_flows_matching(|tag| r.exec.owns_tag(tag));
+        self.run.preempt(job);
         self.slotmap.release(job);
         self.preempt_count[job] += 1;
         let rank = self.jobs[job].class.tenant_rank() as usize;
         self.queues[rank].push_front(job);
         if self.tracing {
             self.sink.record(TraceEvent::IterStage {
-                t: self.net.now().as_secs(),
+                t: self.run.net().now().as_secs(),
                 label: format!("job {} preempted", self.jobs[job].name).into(),
             });
         }
     }
 
-    /// Places and settles one job at `base`, on a fresh tag range, with
-    /// its schedule from the compile context.
+    /// Places and starts one job at `base`, with its schedule from the
+    /// compile context.
     fn start_job(&mut self, job: usize, base: usize, width: usize) -> Result<(), ClusterError> {
         let spec = &self.jobs[job];
-        let cfg = exec_config(spec, self.next_tag_base);
-        let mut exec = ScheduleExecutor::new(self.cfg.schedule(spec, base), cfg, self.sink.clone());
-        self.next_tag_base = exec.tag_end();
+        let schedule = self.cfg.schedule(spec, base);
         self.slotmap.occupy(base, width, job);
-        if self.first_start[job].is_none() {
-            self.first_start[job] = Some(self.net.now());
-        }
         if self.tracing {
             self.sink.record(TraceEvent::IterStage {
-                t: self.net.now().as_secs(),
-                label: format!(
-                    "job {} start @ slots {}..{}",
-                    self.jobs[job].name,
-                    base,
-                    base + width
-                )
-                .into(),
+                t: self.run.net().now().as_secs(),
+                label: format!("job {} start @ slots {}..{}", spec.name, base, base + width).into(),
             });
         }
-        if let Err(e) = exec.settle(&mut self.net, &self.backend) {
-            return Err(self.train_err(job, e));
-        }
-        self.running.push(Running { job, base, exec });
-        Ok(())
-    }
-
-    /// Earliest pending fault across running jobs. Due times are
-    /// job-relative offsets from *first* start; overdue events (a
-    /// restart catching up) clamp to `now`.
-    fn next_fault_time(&self, now: Time) -> Option<Time> {
-        self.running
-            .iter()
-            .filter_map(|r| {
-                let j = r.job;
-                let start = self.first_start[j].expect("running job has started");
-                self.jobs[j]
-                    .faults
-                    .next_due(self.fault_cursor[j], start, now)
-            })
-            .min()
-    }
-
-    /// Fires every fault due by `now` across running jobs; evicted
-    /// flows are re-routed over surviving links and re-injected as one
-    /// batch with their remaining bytes, tags and tenants intact (they
-    /// may belong to *any* job whose route crossed the failed link).
-    fn fire_faults(&mut self, now: Time) -> Result<(), ClusterError> {
-        let mut evicted = Vec::new();
-        for r in &self.running {
-            let j = r.job;
-            let start = self.first_start[j].expect("running job has started");
-            evicted.extend(self.jobs[j].faults.fire_due(
-                &mut self.fault_cursor[j],
-                start,
-                now,
-                &mut self.net,
-            ));
-        }
-        // Not attributable to a single job: the batch can carry many
-        // jobs' flows.
-        repair_and_inject(&mut self.net, &self.backend, &mut evicted).map_err(|err| {
-            ClusterError::Train {
-                job: "<fault re-injection>".into(),
-                err,
-            }
+        let (tenant, label) = (spec.class.tenant_rank(), Some(spec.name.clone()));
+        let started = self.run.start(job, schedule, tenant, label, &self.backend);
+        started.map_err(|err| ClusterError::Train {
+            job: self.jobs[job].name.clone(),
+            err,
         })
-    }
-
-    /// Routes a flow completion to the owning executor by tag range.
-    /// Unowned tags (foreign, or retired by preemption) are dropped.
-    fn route_completion(&mut self, tag: u64) -> Result<(), ClusterError> {
-        if tag == 0 {
-            return Ok(());
-        }
-        let Some(k) = self.running.iter().position(|r| r.exec.owns_tag(tag)) else {
-            return Ok(());
-        };
-        let job = self.running[k].job;
-        if let Err(e) = self.running[k].exec.handle_completion(tag) {
-            return Err(self.train_err(job, e));
-        }
-        Ok(())
     }
 
     /// Frees the slots of every executor that just finished and
     /// records its completion.
     fn retire_finished(&mut self) {
-        let mut k = 0;
-        while k < self.running.len() {
-            if !self.running[k].exec.is_done() {
-                k += 1;
-                continue;
-            }
-            let r = self.running.remove(k);
-            self.slotmap.release(r.job);
-            self.completion[r.job] = r.exec.completion_time();
+        while let Some((job, exec)) = self.run.take_finished() {
+            self.slotmap.release(job);
+            self.completion[job] = exec.completion_time();
             if self.tracing {
                 self.sink.record(TraceEvent::IterStage {
-                    t: self.net.now().as_secs(),
-                    label: format!("job {} finished", self.jobs[r.job].name).into(),
+                    t: self.run.net().now().as_secs(),
+                    label: format!("job {} finished", self.jobs[job].name).into(),
                 });
             }
         }
@@ -1078,7 +917,7 @@ impl Cluster {
                 class: spec.class,
                 npus: spec.npus(),
                 arrival: spec.arrival,
-                first_start: self.first_start[j].expect("every job completed"),
+                first_start: self.run.clocks()[j].0.expect("every job completed"),
                 completion,
                 preemptions: self.preempt_count[j],
                 solo_secs,
@@ -1313,11 +1152,16 @@ mod tests {
         };
         let mut cluster =
             Cluster::new(cfg.clone(), vec![first, second], Rc::new(NullSink)).unwrap();
-        let schedule = cluster.running[0].exec.schedule().clone();
+        let schedule = cluster.run.running().next().unwrap().1.schedule().clone();
         cluster.run_until(later).unwrap();
-        let r = &cluster.running[0];
-        assert_eq!((r.job, r.base), (1, 0), "the second job runs at slot 0");
-        assert!(Rc::ptr_eq(r.exec.schedule(), &schedule));
+        let (job, exec) = cluster.run.running().next().unwrap();
+        let at_slot_0 = cluster.slotmap.owner_of(0);
+        assert_eq!(
+            (job, at_slot_0),
+            (1, Some(1)),
+            "the second job runs at slot 0"
+        );
+        assert!(Rc::ptr_eq(exec.schedule(), &schedule));
         cluster.run_to_completion().unwrap();
         let report = cluster.into_report();
         let [a, b] = &report.records[..] else {
@@ -1403,7 +1247,7 @@ mod tests {
         let mut cluster = Cluster::new(cfg.clone(), mk(), Rc::new(NullSink)).unwrap();
         // Past the preemption: the High job and a Low job run.
         cluster.run_until(Time::from_secs(solo * 0.5)).unwrap();
-        assert_eq!(cluster.running.len(), 2);
+        assert_eq!(cluster.run.running().len(), 2);
         let state = cluster.snapshot();
         let compiled = cfg.ctx.schedules.borrow().len();
         let warm = Cluster::restore(cfg.clone(), mk(), Rc::new(NullSink), state.clone()).unwrap();
@@ -1414,8 +1258,8 @@ mod tests {
         );
         assert_eq!(cfg.ctx.fabrics.borrow().len(), 1);
         assert!(Rc::ptr_eq(&warm.backend, &cluster.backend));
-        for (w, c) in warm.running.iter().zip(&cluster.running) {
-            assert!(Rc::ptr_eq(w.exec.schedule(), c.exec.schedule()));
+        for ((_, w), (_, c)) in warm.run.running().zip(cluster.run.running()) {
+            assert!(Rc::ptr_eq(w.schedule(), c.schedule()));
         }
         // A fresh config is what a process restoring from a file has.
         let cold = ClusterConfig::new(FabricConfig::FredD);
@@ -1482,6 +1326,127 @@ mod tests {
         assert_eq!(victim.class, JobClass::Low);
         // The victim restarted and still finished.
         assert!(victim.completion > high_rec.first_start);
+    }
+
+    #[test]
+    fn a_preempted_jobs_fault_cursor_survives_its_restart() {
+        use fred_telemetry::sink::RingRecorder;
+        // The High arrival preempts low-a, the victim at the lower base.
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let low_a = resnet_job("low-a", 10).with_class(JobClass::Low);
+        let solo = simulate(&low_a.model, low_a.strategy, &backend, low_a.params)
+            .unwrap()
+            .total
+            .as_secs();
+        // Two degradations, timed from low-a's first start: the first
+        // falls due while it runs, the second while it waits preempted.
+        let (early, late) = (backend.npu_route(0, 1)[0], backend.npu_route(2, 3)[0]);
+        let degrade = |at: f64, link| FaultEvent {
+            at: Time::from_secs(at),
+            link,
+            kind: FaultKind::LinkDegrade(0.5),
+        };
+        let faults = FaultPlan::new(vec![degrade(solo * 0.1, early), degrade(solo * 0.5, late)]);
+        let jobs = vec![
+            JobSpec { faults, ..low_a },
+            resnet_job("low-b", 10).with_class(JobClass::Low),
+            resnet_job("high", 10)
+                .with_class(JobClass::High)
+                .with_arrival(Time::from_secs(solo * 0.25)),
+        ];
+        let ring = Rc::new(RingRecorder::new());
+        let cfg = ClusterConfig::new(FabricConfig::FredD);
+        let report = run_cluster_traced(&cfg, jobs, ring.clone()).unwrap();
+        assert_eq!(ring.overwritten(), 0);
+        assert_eq!(report.records[0].preemptions, 1);
+        let events = ring.events();
+        let starts: Vec<f64> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::IterStage { t, label } if label.starts_with("job low-a start") => {
+                    Some(*t)
+                }
+                _ => None,
+            })
+            .collect();
+        let [first, restart] = starts[..] else {
+            panic!("low-a starts twice, not at {starts:?}")
+        };
+        assert_eq!(first, 0.0);
+        assert!(restart > solo * 0.5, "low-a restarts at {restart}");
+        let fired: Vec<(f64, u32)> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Fault { t, link, .. } => Some((*t, *link)),
+                _ => None,
+            })
+            .collect();
+        // The first fires once and not again at the restart; the
+        // second fires at the restart instant.
+        assert_eq!(
+            fired,
+            [(solo * 0.1, early.0 as u32), (restart, late.0 as u32)]
+        );
+    }
+
+    #[test]
+    fn an_unroutable_transfer_names_its_job_and_that_jobs_task() {
+        use fred_workloads::schedule::{TaskBody, TaskId};
+        // Two ResNet-152 DP-4 jobs of 11 tasks side by side: `a` on
+        // slots 0..4 with tags 1..=11, `b` on slots 4..8 with 12..=22.
+        let backend = FabricBackend::new(FabricConfig::FredD);
+        let cfg = ClusterConfig::new(FabricConfig::FredD);
+        let (a, b) = (resnet_job("a", 4), resnet_job("b", 4));
+        // The job and task the run fails on when `a`'s plan fails
+        // `link` at `at`.
+        let fail = |b: &JobSpec, at: f64, link: LinkId| {
+            let a = JobSpec {
+                faults: FaultPlan::new(vec![FaultEvent {
+                    at: Time::from_secs(at),
+                    link,
+                    kind: FaultKind::LinkFail,
+                }]),
+                ..a.clone()
+            };
+            match run_cluster(&cfg, vec![a, b.clone()]).unwrap_err() {
+                ClusterError::Train {
+                    job,
+                    err:
+                        TrainError::Unroutable {
+                            task: Some(TaskId(t)),
+                        },
+                } => (job, t),
+                e => panic!("failing {link:?}: {e}"),
+            }
+        };
+        // Whether task `t` of the job placed at `base` has a transfer
+        // over `link`.
+        let crosses = |base: usize, t: usize, link: LinkId| {
+            let schedule = cfg.schedule(&a, base);
+            assert_eq!(schedule.tasks.len(), 11);
+            let Some(TaskBody::Comm { plan, .. }) = schedule.tasks.get(t).map(|t| &t.body) else {
+                return false;
+            };
+            let mut transfers = plan.phases.iter().flat_map(|p| &p.transfers);
+            transfers.any(|tr| tr.route.contains(&link))
+        };
+        // An uplink fails at the start: the job whose gradient crosses
+        // it fails when it stages that flow.
+        for (npu, job, base) in [(1, "a", 0), (5, "b", 4)] {
+            let uplink = backend.npu_route(npu, npu ^ 1)[0];
+            let (named, t) = fail(&b, 0.0, uplink);
+            assert_eq!(named, job, "NPU {npu}'s uplink");
+            assert!(crosses(base, t, uplink), "{job}'s task {t}");
+        }
+        // `b` arrives after `a`'s input load has landed, and NPU 5's
+        // downlink fails while `b`'s input load into it is in flight:
+        // the eviction's re-injection names `b`, whose flow it is.
+        let later = cfg.solo_secs(&a) * 0.5;
+        let downlink = *backend.npu_route(4, 5).last().unwrap();
+        let b_later = b.clone().with_arrival(Time::from_secs(later));
+        let (named, t) = fail(&b_later, later + 1e-7, downlink);
+        assert_eq!(named, "b");
+        assert!(crosses(4, t, downlink), "b's task {t}");
     }
 
     #[test]

@@ -144,8 +144,7 @@ impl CommPlan {
     /// Executes the plan alone on a fresh view of `net`, phase by
     /// phase, and returns the end-to-end duration. Used by the
     /// microbenchmarks; the trainer interleaves plans itself and
-    /// repairs routes around failed links
-    /// (`fred_workloads::exec::repair_and_inject`).
+    /// repairs routes around failed links (`fred_workloads::exec`).
     ///
     /// # Errors
     ///

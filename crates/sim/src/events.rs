@@ -1,9 +1,9 @@
 //! A small generic discrete-event queue.
 //!
-//! Higher layers (the trainer in `fred-workloads`, the switch microsim in
-//! `fred-core`) need an ordered queue of timestamped events of their own
-//! event type. [`EventQueue`] provides deterministic FIFO ordering among
-//! events scheduled for the same instant.
+//! Its one user is the schedule executor in `fred-workloads`, which
+//! queues its pending compute finishes here. [`EventQueue`] provides
+//! deterministic FIFO ordering among events scheduled for the same
+//! instant.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -13,8 +13,8 @@
 //!   priority classes (the paper's MP > PP > DP preemption, §5.4),
 //! * [`netsim::FlowNetwork`] — the event-driven simulator that advances
 //!   flows to completion under the allocator,
-//! * [`events`] — a small generic discrete-event queue used by higher
-//!   layers (the trainer in `fred-workloads`).
+//! * [`events`] — a small generic discrete-event queue, the schedule
+//!   executor's compute queue in `fred-workloads`.
 //!
 //! The model is *flow-level*: bandwidth on each link is shared max-min
 //! fairly among the flows crossing it, recomputed whenever the set of

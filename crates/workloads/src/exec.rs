@@ -1,36 +1,19 @@
-//! Resumable schedule execution against a shared network.
+//! Resumable schedule execution, and the one event-instant loop that
+//! drives it.
 //!
-//! [`ScheduleExecutor`] is the trainer's event loop factored into a
-//! state machine that does not own the clock: it reacts to flow
-//! completions and due compute finishes pushed in by a driver, and
-//! stages/injects its own flows into a [`FlowNetwork`] it is handed by
-//! reference. Two drivers exist:
+//! [`ScheduleExecutor`] is one job's task graph as a state machine that
+//! does not own the clock: it reacts to flow completions and due
+//! compute finishes pushed in from outside, and stages/injects its own
+//! flows into a [`FlowNetwork`] it is handed by reference.
 //!
-//! * the trainer ([`crate::trainer::run_iteration`] and
-//!   [`crate::trainer::simulate_faulted`]) — one executor, one private
-//!   network: the classic single-job iteration, a thin loop around the
-//!   executor;
-//! * `fred-cluster`'s scheduler — many executors interleaved through
-//!   one shared network under a single global clock, each namespaced by
-//!   a disjoint correlation-tag range and a tenant rank.
-//!
-//! Both drivers share one contract per event instant: advance the
-//! clock, fire due faults ([`fred_sim::fault::FaultPlan::fire_due`]),
-//! route completions, flush staged flows, release due computes, settle.
-//! Every batch of flows — staged phases and fault evictees alike —
-//! reaches the network through [`repair_and_inject`].
-//!
-//! Namespacing: flows are tagged `tag_base + task_index + 1` (tag 0
-//! stays the "foreign flow" sentinel) and carry the executor's tenant
-//! rank, so the allocator isolates tenants and completions route back
-//! to the owning executor by tag range alone.
-//!
-//! The task graph, reverse edges included, is the shared [`Schedule`]'s;
-//! an executor holds only progress. A capture ([`ExecState`]) is taken
-//! between event instants, and [`ScheduleExecutor::new`] is the restore
-//! of empty progress: both derive each task's unfinished dependencies,
-//! the finished count and the ready tasks from what has started and
-//! finished.
+//! [`Stepper`] is the loop that pushes them; [`Stepper::step`] is the
+//! one copy of what happens at an event instant. It owns the network
+//! and the running executors. The trainer
+//! ([`crate::trainer::run_iteration`]) runs one executor through it;
+//! `fred-cluster`'s scheduler runs many through one shared network, each
+//! on its own tags ([`ExecConfig`]), and adds admission, dispatch,
+//! preemption and retirement around each step. An executor holds only
+//! progress ([`ExecState`]); the task graph is the shared [`Schedule`]'s.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -38,10 +21,11 @@ use std::rc::Rc;
 use fred_core::codec::{SnapshotError, Value};
 use fred_core::snapshot::{field, Snap};
 use fred_sim::events::EventQueue;
+use fred_sim::fault::FaultPlan;
 use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::{track_of, FlowNetwork};
 use fred_sim::time::Time;
-use fred_sim::topology::LinkId;
+use fred_sim::topology::{LinkId, RouteError};
 use fred_telemetry::event::{next_span_id, TraceEvent, Track};
 use fred_telemetry::sink::TraceSink;
 
@@ -66,13 +50,6 @@ struct CommState {
     outstanding: usize,
 }
 
-/// Maps a flow-completion tag back to the comm-task index. The trainer
-/// tags flows with `task index + 1`; tag 0 is reserved for untagged
-/// (foreign) flows and maps to no task.
-pub fn comm_task_of_tag(tag: u64) -> Option<usize> {
-    tag.checked_sub(1).map(|v| v as usize)
-}
-
 /// Injects `flows` into `net` as one batch (one solver delta), first
 /// re-routing any that cross a failed link onto a surviving path
 /// (fabric-aware when both endpoints are NPUs, generic BFS otherwise;
@@ -83,14 +60,15 @@ pub fn comm_task_of_tag(tag: u64) -> Option<usize> {
 ///
 /// # Errors
 ///
-/// [`TrainError::Unroutable`] if failures cut some flow's endpoints
-/// apart, [`TrainError::Route`] if the network rejects the batch. No
-/// flow is injected then.
-pub fn repair_and_inject(
+/// `unroutable` of the tag of a flow failures cut off, or `rejected` of
+/// the network's error for the batch. No flow is injected then.
+fn repair_and_inject<E>(
     net: &mut FlowNetwork,
     backend: &FabricBackend,
     flows: &mut Vec<FlowSpec>,
-) -> Result<(), TrainError> {
+    unroutable: impl Fn(u64) -> E,
+    rejected: impl FnOnce(RouteError) -> E,
+) -> Result<(), E> {
     if flows.is_empty() {
         return Ok(());
     }
@@ -107,24 +85,27 @@ pub fn repair_and_inject(
                 (Some(a), Some(b)) => backend.npu_route_avoiding(a, b, blocked),
                 _ => topo.shortest_path_avoiding(src, dst, blocked),
             }
-            .ok_or(TrainError::Unroutable {
-                task: comm_task_of_tag(f.tag).map(TaskId),
-            })?
+            .ok_or_else(|| unroutable(f.tag))?
             .into();
         }
     }
-    net.inject_batch(flows)?;
-    Ok(())
+    net.inject_batch(flows).map_err(rejected)
+}
+
+/// The task `tag` names in the namespace past `tag_base`, if any: tags
+/// at or below `tag_base` name none, so tag 0 stays the "foreign flow"
+/// sentinel.
+fn task_of(tag_base: u64, tag: u64) -> Option<TaskId> {
+    let i = tag.checked_sub(tag_base + 1)?;
+    Some(TaskId(i as usize))
 }
 
 /// Identity of one executor within a shared network: its tag namespace,
 /// tenant rank and (optional) telemetry label prefix.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecConfig {
-    /// Flows are tagged `tag_base + task_index + 1`; drivers sharing a
-    /// network give each executor a disjoint range of
-    /// `schedule.tasks.len()` tags starting at `tag_base + 1`. Zero for
-    /// single-job runs (the classic trainer tags).
+    /// Flows are tagged `tag_base + task_index + 1`; a [`Stepper`]
+    /// gives each start tags past every one it has handed out.
     pub tag_base: u64,
     /// Tenant rank stamped on every flow (0 = highest precedence; see
     /// [`FlowSpec::tenant`]). Zero for single-job runs.
@@ -166,9 +147,8 @@ pub struct ExecState {
     pub compute_queue: Vec<(Time, usize)>,
 }
 
-/// The trainer's dependency-driven event loop as a resumable state
-/// machine over an external clock. See the [module docs](self) for the
-/// driver contract.
+/// One job's dependency-driven task graph as a resumable state machine
+/// over an external clock, driven by a [`Stepper`].
 #[derive(Debug)]
 pub struct ScheduleExecutor {
     schedule: Rc<Schedule>,
@@ -367,9 +347,8 @@ impl ScheduleExecutor {
         tag > self.cfg.tag_base && tag <= self.cfg.tag_base + self.schedule.tasks.len() as u64
     }
 
-    /// One past the last tag this executor uses (`tag_base +
-    /// task_count`); the next executor sharing the network starts its
-    /// namespace here.
+    /// The last tag of this executor's namespace, `tag_base +
+    /// task_count`.
     pub fn tag_end(&self) -> u64 {
         self.cfg.tag_base + self.schedule.tasks.len() as u64
     }
@@ -434,10 +413,7 @@ impl ScheduleExecutor {
     /// namespace arithmetic but maps to no in-flight comm task with an
     /// outstanding transfer.
     pub fn handle_completion(&mut self, tag: u64) -> Result<(), TrainError> {
-        let Some(i) = tag
-            .checked_sub(self.cfg.tag_base)
-            .and_then(comm_task_of_tag)
-        else {
+        let Some(TaskId(i)) = task_of(self.cfg.tag_base, tag) else {
             return Ok(());
         };
         let Some(state) = self.comm.get_mut(&i).filter(|s| s.outstanding > 0) else {
@@ -466,7 +442,9 @@ impl ScheduleExecutor {
     ///
     /// # Errors
     ///
-    /// As [`repair_and_inject`].
+    /// [`TrainError::Unroutable`] naming the task whose flow failures
+    /// cut off, or [`TrainError::Route`] if the network rejects the
+    /// batch. No flow is injected then.
     pub fn flush_staged(
         &mut self,
         net: &mut FlowNetwork,
@@ -474,7 +452,16 @@ impl ScheduleExecutor {
     ) -> Result<(), TrainError> {
         if !self.staged.is_empty() {
             let _prof = fred_telemetry::prof::scope("exec.flush_staged");
-            repair_and_inject(net, backend, &mut self.staged)?;
+            let unroutable = |tag| TrainError::Unroutable {
+                task: task_of(self.cfg.tag_base, tag),
+            };
+            repair_and_inject(
+                net,
+                backend,
+                &mut self.staged,
+                unroutable,
+                TrainError::Route,
+            )?;
         }
         Ok(())
     }
@@ -482,9 +469,7 @@ impl ScheduleExecutor {
     /// Runs the zero-time cascade at the current instant: starts every
     /// ready task, injects staged flows, settles finished tasks and the
     /// tasks those releases make ready, until the state is quiescent and
-    /// only the clock can make progress. This is the classic trainer's
-    /// inner loop verbatim — same network-operation order, so solo runs
-    /// through a driver are bit-identical.
+    /// only the clock can make progress.
     ///
     /// # Errors
     ///
@@ -660,6 +645,208 @@ impl ScheduleExecutor {
     }
 }
 
+/// A [`Stepper::step`] failure with the owner of the executor it
+/// belongs to: `None` for a tag never handed out or a rejected batch.
+pub type StepError = (Option<usize>, TrainError);
+
+/// The event loop every schedule runs in: a [`FlowNetwork`] and the
+/// executors running over it in start order, each for an owner (a job;
+/// the trainer's one executor is owner 0). Each start takes tags past
+/// every one handed out. Callers keep the fault plans and pass a lookup
+/// from owner to plan.
+#[derive(Debug)]
+pub struct Stepper {
+    net: FlowNetwork,
+    running: Vec<(usize, ScheduleExecutor)>,
+    next_tag_base: u64,
+    clocks: Vec<(Option<Time>, usize)>,
+}
+
+impl Stepper {
+    /// A stepper over `net` for `owners` owners with nothing started.
+    pub fn new(net: FlowNetwork, owners: usize) -> Stepper {
+        Stepper::restore(net, Vec::new(), 0, vec![(None, 0); owners])
+            .expect("a run with nothing started pairs")
+    }
+
+    /// Rebuilds a stepper from the parts its accessors return.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming the field if a running owner
+    /// never started, a compute finish is past due, or an executor's
+    /// tags overlap another's or pass `next_tag_base`.
+    pub fn restore(
+        net: FlowNetwork,
+        running: Vec<(usize, ScheduleExecutor)>,
+        next_tag_base: u64,
+        clocks: Vec<(Option<Time>, usize)>,
+    ) -> Result<Stepper, SnapshotError> {
+        let bad = |what| Err(SnapshotError::Mismatch(what));
+        let now = net.now();
+        for (k, (owner, ex)) in running.iter().enumerate() {
+            if clocks.get(*owner).is_none_or(|c| c.0.is_none()) {
+                return bad(format!(".first_start[{owner}]: running but never started"));
+            }
+            if let Some(at) = ex.next_compute_time().filter(|&at| at < now) {
+                return bad(format!(
+                    ".net.now: clock {now} passed a compute finish of .running[{k}] at {at}"
+                ));
+            }
+            let (lo, n) = (ex.tag_base(), ex.schedule().tasks.len());
+            let tags = format!(".running[{k}].tag_base: {n} tags past {lo}");
+            let Some(hi) = lo.checked_add(n as u64).filter(|&hi| hi <= next_tag_base) else {
+                return bad(format!("{tags} pass .next_tag_base {next_tag_base}"));
+            };
+            let overlap = running[..k]
+                .iter()
+                .position(|(_, e)| lo < e.tag_end() && e.tag_base() < hi);
+            if let Some(j) = overlap {
+                return bad(format!("{tags} overlap those of .running[{j}]"));
+            }
+        }
+        Ok(Stepper {
+            net,
+            running,
+            next_tag_base,
+            clocks,
+        })
+    }
+
+    /// The network.
+    pub fn net(&self) -> &FlowNetwork {
+        &self.net
+    }
+
+    /// The running executors with their owners, in start order.
+    pub fn running(&self) -> impl ExactSizeIterator<Item = (usize, &ScheduleExecutor)> {
+        self.running.iter().map(|(owner, ex)| (*owner, ex))
+    }
+
+    /// The next start's tag base: every tag up to it is handed out.
+    pub fn next_tag_base(&self) -> u64 {
+        self.next_tag_base
+    }
+
+    /// Per owner, when it first started, the origin of its fault plan,
+    /// and its cursor into that plan; both outlive a preemption.
+    pub fn clocks(&self) -> &[(Option<Time>, usize)] {
+        &self.clocks
+    }
+
+    /// Starts `schedule` for `owner` now on fresh tags, with `tenant`
+    /// and `label` (see [`ExecConfig`]), and settles it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScheduleExecutor::settle`].
+    pub fn start(
+        &mut self,
+        owner: usize,
+        schedule: Rc<Schedule>,
+        tenant: u8,
+        label: Option<String>,
+        backend: &FabricBackend,
+    ) -> Result<(), TrainError> {
+        let cfg = ExecConfig {
+            tag_base: self.next_tag_base,
+            tenant,
+            label,
+        };
+        let mut ex = ScheduleExecutor::new(schedule, cfg, Rc::clone(self.net.sink()));
+        self.next_tag_base = ex.tag_end();
+        self.clocks[owner].0.get_or_insert(self.net.now());
+        ex.settle(&mut self.net, backend)?;
+        self.running.push((owner, ex));
+        Ok(())
+    }
+
+    /// Stops `owner`'s executor and evicts its flows, moved bytes lost.
+    /// Completions still due for its tags are dropped.
+    pub fn preempt(&mut self, owner: usize) {
+        let k = self.running.iter().position(|r| r.0 == owner);
+        let (_, ex) = self.running.remove(k.expect("the preempted owner runs"));
+        let _ = self.net.evict_flows_matching(|tag| ex.owns_tag(tag));
+    }
+
+    /// Removes the first finished executor, with its owner.
+    pub fn take_finished(&mut self) -> Option<(usize, ScheduleExecutor)> {
+        let k = self.running.iter().position(|(_, ex)| ex.is_done())?;
+        Some(self.running.remove(k))
+    }
+
+    /// The next compute finish, network event or fault; a fault that
+    /// fell due while its owner was preempted is due now. (`&mut`: the
+    /// network prunes stale drain predictions as it peeks.)
+    #[inline]
+    pub fn next_event<'p>(&mut self, faults: impl Fn(usize) -> &'p FaultPlan) -> Option<Time> {
+        let now = self.net.now();
+        let tc = self.running.iter().filter_map(|r| r.1.next_compute_time());
+        let tc = tc.min();
+        let tn = self.net.next_event();
+        let tf = self.running.iter().filter_map(|&(owner, _)| {
+            let (origin, cursor) = self.clocks[owner];
+            faults(owner).next_due(cursor, origin.expect("a running owner started"), now)
+        });
+        [tc, tn, tf.min()].into_iter().flatten().min()
+    }
+
+    /// Processes the event instant `next`:
+    ///
+    /// 1. the clock advances to `next`;
+    /// 2. the running owners' due faults fire, in start order, and the
+    ///    flows they evict go back in as one batch;
+    /// 3. each completion goes by its tag: a running executor's tag to
+    ///    it, a handed-out tag of a preempted one nowhere, and a tag
+    ///    never handed out is [`TrainError::UnknownCommTag`];
+    /// 4. each executor, in start order, injects its staged flows,
+    ///    releases the computes due at `next` and settles.
+    ///
+    /// # Errors
+    ///
+    /// The first failure.
+    #[inline] // train-stationary's instants take ~200 ns; a call each costs ~1%
+    pub fn step<'p>(
+        &mut self,
+        next: Time,
+        backend: &FabricBackend,
+        faults: impl Fn(usize) -> &'p FaultPlan,
+    ) -> Result<(), StepError> {
+        self.net.advance_to(next);
+        let mut evicted = Vec::new();
+        for &(owner, _) in &self.running {
+            let (origin, cursor) = &mut self.clocks[owner];
+            let origin = origin.expect("a running owner started");
+            evicted.extend(faults(owner).fire_due(cursor, origin, next, &mut self.net));
+        }
+        let running = &self.running;
+        let unroutable = |tag| {
+            let r = running.iter().find(|(_, ex)| ex.owns_tag(tag));
+            let task = r.and_then(|(_, ex)| task_of(ex.tag_base(), tag));
+            (r.map(|r| r.0), TrainError::Unroutable { task })
+        };
+        let rejected = |e: RouteError| (None, e.into());
+        repair_and_inject(&mut self.net, backend, &mut evicted, unroutable, rejected)?;
+        for c in self.net.drain_completed() {
+            let (owner, routed) = match self.running.iter_mut().find(|r| r.1.owns_tag(c.tag)) {
+                Some((owner, ex)) => (Some(*owner), ex.handle_completion(c.tag)),
+                None if (1..=self.next_tag_base).contains(&c.tag) => continue,
+                None => (None, Err(TrainError::UnknownCommTag { tag: c.tag })),
+            };
+            routed.map_err(|err| (owner, err))?;
+        }
+        for (owner, ex) in &mut self.running {
+            let owner = Some(*owner);
+            ex.flush_staged(&mut self.net, backend)
+                .map_err(|err| (owner, err))?;
+            ex.release_computes_due(next);
+            ex.settle(&mut self.net, backend)
+                .map_err(|err| (owner, err))?;
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------
 // Snapshot serialization.
 // ---------------------------------------------------------------------
@@ -709,6 +896,19 @@ mod tests {
         let bytes = fred_core::codec::to_binary(&v);
         let back = fred_core::codec::from_binary(&bytes).unwrap();
         assert_eq!(ExecState::decode(&back).unwrap(), state);
+    }
+
+    #[test]
+    fn tags_at_or_below_the_base_name_no_task() {
+        // Tag 0 is the "foreign flow" sentinel: it must never be
+        // translated into a task index (`(tag - 1) as usize` would
+        // underflow to usize::MAX here).
+        assert_eq!(task_of(0, 0), None);
+        assert_eq!(task_of(0, 1), Some(TaskId(0)));
+        assert_eq!(task_of(0, 42), Some(TaskId(41)));
+        // Past a base, the namespace starts one above it.
+        assert_eq!(task_of(11, 11), None);
+        assert_eq!(task_of(11, 21), Some(TaskId(9)));
     }
 
     #[test]
@@ -835,6 +1035,46 @@ mod tests {
     }
 
     #[test]
+    fn a_step_routes_running_tags_drops_retired_ones_and_rejects_unknown_ones() {
+        let (backend, schedule) = pipelined_resnet();
+        let n = schedule.tasks.len() as u64;
+        let none = FaultPlan::none();
+        let faults = |_| &none;
+        // Owner 0 runs on tags 1..=n; owner 1 took n+1..=2n and was
+        // preempted, so its tags were handed out and are retired.
+        let mut run = Stepper::new(FlowNetwork::new(backend.topology()), 2);
+        run.start(0, schedule.clone(), 0, None, &backend).unwrap();
+        run.start(1, schedule, 0, None, &backend).unwrap();
+        run.preempt(1);
+        assert_eq!(run.next_tag_base(), 2 * n);
+        // A stray flow on a retired tag, then one past every tag handed out.
+        let stray = |tag| FlowSpec::new(backend.npu_route(0, 1), 1e3).with_tag(tag);
+        run.net.inject(stray(n + 1)).unwrap();
+        let mut done = None;
+        while done.is_none() {
+            let next = run.next_event(faults).expect("owner 0 is unfinished");
+            run.step(next, &backend, faults).unwrap();
+            done = run.take_finished();
+        }
+        // Owner 0 got every completion of its own tags, and the stray
+        // one's was dropped: nothing is left to deliver.
+        let (owner, ex) = done.unwrap();
+        assert_eq!(owner, 0);
+        assert!(ex.is_done());
+        assert_eq!(run.running().len(), 0);
+        assert_eq!(run.next_event(faults), None);
+        run.net.inject(stray(2 * n + 1)).unwrap();
+        let failed = loop {
+            let next = run.next_event(faults).expect("the stray flow completes");
+            if let Err(e) = run.step(next, &backend, faults) {
+                break e;
+            }
+        };
+        let err = TrainError::UnknownCommTag { tag: 2 * n + 1 };
+        assert_eq!(failed, (None, err));
+    }
+
+    #[test]
     #[should_panic(expected = "executor captured mid-instant")]
     fn capturing_between_a_completion_and_its_settle_panics() {
         use fred_telemetry::sink::NullSink;
@@ -877,7 +1117,16 @@ mod tests {
         let dead = f.npu_route(8, 0)[1];
         let mut net = FlowNetwork::new(backend.topology());
         assert!(net.fail_link(dead).is_empty());
-        repair_and_inject(&mut net, &backend, &mut flows.clone()).unwrap();
+        let unroutable = |_| TrainError::Unroutable { task: None };
+        let mut batch = flows.clone();
+        repair_and_inject(
+            &mut net,
+            &backend,
+            &mut batch,
+            unroutable,
+            TrainError::Route,
+        )
+        .unwrap();
         // A fresh network fills its slab in injection order.
         let state = net.snapshot();
         assert_eq!(state.flows.len(), flows.len());

@@ -11,13 +11,14 @@
 //!   telemetry recorded into a [`TraceSink`]; the other two run with
 //!   [`FaultPlan::none`] and a [`NullSink`].
 //!
-//! Compute tasks occupy their virtual worker for a roofline duration;
-//! comm tasks progress phase by phase through the shared network,
-//! contending with every other in-flight collective under max-min
-//! fairness and MP > PP > DP priority. Completion times feed the
-//! exposed-communication accounting of [`TrainingReport`] (§7.4:
-//! exposed time = time the workload waits on communication not
-//! overlapped with compute).
+//! The loop is a [`Stepper`] running one executor, started at time
+//! zero over a private network. Compute tasks occupy their virtual
+//! worker for a roofline duration; comm tasks progress phase by phase
+//! through the shared network, contending with every other in-flight
+//! collective under max-min fairness and MP > PP > DP priority.
+//! Completion times feed the exposed-communication accounting of
+//! [`TrainingReport`] (§7.4: exposed time = time the workload waits on
+//! communication not overlapped with compute).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -31,12 +32,12 @@ use fred_telemetry::sink::{NullSink, TraceSink};
 
 use crate::backend::FabricBackend;
 use crate::error::TrainError;
-use crate::exec::{repair_and_inject, ExecConfig, ScheduleExecutor};
+use crate::exec::Stepper;
 use crate::model::DnnModel;
 use crate::report::{CommType, TrainingReport};
 use crate::schedule::{build_schedule, Schedule, ScheduleParams, TaskBody};
 
-pub use crate::exec::{comm_task_of_tag, IterationTiming};
+pub use crate::exec::IterationTiming;
 
 /// Executes `schedule` on a fresh simulator over `backend`'s topology.
 /// The executor holds a clone, which shares the schedule's task graph.
@@ -58,22 +59,15 @@ pub fn run_iteration(
 }
 
 /// The trainer's event loop: one executor driven to completion over a
-/// private network, under `faults`, recording into `sink`.
-///
-/// When a scheduled fault fires, the affected link loses capacity,
-/// in-flight flows crossing it are evicted and re-injected over
-/// surviving routes (with their already-moved bytes credited), and
-/// every later transfer is re-planned around the failure at injection
-/// time. With [`FaultPlan::none`] the fault machinery is never touched,
-/// and a [`NullSink`] records nothing: timing results are bit-identical
-/// whatever the sink.
+/// private network, under `faults` (see [`Stepper::step`]), recording
+/// into `sink`. Timing results are bit-identical whatever the sink.
 fn run_iteration_faulted(
     schedule: Rc<Schedule>,
     backend: &FabricBackend,
     faults: &FaultPlan,
     sink: Rc<dyn TraceSink>,
 ) -> Result<IterationTiming, TrainError> {
-    let mut net = FlowNetwork::with_sink(backend.topology(), sink.clone());
+    let net = FlowNetwork::with_sink(backend.topology(), sink.clone());
     let tracing = sink.enabled();
     if tracing {
         sink.record(TraceEvent::IterStage {
@@ -81,43 +75,22 @@ fn run_iteration_faulted(
             label: "iteration-start".into(),
         });
     }
-    // One executor with the default (zero) namespace: the classic
-    // single-job tags and tenant rank, driven to completion over a
-    // private network. The cluster scheduler drives many of these
-    // through one shared network instead.
-    let mut ex = ScheduleExecutor::new(schedule, ExecConfig::default(), sink.clone());
-    // Cursor into the (time-sorted) fault plan; fault times count from
-    // the iteration's start at zero.
-    let mut fault_cursor = 0usize;
-
-    ex.settle(&mut net, backend)?;
-    while !ex.is_done() {
-        // Advance to the next event: compute finish, network event, or
-        // fault horizon — whichever comes first.
-        let tc = ex.next_compute_time();
-        let tn = net.next_event();
-        let tf = faults.next_due(fault_cursor, Time::ZERO, net.now());
-        let Some(next) = [tc, tn, tf].into_iter().flatten().min() else {
+    // One owner, started at time zero with the classic tags (0, n] and
+    // tenant rank 0: its fault times count from zero, and its network
+    // carries no tag but its own.
+    let mut run = Stepper::new(net, 1);
+    run.start(0, schedule, 0, None, backend)?;
+    let plan = |_| faults;
+    let ex = loop {
+        if let Some((_, ex)) = run.take_finished() {
+            break ex;
+        }
+        let Some(next) = run.next_event(plan) else {
+            let (_, ex) = run.running().next().expect("an unfinished executor runs");
             return Err(ex.stalled());
         };
-        net.advance_to(next);
-
-        // Fire every fault due by now: the link loses capacity, its
-        // in-flight flows are evicted and immediately re-injected over
-        // surviving routes with their remaining bytes (the moved bytes
-        // were already credited by the eviction).
-        let mut evicted = faults.fire_due(&mut fault_cursor, Time::ZERO, next, &mut net);
-        repair_and_inject(&mut net, backend, &mut evicted)?;
-
-        // Network completions progress comm tasks; freshly staged
-        // phases are injected before computes settle.
-        for c in net.drain_completed() {
-            ex.handle_completion(c.tag)?;
-        }
-        ex.flush_staged(&mut net, backend)?;
-        ex.release_computes_due(next);
-        ex.settle(&mut net, backend)?;
-    }
+        run.step(next, backend, plan).map_err(|(_, err)| err)?;
+    };
 
     let timing = ex.timing();
     if tracing {
@@ -376,16 +349,6 @@ mod tests {
         assert_eq!(pending[0].id, TaskId(1));
         assert_eq!(pending[0].blocked_on, vec![TaskId(2)]);
         assert_eq!(pending[1].blocked_on, vec![TaskId(1)]);
-    }
-
-    #[test]
-    fn tag_zero_maps_to_no_comm_task() {
-        // Tag 0 is the "foreign flow" sentinel: it must never be
-        // translated into a task index (the old `(tag - 1) as usize`
-        // underflowed to usize::MAX here).
-        assert_eq!(comm_task_of_tag(0), None);
-        assert_eq!(comm_task_of_tag(1), Some(0));
-        assert_eq!(comm_task_of_tag(42), Some(41));
     }
 
     #[test]
