@@ -402,7 +402,7 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
 
     // One-field edits, each with the field its error must name.
     type Edit = fn(&mut ClusterState);
-    let edits: [(&str, Edit); 16] = [
+    let edits: [(&str, Edit); 17] = [
         (".first_start", |s| {
             s.first_start.pop();
         }),
@@ -417,6 +417,8 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
         (".running[1].tag_base", |s| s.running[1].tag_base = 0),
         (".running[1].tag_base", |s| s.running[1].tag_base = 1046),
         (".next_tag_base", |s| s.next_tag_base = 23),
+        // A base the next start's tag count would carry past u64::MAX.
+        (".next_tag_base", |s| s.next_tag_base = u64::MAX - 5),
         (".start", |s| {
             s.running[0].exec.start.pop();
         }),

@@ -13,8 +13,9 @@
 //!   priority classes (the paper's MP > PP > DP preemption, §5.4),
 //! * [`netsim::FlowNetwork`] — the event-driven simulator that advances
 //!   flows to completion under the allocator,
-//! * [`events`] — a small generic discrete-event queue, the schedule
-//!   executor's compute queue in `fred-workloads`.
+//! * [`events::InstantQueue`] — the one time-ordered queue, one bucket
+//!   per instant: the network's drains and notices and the schedule
+//!   executor's compute finishes in `fred-workloads`.
 //!
 //! The model is *flow-level*: bandwidth on each link is shared max-min
 //! fairly among the flows crossing it, recomputed whenever the set of
@@ -27,7 +28,9 @@
 //! ## Example
 //!
 //! ```
-//! use fred_sim::prelude::*;
+//! use fred_sim::flow::FlowSpec;
+//! use fred_sim::netsim::FlowNetwork;
+//! use fred_sim::topology::{NodeKind, Topology};
 //!
 //! // Two nodes, one 100 B/s link, two equal flows => 50 B/s each.
 //! let mut topo = Topology::new();
@@ -52,13 +55,3 @@ pub mod rng;
 pub mod solver;
 pub mod time;
 pub mod topology;
-
-/// Convenience re-exports of the most commonly used simulator types.
-pub mod prelude {
-    pub use crate::events::{EventQueue, Scheduled};
-    pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-    pub use crate::flow::{FlowId, FlowSpec, Priority};
-    pub use crate::netsim::{CompletedFlow, FlowNetwork};
-    pub use crate::time::{Duration, Time};
-    pub use crate::topology::{LinkId, NodeId, NodeKind, Route, RouteError, Topology};
-}

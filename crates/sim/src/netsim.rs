@@ -40,7 +40,6 @@
 //! left and their watermark, the drain-entry generation, injection
 //! time and tail latency.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fred_telemetry::event::{TraceEvent, Track};
 use fred_telemetry::sink::{NullSink, TraceSink};
 
+use crate::events::InstantQueue;
 use crate::flow::{fill_class, FlowId, FlowSpec, Priority, MAX_TENANT};
 use crate::solver::{FairShareSolver, FlowKey, SolverStats};
 use crate::time::{Duration, Time};
@@ -207,116 +207,6 @@ impl Drain {
         flows[self.slot as usize]
             .as_ref()
             .is_some_and(|f| f.generation == self.generation)
-    }
-}
-
-/// Items queued by the instant they fall due, one bucket per distinct
-/// instant, each bucket in push order. Pushes group runs of equal
-/// instants, so a batch of flows due together touches the map once;
-/// a bucket emptied by a take or a discard keeps its allocation for a
-/// later instant.
-#[derive(Debug)]
-struct InstantQueue<T> {
-    buckets: BTreeMap<Time, Vec<T>>,
-    /// Emptied buckets, cleared, for the next new instant.
-    spare: Vec<Vec<T>>,
-    /// Items in all buckets.
-    len: usize,
-}
-
-impl<T> InstantQueue<T> {
-    fn new() -> InstantQueue<T> {
-        InstantQueue {
-            buckets: BTreeMap::new(),
-            spare: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn push(&mut self, at: Time, item: T) {
-        self.extend([(at, item)]);
-    }
-
-    /// Queues each item at its instant, looking a bucket up once per
-    /// run of equal instants.
-    fn extend(&mut self, items: impl IntoIterator<Item = (Time, T)>) {
-        let mut run: Option<(Time, &mut Vec<T>)> = None;
-        for (at, item) in items {
-            self.len += 1;
-            match &mut run {
-                Some((t, bucket)) if (*t).cmp(&at).is_eq() => bucket.push(item),
-                _ => {
-                    let spare = &mut self.spare;
-                    let bucket = self
-                        .buckets
-                        .entry(at)
-                        .or_insert_with(|| spare.pop().unwrap_or_default());
-                    bucket.push(item);
-                    run = Some((at, bucket));
-                }
-            }
-        }
-    }
-
-    /// The earliest instant holding an item `live` accepts. Rejected
-    /// items are discarded from the end of the earliest bucket until
-    /// its last item is accepted or the bucket is empty.
-    fn first_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<Time> {
-        while let Some(mut first) = self.buckets.first_entry() {
-            let at = *first.key();
-            let bucket = first.get_mut();
-            while let Some(last) = bucket.last() {
-                if live(last) {
-                    return Some(at);
-                }
-                bucket.pop();
-                self.len -= 1;
-            }
-            self.spare.push(first.remove());
-        }
-        None
-    }
-
-    /// Removes the earliest bucket if it is due at or before `now`.
-    /// Hand it back through [`InstantQueue::recycle`].
-    fn take_due(&mut self, now: Time) -> Option<Vec<T>> {
-        let first = self.buckets.first_entry()?;
-        if *first.key() > now {
-            return None;
-        }
-        let bucket = first.remove();
-        self.len -= bucket.len();
-        Some(bucket)
-    }
-
-    /// Keeps a taken bucket's allocation for a later instant.
-    fn recycle(&mut self, mut bucket: Vec<T>) {
-        bucket.clear();
-        self.spare.push(bucket);
-    }
-
-    /// Drops every item `keep` rejects, and every bucket left empty.
-    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let (spare, len) = (&mut self.spare, &mut self.len);
-        *len = 0;
-        self.buckets.retain(|_, bucket| {
-            bucket.retain(&mut keep);
-            *len += bucket.len();
-            if bucket.is_empty() {
-                spare.push(std::mem::take(bucket));
-                return false;
-            }
-            true
-        });
-    }
-
-    /// Every item, bucket by bucket in instant order.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buckets.values().flatten()
     }
 }
 
@@ -872,7 +762,7 @@ impl FlowNetwork {
         self.flush_rates();
         let drain = self.peek_drain();
         // Notices are never stale.
-        let notice = self.pending.first_live(|_| true);
+        let notice = self.pending.first_instant();
         match (drain, notice) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -1002,7 +892,7 @@ impl FlowNetwork {
     /// The drain queue is left out (restore rebuilds it), so the
     /// capture does not depend on when the queue last compacted.
     pub fn snapshot(&self) -> CoreState {
-        let mut pending: Vec<CompletedFlow> = self.pending.iter().cloned().collect();
+        let mut pending: Vec<CompletedFlow> = self.pending.iter().map(|(_, c)| c.clone()).collect();
         pending.sort_by_key(completion_key);
         CoreState {
             now: self.now,
@@ -1117,7 +1007,7 @@ impl FlowNetwork {
         } else {
             Vec::new()
         };
-        let mut drains = InstantQueue::new();
+        let mut drains = InstantQueue::default();
         let slabs = state.flows.iter().zip(&state.solver.flows);
         for (k, (f, sf)) in slabs.enumerate() {
             let (f, sf) = match (f, sf) {
@@ -1175,7 +1065,7 @@ impl FlowNetwork {
                 drains.push(at, drain);
             }
         }
-        let mut pending = InstantQueue::new();
+        let mut pending = InstantQueue::default();
         pending.extend(state.pending.into_iter().map(|c| (c.completed_at, c)));
         let net = FlowNetwork {
             topo,

@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use fred_core::codec::{SnapshotError, Value};
 use fred_core::snapshot::{field, Snap};
-use fred_sim::events::EventQueue;
+use fred_sim::events::InstantQueue;
 use fred_sim::fault::FaultPlan;
 use fred_sim::flow::FlowSpec;
 use fred_sim::netsim::{track_of, FlowNetwork};
@@ -122,10 +122,9 @@ pub struct ExecConfig {
 /// The schedule, the [`ExecConfig`] and the trace sink are
 /// configuration: a restore is handed the same ones again. What follows
 /// from the schedule and this progress is not captured: restore counts
-/// each task's unfinished dependencies and the finished tasks, takes as
-/// ready every task that has not started (it is neither done, in flight
-/// nor queued) and whose dependencies have all finished, and numbers
-/// the compute queue by position.
+/// each task's unfinished dependencies and the finished tasks, and takes
+/// as ready every task that has not started (it is neither done, in
+/// flight nor queued) and whose dependencies have all finished.
 /// Captures are taken only between event instants, so no flow is
 /// staged and no finished task awaits a settle. Telemetry span ids are
 /// deliberately excluded: traces restart at the restore point, so tasks
@@ -142,8 +141,8 @@ pub struct ExecState {
     /// In-flight comm tasks as `(task, next_phase, outstanding)`,
     /// sorted by task index. A comm task leaves it when it finishes.
     pub comm: Vec<(usize, usize, usize)>,
-    /// Pending compute finishes `(at, task)`, in the order they
-    /// release (see [`fred_sim::events::EventQueue::entries`]).
+    /// Pending compute finishes `(at, task)` in release order: by
+    /// instant, then start order ([`InstantQueue::iter`]).
     pub compute_queue: Vec<(Time, usize)>,
 }
 
@@ -160,7 +159,7 @@ pub struct ScheduleExecutor {
     finish: Vec<Time>,
     done: Vec<bool>,
     comm: BTreeMap<usize, CommState>,
-    compute_queue: EventQueue<usize>,
+    compute_queue: InstantQueue<usize>,
     completed: usize,
     // Span id per task, nonzero once the task has started under this
     // executor (telemetry only, empty untraced; the id outlives the
@@ -220,7 +219,7 @@ impl ScheduleExecutor {
                 .iter()
                 .map(|(&i, s)| (i, s.phase, s.outstanding))
                 .collect(),
-            compute_queue: self.compute_queue.entries(),
+            compute_queue: self.compute_queue.iter().map(|(at, &i)| (at, i)).collect(),
         }
     }
 
@@ -299,6 +298,8 @@ impl ScheduleExecutor {
         for &(_, i) in &compute_queue {
             started[i] = true;
         }
+        let mut queue = InstantQueue::default();
+        queue.extend(compute_queue);
         let ready_stack = (0..n)
             .filter(|&i| !started[i] && indegree[i] == 0)
             .collect();
@@ -317,7 +318,7 @@ impl ScheduleExecutor {
                 .into_iter()
                 .map(|(i, phase, outstanding)| (i, CommState { phase, outstanding }))
                 .collect(),
-            compute_queue: EventQueue::from_entries(compute_queue),
+            compute_queue: queue,
             completed,
             span_ids: if tracing { vec![0; n] } else { Vec::new() },
             ready_stack,
@@ -355,7 +356,7 @@ impl ScheduleExecutor {
 
     /// The earliest pending compute finish, if any.
     pub fn next_compute_time(&self) -> Option<Time> {
-        self.compute_queue.peek_time()
+        self.compute_queue.first_instant()
     }
 
     /// Every unfinished task with its unfinished dependencies — the
@@ -426,13 +427,14 @@ impl ScheduleExecutor {
         Ok(())
     }
 
-    /// Moves every compute task due exactly at `now` into the
-    /// finished-now set; a following [`ScheduleExecutor::settle`]
-    /// completes them.
+    /// Moves the compute tasks due at `now` into the finished-now set,
+    /// in start order; a following [`ScheduleExecutor::settle`]
+    /// completes them. Event loops step to every event instant, so no
+    /// pending finish is earlier than `now`.
     pub fn release_computes_due(&mut self, now: Time) {
-        while self.compute_queue.peek_time() == Some(now) {
-            let ev = self.compute_queue.pop().expect("peeked");
-            self.finished_now.push(ev.event);
+        if let Some(due) = self.compute_queue.take_due(now) {
+            self.finished_now.extend_from_slice(&due);
+            self.compute_queue.recycle(due);
         }
     }
 
@@ -540,7 +542,7 @@ impl ScheduleExecutor {
         let schedule = self.schedule.clone();
         match &schedule.tasks[i].body {
             TaskBody::Compute { duration, .. } => {
-                self.compute_queue.schedule(t + *duration, i);
+                self.compute_queue.push(t + *duration, i);
             }
             TaskBody::Comm { .. } => {
                 self.comm.insert(
@@ -673,9 +675,10 @@ impl Stepper {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Mismatch`] naming the field if a running owner
-    /// never started, a compute finish is past due, or an executor's
-    /// tags overlap another's or pass `next_tag_base`.
+    /// [`SnapshotError::Mismatch`] naming the field if `next_tag_base`
+    /// is past 2^53, a running owner never started, a compute finish is
+    /// past due, or an executor's tags overlap another's or pass
+    /// `next_tag_base`.
     pub fn restore(
         net: FlowNetwork,
         running: Vec<(usize, ScheduleExecutor)>,
@@ -683,6 +686,11 @@ impl Stepper {
         clocks: Vec<(Option<Time>, usize)>,
     ) -> Result<Stepper, SnapshotError> {
         let bad = |what| Err(SnapshotError::Mismatch(what));
+        // Starts add task counts unchecked; 2^53, the largest integer
+        // a capture stores as a number, leaves them room.
+        if next_tag_base > 1 << 53 {
+            return bad(format!(".next_tag_base: {next_tag_base} is past 2^53"));
+        }
         let now = net.now();
         for (k, (owner, ex)) in running.iter().enumerate() {
             if clocks.get(*owner).is_none_or(|c| c.0.is_none()) {
