@@ -10,8 +10,9 @@ use fred_bench::table::{fmt_bw, Table};
 use fred_bench::traceopt::TraceOpts;
 use fred_collectives::hierarchical::merge_concurrent;
 use fred_core::params::FabricConfig;
-use fred_sim::netsim::FlowNetwork;
 use fred_workloads::backend::FabricBackend;
+use fred_workloads::report::CommType;
+use fred_workloads::trainer::run_plan;
 
 fn main() {
     let mut opts = TraceOpts::from_args("ep_alltoall");
@@ -30,9 +31,7 @@ fn main() {
                 })
                 .collect();
             let merged = merge_concurrent("ep", plans);
-            let mut net = FlowNetwork::with_sink(backend.topology(), opts.sink());
-            let secs = merged
-                .execute(&mut net, fred_sim::flow::Priority::Mp)
+            let secs = run_plan(merged, CommType::Mp, &backend, opts.sink())
                 .expect("benchmark plans run on a healthy fabric")
                 .as_secs();
             // All-to-All traffic per NPU: (n-1)/n * D.

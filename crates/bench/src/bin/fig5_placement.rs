@@ -14,15 +14,15 @@ use fred_collectives::hierarchical::merge_concurrent;
 use fred_collectives::plan::CommPlan;
 use fred_core::params::FabricConfig;
 use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
-use fred_sim::netsim::FlowNetwork;
 use fred_telemetry::sink::TraceSink;
 use fred_workloads::backend::FabricBackend;
+use fred_workloads::report::CommType;
+use fred_workloads::trainer::run_plan;
 
+/// `plans` run concurrently in the bulk class, in milliseconds.
 fn phase_time(backend: &FabricBackend, plans: Vec<CommPlan>, sink: Rc<dyn TraceSink>) -> f64 {
     let merged = merge_concurrent("phase", plans);
-    let mut net = FlowNetwork::with_sink(backend.topology(), sink);
-    merged
-        .execute(&mut net, fred_sim::flow::Priority::Bulk)
+    run_plan(merged, CommType::Streaming, backend, sink)
         .expect("benchmark plans run on a healthy fabric")
         .as_secs()
         * 1e3

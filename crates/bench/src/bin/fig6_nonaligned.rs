@@ -12,8 +12,9 @@ use fred_core::params::FabricConfig;
 use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
 use fred_mesh::rings::{ring_hop_count, snake_order};
 use fred_mesh::topology::MeshFabric;
-use fred_sim::netsim::FlowNetwork;
 use fred_workloads::backend::FabricBackend;
+use fred_workloads::report::CommType;
+use fred_workloads::trainer::run_plan;
 
 fn main() {
     let mut opts = TraceOpts::from_args("fig6_nonaligned");
@@ -50,9 +51,7 @@ fn main() {
                 .map(|g| backend.all_reduce(&backend.physical_group(g), bytes))
                 .collect();
             let merged = merge_concurrent(label, plans);
-            let mut net = FlowNetwork::with_sink(backend.topology(), opts.sink());
-            let secs = merged
-                .execute(&mut net, fred_sim::flow::Priority::Bulk)
+            let secs = run_plan(merged, CommType::Streaming, &backend, opts.sink())
                 .expect("benchmark plans run on a healthy fabric")
                 .as_secs();
             opts.metric(format!("{}/{label}_ms", config.name()), secs * 1e3);

@@ -21,18 +21,11 @@ use fred_collectives::hierarchical::merge_concurrent;
 use fred_collectives::plan::CommPlan;
 use fred_core::params::FabricConfig;
 use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
-use fred_sim::netsim::FlowNetwork;
 use fred_telemetry::sink::TraceSink;
 use fred_workloads::backend::FabricBackend;
 use fred_workloads::model::DnnModel;
-
-/// Runs `plan` alone and returns its duration in seconds.
-fn run_plan(backend: &FabricBackend, plan: &CommPlan, sink: Rc<dyn TraceSink>) -> f64 {
-    let mut net = FlowNetwork::with_sink(backend.topology(), sink);
-    plan.execute(&mut net, fred_sim::flow::Priority::Bulk)
-        .expect("benchmark plans run on a healthy fabric")
-        .as_secs()
-}
+use fred_workloads::report::CommType;
+use fred_workloads::trainer::run_plan;
 
 fn phase_row(
     backend: &FabricBackend,
@@ -43,7 +36,9 @@ fn phase_row(
     sink: Rc<dyn TraceSink>,
 ) -> f64 {
     let merged = merge_concurrent(label, plans);
-    let secs = run_plan(backend, &merged, sink);
+    let secs = run_plan(merged, CommType::Streaming, backend, sink)
+        .expect("benchmark plans run on a healthy fabric")
+        .as_secs();
     table.row(vec![
         backend.config().name().into(),
         label.into(),

@@ -402,7 +402,7 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
 
     // One-field edits, each with the field its error must name.
     type Edit = fn(&mut ClusterState);
-    let edits: [(&str, Edit); 17] = [
+    let edits: [(&str, Edit); 20] = [
         (".first_start", |s| {
             s.first_start.pop();
         }),
@@ -453,6 +453,15 @@ fn snapshots_that_disagree_with_their_configuration_are_typed_errors() {
         (".net.solver.flows", |s| {
             let f = s.net.solver.flows.iter_mut().flatten().next().unwrap();
             f.class += 1;
+        }),
+        // Counters the next injection or rate assignment would carry
+        // past u64::MAX, and a next id a live flow already holds.
+        (".net.next_id", |s| s.net.next_id = u64::MAX - 5),
+        (".net.next_generation", |s| {
+            s.net.next_generation = u64::MAX - 5
+        }),
+        (".net.next_id", |s| {
+            s.net.next_id = s.net.flows.iter().flatten().next().unwrap().id.0;
         }),
     ];
     for (field, edit) in edits {

@@ -12,7 +12,8 @@
 //!
 //! Modules:
 //!
-//! * [`plan`] — the plan representation and a standalone executor,
+//! * [`plan`] — the plan representation, data only: plans run in
+//!   `fred_workloads`, whose `trainer::run_plan` times one alone,
 //! * [`ring`] — ring Reduce-Scatter / All-Gather / All-Reduce /
 //!   All-to-All (with the two reverse-direction concurrent chunks used
 //!   by the paper's mesh baseline, §7.2),

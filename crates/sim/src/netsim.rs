@@ -931,6 +931,9 @@ impl FlowNetwork {
     /// This is the one judge of a capture's rules (decoding checks only
     /// shapes). A [`StateMismatch`] names the field at fault if:
     ///
+    /// - `next_id` or `next_generation` is past 2^53, or a flow, a
+    ///   pending notice or a buffered completion has an id at or above
+    ///   `next_id` (the next injection would reuse it);
     /// - the capacities do not cover the topology's links, or a pending
     ///   seed link or a route crosses a link past them;
     /// - a link's capacity is not between zero and its bandwidth;
@@ -951,6 +954,26 @@ impl FlowNetwork {
     ) -> Result<FlowNetwork, StateMismatch> {
         let topo = topo.into();
         let bad = |field: &'static str, why: String| Err(StateMismatch { field, why });
+        // Injections and rate assignments add one unchecked; 2^53, the
+        // largest integer a capture stores as a number, leaves room.
+        for (field, counter) in [
+            ("next_id", state.next_id),
+            ("next_generation", state.next_generation),
+        ] {
+            if counter > 1 << 53 {
+                return bad(field, format!("{counter} is past 2^53"));
+            }
+        }
+        // Every id a capture holds was handed out before it.
+        let next_id = state.next_id;
+        let issued = |what: &str, FlowId(id): FlowId| {
+            let why = format!("{what} has flow id {id}, but ids up to {next_id} are unissued");
+            bad("next_id", why)
+        };
+        let mut notices = state.pending.iter().chain(&state.completed);
+        if let Some(c) = notices.find(|c| c.id.0 >= next_id) {
+            return issued("a pending or buffered completion", c.id);
+        }
         let links = topo.links().count();
         let len = state.solver.capacities.len();
         if len != links {
@@ -1018,6 +1041,9 @@ impl FlowNetwork {
                     return bad("flows", why);
                 }
             };
+            if f.id.0 >= next_id {
+                return issued(&format!("slot {k}"), f.id);
+            }
             if f.injected_at > now || f.updated_at > now {
                 let why = format!(
                     "slot {k} has injected_at {} and updated_at {}, but the clock is {now}",
@@ -1506,6 +1532,7 @@ mod tests {
             completed_at: Time::from_secs(at),
         };
         state.completed = vec![record(1, 1.0), record(0, 1.0), record(2, 0.5)];
+        state.next_id = 3;
         let mut net = FlowNetwork::restore(Rc::clone(&net.topo), Rc::new(NullSink), state).unwrap();
         let ids: Vec<u64> = net.drain_completed().iter().map(|c| c.id.0).collect();
         assert_eq!(ids, [2, 0, 1]);
@@ -1789,6 +1816,37 @@ mod tests {
         }
         assert_eq!(done[0], done[1]);
         assert_eq!(done[0], Time::from_secs(1.0 + (1e9 - 100.0) / 100.0));
+    }
+
+    /// Ids and generations a restored network would hand out again, or
+    /// add past `u64::MAX`, are typed errors naming their counter.
+    #[test]
+    fn counters_that_would_reuse_or_overflow_are_mismatches() {
+        let (mut net, l) = two_node_net(100.0, 0.0);
+        net.inject(FlowSpec::new(vec![l], 100.0)).unwrap();
+        net.inject(FlowSpec::new(vec![l], 0.0)).unwrap();
+        net.advance_to(Time::ZERO);
+        assert_eq!(net.snapshot().completed.len(), 1);
+        type Edit = fn(&mut CoreState);
+        let edits: [(&str, Edit); 5] = [
+            ("next_id", |s| s.next_id = u64::MAX - 5),
+            ("next_generation", |s| s.next_generation = u64::MAX - 5),
+            // The live flow is id 0 and the buffered completion id 1.
+            ("next_id", |s| s.next_id = 0),
+            ("next_id", |s| s.next_id = 1),
+            ("next_id", |s| s.next_id = (1 << 53) + 1),
+        ];
+        for (field, edit) in edits {
+            let mut state = net.snapshot();
+            edit(&mut state);
+            let topo = Rc::clone(&net.topo);
+            let err = FlowNetwork::restore(topo, Rc::new(NullSink), state).unwrap_err();
+            assert_eq!(err.field, field, "{err}");
+        }
+        let topo = Rc::clone(&net.topo);
+        let mut state = net.snapshot();
+        state.next_id = 1 << 53;
+        assert!(FlowNetwork::restore(topo, Rc::new(NullSink), state).is_ok());
     }
 
     #[test]

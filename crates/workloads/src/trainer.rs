@@ -1,7 +1,7 @@
 //! The discrete-event trainer (the role of ASTRA-SIM's system layer,
 //! §7.4).
 //!
-//! Three entry points, one event loop:
+//! Four entry points, one event loop:
 //!
 //! * [`run_iteration`] executes a compiled [`Schedule`] against the
 //!   flow-level network simulator;
@@ -9,7 +9,9 @@
 //!   a model under a 3D strategy;
 //! * [`simulate_faulted`] is [`simulate`] under a [`FaultPlan`] with
 //!   telemetry recorded into a [`TraceSink`]; the other two run with
-//!   [`FaultPlan::none`] and a [`NullSink`].
+//!   [`FaultPlan::none`] and a [`NullSink`];
+//! * [`run_plan`] times one [`CommPlan`] alone (the §8.1
+//!   microbenchmarks), as a chain of one-phase comm tasks.
 //!
 //! The loop is a [`Stepper`] running one executor, started at time
 //! zero over a private network. Compute tasks occupy their virtual
@@ -23,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use fred_collectives::plan::CommPlan;
 use fred_core::placement::{Placement, PlacementPolicy, Strategy3D};
 use fred_sim::fault::FaultPlan;
 use fred_sim::netsim::FlowNetwork;
@@ -35,7 +38,7 @@ use crate::error::TrainError;
 use crate::exec::Stepper;
 use crate::model::DnnModel;
 use crate::report::{CommType, TrainingReport};
-use crate::schedule::{build_schedule, Schedule, ScheduleParams, TaskBody};
+use crate::schedule::{build_schedule, Schedule, ScheduleParams, Task, TaskBody, TaskId};
 
 pub use crate::exec::IterationTiming;
 
@@ -58,9 +61,46 @@ pub fn run_iteration(
     )
 }
 
-/// The trainer's event loop: one executor driven to completion over a
-/// private network, under `faults` (see [`Stepper::step`]), recording
-/// into `sink`. Timing results are bit-identical whatever the sink.
+/// Runs `plan` alone on a fresh network over `backend`'s topology,
+/// recording into `sink`, and returns its duration. Phase `k` runs as a
+/// comm task of type `ctype` labelled `<label>[k]` that waits for phase
+/// `k - 1`: one span and one batch each, through [`run_iteration`]'s
+/// loop, with no iteration stage.
+///
+/// # Errors
+///
+/// [`TrainError::Route`] if a plan route is invalid.
+pub fn run_plan(
+    plan: CommPlan,
+    ctype: CommType,
+    backend: &FabricBackend,
+    sink: Rc<dyn TraceSink>,
+) -> Result<Duration, TrainError> {
+    let label = plan.label;
+    let tasks = plan
+        .phases
+        .into_iter()
+        .enumerate()
+        .map(|(k, phase)| Task {
+            body: TaskBody::Comm {
+                plan: Rc::new(CommPlan {
+                    label: format!("{label}[{k}]"),
+                    phases: vec![phase],
+                }),
+                ctype,
+            },
+            deps: k.checked_sub(1).map(TaskId).into_iter().collect(),
+        })
+        .collect();
+    let chain = Rc::new(Schedule::new(tasks, Vec::new(), label, 0));
+    let net = FlowNetwork::with_sink(backend.topology(), sink);
+    let timing = run_alone(net, chain, backend, &FaultPlan::none())?;
+    Ok(timing.makespan - Time::ZERO)
+}
+
+/// The trainer's iteration: [`run_alone`] over a private network
+/// recording into `sink`, between two iteration-stage markers. Timing
+/// results are bit-identical whatever the sink.
 fn run_iteration_faulted(
     schedule: Rc<Schedule>,
     backend: &FabricBackend,
@@ -75,24 +115,7 @@ fn run_iteration_faulted(
             label: "iteration-start".into(),
         });
     }
-    // One owner, started at time zero with the classic tags (0, n] and
-    // tenant rank 0: its fault times count from zero, and its network
-    // carries no tag but its own.
-    let mut run = Stepper::new(net, 1);
-    run.start(0, schedule, 0, None, backend)?;
-    let plan = |_| faults;
-    let ex = loop {
-        if let Some((_, ex)) = run.take_finished() {
-            break ex;
-        }
-        let Some(next) = run.next_event(plan) else {
-            let (_, ex) = run.running().next().expect("an unfinished executor runs");
-            return Err(ex.stalled());
-        };
-        run.step(next, backend, plan).map_err(|(_, err)| err)?;
-    };
-
-    let timing = ex.timing();
+    let timing = run_alone(net, schedule, backend, faults)?;
     if tracing {
         sink.record(TraceEvent::IterStage {
             t: timing.makespan.as_secs(),
@@ -100,6 +123,32 @@ fn run_iteration_faulted(
         });
     }
     Ok(timing)
+}
+
+/// The one loop of every single-schedule run: `schedule` driven to
+/// completion over `net` under `faults` (see [`Stepper::step`]).
+fn run_alone(
+    net: FlowNetwork,
+    schedule: Rc<Schedule>,
+    backend: &FabricBackend,
+    faults: &FaultPlan,
+) -> Result<IterationTiming, TrainError> {
+    // One owner, started at time zero with the classic tags (0, n] and
+    // tenant rank 0: its fault times count from zero, and its network
+    // carries no tag but its own.
+    let mut run = Stepper::new(net, 1);
+    run.start(0, schedule, 0, None, backend)?;
+    let plan = |_| faults;
+    loop {
+        if let Some((_, ex)) = run.take_finished() {
+            return Ok(ex.timing());
+        }
+        let Some(next) = run.next_event(plan) else {
+            let (_, ex) = run.running().next().expect("an unfinished executor runs");
+            return Err(ex.stalled());
+        };
+        run.step(next, backend, plan).map_err(|(_, err)| err)?;
+    }
 }
 
 /// Builds the exposed-communication breakdown from a timed iteration
@@ -398,6 +447,137 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TrainError::Stalled { .. }), "{err:?}");
+    }
+
+    /// A 2×2 mesh of 100 B/s links: a 4-node duplex ring 0–1–3–2.
+    fn square() -> FabricBackend {
+        FabricBackend::Mesh(fred_mesh::topology::MeshFabric::new(
+            2, 2, 100.0, 100.0, 0.0,
+        ))
+    }
+
+    /// A plan labelled `label` of `phases`, each a list of
+    /// `(src, dst, bytes)` transfers routed on `b`.
+    fn plan_of(b: &FabricBackend, label: &str, phases: &[&[(usize, usize, f64)]]) -> CommPlan {
+        let transfer = |&(src, dst, bytes)| fred_collectives::plan::Transfer {
+            src,
+            dst,
+            bytes,
+            route: b.npu_route(src, dst).into(),
+        };
+        CommPlan {
+            label: label.into(),
+            phases: phases
+                .iter()
+                .map(|p| fred_collectives::plan::Phase {
+                    transfers: p.iter().map(transfer).collect(),
+                })
+                .collect(),
+        }
+    }
+
+    fn run_untraced(b: &FabricBackend, plan: CommPlan) -> Result<Duration, TrainError> {
+        run_plan(plan, CommType::Streaming, b, Rc::new(NullSink))
+    }
+
+    #[test]
+    fn plan_phases_run_serially() {
+        let b = square();
+        let plan = plan_of(&b, "serial", &[&[(0, 1, 100.0)], &[(1, 3, 100.0)]]);
+        // Two serial 1-second phases on different links.
+        let d = run_untraced(&b, plan).unwrap();
+        assert!((d.as_secs() - 2.0).abs() < 1e-9, "got {d}");
+    }
+
+    #[test]
+    fn concurrent_transfers_of_a_phase_share_links() {
+        let b = square();
+        let plan = plan_of(&b, "contended", &[&[(0, 1, 100.0), (0, 1, 100.0)]]);
+        let d = run_untraced(&b, plan).unwrap();
+        assert!((d.as_secs() - 2.0).abs() < 1e-9, "got {d}");
+    }
+
+    #[test]
+    fn a_plan_with_an_invalid_route_is_a_route_error() {
+        use fred_sim::topology::{LinkId, RouteError};
+        let b = square();
+        let mut plan = plan_of(&b, "bad", &[&[(0, 1, 1.0)]]);
+        plan.phases[0].transfers[0].route = Rc::new([LinkId(99)]);
+        assert_eq!(
+            run_untraced(&b, plan),
+            Err(TrainError::Route(RouteError::UnknownLink(LinkId(99))))
+        );
+    }
+
+    /// The shape the `analysis` leaves of the microbenchmarks rest on:
+    /// per phase one span labelled `<label>[k]` with the phase's bytes
+    /// and source count, an edge to phase k − 1, its flows on the
+    /// span's tag, and no iteration stage.
+    #[test]
+    fn a_traced_plan_is_one_span_per_phase_in_a_chain() {
+        use fred_telemetry::event::Track;
+        use fred_telemetry::sink::RingRecorder;
+        let b = square();
+        let plan = plan_of(
+            &b,
+            "p",
+            &[
+                &[(0, 1, 100.0), (0, 2, 50.0)],
+                &[],
+                &[(1, 3, 100.0), (2, 3, 100.0), (3, 2, 20.0)],
+            ],
+        );
+        let sink = Rc::new(RingRecorder::new());
+        let d = run_plan(plan, CommType::Dp, &b, sink.clone()).unwrap();
+        assert!((d.as_secs() - 2.0).abs() < 1e-9, "got {d}");
+        let events = sink.events();
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::IterStage { .. })));
+        let mut spans = Vec::new();
+        let (mut deps, mut ends, mut flows) = (Vec::new(), Vec::new(), Vec::new());
+        for e in &events {
+            match e {
+                TraceEvent::PhaseBegin {
+                    t,
+                    track,
+                    span,
+                    label,
+                    bytes,
+                    npus,
+                    tag,
+                } => {
+                    assert_eq!(*track, Track::Dp);
+                    spans.push((*span, *tag));
+                    let begun = (label.to_string(), *t, *bytes, *npus);
+                    ends.push((begun, None));
+                }
+                TraceEvent::SpanDep { span, pred, .. } => deps.push((*span, *pred)),
+                TraceEvent::PhaseEnd { t, span, .. } => {
+                    let k = spans.iter().position(|s| s.0 == *span).unwrap();
+                    assert_eq!(ends[k].1.replace(*t), None, "span {span} ended twice");
+                }
+                TraceEvent::FlowInjected { tag, .. } => flows.push((spans.len() - 1, *tag)),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            ends,
+            [
+                (("p[0]".to_string(), 0.0, 150.0, 1), Some(1.0)),
+                (("p[1]".to_string(), 1.0, 0.0, 0), Some(1.0)),
+                (("p[2]".to_string(), 1.0, 220.0, 3), Some(2.0)),
+            ]
+        );
+        assert_eq!(deps, [(spans[1].0, spans[0].0), (spans[2].0, spans[1].0)]);
+        let tagged: Vec<_> = flows
+            .iter()
+            .map(|&(k, tag)| (k, tag == spans[k].1))
+            .collect();
+        assert_eq!(
+            tagged,
+            [(0, true), (0, true), (2, true), (2, true), (2, true)]
+        );
     }
 
     #[test]

@@ -8,18 +8,19 @@
 //!
 //! Run with: `cargo run --release --example placement_explorer`
 
+use std::rc::Rc;
+
 use fred::collectives::hierarchical::merge_concurrent;
 use fred::core::params::FabricConfig;
 use fred::core::placement::{Placement, PlacementPolicy, Strategy3D};
-use fred::sim::flow::Priority;
-use fred::sim::netsim::FlowNetwork;
+use fred::telemetry::sink::NullSink;
 use fred::workloads::backend::FabricBackend;
+use fred::workloads::report::CommType;
+use fred::workloads::trainer::run_plan;
 
 fn phase_time(backend: &FabricBackend, plans: Vec<fred::collectives::CommPlan>) -> f64 {
     let merged = merge_concurrent("phase", plans);
-    let mut net = FlowNetwork::new(backend.topology());
-    merged
-        .execute(&mut net, Priority::Bulk)
+    run_plan(merged, CommType::Streaming, backend, Rc::new(NullSink))
         .expect("placement sweep runs on a healthy fabric")
         .as_secs()
 }

@@ -257,6 +257,53 @@ fn committed_baselines_hold_fig6_the_memory_fit_the_mesh_collapse_and_density() 
     assert_eq!(leaf(&table4, "area_scale_pct/1000GBps_mm"), 5.0);
 }
 
+#[test]
+fn committed_baselines_hold_the_multi_wafer_and_expert_parallel_rows() {
+    // §8.3 multi-wafer: a 10 GB hierarchical global All-Reduce's
+    // effective NPU bandwidth in TB/s, for 2, 3 and 4 wafers, at each
+    // inter-wafer channel bandwidth. 128 GB/s channels cap it near
+    // 1 TB/s and below; 512 GB/s reaches the full 3 TB/s only up to 3
+    // wafers; 2 TB/s reaches it at all three counts.
+    let scaling = sim("scaling");
+    for (channel, want) in [
+        ("128.0 GB/s", [1.02, 0.77, 0.68]),
+        ("512.0 GB/s", [3.00, 3.00, 2.73]),
+        ("2.00 TB/s", [3.00, 3.00, 3.00]),
+    ] {
+        let got = [2, 3, 4].map(|wafers| {
+            let ms = leaf(&scaling, &format!("global_ar_ms/{wafers}w/{channel}"));
+            (10e9 / (ms * 1e-3) / 1e10).round() / 100.0
+        });
+        assert_eq!(
+            got, want,
+            "§8.3 multi-wafer at {channel}: TB/s per wafer count"
+        );
+    }
+
+    // §8.3 EP All-to-All: with no reduction to run in the switches,
+    // Fred-B takes exactly Fred-A's time and Fred-D exactly Fred-C's on
+    // every layout. Fred-C/D beat the mesh on all five layouts; Fred-A/B
+    // beat it on four and tie it at 4 x EP(5).
+    let ep = sim("ep_alltoall");
+    let layouts = ["1xEP20", "2xEP10", "4xEP5", "5xEP4", "10xEP2"];
+    for layout in layouts {
+        let ms = |config: &str| leaf(&ep, &format!("{layout}/{config}/ms"));
+        let base = ms("Baseline");
+        assert_eq!(ms("Fred-B"), ms("Fred-A"), "§8.3 EP {layout}: Fred-B");
+        assert_eq!(ms("Fred-D"), ms("Fred-C"), "§8.3 EP {layout}: Fred-D");
+        assert!(ms("Fred-C") < base, "§8.3 EP {layout}: Fred-C");
+        let fred_a_wins = ms("Fred-A") < base;
+        assert_eq!(fred_a_wins, layout != "4xEP5", "§8.3 EP {layout}: Fred-A");
+    }
+    let five_places = |ms: f64| (ms * 1e5).round() / 1e5;
+    let tie = ["Fred-A", "Baseline"].map(|c| five_places(leaf(&ep, &format!("4xEP5/{c}/ms"))));
+    assert_eq!(
+        tie,
+        [1.60032, 1.60028],
+        "§8.3 EP 4xEP5: Fred-A and the mesh"
+    );
+}
+
 /// fredbench's `paper_err` over `rows`, each `(simulated, paper)`: the
 /// mean relative error, summed in row order.
 fn paper_err(rows: &[(f64, f64)]) -> f64 {
